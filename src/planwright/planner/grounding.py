@@ -1,18 +1,21 @@
 """Grounding: from a problem instance to an indexed propositional task.
 
-Action schemas are instantiated over all type-consistent bindings, their
-preconditions normalized to conjunctions of literals and numeric
-comparisons (disjunctions split into separate variants), and instantiations
-that can never apply are pruned via a pair-reachability fixpoint computed
-from the initial state. Pruning ignores numeric conditions, which keeps it
-sound: it only ever removes actions that are impossible for boolean
-reasons.
+Each action schema's precondition is normalized once to conjunctions of
+literals and numeric comparisons (disjunctions split into separate
+variants); the schema is then instantiated over all type-consistent
+bindings by substituting into those branches. Instantiations that can
+never apply are pruned from the initial state in two passes: a relaxed
+single-atom reachability pass (deletes ignored), then a pair-reachability
+(h^2) fixpoint over the survivors that keeps, for every atom, an int
+bitmask of the atoms that can hold together with it. Pruning ignores
+negative and numeric conditions, which keeps it sound: it only ever removes
+actions that are impossible for boolean reasons.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Optional
 
 from ..ir import (
@@ -291,18 +294,6 @@ def ground(problem: ProblemInstance) -> GroundTask:
     goal_nnf = to_nnf(problem.goal)
     _touch_expression(goal_nnf, num_index)  # fail fast on uninitialized goal numerics
 
-    actions: list[GroundAction] = []
-    for schema in domain.actions:
-        nnf = to_nnf(schema.precondition)
-        for binding in _bindings(domain, schema.parameters, problem.objects):
-            bound = substitute(nnf, binding)
-            for branch in to_dnf_branches(bound):
-                action = _build_action(schema, binding, branch, atom_index, num_index, problem)
-                if action is not None:
-                    actions.append(action)
-
-    kept = _prune_unreachable(actions, atoms, atom_index, init_true)
-
     init_bools = 0
     for atom in init_true:
         idx = atom_index.get(atom)
@@ -310,17 +301,38 @@ def ground(problem: ProblemInstance) -> GroundTask:
             init_bools |= 1 << idx
     init_nums = tuple(init_numeric[a] for a in num_atoms)
 
+    actions = _instantiate(problem, atom_index, num_index)
     return GroundTask(
         problem=problem,
         atoms=atoms,
         atom_index=atom_index,
         num_atoms=num_atoms,
         num_index=num_index,
-        actions=tuple(kept),
+        actions=tuple(_prune_unreachable(actions, init_bools)),
         init_bools=init_bools,
         init_nums=init_nums,
         goal=goal_nnf,
     )
+
+
+def _instantiate(problem: ProblemInstance, atom_index, num_index) -> list[GroundAction]:
+    """Every ground action variant of every schema, before pruning.
+
+    Each schema's precondition is normalized once; substitution keeps the
+    And/Or structure, so substituting the literals of each branch gives the
+    same branches, in the same order, as normalizing the bound precondition.
+    """
+    domain = problem.domain
+    actions: list[GroundAction] = []
+    for schema in domain.actions:
+        branches = to_dnf_branches(to_nnf(schema.precondition))
+        for binding in _bindings(domain, schema.parameters, problem.objects):
+            for branch in branches:
+                literals = [substitute(literal, binding) for literal in branch]
+                action = _build_action(schema, binding, literals, atom_index, num_index, problem)
+                if action is not None:
+                    actions.append(action)
+    return actions
 
 
 def _touch_expression(expr: Expression, num_index: dict[NumFluent, int]) -> None:
@@ -402,76 +414,78 @@ def _build_action(schema, binding, branch, atom_index, num_index, problem) -> Op
 
 def _mask_bits(mask: int) -> list[int]:
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
-def _prune_unreachable(actions: list[GroundAction], atoms, atom_index, init_true) -> list[GroundAction]:
-    """Pair-reachability fixpoint from the initial state.
+def _prune_unreachable(actions: list[GroundAction], init_bools: int) -> list[GroundAction]:
+    """Drop the actions whose positive precondition can never hold.
 
-    A pair of atoms is marked when some applicable action can make both true
-    together; an action survives only if every pair within its positive
-    precondition is marked. Negative and numeric preconditions are treated
-    as satisfiable, so the check only removes genuinely impossible actions.
+    Two fixpoints from the initial state, both ignoring negative and numeric
+    preconditions, so only genuinely impossible actions are removed:
+
+    1. Relaxed reachability: fire every action whose positive precondition
+       is reached, with deletes ignored, until no atom is added. An action
+       whose precondition needs an unreached atom is dropped.
+    2. Pair reachability (h^2) over the survivors. ``rows[i]`` is the mask
+       of atoms that can hold together with atom ``i``; it holds bit ``i``
+       itself once ``i`` is reachable. An action is enabled when every
+       pair within its positive precondition is reachable, i.e. when
+       ``pre_pos`` lies inside ``rows[i]`` for each precondition atom ``i``.
+       An enabled action makes each added atom co-hold with the other added
+       atoms and with every atom that co-holds with the whole precondition
+       and is neither added nor deleted.
+
+    Survivors keep their order. Step 1 drops nothing that step 2 would keep:
+    a pair (i, i) is only ever marked for an atom i that step 1 reaches. The
+    least fixpoint of step 2 is unique, so the order of the updates does not
+    change the result.
     """
-    n = len(atoms)
-    reachable: set[tuple[int, int]] = set()
+    reached = init_bools
+    pending = actions
+    grew = True
+    while grew:
+        grew = False
+        blocked = []
+        for action in pending:
+            if action.pre_pos & reached != action.pre_pos:
+                blocked.append(action)
+            elif action.add_mask & ~reached:
+                reached |= action.add_mask
+                grew = True
+        pending = blocked
+    candidates = [a for a in actions if a.pre_pos & reached == a.pre_pos]
 
-    def mark(i: int, j: int) -> bool:
-        key = (i, j) if i <= j else (j, i)
-        if key in reachable:
-            return False
-        reachable.add(key)
-        return True
+    rows = [init_bools if init_bools >> i & 1 else 0 for i in range(reached.bit_length())]
+    self_mask = init_bools
+    pre_bits = [_mask_bits(a.pre_pos) for a in candidates]
+    add_bits = [_mask_bits(a.add_mask) for a in candidates]
 
-    init_bits = sorted(atom_index[a] for a in init_true if a in atom_index)
-    for i in init_bits:
-        mark(i, i)
-    for i, j in combinations(init_bits, 2):
-        mark(i, j)
-
-    def pairwise_ok(bits: list[int]) -> bool:
-        for i in bits:
-            if (i, i) not in reachable:
-                return False
-        for i, j in combinations(bits, 2):
-            if ((i, j) if i <= j else (j, i)) not in reachable:
-                return False
-        return True
-
-    pre_bits = [_mask_bits(a.pre_pos) for a in actions]
-    add_bits = [_mask_bits(a.add_mask) for a in actions]
-
-    changed = True
-    while changed:
-        changed = False
-        for idx, action in enumerate(actions):
-            pre = pre_bits[idx]
-            if not pairwise_ok(pre):
-                continue
-            adds = add_bits[idx]
-            for i in adds:
-                if mark(i, i):
-                    changed = True
-            for i, j in combinations(adds, 2):
-                if mark(i, j):
-                    changed = True
-            # An added atom pairs with any atom that can co-hold with the
-            # preconditions and survives the delete list.
-            for i in adds:
-                for r in range(n):
-                    if action.del_mask >> r & 1 or action.add_mask >> r & 1:
+    grew = True
+    while grew:
+        grew = False
+        for action, pre, adds in zip(candidates, pre_bits, add_bits):
+            pre_pos = action.pre_pos
+            together = self_mask
+            for i in pre:
+                row = rows[i]
+                if pre_pos & ~row:
+                    break
+                together &= row
+            else:
+                together = (together & ~(action.del_mask | action.add_mask)) | action.add_mask
+                for i in adds:
+                    fresh = together & ~rows[i]
+                    if not fresh:
                         continue
-                    if (r, r) not in reachable:
-                        continue
-                    if not pairwise_ok(sorted(set(pre + [r]))):
-                        continue
-                    if mark(i, r):
-                        changed = True
+                    grew = True
+                    bit = 1 << i
+                    rows[i] |= fresh
+                    self_mask |= bit
+                    for j in _mask_bits(fresh & ~bit):
+                        rows[j] |= bit
 
-    return [a for idx, a in enumerate(actions) if pairwise_ok(pre_bits[idx])]
+    return [a for a, pre in zip(candidates, pre_bits) if all(not a.pre_pos & ~rows[i] for i in pre)]

@@ -4,11 +4,16 @@ The oracle grounds actions by naive enumeration and runs breadth-first
 search over explicit states. It intentionally shares no code with the
 planner package beyond the IR value types, so it can serve as the
 ground-truth side of dual-route checks.
+
+``reference_pair_prune`` is the second oracle: the straightforward
+set-of-pairs reachability prune, which reads only the masks of the
+planner's ground actions and serves as the reference for the planner's
+bitset prune.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Optional
 
 from planwright.ir import (
@@ -177,3 +182,83 @@ def bfs_optimal_plan(problem: ProblemInstance, max_states: int = 400_000) -> Opt
                 next_frontier.append((new_atoms, new_numerics))
         frontier = next_frontier
     return None
+
+
+def _mask_bits(mask: int) -> list[int]:
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return out
+
+
+def reference_pair_prune(actions, atoms, atom_index, init_true):
+    """Pair-reachability fixpoint from the initial state.
+
+    A pair of atoms is marked when some applicable action can make both true
+    together; an action survives only if every pair within its positive
+    precondition is marked. Negative and numeric preconditions are treated
+    as satisfiable, so the check only removes genuinely impossible actions.
+
+    This is the planner's original set-of-pairs prune, kept verbatim as the
+    oracle for the bitset prune in ``planwright.planner.grounding``.
+    """
+    n = len(atoms)
+    reachable: set[tuple[int, int]] = set()
+
+    def mark(i: int, j: int) -> bool:
+        key = (i, j) if i <= j else (j, i)
+        if key in reachable:
+            return False
+        reachable.add(key)
+        return True
+
+    init_bits = sorted(atom_index[a] for a in init_true if a in atom_index)
+    for i in init_bits:
+        mark(i, i)
+    for i, j in combinations(init_bits, 2):
+        mark(i, j)
+
+    def pairwise_ok(bits: list[int]) -> bool:
+        for i in bits:
+            if (i, i) not in reachable:
+                return False
+        for i, j in combinations(bits, 2):
+            if ((i, j) if i <= j else (j, i)) not in reachable:
+                return False
+        return True
+
+    pre_bits = [_mask_bits(a.pre_pos) for a in actions]
+    add_bits = [_mask_bits(a.add_mask) for a in actions]
+
+    changed = True
+    while changed:
+        changed = False
+        for idx, action in enumerate(actions):
+            pre = pre_bits[idx]
+            if not pairwise_ok(pre):
+                continue
+            adds = add_bits[idx]
+            for i in adds:
+                if mark(i, i):
+                    changed = True
+            for i, j in combinations(adds, 2):
+                if mark(i, j):
+                    changed = True
+            # An added atom pairs with any atom that can co-hold with the
+            # preconditions and survives the delete list.
+            for i in adds:
+                for r in range(n):
+                    if action.del_mask >> r & 1 or action.add_mask >> r & 1:
+                        continue
+                    if (r, r) not in reachable:
+                        continue
+                    if not pairwise_ok(sorted(set(pre + [r]))):
+                        continue
+                    if mark(i, r):
+                        changed = True
+
+    return [a for idx, a in enumerate(actions) if pairwise_ok(pre_bits[idx])]

@@ -37,8 +37,9 @@ from planwright.planner import (
     solve,
     validate_plan,
 )
+from planwright.planner.grounding import _instantiate
 
-from helpers import bfs_optimal_plan
+from helpers import bfs_optimal_plan, reference_pair_prune
 
 ASTAR = SolveConfig(strategy="astar", heuristic="blind")
 
@@ -108,6 +109,79 @@ class TestGrounding:
         first = [str(a) for a in ground(problem).actions]
         second = [str(a) for a in ground(problem).actions]
         assert first == second
+
+
+class TestPruneMatchesReference:
+    """ground() keeps exactly the actions the set-of-pairs oracle keeps, in order."""
+
+    @staticmethod
+    def check(problem: ProblemInstance) -> tuple[int, int]:
+        task = ground(problem)
+        instantiated = _instantiate(problem, task.atom_index, task.num_index)
+        expected = reference_pair_prune(instantiated, task.atoms, task.atom_index, problem.init.true_atoms)
+        assert task.actions == tuple(expected)
+        return len(instantiated), len(task.actions)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_blocksworld(self, seed):
+        rng = random.Random(seed)
+        blocks = [f"b{i}" for i in range(1, rng.randint(2, 6) + 1)]
+        problem = blocksworld_problem(f"bw-{seed}", _random_towers(rng, blocks), _random_towers(rng, blocks))
+        instantiated, kept = self.check(problem)
+        assert kept < instantiated  # stack(b, b) and its kin are pruned
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_grippers(self, seed):
+        rng = random.Random(seed)
+        rooms = rng.randint(2, 4)
+        robots = rng.randint(1, 2)
+        room = lambda: f"room{rng.randint(1, rooms)}"  # noqa: E731
+        balls = [f"ball{i}" for i in range(1, rng.randint(1, 4) + 1)]
+        problem = grippers_problem(
+            f"g-{seed}", rooms=rooms, robots=robots,
+            ball_rooms={b: room() for b in balls},
+            goal_rooms={b: room() for b in balls},
+            robot_rooms={f"robot{i}": room() for i in range(1, robots + 1)},
+        )
+        self.check(problem)
+
+    @pytest.mark.parametrize("initial", [0, 10, 30])
+    def test_battery_grippers_numeric_conditions(self, initial):
+        self.check(battery_problem(initial))
+
+    def test_household(self):
+        self.check(household_problem())
+
+    def test_or_and_negative_preconditions(self):
+        from planwright.ir import ActionSchema, DomainModel, FluentDecl, Not, Or, Parameter, SetEffect, TypeDecl
+
+        v = lambda name: Parameter(name, "valve")  # noqa: E731
+        domain = DomainModel(
+            "valves",
+            types=(TypeDecl("valve"),),
+            fluents=(FluentDecl("open", (v("?v"),)), FluentDecl("rusted", (v("?v"),)), FluentDecl("flow", ())),
+            actions=(
+                ActionSchema("open-valve", (v("?v"),), Not(Atom("open", ("?v",))), (SetEffect(Atom("open", ("?v",))),)),
+                ActionSchema(
+                    "close-valve",
+                    (v("?v"),),
+                    And((Atom("open", ("?v",)), Not(Atom("flow")))),
+                    (SetEffect(Atom("open", ("?v",)), False),),
+                ),
+                # "rusted" is never true, so the second variant of every
+                # binding is pruned.
+                ActionSchema(
+                    "start-flow",
+                    (v("?a"), v("?b")),
+                    Or((And((Atom("open", ("?a",)), Atom("open", ("?b",)))), Atom("rusted", ("?a",)))),
+                    (SetEffect(Atom("flow")),),
+                ),
+            ),
+        )
+        problem = ProblemInstance(
+            domain, (ObjectDecl("v1", "valve"), ObjectDecl("v2", "valve")), Assignment.create([]), Atom("flow"), "valves"
+        )
+        assert self.check(problem) == (12, 8)
 
 
 class TestSolve:
