@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 from typing import Optional
 
@@ -431,8 +432,13 @@ def cmd_bench(args) -> int:
                             solved += 1
                     else:
                         row["status"] = outcome.status
-                except (PddlError, GroundingError, OSError) as exc:
+                except (PddlError, OSError) as exc:
                     row["status"] = f"parse-error: {exc}"
+                except GroundingError as exc:
+                    row["status"] = f"grounding-error: {exc}"
+                except Exception as exc:  # one faulty problem must not lose the other rows
+                    traceback.print_exc(file=sys.stderr)
+                    row["status"] = f"internal-error: {type(exc).__name__}"
                 problems_report.append(row)
         percent = round(100.0 * solved / attempted, 2) if attempted else 0.0
         report_rows.append(

@@ -279,6 +279,57 @@ class TestBenchCommand:
         statuses = {p["problem"]: p["status"] for p in row["problems"]}
         assert statuses["p03.pddl"].startswith("parse-error")
 
+    def _bench_blocksworld(self, tmp_path) -> dict:
+        from planwright.data_paths import benchmarks_root
+
+        problems = tmp_path / "problems"
+        problems.mkdir()
+        src = benchmarks_root() / "blocksworld"
+        for name in ("p01.pddl", "p02.pddl", "p03.pddl"):
+            (problems / name).write_text((src / name).read_text())
+        out = tmp_path / "bench"
+        code = main([
+            "bench", "--domain", str(src / "domain.pddl"),
+            "--problems", str(problems), "--out-dir", str(out),
+        ])
+        assert code == 0
+        row = json.loads((out / "bench_report.json").read_text())["rows"][0]
+        assert row["attempted"] == 3
+        return row
+
+    def test_grounding_error_reported_as_grounding_error(self, tmp_path, monkeypatch):
+        import planwright.cli as cli
+        from planwright.planner import GroundingError
+
+        real_ground = cli.ground
+
+        def failing_ground(problem):
+            if problem.name == "blocksworld-02":
+                raise GroundingError("numeric atom (fuel) is used but uninitialized")
+            return real_ground(problem)
+
+        monkeypatch.setattr(cli, "ground", failing_ground)
+        row = self._bench_blocksworld(tmp_path)
+        statuses = {p["problem"]: p["status"] for p in row["problems"]}
+        assert statuses["p02.pddl"] == "grounding-error: numeric atom (fuel) is used but uninitialized"
+        assert row["solved"] == 2
+
+    def test_unexpected_error_isolated_per_row(self, tmp_path, monkeypatch):
+        import planwright.cli as cli
+
+        real_solve = cli.solve
+
+        def failing_solve(task, cfg):
+            if task.problem.name == "blocksworld-02":
+                raise ZeroDivisionError("division by zero")
+            return real_solve(task, cfg)
+
+        monkeypatch.setattr(cli, "solve", failing_solve)
+        row = self._bench_blocksworld(tmp_path)
+        statuses = {p["problem"]: p["status"] for p in row["problems"]}
+        assert statuses == {"p01.pddl": "solved", "p02.pddl": "internal-error: ZeroDivisionError", "p03.pddl": "solved"}
+        assert row["solved"] == 2
+
     def test_bench_aggregate_equals_sum_of_rows(self, tmp_path):
         from planwright.data_paths import benchmarks_root
 
