@@ -68,7 +68,7 @@ def solve(task: GroundTask, cfg: SolveConfig = SolveConfig()) -> SolveResult:
 
     counter = 0
     open_heap: list[tuple[float, int, int, tuple]] = []
-    heapq.heappush(open_heap, (h0 if cfg.strategy == "greedy" else h0, counter, 0, init_key))
+    heapq.heappush(open_heap, (h0, counter, 0, init_key))
     best_g: dict[tuple, int] = {init_key: 0}
     parents: dict[tuple, tuple[tuple, int]] = {}
     expanded = 0
