@@ -143,6 +143,7 @@ class ProceduralStore:
         self.path = Path(path) if path is not None else None
         self.clock = clock
         self.entries: list[MemoryEntry] = []
+        self._has_header = False
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -150,6 +151,7 @@ class ProceduralStore:
         lines = [l for l in self.path.read_text(encoding="utf-8").splitlines() if l.strip()]
         if not lines:
             return
+        self._has_header = True
         header = json.loads(lines[0])
         stored_id = header.get("embedder")
         if stored_id and stored_id != self.embedder.id:
@@ -159,12 +161,16 @@ class ProceduralStore:
     def _persist(self, entry: MemoryEntry) -> None:
         if self.path is None:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        new_file = not self.path.exists() or not self.path.read_text(encoding="utf-8").strip()
+        text = json.dumps(entry.to_json()) + "\n"
+        if not self._has_header:
+            # Another store on the same path may have written the header
+            # since this one loaded; look once, then remember.
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            if not self.path.exists() or not self.path.read_text(encoding="utf-8").strip():
+                text = json.dumps({"version": 1, "embedder": self.embedder.id}) + "\n" + text
+            self._has_header = True
         with self.path.open("a", encoding="utf-8") as handle:
-            if new_file:
-                handle.write(json.dumps({"version": 1, "embedder": self.embedder.id}) + "\n")
-            handle.write(json.dumps(entry.to_json()) + "\n")
+            handle.write(text)
 
     def store(self, summary: str, source_agent: str = "") -> MemoryEntry:
         if not summary.strip():

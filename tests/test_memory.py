@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +65,25 @@ class TestStore:
         assert [e.summary for e in reloaded.entries] == [e.summary for e in store.entries]
         assert [e.embedding for e in reloaded.entries] == [e.embedding for e in store.entries]
         assert reloaded.retrieve("fridge", k=2) == store.retrieve("fridge", k=2)
+
+    def test_two_stores_appending_in_turn_share_one_header(self, tmp_path, monkeypatch):
+        path = tmp_path / "memory.jsonl"
+        first = ProceduralStore(path, clock=lambda: 1.0)
+        second = ProceduralStore(path, clock=lambda: 2.0)
+        entries = [first.store("watch the battery level", "goal-generator"), second.store(FRIDGE_NOTE, "critic")]
+
+        # Both stores now know the header exists and no longer read the file.
+        def no_reads(self, *args, **kwargs):
+            raise AssertionError(f"{self} read while appending")
+
+        monkeypatch.setattr(Path, "read_text", no_reads)
+        entries += [first.store("close the fridge", "goal-generator"), second.store("heat the salmon", "critic")]
+        monkeypatch.undo()
+
+        header = json.dumps({"version": 1, "embedder": HashedBagOfWordsEmbedder().id})
+        expected = "".join(line + "\n" for line in [header] + [json.dumps(e.to_json()) for e in entries])
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert [e.summary for e in ProceduralStore(path).entries] == [e.summary for e in entries]
 
     def test_embedder_mismatch_detected(self, tmp_path):
         path = tmp_path / "memory.jsonl"
