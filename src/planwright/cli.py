@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-import traceback
 from pathlib import Path
 from typing import Optional
 
@@ -437,6 +436,8 @@ def cmd_bench(args) -> int:
                 except GroundingError as exc:
                     row["status"] = f"grounding-error: {exc}"
                 except Exception as exc:  # one faulty problem must not lose the other rows
+                    import traceback  # only on this path; keeps CLI start-up lean
+
                     traceback.print_exc(file=sys.stderr)
                     row["status"] = f"internal-error: {type(exc).__name__}"
                 problems_report.append(row)
