@@ -133,15 +133,14 @@ class TestPruneMatchesReference:
     @pytest.mark.parametrize("seed", range(6))
     def test_seeded_grippers(self, seed):
         rng = random.Random(seed)
-        rooms = rng.randint(2, 4)
+        rooms = [f"room{i}" for i in range(1, rng.randint(2, 4) + 1)]
         robots = rng.randint(1, 2)
-        room = lambda: f"room{rng.randint(1, rooms)}"  # noqa: E731
         balls = [f"ball{i}" for i in range(1, rng.randint(1, 4) + 1)]
         problem = grippers_problem(
-            f"g-{seed}", rooms=rooms, robots=robots,
-            ball_rooms={b: room() for b in balls},
-            goal_rooms={b: room() for b in balls},
-            robot_rooms={f"robot{i}": room() for i in range(1, robots + 1)},
+            f"g-{seed}", rooms=len(rooms), robots=robots,
+            ball_rooms={b: rng.choice(rooms) for b in balls},
+            goal_rooms={b: rng.choice(rooms) for b in balls},
+            robot_rooms={f"robot{i}": rng.choice(rooms) for i in range(1, robots + 1)},
         )
         self.check(problem)
 
@@ -155,16 +154,16 @@ class TestPruneMatchesReference:
     def test_or_and_negative_preconditions(self):
         from planwright.ir import ActionSchema, DomainModel, FluentDecl, Not, Or, Parameter, SetEffect, TypeDecl
 
-        v = lambda name: Parameter(name, "valve")  # noqa: E731
+        v, a, b = (Parameter(name, "valve") for name in ("?v", "?a", "?b"))
         domain = DomainModel(
             "valves",
             types=(TypeDecl("valve"),),
-            fluents=(FluentDecl("open", (v("?v"),)), FluentDecl("rusted", (v("?v"),)), FluentDecl("flow", ())),
+            fluents=(FluentDecl("open", (v,)), FluentDecl("rusted", (v,)), FluentDecl("flow", ())),
             actions=(
-                ActionSchema("open-valve", (v("?v"),), Not(Atom("open", ("?v",))), (SetEffect(Atom("open", ("?v",))),)),
+                ActionSchema("open-valve", (v,), Not(Atom("open", ("?v",))), (SetEffect(Atom("open", ("?v",))),)),
                 ActionSchema(
                     "close-valve",
-                    (v("?v"),),
+                    (v,),
                     And((Atom("open", ("?v",)), Not(Atom("flow")))),
                     (SetEffect(Atom("open", ("?v",)), False),),
                 ),
@@ -172,7 +171,7 @@ class TestPruneMatchesReference:
                 # binding is pruned.
                 ActionSchema(
                     "start-flow",
-                    (v("?a"), v("?b")),
+                    (a, b),
                     Or((And((Atom("open", ("?a",)), Atom("open", ("?b",)))), Atom("rusted", ("?a",)))),
                     (SetEffect(Atom("flow")),),
                 ),
