@@ -3,10 +3,13 @@
 ``golden/suite_blind.json`` records, for each problem, the number of ground
 atoms, the number of ground actions kept after pruning, a sha256 of the kept
 ``(name, args)`` list in order, and the nodes expanded and plan under
-A*/blind. Grounding and search optimisations must keep every row equal; a
-change to the file is a behaviour change and is reviewed as one.
+A*/blind. ``golden/suite_hadd.json`` records, for each problem, the status,
+nodes expanded and plan under greedy/h_add, and ``h_add`` and ``h_max_cost``
+at the initial state. Grounding, search and heuristic optimisations must keep
+every row equal; a change to either file is a behaviour change and is
+reviewed as one.
 
-Regenerate the file with ``PYTHONPATH=src python tests/test_golden.py``.
+Regenerate both files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 from __future__ import annotations
 
@@ -18,9 +21,11 @@ import pytest
 
 from planwright.data_paths import benchmarks_root
 from planwright.pddl import parse_domain, parse_problem
-from planwright.planner import SolveConfig, ground, solve
+from planwright.planner import SolveConfig, ground, h_add, h_max_cost, solve
 
-GOLDEN = Path(__file__).parent / "golden" / "suite_blind.json"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "suite_blind.json"
+GOLDEN_HADD = GOLDEN_DIR / "suite_hadd.json"
 
 
 def actions_digest(actions) -> str:
@@ -28,25 +33,51 @@ def actions_digest(actions) -> str:
     return hashlib.sha256(json.dumps(names).encode("utf-8")).hexdigest()
 
 
-def domain_rows(domain_dir: Path) -> list[dict]:
+def plan_steps(outcome):
+    return [str(step) for step in outcome.plan.steps] if outcome.plan is not None else None
+
+
+def domain_tasks(domain_dir: Path):
+    """(problem file name, ground task) for every problem of one domain, in name order."""
     domain_path = domain_dir / "domain.pddl"
     domain = parse_domain(domain_path.read_text(encoding="utf-8"), filename=str(domain_path))
-    rows = []
     for path in sorted(domain_dir.glob("*.pddl")):
         if path.name == "domain.pddl":
             continue
         problem = parse_problem(path.read_text(encoding="utf-8"), domain, filename=path.name)
-        task = ground(problem)
+        yield path.name, ground(problem)
+
+
+def domain_rows(domain_dir: Path) -> list[dict]:
+    rows = []
+    for name, task in domain_tasks(domain_dir):
         outcome = solve(task, SolveConfig(strategy="astar", heuristic="blind"))
         rows.append(
             {
-                "problem": path.name,
+                "problem": name,
                 "atoms": len(task.atoms),
                 "actions_kept": len(task.actions),
                 "actions_sha256": actions_digest(task.actions),
                 "status": outcome.status,
                 "nodes_expanded": outcome.nodes_expanded,
-                "plan": [str(step) for step in outcome.plan.steps] if outcome.plan is not None else None,
+                "plan": plan_steps(outcome),
+            }
+        )
+    return rows
+
+
+def domain_hadd_rows(domain_dir: Path) -> list[dict]:
+    rows = []
+    for name, task in domain_tasks(domain_dir):
+        outcome = solve(task, SolveConfig(strategy="greedy", heuristic="h_add"))
+        rows.append(
+            {
+                "problem": name,
+                "status": outcome.status,
+                "nodes_expanded": outcome.nodes_expanded,
+                "plan": plan_steps(outcome),
+                "h_add": h_add(task, task.init_bools, task.init_nums),
+                "h_max_cost": h_max_cost(task, task.init_bools, task.init_nums),
             }
         )
     return rows
@@ -62,13 +93,28 @@ def test_suite_matches_golden(domain_dir):
     assert domain_rows(domain_dir) == golden[domain_dir.name]
 
 
-def test_golden_covers_every_bundled_problem():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+@pytest.mark.parametrize("domain_dir", domain_dirs(), ids=lambda p: p.name)
+def test_suite_matches_hadd_golden(domain_dir):
+    golden = json.loads(GOLDEN_HADD.read_text(encoding="utf-8"))
+    assert domain_hadd_rows(domain_dir) == golden[domain_dir.name]
+
+
+def assert_covers_every_bundled_problem(path: Path) -> None:
+    golden = json.loads(path.read_text(encoding="utf-8"))
     assert sorted(golden) == [d.name for d in domain_dirs()]
     assert sum(len(rows) for rows in golden.values()) == 140
 
 
+def test_golden_covers_every_bundled_problem():
+    assert_covers_every_bundled_problem(GOLDEN)
+
+
+def test_hadd_golden_covers_every_bundled_problem():
+    assert_covers_every_bundled_problem(GOLDEN_HADD)
+
+
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    table = {d.name: domain_rows(d) for d in domain_dirs()}
-    GOLDEN.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for path, rows_of in ((GOLDEN, domain_rows), (GOLDEN_HADD, domain_hadd_rows)):
+        table = {d.name: rows_of(d) for d in domain_dirs()}
+        path.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
