@@ -17,9 +17,15 @@ from planwright.ir import (
     Assignment,
     Atom,
     Comparison,
+    DomainModel,
+    FluentDecl,
+    Not,
+    NumAdd,
     NumConst,
     NumFluent,
     ObjectDecl,
+    Or,
+    Parameter,
     ProblemInstance,
     validate,
 )
@@ -31,6 +37,7 @@ from planwright.planner import (
     SolveConfig,
     Valid,
     blind,
+    eval_ground,
     ground,
     h_add,
     h_max_cost,
@@ -103,6 +110,15 @@ class TestGrounding:
         with pytest.raises(GroundingError) as err:
             ground(stripped)
         assert "battery_level" in str(err.value)
+
+        # A goal fluent that no action reads or writes is caught as well.
+        domain = problem.domain
+        payload = FluentDecl("payload", (Parameter("?r", "robot"),), kind="numeric")
+        extended = DomainModel(domain.name, domain.types, domain.fluents + (payload,), domain.actions)
+        goal = And((problem.goal, Comparison("<=", NumFluent("payload", ("robot1",)), NumConst(Fraction(3)))))
+        with pytest.raises(GroundingError) as err:
+            ground(ProblemInstance(extended, problem.objects, problem.init, goal))
+        assert "payload" in str(err.value)
 
     def test_deterministic_order(self):
         problem = blocksworld_problem("bw3", [["b1"], ["b2"], ["b3"]], [["b1", "b2", "b3"]])
@@ -401,6 +417,71 @@ class TestHeuristics:
         problem = blocksworld_problem("bw", [["b1"], ["b2"]], [["b2", "b1"]])
         task = ground(problem)
         assert blind(task, task.init_bools, task.init_nums) == 1
+
+
+BATTERY = NumFluent("battery_level", ("robot1",))
+BALL_IN_ROOM2 = Atom("at", ("ball1", "room2"))
+ROBOT_IN_ROOM1 = Atom("at-robby", ("robot1", "room1"))
+
+
+def _num(value: int) -> NumConst:
+    return NumConst(Fraction(value))
+
+
+def _with_goal(problem: ProblemInstance, goal) -> ProblemInstance:
+    return ProblemInstance(problem.domain, problem.objects, problem.init, goal)
+
+
+def _random_walk_states(task, seeds=range(5), steps: int = 40) -> list:
+    """Distinct states met on seeded random walks from the initial state."""
+    states = {(task.init_bools, task.init_nums): None}
+    for seed in seeds:
+        rng = random.Random(seed)
+        bools, nums = task.init_bools, task.init_nums
+        for _ in range(steps):
+            apps = [a for a in task.actions if a.applicable(bools, nums)]
+            if not apps:
+                break
+            bools, nums = rng.choice(apps).apply(bools, nums)
+            states[(bools, nums)] = None
+    return list(states)
+
+
+class TestGoalShapes:
+    """Goals other than positive conjunctions, on the battery grippers task."""
+
+    GOALS = {
+        "or": Or((BALL_IN_ROOM2, Not(ROBOT_IN_ROOM1))),
+        "not-and": Not(And((Atom("free", ("robot1", "lgripper1")), Comparison(">=", BATTERY, _num(25))))),
+        "not-equal": Not(Comparison("=", BATTERY, _num(20))),
+        "numeric": And((Not(ROBOT_IN_ROOM1), Comparison("<=", NumAdd(BATTERY, _num(5)), _num(30)))),
+        "constant": Or(
+            (
+                And((ROBOT_IN_ROOM1, Comparison("<", _num(1), _num(2)))),
+                And((BALL_IN_ROOM2, Comparison(">", _num(1), _num(2)))),
+            )
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOALS))
+    def test_goal_holds_matches_validator(self, name):
+        problem = _with_goal(battery_problem(30), self.GOALS[name])
+        task = ground(problem)
+        verdicts = set()
+        for bools, nums in _random_walk_states(task):
+            expected = eval_ground(problem.goal, task.atoms_of(bools), task.numerics_of(nums))
+            assert task.goal_holds(bools, nums) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}  # the walk reaches both sides of the goal
+
+    def test_h_add_of_disjunction_is_min_of_disjuncts(self):
+        base = battery_problem(30)
+        g1 = And((BALL_IN_ROOM2, Comparison(">=", BATTERY, _num(20))))
+        g2 = And((Atom("carry", ("robot1", "ball1", "lgripper1")), Not(ROBOT_IN_ROOM1)))
+        either, first, second = (ground(_with_goal(base, g)) for g in (Or((g1, g2)), g1, g2))
+        for bools, nums in _random_walk_states(either):
+            for estimate in (h_add, h_max_cost):
+                assert estimate(either, bools, nums) == min(estimate(first, bools, nums), estimate(second, bools, nums))
 
 
 class TestValidatePlan:
