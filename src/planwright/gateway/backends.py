@@ -3,8 +3,6 @@ from __future__ import annotations
 
 import json
 import os
-import urllib.error
-import urllib.request
 from typing import Callable, Iterable, Optional, Protocol
 
 from .messages import AgentMessage, ChatRequest, ToolCall
@@ -88,6 +86,10 @@ class LiveBackend:
         self.timeout = timeout
 
     def _http_post(self, url: str, headers: dict, payload: dict) -> dict:
+        # Imported here so that replay and offline runs never load the HTTP stack.
+        import urllib.error
+        import urllib.request
+
         body = json.dumps(payload).encode("utf-8")
         req = urllib.request.Request(url, data=body, headers=headers, method="POST")
         try:

@@ -3,8 +3,11 @@
 Each action schema's precondition is normalized once to conjunctions of
 literals and numeric comparisons (disjunctions split into separate
 variants); the schema is then instantiated over all type-consistent
-bindings by substituting into those branches. Instantiations that can
-never apply are pruned from the initial state in two passes: a relaxed
+bindings by substituting into those branches. Every such branch, and every
+DNF branch of the goal, is compiled by `_compile_branch` into a `Condition`:
+a positive and a negative atom bitmask plus linear numeric comparisons. The
+goal holds when any of its branches does. Instantiations that can never
+apply are pruned from the initial state in two passes: a relaxed
 single-atom reachability pass (deletes ignored), then a pair-reachability
 (h^2) fixpoint over the survivors that keeps, for every atom, an int
 bitmask of the atoms that can hold together with it. Pruning ignores
@@ -157,7 +160,6 @@ class GroundComparison:
 
     op: str
     form: Linear
-    source: Comparison  # retained for messages
 
     def holds(self, values: tuple[Fraction, ...]) -> bool:
         v = self.form.evaluate(values)
@@ -180,12 +182,25 @@ class GroundNumericEffect:
 
 
 @dataclass(frozen=True)
+class Condition:
+    """A compiled conjunction: atoms that must hold, atoms that must not, and
+    numeric comparisons that must all hold."""
+
+    pos: int  # bitmask over boolean atom indices
+    neg: int
+    num: tuple[GroundComparison, ...]
+
+    def holds(self, bools: int, nums: tuple[Fraction, ...]) -> bool:
+        if (bools & self.pos) != self.pos or (bools & self.neg) != 0:
+            return False
+        return all(c.holds(nums) for c in self.num)
+
+
+@dataclass(frozen=True)
 class GroundAction:
     name: str
     args: tuple[str, ...]
-    pre_pos: int  # bitmask over boolean atom indices
-    pre_neg: int
-    pre_num: tuple[GroundComparison, ...]
+    pre: Condition
     add_mask: int
     del_mask: int
     num_effects: tuple[GroundNumericEffect, ...]
@@ -194,9 +209,7 @@ class GroundAction:
         return f"{self.name}({', '.join(self.args)})"
 
     def applicable(self, bools: int, nums: tuple[Fraction, ...]) -> bool:
-        if (bools & self.pre_pos) != self.pre_pos or (bools & self.pre_neg) != 0:
-            return False
-        return all(c.holds(nums) for c in self.pre_num)
+        return self.pre.holds(bools, nums)
 
     def apply(self, bools: int, nums: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
         new_bools = (bools & ~self.del_mask) | self.add_mask
@@ -226,31 +239,16 @@ class GroundTask:
     actions: tuple[GroundAction, ...]
     init_bools: int
     init_nums: tuple[Fraction, ...]
-    goal: Expression  # ground, NNF
+    goal: tuple[Condition, ...]  # DNF branches; the source is problem.goal
 
     def goal_holds(self, bools: int, nums: tuple[Fraction, ...]) -> bool:
-        return _eval_compiled(self.goal, self, bools, nums)
+        return any(branch.holds(bools, nums) for branch in self.goal)
 
     def atoms_of(self, bools: int) -> frozenset[Atom]:
         return frozenset(a for i, a in enumerate(self.atoms) if bools >> i & 1)
 
     def numerics_of(self, nums: tuple[Fraction, ...]) -> dict[NumFluent, Fraction]:
         return {a: nums[i] for i, a in enumerate(self.num_atoms)}
-
-
-def _eval_compiled(expr: Expression, task: GroundTask, bools: int, nums: tuple[Fraction, ...]) -> bool:
-    if isinstance(expr, Atom):
-        idx = task.atom_index.get(expr)
-        return bool(bools >> idx & 1) if idx is not None else False
-    if isinstance(expr, And):
-        return all(_eval_compiled(c, task, bools, nums) for c in expr.children)
-    if isinstance(expr, Or):
-        return any(_eval_compiled(c, task, bools, nums) for c in expr.children)
-    if isinstance(expr, Not):
-        return not _eval_compiled(expr.child, task, bools, nums)
-    if isinstance(expr, Comparison):
-        return GroundComparison(expr.op, _comparison_form(expr, task.num_index), expr).holds(nums)
-    raise TypeError(f"not a boolean expression: {expr!r}")
 
 
 def _comparison_form(comp: Comparison, index: dict[NumFluent, int]) -> Linear:
@@ -291,8 +289,10 @@ def ground(problem: ProblemInstance) -> GroundTask:
     num_atoms = tuple(a for a in grounded.numerics if a in init_numeric)
     num_index = {a: i for i, a in enumerate(num_atoms)}
 
-    goal_nnf = to_nnf(problem.goal)
-    _touch_expression(goal_nnf, num_index)  # fail fast on uninitialized goal numerics
+    # The goal is compiled first, so an uninitialized goal numeric is
+    # reported before any action is instantiated.
+    branches = (_compile_branch(b, atom_index, num_index) for b in to_dnf_branches(to_nnf(problem.goal)))
+    goal = tuple(b for b in branches if b is not None)
 
     init_bools = 0
     for atom in init_true:
@@ -311,7 +311,7 @@ def ground(problem: ProblemInstance) -> GroundTask:
         actions=tuple(_prune_unreachable(actions, init_bools)),
         init_bools=init_bools,
         init_nums=init_nums,
-        goal=goal_nnf,
+        goal=goal,
     )
 
 
@@ -329,50 +329,51 @@ def _instantiate(problem: ProblemInstance, atom_index, num_index) -> list[Ground
         for binding in _bindings(domain, schema.parameters, problem.objects):
             for branch in branches:
                 literals = [substitute(literal, binding) for literal in branch]
-                action = _build_action(schema, binding, literals, atom_index, num_index, problem)
+                action = _build_action(schema, binding, literals, atom_index, num_index)
                 if action is not None:
                     actions.append(action)
     return actions
 
 
-def _touch_expression(expr: Expression, num_index: dict[NumFluent, int]) -> None:
-    if isinstance(expr, (And, Or)):
-        for child in expr.children:
-            _touch_expression(child, num_index)
-    elif isinstance(expr, Not):
-        _touch_expression(expr.child, num_index)
-    elif isinstance(expr, Comparison):
-        linearize(expr.left, num_index)
-        linearize(expr.right, num_index)
+def _compile_branch(literals, atom_index, num_index) -> Optional[Condition]:
+    """One conjunctive DNF branch as a `Condition`, or None if it can never hold.
 
-
-def _build_action(schema, binding, branch, atom_index, num_index, problem) -> Optional[GroundAction]:
-    pre_pos = 0
-    pre_neg = 0
-    pre_num: list[GroundComparison] = []
-    for literal in branch:
+    Every comparison is linearized, even after a false constant comparison
+    has ruled the branch out, so an uninitialized numeric atom is always
+    reported.
+    """
+    pos = 0
+    neg = 0
+    num: list[GroundComparison] = []
+    constants_hold = True
+    for literal in literals:
         if isinstance(literal, Atom):
             idx = atom_index.get(literal)
             if idx is None:
                 return None  # cannot arise from a well-typed schema
-            pre_pos |= 1 << idx
+            pos |= 1 << idx
         elif isinstance(literal, Not):
             idx = atom_index.get(literal.child)
             if idx is None:
                 return None
-            pre_neg |= 1 << idx
+            neg |= 1 << idx
         elif isinstance(literal, Comparison):
-            comp = GroundComparison(literal.op, _comparison_form(literal, num_index), literal)
-            if not comp.form.coeffs:
-                # Constant comparison: keep the variant only when it holds.
-                if not comp.holds(()):
-                    return None
-                continue
-            pre_num.append(comp)
+            comp = GroundComparison(literal.op, _comparison_form(literal, num_index))
+            if comp.form.coeffs:
+                num.append(comp)
+            elif not comp.holds(()):
+                constants_hold = False
         else:
             raise GroundingError(f"unexpected literal {literal!r} after normalization")
-    if pre_pos & pre_neg:
-        return None  # p and (not p) in one branch
+    if not constants_hold or pos & neg:
+        return None  # a false constant comparison, or p and (not p)
+    return Condition(pos, neg, tuple(num))
+
+
+def _build_action(schema, binding, branch, atom_index, num_index) -> Optional[GroundAction]:
+    pre = _compile_branch(branch, atom_index, num_index)
+    if pre is None:
+        return None
 
     add_mask = 0
     del_mask = 0
@@ -400,9 +401,7 @@ def _build_action(schema, binding, branch, atom_index, num_index, problem) -> Op
     return GroundAction(
         name=schema.name,
         args=args,
-        pre_pos=pre_pos,
-        pre_neg=pre_neg,
-        pre_num=tuple(pre_num),
+        pre=pre,
         add_mask=add_mask,
         del_mask=del_mask,
         num_effects=tuple(num_effects),
@@ -434,7 +433,7 @@ def _prune_unreachable(actions: list[GroundAction], init_bools: int) -> list[Gro
        of atoms that can hold together with atom ``i``; it holds bit ``i``
        itself once ``i`` is reachable. An action is enabled when every
        pair within its positive precondition is reachable, i.e. when
-       ``pre_pos`` lies inside ``rows[i]`` for each precondition atom ``i``.
+       ``pre.pos`` lies inside ``rows[i]`` for each precondition atom ``i``.
        An enabled action makes each added atom co-hold with the other added
        atoms and with every atom that co-holds with the whole precondition
        and is neither added nor deleted.
@@ -451,28 +450,28 @@ def _prune_unreachable(actions: list[GroundAction], init_bools: int) -> list[Gro
         grew = False
         blocked = []
         for action in pending:
-            if action.pre_pos & reached != action.pre_pos:
+            if action.pre.pos & reached != action.pre.pos:
                 blocked.append(action)
             elif action.add_mask & ~reached:
                 reached |= action.add_mask
                 grew = True
         pending = blocked
-    candidates = [a for a in actions if a.pre_pos & reached == a.pre_pos]
+    candidates = [a for a in actions if a.pre.pos & reached == a.pre.pos]
 
     rows = [init_bools if init_bools >> i & 1 else 0 for i in range(reached.bit_length())]
     self_mask = init_bools
-    pre_bits = [_mask_bits(a.pre_pos) for a in candidates]
+    pre_bits = [_mask_bits(a.pre.pos) for a in candidates]
     add_bits = [_mask_bits(a.add_mask) for a in candidates]
 
     grew = True
     while grew:
         grew = False
         for action, pre, adds in zip(candidates, pre_bits, add_bits):
-            pre_pos = action.pre_pos
+            pre_mask = action.pre.pos
             together = self_mask
             for i in pre:
                 row = rows[i]
-                if pre_pos & ~row:
+                if pre_mask & ~row:
                     break
                 together &= row
             else:
@@ -488,4 +487,4 @@ def _prune_unreachable(actions: list[GroundAction], init_bools: int) -> list[Gro
                     for j in _mask_bits(fresh & ~bit):
                         rows[j] |= bit
 
-    return [a for a, pre in zip(candidates, pre_bits) if all(not a.pre_pos & ~rows[i] for i in pre)]
+    return [a for a, pre in zip(candidates, pre_bits) if all(not a.pre.pos & ~rows[i] for i in pre)]

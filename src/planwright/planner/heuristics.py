@@ -8,14 +8,16 @@ pushes the lower bound, an assign extends the interval by the assigned
 range. The estimate is not admissible (it overestimates under shared
 subgoals), which is fine for greedy search; optimal runs use the blind
 heuristic instead.
+
+Action preconditions and goal branches are the same compiled `Condition`,
+priced by one `condition_cost`; the goal costs its cheapest branch.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Union
 
-from ..ir import And, Atom, Comparison, Expression, Not, Or
-from .grounding import GroundAction, GroundComparison, GroundTask, Linear, _comparison_form
+from .grounding import Condition, GroundAction, GroundComparison, GroundTask, Linear, _mask_bits
 
 INF = float("inf")
 
@@ -30,14 +32,14 @@ def h_add(task: GroundTask, bools: int, nums: tuple[Fraction, ...]) -> Cost:
     """Additive cost of reaching the goal from the given state, or inf."""
     relax = _Relaxation(task, bools, nums)
     relax.run()
-    return relax.expression_cost(task.goal)
+    return relax.goal_cost()
 
 
 def h_max_cost(task: GroundTask, bools: int, nums: tuple[Fraction, ...]) -> Cost:
     """Max-variant used as a lower-bound cross-check in tests."""
     relax = _Relaxation(task, bools, nums, combine=max)
     relax.run()
-    return relax.expression_cost(task.goal)
+    return relax.goal_cost()
 
 
 def _sum(costs) -> Cost:
@@ -63,21 +65,24 @@ class _Relaxation:
         self.comp_cost: dict[GroundComparison, Cost] = {}
         self.tracked: list[GroundComparison] = []
         for action in task.actions:
-            self.tracked.extend(action.pre_num)
-        self.tracked.extend(_goal_comparisons(task.goal, task))
+            self.tracked.extend(action.pre.num)
+        for branch in task.goal:
+            self.tracked.extend(branch.num)
 
     # -- condition pricing -------------------------------------------------
 
+    def condition_cost(self, cond: Condition) -> Cost:
+        parts: list[Cost] = [self.pos[i] for i in _mask_bits(cond.pos)]
+        parts.extend(self.neg[i] for i in _mask_bits(cond.neg))
+        parts.extend(self.comparison_cost(comp) for comp in cond.num)
+        return self.combine(parts) if parts else 0
+
     def action_cost(self, action: GroundAction) -> Cost:
-        parts: list[Cost] = []
-        for i in _bits(action.pre_pos):
-            parts.append(self.pos[i])
-        for i in _bits(action.pre_neg):
-            parts.append(self.neg[i])
-        for comp in action.pre_num:
-            parts.append(self.comparison_cost(comp))
-        body = self.combine(parts) if parts else 0
+        body = self.condition_cost(action.pre)
         return INF if body == INF else 1 + body
+
+    def goal_cost(self) -> Cost:
+        return min((self.condition_cost(branch) for branch in self.task.goal), default=INF)
 
     def comparison_cost(self, comp: GroundComparison) -> Cost:
         cached = self.comp_cost.get(comp)
@@ -115,11 +120,11 @@ class _Relaxation:
                 cost = self.action_cost(action)
                 if cost == INF:
                     continue
-                for i in _bits(action.add_mask):
+                for i in _mask_bits(action.add_mask):
                     if cost < self.pos[i]:
                         self.pos[i] = cost
                         changed = True
-                for i in _bits(action.del_mask):
+                for i in _mask_bits(action.del_mask):
                     if cost < self.neg[i]:
                         self.neg[i] = cost
                         changed = True
@@ -168,46 +173,3 @@ class _Relaxation:
         for comp in self.tracked:
             if comp not in self.comp_cost and self._satisfiable(comp):
                 self.comp_cost[comp] = widening_cost
-
-    # -- goal --------------------------------------------------------------
-
-    def expression_cost(self, expr: Expression) -> Cost:
-        if isinstance(expr, Atom):
-            idx = self.task.atom_index.get(expr)
-            return INF if idx is None else self.pos[idx]
-        if isinstance(expr, Not):
-            if isinstance(expr.child, Atom):
-                idx = self.task.atom_index.get(expr.child)
-                return 0 if idx is None else self.neg[idx]
-            return self.expression_cost(expr.child)  # NNF leaves only atom negations
-        if isinstance(expr, And):
-            return self.combine([self.expression_cost(c) for c in expr.children]) if expr.children else 0
-        if isinstance(expr, Or):
-            costs = [self.expression_cost(c) for c in expr.children]
-            return min(costs) if costs else INF
-        if isinstance(expr, Comparison):
-            comp = GroundComparison(expr.op, _comparison_form(expr, self.task.num_index), expr)
-            return self.comp_cost.get(comp, INF)
-        raise TypeError(f"not a boolean expression: {expr!r}")
-
-
-def _goal_comparisons(expr: Expression, task: GroundTask) -> list[GroundComparison]:
-    if isinstance(expr, Comparison):
-        return [GroundComparison(expr.op, _comparison_form(expr, task.num_index), expr)]
-    if isinstance(expr, (And, Or)):
-        out: list[GroundComparison] = []
-        for child in expr.children:
-            out.extend(_goal_comparisons(child, task))
-        return out
-    if isinstance(expr, Not):
-        return _goal_comparisons(expr.child, task)
-    return []
-
-
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1

@@ -231,7 +231,7 @@ def reference_pair_prune(actions, atoms, atom_index, init_true):
                 return False
         return True
 
-    pre_bits = [_mask_bits(a.pre_pos) for a in actions]
+    pre_bits = [_mask_bits(a.pre.pos) for a in actions]
     add_bits = [_mask_bits(a.add_mask) for a in actions]
 
     changed = True

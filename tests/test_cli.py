@@ -459,3 +459,23 @@ class TestDeterminism:
             )
             assert proc.returncode == 0, proc.stderr
         assert normalized_tree(tmp_path / "a") == normalized_tree(tmp_path / "b")
+
+
+class TestImports:
+    def test_cli_import_does_not_load_http_stack(self):
+        """Only live mode talks HTTP, so importing the CLI leaves urllib.request unloaded."""
+        import subprocess
+        import sys
+
+        import planwright
+
+        package_root = str(Path(planwright.__file__).resolve().parents[1])
+        probe = "import sys, planwright.cli; print('urllib.request' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -111,11 +111,13 @@ class TestGrounding:
             ground(stripped)
         assert "battery_level" in str(err.value)
 
-        # A goal fluent that no action reads or writes is caught as well.
+        # A goal fluent that no action reads or writes is caught as well, even
+        # in a conjunction that a false constant comparison already rules out.
         domain = problem.domain
         payload = FluentDecl("payload", (Parameter("?r", "robot"),), kind="numeric")
         extended = DomainModel(domain.name, domain.types, domain.fluents + (payload,), domain.actions)
-        goal = And((problem.goal, Comparison("<=", NumFluent("payload", ("robot1",)), NumConst(Fraction(3)))))
+        never = Comparison(">", NumConst(Fraction(1)), NumConst(Fraction(2)))
+        goal = And((problem.goal, never, Comparison("<=", NumFluent("payload", ("robot1",)), NumConst(Fraction(3)))))
         with pytest.raises(GroundingError) as err:
             ground(ProblemInstance(extended, problem.objects, problem.init, goal))
         assert "payload" in str(err.value)
@@ -418,6 +420,21 @@ class TestHeuristics:
         task = ground(problem)
         assert blind(task, task.init_bools, task.init_nums) == 1
 
+    def test_goal_conjunction_priced_like_a_precondition(self):
+        # The goal compiles to the same bitmasks as a precondition: a repeated
+        # atom is one bit, counted once, and a branch holding both p and
+        # (not p) is dropped, leaving a goal that can never hold.
+        base = blocksworld_problem("bw", [["b1"], ["b2"], ["b3"]], [])
+        p = Atom("on", ("b1", "b2"))
+        single, repeated, contradictory = (ground(_with_goal(base, g)) for g in (p, And((p, p)), And((p, Not(p)))))
+        init = (single.init_bools, single.init_nums)
+        assert h_add(single, *init) == h_add(repeated, *init) == 2
+        assert h_max_cost(repeated, *init) == 2
+        assert contradictory.goal == ()
+        assert h_add(contradictory, *init) == h_max_cost(contradictory, *init) == float("inf")
+        outcome = solve(contradictory, SolveConfig(strategy="greedy", heuristic="h_add"))
+        assert (outcome.status, outcome.nodes_expanded) == ("unsolvable", 0)
+
 
 BATTERY = NumFluent("battery_level", ("robot1",))
 BALL_IN_ROOM2 = Atom("at", ("ball1", "room2"))
@@ -542,8 +559,8 @@ def _independent_h_max(task, bools: int) -> float:
     while changed:
         changed = False
         for action in task.actions:
-            assert action.pre_neg == 0 and not action.pre_num  # test scope
-            pre = [cost[i] for i in bits(action.pre_pos)]
+            assert action.pre.neg == 0 and not action.pre.num  # test scope
+            pre = [cost[i] for i in bits(action.pre.pos)]
             if any(c == INF for c in pre):
                 continue
             new_cost = 1 + (max(pre) if pre else 0)
@@ -563,7 +580,7 @@ def _independent_h_max(task, bools: int) -> float:
             return max(parts) if parts else 0
         raise AssertionError(f"oracle limited to positive conjunctions, got {expr!r}")
 
-    return goal_cost(task.goal)
+    return goal_cost(task.problem.goal)
 
 
 def _random_towers(rng: random.Random, blocks: list[str]) -> list[list[str]]:
