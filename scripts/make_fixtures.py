@@ -7,19 +7,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from planwright.data_paths import bundled_corpus_paths
-from planwright.ragdebug import index_docs
-from planwright.scenarios import write_scenario_files
+from scenarios import write_scenario_files
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "planwright" / "data"
 
 
 def main() -> None:
-    written = write_scenario_files(DATA / "scenarios")
-    index_path = DATA / "doc_index.json"
-    index_docs(bundled_corpus_paths()).save(index_path)
-    written.append(index_path)
-    for path in written:
+    for path in write_scenario_files(DATA / "scenarios"):
         print(path.relative_to(DATA.parent))
 
 

@@ -3,8 +3,9 @@
 Each scenario pairs a task with the deterministic response script a live
 model would have produced. Running the pipeline against the script in
 record mode yields the replayable transcript fixtures shipped under
-``data/scenarios``; tests regenerate them into temporary directories and
-compare, so the shipped fixtures cannot drift from the agent code.
+``src/planwright/data/scenarios``; ``make_fixtures.py`` writes them, and the
+tests regenerate them into temporary directories and compare, so the
+shipped fixtures cannot drift from the agent code.
 """
 from __future__ import annotations
 
@@ -13,19 +14,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .abstraction import InstructionList
-from .agents import PipelineConfig, ScriptedUserChannel, TaskSpec, run_pipeline
-from .domains import blocksworld_domain, household_domain, household_problem
-from .gateway import AgentMessage, Gateway, ScriptedBackend, ToolCall, Transcript, assistant
-from .ir import DomainModel, jsonio
-from .memory import ProceduralStore
-from .planner import PlanStep
+from planwright.abstraction import InstructionList, translate_plan
+from planwright.agents import PipelineConfig, ScriptedUserChannel, TaskSpec, run_pipeline
+from planwright.cli import FIXED_CLOCK
+from planwright.domains import blocksworld_domain, household_domain, household_problem
+from planwright.executor import run_execution
+from planwright.gateway import AgentMessage, Gateway, ScriptedBackend, ToolCall, Transcript, assistant
+from planwright.ir import DomainModel, jsonio
+from planwright.memory import ProceduralStore
+from planwright.pddl import emit_domain, emit_expression
+from planwright.planner import PlanStep, SolveConfig, ground, solve
+from planwright.textworld import kitchen_fixture, save_world
+from planwright.worldenv import TextWorldEnv
 
 FRIDGE_MEMORY_SUMMARY = (
     "for problems involving the fridge, append a goal to close the fridge, even if not explicitly stated"
 )
-
-FIXED_CLOCK = 0.0
 
 
 def ok_critic(score: float = 0.95, feedback: str = "meets the criteria") -> AgentMessage:
@@ -368,13 +372,6 @@ def write_scenario_files(root: Path) -> list[Path]:
     Raises if any scenario no longer reaches its expected status, so fixture
     regeneration always reflects the current agent code.
     """
-    from .pddl import emit_domain, emit_expression
-    from .planner import SolveConfig, ground, solve
-    from .abstraction import translate_plan
-    from .executor import run_execution
-    from .textworld import kitchen_fixture, save_world
-    from .worldenv import TextWorldEnv
-
     written: list[Path] = []
     for name, factory in sorted(SCENARIOS.items()):
         scenario = factory()

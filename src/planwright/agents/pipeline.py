@@ -190,33 +190,39 @@ def run_pipeline(
             return _resolve_objects_request(record)
         return f"tool {call.name} is not handled by the orchestrator", False
 
-    def _owner_chat(prompt_name: str, content: str):
+    def _settle(record: UpstreamRequest, outcome: str, applied: bool = False) -> tuple[str, bool]:
+        record.outcome = outcome
+        events.add("edit", record.origin, tool=record.tool, outcome=outcome)
+        return outcome, applied
+
+    def _owner_decision(prompt_name: str, context: str, record: UpstreamRequest) -> tuple[Optional[dict], str]:
+        """Put ``record`` to the owning agent. Returns its reply when it decided
+        to apply the change, else None and the rejection to record."""
+        content = (
+            context
+            + f"\nRequest from the {record.origin} agent via {record.tool}:\n"
+            + json.dumps(record.arguments, sort_keys=True)
+        )
         request = ChatRequest(
             messages=(system(load_prompt(prompt_name)), user(content)),
             temperature=config.temperature,
             model=config.model,
         )
-        return meter.chat(request)
+        try:
+            data = extract_json(meter.chat(request).content)
+        except json.JSONDecodeError:
+            data = None
+        if not isinstance(data, dict):
+            return None, "rejected: owner response was not parseable"
+        if data.get("decision") != "apply":
+            return None, f"rejected: {data.get('reason', 'owner declined the change')}"
+        return data, ""
 
     def _resolve_domain_request(record: UpstreamRequest) -> tuple[str, bool]:
-        body = (
-            "Current domain:\n"
-            + jsonio.dumps(jsonio.domain_to_json(state.domain))
-            + f"\nRequest from the {record.origin} agent via {record.tool}:\n"
-            + json.dumps(record.arguments, sort_keys=True)
-        )
-        response = _owner_chat("domain_editor", body)
-        try:
-            data = extract_json(response.content)
-            decision = data.get("decision")
-        except (json.JSONDecodeError, AttributeError):
-            record.outcome = "rejected: owner response was not parseable"
-            events.add("edit", record.origin, tool=record.tool, outcome=record.outcome)
-            return record.outcome, False
-        if decision != "apply":
-            record.outcome = f"rejected: {data.get('reason', 'owner declined the change')}"
-            events.add("edit", record.origin, tool=record.tool, outcome=record.outcome)
-            return record.outcome, False
+        context = "Current domain:\n" + jsonio.dumps(jsonio.domain_to_json(state.domain))
+        data, rejection = _owner_decision("domain_editor", context, record)
+        if data is None:
+            return _settle(record, rejection)
         try:
             if "fluent" in data:
                 edit = AddOrModifyFluent(jsonio.fluent_from_json(data["fluent"]), provenance=record.origin)
@@ -225,61 +231,37 @@ def run_pipeline(
                 effects = tuple(jsonio.effect_from_json(e) for e in data["effects"]) if "effects" in data else None
                 edit = ModifyAction(str(data["action"]), precondition, effects, provenance=record.origin)
             else:
-                record.outcome = "rejected: owner response named no edit"
-                events.add("edit", record.origin, tool=record.tool, outcome=record.outcome)
-                return record.outcome, False
+                return _settle(record, "rejected: owner response named no edit")
             result = apply_edit(state.domain, state.objects, edit)
-        except (jsonio.IRDecodeError, MalformedEditError) as exc:
-            record.outcome = f"rejected: malformed edit ({exc})"
-            events.add("edit", record.origin, tool=record.tool, outcome=record.outcome)
-            return record.outcome, False
+        except (jsonio.IRDecodeError, MalformedEditError, TypeError) as exc:
+            return _settle(record, f"rejected: malformed edit ({exc})")
         if isinstance(result.outcome, Applied):
             state.domain = result.domain
             state.domain_changed = True
-            record.outcome = f"applied: {result.outcome.detail}"
-            events.add("edit", record.origin, tool=record.tool, outcome=record.outcome)
-            return record.outcome, True
-        record.outcome = f"rejected: {result.outcome.reason}: {result.outcome.message}"
-        events.add("edit", record.origin, tool=record.tool, outcome=record.outcome)
-        return record.outcome, False
+            return _settle(record, f"applied: {result.outcome.detail}", applied=True)
+        return _settle(record, f"rejected: {result.outcome.reason}: {result.outcome.message}")
 
     def _resolve_objects_request(record: UpstreamRequest) -> tuple[str, bool]:
-        body = (
+        context = (
             "Current objects:\n"
             + json.dumps([{"name": o.name, "type": o.type} for o in state.objects])
             + "\nDeclared types:\n"
             + json.dumps([t.name for t in state.domain.types] + ["object"])
-            + f"\nRequest from the {record.origin} agent via {record.tool}:\n"
-            + json.dumps(record.arguments, sort_keys=True)
         )
-        response = _owner_chat("object_editor", body)
-        try:
-            data = extract_json(response.content)
-        except json.JSONDecodeError:
-            record.outcome = "rejected: owner response was not parseable"
-            events.add("edit", record.origin, tool=record.tool, outcome=record.outcome)
-            return record.outcome, False
-        if data.get("decision") != "apply":
-            record.outcome = f"rejected: {data.get('reason', 'owner declined the change')}"
-            events.add("edit", record.origin, tool=record.tool, outcome=record.outcome)
-            return record.outcome, False
+        data, rejection = _owner_decision("object_editor", context, record)
+        if data is None:
+            return _settle(record, rejection)
         try:
             additions = tuple(ObjectDecl(o["name"], o.get("type", "object")) for o in data.get("objects", []))
             result = apply_edit(state.domain, state.objects, AddObjects(additions, provenance=record.origin))
         except (MalformedEditError, KeyError, TypeError) as exc:
-            record.outcome = f"rejected: malformed edit ({exc})"
-            events.add("edit", record.origin, tool=record.tool, outcome=record.outcome)
-            return record.outcome, False
+            return _settle(record, f"rejected: malformed edit ({exc})")
         if isinstance(result.outcome, Applied):
             state.objects = result.objects
             state.extra_objects = state.extra_objects + additions
             state.objects_changed = True
-            record.outcome = f"applied: {result.outcome.detail}"
-            events.add("edit", record.origin, tool=record.tool, outcome=record.outcome)
-            return record.outcome, True
-        record.outcome = f"rejected: {result.outcome.reason}: {result.outcome.message}"
-        events.add("edit", record.origin, tool=record.tool, outcome=record.outcome)
-        return record.outcome, False
+            return _settle(record, f"applied: {result.outcome.detail}", applied=True)
+        return _settle(record, f"rejected: {result.outcome.reason}: {result.outcome.message}")
 
     def stage_domain() -> None:
         retrieve_for("domain", task.domain_description)

@@ -2,7 +2,7 @@
 
 Exit codes are scripting-stable:
   0   success
-  1   task failure (pipeline incomplete or plan invalid)
+  1   task failure (pipeline incomplete or grounding failure)
   2   no plan (unsolvable or search budget exhausted)
   3   execution aborted by the validator
   64  configuration error
@@ -46,7 +46,6 @@ from .memory import ProceduralStore
 from .pddl import PddlError, emit_domain, emit_expression, emit_problem, parse_domain, parse_problem, render_plan
 from .planner import GroundingError, Invalid, SolveConfig, ground, solve, validate_plan
 from .runs import RunDirectory
-from .scenarios import FIXED_CLOCK
 from .textworld import load_world
 from .worldenv import TextWorldEnv
 
@@ -59,6 +58,10 @@ EX_INTERACTION = 65
 EX_INTERNAL = 70
 
 MODES = ("live", "record", "replay")
+
+# Procedural-memory timestamps in replay mode, so a replayed run writes the
+# same memory.jsonl bytes as the recorded fixture.
+FIXED_CLOCK = 0.0
 
 
 class ConfigError(ValueError):
@@ -190,17 +193,13 @@ def _user_channel(args):
     return RefusingUserChannel()
 
 
-def _config_snapshot(args, run_path: Path) -> dict:
+def _config_snapshot(args, run: RunDirectory) -> dict:
     out = {}
     for key, value in sorted(vars(args).items()):
         if key in ("command", "config"):
             continue
         if isinstance(value, str) and key in ("out_dir", "memory_store", "fixture", "task", "domain", "answers_file", "artifacts", "world", "problems", "suite"):
-            p = Path(value)
-            try:
-                value = str(p.resolve().relative_to(run_path.resolve()))
-            except ValueError:
-                value = str(p)
+            value = run.relative_to_run(value)
         out[key] = value
     return out
 
@@ -210,7 +209,7 @@ def _config_snapshot(args, run_path: Path) -> dict:
 
 def cmd_plan(args) -> int:
     run = RunDirectory(args.out_dir, "plan", {})
-    run.config_snapshot = _config_snapshot(args, run.path)
+    run.config_snapshot = _config_snapshot(args, run)
     try:
         task = TaskSpec.from_json(json.loads(Path(args.task).read_text(encoding="utf-8")))
         gateway, recording, fixture_out = _gateway_for(args)
@@ -313,7 +312,7 @@ def _save_fixture(recording: Optional[Transcript], target: Optional[Path]) -> No
 
 def cmd_execute(args) -> int:
     run = RunDirectory(args.out_dir, "execute", {})
-    run.config_snapshot = _config_snapshot(args, run.path)
+    run.config_snapshot = _config_snapshot(args, run)
     try:
         artifacts = Path(args.artifacts)
         instructions = InstructionList.from_json(json.loads((artifacts / "instructions.json").read_text(encoding="utf-8")))
@@ -367,7 +366,7 @@ def cmd_execute(args) -> int:
 
 def cmd_bench(args) -> int:
     run = RunDirectory(args.out_dir, "bench", {})
-    run.config_snapshot = _config_snapshot(args, run.path)
+    run.config_snapshot = _config_snapshot(args, run)
     try:
         if args.suite:
             suite_dir = Path(args.suite)

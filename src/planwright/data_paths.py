@@ -9,10 +9,6 @@ def data_root() -> Path:
     return Path(str(resources.files("planwright"))) / "data"
 
 
-def bundled_corpus_paths() -> list[Path]:
-    return sorted((data_root() / "docs").glob("*.md"))
-
-
 def benchmarks_root() -> Path:
     return data_root() / "benchmarks"
 

@@ -42,7 +42,7 @@ from planwright.memory import CosineScore, ProceduralStore
 from planwright.pddl import emit_domain, emit_expression, parse_domain, parse_problem
 from planwright.planner import SolveConfig, Valid, ground, solve, validate_plan
 from planwright.runs import normalized_tree
-from planwright.scenarios import FRIDGE_MEMORY_SUMMARY, fridge_recall_scenario
+from scenarios import FRIDGE_MEMORY_SUMMARY, fridge_recall_scenario
 from planwright.textworld import check_goal, state_from_json
 
 from helpers import bfs_optimal_plan

@@ -27,7 +27,7 @@ from planwright.gateway import (
 from planwright.ir import Atom, DomainModel, FluentDecl, Not, Parameter, TypeDecl, jsonio, validate
 from planwright.pddl import emit_domain
 from planwright.planner import SolveConfig, Valid, ground, solve, validate_plan
-from planwright.scenarios import (
+from scenarios import (
     FRIDGE_MEMORY_SUMMARY,
     always_failing_scenario,
     color_scenario,
@@ -336,3 +336,73 @@ class TestBenchmarkMode:
         assert result.problem.domain == domain  # unchanged
         assert result.requests[0].outcome.startswith("rejected")
         assert "duplicate" in result.requests[0].outcome
+
+
+class TestGoalAgentObjectRequests:
+    """The goal agent asks the initial-state agent for objects; the owner's
+    reply is applied, or rejected without ending the run."""
+
+    def run(self, call, owner_reply, goal):
+        objects = [{"name": "b1", "type": "block"}]
+        init = {
+            "booleans": [
+                {"op": "atom", "fluent": "arm-empty", "args": []},
+                {"op": "atom", "fluent": "on-table", "args": ["b1"]},
+                {"op": "atom", "fluent": "clear", "args": ["b1"]},
+            ],
+            "numerics": [],
+        }
+        responses = [
+            assistant(jsonio.dumps({"objects": objects, "init": init}).rstrip("\n")),
+            ok_critic(),
+            assistant("The goal needs another block.", (call,)),
+            assistant(owner_reply),
+            assistant(jsonio.dumps({"goal": goal}).rstrip("\n")),
+            ok_critic(),
+        ]
+        return run_pipeline(
+            TaskSpec("objects", "", "one block on the table", "two blocks on the table"),
+            PipelineConfig(),
+            Gateway(ScriptedBackend(responses)),
+            provided_domain=blocksworld_domain(),
+        )
+
+    def test_missing_objects_applied_then_goal_regenerated(self):
+        call = ToolCall("o1", "missing_objects", {"object_type": "block", "object_description": "b2"})
+        reply = json.dumps({"decision": "apply", "objects": [{"name": "b2", "type": "block"}]})
+        result = self.run(call, reply, {"op": "atom", "fluent": "on-table", "args": ["b2"]})
+        assert result.status == "complete"
+        assert [o.name for o in result.problem.objects] == ["b1", "b2"]
+        assert result.problem.goal == Atom("on-table", ("b2",))
+        [applied] = result.applied_requests
+        assert (applied.origin, applied.tool) == ("goal", "missing_objects")
+
+    @pytest.mark.parametrize(
+        "call, reply, outcome",
+        [
+            (
+                ToolCall("o1", "missing_objects", {"object_type": "block", "object_description": "b2"}),
+                "[]",
+                "rejected: owner response was not parseable",
+            ),
+            (
+                ToolCall("o1", "missing_objects", {"object_type": "block", "object_description": "b2"}),
+                '"apply"',
+                "rejected: owner response was not parseable",
+            ),
+            (
+                ToolCall("a1", "action_modification", {"action_name": "stack", "change_description": "x"}),
+                json.dumps({"decision": "apply", "action": "stack", "effects": 5}),
+                "rejected: malformed edit (",
+            ),
+        ],
+        ids=["list", "string", "effects-not-a-list"],
+    )
+    def test_malformed_owner_reply_rejects_only_the_request(self, call, reply, outcome):
+        result = self.run(call, reply, {"op": "atom", "fluent": "on-table", "args": ["b1"]})
+        assert result.status == "complete"
+        [request] = result.requests
+        assert request.outcome.startswith(outcome)
+        assert [e.data["outcome"] for e in result.events.events if e.kind == "edit"] == [request.outcome]
+        assert result.problem.domain == blocksworld_domain()
+        assert [o.name for o in result.problem.objects] == ["b1"]

@@ -12,8 +12,8 @@ from planwright.gateway import Gateway, ScriptedBackend, Transcript, assistant
 from planwright.ir import jsonio
 from planwright.pddl import emit_domain
 from planwright.runs import normalized_tree
-from planwright.scenarios import ok_critic
 from planwright.textworld import check_goal, state_from_json
+from scenarios import ok_critic
 
 
 def plan_args(scenario: str, out: Path, **overrides) -> list[str]:
@@ -389,7 +389,7 @@ class TestRecordThenReplay:
     def test_cli_record_then_replay_reproduces_artifacts(self, tmp_path, monkeypatch):
         """`--mode record` against a (stubbed) live backend writes a fixture
         whose replay reproduces the run byte for byte, exit status included."""
-        from planwright.scenarios import color_scenario
+        from scenarios import color_scenario
 
         scenario = color_scenario()
         monkeypatch.setattr(
@@ -479,3 +479,37 @@ class TestImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cli_reaches_every_runtime_module(self):
+        """Importing the CLI loads every module of the package except two that
+        no entry point needs: ``bench/workloads.py``, the scripts and the tests
+        import ``domains`` (problem builders) and ``data_paths`` (bundled file
+        locations). Any other module the CLI leaves unloaded is unreachable."""
+        import subprocess
+        import sys
+        import textwrap
+
+        import planwright
+
+        package_root = str(Path(planwright.__file__).resolve().parents[1])
+        probe = textwrap.dedent(
+            """
+            import json, sys
+            from pathlib import Path
+            import planwright.cli
+            root = Path(planwright.cli.__file__).parent
+            names = set()
+            for path in root.rglob("*.py"):
+                parts = ("planwright",) + path.relative_to(root).with_suffix("").parts
+                names.add(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+            print(json.dumps(sorted(names - set(sys.modules))))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["planwright.data_paths", "planwright.domains"]

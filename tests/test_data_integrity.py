@@ -10,9 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from planwright.data_paths import benchmarks_root, bundled_corpus_paths, data_root
-from planwright.ragdebug import DocIndex, bundled_index, index_docs
-from planwright.scenarios import write_scenario_files
+from planwright.data_paths import benchmarks_root, data_root
+from scenarios import write_scenario_files
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -45,9 +44,3 @@ def test_benchmarks_match_generator(tmp_path):
     regenerated = tree_bytes(tmp_path / "benchmarks")
     assert regenerated == shipped, "benchmark drift; rerun scripts/gen_benchmarks.py"
 
-
-def test_doc_index_matches_corpus(tmp_path):
-    rebuilt = index_docs(bundled_corpus_paths())
-    shipped = DocIndex.load(data_root() / "doc_index.json")
-    assert rebuilt.to_json() == shipped.to_json()
-    assert len(bundled_index().snippets) == 40

@@ -11,9 +11,9 @@ from planwright.gateway import Gateway, ScriptedBackend, ToolCall, assistant
 from planwright.ir import And, Atom
 from planwright.pddl import emit_expression
 from planwright.planner import PlanStep, SolveConfig, ground, solve
-from planwright.scenarios import executor_script_for
 from planwright.textworld import kitchen_fixture
 from planwright.worldenv import TextWorldEnv
+from scenarios import executor_script_for
 
 
 def instruction(text: str, step: PlanStep, index: int = 1) -> Instruction:
