@@ -8,14 +8,12 @@ consumers can always recover ground-truth arguments.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .agents.generation import extract_json
 from .agents.prompts import load_prompt
 from .gateway import ChatRequest, Gateway, system, user
-from .ir import DomainModel
+from .ir import DomainModel, jsonio
 from .planner import Plan, PlanStep
 
 
@@ -53,16 +51,18 @@ class InstructionList:
 
     @staticmethod
     def from_json(data: dict) -> "InstructionList":
-        items = tuple(
-            Instruction(
-                index=entry["index"],
-                text=entry["text"],
-                step=PlanStep(entry["step"]["name"], tuple(entry["step"].get("args", []))),
-                known_action=entry.get("known_action", True),
+        items = []
+        for entry in jsonio.field(data, "instructions", list, []):
+            step = jsonio.field(entry, "step", dict)
+            items.append(
+                Instruction(
+                    index=jsonio.field(entry, "index", int),
+                    text=jsonio.field(entry, "text", str),
+                    step=PlanStep(jsonio.field(step, "name", str), jsonio.tuple_of(step, "args", str, ())),
+                    known_action=jsonio.field(entry, "known_action", bool, True),
+                )
             )
-            for entry in data.get("instructions", [])
-        )
-        return InstructionList(items)
+        return InstructionList(tuple(items))
 
 
 def fallback_instruction(step: PlanStep) -> str:
@@ -103,11 +103,10 @@ def _llm_request(plan: Plan, domain: DomainModel, model: str, temperature: float
 
 def _parse_instructions(content: str, expected: int) -> Optional[list[str]]:
     try:
-        data = extract_json(content)
-    except json.JSONDecodeError:
+        items = jsonio.field(jsonio.read_object(content), "instructions", list)
+    except jsonio.IRDecodeError:
         return None
-    items = data.get("instructions") if isinstance(data, dict) else None
-    if not isinstance(items, list) or len(items) != expected:
+    if len(items) != expected:
         return None
     texts = [str(t).strip() for t in items]
     if any(not t for t in texts):

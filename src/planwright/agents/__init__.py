@@ -7,7 +7,6 @@ from .generation import (
     AgentSession,
     CorrectionLimitReached,
     GenerationOutcome,
-    extract_json,
     generate_domain,
     generate_goal,
     generate_initial_state,
@@ -48,7 +47,6 @@ __all__ = [
     "UpstreamRequest",
     "UserChannel",
     "critic_review",
-    "extract_json",
     "generate_domain",
     "generate_goal",
     "generate_initial_state",

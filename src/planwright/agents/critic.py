@@ -1,10 +1,10 @@
 """Generator-critic self-reflection: score sigma against threshold tau."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from ..gateway import ChatRequest, Gateway, system, user
+from ..ir import jsonio
 from .prompts import load_prompt
 
 
@@ -17,13 +17,11 @@ class CriticVerdict:
 
 def parse_score_payload(content: str) -> tuple[float, str] | None:
     try:
-        data = json.loads(content)
-    except json.JSONDecodeError:
+        data = jsonio.read_object(content)
+        score = jsonio.field(data, "score", (int, float))
+    except jsonio.IRDecodeError:
         return None
-    if not isinstance(data, dict) or "score" not in data:
-        return None
-    score = data["score"]
-    if not isinstance(score, (int, float)) or isinstance(score, bool):
+    if isinstance(score, bool):
         return None
     return float(score), str(data.get("feedback", ""))
 

@@ -72,17 +72,6 @@ class AgentSession:
         return tuple(window)
 
 
-def extract_json(content: str) -> Any:
-    """Parse a JSON document, tolerating a markdown code fence wrapper."""
-    text = content.strip()
-    if text.startswith("```"):
-        first_newline = text.find("\n")
-        text = text[first_newline + 1 :] if first_newline != -1 else ""
-        if text.rstrip().endswith("```"):
-            text = text.rstrip()[:-3]
-    return json.loads(text)
-
-
 def run_generation(
     session: AgentSession,
     gateway,
@@ -138,7 +127,10 @@ def run_generation(
                 return GenerationOutcome(None, "", turns, rejections, False, restart=True)
             continue
 
-        artifact, problems = parse_artifact(response.content)
+        try:
+            artifact, problems = parse_artifact(response.content)
+        except jsonio.IRDecodeError as exc:
+            artifact, problems = None, [f"cannot parse {role} document: {exc}"]
         if problems:
             last_error = "; ".join(problems)
             events.add("validation-error", role, errors=problems)
@@ -177,23 +169,15 @@ def run_generation(
 
 
 def parse_domain_artifact(content: str) -> tuple[Optional[DomainModel], list[str]]:
-    try:
-        domain = jsonio.domain_from_json(extract_json(content))
-    except (json.JSONDecodeError, jsonio.IRDecodeError, TypeError) as exc:
-        return None, [f"cannot parse domain document: {exc}"]
+    domain = jsonio.domain_from_json(jsonio.read_object(content))
     problems = [str(v) for v in validate_domain(domain)]
     return (domain, problems) if not problems else (None, problems)
 
 
 def parse_init_artifact(content: str, domain: DomainModel, extra_objects: tuple[ObjectDecl, ...] = ()) -> tuple[Optional[tuple[tuple[ObjectDecl, ...], Assignment]], list[str]]:
-    try:
-        data = extract_json(content)
-        raw_objects = tuple(
-            ObjectDecl(o["name"], o.get("type", "object")) for o in data.get("objects", [])
-        )
-        init = jsonio.assignment_from_json(data.get("init", {}))
-    except (json.JSONDecodeError, jsonio.IRDecodeError, TypeError, KeyError) as exc:
-        return None, [f"cannot parse initial-state document: {exc}"]
+    data = jsonio.read_object(content)
+    raw_objects = jsonio.objects_from_json(jsonio.field(data, "objects", list, []))
+    init = jsonio.assignment_from_json(jsonio.field(data, "init", dict, {}))
     seen = {o.name for o in raw_objects}
     merged = raw_objects + tuple(o for o in extra_objects if o.name not in seen)
     probe = ProblemInstance(domain, merged, init)
@@ -204,11 +188,7 @@ def parse_init_artifact(content: str, domain: DomainModel, extra_objects: tuple[
 def parse_goal_artifact(
     content: str, domain: DomainModel, objects: tuple[ObjectDecl, ...], init: Assignment
 ) -> tuple[Optional[Expression], list[str]]:
-    try:
-        data = extract_json(content)
-        goal = jsonio.expression_from_json(data["goal"])
-    except (json.JSONDecodeError, jsonio.IRDecodeError, TypeError, KeyError) as exc:
-        return None, [f"cannot parse goal document: {exc}"]
+    goal = jsonio.expression_from_json(jsonio.field(jsonio.read_object(content), "goal", dict))
     probe = ProblemInstance(domain, objects, init, goal)
     problems = [str(v) for v in validate(probe)]
     return (goal, problems) if not problems else (None, problems)

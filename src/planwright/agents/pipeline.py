@@ -21,7 +21,6 @@ from ..ir import (
     DomainModel,
     Expression,
     MalformedEditError,
-    ModifyAction,
     ObjectDecl,
     ProblemInstance,
     apply_edit,
@@ -35,7 +34,6 @@ from .events import EventLog
 from .generation import (
     AgentSession,
     CorrectionLimitReached,
-    extract_json,
     generate_domain,
     generate_goal,
     generate_initial_state,
@@ -80,10 +78,10 @@ class TaskSpec:
     @staticmethod
     def from_json(data: dict) -> "TaskSpec":
         return TaskSpec(
-            name=data.get("name", "task"),
-            domain_description=data.get("domain_description", ""),
-            initial_state_description=data.get("initial_state_description", ""),
-            goal_description=data.get("goal_description", ""),
+            name=jsonio.field(data, "name", str, "task"),
+            domain_description=jsonio.field(data, "domain_description", str, ""),
+            initial_state_description=jsonio.field(data, "initial_state_description", str, ""),
+            goal_description=jsonio.field(data, "goal_description", str, ""),
         )
 
 
@@ -131,7 +129,6 @@ class _RunState:
         self.goal: Optional[Expression] = None
         self.extra_objects: tuple[ObjectDecl, ...] = ()
         self.domain_changed = False
-        self.objects_changed = False
 
 
 def run_pipeline(
@@ -209,13 +206,13 @@ def run_pipeline(
             model=config.model,
         )
         try:
-            data = extract_json(meter.chat(request).content)
-        except json.JSONDecodeError:
-            data = None
-        if not isinstance(data, dict):
+            data = jsonio.read_object(meter.chat(request).content)
+            decision = jsonio.field(data, "decision", str, "")
+            reason = jsonio.field(data, "reason", str, "owner declined the change")
+        except jsonio.IRDecodeError:
             return None, "rejected: owner response was not parseable"
-        if data.get("decision") != "apply":
-            return None, f"rejected: {data.get('reason', 'owner declined the change')}"
+        if decision != "apply":
+            return None, f"rejected: {reason}"
         return data, ""
 
     def _resolve_domain_request(record: UpstreamRequest) -> tuple[str, bool]:
@@ -227,13 +224,11 @@ def run_pipeline(
             if "fluent" in data:
                 edit = AddOrModifyFluent(jsonio.fluent_from_json(data["fluent"]), provenance=record.origin)
             elif "action" in data:
-                precondition = jsonio.expression_from_json(data["precondition"]) if "precondition" in data else None
-                effects = tuple(jsonio.effect_from_json(e) for e in data["effects"]) if "effects" in data else None
-                edit = ModifyAction(str(data["action"]), precondition, effects, provenance=record.origin)
+                edit = jsonio.modify_action_from_json(data, record.origin)
             else:
                 return _settle(record, "rejected: owner response named no edit")
             result = apply_edit(state.domain, state.objects, edit)
-        except (jsonio.IRDecodeError, MalformedEditError, TypeError) as exc:
+        except (jsonio.IRDecodeError, MalformedEditError) as exc:
             return _settle(record, f"rejected: malformed edit ({exc})")
         if isinstance(result.outcome, Applied):
             state.domain = result.domain
@@ -252,14 +247,13 @@ def run_pipeline(
         if data is None:
             return _settle(record, rejection)
         try:
-            additions = tuple(ObjectDecl(o["name"], o.get("type", "object")) for o in data.get("objects", []))
+            additions = jsonio.objects_from_json(jsonio.field(data, "objects", list, []))
             result = apply_edit(state.domain, state.objects, AddObjects(additions, provenance=record.origin))
-        except (MalformedEditError, KeyError, TypeError) as exc:
+        except (jsonio.IRDecodeError, MalformedEditError) as exc:
             return _settle(record, f"rejected: malformed edit ({exc})")
         if isinstance(result.outcome, Applied):
             state.objects = result.objects
             state.extra_objects = state.extra_objects + additions
-            state.objects_changed = True
             return _settle(record, f"applied: {result.outcome.detail}", applied=True)
         return _settle(record, f"rejected: {result.outcome.reason}: {result.outcome.message}")
 
@@ -299,7 +293,6 @@ def run_pipeline(
     def stage_goal() -> None:
         while True:
             state.domain_changed = False
-            state.objects_changed = False
             retrieve_for("goal", task.goal_description)
             outcome = generate_goal(
                 state.domain,

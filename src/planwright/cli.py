@@ -5,7 +5,8 @@ Exit codes are scripting-stable:
   1   task failure (pipeline incomplete or grounding failure)
   2   no plan (unsolvable or search budget exhausted)
   3   execution aborted by the validator
-  64  configuration error
+  64  configuration error, including a malformed input file (task,
+      config, fixture, instructions, problem or world JSON)
   65  interaction failure (user answers unavailable/exhausted)
   70  internal error
 Every nonzero path leaves a machine-readable failure record in the run
@@ -23,7 +24,6 @@ from typing import Optional
 from . import __version__
 from .abstraction import InstructionList, translate_plan
 from .agents import (
-    InteractionError,
     PipelineConfig,
     AgentConfig,
     RefusingUserChannel,
@@ -140,8 +140,8 @@ def _preload_config(argv: list[str], subparsers: dict[str, argparse.ArgumentPars
     if config_path is None or command is None:
         return
     try:
-        data = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = jsonio.read_object(Path(config_path).read_text(encoding="utf-8"))
+    except (OSError, jsonio.IRDecodeError) as exc:
         raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
     target = subparsers[command]
     known = {a.dest for a in target._actions}
@@ -211,7 +211,7 @@ def cmd_plan(args) -> int:
     run = RunDirectory(args.out_dir, "plan", {})
     run.config_snapshot = _config_snapshot(args, run)
     try:
-        task = TaskSpec.from_json(json.loads(Path(args.task).read_text(encoding="utf-8")))
+        task = TaskSpec.from_json(jsonio.read_object(Path(args.task).read_text(encoding="utf-8")))
         gateway, recording, fixture_out = _gateway_for(args)
         channel = _user_channel(args)
         provided_domain = None
@@ -229,7 +229,7 @@ def cmd_plan(args) -> int:
             model=args.model,
             temperature=args.temperature,
         )
-    except (ConfigError, PddlError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ConfigError, PddlError, OSError, ValueError) as exc:
         run.fail("config", "config-error", str(exc))
         run.finalize(EX_CONFIG)
         return EX_CONFIG
@@ -287,10 +287,6 @@ def cmd_plan(args) -> int:
         _save_fixture(recording, fixture_out)
         run.finalize(EX_OK)
         return EX_OK
-    except InteractionError as exc:
-        run.fail("pipeline", "interaction", str(exc))
-        run.finalize(EX_INTERACTION)
-        return EX_INTERACTION
     except (FingerprintMismatch, ScriptExhausted) as exc:
         run.fail("gateway", "fixture-divergence", str(exc))
         run.finalize(EX_INTERNAL)
@@ -315,11 +311,11 @@ def cmd_execute(args) -> int:
     run.config_snapshot = _config_snapshot(args, run)
     try:
         artifacts = Path(args.artifacts)
-        instructions = InstructionList.from_json(json.loads((artifacts / "instructions.json").read_text(encoding="utf-8")))
-        problem = jsonio.problem_from_json(json.loads((artifacts / "problem.json").read_text(encoding="utf-8")))
+        instructions = InstructionList.from_json(jsonio.read_object((artifacts / "instructions.json").read_text(encoding="utf-8")))
+        problem = jsonio.problem_from_json(jsonio.read_object((artifacts / "problem.json").read_text(encoding="utf-8")))
         world = load_world(args.world)
         gateway, recording, fixture_out = _gateway_for(args)
-    except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         run.fail("config", "config-error", str(exc))
         run.finalize(EX_CONFIG)
         return EX_CONFIG

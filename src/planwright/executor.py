@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
 from .abstraction import InstructionList
-from .agents.generation import extract_json
+from .agents.pipeline import GatewayMeter
 from .agents.prompts import load_prompt
 from .gateway import (
     ChatRequest,
@@ -26,6 +26,7 @@ from .gateway import (
     tool_result,
     user,
 )
+from .ir import jsonio
 from .textworld import SkillResult
 
 
@@ -231,12 +232,11 @@ def validate_execution(
     )
     response = gateway.chat(request)
     try:
-        data = extract_json(response.content)
-        decision = data.get("decision", "")
-    except (json.JSONDecodeError, AttributeError):
-        data = {}
+        data = jsonio.read_object(response.content)
+        decision = jsonio.field(data, "decision", str, "")
+    except jsonio.IRDecodeError:
+        data = {"feedback": f"validator answer was not parseable: {response.content}"}
         decision = "retry"
-        data["feedback"] = f"validator answer was not parseable: {response.content}"
 
     env_ok = env.goal_satisfied()
     if decision == "goal-met":
@@ -269,19 +269,6 @@ class ExecutionReport:
         }
 
 
-class _MeteredGateway:
-    def __init__(self, gateway: Gateway, ceiling: int):
-        self.gateway = gateway
-        self.ceiling = ceiling
-        self.calls = 0
-
-    def chat(self, request: ChatRequest):
-        self.calls += 1
-        if self.calls > self.ceiling:
-            raise RuntimeError(f"executor call ceiling of {self.ceiling} exceeded")
-        return self.gateway.chat(request)
-
-
 def run_execution(
     instructions: InstructionList,
     env: Environment,
@@ -294,7 +281,7 @@ def run_execution(
 ) -> ExecutionReport:
     """Executor/validator loop: execute, validate, retry on feedback."""
     ceiling = (retry_budget + 1) * (max(len(instructions), 1) * step_budget + 1)
-    meter = _MeteredGateway(gateway, ceiling)
+    meter = GatewayMeter(gateway, ceiling)
     feedback = ""
     passes = 0
     remaining = retry_budget

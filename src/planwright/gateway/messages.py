@@ -4,6 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from ..ir import jsonio
+
 ROLE_SYSTEM = "system"
 ROLE_USER = "user"
 ROLE_ASSISTANT = "assistant"
@@ -77,8 +79,8 @@ class ToolCall:
         return {"id": self.id, "name": self.name, "arguments": self.arguments}
 
     @staticmethod
-    def from_json(data: dict) -> "ToolCall":
-        return ToolCall(data["id"], data["name"], dict(data.get("arguments", {})))
+    def from_json(data: Any) -> "ToolCall":
+        return ToolCall(jsonio.field(data, "id", str), jsonio.field(data, "name", str), dict(jsonio.field(data, "arguments", dict, {})))
 
 
 @dataclass
@@ -97,12 +99,12 @@ class AgentMessage:
         return out
 
     @staticmethod
-    def from_json(data: dict) -> "AgentMessage":
+    def from_json(data: Any) -> "AgentMessage":
         return AgentMessage(
-            role=data["role"],
-            content=data.get("content", ""),
-            tool_calls=tuple(ToolCall.from_json(tc) for tc in data.get("tool_calls", [])),
-            tool_call_id=data.get("tool_call_id"),
+            role=jsonio.field(data, "role", str),
+            content=jsonio.field(data, "content", str, ""),
+            tool_calls=tuple(ToolCall.from_json(tc) for tc in jsonio.field(data, "tool_calls", list, [])),
+            tool_call_id=jsonio.field(data, "tool_call_id", (str, type(None)), None),
         )
 
 

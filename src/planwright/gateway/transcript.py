@@ -11,8 +11,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
+from typing import Any, Union
 
+from ..ir import jsonio
 from .messages import AgentMessage, ChatRequest
 
 
@@ -66,23 +67,22 @@ class Transcript:
         Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8")
 
     @staticmethod
-    def from_json(data: dict) -> "Transcript":
-        if data.get("version") != 1:
-            raise TranscriptError(f"unsupported transcript version {data.get('version')!r}")
+    def from_json(data: Any) -> "Transcript":
+        version = jsonio.field(data, "version", int, None)
+        if version != 1:
+            raise TranscriptError(f"unsupported transcript version {version!r}")
         exchanges = []
-        for entry in data.get("exchanges", []):
+        for entry in jsonio.field(data, "exchanges", list, []):
             # Replay is positional, so the same fingerprint may legitimately
             # recur when two identical requests happen at different points.
-            exchanges.append(Exchange(entry["fingerprint"], AgentMessage.from_json(entry["response"])))
-        embeddings = {text: tuple(vec) for text, vec in data.get("embeddings", {}).items()}
+            exchanges.append(Exchange(jsonio.field(entry, "fingerprint", str), AgentMessage.from_json(jsonio.field(entry, "response", dict))))
+        recorded = jsonio.field(data, "embeddings", dict, {})
+        embeddings = {text: jsonio.tuple_of(recorded, text, (int, float)) for text in recorded}
         return Transcript(exchanges, embeddings)
 
     @staticmethod
     def load(path: Union[str, Path]) -> "Transcript":
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise
-        except json.JSONDecodeError as exc:
-            raise TranscriptError(f"transcript {path} is not valid JSON: {exc}") from exc
-        return Transcript.from_json(data)
+            return Transcript.from_json(jsonio.read_object(Path(path).read_text(encoding="utf-8")))
+        except jsonio.IRDecodeError as exc:
+            raise TranscriptError(f"transcript {path} is malformed: {exc}") from exc

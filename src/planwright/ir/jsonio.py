@@ -4,12 +4,15 @@ This is the tree-structured text format used by fixtures, agent messages,
 and CLI artifacts. Encoding is deterministic: equal values produce
 byte-identical text. Numeric values are rendered as exact rational strings
 ("30", "3/2") to avoid any float round-tripping.
+
+Decoding reads a document with `read_object` and checks every field with
+`field` or `tuple_of`; any malformed input raises `IRDecodeError`.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Union
 
 from .model import (
     ActionSchema,
@@ -161,148 +164,186 @@ def edit_to_json(edit: DomainEdit) -> dict:
 
 # ---------------------------------------------------------------- decoding
 
+_REQUIRED = object()
+Kind = Union[type, tuple[type, ...]]
 
-def _require(data: Any, key: str, kind: type) -> Any:
+
+def read_object(text: str) -> dict:
+    """Parse a document holding exactly one JSON object, bare or wrapped in a
+    markdown code fence. Every agent reply and input file is read here."""
+    body = text.strip()
+    if body.startswith("```"):
+        first_newline = body.find("\n")
+        body = body[first_newline + 1 :] if first_newline != -1 else ""
+        if body.rstrip().endswith("```"):
+            body = body.rstrip()[:-3]
+    try:
+        data = json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise IRDecodeError(str(exc)) from exc
+    if not isinstance(data, dict):
+        raise IRDecodeError(f"expected object, got {type(data).__name__}")
+    return data
+
+
+def field(data: Any, key: str, kind: Kind, default: Any = _REQUIRED) -> Any:
+    """``data[key]``, checked to be a ``kind``. With a ``default`` the field
+    is optional: an absent key yields the default, a present one is checked."""
     if not isinstance(data, dict):
         raise IRDecodeError(f"expected object, got {type(data).__name__}")
     if key not in data:
-        raise IRDecodeError(f"missing field {key!r}")
+        if default is _REQUIRED:
+            raise IRDecodeError(f"missing field {key!r}")
+        return default
     value = data[key]
-    if kind is float:
-        if not isinstance(value, (int, float)):
-            raise IRDecodeError(f"field {key!r} must be a number")
-        return value
     if not isinstance(value, kind):
-        raise IRDecodeError(f"field {key!r} must be {kind.__name__}")
+        raise IRDecodeError(f"field {key!r} must be {_kind_names(kind)}")
     return value
 
 
+def tuple_of(data: Any, key: str, kind: Kind, default: Any = _REQUIRED) -> tuple:
+    """The list field ``key`` of ``data``, each item checked to be a ``kind``."""
+    values = field(data, key, list, default)
+    if not all(isinstance(x, kind) for x in values):
+        raise IRDecodeError(f"field {key!r} must hold only {_kind_names(kind)}")
+    return tuple(values)
+
+
+def _kind_names(kind: Kind) -> str:
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    return " or ".join(k.__name__ for k in kinds)
+
+
+def _number(data: Any) -> Fraction:
+    raw = field(data, "value", (int, str))
+    try:
+        return Fraction(str(raw))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise IRDecodeError(f"bad numeric value {raw!r}") from exc
+
+
 def expression_from_json(data: Any) -> Expression:
-    op = _require(data, "op", str)
+    op = field(data, "op", str)
     if op == "atom":
-        return Atom(_require(data, "fluent", str), tuple(_str_list(data.get("args", []))))
+        return Atom(field(data, "fluent", str), tuple_of(data, "args", str, ()))
     if op in ("and", "or"):
-        children = tuple(expression_from_json(c) for c in _require(data, "children", list))
+        children = tuple(expression_from_json(c) for c in field(data, "children", list))
         return And(children) if op == "and" else Or(children)
     if op == "not":
-        return Not(expression_from_json(_require(data, "child", dict)))
+        return Not(expression_from_json(field(data, "child", dict)))
     if op in ("<", "<=", "=", ">=", ">"):
-        return Comparison(op, term_from_json(_require(data, "left", dict)), term_from_json(_require(data, "right", dict)))
+        return Comparison(op, term_from_json(field(data, "left", dict)), term_from_json(field(data, "right", dict)))
     raise IRDecodeError(f"unknown expression op {op!r}")
 
 
 def term_from_json(data: Any) -> NumTerm:
-    op = _require(data, "op", str)
+    op = field(data, "op", str)
     if op == "const":
-        raw = _require(data, "value", (int, str))  # type: ignore[arg-type]
-        try:
-            return NumConst(Fraction(str(raw)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise IRDecodeError(f"bad numeric constant {raw!r}") from exc
+        return NumConst(_number(data))
     if op == "fluent":
-        return NumFluent(_require(data, "fluent", str), tuple(_str_list(data.get("args", []))))
+        return NumFluent(field(data, "fluent", str), tuple_of(data, "args", str, ()))
     if op in ("+", "-"):
-        left = term_from_json(_require(data, "left", dict))
-        right = term_from_json(_require(data, "right", dict))
+        left = term_from_json(field(data, "left", dict))
+        right = term_from_json(field(data, "right", dict))
         return NumAdd(left, right) if op == "+" else NumSub(left, right)
     raise IRDecodeError(f"unknown term op {op!r}")
 
 
 def effect_from_json(data: Any) -> Effect:
-    op = _require(data, "op", str)
+    op = field(data, "op", str)
     if op == "set":
-        atom = expression_from_json(_require(data, "atom", dict))
+        atom = expression_from_json(field(data, "atom", dict))
         if not isinstance(atom, Atom):
             raise IRDecodeError("set effect must target an atom")
-        value = data.get("value", True)
-        if not isinstance(value, bool):
-            raise IRDecodeError("set effect value must be a boolean")
-        return SetEffect(atom, value)
+        return SetEffect(atom, field(data, "value", bool, True))
     if op in ("increase", "decrease", "assign"):
-        target = term_from_json(_require(data, "target", dict))
+        target = term_from_json(field(data, "target", dict))
         if not isinstance(target, NumFluent):
             raise IRDecodeError(f"{op} effect must target a numeric fluent")
-        return NumericEffect(op, target, term_from_json(_require(data, "amount", dict)))
+        return NumericEffect(op, target, term_from_json(field(data, "amount", dict)))
     raise IRDecodeError(f"unknown effect op {op!r}")
 
 
-def _str_list(data: Any) -> list[str]:
-    if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
-        raise IRDecodeError("expected a list of strings")
-    return data
-
-
-def _parameter_from_json(data: Any) -> Parameter:
-    name = _require(data, "name", str)
-    return Parameter(name, data.get("type", "object"))
+def _parameters_from_json(data: Any) -> tuple[Parameter, ...]:
+    return tuple(
+        Parameter(field(p, "name", str), field(p, "type", str, "object")) for p in field(data, "parameters", list, [])
+    )
 
 
 def fluent_from_json(data: Any) -> FluentDecl:
     return FluentDecl(
-        name=_require(data, "name", str),
-        parameters=tuple(_parameter_from_json(p) for p in data.get("parameters", [])),
-        kind=data.get("kind", "boolean"),
-        description=data.get("description", ""),
+        name=field(data, "name", str),
+        parameters=_parameters_from_json(data),
+        kind=field(data, "kind", str, "boolean"),
+        description=field(data, "description", str, ""),
     )
 
 
 def action_from_json(data: Any) -> ActionSchema:
     return ActionSchema(
-        name=_require(data, "name", str),
-        parameters=tuple(_parameter_from_json(p) for p in data.get("parameters", [])),
-        precondition=expression_from_json(_require(data, "precondition", dict)),
-        effects=tuple(effect_from_json(e) for e in data.get("effects", [])),
+        name=field(data, "name", str),
+        parameters=_parameters_from_json(data),
+        precondition=expression_from_json(field(data, "precondition", dict)),
+        effects=tuple(effect_from_json(e) for e in field(data, "effects", list, [])),
     )
 
 
 def domain_from_json(data: Any) -> DomainModel:
     # "requirements" is accepted but ignored: flags are derived from content.
     return DomainModel(
-        name=_require(data, "name", str),
-        types=tuple(TypeDecl(_require(t, "name", str), t.get("parent", "object")) for t in data.get("types", [])),
-        fluents=tuple(fluent_from_json(f) for f in data.get("fluents", [])),
-        actions=tuple(action_from_json(a) for a in data.get("actions", [])),
+        name=field(data, "name", str),
+        types=tuple(TypeDecl(field(t, "name", str), field(t, "parent", str, "object")) for t in field(data, "types", list, [])),
+        fluents=tuple(fluent_from_json(f) for f in field(data, "fluents", list, [])),
+        actions=tuple(action_from_json(a) for a in field(data, "actions", list, [])),
     )
+
+
+def objects_from_json(entries: list) -> tuple[ObjectDecl, ...]:
+    return tuple(ObjectDecl(field(o, "name", str), field(o, "type", str, "object")) for o in entries)
 
 
 def assignment_from_json(data: Any) -> Assignment:
     atoms = []
-    for entry in data.get("booleans", []):
+    for entry in field(data, "booleans", list, []):
         expr = expression_from_json(entry)
         if not isinstance(expr, Atom):
             raise IRDecodeError("init booleans must be atoms")
         atoms.append(expr)
-    numerics = []
-    for entry in data.get("numerics", []):
-        target = NumFluent(_require(entry, "fluent", str), tuple(_str_list(entry.get("args", []))))
-        raw = _require(entry, "value", (int, str))  # type: ignore[arg-type]
-        try:
-            numerics.append((target, Fraction(str(raw))))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise IRDecodeError(f"bad numeric value {raw!r}") from exc
+    numerics = [
+        (NumFluent(field(entry, "fluent", str), tuple_of(entry, "args", str, ())), _number(entry))
+        for entry in field(data, "numerics", list, [])
+    ]
     return Assignment.create(atoms, numerics)
 
 
 def problem_from_json(data: Any) -> ProblemInstance:
     return ProblemInstance(
-        domain=domain_from_json(_require(data, "domain", dict)),
-        objects=tuple(ObjectDecl(_require(o, "name", str), o.get("type", "object")) for o in data.get("objects", [])),
-        init=assignment_from_json(data.get("init", {})),
-        goal=expression_from_json(_require(data, "goal", dict)),
-        name=data.get("name", "problem"),
+        domain=domain_from_json(field(data, "domain", dict)),
+        objects=objects_from_json(field(data, "objects", list, [])),
+        init=assignment_from_json(field(data, "init", dict, {})),
+        goal=expression_from_json(field(data, "goal", dict)),
+        name=field(data, "name", str, "problem"),
+    )
+
+
+def modify_action_from_json(data: Any, provenance: str) -> ModifyAction:
+    precondition = field(data, "precondition", dict, None)
+    effects = field(data, "effects", list, None)
+    return ModifyAction(
+        field(data, "action", str),
+        None if precondition is None else expression_from_json(precondition),
+        None if effects is None else tuple(effect_from_json(e) for e in effects),
+        provenance,
     )
 
 
 def edit_from_json(data: Any) -> DomainEdit:
-    kind = _require(data, "edit", str)
-    provenance = _require(data, "provenance", str)
+    kind = field(data, "edit", str)
+    provenance = field(data, "provenance", str)
     if kind == "add_or_modify_fluent":
-        return AddOrModifyFluent(fluent_from_json(_require(data, "fluent", dict)), provenance)
+        return AddOrModifyFluent(fluent_from_json(field(data, "fluent", dict)), provenance)
     if kind == "modify_action":
-        precondition = expression_from_json(data["precondition"]) if "precondition" in data else None
-        effects = tuple(effect_from_json(e) for e in data["effects"]) if "effects" in data else None
-        return ModifyAction(_require(data, "action", str), precondition, effects, provenance)
+        return modify_action_from_json(data, provenance)
     if kind == "add_objects":
-        objects = tuple(ObjectDecl(_require(o, "name", str), o.get("type", "object")) for o in _require(data, "objects", list))
-        return AddObjects(objects, provenance)
+        return AddObjects(objects_from_json(field(data, "objects", list)), provenance)
     raise IRDecodeError(f"unknown edit kind {kind!r}")

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from .gateway.embedding import Embedder, HashedBagOfWordsEmbedder
 from .gateway.messages import ROLE_SYSTEM, ROLE_TOOL_RESULT, AgentMessage
+from .ir import jsonio
 
 
 @total_ordering
@@ -117,12 +118,12 @@ class MemoryEntry:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "MemoryEntry":
+    def from_json(data: Any) -> "MemoryEntry":
         return MemoryEntry(
-            summary=data["summary"],
-            embedding=tuple(data["embedding"]),
-            source_agent=data.get("source_agent", ""),
-            timestamp=data.get("timestamp", 0.0),
+            summary=jsonio.field(data, "summary", str),
+            embedding=jsonio.tuple_of(data, "embedding", (int, float)),
+            source_agent=jsonio.field(data, "source_agent", str, ""),
+            timestamp=jsonio.field(data, "timestamp", (int, float), 0.0),
         )
 
 
@@ -152,11 +153,10 @@ class ProceduralStore:
         if not lines:
             return
         self._has_header = True
-        header = json.loads(lines[0])
-        stored_id = header.get("embedder")
+        stored_id = jsonio.field(jsonio.read_object(lines[0]), "embedder", str, "")
         if stored_id and stored_id != self.embedder.id:
             raise ValueError(f"store was built with embedder {stored_id!r}, not {self.embedder.id!r}")
-        self.entries = [MemoryEntry.from_json(json.loads(line)) for line in lines[1:]]
+        self.entries = [MemoryEntry.from_json(jsonio.read_object(line)) for line in lines[1:]]
 
     def _persist(self, entry: MemoryEntry) -> None:
         if self.path is None:

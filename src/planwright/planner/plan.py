@@ -30,8 +30,3 @@ class Plan:
             "steps": [{"name": s.name, "args": list(s.args)} for s in self.steps],
             "cost": self.cost,
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "Plan":
-        steps = tuple(PlanStep(s["name"], tuple(s.get("args", []))) for s in data.get("steps", []))
-        return Plan(steps)

@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
-from .ir import And, Atom, Expression, Not, Or
+from .ir import And, Atom, Expression, Not, Or, jsonio
 
 SKILLS = ("walk_to", "open", "close", "grab", "put_on", "put_in", "heat")
 
@@ -288,25 +288,29 @@ def state_to_json(state: WorldState) -> dict:
     }
 
 
-def state_from_json(data: dict) -> WorldState:
-    entities = tuple(
-        Entity(
-            id=e["id"],
-            cls=e["class"],
-            location=Location(e.get("location", {}).get("kind", "free"), e.get("location", {}).get("target", "")),
-            is_open=e.get("is_open", False),
-            is_heated=e.get("is_heated", False),
-        )
-        for e in data.get("entities", [])
+def _entity_from_json(data: Any) -> Entity:
+    location = jsonio.field(data, "location", dict, {})
+    return Entity(
+        id=jsonio.field(data, "id", str),
+        cls=jsonio.field(data, "class", str),
+        location=Location(jsonio.field(location, "kind", str, "free"), jsonio.field(location, "target", str, "")),
+        is_open=jsonio.field(data, "is_open", bool, False),
+        is_heated=jsonio.field(data, "is_heated", bool, False),
     )
-    hands = tuple(data.get("hands", [None] * HANDS))
+
+
+def state_from_json(data: Any) -> WorldState:
+    hands = tuple(jsonio.field(data, "hands", list, [None] * HANDS))
+    if not all(h is None or isinstance(h, str) for h in hands):
+        raise jsonio.IRDecodeError("hands must hold entity ids or null")
     if len(hands) != HANDS:
         hands = (None,) * HANDS
-    return WorldState(entities, data.get("agent_at", ""), hands)
+    entities = tuple(_entity_from_json(e) for e in jsonio.field(data, "entities", list, []))
+    return WorldState(entities, jsonio.field(data, "agent_at", str, ""), hands)
 
 
 def load_world(path: Union[str, Path]) -> WorldState:
-    return state_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    return state_from_json(jsonio.read_object(Path(path).read_text(encoding="utf-8")))
 
 
 def save_world(state: WorldState, path: Union[str, Path]) -> None:

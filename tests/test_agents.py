@@ -16,6 +16,8 @@ from planwright.agents import (
     generate_domain,
     run_pipeline,
 )
+from planwright.agents.critic import parse_score_payload
+from planwright.agents.generation import parse_domain_artifact, parse_init_artifact
 from planwright.domains import blocksworld_domain
 from planwright.gateway import (
     Gateway,
@@ -78,6 +80,9 @@ class TestCritic:
         gw = scripted_gateway(assistant(json.dumps({"score": 0.8, "feedback": ""})))
         assert critic_review("candidate", "criteria", 0.8, gw).accepted
 
+    def test_fenced_verdict_is_read(self):
+        assert parse_score_payload('```json\n{"score": 0.9}\n```') == (0.9, "")
+
 
 class TestGenerateDomain:
     def domain_doc(self):
@@ -98,9 +103,11 @@ class TestGenerateDomain:
         assert {a.name for a in outcome.artifact.actions} == {"pick-up", "put-down", "stack", "unstack"}
 
     def test_malformed_once_then_valid(self):
-        outcome, _ = self.run(assistant("not json"), assistant(self.domain_doc()), ok_critic())
+        outcome, events = self.run(assistant("not json"), assistant(self.domain_doc()), ok_critic())
         assert outcome.turns == 2
         assert outcome.artifact is not None
+        [rejected] = [e for e in events.events if e.kind == "validation-error"]
+        assert rejected.data["errors"] == ["cannot parse domain document: Expecting value: line 1 column 1 (char 0)"]
 
     def test_always_malformed_hits_limit_after_exactly_ten(self):
         with pytest.raises(CorrectionLimitReached) as err:
@@ -125,6 +132,30 @@ class TestGenerateDomain:
         assert outcome.critic_rejections == 3
         assert outcome.artifact is not None
         assert any(e.kind == "critic-limit" for e in events.events)
+
+
+class TestArtifactParsers:
+    """A reply that is not one well-typed JSON document raises IRDecodeError;
+    the generation loop turns it into correction feedback."""
+
+    PARSERS = {
+        "domain": parse_domain_artifact,
+        "initial-state": lambda content: parse_init_artifact(content, blocksworld_domain()),
+    }
+
+    @pytest.mark.parametrize(
+        "role, content",
+        [
+            ("initial-state", "[]"),
+            ("initial-state", json.dumps({"objects": [{"name": 5}]})),
+            ("initial-state", json.dumps({"init": {"numerics": [{"fluent": "size", "args": ["b1"], "value": 2.5}]}})),
+            ("domain", json.dumps({"name": "d", "types": [{"name": "block", "parent": []}]})),
+        ],
+        ids=["init-list", "object-name-int", "init-float-value", "type-parent-list"],
+    )
+    def test_malformed_document_raises_decode_error(self, role, content):
+        with pytest.raises(jsonio.IRDecodeError):
+            self.PARSERS[role](content)
 
 
 class TestColorScenario:

@@ -219,6 +219,43 @@ class TestExecuteCommand:
         assert code == 0
 
 
+class TestMalformedInputFiles:
+    PLAN_INPUTS = {
+        "task-list": ("task", "[]"),
+        "fixture-list": ("fixture", "[]"),
+        "memory-entry-without-summary": ("memory_store", '{"version": 1}\n{"embedding": [1]}\n'),
+    }
+
+    @pytest.mark.parametrize(
+        "case", [*PLAN_INPUTS, "instruction-without-index", "world-list"]
+    )
+    def test_exits_64_with_config_error(self, tmp_path, case):
+        d = scenario_dir("fridge_recall")
+        out = tmp_path / "run"
+        bad = tmp_path / "bad.json"
+        if case in self.PLAN_INPUTS:
+            flag, text = self.PLAN_INPUTS[case]
+            bad.write_text(text)
+            argv = plan_args("fridge_recall", out, **{flag: bad})
+        else:
+            bad.write_text("[]")
+            artifacts = tmp_path / "plan-run"
+            assert main(plan_args("fridge_recall", artifacts)) == 0
+            world = bad if case == "world-list" else d / "world.json"
+            if case == "instruction-without-index":
+                doc = json.loads((artifacts / "instructions.json").read_text())
+                del doc["instructions"][0]["index"]
+                (artifacts / "instructions.json").write_text(json.dumps(doc))
+            argv = [
+                "execute", "--artifacts", str(artifacts), "--world", str(world),
+                "--mode", "replay", "--fixture", str(d / "exec_fixture.json"), "--out-dir", str(out),
+            ]
+        assert main(argv) == 64
+        failure = json.loads((out / "failure.json").read_text())
+        assert (failure["stage"], failure["code"]) == ("config", "config-error")
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 64
+
+
 class TestBenchCommand:
     def test_blocksworld_twenty_of_twenty(self, tmp_path):
         from planwright.data_paths import benchmarks_root
@@ -374,6 +411,17 @@ class TestConfigFile:
             "--config", str(config), "--mode", "replay", "--fixture", str(d / "fixture.json"),
         ])
         assert code == 64
+
+    def test_non_object_config_file_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[]")
+        d = scenario_dir("color")
+        code = main([
+            "plan", "--task", str(d / "task.json"), "--out-dir", str(tmp_path / "run"),
+            "--config", str(config), "--mode", "replay", "--fixture", str(d / "fixture.json"),
+        ])
+        assert code == 64
+        assert "expected object, got list" in capsys.readouterr().err
 
     def test_bad_temperature_is_config_error(self, tmp_path):
         d = scenario_dir("color")

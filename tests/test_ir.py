@@ -262,6 +262,10 @@ class TestJsonCodec:
             jsonio.expression_from_json({"op": "xor", "children": []})
         with pytest.raises(jsonio.IRDecodeError):
             jsonio.term_from_json({"op": "const", "value": "one half"})
+        with pytest.raises(jsonio.IRDecodeError, match="must be int or str"):
+            jsonio.term_from_json({"op": "const", "value": 2.5})
+        with pytest.raises(jsonio.IRDecodeError, match="'kind' must be str"):
+            jsonio.fluent_from_json({"name": "f", "kind": 5})
 
 
 class TestGroundAtoms:
