@@ -9,26 +9,38 @@ ground-truth side of dual-route checks.
 set-of-pairs reachability prune, which reads only the masks of the
 planner's ground actions and serves as the reference for the planner's
 bitset prune.
+
+``refuel_problem`` builds a small numeric task whose actions increase,
+decrease and assign fluents; ``random_walk_states`` samples reachable states
+of a ground task for checks that run along a walk.
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
 from planwright.ir import (
+    ActionSchema,
     And,
+    Assignment,
     Atom,
     Comparison,
+    DomainModel,
+    FluentDecl,
     Not,
     NumAdd,
     NumConst,
     NumFluent,
     NumSub,
     NumericEffect,
+    ObjectDecl,
     Or,
+    Parameter,
     ProblemInstance,
     SetEffect,
+    TypeDecl,
 )
 
 State = tuple[frozenset, tuple]  # (true atoms, sorted ((fluent,args), value) pairs)
@@ -262,3 +274,94 @@ def reference_pair_prune(actions, atoms, atom_index, init_true):
                         changed = True
 
     return [a for idx, a in enumerate(actions) if pairwise_ok(pre_bits[idx])]
+
+
+def random_walk_states(task, seeds=range(5), steps: int = 40) -> list:
+    """Distinct states met on seeded random walks from the initial state, in order of first visit."""
+    states = {(task.init_bools, task.init_nums): None}
+    for seed in seeds:
+        rng = random.Random(seed)
+        bools, nums = task.init_bools, task.init_nums
+        for _ in range(steps):
+            apps = [a for a in task.actions if a.applicable(bools, nums)]
+            if not apps:
+                break
+            bools, nums = rng.choice(apps).apply(bools, nums)
+            states[(bools, nums)] = None
+    return list(states)
+
+
+def _fuel(name: str = "fuel") -> NumFluent:
+    return NumFluent(name, ())
+
+
+def _const(value: int) -> NumConst:
+    return NumConst(Fraction(value))
+
+
+def refuel_domain() -> DomainModel:
+    """A truck on a road of towns. Driving burns one unit of fuel; the depot
+    fills the tank to capacity (an assign of another fluent) and can enlarge
+    the tank up to 6; any other town sells one unit at a time."""
+    a, b, t = Parameter("?a", "town"), Parameter("?b", "town"), Parameter("?t", "town")
+    below_capacity = Comparison("<", _fuel(), _fuel("capacity"))
+    return DomainModel(
+        "refuel",
+        types=(TypeDecl("town"),),
+        fluents=(
+            FluentDecl("at", (t,)),
+            FluentDecl("road", (a, b)),
+            FluentDecl("depot", (t,)),
+            FluentDecl("fuel", (), kind="numeric"),
+            FluentDecl("capacity", (), kind="numeric"),
+        ),
+        actions=(
+            ActionSchema(
+                "drive",
+                (a, b),
+                And((Atom("at", ("?a",)), Atom("road", ("?a", "?b")), Comparison(">=", _fuel(), _const(1)))),
+                (
+                    SetEffect(Atom("at", ("?a",)), False),
+                    SetEffect(Atom("at", ("?b",))),
+                    NumericEffect("decrease", _fuel(), _const(1)),
+                ),
+            ),
+            ActionSchema(
+                "fill",
+                (t,),
+                And((Atom("at", ("?t",)), Atom("depot", ("?t",)), below_capacity)),
+                (NumericEffect("assign", _fuel(), _fuel("capacity")),),
+            ),
+            ActionSchema(
+                "enlarge",
+                (t,),
+                And((Atom("at", ("?t",)), Atom("depot", ("?t",)), Comparison("<", _fuel("capacity"), _const(6)))),
+                (NumericEffect("increase", _fuel("capacity"), _const(2)),),
+            ),
+            ActionSchema(
+                "buy",
+                (t,),
+                And((Atom("at", ("?t",)), Not(Atom("depot", ("?t",))), below_capacity)),
+                (NumericEffect("increase", _fuel(), _const(1)),),
+            ),
+        ),
+    )
+
+
+def refuel_problem(fuel: int, goal_fuel, towns: int = 4, capacity: int = 2) -> ProblemInstance:
+    """Drive from town 1 (the depot) to the last town with ``(>= (fuel) goal_fuel)``
+    left, where ``goal_fuel`` is an int or the name of a numeric fluent."""
+    names = [f"t{i}" for i in range(1, towns + 1)]
+    roads = [Atom("road", (x, y)) for x, y in zip(names, names[1:])]
+    roads += [Atom("road", (y, x)) for x, y in zip(names, names[1:])]
+    floor = _fuel(goal_fuel) if isinstance(goal_fuel, str) else _const(goal_fuel)
+    return ProblemInstance(
+        refuel_domain(),
+        tuple(ObjectDecl(name, "town") for name in names),
+        Assignment.create(
+            [Atom("at", ("t1",)), Atom("depot", ("t1",))] + roads,
+            [(_fuel(), Fraction(fuel)), (_fuel("capacity"), Fraction(capacity))],
+        ),
+        And((Atom("at", (names[-1],)), Comparison(">=", _fuel(), floor))),
+        f"refuel-{fuel}-{goal_fuel}",
+    )

@@ -5,11 +5,15 @@ atoms, the number of ground actions kept after pruning, a sha256 of the kept
 ``(name, args)`` list in order, and the nodes expanded and plan under
 A*/blind. ``golden/suite_hadd.json`` records, for each problem, the status,
 nodes expanded and plan under greedy/h_add, and ``h_add`` and ``h_max_cost``
-at the initial state. Grounding, search and heuristic optimisations must keep
-every row equal; a change to either file is a behaviour change and is
-reviewed as one.
+at the initial state. ``golden/numeric.json`` covers numeric tasks, which no
+bundled problem has: battery grippers at several initial levels and floors,
+and the refuel domain of ``helpers``. Each row holds the greedy/h_add
+status, nodes expanded and plan, and ``[h_add, h_max_cost]`` at every state
+of a seeded random walk from the initial state. Grounding, search and
+heuristic optimisations must keep every row equal; a change to any of these
+files is a behaviour change and is reviewed as one.
 
-Regenerate both files with ``PYTHONPATH=src python tests/test_golden.py``.
+Regenerate all three files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 from __future__ import annotations
 
@@ -23,9 +27,14 @@ from planwright.data_paths import benchmarks_root
 from planwright.pddl import parse_domain, parse_problem
 from planwright.planner import SolveConfig, ground, h_add, h_max_cost, solve
 
+from helpers import random_walk_states, refuel_problem
+from test_planner import battery_problem
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "suite_blind.json"
 GOLDEN_HADD = GOLDEN_DIR / "suite_hadd.json"
+GOLDEN_NUMERIC = GOLDEN_DIR / "numeric.json"
+GREEDY_HADD = SolveConfig(strategy="greedy", heuristic="h_add")
 
 
 def actions_digest(actions) -> str:
@@ -69,7 +78,7 @@ def domain_rows(domain_dir: Path) -> list[dict]:
 def domain_hadd_rows(domain_dir: Path) -> list[dict]:
     rows = []
     for name, task in domain_tasks(domain_dir):
-        outcome = solve(task, SolveConfig(strategy="greedy", heuristic="h_add"))
+        outcome = solve(task, GREEDY_HADD)
         rows.append(
             {
                 "problem": name,
@@ -78,6 +87,31 @@ def domain_hadd_rows(domain_dir: Path) -> list[dict]:
                 "plan": plan_steps(outcome),
                 "h_add": h_add(task, task.init_bools, task.init_nums),
                 "h_max_cost": h_max_cost(task, task.init_bools, task.init_nums),
+            }
+        )
+    return rows
+
+
+def numeric_problems() -> list:
+    battery = [battery_problem(initial, floor=floor) for initial in (0, 10, 20, 30, 45) for floor in (5, 20)]
+    battery.append(battery_problem(30, goal_room="room1", floor=25))
+    refuel = [refuel_problem(fuel, goal) for fuel, goal in ((0, 1), (0, "capacity"), (3, 2), (1, 5), (0, 6), (2, 0))]
+    return battery + refuel
+
+
+def numeric_rows() -> list[dict]:
+    rows = []
+    for problem in numeric_problems():
+        task = ground(problem)
+        outcome = solve(task, GREEDY_HADD)
+        walk = random_walk_states(task, seeds=range(3), steps=30)
+        rows.append(
+            {
+                "problem": f"{problem.name}-{problem.goal}",
+                "status": outcome.status,
+                "nodes_expanded": outcome.nodes_expanded,
+                "plan": plan_steps(outcome),
+                "h": [[h_add(task, *state), h_max_cost(task, *state)] for state in walk],
             }
         )
     return rows
@@ -99,6 +133,11 @@ def test_suite_matches_hadd_golden(domain_dir):
     assert domain_hadd_rows(domain_dir) == golden[domain_dir.name]
 
 
+def test_numeric_tasks_match_golden():
+    golden = json.loads(GOLDEN_NUMERIC.read_text(encoding="utf-8"))
+    assert numeric_rows() == golden
+
+
 def assert_covers_every_bundled_problem(path: Path) -> None:
     golden = json.loads(path.read_text(encoding="utf-8"))
     assert sorted(golden) == [d.name for d in domain_dirs()]
@@ -118,3 +157,4 @@ if __name__ == "__main__":
     for path, rows_of in ((GOLDEN, domain_rows), (GOLDEN_HADD, domain_hadd_rows)):
         table = {d.name: rows_of(d) for d in domain_dirs()}
         path.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
+    GOLDEN_NUMERIC.write_text(json.dumps(numeric_rows(), indent=1) + "\n", encoding="utf-8")

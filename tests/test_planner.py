@@ -46,7 +46,7 @@ from planwright.planner import (
 )
 from planwright.planner.grounding import _instantiate
 
-from helpers import bfs_optimal_plan, reference_pair_prune
+from helpers import bfs_optimal_plan, random_walk_states, reference_pair_prune
 
 ASTAR = SolveConfig(strategy="astar", heuristic="blind")
 
@@ -449,21 +449,6 @@ def _with_goal(problem: ProblemInstance, goal) -> ProblemInstance:
     return ProblemInstance(problem.domain, problem.objects, problem.init, goal)
 
 
-def _random_walk_states(task, seeds=range(5), steps: int = 40) -> list:
-    """Distinct states met on seeded random walks from the initial state."""
-    states = {(task.init_bools, task.init_nums): None}
-    for seed in seeds:
-        rng = random.Random(seed)
-        bools, nums = task.init_bools, task.init_nums
-        for _ in range(steps):
-            apps = [a for a in task.actions if a.applicable(bools, nums)]
-            if not apps:
-                break
-            bools, nums = rng.choice(apps).apply(bools, nums)
-            states[(bools, nums)] = None
-    return list(states)
-
-
 class TestGoalShapes:
     """Goals other than positive conjunctions, on the battery grippers task."""
 
@@ -485,7 +470,7 @@ class TestGoalShapes:
         problem = _with_goal(battery_problem(30), self.GOALS[name])
         task = ground(problem)
         verdicts = set()
-        for bools, nums in _random_walk_states(task):
+        for bools, nums in random_walk_states(task):
             expected = eval_ground(problem.goal, task.atoms_of(bools), task.numerics_of(nums))
             assert task.goal_holds(bools, nums) == expected
             verdicts.add(expected)
@@ -496,7 +481,7 @@ class TestGoalShapes:
         g1 = And((BALL_IN_ROOM2, Comparison(">=", BATTERY, _num(20))))
         g2 = And((Atom("carry", ("robot1", "ball1", "lgripper1")), Not(ROBOT_IN_ROOM1)))
         either, first, second = (ground(_with_goal(base, g)) for g in (Or((g1, g2)), g1, g2))
-        for bools, nums in _random_walk_states(either):
+        for bools, nums in random_walk_states(either):
             for estimate in (h_add, h_max_cost):
                 assert estimate(either, bools, nums) == min(estimate(first, bools, nums), estimate(second, bools, nums))
 
