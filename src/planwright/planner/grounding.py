@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Optional
 
@@ -243,6 +244,14 @@ class GroundTask:
 
     def goal_holds(self, bools: int, nums: tuple[Fraction, ...]) -> bool:
         return any(branch.holds(bools, nums) for branch in self.goal)
+
+    @cached_property
+    def relaxed(self):
+        """The delete-relaxed view the heuristics search, compiled on first
+        use and kept with the task, so it is freed with it."""
+        from .heuristics import RelaxedView  # heuristics imports this module
+
+        return RelaxedView(self)
 
     def atoms_of(self, bools: int) -> frozenset[Atom]:
         return frozenset(a for i, a in enumerate(self.atoms) if bools >> i & 1)

@@ -1,23 +1,42 @@
 """Delete-relaxation heuristics over ground tasks.
 
-`h_add` sums per-condition achievement costs. Negative literals are priced
-via delete effects, and numeric comparisons are treated as satisfied once
-they become satisfiable under interval widening: an applicable action that
-increases an atom pushes its reachable upper bound to infinity, a decrease
-pushes the lower bound, an assign extends the interval by the assigned
-range. The estimate is not admissible (it overestimates under shared
-subgoals), which is fine for greedy search; optimal runs use the blind
-heuristic instead.
+Both estimates solve one fixpoint over *facts*. A fact is a positive atom, a
+negated atom or a numeric comparison. A fact that holds in the state costs 0.
+An action costs 1 plus the combination of its precondition facts' costs:
+their sum for `h_add`, their maximum for `h_max_cost`. Each atom an action
+adds or deletes makes the positive or negated fact cost at most that much.
+The goal costs its cheapest DNF branch, priced like a precondition. `h_add`
+is not admissible (it overestimates under shared subgoals), which is fine for
+greedy search; optimal runs use the blind heuristic instead.
 
-Action preconditions and goal branches are the same compiled `Condition`,
-priced by one `condition_cost`; the goal costs its cheapest branch.
+Numeric comparisons are relaxed by interval widening. Each numeric atom
+starts at the point interval of its value. An action that increases an atom
+pushes its upper bound to infinity, a decrease pushes the lower bound, and
+an assign extends the interval by the range of the assigned amount. A
+comparison that does not hold in the state is priced at the cheapest
+widening: the least cost c such that the actions costing at most c widen the
+intervals enough to make it satisfiable. Action names and order do not
+change a price.
+
+The fixpoint is computed as a generalised Dijkstra (Liu, Koenig & Furcy
+2002). Facts are settled in order of cost. Each action and goal branch keeps
+a counter of unsettled precondition facts, and an action fires when its
+counter reaches 0. A fired action offers its effects at its own cost; its
+numeric effects widen the intervals when that cost is settled, so every
+comparison they make satisfiable is priced at it. The search stops once the
+cost being settled reaches the cheapest finished goal branch.
+
+The per-task part is compiled once, on first use, into a `RelaxedView` that
+the task caches (`GroundTask.relaxed`): the precondition and effect fact
+lists of every action, and an inverse index from each fact to the actions
+and goal branches that need it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Union
 
-from .grounding import Condition, GroundAction, GroundComparison, GroundTask, Linear, _mask_bits
+from .grounding import GroundComparison, GroundNumericEffect, GroundTask, Linear, _mask_bits
 
 INF = float("inf")
 
@@ -30,146 +49,167 @@ def blind(task: GroundTask, bools: int, nums: tuple[Fraction, ...]) -> Cost:
 
 def h_add(task: GroundTask, bools: int, nums: tuple[Fraction, ...]) -> Cost:
     """Additive cost of reaching the goal from the given state, or inf."""
-    relax = _Relaxation(task, bools, nums)
-    relax.run()
-    return relax.goal_cost()
+    return task.relaxed.goal_cost(bools, nums, additive=True)
 
 
 def h_max_cost(task: GroundTask, bools: int, nums: tuple[Fraction, ...]) -> Cost:
-    """Max-variant used as a lower-bound cross-check in tests."""
-    relax = _Relaxation(task, bools, nums, combine=max)
-    relax.run()
-    return relax.goal_cost()
+    """Max-variant, a lower bound on the length of any plan from the state."""
+    return task.relaxed.goal_cost(bools, nums, additive=False)
 
 
-def _sum(costs) -> Cost:
-    total: Cost = 0
-    for c in costs:
-        if c == INF:
-            return INF
-        total += c
-    return total
+class RelaxedView:
+    """The delete relaxation of one ground task, as fact lists and counters.
 
+    Facts are numbered: atom ``i`` is fact ``i``, its negation is fact
+    ``n + i`` for ``n`` atoms, and the ``j``-th distinct comparison is fact
+    ``2n + j``. Consumers are numbered too: action ``k`` is consumer ``k`` and
+    goal branch ``b`` is consumer ``len(task.actions) + b``. A fact repeated
+    within one condition is needed, and priced, once per occurrence.
+    """
 
-class _Relaxation:
-    def __init__(self, task: GroundTask, bools: int, nums: tuple[Fraction, ...], combine=None):
-        self.task = task
-        self.bools = bools
-        self.nums = nums
-        self.combine = combine or _sum
+    def __init__(self, task: GroundTask):
         n = len(task.atoms)
-        self.pos: list[Cost] = [0 if bools >> i & 1 else INF for i in range(n)]
-        self.neg: list[Cost] = [INF if bools >> i & 1 else 0 for i in range(n)]
-        self.lo: list[Fraction | float] = list(nums)
-        self.hi: list[Fraction | float] = list(nums)
-        self.comp_cost: dict[GroundComparison, Cost] = {}
-        self.tracked: list[GroundComparison] = []
+        comparisons: dict[GroundComparison, int] = {}
+
+        def facts(cond) -> list[int]:
+            out = _mask_bits(cond.pos) + [n + i for i in _mask_bits(cond.neg)]
+            out.extend(comparisons.setdefault(comp, 2 * n + len(comparisons)) for comp in cond.num)
+            return out
+
+        needs = [facts(a.pre) for a in task.actions] + [facts(branch) for branch in task.goal]
+        self.atom_count = n
+        self.first_goal = len(task.actions)
+        self.need_counts = [len(f) for f in needs]
+        self.fact_count = 2 * n + len(comparisons)
+        self.needed_by: list[list[int]] = [[] for _ in range(self.fact_count)]
+        pos_needed = neg_needed = 0
+        for consumer, fact_list in enumerate(needs):
+            for fact in fact_list:
+                self.needed_by[fact].append(consumer)
         for action in task.actions:
-            self.tracked.extend(action.pre.num)
+            pos_needed |= action.pre.pos
+            neg_needed |= action.pre.neg
         for branch in task.goal:
-            self.tracked.extend(branch.num)
+            pos_needed |= branch.pos
+            neg_needed |= branch.neg
+        self.pos_needed = pos_needed
+        self.neg_needed = neg_needed
+        self.comparisons = [(fact, comp) for comp, fact in comparisons.items()]
+        # What each action reaches when it fires: the facts it adds or
+        # deletes that something needs, then, if it has numeric effects, the
+        # item fact_count + k that stands for them.
+        self.effects = [
+            [f for f in _mask_bits(a.add_mask) + [n + i for i in _mask_bits(a.del_mask)] if self.needed_by[f]]
+            + ([self.fact_count + k] if a.num_effects else [])
+            for k, a in enumerate(task.actions)
+        ]
+        self.num_effects = [a.num_effects for a in task.actions]
+        self.free_effects = [f for k in range(self.first_goal) if not self.need_counts[k] for f in self.effects[k]]
+        self.free_goal = any(not count for count in self.need_counts[self.first_goal :])
+        # Rounds of re-widening after which a bound that still moves can only
+        # be growing without limit (an assign that reads its own target).
+        self.widen_rounds = len(task.num_atoms) + 1
 
-    # -- condition pricing -------------------------------------------------
+    def goal_cost(self, bools: int, nums: tuple[Fraction, ...], additive: bool) -> Cost:
+        if self.free_goal:
+            return 0
+        n = self.atom_count
+        fact_count = self.fact_count
+        first_goal = self.first_goal
+        needed_by = self.needed_by
+        effects = self.effects
+        remaining = self.need_counts[:]
+        acc = [0] * len(remaining)
+        settled = bytearray(fact_count)
+        widened: list[int] = []
+        lo = hi = None
 
-    def condition_cost(self, cond: Condition) -> Cost:
-        parts: list[Cost] = [self.pos[i] for i in _mask_bits(cond.pos)]
-        parts.extend(self.neg[i] for i in _mask_bits(cond.neg))
-        parts.extend(self.comparison_cost(comp) for comp in cond.num)
-        return self.combine(parts) if parts else 0
+        # buckets[c] holds what is reached at cost c; costs are integers.
+        state = _mask_bits(bools & self.pos_needed) + [n + i for i in _mask_bits(self.neg_needed & ~bools)]
+        state.extend(fact for fact, comp in self.comparisons if comp.holds(nums))
+        buckets = [state, self.free_effects[:]]
+        best: Cost = INF
+        cost = 0
+        while cost < best and cost < len(buckets):
+            frontier = buckets[cost]
+            for fact in frontier:
+                if fact >= fact_count:
+                    if lo is None:
+                        lo, hi = list(nums), list(nums)
+                    widened.append(fact - fact_count)
+                    self._widen(widened, lo, hi)
+                    frontier.extend(f for f, comp in self.comparisons if not settled[f] and _satisfiable(comp, lo, hi))
+                    continue
+                if settled[fact]:
+                    continue
+                settled[fact] = 1
+                for k in needed_by[fact]:
+                    total = acc[k] + cost if additive else cost
+                    acc[k] = total
+                    remaining[k] -= 1
+                    if remaining[k]:
+                        continue
+                    if k >= first_goal:
+                        if total < best:
+                            best = total
+                        continue
+                    total += 1
+                    while len(buckets) <= total:
+                        buckets.append([])
+                    buckets[total] += effects[k]
+            cost += 1
+        return best
 
-    def action_cost(self, action: GroundAction) -> Cost:
-        body = self.condition_cost(action.pre)
-        return INF if body == INF else 1 + body
-
-    def goal_cost(self) -> Cost:
-        return min((self.condition_cost(branch) for branch in self.task.goal), default=INF)
-
-    def comparison_cost(self, comp: GroundComparison) -> Cost:
-        cached = self.comp_cost.get(comp)
-        if cached is not None:
-            return cached
-        return 0 if self._satisfiable(comp) else INF
-
-    def _satisfiable(self, comp: GroundComparison) -> bool:
-        low = high = comp.form.constant
-        for idx, coef in comp.form.coeffs:
-            a, b = self.lo[idx] * coef, self.hi[idx] * coef
-            low = low + min(a, b)
-            high = high + max(a, b)
-        if comp.op == "<":
-            return low < 0
-        if comp.op == "<=":
-            return low <= 0
-        if comp.op == "=":
-            return low <= 0 <= high
-        if comp.op == ">=":
-            return high >= 0
-        return high > 0
-
-    # -- fixpoint ----------------------------------------------------------
-
-    def run(self) -> None:
-        # Seed comparison costs with what already holds.
-        for comp in self.tracked:
-            if self._satisfiable(comp):
-                self.comp_cost[comp] = 0
+    def _widen(self, widened: list[int], lo: list, hi: list) -> None:
+        """Widen the intervals by the numeric effects of the fired actions until they stop moving."""
+        rounds = 0
         changed = True
         while changed:
+            rounds += 1
+            unbounded = rounds > self.widen_rounds
             changed = False
-            for action in self.task.actions:
-                cost = self.action_cost(action)
-                if cost == INF:
-                    continue
-                for i in _mask_bits(action.add_mask):
-                    if cost < self.pos[i]:
-                        self.pos[i] = cost
+            for k in widened:
+                for effect in self.num_effects[k]:
+                    if _widen_effect(effect, lo, hi, unbounded):
                         changed = True
-                for i in _mask_bits(action.del_mask):
-                    if cost < self.neg[i]:
-                        self.neg[i] = cost
-                        changed = True
-                if action.num_effects and self._widen(action, cost):
-                    changed = True
 
-    def _widen(self, action: GroundAction, cost: Cost) -> bool:
-        changed = False
-        for effect in action.num_effects:
-            alo, ahi = self._amount_bounds(effect.amount)
-            t = effect.target
-            if effect.op == "increase":
-                if ahi > 0 and self.hi[t] != INF:
-                    self.hi[t] = INF
-                    changed = True
-                if alo < 0 and self.lo[t] != -INF:
-                    self.lo[t] = -INF
-                    changed = True
-            elif effect.op == "decrease":
-                if ahi > 0 and self.lo[t] != -INF:
-                    self.lo[t] = -INF
-                    changed = True
-                if alo < 0 and self.hi[t] != INF:
-                    self.hi[t] = INF
-                    changed = True
-            else:  # assign
-                if alo < self.lo[t]:
-                    self.lo[t] = alo
-                    changed = True
-                if ahi > self.hi[t]:
-                    self.hi[t] = ahi
-                    changed = True
-        if changed:
-            self._reprice_comparisons(cost)
-        return changed
 
-    def _amount_bounds(self, amount: Linear) -> tuple:
-        low = high = amount.constant
-        for idx, coef in amount.coeffs:
-            a, b = self.lo[idx] * coef, self.hi[idx] * coef
-            low = low + min(a, b)
-            high = high + max(a, b)
-        return low, high
+def _widen_effect(effect: GroundNumericEffect, lo: list, hi: list, unbounded: bool) -> bool:
+    alo, ahi = _bounds(effect.amount, lo, hi)
+    t = effect.target
+    if effect.op == "assign":
+        new_lo, new_hi = min(lo[t], alo), max(hi[t], ahi)
+        if unbounded:
+            new_lo = -INF if new_lo < lo[t] else new_lo
+            new_hi = INF if new_hi > hi[t] else new_hi
+    else:
+        if effect.op == "decrease":
+            alo, ahi = -ahi, -alo
+        new_lo = -INF if alo < 0 else lo[t]
+        new_hi = INF if ahi > 0 else hi[t]
+    if new_lo == lo[t] and new_hi == hi[t]:
+        return False
+    lo[t], hi[t] = new_lo, new_hi
+    return True
 
-    def _reprice_comparisons(self, widening_cost: Cost) -> None:
-        for comp in self.tracked:
-            if comp not in self.comp_cost and self._satisfiable(comp):
-                self.comp_cost[comp] = widening_cost
+
+def _bounds(form: Linear, lo: list, hi: list) -> tuple:
+    low = high = form.constant
+    for idx, coef in form.coeffs:
+        a, b = lo[idx] * coef, hi[idx] * coef
+        low = low + min(a, b)
+        high = high + max(a, b)
+    return low, high
+
+
+def _satisfiable(comp: GroundComparison, lo: list, hi: list) -> bool:
+    low, high = _bounds(comp.form, lo, hi)
+    if comp.op == "<":
+        return low < 0
+    if comp.op == "<=":
+        return low <= 0
+    if comp.op == "=":
+        return low <= 0 <= high
+    if comp.op == ">=":
+        return high >= 0
+    return high > 0

@@ -5,15 +5,25 @@ f-values, so the outcome for a fixed (task, config) pair is deterministic
 byte for byte. `unsolvable` is only reported once the reachable state space
 is exhausted; hitting the node or time budget reports `budget-exhausted`
 instead.
+
+Successors come from a `SuccessorIndex` built once per solve. Each action
+is filed under one atom of its positive precondition: the one that the
+fewest actions need, lowest index first on ties. Actions with no positive
+precondition go on a list that is checked in every state. A state then
+tests only the actions filed under its true atoms, plus that list, and
+yields the applicable ones in ascending action index. That is the order of a
+scan over every action, so tie-breaking, node counts and plans are the same
+as with the scan.
 """
 from __future__ import annotations
 
 import heapq
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
-from .grounding import GroundTask
+from .grounding import GroundAction, GroundTask, _mask_bits
 from .heuristics import INF, blind, h_add
 from .plan import Plan, PlanStep
 
@@ -54,6 +64,36 @@ class SolveResult:
         return out
 
 
+class SuccessorIndex:
+    """The actions of a task, filed under one positive precondition atom each."""
+
+    def __init__(self, actions: tuple[GroundAction, ...]):
+        self.actions = actions
+        needed_by = [0] * max((a.pre.pos.bit_length() for a in actions), default=0)
+        for action in actions:
+            for i in _mask_bits(action.pre.pos):
+                needed_by[i] += 1
+        self.always: list[int] = []
+        self.filed: dict[int, list[int]] = {}
+        for idx, action in enumerate(actions):
+            atoms = _mask_bits(action.pre.pos)
+            if atoms:
+                self.filed.setdefault(min(atoms, key=lambda i: (needed_by[i], i)), []).append(idx)
+            else:
+                self.always.append(idx)
+        self.keys = sum(1 << i for i in self.filed)
+
+    def applicable(self, bools: int, nums: tuple[Fraction, ...]) -> list[int]:
+        """Indices of the actions applicable in the state, ascending."""
+        candidates = self.always[:]
+        filed = self.filed
+        for i in _mask_bits(bools & self.keys):
+            candidates += filed[i]
+        candidates.sort()
+        actions = self.actions
+        return [idx for idx in candidates if actions[idx].applicable(bools, nums)]
+
+
 def solve(task: GroundTask, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     started = time.monotonic()
     estimate = h_add if cfg.heuristic == "h_add" else blind
@@ -72,6 +112,7 @@ def solve(task: GroundTask, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     best_g: dict[tuple, int] = {init_key: 0}
     parents: dict[tuple, tuple[tuple, int]] = {}
     expanded = 0
+    successors = SuccessorIndex(task.actions)
 
     while open_heap:
         _, _, g, state = heapq.heappop(open_heap)
@@ -83,10 +124,8 @@ def solve(task: GroundTask, cfg: SolveConfig = SolveConfig()) -> SolveResult:
             return SolveResult(STATUS_BUDGET, None, expanded, time.monotonic() - started)
         expanded += 1
         bools, nums = state
-        for action_idx, action in enumerate(task.actions):
-            if not action.applicable(bools, nums):
-                continue
-            successor = action.apply(bools, nums)
+        for action_idx in successors.applicable(bools, nums):
+            successor = task.actions[action_idx].apply(bools, nums)
             new_g = g + 1
             known = best_g.get(successor)
             if known is not None and known <= new_g:

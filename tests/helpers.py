@@ -10,6 +10,10 @@ set-of-pairs reachability prune, which reads only the masks of the
 planner's ground actions and serves as the reference for the planner's
 bitset prune.
 
+``reference_h`` is the third: the planner's original round-robin
+(Bellman-Ford) delete relaxation, the reference for the counter-based
+``h_add`` and ``h_max_cost``.
+
 ``refuel_problem`` builds a small numeric task whose actions increase,
 decrease and assign fluents; ``random_walk_states`` samples reachable states
 of a ground task for checks that run along a walk.
@@ -274,6 +278,153 @@ def reference_pair_prune(actions, atoms, atom_index, init_true):
                         changed = True
 
     return [a for idx, a in enumerate(actions) if pairwise_ok(pre_bits[idx])]
+
+
+INF = float("inf")
+
+
+def reference_h(task, bools: int, nums: tuple, combine=None):
+    """h_add of the state (``combine`` None) or h_max (``combine=max``), or inf.
+
+    Every action is repriced in sweeps until no fact cost changes. This is
+    the planner's original relaxation, kept verbatim but for the pricing of
+    numeric comparisons. A comparison that does not hold in the state costs
+    the least action cost c such that the actions costing at most c widen
+    the intervals enough to satisfy it. The original priced it at whichever
+    action first widened it in sweep order, so the result depended on action
+    names.
+    """
+    relax = _Relaxation(task, bools, nums, combine)
+    relax.run()
+    return relax.goal_cost()
+
+
+def _sum(costs):
+    total = 0
+    for c in costs:
+        if c == INF:
+            return INF
+        total += c
+    return total
+
+
+class _Relaxation:
+    def __init__(self, task, bools: int, nums: tuple, combine=None):
+        self.task = task
+        self.nums = nums
+        self.combine = combine or _sum
+        n = len(task.atoms)
+        self.pos = [0 if bools >> i & 1 else INF for i in range(n)]
+        self.neg = [INF if bools >> i & 1 else 0 for i in range(n)]
+        self.comp_cost = {}
+        self.tracked = []
+        for action in task.actions:
+            self.tracked.extend(action.pre.num)
+        for branch in task.goal:
+            self.tracked.extend(branch.num)
+
+    def condition_cost(self, cond):
+        parts = [self.pos[i] for i in _mask_bits(cond.pos)]
+        parts.extend(self.neg[i] for i in _mask_bits(cond.neg))
+        parts.extend(self.comp_cost.get(comp, INF) for comp in cond.num)
+        return self.combine(parts) if parts else 0
+
+    def action_cost(self, action):
+        body = self.condition_cost(action.pre)
+        return INF if body == INF else 1 + body
+
+    def goal_cost(self):
+        return min((self.condition_cost(branch) for branch in self.task.goal), default=INF)
+
+    def run(self) -> None:
+        lo, hi = list(self.nums), list(self.nums)
+        for comp in self.tracked:
+            if _satisfiable(comp, lo, hi):
+                self.comp_cost[comp] = 0
+        changed = True
+        while changed:
+            changed = False
+            costs = []
+            for action in self.task.actions:
+                cost = self.action_cost(action)
+                costs.append(cost)
+                if cost == INF:
+                    continue
+                for i in _mask_bits(action.add_mask):
+                    if cost < self.pos[i]:
+                        self.pos[i] = cost
+                        changed = True
+                for i in _mask_bits(action.del_mask):
+                    if cost < self.neg[i]:
+                        self.neg[i] = cost
+                        changed = True
+            if self._reprice_comparisons(costs):
+                changed = True
+
+    def _reprice_comparisons(self, costs) -> bool:
+        """Price each comparison at the least cost whose actions make it satisfiable."""
+        numeric = [(c, a) for c, a in zip(costs, self.task.actions) if a.num_effects and c != INF]
+        changed = False
+        for level in sorted({c for c, _ in numeric}):
+            lo, hi = list(self.nums), list(self.nums)
+            while any([_widen(a, lo, hi) for c, a in numeric if c <= level]):
+                pass
+            for comp in self.tracked:
+                if level < self.comp_cost.get(comp, INF) and _satisfiable(comp, lo, hi):
+                    self.comp_cost[comp] = level
+                    changed = True
+        return changed
+
+
+def _widen(action, lo: list, hi: list) -> bool:
+    changed = False
+    for effect in action.num_effects:
+        alo, ahi = _amount_bounds(effect.amount, lo, hi)
+        t = effect.target
+        if effect.op == "increase":
+            if ahi > 0 and hi[t] != INF:
+                hi[t] = INF
+                changed = True
+            if alo < 0 and lo[t] != -INF:
+                lo[t] = -INF
+                changed = True
+        elif effect.op == "decrease":
+            if ahi > 0 and lo[t] != -INF:
+                lo[t] = -INF
+                changed = True
+            if alo < 0 and hi[t] != INF:
+                hi[t] = INF
+                changed = True
+        else:  # assign
+            if alo < lo[t]:
+                lo[t] = alo
+                changed = True
+            if ahi > hi[t]:
+                hi[t] = ahi
+                changed = True
+    return changed
+
+
+def _amount_bounds(amount, lo: list, hi: list) -> tuple:
+    low = high = amount.constant
+    for idx, coef in amount.coeffs:
+        a, b = lo[idx] * coef, hi[idx] * coef
+        low = low + min(a, b)
+        high = high + max(a, b)
+    return low, high
+
+
+def _satisfiable(comp, lo: list, hi: list) -> bool:
+    low, high = _amount_bounds(comp.form, lo, hi)
+    if comp.op == "<":
+        return low < 0
+    if comp.op == "<=":
+        return low <= 0
+    if comp.op == "=":
+        return low <= 0 <= high
+    if comp.op == ">=":
+        return high >= 0
+    return high > 0
 
 
 def random_walk_states(task, seeds=range(5), steps: int = 40) -> list:

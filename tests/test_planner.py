@@ -45,6 +45,7 @@ from planwright.planner import (
     validate_plan,
 )
 from planwright.planner.grounding import _instantiate
+from planwright.planner.search import SuccessorIndex
 
 from helpers import bfs_optimal_plan, random_walk_states, reference_pair_prune
 
@@ -170,35 +171,48 @@ class TestPruneMatchesReference:
         self.check(household_problem())
 
     def test_or_and_negative_preconditions(self):
-        from planwright.ir import ActionSchema, DomainModel, FluentDecl, Not, Or, Parameter, SetEffect, TypeDecl
+        # "rusted" is never true, so the second variant of every start-flow
+        # binding is pruned.
+        assert self.check(valves_problem()) == (12, 8)
 
-        v, a, b = (Parameter(name, "valve") for name in ("?v", "?a", "?b"))
-        domain = DomainModel(
-            "valves",
-            types=(TypeDecl("valve"),),
-            fluents=(FluentDecl("open", (v,)), FluentDecl("rusted", (v,)), FluentDecl("flow", ())),
-            actions=(
-                ActionSchema("open-valve", (v,), Not(Atom("open", ("?v",))), (SetEffect(Atom("open", ("?v",))),)),
-                ActionSchema(
-                    "close-valve",
-                    (v,),
-                    And((Atom("open", ("?v",)), Not(Atom("flow")))),
-                    (SetEffect(Atom("open", ("?v",)), False),),
-                ),
-                # "rusted" is never true, so the second variant of every
-                # binding is pruned.
-                ActionSchema(
-                    "start-flow",
-                    (a, b),
-                    Or((And((Atom("open", ("?a",)), Atom("open", ("?b",)))), Atom("rusted", ("?a",)))),
-                    (SetEffect(Atom("flow")),),
-                ),
-            ),
+
+class TestSuccessorIndex:
+    """The index yields exactly the applicable actions, in ascending index, as a scan does."""
+
+    @staticmethod
+    def check(problem: ProblemInstance) -> None:
+        task = ground(problem)
+        index = SuccessorIndex(task.actions)
+        seen = set()
+        for bools, nums in random_walk_states(task, seeds=range(4), steps=30):
+            expected = [i for i, a in enumerate(task.actions) if a.applicable(bools, nums)]
+            assert index.applicable(bools, nums) == expected
+            seen.update(expected)
+        assert seen  # the walks exercise the index
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_blocksworld(self, seed):
+        rng = random.Random(seed)
+        blocks = [f"b{i}" for i in range(1, 6)]
+        self.check(blocksworld_problem(f"bw-{seed}", _random_towers(rng, blocks), _random_towers(rng, blocks)))
+
+    def test_grippers(self):
+        self.check(
+            grippers_problem(
+                "g", rooms=3, robots=2,
+                ball_rooms={"ball1": "room1", "ball2": "room2", "ball3": "room3"},
+                goal_rooms={"ball1": "room3", "ball2": "room3", "ball3": "room1"},
+            )
         )
-        problem = ProblemInstance(
-            domain, (ObjectDecl("v1", "valve"), ObjectDecl("v2", "valve")), Assignment.create([]), Atom("flow"), "valves"
-        )
-        assert self.check(problem) == (12, 8)
+
+    @pytest.mark.parametrize("initial", [10, 30])
+    def test_battery_grippers(self, initial):
+        self.check(battery_problem(initial))
+
+    def test_or_negative_and_no_positive_precondition(self):
+        problem = valves_problem()
+        assert any(not a.pre.pos for a in ground(problem).actions)  # open-valve needs only (not (open ?v))
+        self.check(problem)
 
 
 class TestSolve:
@@ -566,6 +580,38 @@ def _independent_h_max(task, bools: int) -> float:
         raise AssertionError(f"oracle limited to positive conjunctions, got {expr!r}")
 
     return goal_cost(task.problem.goal)
+
+
+def valves_problem() -> ProblemInstance:
+    """Two valves: opening needs the valve closed (no positive precondition),
+    closing needs no flow, and starting the flow needs two open valves or a
+    rusted one (an Or precondition)."""
+    from planwright.ir import ActionSchema, DomainModel, FluentDecl, Not, Or, Parameter, SetEffect, TypeDecl
+
+    v, a, b = (Parameter(name, "valve") for name in ("?v", "?a", "?b"))
+    domain = DomainModel(
+        "valves",
+        types=(TypeDecl("valve"),),
+        fluents=(FluentDecl("open", (v,)), FluentDecl("rusted", (v,)), FluentDecl("flow", ())),
+        actions=(
+            ActionSchema("open-valve", (v,), Not(Atom("open", ("?v",))), (SetEffect(Atom("open", ("?v",))),)),
+            ActionSchema(
+                "close-valve",
+                (v,),
+                And((Atom("open", ("?v",)), Not(Atom("flow")))),
+                (SetEffect(Atom("open", ("?v",)), False),),
+            ),
+            ActionSchema(
+                "start-flow",
+                (a, b),
+                Or((And((Atom("open", ("?a",)), Atom("open", ("?b",)))), Atom("rusted", ("?a",)))),
+                (SetEffect(Atom("flow")),),
+            ),
+        ),
+    )
+    return ProblemInstance(
+        domain, (ObjectDecl("v1", "valve"), ObjectDecl("v2", "valve")), Assignment.create([]), Atom("flow"), "valves"
+    )
 
 
 def _random_towers(rng: random.Random, blocks: list[str]) -> list[list[str]]:
