@@ -144,14 +144,30 @@ def _preload_config(argv: list[str], subparsers: dict[str, argparse.ArgumentPars
     except (OSError, jsonio.IRDecodeError) as exc:
         raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
     target = subparsers[command]
-    known = {a.dest for a in target._actions}
+    actions = {a.dest: a for a in target._actions}
     overrides = {}
     for key, value in data.items():
         attr = key.replace("-", "_")
-        if attr not in known:
+        if attr not in actions:
             raise ConfigError(f"unknown config key {key!r}")
-        overrides[attr] = value
+        overrides[attr] = _config_value(key, value, actions[attr])
     target.set_defaults(**overrides)
+
+
+def _config_value(key: str, value, action: argparse.Action):
+    """A config-file value checked against its flag's type and choices.
+
+    argparse converts only string defaults, so a value of the wrong JSON
+    type would otherwise reach the command unconverted. Strings are not
+    parsed as numbers: a number must be a JSON number.
+    """
+    kind = action.type or str
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {type(value).__name__}")
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {key!r} must be one of {', '.join(action.choices)}, got {value!r}")
+    return kind(value)
 
 
 def _gateway_for(args) -> tuple[Gateway, Optional[Transcript], Optional[Path]]:

@@ -412,6 +412,43 @@ class TestConfigFile:
         ])
         assert code == 64
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"node-budget": [1]}, "'node-budget' must be int, got list"),
+            ({"node_budget": "5"}, "'node_budget' must be int, got str"),
+            ({"critic-iterations": True}, "'critic-iterations' must be int, got bool"),
+            ({"temperature": "0.5"}, "'temperature' must be float, got str"),
+            ({"heuristic": "h_max"}, "'heuristic' must be one of blind, h_add, got 'h_max'"),
+        ],
+    )
+    def test_wrong_typed_config_value_is_config_error(self, tmp_path, capsys, entry, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(entry))
+        d = scenario_dir("color")
+        out = tmp_path / "run"
+        code = main([
+            "plan", "--task", str(d / "task.json"), "--out-dir", str(out),
+            "--config", str(config), "--mode", "replay", "--fixture", str(d / "fixture.json"),
+        ])
+        assert code == 64
+        failure = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (failure["code"], failure["message"]) == ("config-error", f"config key {message}")
+        assert not out.exists()
+
+    def test_numeric_config_values_are_converted_like_flags(self, tmp_path):
+        d = scenario_dir("color")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"temperature": 0, "node-budget": 50_000}))
+        out = tmp_path / "run"
+        code = main([
+            "plan", "--task", str(d / "task.json"), "--out-dir", str(out), "--config", str(config),
+            "--mode", "replay", "--fixture", str(d / "fixture.json"), "--answers-file", str(d / "answers.json"),
+        ])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["temperature"] == 0.0 and isinstance(manifest["config"]["temperature"], float)
+
     def test_non_object_config_file_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("[]")
