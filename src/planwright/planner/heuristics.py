@@ -53,7 +53,7 @@ def h_add(task: GroundTask, bools: int, nums: tuple[Fraction, ...]) -> Cost:
 
 
 def h_max_cost(task: GroundTask, bools: int, nums: tuple[Fraction, ...]) -> Cost:
-    """Max-variant, a lower bound on the length of any plan from the state."""
+    """Max-variant: a lower bound on the number of steps of any plan from the state, or inf."""
     return task.relaxed.goal_cost(bools, nums, additive=False)
 
 
@@ -82,18 +82,12 @@ class RelaxedView:
         self.need_counts = [len(f) for f in needs]
         self.fact_count = 2 * n + len(comparisons)
         self.needed_by: list[list[int]] = [[] for _ in range(self.fact_count)]
-        pos_needed = neg_needed = 0
         for consumer, fact_list in enumerate(needs):
             for fact in fact_list:
                 self.needed_by[fact].append(consumer)
-        for action in task.actions:
-            pos_needed |= action.pre.pos
-            neg_needed |= action.pre.neg
-        for branch in task.goal:
-            pos_needed |= branch.pos
-            neg_needed |= branch.neg
-        self.pos_needed = pos_needed
-        self.neg_needed = neg_needed
+        # Masks of the atoms whose truth, or falsity, something needs.
+        self.pos_needed = sum(1 << i for i in range(n) if self.needed_by[i])
+        self.neg_needed = sum(1 << i for i in range(n) if self.needed_by[n + i])
         self.comparisons = [(fact, comp) for comp, fact in comparisons.items()]
         # What each action reaches when it fires: the facts it adds or
         # deletes that something needs, then, if it has numeric effects, the

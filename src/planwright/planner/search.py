@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -69,16 +70,13 @@ class SuccessorIndex:
 
     def __init__(self, actions: tuple[GroundAction, ...]):
         self.actions = actions
-        needed_by = [0] * max((a.pre.pos.bit_length() for a in actions), default=0)
-        for action in actions:
-            for i in _mask_bits(action.pre.pos):
-                needed_by[i] += 1
+        pres = [_mask_bits(a.pre.pos) for a in actions]
+        need = Counter(i for atoms in pres for i in atoms)
         self.always: list[int] = []
         self.filed: dict[int, list[int]] = {}
-        for idx, action in enumerate(actions):
-            atoms = _mask_bits(action.pre.pos)
-            if atoms:
-                self.filed.setdefault(min(atoms, key=lambda i: (needed_by[i], i)), []).append(idx)
+        for idx, atoms in enumerate(pres):
+            if atoms:  # min keeps the lowest atom among equally needed ones
+                self.filed.setdefault(min(atoms, key=need.__getitem__), []).append(idx)
             else:
                 self.always.append(idx)
         self.keys = sum(1 << i for i in self.filed)
