@@ -442,7 +442,7 @@ def random_walk_states(task, seeds=range(5), steps: int = 40) -> list:
     return list(states)
 
 
-def _fuel(name: str = "fuel") -> NumFluent:
+def _fluent(name: str) -> NumFluent:
     return NumFluent(name, ())
 
 
@@ -455,7 +455,7 @@ def refuel_domain() -> DomainModel:
     fills the tank to capacity (an assign of another fluent) and can enlarge
     the tank up to 6; any other town sells one unit at a time."""
     a, b, t = Parameter("?a", "town"), Parameter("?b", "town"), Parameter("?t", "town")
-    below_capacity = Comparison("<", _fuel(), _fuel("capacity"))
+    below_capacity = Comparison("<", _fluent("fuel"), _fluent("capacity"))
     return DomainModel(
         "refuel",
         types=(TypeDecl("town"),),
@@ -470,30 +470,30 @@ def refuel_domain() -> DomainModel:
             ActionSchema(
                 "drive",
                 (a, b),
-                And((Atom("at", ("?a",)), Atom("road", ("?a", "?b")), Comparison(">=", _fuel(), _const(1)))),
+                And((Atom("at", ("?a",)), Atom("road", ("?a", "?b")), Comparison(">=", _fluent("fuel"), _const(1)))),
                 (
                     SetEffect(Atom("at", ("?a",)), False),
                     SetEffect(Atom("at", ("?b",))),
-                    NumericEffect("decrease", _fuel(), _const(1)),
+                    NumericEffect("decrease", _fluent("fuel"), _const(1)),
                 ),
             ),
             ActionSchema(
                 "fill",
                 (t,),
                 And((Atom("at", ("?t",)), Atom("depot", ("?t",)), below_capacity)),
-                (NumericEffect("assign", _fuel(), _fuel("capacity")),),
+                (NumericEffect("assign", _fluent("fuel"), _fluent("capacity")),),
             ),
             ActionSchema(
                 "enlarge",
                 (t,),
-                And((Atom("at", ("?t",)), Atom("depot", ("?t",)), Comparison("<", _fuel("capacity"), _const(6)))),
-                (NumericEffect("increase", _fuel("capacity"), _const(2)),),
+                And((Atom("at", ("?t",)), Atom("depot", ("?t",)), Comparison("<", _fluent("capacity"), _const(6)))),
+                (NumericEffect("increase", _fluent("capacity"), _const(2)),),
             ),
             ActionSchema(
                 "buy",
                 (t,),
                 And((Atom("at", ("?t",)), Not(Atom("depot", ("?t",))), below_capacity)),
-                (NumericEffect("increase", _fuel(), _const(1)),),
+                (NumericEffect("increase", _fluent("fuel"), _const(1)),),
             ),
         ),
     )
@@ -505,14 +505,14 @@ def refuel_problem(fuel: int, goal_fuel, towns: int = 4, capacity: int = 2) -> P
     names = [f"t{i}" for i in range(1, towns + 1)]
     roads = [Atom("road", (x, y)) for x, y in zip(names, names[1:])]
     roads += [Atom("road", (y, x)) for x, y in zip(names, names[1:])]
-    floor = _fuel(goal_fuel) if isinstance(goal_fuel, str) else _const(goal_fuel)
+    floor = _fluent(goal_fuel) if isinstance(goal_fuel, str) else _const(goal_fuel)
     return ProblemInstance(
         refuel_domain(),
         tuple(ObjectDecl(name, "town") for name in names),
         Assignment.create(
             [Atom("at", ("t1",)), Atom("depot", ("t1",))] + roads,
-            [(_fuel(), Fraction(fuel)), (_fuel("capacity"), Fraction(capacity))],
+            [(_fluent("fuel"), Fraction(fuel)), (_fluent("capacity"), Fraction(capacity))],
         ),
-        And((Atom("at", (names[-1],)), Comparison(">=", _fuel(), floor))),
+        And((Atom("at", (names[-1],)), Comparison(">=", _fluent("fuel"), floor))),
         f"refuel-{fuel}-{goal_fuel}",
     )

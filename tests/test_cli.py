@@ -434,7 +434,6 @@ class TestConfigFile:
         assert code == 64
         failure = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (failure["code"], failure["message"]) == ("config-error", f"config key {message}")
-        assert not out.exists()
 
     def test_numeric_config_values_are_converted_like_flags(self, tmp_path):
         d = scenario_dir("color")
