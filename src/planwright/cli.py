@@ -476,10 +476,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser, subparsers = build_parser()
     try:
         _preload_config(argv, subparsers)
+        config_error = None
     except ConfigError as exc:
         sys.stderr.write(json.dumps({"stage": "config", "code": "config-error", "message": str(exc)}) + "\n")
-        return EX_CONFIG
+        config_error = exc
+    # A rejected config file installs no defaults; parsing the flags alone
+    # still finds --out-dir, so the error is recorded like any other.
     args = parser.parse_args(argv)
+    if config_error is not None:
+        run = RunDirectory(args.out_dir, args.command, {})
+        run.config_snapshot = _config_snapshot(args, run)
+        run.fail("config", "config-error", str(config_error))
+        run.finalize(EX_CONFIG)
+        return EX_CONFIG
     if args.command == "plan":
         return cmd_plan(args)
     if args.command == "execute":

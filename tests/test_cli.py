@@ -402,15 +402,37 @@ class TestConfigFile:
         assert manifest["config"]["heuristic"] == "blind"  # flag beat the file
         assert manifest["config"]["mode"] == "replay"
 
+    @staticmethod
+    def assert_config_error_recorded(out: Path, message: str) -> None:
+        """A --config error leaves the run directory every other config error leaves."""
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure == {"stage": "config", "code": "config-error", "message": message}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["command"], manifest["exit_code"], manifest["files"]) == ("plan", 64, ["failure.json"])
+
     def test_unknown_config_key_is_config_error(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"warp-speed": 11}))
         d = scenario_dir("color")
+        out = tmp_path / "run"
         code = main([
-            "plan", "--task", str(d / "task.json"), "--out-dir", str(tmp_path / "run"),
+            "plan", "--task", str(d / "task.json"), "--out-dir", str(out),
             "--config", str(config), "--mode", "replay", "--fixture", str(d / "fixture.json"),
         ])
         assert code == 64
+        self.assert_config_error_recorded(out, "unknown config key 'warp-speed'")
+
+    def test_unreadable_config_file_is_config_error(self, tmp_path):
+        d = scenario_dir("color")
+        out = tmp_path / "run"
+        code = main([
+            "plan", "--task", str(d / "task.json"), "--out-dir", str(out),
+            "--config", str(tmp_path / "missing.json"), "--mode", "replay", "--fixture", str(d / "fixture.json"),
+        ])
+        assert code == 64
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure["message"].startswith(f"cannot read config file {tmp_path / 'missing.json'}")
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 64
 
     @pytest.mark.parametrize(
         "entry, message",
@@ -434,6 +456,7 @@ class TestConfigFile:
         assert code == 64
         failure = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (failure["code"], failure["message"]) == ("config-error", f"config key {message}")
+        self.assert_config_error_recorded(out, f"config key {message}")
 
     def test_numeric_config_values_are_converted_like_flags(self, tmp_path):
         d = scenario_dir("color")
@@ -458,6 +481,24 @@ class TestConfigFile:
         ])
         assert code == 64
         assert "expected object, got list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["plan", "bench"])
+    def test_nan_time_budget_is_config_error(self, tmp_path, command):
+        from planwright.data_paths import benchmarks_root
+
+        out = tmp_path / "run"
+        if command == "plan":
+            argv = plan_args("color", out, time_budget="nan")
+        else:
+            blocksworld = benchmarks_root() / "blocksworld"
+            argv = [
+                "bench", "--domain", str(blocksworld / "domain.pddl"), "--problems", str(blocksworld),
+                "--out-dir", str(out), "--time-budget", "nan",
+            ]
+        assert main(argv) == 64
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure == {"stage": "config", "code": "config-error", "message": "budgets must be positive"}
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 64
 
     def test_bad_temperature_is_config_error(self, tmp_path):
         d = scenario_dir("color")
