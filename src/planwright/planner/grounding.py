@@ -243,7 +243,16 @@ class GroundTask:
     goal: tuple[Condition, ...]  # DNF branches; the source is problem.goal
 
     def goal_holds(self, bools: int, nums: tuple[Fraction, ...]) -> bool:
-        return any(branch.holds(bools, nums) for branch in self.goal)
+        for pos, neg, numeric in self._goal_test:
+            if bools & pos == pos and not bools & neg and (numeric is None or numeric.holds(bools, nums)):
+                return True
+        return False
+
+    @cached_property
+    def _goal_test(self) -> tuple[tuple[int, int, Optional[Condition]], ...]:
+        """The goal branches as ``(pos, neg, branch)``, where ``branch`` is
+        None unless it has numeric comparisons to test as well."""
+        return tuple((b.pos, b.neg, b if b.num else None) for b in self.goal)
 
     @cached_property
     def relaxed(self):

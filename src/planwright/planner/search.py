@@ -6,14 +6,19 @@ byte for byte. `unsolvable` is only reported once the reachable state space
 is exhausted; hitting the node or time budget reports `budget-exhausted`
 instead.
 
-Successors come from a `SuccessorIndex` built once per solve. Each action
-is filed under one atom of its positive precondition: the one that the
-fewest actions need, lowest index first on ties. Actions with no positive
-precondition go on a list that is checked in every state. A state then
-tests only the actions filed under its true atoms, plus that list, and
-yields the applicable ones in ascending action index. That is the order of a
-scan over every action, so tie-breaking, node counts and plans are the same
-as with the scan.
+Successors come from a `SuccessorGenerator` built once per solve. It turns
+each action into one flat entry that holds its precondition masks and
+comparisons, the mask of the atoms it keeps, its add mask and its numeric
+effects. Each entry is filed under one atom of its positive precondition:
+the one that the fewest actions need, lowest index first on ties. Entries
+with no positive precondition go on a list that is checked in every state.
+A state then tests only the entries filed under its true atoms, plus that
+list, with two mask tests each; numeric comparisons are evaluated only for
+actions that have them. The applicable entries come back in ascending
+action index, the order of a scan over every action, so tie-breaking, node
+counts and plans are the same as with the scan. A propositional action is
+applied as ``(bools & keep) | add``; one with numeric effects goes through
+`GroundAction.apply`, so the numeric semantics live in one place.
 """
 from __future__ import annotations
 
@@ -45,7 +50,9 @@ class SolveConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.heuristic not in ("h_add", "blind"):
             raise ValueError(f"unknown heuristic {self.heuristic!r}")
-        if self.node_budget <= 0 or self.time_budget <= 0:
+        # Written so that NaN fails too: no comparison with NaN is true, so a
+        # NaN time budget would never trip.
+        if not (self.node_budget > 0 and self.time_budget > 0):
             raise ValueError("budgets must be positive")
 
 
@@ -65,31 +72,42 @@ class SolveResult:
         return out
 
 
-class SuccessorIndex:
-    """The actions of a task, filed under one positive precondition atom each."""
+class SuccessorGenerator:
+    """The actions of a task as flat entries, filed under one positive precondition atom each.
+
+    An entry is ``(index, pre.pos, pre.neg, pre.num, ~del_mask, add_mask,
+    num_effects)``: everything the search reads to test and apply the action.
+    """
 
     def __init__(self, actions: tuple[GroundAction, ...]):
-        self.actions = actions
         pres = [_mask_bits(a.pre.pos) for a in actions]
         need = Counter(i for atoms in pres for i in atoms)
-        self.always: list[int] = []
-        self.filed: dict[int, list[int]] = {}
-        for idx, atoms in enumerate(pres):
+        self.always: list[tuple] = []
+        # Keyed by the atom's bit, 1 << i, which `applicable` peels off the state.
+        self.filed: dict[int, list[tuple]] = {}
+        for idx, (a, atoms) in enumerate(zip(actions, pres)):
+            entry = (idx, a.pre.pos, a.pre.neg, a.pre.num, ~a.del_mask, a.add_mask, a.num_effects)
             if atoms:  # min keeps the lowest atom among equally needed ones
-                self.filed.setdefault(min(atoms, key=need.__getitem__), []).append(idx)
+                self.filed.setdefault(1 << min(atoms, key=need.__getitem__), []).append(entry)
             else:
-                self.always.append(idx)
-        self.keys = sum(1 << i for i in self.filed)
+                self.always.append(entry)
+        self.keys = sum(self.filed)
 
-    def applicable(self, bools: int, nums: tuple[Fraction, ...]) -> list[int]:
-        """Indices of the actions applicable in the state, ascending."""
+    def applicable(self, bools: int, nums: tuple[Fraction, ...]) -> list[tuple]:
+        """Entries of the actions applicable in the state, in ascending index."""
         candidates = self.always[:]
         filed = self.filed
-        for i in _mask_bits(bools & self.keys):
-            candidates += filed[i]
-        candidates.sort()
-        actions = self.actions
-        return [idx for idx in candidates if actions[idx].applicable(bools, nums)]
+        true_keys = bools & self.keys
+        while true_keys:
+            bit = true_keys & -true_keys
+            candidates += filed[bit]
+            true_keys ^= bit
+        out = [
+            e for e in candidates
+            if bools & e[1] == e[1] and not bools & e[2] and (not e[3] or all(c.holds(nums) for c in e[3]))
+        ]
+        out.sort()
+        return out
 
 
 def solve(task: GroundTask, cfg: SolveConfig = SolveConfig()) -> SolveResult:
@@ -110,21 +128,25 @@ def solve(task: GroundTask, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     best_g: dict[tuple, int] = {init_key: 0}
     parents: dict[tuple, tuple[tuple, int]] = {}
     expanded = 0
-    successors = SuccessorIndex(task.actions)
+    greedy = cfg.strategy == "greedy"
+    successors = SuccessorGenerator(task.actions)
 
     while open_heap:
         _, _, g, state = heapq.heappop(open_heap)
         if g > best_g.get(state, -1):
             continue  # stale entry
-        if task.goal_holds(*state):
+        bools, nums = state
+        if task.goal_holds(bools, nums):
             return SolveResult(STATUS_PLAN, _reconstruct(task, parents, state), expanded, time.monotonic() - started)
         if expanded >= cfg.node_budget or time.monotonic() - started > cfg.time_budget:
             return SolveResult(STATUS_BUDGET, None, expanded, time.monotonic() - started)
         expanded += 1
-        bools, nums = state
-        for action_idx in successors.applicable(bools, nums):
-            successor = task.actions[action_idx].apply(bools, nums)
-            new_g = g + 1
+        new_g = g + 1
+        for action_idx, _, _, _, keep, add, effects in successors.applicable(bools, nums):
+            if effects:
+                successor = task.actions[action_idx].apply(bools, nums)
+            else:
+                successor = ((bools & keep) | add, nums)
             known = best_g.get(successor)
             if known is not None and known <= new_g:
                 continue
@@ -133,9 +155,8 @@ def solve(task: GroundTask, cfg: SolveConfig = SolveConfig()) -> SolveResult:
             h = estimate(task, *successor)
             if h == INF:
                 continue
-            f = h if cfg.strategy == "greedy" else new_g + h
             counter += 1
-            heapq.heappush(open_heap, (f, counter, new_g, successor))
+            heapq.heappush(open_heap, (h if greedy else new_g + h, counter, new_g, successor))
 
     return SolveResult(STATUS_UNSOLVABLE, None, expanded, time.monotonic() - started)
 

@@ -14,6 +14,10 @@ bitset prune.
 (Bellman-Ford) delete relaxation, the reference for the counter-based
 ``h_add`` and ``h_max_cost``.
 
+``reference_solve`` is the fourth: the planner's scan-based search loop,
+which tests every action in every state, the reference for the compiled
+successor entries of ``planwright.planner.search``.
+
 ``refuel_problem`` builds a small numeric task whose actions increase,
 decrease and assign fluents; ``random_walk_states`` samples reachable states
 of a ground task for checks that run along a walk.
@@ -425,6 +429,78 @@ def _satisfiable(comp, lo: list, hi: list) -> bool:
     if comp.op == ">=":
         return high >= 0
     return high > 0
+
+
+def reference_solve(task, strategy: str = "astar", heuristic: str = "blind", node_budget: int = 1_000_000) -> dict:
+    """``SolveResult.to_json()`` of the planner's search, by a scan over every action.
+
+    This is the planner's loop from before successors were compiled to flat
+    entries, kept but for the time budget: every expanded state tests every
+    action with ``GroundAction.applicable``, applies it with
+    ``GroundAction.apply``, and tests the goal branch by branch with
+    ``Condition.holds``. Same f-values, FIFO counter and stale-entry rule, so
+    node counts and plans must be equal.
+    """
+    import heapq
+
+    from planwright.planner import h_add
+
+    def goal_holds(state) -> bool:
+        return any(branch.holds(*state) for branch in task.goal)
+
+    def estimate(state):
+        if heuristic == "h_add":
+            return h_add(task, *state)
+        return 0 if goal_holds(state) else 1
+
+    def result(status, expanded, state=None) -> dict:
+        out = {"status": status, "nodes_expanded": expanded}
+        if state is not None:
+            steps = []
+            while state in parents:
+                state, idx = parents[state]
+                steps.append({"name": task.actions[idx].name, "args": list(task.actions[idx].args)})
+            steps.reverse()
+            out["plan"] = {"steps": steps, "cost": len(steps)}
+        return out
+
+    init = (task.init_bools, task.init_nums)
+    parents: dict = {}
+    if goal_holds(init):
+        return result("plan", 0, init)
+    h0 = estimate(init)
+    if h0 == INF:
+        return result("unsolvable", 0)
+    counter = 0
+    open_heap = [(h0, counter, 0, init)]
+    best_g = {init: 0}
+    expanded = 0
+    while open_heap:
+        _, _, g, state = heapq.heappop(open_heap)
+        if g > best_g.get(state, -1):
+            continue
+        if goal_holds(state):
+            return result("plan", expanded, state)
+        if expanded >= node_budget:
+            return result("budget-exhausted", expanded)
+        expanded += 1
+        for idx, action in enumerate(task.actions):
+            if not action.applicable(*state):
+                continue
+            successor = action.apply(*state)
+            new_g = g + 1
+            known = best_g.get(successor)
+            if known is not None and known <= new_g:
+                continue
+            best_g[successor] = new_g
+            parents[successor] = (state, idx)
+            h = estimate(successor)
+            if h == INF:
+                continue
+            f = h if strategy == "greedy" else new_g + h
+            counter += 1
+            heapq.heappush(open_heap, (f, counter, new_g, successor))
+    return result("unsolvable", expanded)
 
 
 def random_walk_states(task, seeds=range(5), steps: int = 40) -> list:

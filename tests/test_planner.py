@@ -45,9 +45,9 @@ from planwright.planner import (
     validate_plan,
 )
 from planwright.planner.grounding import _instantiate
-from planwright.planner.search import SuccessorIndex
+from planwright.planner.search import SuccessorGenerator
 
-from helpers import bfs_optimal_plan, random_walk_states, reference_pair_prune
+from helpers import bfs_optimal_plan, random_walk_states, reference_pair_prune, refuel_problem
 
 ASTAR = SolveConfig(strategy="astar", heuristic="blind")
 
@@ -177,18 +177,26 @@ class TestPruneMatchesReference:
 
 
 class TestSuccessorIndex:
-    """The index yields exactly the applicable actions, in ascending index, as a scan does."""
+    """The compiled entries are exactly the applicable actions, in ascending
+    index, as a scan finds them, and each one's successor is the state
+    `GroundAction.apply` gives."""
 
     @staticmethod
     def check(problem: ProblemInstance) -> None:
         task = ground(problem)
-        index = SuccessorIndex(task.actions)
+        successors = SuccessorGenerator(task.actions)
         seen = set()
         for bools, nums in random_walk_states(task, seeds=range(4), steps=30):
+            entries = successors.applicable(bools, nums)
             expected = [i for i, a in enumerate(task.actions) if a.applicable(bools, nums)]
-            assert index.applicable(bools, nums) == expected
+            assert [entry[0] for entry in entries] == expected
+            for idx, _, _, _, keep, add, effects in entries:
+                action = task.actions[idx]
+                assert effects == action.num_effects
+                if not effects:  # solve applies these from the entry alone
+                    assert ((bools & keep) | add, nums) == action.apply(bools, nums)
             seen.update(expected)
-        assert seen  # the walks exercise the index
+        assert seen  # the walks exercise the entries
 
     @pytest.mark.parametrize("seed", range(3))
     def test_seeded_blocksworld(self, seed):
@@ -209,10 +217,21 @@ class TestSuccessorIndex:
     def test_battery_grippers(self, initial):
         self.check(battery_problem(initial))
 
+    @pytest.mark.parametrize("fuel, goal_fuel", [(0, 1), (2, "capacity"), (1, 5)])
+    def test_refuel(self, fuel, goal_fuel):
+        self.check(refuel_problem(fuel, goal_fuel))
+
     def test_or_negative_and_no_positive_precondition(self):
         problem = valves_problem()
         assert any(not a.pre.pos for a in ground(problem).actions)  # open-valve needs only (not (open ?v))
         self.check(problem)
+
+    def test_numeric_and_no_positive_precondition(self):
+        problem = meter_problem()
+        task = ground(problem)
+        assert any(a.pre.num and not a.pre.pos for a in task.actions)
+        self.check(problem)
+        assert [str(step) for step in solve(task, ASTAR).plan.steps] == ["tick()"] * 3 + ["latch()"]
 
 
 class TestSolve:
@@ -234,6 +253,15 @@ class TestSolve:
         assert bfs_optimal_plan(problem) is None
         result = solve(ground(problem), ASTAR)
         assert result.status == "unsolvable"
+
+    @pytest.mark.parametrize("budgets", [{"time_budget": float("nan")}, {"node_budget": float("nan")}, {"time_budget": 0}])
+    def test_nan_or_nonpositive_budget_rejected(self, budgets):
+        with pytest.raises(ValueError, match="budgets must be positive"):
+            SolveConfig(**budgets)
+
+    def test_infinite_time_budget_accepted(self):
+        problem = blocksworld_problem("bw2", [["b1"], ["b2"]], [["b2", "b1"]])
+        assert solve(ground(problem), SolveConfig(time_budget=float("inf"))).status == "plan"
 
     def test_budget_exhausted(self):
         problem = blocksworld_problem("bw", [["b1"], ["b2"], ["b3"], ["b4"]], [["b4", "b3", "b2", "b1"]])
@@ -611,6 +639,30 @@ def valves_problem() -> ProblemInstance:
     )
     return ProblemInstance(
         domain, (ObjectDecl("v1", "valve"), ObjectDecl("v2", "valve")), Assignment.create([]), Atom("flow"), "valves"
+    )
+
+
+def meter_problem() -> ProblemInstance:
+    """A meter that ticks up to 3 with no boolean precondition; the goal is a
+    reading latched only once the meter shows at least 3."""
+    from planwright.ir import ActionSchema, DomainModel, FluentDecl, NumericEffect, Parameter, SetEffect
+
+    meter = NumFluent("meter", ())
+    domain = DomainModel(
+        "meter",
+        fluents=(FluentDecl("latched", ()), FluentDecl("meter", (), kind="numeric")),
+        actions=(
+            ActionSchema(
+                "tick",
+                (),
+                Comparison("<", meter, NumConst(Fraction(3))),
+                (NumericEffect("increase", meter, NumConst(Fraction(1))),),
+            ),
+            ActionSchema("latch", (), Comparison(">=", meter, NumConst(Fraction(3))), (SetEffect(Atom("latched", ())),)),
+        ),
+    )
+    return ProblemInstance(
+        domain, (), Assignment.create([], [(meter, Fraction(0))]), Atom("latched", ()), "meter"
     )
 
 
