@@ -83,7 +83,7 @@ def _fallback(plan: Plan, domain: DomainModel) -> InstructionList:
     )
 
 
-def _llm_request(plan: Plan, domain: DomainModel, model: str, temperature: float) -> ChatRequest:
+def _llm_request(plan: Plan, domain: DomainModel) -> ChatRequest:
     signatures = [
         f"{a.name}({', '.join(f'{p.name}: {p.type}' for p in a.parameters)})"
         for a in domain.actions
@@ -94,11 +94,7 @@ def _llm_request(plan: Plan, domain: DomainModel, model: str, temperature: float
         + "\n\nAction signatures:\n"
         + "\n".join(signatures)
     )
-    return ChatRequest(
-        messages=(system(load_prompt("plan_translator")), user(body)),
-        temperature=temperature,
-        model=model,
-    )
+    return ChatRequest(messages=(system(load_prompt("plan_translator")), user(body)))
 
 
 def _parse_instructions(content: str, expected: int) -> Optional[list[str]]:
@@ -114,20 +110,14 @@ def _parse_instructions(content: str, expected: int) -> Optional[list[str]]:
     return texts
 
 
-def translate_plan(
-    plan: Plan,
-    domain: DomainModel,
-    gateway: Optional[Gateway] = None,
-    model: str = "default",
-    temperature: float = 0.0,
-) -> InstructionList:
+def translate_plan(plan: Plan, domain: DomainModel, gateway: Optional[Gateway] = None) -> InstructionList:
     """One instruction per step. The LLM gets one retry on a wrong-count or
     empty answer, then the deterministic fallback takes over; without a
     gateway the fallback is used directly."""
     if gateway is None or not plan.steps:
         return _fallback(plan, domain)
     known = domain.action_map()
-    request = _llm_request(plan, domain, model, temperature)
+    request = _llm_request(plan, domain)
     for attempt in range(2):
         response = gateway.chat(request)
         texts = _parse_instructions(response.content, len(plan.steps))
@@ -143,5 +133,5 @@ def translate_plan(
                 f"Your answer must contain exactly {len(plan.steps)} nonempty instructions "
                 "in a JSON document of the form {\"instructions\": [...]}. Resend."
             )
-            request = ChatRequest(request.messages + (response, note), temperature=temperature, model=model)
+            request = ChatRequest(request.messages + (response, note))
     return _fallback(plan, domain)

@@ -1,6 +1,6 @@
 """Generator agents, critic loop, and the pipeline orchestrator."""
 from .channel import InteractionError, RefusingUserChannel, ScriptedUserChannel, TerminalUserChannel, UserChannel
-from .config import AgentConfig, PipelineConfig
+from .config import PipelineConfig
 from .critic import CriticVerdict, critic_review
 from .events import EventLog, PipelineEvent
 from .generation import (
@@ -25,7 +25,6 @@ from .pipeline import (
 from . import tools
 
 __all__ = [
-    "AgentConfig",
     "AgentSession",
     "CallCeilingExceeded",
     "CorrectionLimitReached",

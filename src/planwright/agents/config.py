@@ -1,47 +1,17 @@
-"""Agent and pipeline configuration values."""
+"""Settings of the generate-validate-critic loop the three agents share."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .prompts import load_prompt
-
-ROLE_PROMPTS = {
-    "domain": "domain_generator",
-    "initial-state": "initial_state_generator",
-    "goal": "goal_generator",
-}
-
-
-@dataclass(frozen=True)
-class AgentConfig:
-    role: str  # domain | initial-state | goal
-    system_prompt: str = ""
-    correction_limit: int = 10
-    critic_threshold: float = 0.8  # tau
-    critic_iterations: int = 3
-    context_capacity: int = 40
-
-    def __post_init__(self) -> None:
-        if self.role not in ROLE_PROMPTS:
-            raise ValueError(f"unknown agent role {self.role!r}")
-        if self.correction_limit < 1 or self.critic_iterations < 1:
-            raise ValueError("limits must be >= 1")
-        if not 0.0 <= self.critic_threshold <= 1.0:
-            raise ValueError("critic threshold must lie in [0, 1]")
-        if not self.system_prompt:
-            object.__setattr__(self, "system_prompt", load_prompt(ROLE_PROMPTS[self.role]))
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    domain: AgentConfig = field(default_factory=lambda: AgentConfig("domain"))
-    initial_state: AgentConfig = field(default_factory=lambda: AgentConfig("initial-state"))
-    goal: AgentConfig = field(default_factory=lambda: AgentConfig("goal"))
-    model: str = "default"
-    temperature: float = 0.0
-    retrieval_k: int = 3
-    retrieval_threshold: float = 0.35
-    call_ceiling: int = 60  # hard stop across all agents in one run
+    correction_limit: int = 10
+    critic_threshold: float = 0.8  # tau
+    critic_iterations: int = 3
 
-    def agent(self, role: str) -> AgentConfig:
-        return {"domain": self.domain, "initial-state": self.initial_state, "goal": self.goal}[role]
+    def __post_init__(self) -> None:
+        if self.correction_limit < 1 or self.critic_iterations < 1:
+            raise ValueError("limits must be >= 1")
+        if not 0.0 <= self.critic_threshold <= 1.0:
+            raise ValueError("critic threshold must lie in [0, 1]")

@@ -26,25 +26,13 @@ def parse_score_payload(content: str) -> tuple[float, str] | None:
     return float(score), str(data.get("feedback", ""))
 
 
-def critic_review(
-    candidate: str,
-    criteria: str,
-    threshold: float,
-    gateway: Gateway,
-    model: str = "default",
-    temperature: float = 0.0,
-) -> CriticVerdict:
+def critic_review(candidate: str, criteria: str, threshold: float, gateway: Gateway) -> CriticVerdict:
     """One critic pass; unparsable critic output counts as a rejection with
     the raw text forwarded as feedback."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
     prompt = load_prompt("critic") + f"\n\nAcceptance threshold: {threshold}\nReview criteria: {criteria}"
-    request = ChatRequest(
-        messages=(system(prompt), user(candidate)),
-        temperature=temperature,
-        model=model,
-    )
-    response = gateway.chat(request)
+    response = gateway.chat(ChatRequest(messages=(system(prompt), user(candidate))))
     parsed = parse_score_payload(response.content)
     if parsed is None:
         return CriticVerdict(0.0, response.content, accepted=False)

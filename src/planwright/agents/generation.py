@@ -25,9 +25,10 @@ from ..ir import (
     validate_domain,
 )
 from ..memory import ContextBuffer
-from .config import AgentConfig
+from .config import PipelineConfig
 from .critic import critic_review
 from .events import EventLog
+from .prompts import ROLE_PROMPTS, load_prompt
 from .tools import TOOLSETS
 
 CRITIC_CRITERIA = "correctness, coherence, and completeness"
@@ -57,13 +58,14 @@ class GenerationOutcome:
 
 
 class AgentSession:
-    """An agent's running conversation: config, context buffer, memory note."""
+    """An agent's running conversation: role, loop limits, context buffer, memory note."""
 
-    def __init__(self, config: AgentConfig):
+    def __init__(self, role: str, config: PipelineConfig):
+        self.role = role
         self.config = config
-        self.buffer = ContextBuffer(system(config.system_prompt), config.context_capacity)
+        self.buffer = ContextBuffer(system(load_prompt(ROLE_PROMPTS[role])))
         self.memory_note: Optional[str] = None
-        self.tools = TOOLSETS[config.role]
+        self.tools = TOOLSETS[role]
 
     def request_messages(self) -> tuple[AgentMessage, ...]:
         window = self.buffer.window()
@@ -79,11 +81,9 @@ def run_generation(
     parse_artifact: Callable[[str], tuple[Any, list[str]]],
     resolver: ToolResolver,
     events: EventLog,
-    model: str = "default",
-    temperature: float = 0.0,
 ) -> GenerationOutcome:
     config = session.config
-    role = config.role
+    role = session.role
     session.buffer.append(user(task_message))
 
     turns = 0
@@ -91,12 +91,7 @@ def run_generation(
     last_error = "no output produced"
 
     while turns < config.correction_limit:
-        request = ChatRequest(
-            messages=session.request_messages(),
-            tools=session.tools,
-            temperature=temperature,
-            model=model,
-        )
+        request = ChatRequest(messages=session.request_messages(), tools=session.tools)
         turns += 1
         try:
             response = gateway.chat(request)
@@ -139,14 +134,7 @@ def run_generation(
             )
             continue
 
-        verdict = critic_review(
-            response.content,
-            CRITIC_CRITERIA,
-            config.critic_threshold,
-            gateway,
-            model=model,
-            temperature=temperature,
-        )
+        verdict = critic_review(response.content, CRITIC_CRITERIA, config.critic_threshold, gateway)
         events.add("critic", role, score=verdict.score, accepted=verdict.accepted, feedback=verdict.feedback)
         if verdict.accepted:
             return GenerationOutcome(artifact, response.content, turns, rejections, False)
@@ -197,13 +185,13 @@ def parse_goal_artifact(
 # ------------------------------------------------------- operation wrappers
 
 
-def generate_domain(description, session, gateway, resolver, events, model="default", temperature=0.0) -> GenerationOutcome:
+def generate_domain(description, session, gateway, resolver, events) -> GenerationOutcome:
     message = f"Domain description:\n{description}"
-    return run_generation(session, gateway, message, parse_domain_artifact, resolver, events, model, temperature)
+    return run_generation(session, gateway, message, parse_domain_artifact, resolver, events)
 
 
 def generate_initial_state(
-    domain, description, session, gateway, resolver, events, extra_objects=(), model="default", temperature=0.0
+    domain, description, session, gateway, resolver, events, extra_objects=()
 ) -> GenerationOutcome:
     message = (
         "Current domain:\n"
@@ -217,14 +205,10 @@ def generate_initial_state(
         lambda content: parse_init_artifact(content, domain, extra_objects),
         resolver,
         events,
-        model,
-        temperature,
     )
 
 
-def generate_goal(
-    domain, objects, init, description, session, gateway, resolver, events, model="default", temperature=0.0
-) -> GenerationOutcome:
+def generate_goal(domain, objects, init, description, session, gateway, resolver, events) -> GenerationOutcome:
     message = (
         "Current domain:\n"
         + jsonio.dumps(jsonio.domain_to_json(domain))
@@ -241,6 +225,4 @@ def generate_goal(
         lambda content: parse_goal_artifact(content, domain, objects, init),
         resolver,
         events,
-        model,
-        temperature,
     )

@@ -45,6 +45,10 @@ STATUS_COMPLETE = "complete"
 STATUS_CORRECTION_LIMIT = "correction-limit-reached"
 STATUS_FAILED = "failed"
 
+CALL_CEILING = 60  # hard stop on gateway calls across all agents in one run
+RETRIEVAL_K = 3
+RETRIEVAL_THRESHOLD = 0.35
+
 
 class CallCeilingExceeded(RuntimeError):
     pass
@@ -139,22 +143,19 @@ def run_pipeline(
     user_channel: Optional[UserChannel] = None,
     provided_domain: Optional[DomainModel] = None,
 ) -> PipelineResult:
-    meter = GatewayMeter(gateway, config.call_ceiling)
+    meter = GatewayMeter(gateway, CALL_CEILING)
     events = EventLog()
     requests: list[UpstreamRequest] = []
     channel = user_channel or RefusingUserChannel()
     state = _RunState(provided_domain)
-    sessions = {
-        role: AgentSession(config.agent(role))
-        for role in ("domain", "initial-state", "goal")
-    }
+    sessions = {role: AgentSession(role, config) for role in ("domain", "initial-state", "goal")}
 
     def retrieve_for(role: str, query: str) -> None:
         session = sessions[role]
         session.memory_note = None
         if memory is None or not memory.entries:
             return
-        hits = memory.retrieve(query, k=config.retrieval_k, threshold=config.retrieval_threshold)
+        hits = memory.retrieve(query, k=RETRIEVAL_K, threshold=RETRIEVAL_THRESHOLD)
         events.add(
             "retrieval",
             role,
@@ -200,11 +201,7 @@ def run_pipeline(
             + f"\nRequest from the {record.origin} agent via {record.tool}:\n"
             + json.dumps(record.arguments, sort_keys=True)
         )
-        request = ChatRequest(
-            messages=(system(load_prompt(prompt_name)), user(content)),
-            temperature=config.temperature,
-            model=config.model,
-        )
+        request = ChatRequest(messages=(system(load_prompt(prompt_name)), user(content)))
         try:
             data = jsonio.read_object(meter.chat(request).content)
             decision = jsonio.field(data, "decision", str, "")
@@ -259,15 +256,7 @@ def run_pipeline(
 
     def stage_domain() -> None:
         retrieve_for("domain", task.domain_description)
-        outcome = generate_domain(
-            task.domain_description,
-            sessions["domain"],
-            meter,
-            resolver,
-            events,
-            model=config.model,
-            temperature=config.temperature,
-        )
+        outcome = generate_domain(task.domain_description, sessions["domain"], meter, resolver, events)
         state.domain = outcome.artifact
 
     def stage_init() -> None:
@@ -282,8 +271,6 @@ def run_pipeline(
                 resolver,
                 events,
                 extra_objects=state.extra_objects,
-                model=config.model,
-                temperature=config.temperature,
             )
             if outcome.restart or state.domain_changed:
                 continue
@@ -303,8 +290,6 @@ def run_pipeline(
                 meter,
                 resolver,
                 events,
-                model=config.model,
-                temperature=config.temperature,
             )
             if outcome.restart:
                 if state.domain_changed:

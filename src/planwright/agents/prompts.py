@@ -4,6 +4,13 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
+# System prompt of each generator agent, by role.
+ROLE_PROMPTS = {
+    "domain": "domain_generator",
+    "initial-state": "initial_state_generator",
+    "goal": "goal_generator",
+}
+
 
 @lru_cache(maxsize=None)
 def load_prompt(name: str) -> str:

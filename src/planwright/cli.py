@@ -25,7 +25,6 @@ from . import __version__
 from .abstraction import InstructionList, translate_plan
 from .agents import (
     PipelineConfig,
-    AgentConfig,
     RefusingUserChannel,
     ScriptedUserChannel,
     TaskSpec,
@@ -187,7 +186,9 @@ def _gateway_for(args) -> tuple[Gateway, Optional[Transcript], Optional[Path]]:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load fixture {args.fixture}: {exc}") from exc
         return replay_gateway(transcript), None, None
-    backend = LiveBackend(base_url=args.api_base, model=args.model, api_key_env=args.api_key_env)
+    backend = LiveBackend(
+        base_url=args.api_base, model=args.model, temperature=args.temperature, api_key_env=args.api_key_env
+    )
     if mode == "record":
         recording = Transcript()
         return Gateway(backend, recording=recording), recording, Path(args.fixture)
@@ -239,11 +240,7 @@ def cmd_plan(args) -> int:
             memory = ProceduralStore(args.memory_store, clock=clock)
         solve_cfg = SolveConfig(args.strategy, args.heuristic, args.node_budget, args.time_budget)
         pipeline_config = PipelineConfig(
-            domain=AgentConfig("domain", correction_limit=args.correction_limit, critic_threshold=args.tau, critic_iterations=args.critic_iterations),
-            initial_state=AgentConfig("initial-state", correction_limit=args.correction_limit, critic_threshold=args.tau, critic_iterations=args.critic_iterations),
-            goal=AgentConfig("goal", correction_limit=args.correction_limit, critic_threshold=args.tau, critic_iterations=args.critic_iterations),
-            model=args.model,
-            temperature=args.temperature,
+            correction_limit=args.correction_limit, critic_threshold=args.tau, critic_iterations=args.critic_iterations
         )
     except (ConfigError, PddlError, OSError, ValueError) as exc:
         run.fail("config", "config-error", str(exc))
@@ -287,7 +284,7 @@ def cmd_plan(args) -> int:
             run.finalize(EX_UNSOLVABLE)
             return EX_UNSOLVABLE
 
-        verdict = validate_plan(task_ground, outcome.plan)
+        verdict = validate_plan(problem, outcome.plan)
         if isinstance(verdict, Invalid):
             run.fail("solve", "invalid-plan", f"solver returned an invalid plan: step {verdict.step_index}, {verdict.violated}")
             _save_fixture(recording, fixture_out)
@@ -296,7 +293,7 @@ def cmd_plan(args) -> int:
         run.write_text("plan.txt", render_plan(outcome.plan))
 
         translator_gateway = gateway if args.translate == "llm" else None
-        instructions = translate_plan(outcome.plan, problem.domain, translator_gateway, model=args.model, temperature=args.temperature)
+        instructions = translate_plan(outcome.plan, problem.domain, translator_gateway)
         run.write_json("instructions.json", instructions.to_json())
         run.write_text("instructions.txt", instructions.render())
 
@@ -341,14 +338,7 @@ def cmd_execute(args) -> int:
     try:
         run.start("execute")
         report = run_execution(
-            instructions,
-            env,
-            gateway,
-            goal_text,
-            step_budget=args.step_budget,
-            retry_budget=args.retry_budget,
-            model=args.model,
-            temperature=args.temperature,
+            instructions, env, gateway, goal_text, step_budget=args.step_budget, retry_budget=args.retry_budget
         )
         run.stop("execute")
         run.write_json("execution_log.json", report.log.to_json())

@@ -115,8 +115,6 @@ def execute_step(
     gateway: Gateway,
     step_budget: int = 6,
     feedback: str = "",
-    model: str = "default",
-    temperature: float = 0.0,
 ) -> tuple[StepOutcome, list[StepRecord]]:
     """Run the ReAct loop for one instruction."""
     if step_budget < 1:
@@ -131,9 +129,8 @@ def execute_step(
     bad_tool_strikes = 0
 
     for _turn in range(step_budget):
-        request = ChatRequest(tuple(messages), tools, temperature, model)
         try:
-            response = gateway.chat(request)
+            response = gateway.chat(ChatRequest(tuple(messages), tools))
         except ToolArgumentError as exc:
             unknown = [p for p in exc.problems if "unknown tool" in p]
             bad_tool_strikes += 1
@@ -188,17 +185,13 @@ def execute_plan(
     gateway: Gateway,
     step_budget: int = 6,
     feedback: str = "",
-    model: str = "default",
-    temperature: float = 0.0,
 ) -> ExecutionLog:
     """Process instructions in order; stop at the first failed step."""
     if not env.skills():
         raise ValueError("environment exposes no skills")
     log = ExecutionLog()
     for instruction in instructions.items:
-        outcome, records = execute_step(
-            instruction, env, gateway, step_budget, feedback, model, temperature
-        )
+        outcome, records = execute_step(instruction, env, gateway, step_budget, feedback)
         log.records.extend(records)
         if not outcome.done:
             log.status = f"stopped-at-{instruction.index}"
@@ -216,8 +209,6 @@ def validate_execution(
     env: Environment,
     gateway: Gateway,
     retry_budget: int,
-    model: str = "default",
-    temperature: float = 0.0,
 ) -> ValidatorVerdict:
     """Validator decision, with the environment's goal check gating goal-met."""
     body = (
@@ -225,12 +216,7 @@ def validate_execution(
         f"\n\nFinal environment state:\n{env.describe()}"
         f"\n\nRemaining retries: {retry_budget}"
     )
-    request = ChatRequest(
-        messages=(system(load_prompt("execution_validator")), user(body)),
-        temperature=temperature,
-        model=model,
-    )
-    response = gateway.chat(request)
+    response = gateway.chat(ChatRequest(messages=(system(load_prompt("execution_validator")), user(body))))
     try:
         data = jsonio.read_object(response.content)
         decision = jsonio.field(data, "decision", str, "")
@@ -276,8 +262,6 @@ def run_execution(
     goal_text: str,
     step_budget: int = 6,
     retry_budget: int = 2,
-    model: str = "default",
-    temperature: float = 0.0,
 ) -> ExecutionReport:
     """Executor/validator loop: execute, validate, retry on feedback."""
     ceiling = (retry_budget + 1) * (max(len(instructions), 1) * step_budget + 1)
@@ -288,10 +272,10 @@ def run_execution(
     combined = ExecutionLog()
     while True:
         passes += 1
-        log = execute_plan(instructions, env, meter, step_budget, feedback, model, temperature)
+        log = execute_plan(instructions, env, meter, step_budget, feedback)
         combined.records.extend(log.records)
         combined.status = log.status
-        verdict = validate_execution(log, goal_text, env, meter, remaining, model, temperature)
+        verdict = validate_execution(log, goal_text, env, meter, remaining)
         if verdict.decision != "retry":
             return ExecutionReport(combined, verdict, passes, meter.calls)
         remaining -= 1

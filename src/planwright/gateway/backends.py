@@ -67,20 +67,23 @@ class ReplayBackend:
 class LiveBackend:
     """OpenAI-style chat-completions over HTTP.
 
-    The transport is injectable for tests; by default it POSTs JSON with the
-    API key read from the environment.
+    The model id and sampling temperature are this endpoint's settings and
+    go into every request it sends. The transport is injectable for tests;
+    by default it POSTs JSON with the API key read from the environment.
     """
 
     def __init__(
         self,
         base_url: str = "https://api.openai.com/v1",
         model: str = "gpt-4o",
+        temperature: float = 0.0,
         api_key_env: str = "PLANWRIGHT_API_KEY",
         transport: Optional[Callable[[str, dict, dict], dict]] = None,
         timeout: float = 120.0,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
+        self.temperature = temperature
         self.api_key_env = api_key_env
         self.transport = transport or self._http_post
         self.timeout = timeout
@@ -103,8 +106,8 @@ class LiveBackend:
         if not key:
             raise BackendError(f"no API key in ${self.api_key_env}")
         payload = {
-            "model": request.model if request.model != "default" else self.model,
-            "temperature": request.temperature,
+            "model": self.model,
+            "temperature": self.temperature,
             "messages": [self._wire_message(m) for m in request.messages],
         }
         if request.tools:

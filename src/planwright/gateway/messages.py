@@ -128,14 +128,10 @@ def tool_result(call_id: str, content: str) -> AgentMessage:
 class ChatRequest:
     messages: tuple[AgentMessage, ...]
     tools: tuple[ToolSchema, ...] = ()
-    temperature: float = 0.0
-    model: str = "default"
 
     def validate(self) -> None:
         if not self.messages or self.messages[0].role != ROLE_SYSTEM:
             raise MessageError("the first message must be a system message")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise MessageError(f"temperature {self.temperature} outside [0, 2]")
         seen_call_ids: set[str] = set()
         for msg in self.messages:
             if msg.role not in ROLES:

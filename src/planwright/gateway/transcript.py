@@ -29,8 +29,8 @@ class FingerprintMismatch(TranscriptError):
 
 def fingerprint(request: ChatRequest) -> str:
     """Hash of the semantic request content: roles, texts, tool calls, and
-    the tool schemas offered. Timestamps, model ids, and sampling settings
-    are deliberately excluded so fixtures stay stable."""
+    the tool schemas offered. The model id and sampling temperature belong
+    to the live backend, not the request, so fixtures never depend on them."""
     payload = {
         "messages": [m.to_json() for m in request.messages],
         "tools": [t.to_json() for t in request.tools],

@@ -23,7 +23,7 @@ from ..ir import (
     SetEffect,
 )
 from .evaluate import UndefinedNumericError, eval_ground, eval_term
-from .grounding import GroundTask, substitute, substitute_term
+from .grounding import substitute, substitute_term
 from .plan import Plan
 
 
@@ -48,8 +48,7 @@ class Invalid:
 Verdict = Union[Valid, Invalid]
 
 
-def validate_plan(task_or_problem: Union[GroundTask, ProblemInstance], plan: Plan) -> Verdict:
-    problem = task_or_problem.problem if isinstance(task_or_problem, GroundTask) else task_or_problem
+def validate_plan(problem: ProblemInstance, plan: Plan) -> Verdict:
     domain = problem.domain
     schemas = domain.action_map()
     objects = problem.object_map()

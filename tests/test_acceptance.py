@@ -233,7 +233,7 @@ def test_fridge_memory_scenario_end_to_end(tmp_path):
 def test_self_reflection_contract():
     """accept <=> score >= tau; rejections <= iteration limit; limit-hit
     runs proceed with the latest response."""
-    from planwright.agents import AgentConfig, AgentSession, critic_review, generate_domain
+    from planwright.agents import AgentSession, critic_review, generate_domain
     from planwright.agents.events import EventLog
 
     rng = random.Random(13)
@@ -251,7 +251,7 @@ def test_self_reflection_contract():
         for _ in range(limit):
             responses += [assistant(domain_doc), reject]
         responses += [assistant(domain_doc), assistant(json.dumps({"score": 0.99, "feedback": "ok"}))]
-        session = AgentSession(AgentConfig("domain", critic_iterations=limit))
+        session = AgentSession("domain", PipelineConfig(critic_iterations=limit))
         events = EventLog()
         outcome = generate_domain(
             "desc", session, Gateway(ScriptedBackend(responses)), lambda o, c: ("", False), events

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planwright.agents import (
-    AgentConfig,
     AgentSession,
     CorrectionLimitReached,
     PipelineConfig,
@@ -18,6 +17,7 @@ from planwright.agents import (
 )
 from planwright.agents.critic import parse_score_payload
 from planwright.agents.generation import parse_domain_artifact, parse_init_artifact
+from planwright.agents.pipeline import CALL_CEILING
 from planwright.domains import blocksworld_domain
 from planwright.gateway import (
     Gateway,
@@ -91,7 +91,7 @@ class TestGenerateDomain:
     def run(self, *responses, limit=10):
         from planwright.agents.events import EventLog
 
-        session = AgentSession(AgentConfig("domain", correction_limit=limit))
+        session = AgentSession("domain", PipelineConfig(correction_limit=limit))
         gw = scripted_gateway(*responses)
         events = EventLog()
         outcome = generate_domain("blocksworld", session, gw, null_resolver, events)
@@ -259,27 +259,26 @@ class TestLimits:
         assert len(chats) == 10
 
     def test_global_ceiling_fails_closed(self):
-        # a script that keeps asking the user forever would loop without the ceiling
+        # With correction limits out of reach, only the ceiling stops a
+        # domain agent that keeps calling a tool it was not offered.
         responses = [
             assistant("", (ToolCall(f"ask-{i}", "ask_user", {"question": "again?"}),))
             for i in range(100)
         ]
         task = TaskSpec("loop", "d", "i", "g")
-        config = PipelineConfig(
-            initial_state=AgentConfig("initial-state", correction_limit=100),
-        )
         result = run_pipeline(
             task,
-            config,
+            PipelineConfig(correction_limit=100),
             Gateway(ScriptedBackend([assistant("nonsense")] * 10 + responses)),
             user_channel=ScriptedUserChannel(["yes"] * 200),
         )
-        assert result.status in ("failed", "correction-limit-reached")
+        assert (result.status, result.failure_kind) == ("failed", "ceiling")
+        assert result.gateway_calls == CALL_CEILING + 1
 
     def test_scenario_call_counts_stay_under_ceiling(self):
         for factory in (color_scenario, fridge_store_scenario, fridge_recall_scenario, size_tower_scenario):
             result, transcript = record_scenario(factory())
-            assert result.gateway_calls <= 60
+            assert result.gateway_calls <= CALL_CEILING
             assert len(transcript.exchanges) == result.gateway_calls
 
 

@@ -500,6 +500,21 @@ class TestConfigFile:
         assert failure == {"stage": "config", "code": "config-error", "message": "budgets must be positive"}
         assert json.loads((out / "manifest.json").read_text())["exit_code"] == 64
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("tau", 1.5, "critic threshold must lie in [0, 1]"),
+            ("correction_limit", 0, "limits must be >= 1"),
+            ("critic_iterations", 0, "limits must be >= 1"),
+        ],
+    )
+    def test_bad_agent_limit_is_config_error(self, tmp_path, flag, value, message):
+        out = tmp_path / "run"
+        assert main(plan_args("color", out, **{flag: value})) == 64
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure == {"stage": "config", "code": "config-error", "message": message}
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 64
+
     def test_bad_temperature_is_config_error(self, tmp_path):
         d = scenario_dir("color")
         code = main([
@@ -511,33 +526,29 @@ class TestConfigFile:
 
 
 class TestRecordThenReplay:
-    def test_cli_record_then_replay_reproduces_artifacts(self, tmp_path, monkeypatch):
-        """`--mode record` against a (stubbed) live backend writes a fixture
-        whose replay reproduces the run byte for byte, exit status included."""
-        from scenarios import color_scenario
+    @staticmethod
+    def record_then_replay(tmp_path, monkeypatch, responses, *flags) -> tuple[Path, list[dict]]:
+        """Record the color scenario with `--mode record` against a stubbed
+        live backend serving ``responses``, replay the fixture, and require
+        the replay to reproduce the run byte for byte, exit status included.
+        Returns the recorded run and the keyword arguments of each backend built."""
+        built: list[dict] = []
 
-        scenario = color_scenario()
-        monkeypatch.setattr(
-            "planwright.cli.LiveBackend",
-            lambda **kwargs: ScriptedBackend(list(scenario.responses)),
-        )
+        def live_backend(**kwargs):
+            built.append(kwargs)
+            return ScriptedBackend(list(responses))
+
+        monkeypatch.setattr("planwright.cli.LiveBackend", live_backend)
         d = scenario_dir("color")
         fixture = tmp_path / "recorded.json"
+        common = ["plan", "--task", str(d / "task.json"), "--answers-file", str(d / "answers.json"), *flags]
         recorded_run = tmp_path / "recorded-run"
-        code = main([
-            "plan", "--task", str(d / "task.json"), "--mode", "record",
-            "--fixture", str(fixture), "--answers-file", str(d / "answers.json"),
-            "--out-dir", str(recorded_run),
-        ])
+        code = main([*common, "--mode", "record", "--fixture", str(fixture), "--out-dir", str(recorded_run)])
         assert code == 0
         assert fixture.exists()
 
         replayed_run = tmp_path / "replayed-run"
-        replay_code = main([
-            "plan", "--task", str(d / "task.json"), "--mode", "replay",
-            "--fixture", str(fixture), "--answers-file", str(d / "answers.json"),
-            "--out-dir", str(replayed_run),
-        ])
+        replay_code = main([*common, "--mode", "replay", "--fixture", str(fixture), "--out-dir", str(replayed_run)])
         assert replay_code == code
         recorded = normalized_tree(recorded_run)
         replayed = normalized_tree(replayed_run)
@@ -547,6 +558,30 @@ class TestRecordThenReplay:
             manifest["config"].pop("mode", None)
             tree["manifest.json"] = json.dumps(manifest, sort_keys=True)
         assert recorded == replayed
+        return recorded_run, built
+
+    def test_cli_record_then_replay_reproduces_artifacts(self, tmp_path, monkeypatch):
+        from scenarios import color_scenario
+
+        _, built = self.record_then_replay(
+            tmp_path, monkeypatch, color_scenario().responses, "--model", "gpt-test", "--temperature", "0.3"
+        )
+        assert [(kw["model"], kw["temperature"]) for kw in built] == [("gpt-test", 0.3)]
+
+    def test_llm_translation_recorded_and_replayed(self, tmp_path, monkeypatch):
+        """`--translate llm` sends the plan to the translator, which gets one
+        retry after an answer with the wrong instruction count."""
+        from scenarios import color_scenario
+
+        texts = ["Pick up the red block b1.", "Put b1 on top of b2."]
+        responses = [
+            *color_scenario().responses,
+            assistant(json.dumps({"instructions": texts[:1]})),
+            assistant(json.dumps({"instructions": texts})),
+        ]
+        run, _ = self.record_then_replay(tmp_path, monkeypatch, responses, "--translate", "llm")
+        instructions = json.loads((run / "instructions.json").read_text())["instructions"]
+        assert [(i["text"], i["step"]["name"]) for i in instructions] == [(texts[0], "pick-up"), (texts[1], "stack")]
 
 
 class TestDeterminism:
@@ -558,6 +593,20 @@ class TestDeterminism:
         code_b = main(plan_args(scenario, second))
         assert code_a == code_b
         assert normalized_tree(first) == normalized_tree(second)
+
+    def test_replay_ignores_sampling_flags(self, tmp_path):
+        """Model id and temperature reach only the live backend, so a replay
+        with other values writes the same content; only the manifest config,
+        which records the flags, differs."""
+        default, other = tmp_path / "default", tmp_path / "other"
+        assert main(plan_args("color", default)) == 0
+        assert main(plan_args("color", other, model="other", temperature=0.7)) == 0
+        trees = [normalized_tree(default), normalized_tree(other)]
+        manifests = [json.loads(tree.pop("manifest.json")) for tree in trees]
+        assert trees[0] == trees[1]
+        configs = [manifest.pop("config") for manifest in manifests]
+        assert manifests[0] == manifests[1]
+        assert {k: v for k, v in configs[1].items() if configs[0][k] != v} == {"model": "other", "temperature": 0.7}
 
     def test_replay_identical_across_fresh_interpreters(self, tmp_path):
         """Two separate Python processes (distinct hash seeds) must produce

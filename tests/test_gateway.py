@@ -44,12 +44,6 @@ class TestChatRequest:
         with pytest.raises(MessageError):
             ChatRequest(messages=(user("hi"),)).validate()
 
-    def test_temperature_range(self):
-        with pytest.raises(MessageError):
-            simple_request(temperature := None) if False else ChatRequest(
-                messages=(system("s"),), temperature=3.0
-            ).validate()
-
     def test_tool_result_must_reference_known_call(self):
         request = simple_request(tool_result("call-1", "ok"))
         with pytest.raises(MessageError):
@@ -127,11 +121,6 @@ class TestRecordReplay:
         loaded = Transcript.load(path)
         assert loaded.exchanges[0].fingerprint == fingerprint(req)
         assert Gateway(ReplayBackend(loaded)).chat(req).content == "x"
-
-    def test_fingerprint_ignores_temperature_and_model(self):
-        base = simple_request(user("one"))
-        warm = ChatRequest(base.messages, base.tools, temperature=0.3, model="other")
-        assert fingerprint(base) == fingerprint(warm)
 
 
 class TestEmbedder:
@@ -213,3 +202,21 @@ class TestLiveBackendWire:
         assert seen["url"].endswith("/chat/completions")
         assert seen["payload"]["messages"][0]["role"] == "system"
         assert response.tool_calls[0].arguments["fluent_name"] == "color"
+
+    @pytest.mark.parametrize(
+        "settings, expected",
+        [({}, ("gpt-4o", 0.0)), ({"model": "other", "temperature": 0.7}, ("other", 0.7))],
+    )
+    def test_model_and_temperature_come_from_the_backend(self, monkeypatch, settings, expected):
+        """A request carries no sampling settings; every payload uses the backend's own."""
+        payloads = []
+
+        def transport(url, headers, payload):
+            payloads.append(payload)
+            return {"choices": [{"message": {"content": "ok"}}]}
+
+        monkeypatch.setenv("PLANWRIGHT_API_KEY", "test-key")
+        gateway = Gateway(LiveBackend(transport=transport, **settings))
+        gateway.chat(simple_request(user("one")))
+        gateway.chat(simple_request(user("two"), tools=[FLUENT_TOOL]))
+        assert [(p["model"], p["temperature"]) for p in payloads] == [expected, expected]
