@@ -24,8 +24,7 @@ from planwright.ir import DomainModel, jsonio
 from planwright.memory import ProceduralStore
 from planwright.pddl import emit_domain, emit_expression
 from planwright.planner import PlanStep, SolveConfig, ground, solve
-from planwright.textworld import kitchen_fixture, save_world
-from planwright.worldenv import TextWorldEnv
+from planwright.textworld import TextWorldEnv, kitchen_fixture, save_world
 
 FRIDGE_MEMORY_SUMMARY = (
     "for problems involving the fridge, append a goal to close the fridge, even if not explicitly stated"

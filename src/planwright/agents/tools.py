@@ -13,8 +13,8 @@ FLUENT_TOOL = ToolSchema(
     MISSING_OR_INCORRECT_FLUENT,
     "Request the addition or modification of a fluent.",
     (
-        ToolParam("fluent_name", "string", description="Name of the fluent to add or fix."),
-        ToolParam("fluent_description", "string", description="What the fluent represents and why it is needed."),
+        ToolParam("fluent_name", "Name of the fluent to add or fix."),
+        ToolParam("fluent_description", "What the fluent represents and why it is needed."),
     ),
 )
 
@@ -22,8 +22,8 @@ ACTION_TOOL = ToolSchema(
     ACTION_MODIFICATION,
     "Requests modifications to an existing action.",
     (
-        ToolParam("action_name", "string", description="Name of the action to modify."),
-        ToolParam("change_description", "string", description="The required change to preconditions or effects."),
+        ToolParam("action_name", "Name of the action to modify."),
+        ToolParam("change_description", "The required change to preconditions or effects."),
     ),
 )
 
@@ -31,21 +31,21 @@ OBJECTS_TOOL = ToolSchema(
     MISSING_OBJECTS,
     "Requests the addition of objects required for the goal.",
     (
-        ToolParam("object_type", "string", description="Declared type of the missing objects."),
-        ToolParam("object_description", "string", description="Which objects are missing and why."),
+        ToolParam("object_type", "Declared type of the missing objects."),
+        ToolParam("object_description", "Which objects are missing and why."),
     ),
 )
 
 ASK_USER_TOOL = ToolSchema(
     ASK_USER,
     "Ask the user one question about information the description does not provide.",
-    (ToolParam("question", "string", description="The question to put to the user."),),
+    (ToolParam("question", "The question to put to the user."),),
 )
 
 STORE_MEMORY_TOOL = ToolSchema(
     STORE_MEMORY,
     "Save a generalizable correction or instruction to long-term memory.",
-    (ToolParam("summary", "string", description="Self-contained summary worth recalling for future tasks."),),
+    (ToolParam("summary", "Self-contained summary worth recalling for future tasks."),),
 )
 
 UPSTREAM_TOOLS = (MISSING_OR_INCORRECT_FLUENT, ACTION_MODIFICATION, MISSING_OBJECTS)

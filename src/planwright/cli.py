@@ -45,8 +45,7 @@ from .memory import ProceduralStore
 from .pddl import PddlError, emit_domain, emit_expression, emit_problem, parse_domain, parse_problem, render_plan
 from .planner import GroundingError, Invalid, SolveConfig, ground, solve, validate_plan
 from .runs import RunDirectory
-from .textworld import load_world
-from .worldenv import TextWorldEnv
+from .textworld import TextWorldEnv, load_world, state_to_json
 
 EX_OK = 0
 EX_TASK_FAILED = 1
@@ -178,6 +177,8 @@ def _gateway_for(args) -> tuple[Gateway, Optional[Transcript], Optional[Path]]:
         raise ConfigError(f"unknown mode {mode!r}")
     if mode in ("record", "replay") and not args.fixture:
         raise ConfigError(f"{mode} mode requires --fixture")
+    if mode != "replay" and args.model == "default":
+        raise ConfigError(f"{mode} mode requires --model")
     if not 0.0 <= args.temperature <= 2.0:
         raise ConfigError(f"temperature {args.temperature} outside [0, 2]")
     if mode == "replay":
@@ -326,15 +327,14 @@ def cmd_execute(args) -> int:
         artifacts = Path(args.artifacts)
         instructions = InstructionList.from_json(jsonio.read_object((artifacts / "instructions.json").read_text(encoding="utf-8")))
         problem = jsonio.problem_from_json(jsonio.read_object((artifacts / "problem.json").read_text(encoding="utf-8")))
-        world = load_world(args.world)
+        env = TextWorldEnv(load_world(args.world), problem.goal)
+        goal_text = emit_expression(problem.goal)
         gateway, recording, fixture_out = _gateway_for(args)
     except (ConfigError, OSError, ValueError) as exc:
         run.fail("config", "config-error", str(exc))
         run.finalize(EX_CONFIG)
         return EX_CONFIG
 
-    env = TextWorldEnv(world, problem.goal)
-    goal_text = emit_expression(problem.goal)
     try:
         run.start("execute")
         report = run_execution(
@@ -343,8 +343,6 @@ def cmd_execute(args) -> int:
         run.stop("execute")
         run.write_json("execution_log.json", report.log.to_json())
         run.write_json("verdict.json", report.verdict.to_json())
-        from .textworld import state_to_json
-
         run.write_json("world_final.json", state_to_json(env.state))
         _save_fixture(recording, fixture_out)
         if report.verdict.decision == "goal-met":

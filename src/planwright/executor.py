@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from typing import Optional
 
 from .abstraction import InstructionList
 from .agents.pipeline import GatewayMeter
@@ -20,39 +20,12 @@ from .gateway import (
     ChatRequest,
     Gateway,
     ToolArgumentError,
-    ToolParam,
-    ToolSchema,
     system,
     tool_result,
     user,
 )
 from .ir import jsonio
-from .textworld import SkillResult
-
-
-@dataclass(frozen=True)
-class Skill:
-    name: str
-    parameters: tuple[tuple[str, str], ...]  # (name, scalar type)
-    description: str
-
-    def __post_init__(self) -> None:
-        if not self.description:
-            raise ValueError(f"skill {self.name} needs a description; it is the grounding surface")
-
-    def to_tool_schema(self) -> ToolSchema:
-        return ToolSchema(
-            self.name,
-            self.description,
-            tuple(ToolParam(n, t) for n, t in self.parameters),
-        )
-
-
-class Environment(Protocol):
-    def describe(self) -> str: ...
-    def apply(self, skill: str, arguments: dict) -> SkillResult: ...
-    def goal_satisfied(self) -> bool: ...
-    def skills(self) -> tuple[Skill, ...]: ...
+from .textworld import TextWorldEnv
 
 
 @dataclass
@@ -111,7 +84,7 @@ class ValidatorVerdict:
 
 def execute_step(
     instruction,
-    env: Environment,
+    env: TextWorldEnv,
     gateway: Gateway,
     step_budget: int = 6,
     feedback: str = "",
@@ -119,8 +92,6 @@ def execute_step(
     """Run the ReAct loop for one instruction."""
     if step_budget < 1:
         raise ValueError("step budget must be >= 1")
-    tools = tuple(s.to_tool_schema() for s in env.skills())
-    skill_names = {s.name for s in env.skills()}
     body = f"Instruction: {instruction.text}\n\nCurrent environment state:\n{env.describe()}"
     if feedback:
         body = f"Corrective feedback from the validator: {feedback}\n\n{body}"
@@ -130,7 +101,7 @@ def execute_step(
 
     for _turn in range(step_budget):
         try:
-            response = gateway.chat(ChatRequest(tuple(messages), tools))
+            response = gateway.chat(ChatRequest(tuple(messages), env.tools))
         except ToolArgumentError as exc:
             unknown = [p for p in exc.problems if "unknown tool" in p]
             bad_tool_strikes += 1
@@ -142,7 +113,7 @@ def execute_step(
                 user(
                     "Your skill call was rejected: "
                     + "; ".join(exc.problems)
-                    + f". Available skills: {', '.join(sorted(skill_names))}."
+                    + f". Available skills: {', '.join(sorted(t.name for t in env.tools))}."
                 )
             )
             continue
@@ -153,8 +124,7 @@ def execute_step(
             return StepOutcome(True), records
 
         call = response.tool_calls[0]
-        ordered = {name: call.arguments.get(name) for name, _ in _skill_params(env, call.name)}
-        result = env.apply(call.name, ordered)
+        result = env.apply(call.name, call.arguments)
         records.append(
             StepRecord(
                 instruction.index,
@@ -172,23 +142,14 @@ def execute_step(
     return StepOutcome(False, "step budget exhausted"), records
 
 
-def _skill_params(env: Environment, name: str):
-    for skill in env.skills():
-        if skill.name == name:
-            return skill.parameters
-    return ()
-
-
 def execute_plan(
     instructions: InstructionList,
-    env: Environment,
+    env: TextWorldEnv,
     gateway: Gateway,
     step_budget: int = 6,
     feedback: str = "",
 ) -> ExecutionLog:
     """Process instructions in order; stop at the first failed step."""
-    if not env.skills():
-        raise ValueError("environment exposes no skills")
     log = ExecutionLog()
     for instruction in instructions.items:
         outcome, records = execute_step(instruction, env, gateway, step_budget, feedback)
@@ -206,7 +167,7 @@ def execute_plan(
 def validate_execution(
     log: ExecutionLog,
     goal_text: str,
-    env: Environment,
+    env: TextWorldEnv,
     gateway: Gateway,
     retry_budget: int,
 ) -> ValidatorVerdict:
@@ -257,7 +218,7 @@ class ExecutionReport:
 
 def run_execution(
     instructions: InstructionList,
-    env: Environment,
+    env: TextWorldEnv,
     gateway: Gateway,
     goal_text: str,
     step_budget: int = 6,

@@ -74,8 +74,8 @@ class LiveBackend:
 
     def __init__(
         self,
+        model: str,
         base_url: str = "https://api.openai.com/v1",
-        model: str = "gpt-4o",
         temperature: float = 0.0,
         api_key_env: str = "PLANWRIGHT_API_KEY",
         transport: Optional[Callable[[str, dict, dict], dict]] = None,
@@ -120,10 +120,10 @@ class LiveBackend:
                         "parameters": {
                             "type": "object",
                             "properties": {
-                                p.name: {"type": p.type, "description": p.description}
+                                p.name: {"type": "string", "description": p.description}
                                 for p in t.parameters
                             },
-                            "required": [p.name for p in t.parameters if p.required],
+                            "required": [p.name for p in t.parameters],
                         },
                     },
                 }

@@ -13,23 +13,15 @@ ROLE_TOOL_RESULT = "tool-result"
 
 ROLES = (ROLE_SYSTEM, ROLE_USER, ROLE_ASSISTANT, ROLE_TOOL_RESULT)
 
-SCALAR_TYPES = {
-    "string": str,
-    "integer": int,
-    "number": (int, float),
-    "boolean": bool,
-}
-
-
 class MessageError(ValueError):
     """A message or request violates the conversational invariants."""
 
 
 @dataclass
 class ToolParam:
+    """One tool argument; every argument is a required string."""
+
     name: str
-    type: str = "string"
-    required: bool = True
     description: str = ""
 
 
@@ -42,20 +34,15 @@ class ToolSchema:
     def validate_arguments(self, arguments: dict[str, Any]) -> list[str]:
         """Return every schema problem with the given argument map."""
         problems = []
-        known = {p.name: p for p in self.parameters}
-        for param in self.parameters:
-            if param.required and param.name not in arguments:
-                problems.append(f"missing required argument {param.name!r}")
+        known = [p.name for p in self.parameters]
+        for name in known:
+            if name not in arguments:
+                problems.append(f"missing required argument {name!r}")
         for name, value in arguments.items():
-            param = known.get(name)
-            if param is None:
+            if name not in known:
                 problems.append(f"unexpected argument {name!r}")
-                continue
-            expected = SCALAR_TYPES.get(param.type)
-            if expected is None:
-                problems.append(f"parameter {name!r} has unknown type {param.type!r}")
-            elif not isinstance(value, expected) or (param.type != "boolean" and isinstance(value, bool)):
-                problems.append(f"argument {name!r} must be {param.type}")
+            elif not isinstance(value, str):
+                problems.append(f"argument {name!r} must be string")
         return problems
 
     def to_json(self) -> dict:
@@ -63,7 +50,7 @@ class ToolSchema:
             "name": self.name,
             "description": self.description,
             "parameters": [
-                {"name": p.name, "type": p.type, "required": p.required, "description": p.description}
+                {"name": p.name, "type": "string", "required": True, "description": p.description}
                 for p in self.parameters
             ],
         }

@@ -16,13 +16,10 @@ from typing import Any, Union
 
 from .model import (
     ActionSchema,
-    AddObjects,
-    AddOrModifyFluent,
     And,
     Assignment,
     Atom,
     Comparison,
-    DomainEdit,
     DomainModel,
     Effect,
     Expression,
@@ -141,25 +138,6 @@ def problem_to_json(problem: ProblemInstance) -> dict:
         "init": assignment_to_json(problem.init),
         "goal": expression_to_json(problem.goal),
     }
-
-
-def edit_to_json(edit: DomainEdit) -> dict:
-    if isinstance(edit, AddOrModifyFluent):
-        return {"edit": "add_or_modify_fluent", "fluent": fluent_to_json(edit.fluent), "provenance": edit.provenance}
-    if isinstance(edit, ModifyAction):
-        out: dict = {"edit": "modify_action", "action": edit.action, "provenance": edit.provenance}
-        if edit.precondition is not None:
-            out["precondition"] = expression_to_json(edit.precondition)
-        if edit.effects is not None:
-            out["effects"] = [effect_to_json(e) for e in edit.effects]
-        return out
-    if isinstance(edit, AddObjects):
-        return {
-            "edit": "add_objects",
-            "objects": [{"name": o.name, "type": o.type} for o in edit.objects],
-            "provenance": edit.provenance,
-        }
-    raise IRDecodeError(f"cannot encode edit {edit!r}")
 
 
 # ---------------------------------------------------------------- decoding
@@ -335,15 +313,3 @@ def modify_action_from_json(data: Any, provenance: str) -> ModifyAction:
         None if effects is None else tuple(effect_from_json(e) for e in effects),
         provenance,
     )
-
-
-def edit_from_json(data: Any) -> DomainEdit:
-    kind = field(data, "edit", str)
-    provenance = field(data, "provenance", str)
-    if kind == "add_or_modify_fluent":
-        return AddOrModifyFluent(fluent_from_json(field(data, "fluent", dict)), provenance)
-    if kind == "modify_action":
-        return modify_action_from_json(data, provenance)
-    if kind == "add_objects":
-        return AddObjects(objects_from_json(field(data, "objects", list)), provenance)
-    raise IRDecodeError(f"unknown edit kind {kind!r}")

@@ -159,13 +159,6 @@ Expression = Union[Atom, And, Or, Not, Comparison]
 TRUE = And(())
 
 
-def conjunction(children: Iterable[Expression]) -> Expression:
-    items = tuple(children)
-    if len(items) == 1:
-        return items[0]
-    return And(items)
-
-
 def walk_expression(expr: Expression) -> Iterator[Expression]:
     """Yield every boolean-level node of ``expr`` in preorder."""
     yield expr

@@ -13,7 +13,6 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -22,84 +21,27 @@ from .gateway.messages import ROLE_SYSTEM, ROLE_TOOL_RESULT, AgentMessage
 from .ir import jsonio
 
 
-@total_ordering
-@dataclass(frozen=True)
-class CosineScore:
-    """Exactly comparable cosine similarity.
+def cosine_key(left: Sequence, right: Sequence) -> tuple[Fraction, float]:
+    """Exact ranking key and display value of the cosine similarity.
 
-    Stored as (dot product, squared norms); comparisons square through the
-    square roots so no irrational value is ever materialized.
+    The key is cos·|cos| = sign(dot)·dot²/(|l|²·|r|²): rational, and
+    monotone in the cosine, so ranking and thresholding never materialize
+    a square root. Both are 0 when either vector is zero.
     """
-
-    dot: Fraction
-    left_norm2: Fraction
-    right_norm2: Fraction
-
-    @staticmethod
-    def of(left: Sequence, right: Sequence) -> "CosineScore":
-        if len(left) != len(right):
-            raise ValueError(f"dimension mismatch: {len(left)} vs {len(right)}")
-        if all(type(v) is int for v in left) and all(type(v) is int for v in right):
-            # integer fast path: the bundled embedder produces count vectors
-            dot = Fraction(sum(a * b for a, b in zip(left, right)))
-            l2 = Fraction(sum(a * a for a in left))
-            r2 = Fraction(sum(b * b for b in right))
-        else:
-            dot = sum((Fraction(a) * Fraction(b) for a, b in zip(left, right)), Fraction(0))
-            l2 = sum((Fraction(a) ** 2 for a in left), Fraction(0))
-            r2 = sum((Fraction(b) ** 2 for b in right), Fraction(0))
-        return CosineScore(dot, l2, r2)
-
-    @property
-    def defined(self) -> bool:
-        return self.left_norm2 > 0 and self.right_norm2 > 0
-
-    def as_float(self) -> float:
-        if not self.defined:
-            return 0.0
-        return float(self.dot) / math.sqrt(float(self.left_norm2 * self.right_norm2))
-
-    def _sign(self) -> int:
-        if not self.defined or self.dot == 0:
-            return 0
-        return 1 if self.dot > 0 else -1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CosineScore):
-            return NotImplemented
-        s1, s2 = self._sign(), other._sign()
-        if s1 != s2:
-            return False
-        if s1 == 0:
-            return True
-        return self.dot**2 * other.left_norm2 * other.right_norm2 == other.dot**2 * self.left_norm2 * self.right_norm2
-
-    def __lt__(self, other: "CosineScore") -> bool:
-        s1, s2 = self._sign(), other._sign()
-        if s1 != s2:
-            return s1 < s2
-        if s1 == 0:
-            return False
-        lhs = self.dot**2 * other.left_norm2 * other.right_norm2
-        rhs = other.dot**2 * self.left_norm2 * self.right_norm2
-        return lhs < rhs if s1 > 0 else lhs > rhs
-
-    def __hash__(self) -> int:  # total_ordering + frozen dataclass
-        return hash((self._sign(),))
-
-    def at_least(self, threshold: Union[Fraction, float]) -> bool:
-        """Exact ``cosine >= threshold`` without evaluating the root."""
-        theta = Fraction(threshold)
-        if not self.defined:
-            return 0 >= theta
-        d = self.left_norm2 * self.right_norm2
-        if theta <= 0:
-            if self.dot >= 0:
-                return True
-            return self.dot**2 <= theta**2 * d
-        if self.dot < 0:
-            return False
-        return self.dot**2 >= theta**2 * d
+    if len(left) != len(right):
+        raise ValueError(f"dimension mismatch: {len(left)} vs {len(right)}")
+    if all(type(v) is int for v in left) and all(type(v) is int for v in right):
+        # integer fast path: the bundled embedder produces count vectors
+        dot = sum(a * b for a, b in zip(left, right))
+        l2 = sum(a * a for a in left)
+        r2 = sum(b * b for b in right)
+    else:
+        dot = sum((Fraction(a) * Fraction(b) for a, b in zip(left, right)), Fraction(0))
+        l2 = sum((Fraction(a) ** 2 for a in left), Fraction(0))
+        r2 = sum((Fraction(b) ** 2 for b in right), Fraction(0))
+    if l2 == 0 or r2 == 0:
+        return Fraction(0), 0.0
+    return Fraction(dot * abs(dot), l2 * r2), float(dot) / math.sqrt(float(l2 * r2))
 
 
 @dataclass(frozen=True)
@@ -199,14 +141,14 @@ class ProceduralStore:
         if not -1 <= theta <= 1:
             raise ValueError("threshold must lie in [-1, 1]")
         query_vec = self.embedder.embed(query)
-        scored: list[tuple[CosineScore, int, MemoryEntry]] = []
-        for position, entry in enumerate(self.entries):
-            score = CosineScore.of(query_vec, entry.embedding)
-            if score.at_least(theta):
-                scored.append((score, position, entry))
-        scored.sort(key=lambda item: item[1])  # stable insertion order…
-        scored.sort(key=lambda item: item[0], reverse=True)  # …then by score
-        return [(entry, score.as_float()) for score, _, entry in scored[:k]]
+        bound = theta * abs(theta)
+        scored: list[tuple[Fraction, float, MemoryEntry]] = []
+        for entry in self.entries:
+            key, score = cosine_key(query_vec, entry.embedding)
+            if key >= bound:
+                scored.append((key, score, entry))
+        scored.sort(key=lambda item: item[0], reverse=True)  # stable: ties keep insertion order
+        return [(entry, score) for _, score, entry in scored[:k]]
 
 
 class ContextBuffer:

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional, Union
 
+from .gateway import ToolParam, ToolSchema
 from .ir import And, Atom, Expression, Not, Or, jsonio
-
-SKILLS = ("walk_to", "open", "close", "grab", "put_on", "put_in", "heat")
 
 HANDS = 2
 
@@ -105,7 +104,7 @@ def apply_skill(state: WorldState, skill: str, args: tuple[str, ...]) -> tuple[S
         raise ValueError(f"unknown skill {skill!r}; available: {', '.join(SKILLS)}")
     for arg in args:
         state.entity(arg)  # raises UnknownEntityError
-    handler = _HANDLERS[skill]
+    handler = SKILLS[skill][0]
     return handler(state, *args)
 
 
@@ -202,24 +201,24 @@ def _heat(state: WorldState, target: str) -> tuple[SkillResult, WorldState]:
     return SkillResult(True, f"The {target} is heated.", f"is_heated({target})=true"), new
 
 
-_HANDLERS = {
-    "walk_to": _walk_to,
-    "open": _open,
-    "close": _close,
-    "grab": _grab,
-    "put_on": _put_on,
-    "put_in": _put_in,
-    "heat": _heat,
+# The skill vocabulary: name -> (handler, parameter names, description).
+# The executor model sees each entry as a tool whose arguments are entity ids.
+SKILLS = {
+    "walk_to": (_walk_to, ("target",), "Walk next to the named entity."),
+    "open": (_open, ("target",), "Open a container you are next to."),
+    "close": (_close, ("target",), "Close a container you are next to."),
+    "grab": (_grab, ("target",), "Pick up a reachable item with a free hand."),
+    "put_on": (_put_on, ("target", "destination"), "Place a held item onto a surface you are next to."),
+    "put_in": (_put_in, ("target", "destination"), "Put a held item into an open container you are next to."),
+    "heat": (_heat, ("target",), "Heat an item that sits inside a heater you are next to."),
 }
 
 
-def describe_state(state: WorldState, agent_centric: bool = False) -> str:
+def describe_state(state: WorldState) -> str:
     """Deterministic description covering every entity's location and
-    salient properties; agent-centric mode keeps only co-located entities."""
+    salient properties."""
     lines = []
     for entity in state.entities:
-        if agent_centric and not (_reachable(state, entity) or entity.location.kind == "held"):
-            continue
         notes = [entity.location.describe()]
         if entity.openable:
             notes.append("open" if entity.is_open else "closed")
@@ -266,6 +265,40 @@ def _check_atom(state: WorldState, atom: Atom) -> bool:
         loc = state.entity(args[0]).location
         return loc.kind == "at" and loc.target == args[1]
     raise ValueError(f"goal references unknown world property {atom}")
+
+
+class TextWorldEnv:
+    """The executor's environment: a mutable handle over immutable world states.
+
+    The only mutation path is `apply`, so every state change in a run maps
+    to exactly one logged skill invocation.
+    """
+
+    tools = tuple(
+        ToolSchema(name, description, tuple(ToolParam(p) for p in params))
+        for name, (_, params, description) in SKILLS.items()
+    )
+
+    def __init__(self, state: WorldState, goal: Expression):
+        self.state = state
+        self.goal = goal
+
+    def describe(self) -> str:
+        return describe_state(self.state)
+
+    def apply(self, skill: str, arguments: dict) -> SkillResult:
+        """Apply one skill call, taking its arguments in the table's parameter order."""
+        params = SKILLS[skill][1] if skill in SKILLS else ()
+        args = tuple(arguments[p] for p in params)
+        try:
+            result, new_state = apply_skill(self.state, skill, args)
+        except KeyError as exc:
+            return SkillResult(False, f"There is no entity called {exc.args[0]!r} here.")
+        self.state = new_state
+        return result
+
+    def goal_satisfied(self) -> bool:
+        return check_goal(self.state, self.goal)
 
 
 # ---------------------------------------------------------------- fixtures

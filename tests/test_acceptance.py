@@ -6,6 +6,7 @@ criterion; each test also prints an ``ACCEPTANCE`` line on success.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -38,7 +39,7 @@ from planwright.ir import (
     apply_edit,
     jsonio,
 )
-from planwright.memory import CosineScore, ProceduralStore
+from planwright.memory import ProceduralStore
 from planwright.pddl import emit_domain, emit_expression, parse_domain, parse_problem
 from planwright.planner import SolveConfig, Valid, ground, solve, validate_plan
 from planwright.runs import normalized_tree
@@ -295,17 +296,15 @@ def test_memory_retrieval_matches_bruteforce_oracle():
             return -1 if pa < pb else 1
 
         rows.sort(key=cmp_to_key(compare))
-        return [pos for _, _, pos in rows]
+        return rows
 
     for _ in range(50):
         query = " ".join(rng.choices(words, k=rng.randint(1, 4)))
         qvec = embedder.embed(query)
         expected = oracle_order(qvec)
         got = store.retrieve(query, k=len(store.entries), threshold=Fraction(-1))
-        assert [store.entries.index(e) for e, _ in got] == expected
-        for entry, score in got:
-            exact = CosineScore.of(qvec, entry.embedding)
-            assert score == exact.as_float()
+        assert [store.entries.index(e) for e, _ in got] == [pos for _, _, pos in expected]
+        assert [score for _, score in got] == [0.0 if n2 == 0 else dot / math.sqrt(n2) for dot, n2, _ in expected]
 
 
 def test_codec_round_trip_on_all_bundled_benchmarks():

@@ -170,8 +170,7 @@ class TestExecuteCommand:
         from planwright.abstraction import InstructionList
         from planwright.executor import run_execution
         from planwright.pddl import emit_expression
-        from planwright.textworld import load_world
-        from planwright.worldenv import TextWorldEnv
+        from planwright.textworld import TextWorldEnv, load_world
 
         problem = jsonio.problem_from_json(json.loads((artifacts / "problem.json").read_text()))
         env = TextWorldEnv(load_world(d / "world.json"), problem.goal)
@@ -204,8 +203,7 @@ class TestExecuteCommand:
         gw = Gateway(ScriptedBackend(responses), recording=recording)
         from planwright.abstraction import InstructionList
         from planwright.executor import run_execution
-        from planwright.textworld import kitchen_fixture
-        from planwright.worldenv import TextWorldEnv
+        from planwright.textworld import TextWorldEnv, kitchen_fixture
 
         run_execution(InstructionList(()), TextWorldEnv(kitchen_fixture(), And(())), gw, "(and)")
         fixture = tmp_path / "noop_fixture.json"
@@ -217,6 +215,23 @@ class TestExecuteCommand:
             "--mode", "replay", "--fixture", str(fixture), "--out-dir", str(out),
         ])
         assert code == 0
+
+    def test_goal_without_decimal_form_is_config_error(self, tmp_path):
+        artifacts = self.run_fridge_plan(tmp_path)
+        doc = json.loads((artifacts / "problem.json").read_text())
+        doc["goal"] = {"op": "<", "left": {"op": "const", "value": "1/3"}, "right": {"op": "const", "value": "1"}}
+        (artifacts / "problem.json").write_text(json.dumps(doc))
+        d = scenario_dir("fridge_recall")
+        out = tmp_path / "exec-run"
+        code = main([
+            "execute", "--artifacts", str(artifacts), "--world", str(d / "world.json"),
+            "--mode", "replay", "--fixture", str(d / "exec_fixture.json"), "--out-dir", str(out),
+        ])
+        assert code == 64
+        failure = json.loads((out / "failure.json").read_text())
+        assert (failure["stage"], failure["code"]) == ("config", "config-error")
+        assert "no finite decimal form" in failure["message"]
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 64
 
 
 class TestMalformedInputFiles:
@@ -579,9 +594,28 @@ class TestRecordThenReplay:
             assistant(json.dumps({"instructions": texts[:1]})),
             assistant(json.dumps({"instructions": texts})),
         ]
-        run, _ = self.record_then_replay(tmp_path, monkeypatch, responses, "--translate", "llm")
+        run, _ = self.record_then_replay(tmp_path, monkeypatch, responses, "--translate", "llm", "--model", "gpt-test")
         instructions = json.loads((run / "instructions.json").read_text())["instructions"]
         assert [(i["text"], i["step"]["name"]) for i in instructions] == [(texts[0], "pick-up"), (texts[1], "stack")]
+
+
+    @pytest.mark.parametrize("mode", ["live", "record"])
+    def test_live_model_required(self, tmp_path, monkeypatch, mode):
+        """The `--model` default is a placeholder that no endpoint knows, so
+        a run that would reach one without `--model` stops before it."""
+        built = []
+        monkeypatch.setattr("planwright.cli.LiveBackend", lambda **kwargs: built.append(kwargs))
+        d = scenario_dir("color")
+        out = tmp_path / "run"
+        fixture = tmp_path / "recorded.json"
+        code = main([
+            "plan", "--task", str(d / "task.json"), "--mode", mode, "--fixture", str(fixture), "--out-dir", str(out),
+        ])
+        assert code == 64
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure == {"stage": "config", "code": "config-error", "message": f"{mode} mode requires --model"}
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 64
+        assert built == [] and not fixture.exists()
 
 
 class TestDeterminism:

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from planwright.abstraction import Instruction, InstructionList, translate_plan
 from planwright.domains import household_problem
 from planwright.executor import execute_plan, execute_step, run_execution, validate_execution
@@ -11,8 +9,7 @@ from planwright.gateway import Gateway, ScriptedBackend, ToolCall, assistant
 from planwright.ir import And, Atom
 from planwright.pddl import emit_expression
 from planwright.planner import PlanStep, SolveConfig, ground, solve
-from planwright.textworld import kitchen_fixture
-from planwright.worldenv import TextWorldEnv
+from planwright.textworld import TextWorldEnv, kitchen_fixture
 from scenarios import executor_script_for
 
 
@@ -126,12 +123,6 @@ class TestExecutePlan:
         assert log.status == "stopped-at-2"
         indices = {r.instruction_index for r in log.records}
         assert indices == {1, 2}
-
-    def test_no_skills_rejected(self):
-        env = fresh_env()
-        env._skills = ()
-        with pytest.raises(ValueError):
-            execute_plan(InstructionList(()), env, Gateway(ScriptedBackend([])))
 
 
 class TestValidateExecution:

@@ -29,8 +29,8 @@ FLUENT_TOOL = ToolSchema(
     "missing_or_incorrect_fluent",
     "Request the addition or modification of a fluent.",
     (
-        ToolParam("fluent_name", "string"),
-        ToolParam("fluent_description", "string"),
+        ToolParam("fluent_name"),
+        ToolParam("fluent_description"),
     ),
 )
 
@@ -72,6 +72,18 @@ class TestGatewayChat:
         with pytest.raises(ToolArgumentError) as err:
             gateway.chat(simple_request(user("go"), tools=[FLUENT_TOOL]))
         assert any("fluent_name" in p for p in err.value.problems)
+
+    def test_argument_problems_in_schema_order(self):
+        problems = FLUENT_TOOL.validate_arguments({"fluent_name": 3, "extra": "x", "fluent_description": True})
+        assert problems == [
+            "argument 'fluent_name' must be string",
+            "unexpected argument 'extra'",
+            "argument 'fluent_description' must be string",
+        ]
+        assert FLUENT_TOOL.validate_arguments({}) == [
+            "missing required argument 'fluent_name'",
+            "missing required argument 'fluent_description'",
+        ]
 
     def test_unknown_tool_rejected(self):
         call = ToolCall("call-1", "levitate", {})
@@ -190,7 +202,7 @@ class TestLiveBackendWire:
                 ]
             }
 
-        backend = LiveBackend(base_url="https://example.test/v1", transport=transport)
+        backend = LiveBackend("gpt-4o", base_url="https://example.test/v1", transport=transport)
         gateway = Gateway(backend)
         import os
 
@@ -202,10 +214,18 @@ class TestLiveBackendWire:
         assert seen["url"].endswith("/chat/completions")
         assert seen["payload"]["messages"][0]["role"] == "system"
         assert response.tool_calls[0].arguments["fluent_name"] == "color"
+        assert seen["payload"]["tools"][0]["function"]["parameters"] == {
+            "type": "object",
+            "properties": {
+                "fluent_name": {"type": "string", "description": ""},
+                "fluent_description": {"type": "string", "description": ""},
+            },
+            "required": ["fluent_name", "fluent_description"],
+        }
 
     @pytest.mark.parametrize(
         "settings, expected",
-        [({}, ("gpt-4o", 0.0)), ({"model": "other", "temperature": 0.7}, ("other", 0.7))],
+        [({"model": "gpt-4o"}, ("gpt-4o", 0.0)), ({"model": "other", "temperature": 0.7}, ("other", 0.7))],
     )
     def test_model_and_temperature_come_from_the_backend(self, monkeypatch, settings, expected):
         """A request carries no sampling settings; every payload uses the backend's own."""

@@ -244,17 +244,6 @@ class TestJsonCodec:
         assert term.value == Fraction(3, 2)
         assert jsonio.term_to_json(term) == {"op": "const", "value": "3/2"}
 
-    def test_edit_round_trip(self, bw3):
-        from planwright.ir import jsonio
-
-        edits = [
-            AddOrModifyFluent(FluentDecl("color", (Parameter("?b", "block"),)), "goal"),
-            ModifyAction("stack", Atom("arm-empty"), None, "goal"),
-            AddObjects((ObjectDecl("b9", "block"),), "initial-state"),
-        ]
-        for edit in edits:
-            assert jsonio.edit_from_json(jsonio.edit_to_json(edit)) == edit
-
     def test_decode_errors_are_reported(self):
         from planwright.ir import jsonio
 

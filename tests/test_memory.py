@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planwright.gateway import HashedBagOfWordsEmbedder, ToolCall, assistant, system, tool_result, user
-from planwright.memory import ContextBuffer, CosineScore, ProceduralStore
+from planwright.gateway import FixtureEmbedder, HashedBagOfWordsEmbedder, ToolCall, assistant, system, tool_result, user
+from planwright.memory import ContextBuffer, ProceduralStore, cosine_key
 
 FRIDGE_NOTE = "for problems involving the fridge, append a goal to close the fridge, even if not explicitly stated"
 
@@ -110,6 +110,33 @@ class TestRetrieve:
         results = store.retrieve("totally different tokens", k=5, threshold=Fraction(35, 100))
         assert results == []
 
+    @pytest.mark.parametrize(
+        "threshold, expected",
+        [
+            (Fraction(1), "x"),
+            (Fraction(3, 5), "xyh"),
+            (0.6, "xyh"),
+            (Fraction(0), "xyhzo"),
+            (Fraction(-3, 5), "xyhzog"),
+            (Fraction(-1), "xyhzogwv"),
+        ],
+    )
+    def test_threshold_is_inclusive_on_both_signs(self, threshold, expected):
+        """Cosines against (1, 0): x 1, y 1/sqrt 2, h 3/5, z 0, o 0 (zero
+        vector), g -3/5, w -1/sqrt 2, v -1; float components take the exact
+        path too."""
+        vectors = {
+            "q": (1, 0), "x": (1, 0), "y": (1, 1), "z": (0, 1), "w": (-1, 1),
+            "v": (-1, 0), "o": (0, 0), "h": (3, 4), "g": (-3.0, 4.0),
+        }
+        store = ProceduralStore(embedder=FixtureEmbedder(vectors))
+        for name in "xyzwvohg":
+            store.store(name)
+        got = store.retrieve("q", k=10, threshold=threshold)
+        assert "".join(e.summary for e, _ in got) == expected
+        scores = {e.summary: score for e, score in got}
+        assert (scores.get("h", 0.6), scores.get("g", -0.6), scores.get("o", 0.0)) == (0.6, -0.6, 0.0)
+
     def test_k_bounds_results(self):
         store = ProceduralStore()
         for i in range(10):
@@ -149,8 +176,7 @@ class TestRetrieve:
         embedder = HashedBagOfWordsEmbedder()
         a = embedder.embed("close the fridge")
         b = embedder.embed("fridge duty roster")
-        assert CosineScore.of(a, b) == CosineScore.of(b, a)
-        assert CosineScore.of(a, b).as_float() == CosineScore.of(b, a).as_float()
+        assert cosine_key(a, b) == cosine_key(b, a)
 
 
 class TestContextBuffer:

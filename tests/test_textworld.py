@@ -107,12 +107,6 @@ class TestDescribe:
         state = kitchen_fixture()
         assert describe_state(state) == describe_state(state)
 
-    def test_agent_centric_filters(self):
-        state = run_sequence(kitchen_fixture(), [("walk_to", ("counter",))])
-        text = describe_state(state, agent_centric=True)
-        assert "pie" in text
-        assert "salmon" not in text
-
 
 class TestGoal:
     def scripted_full_run(self):
