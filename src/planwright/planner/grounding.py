@@ -1,32 +1,46 @@
 """Grounding: from a problem instance to an indexed propositional task.
 
-Each action schema's precondition is normalized once to conjunctions of
-literals and numeric comparisons (disjunctions split into separate
-variants); the schema is then instantiated over all type-consistent
-bindings by substituting into those branches. Every such branch, and every
-DNF branch of the goal, is compiled by `_compile_branch` into a `Condition`:
-a positive and a negative atom bitmask plus linear numeric comparisons. The
-goal holds when any of its branches does. Instantiations that can never
-apply are pruned from the initial state in two passes: a relaxed
-single-atom reachability pass (deletes ignored), then a pair-reachability
-(h^2) fixpoint over the survivors that keeps, for every atom, an int
-bitmask of the atoms that can hold together with it. Pruning ignores
-negative and numeric conditions, which keeps it sound: it only ever removes
-actions that are impossible for boolean reasons.
+Each action schema is compiled once per grounding into templates. Its
+precondition is normalized to DNF branches of literals and numeric
+comparisons (disjunctions split into separate variants), and every atom of
+a branch or effect becomes a table and a key: the table maps the fluent's
+argument tuples to atom bits, and the key reads the argument tuple off a
+binding row of constants and parameter values. A binding thus maps straight
+to atom bits, without building an `Atom`. Comparisons and numeric effects
+are substituted per binding and linearized.
+
+Bindings are enumerated one parameter at a time, in declaration order. A
+partial binding is dropped as soon as a static precondition fails in the
+initial state: a positive literal, shared by every branch, of a fluent that
+no schema adds or deletes, checked once all of its parameters are bound.
+Nothing adds that atom, so the relaxed pass below would prune the binding
+anyway. Extending the survivors in parameter order enumerates them in the
+order of the full product, so the actions come out in schema, binding, then
+branch order, as from substituting every binding. `GROUNDING_BUDGET` bounds
+the work.
+
+Every branch, and every DNF branch of the goal, is compiled into a
+`Condition`: a positive and a negative atom bitmask plus linear numeric
+comparisons. The goal holds when any of its branches does. Instantiations
+that can never apply are pruned from the initial state in two passes: a
+relaxed single-atom reachability pass (deletes ignored), then a
+pair-reachability (h^2) fixpoint over the survivors that keeps, for every
+atom, an int bitmask of the atoms that can hold together with it. Pruning
+ignores negative and numeric conditions, which keeps it sound: it only ever
+removes actions that are impossible for boolean reasons.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Optional
 
 from ..ir import (
     And,
     Atom,
     Comparison,
-    DomainModel,
     Expression,
     Not,
     NumAdd,
@@ -44,6 +58,13 @@ from ..ir import (
 
 class GroundingError(ValueError):
     pass
+
+
+# The most candidate bindings at one parameter of one schema, and the most
+# ground actions in all, that one grounding may build. Like the search's
+# node budget it is deterministic, and far above every bundled and benchmark
+# instance.
+GROUNDING_BUDGET = 1_000_000
 
 
 # ------------------------------------------------------------ normalization
@@ -197,6 +218,9 @@ class Condition:
         return all(c.holds(nums) for c in self.num)
 
 
+_NO_COMPARISONS = Condition(0, 0, ())
+
+
 @dataclass(frozen=True)
 class GroundAction:
     name: str
@@ -282,16 +306,6 @@ def _comparison_form(comp: Comparison, index: dict[NumFluent, int]) -> Linear:
 # ------------------------------------------------------------ instantiation
 
 
-def _bindings(domain: DomainModel, parameters, objects) -> Iterable[dict[str, str]]:
-    candidates = [
-        sorted(o.name for o in objects if domain.is_subtype(o.type, p.type))
-        for p in parameters
-    ]
-    names = [p.name for p in parameters]
-    for combo in product(*candidates):
-        yield dict(zip(names, combo))
-
-
 def ground(problem: ProblemInstance) -> GroundTask:
     """Instantiate, normalize, and prune. Requires a valid problem."""
     domain = problem.domain
@@ -334,23 +348,161 @@ def ground(problem: ProblemInstance) -> GroundTask:
 
 
 def _instantiate(problem: ProblemInstance, atom_index, num_index) -> list[GroundAction]:
-    """Every ground action variant of every schema, before pruning.
+    """Every ground action variant of every schema, before pruning, in
+    schema, binding and branch order.
 
-    Each schema's precondition is normalized once; substitution keeps the
-    And/Or structure, so substituting the literals of each branch gives the
-    same branches, in the same order, as normalizing the bound precondition.
+    A binding that fails a static precondition is never built, so an
+    uninitialized numeric atom that only such a binding mentions is not
+    reported. Nor is one in a branch or binding that names an atom outside
+    the ground atoms, which only an ill-typed problem does.
     """
     domain = problem.domain
+    tables: dict[str, dict[tuple[str, ...], int]] = {}
+    for atom, idx in atom_index.items():
+        tables.setdefault(atom.fluent, {})[atom.args] = 1 << idx
+    changed = {e.atom.fluent for s in domain.actions for e in s.effects if isinstance(e, SetEffect)}
+    static_true: dict[str, set[tuple[str, ...]]] = {}
+    for atom in problem.init.true_atoms:
+        if atom.fluent not in changed:
+            static_true.setdefault(atom.fluent, set()).add(atom.args)
+    pools: dict[str, list[str]] = {}
     actions: list[GroundAction] = []
     for schema in domain.actions:
-        branches = to_dnf_branches(to_nnf(schema.precondition))
-        for binding in _bindings(domain, schema.parameters, problem.objects):
-            for branch in branches:
-                literals = [substitute(literal, binding) for literal in branch]
-                action = _build_action(schema, binding, literals, atom_index, num_index)
-                if action is not None:
-                    actions.append(action)
+        for p in schema.parameters:
+            if p.type not in pools:
+                pools[p.type] = sorted(o.name for o in problem.objects if domain.is_subtype(o.type, p.type))
+        consts, checks, branches, set_effects, num_effects = _compile_schema(schema, tables, changed, static_true)
+
+        # Bindings grow one parameter at a time, in declaration order, so
+        # the survivors keep the order of the full product.
+        rows = [consts] if all(key(consts) in true for true, key in checks[0]) else []
+        for depth, param in enumerate(schema.parameters, 1):
+            pool = pools[param.type]
+            if len(rows) * len(pool) > GROUNDING_BUDGET:
+                raise GroundingError(f"grounding {schema.name} exceeds the budget of {GROUNDING_BUDGET} bindings")
+            rows = [row + (name,) for row in rows for name in pool]
+            if checks[depth]:
+                rows = [row for row in rows if all(key(row) in true for true, key in checks[depth])]
+
+        names = [p.name for p in schema.parameters]
+        substitutes = bool(num_effects) or any(comps for _, comps in branches)
+        nconst = len(consts)
+        for row in rows:
+            binding = dict(zip(names, row[nconst:])) if substitutes else None
+            effects = None
+            for literals, comps in branches:
+                masks = _masks(literals, row)
+                if masks is None:
+                    continue  # an ill-typed atom
+                numeric = _NO_COMPARISONS
+                if comps:
+                    numeric = _compile_branch([substitute(c, binding) for c in comps], atom_index, num_index)
+                pos, neg = masks
+                if numeric is None or pos & neg:
+                    continue  # a false constant comparison, or p and (not p)
+                if effects is None:
+                    effects = _ground_effects(set_effects, num_effects, row, binding, num_index)
+                if effects:
+                    add_mask, del_mask, amounts = effects
+                    pre = Condition(pos, neg, numeric.num)
+                    actions.append(GroundAction(schema.name, row[nconst:], pre, add_mask, del_mask, amounts))
+        if len(actions) > GROUNDING_BUDGET:
+            raise GroundingError(f"grounding exceeds the budget of {GROUNDING_BUDGET} actions")
     return actions
+
+
+def _compile_schema(schema, tables, changed, static_true):
+    """A schema's templates. Each atom becomes ``(flag, table, key)``:
+    ``flag`` tells a positive literal or an add effect, ``table`` maps the
+    fluent's argument tuples to atom bits, and ``key`` reads an argument
+    tuple off a binding row, ``constants + parameter values``.
+
+    Returns the constants, the static checks ``(true argument tuples, key)``
+    to run once ``d`` parameters are bound (index ``d``), the DNF branches
+    as ``(literals, comparisons)``, and the boolean and numeric effects.
+    """
+    position = {p.name: i for i, p in enumerate(schema.parameters)}
+    branches = to_dnf_branches(to_nnf(schema.precondition))
+    atoms = [lit.child if isinstance(lit, Not) else lit for b in branches for lit in b if not isinstance(lit, Comparison)]
+    atoms += [e.atom for e in schema.effects if isinstance(e, SetEffect)]
+    consts = tuple(dict.fromkeys(a for atom in atoms for a in atom.args if a not in position))
+    slot = {a: i for i, a in enumerate(consts)}
+    slot.update((name, len(consts) + i) for name, i in position.items())
+
+    templates = []
+    for branch in branches:
+        literals = []
+        comps = []
+        for lit in branch:
+            if isinstance(lit, Comparison):
+                comps.append(lit)
+            elif isinstance(lit, Atom):
+                literals.append(_template(True, lit, tables, slot))
+            elif isinstance(lit, Not):
+                literals.append(_template(False, lit.child, tables, slot))
+            else:
+                raise GroundingError(f"unexpected literal {lit!r} after normalization")
+        templates.append((tuple(literals), tuple(comps)))
+    set_effects = tuple(_template(e.value, e.atom, tables, slot) for e in schema.effects if isinstance(e, SetEffect))
+    num_effects = tuple(e for e in schema.effects if isinstance(e, NumericEffect))
+
+    # A static precondition is a positive literal that every branch shares,
+    # of a fluent that no schema adds or deletes. It is checked as soon as
+    # its last parameter is bound.
+    checks: list[list] = [[] for _ in range(len(position) + 1)]
+    shared = set.intersection(*(set(b) for b in branches)) if branches else set()
+    for atom in shared:
+        if isinstance(atom, Atom) and atom.fluent not in changed:
+            depth = max((position[a] + 1 for a in atom.args if a in position), default=0)
+            key = _row_key([slot[a] for a in atom.args])
+            checks[depth].append((static_true.get(atom.fluent, frozenset()), key))
+    return consts, checks, tuple(templates), set_effects, num_effects
+
+
+def _template(flag: bool, atom: Atom, tables, slot) -> tuple:
+    return flag, tables.get(atom.fluent, {}), _row_key([slot[a] for a in atom.args])
+
+
+def _row_key(slots: list[int]) -> itemgetter:
+    """A getter for the argument tuple at ``slots`` of a binding row. For
+    one slot or none it takes a slice, since ``itemgetter`` of one item
+    returns the bare item."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    return itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0, 0))
+
+
+def _masks(templates, row) -> Optional[tuple[int, int]]:
+    """The bits of the atoms that ``row`` binds in ``templates``, as
+    ``(flagged, unflagged)``, or None when one of the atoms does not exist."""
+    flagged = unflagged = 0
+    for flag, table, key in templates:
+        bit = table.get(key(row))
+        if bit is None:
+            return None
+        if flag:
+            flagged |= bit
+        else:
+            unflagged |= bit
+    return flagged, unflagged
+
+
+def _ground_effects(set_effects, num_effects, row, binding, num_index):
+    """``(add mask, delete mask, numeric effects)`` of one binding, or
+    False when one of its effect atoms does not exist."""
+    masks = _masks(set_effects, row)
+    if masks is None:
+        return False
+    add_mask, del_mask = masks
+    amounts: list[GroundNumericEffect] = []
+    for effect in num_effects:
+        target = substitute_term(effect.target, binding)
+        if target not in num_index:
+            raise GroundingError(f"numeric atom {target} is used but uninitialized")
+        amount = linearize(substitute_term(effect.amount, binding), num_index)
+        amounts.append(GroundNumericEffect(effect.op, num_index[target], amount))
+    # Add wins over delete is forbidden upstream; keep masks disjoint anyway.
+    return add_mask, del_mask & ~add_mask, tuple(amounts)
 
 
 def _compile_branch(literals, atom_index, num_index) -> Optional[Condition]:
@@ -386,44 +538,6 @@ def _compile_branch(literals, atom_index, num_index) -> Optional[Condition]:
     if not constants_hold or pos & neg:
         return None  # a false constant comparison, or p and (not p)
     return Condition(pos, neg, tuple(num))
-
-
-def _build_action(schema, binding, branch, atom_index, num_index) -> Optional[GroundAction]:
-    pre = _compile_branch(branch, atom_index, num_index)
-    if pre is None:
-        return None
-
-    add_mask = 0
-    del_mask = 0
-    num_effects: list[GroundNumericEffect] = []
-    for effect in schema.effects:
-        if isinstance(effect, SetEffect):
-            atom = Atom(effect.atom.fluent, tuple(binding.get(a, a) for a in effect.atom.args))
-            idx = atom_index.get(atom)
-            if idx is None:
-                return None
-            if effect.value:
-                add_mask |= 1 << idx
-            else:
-                del_mask |= 1 << idx
-        elif isinstance(effect, NumericEffect):
-            target = NumFluent(effect.target.fluent, tuple(binding.get(a, a) for a in effect.target.args))
-            if target not in num_index:
-                raise GroundingError(f"numeric atom {target} is used but uninitialized")
-            amount = linearize(substitute_term(effect.amount, binding), num_index)
-            num_effects.append(GroundNumericEffect(effect.op, num_index[target], amount))
-    # Add wins over delete is forbidden upstream; keep masks disjoint anyway.
-    del_mask &= ~add_mask
-
-    args = tuple(binding[p.name] for p in schema.parameters)
-    return GroundAction(
-        name=schema.name,
-        args=args,
-        pre=pre,
-        add_mask=add_mask,
-        del_mask=del_mask,
-        num_effects=tuple(num_effects),
-    )
 
 
 # ------------------------------------------------------------ pruning

@@ -1,6 +1,6 @@
 """Shared test utilities: an independent brute-force planning oracle.
 
-The oracle grounds actions by naive enumeration and runs breadth-first
+The first oracle grounds actions by naive enumeration and runs breadth-first
 search over explicit states. It intentionally shares no code with the
 planner package beyond the IR value types, so it can serve as the
 ground-truth side of dual-route checks.
@@ -18,6 +18,13 @@ bitset prune.
 which tests every action in every state, the reference for the compiled
 successor entries of ``planwright.planner.search``.
 
+``reference_instantiate`` is the fifth: the planner's original
+instantiation loop, which substitutes every literal of every binding in the
+full product, the reference for the templates and static filter of
+``planwright.planner.grounding._instantiate``. It shares with the planner
+only the branch compiler and linear forms, which also compile the goal.
+
+``bundled_problems`` parses the 140 bundled benchmark problems;
 ``refuel_problem`` builds a small numeric task whose actions increase,
 decrease and assign fluents; ``random_walk_states`` samples reachable states
 of a ground task for checks that run along a walk.
@@ -50,6 +57,20 @@ from planwright.ir import (
     SetEffect,
     TypeDecl,
 )
+from planwright.planner.grounding import (
+    GroundAction,
+    GroundingError,
+    GroundNumericEffect,
+    _compile_branch,
+    linearize,
+    substitute,
+    substitute_term,
+    to_dnf_branches,
+    to_nnf,
+)
+
+from planwright.data_paths import benchmarks_root
+from planwright.pddl import parse_domain, parse_problem
 
 State = tuple[frozenset, tuple]  # (true atoms, sorted ((fluent,args), value) pairs)
 
@@ -202,6 +223,61 @@ def bfs_optimal_plan(problem: ProblemInstance, max_states: int = 400_000) -> Opt
                 next_frontier.append((new_atoms, new_numerics))
         frontier = next_frontier
     return None
+
+
+def reference_instantiate(problem: ProblemInstance, atom_index, num_index) -> list:
+    """Every ground action variant of every schema, before pruning.
+
+    This is the planner's original loop: it substitutes every literal of
+    every DNF branch of every binding in the full product, and looks each
+    resulting ``Atom`` up in ``atom_index``.
+    """
+    domain = problem.domain
+    actions = []
+    for schema in domain.actions:
+        branches = to_dnf_branches(to_nnf(schema.precondition))
+        pools = [
+            sorted(o.name for o in problem.objects if domain.is_subtype(o.type, p.type))
+            for p in schema.parameters
+        ]
+        for combo in product(*pools):
+            binding = dict(zip((p.name for p in schema.parameters), combo))
+            for branch in branches:
+                literals = [substitute(literal, binding) for literal in branch]
+                action = _reference_action(schema, binding, literals, atom_index, num_index)
+                if action is not None:
+                    actions.append(action)
+    return actions
+
+
+def _reference_action(schema, binding, branch, atom_index, num_index):
+    pre = _compile_branch(branch, atom_index, num_index)
+    if pre is None:
+        return None
+
+    add_mask = 0
+    del_mask = 0
+    num_effects = []
+    for effect in schema.effects:
+        if isinstance(effect, SetEffect):
+            atom = Atom(effect.atom.fluent, tuple(binding.get(a, a) for a in effect.atom.args))
+            idx = atom_index.get(atom)
+            if idx is None:
+                return None
+            if effect.value:
+                add_mask |= 1 << idx
+            else:
+                del_mask |= 1 << idx
+        elif isinstance(effect, NumericEffect):
+            target = NumFluent(effect.target.fluent, tuple(binding.get(a, a) for a in effect.target.args))
+            if target not in num_index:
+                raise GroundingError(f"numeric atom {target} is used but uninitialized")
+            amount = linearize(substitute_term(effect.amount, binding), num_index)
+            num_effects.append(GroundNumericEffect(effect.op, num_index[target], amount))
+    del_mask &= ~add_mask
+
+    args = tuple(binding[p.name] for p in schema.parameters)
+    return GroundAction(schema.name, args, pre, add_mask, del_mask, tuple(num_effects))
 
 
 def _mask_bits(mask: int) -> list[int]:
@@ -592,3 +668,15 @@ def refuel_problem(fuel: int, goal_fuel, towns: int = 4, capacity: int = 2) -> P
         And((Atom("at", (names[-1],)), Comparison(">=", _fluent("fuel"), floor))),
         f"refuel-{fuel}-{goal_fuel}",
     )
+
+
+def bundled_problems() -> list[ProblemInstance]:
+    """Every bundled benchmark problem, by domain, then file name."""
+    problems = []
+    for domain_dir in sorted(p for p in benchmarks_root().iterdir() if p.is_dir()):
+        domain_path = domain_dir / "domain.pddl"
+        domain = parse_domain(domain_path.read_text(encoding="utf-8"), filename=str(domain_path))
+        for path in sorted(domain_dir.glob("*.pddl")):
+            if path.name != "domain.pddl":
+                problems.append(parse_problem(path.read_text(encoding="utf-8"), domain, filename=path.name))
+    return problems

@@ -127,6 +127,17 @@ class TestPlanCommand:
         record = json.loads((out / "pipeline_result.json").read_text())
         assert record["status"] == "correction-limit-reached"
 
+    def test_grounding_budget_exceeded_exits_one(self, tmp_path, monkeypatch):
+        import planwright.planner.grounding as grounding
+
+        monkeypatch.setattr(grounding, "GROUNDING_BUDGET", 1)
+        out = tmp_path / "run"
+        assert main(plan_args("color", out)) == 1
+        failure = json.loads((out / "failure.json").read_text())
+        assert (failure["stage"], failure["code"]) == ("solve", "grounding-error")
+        assert "exceeds the budget of 1 bindings" in failure["message"]
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 1
+
     def test_size_tower_scenario(self, tmp_path):
         out = tmp_path / "run"
         assert main(plan_args("size_tower", out)) == 0
@@ -364,6 +375,20 @@ class TestBenchCommand:
         row = self._bench_blocksworld(tmp_path)
         statuses = {p["problem"]: p["status"] for p in row["problems"]}
         assert statuses["p02.pddl"] == "grounding-error: numeric atom (fuel) is used but uninitialized"
+        assert row["solved"] == 2
+
+    def test_grounding_budget_reported_per_row(self, tmp_path, monkeypatch):
+        import planwright.planner.grounding as grounding
+
+        # p01 and p02 instantiate 24 actions, p03 instantiates 40.
+        monkeypatch.setattr(grounding, "GROUNDING_BUDGET", 30)
+        row = self._bench_blocksworld(tmp_path)
+        statuses = {p["problem"]: p["status"] for p in row["problems"]}
+        assert statuses == {
+            "p01.pddl": "solved",
+            "p02.pddl": "solved",
+            "p03.pddl": "grounding-error: grounding exceeds the budget of 30 actions",
+        }
         assert row["solved"] == 2
 
     def test_unexpected_error_isolated_per_row(self, tmp_path, monkeypatch):

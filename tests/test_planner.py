@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ from planwright.domains import (
     household_problem,
 )
 from planwright.ir import (
+    ActionSchema,
     And,
     Assignment,
     Atom,
@@ -27,6 +31,9 @@ from planwright.ir import (
     Or,
     Parameter,
     ProblemInstance,
+    SetEffect,
+    TypeDecl,
+    ground_atoms,
     validate,
 )
 from planwright.planner import (
@@ -47,7 +54,17 @@ from planwright.planner import (
 from planwright.planner.grounding import _instantiate
 from planwright.planner.search import SuccessorGenerator
 
-from helpers import bfs_optimal_plan, random_walk_states, reference_pair_prune, refuel_problem
+from helpers import (
+    bfs_optimal_plan,
+    bundled_problems,
+    random_walk_states,
+    reference_instantiate,
+    reference_pair_prune,
+    refuel_problem,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import scale_instances  # noqa: E402
 
 ASTAR = SolveConfig(strategy="astar", heuristic="blind")
 
@@ -136,7 +153,7 @@ class TestPruneMatchesReference:
     @staticmethod
     def check(problem: ProblemInstance) -> tuple[int, int]:
         task = ground(problem)
-        instantiated = _instantiate(problem, task.atom_index, task.num_index)
+        instantiated = reference_instantiate(problem, task.atom_index, task.num_index)
         expected = reference_pair_prune(instantiated, task.atoms, task.atom_index, problem.init.true_atoms)
         assert task.actions == tuple(expected)
         return len(instantiated), len(task.actions)
@@ -174,6 +191,168 @@ class TestPruneMatchesReference:
         # "rusted" is never true, so the second variant of every start-flow
         # binding is pruned.
         assert self.check(valves_problem()) == (12, 8)
+
+
+def check_instantiation(problem: ProblemInstance) -> tuple[int, int, int]:
+    """Compare grounding with the product-order oracle; return the reference
+    and templated instantiation counts and the kept count.
+
+    The kept actions must equal, element by element and in order, what the
+    set-of-pairs oracle keeps of the reference instantiation. The templated
+    instantiation must be the reference one with some actions left out, each
+    of which needs an atom of a static fluent that is false initially.
+    """
+    task = ground(problem)
+    reference = reference_instantiate(problem, task.atom_index, task.num_index)
+    instantiated = _instantiate(problem, task.atom_index, task.num_index)
+    assert list(task.actions) == reference_pair_prune(reference, task.atoms, task.atom_index, problem.init.true_atoms)
+
+    changed = {e.atom.fluent for schema in problem.domain.actions for e in schema.effects if isinstance(e, SetEffect)}
+    static_false = 0
+    for i, atom in enumerate(task.atoms):
+        if atom.fluent not in changed and atom not in problem.init.true_atoms:
+            static_false |= 1 << i
+    matched = 0
+    for action in reference:
+        if matched < len(instantiated) and instantiated[matched] == action:
+            matched += 1
+        else:
+            assert action.pre.pos & static_false, f"{action} dropped but needs no static atom false initially"
+    assert matched == len(instantiated)
+    return len(reference), len(instantiated), len(task.actions)
+
+
+class TestInstantiateMatchesReference:
+    def test_bundled_suite_totals(self):
+        totals = [0, 0, 0]
+        for problem in bundled_problems():
+            for i, count in enumerate(check_instantiation(problem)):
+                totals[i] += count
+        assert totals == [16_705, 6_284, 5_098]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_scale_instances(self, seed):
+        for problem in scale_instances(seed):
+            check_instantiation(problem)
+
+    @pytest.mark.parametrize("problem", [battery_problem(0), battery_problem(30), refuel_problem(4, 1)], ids=lambda p: p.name)
+    def test_numeric_tasks(self, problem):
+        check_instantiation(problem)
+
+    @pytest.mark.parametrize(
+        "problem, goal, message",
+        [
+            (battery_problem(30), Atom("at", ("ball1", "room2")), "numeric atom (battery_level robot1) is used but uninitialized"),
+            (refuel_problem(4, 1), Atom("at", ("t4",)), "numeric atom (fuel) is used but uninitialized"),
+        ],
+        ids=["battery", "refuel"],
+    )
+    def test_uninitialized_numeric_error_text(self, problem, goal, message):
+        stripped = ProblemInstance(problem.domain, problem.objects, Assignment.create(problem.init.true_atoms), goal)
+        atoms = ground_atoms(problem.domain, problem.objects).booleans
+        with pytest.raises(GroundingError) as expected:
+            reference_instantiate(stripped, {a: i for i, a in enumerate(atoms)}, {})
+        with pytest.raises(GroundingError) as err:
+            ground(stripped)
+        assert str(err.value) == str(expected.value) == message
+
+    def test_grounding_leaves_no_cyclic_garbage(self):
+        problems = scale_instances(1)[:4] + bundled_problems()[:1]
+        gc.collect()
+        gc.disable()
+        try:
+            tasks = [ground(problem) for problem in problems]
+            del tasks
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def graph_problem(precondition, init, effects=(), objects=None) -> ProblemInstance:
+    """One ``drive`` schema over places and vehicles, with the given
+    precondition; ``adj`` and ``power`` are static unless ``effects`` change
+    them, ``fresh`` is only ever deleted."""
+    place, vehicle = "place", "vehicle"
+    v, a, b = Parameter("?v", vehicle), Parameter("?from", place), Parameter("?to", place)
+    domain = DomainModel(
+        "graph",
+        types=(TypeDecl(place), TypeDecl(vehicle), TypeDecl("truck", parent=vehicle)),
+        fluents=(
+            FluentDecl("adj", (Parameter("?x", place), Parameter("?y", place))),
+            FluentDecl("at", (Parameter("?w", vehicle), Parameter("?p", place))),
+            FluentDecl("fresh", (Parameter("?p", place),)),
+            FluentDecl("power", ()),
+        ),
+        actions=(
+            ActionSchema(
+                "drive",
+                (v, a, b),
+                precondition,
+                (
+                    SetEffect(Atom("at", ("?v", "?to"))),
+                    SetEffect(Atom("at", ("?v", "?from")), False),
+                    SetEffect(Atom("fresh", ("?to",)), False),
+                ) + tuple(effects),
+            ),
+        ),
+    )
+    if objects is None:
+        objects = (ObjectDecl("home", place), ObjectDecl("p1", place), ObjectDecl("p2", place), ObjectDecl("t1", "truck"))
+    at_home = Atom("at", ("t1", "home"))
+    return ProblemInstance(domain, tuple(objects), Assignment.create([at_home, *init]), Atom("at", ("t1", "p2")), "graph")
+
+
+AT_FROM = Atom("at", ("?v", "?from"))
+
+
+class TestStaticFilter:
+    """Bindings that fail a static precondition are never instantiated, and
+    grounding still matches the product-order oracle."""
+
+    def test_nullary_static_literal_false_in_init_yields_nothing(self):
+        problem = graph_problem(And((Atom("power"), AT_FROM)), [Atom("adj", ("home", "p1"))])
+        assert check_instantiation(problem) == (9, 0, 0)
+
+    def test_nullary_static_literal_true_in_init_filters_nothing(self):
+        problem = graph_problem(And((Atom("power"), AT_FROM)), [Atom("power")])
+        assert check_instantiation(problem) == (9, 9, 9)
+
+    def test_repeated_variable(self):
+        problem = graph_problem(And((AT_FROM, Atom("adj", ("?to", "?to")))), [Atom("adj", ("p2", "p2"))])
+        assert check_instantiation(problem) == (9, 3, 2)
+
+    def test_constant_argument(self):
+        init = [Atom("adj", ("p1", "home")), Atom("adj", ("p2", "home")), Atom("adj", ("home", "p1"))]
+        problem = graph_problem(And((AT_FROM, Atom("adj", ("?to", "home")))), init)
+        assert check_instantiation(problem) == (9, 6, 6)
+
+    def test_static_literal_in_one_branch_of_an_or(self):
+        precondition = And((AT_FROM, Or((Atom("adj", ("?from", "?to")), Atom("fresh", ("?to",))))))
+        problem = graph_problem(precondition, [Atom("adj", ("home", "p1")), Atom("fresh", ("p2",))])
+        assert check_instantiation(problem) == (18, 18, 3)
+
+    def test_fluent_that_is_only_deleted_is_not_static(self):
+        problem = graph_problem(And((AT_FROM, Atom("fresh", ("?to",)))), [Atom("fresh", ("p1",))])
+        assert check_instantiation(problem) == (9, 9, 1)
+
+    def test_added_fluent_is_not_static(self):
+        precondition = And((AT_FROM, Atom("adj", ("?from", "?to"))))
+        problem = graph_problem(precondition, [Atom("adj", ("home", "p1"))], effects=[SetEffect(Atom("adj", ("?to", "?from")))])
+        assert check_instantiation(problem) == (9, 9, 2)
+
+    def test_subtype_typed_parameters(self):
+        objects = (
+            ObjectDecl("home", "place"), ObjectDecl("p1", "place"),
+            ObjectDecl("t1", "truck"), ObjectDecl("t2", "truck"), ObjectDecl("v1", "vehicle"),
+        )
+        init = [Atom("adj", ("home", "p1")), Atom("adj", ("p1", "home")), Atom("at", ("v1", "p1"))]
+        problem = graph_problem(And((AT_FROM, Atom("adj", ("?from", "?to")))), init, objects=objects)
+        assert check_instantiation(problem) == (12, 6, 4)
+
+    def test_zero_objects(self):
+        problem = graph_problem(And((AT_FROM, Atom("adj", ("?from", "?to")))), [], objects=())
+        assert check_instantiation(problem) == (0, 0, 0)
+        assert check_instantiation(blocksworld_problem("bw0", [], [])) == (0, 0, 0)
 
 
 class TestSuccessorIndex:
