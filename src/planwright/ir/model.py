@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 OBJECT_TYPE = "object"
@@ -294,8 +295,11 @@ class DomainModel:
             flags.append(":numeric-fluents")
         return tuple(flags)
 
-    def type_map(self) -> dict[str, TypeDecl]:
-        return {t.name: t for t in self.types}
+    @cached_property
+    def _parents(self) -> dict[str, str]:
+        """Each declared type's parent, built once per model. Not a field, so
+        equality, hashing and `replace` ignore it."""
+        return {t.name: t.parent for t in self.types}
 
     def fluent_map(self) -> dict[str, FluentDecl]:
         return {f.name: f for f in self.fluents}
@@ -307,15 +311,14 @@ class DomainModel:
         """True when ``sub`` equals or descends from ``sup`` in the type forest."""
         if sup == OBJECT_TYPE or sub == sup:
             return True
-        types = self.type_map()
+        parents = self._parents
         seen = set()
         current = sub
         while current != OBJECT_TYPE and current not in seen:
             seen.add(current)
-            decl = types.get(current)
-            if decl is None:
+            current = parents.get(current)
+            if current is None:
                 return False
-            current = decl.parent
             if current == sup:
                 return True
         return False

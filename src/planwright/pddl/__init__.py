@@ -1,5 +1,5 @@
 """PDDL codec: parse and emit the supported subset, plus plan text."""
-from .syntax import PddlError, PddlText
+from .syntax import PddlError
 from .parser import parse_domain, parse_problem
 from .emitter import PddlEmitError, emit_domain, emit_problem, emit_expression, format_fraction
 from .plans import parse_plan, render_plan
@@ -7,7 +7,6 @@ from .plans import parse_plan, render_plan
 __all__ = [
     "PddlEmitError",
     "PddlError",
-    "PddlText",
     "emit_domain",
     "emit_expression",
     "emit_problem",

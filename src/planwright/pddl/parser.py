@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from ..ir import (
     ActionSchema,
@@ -46,8 +46,6 @@ from .syntax import (
     UNKNOWN_REQUIREMENT,
     UNSUPPORTED_FEATURE,
     PddlError,
-    PddlText,
-    as_text,
     expect_list,
     expect_symbol,
     read_forms,
@@ -87,7 +85,7 @@ def _unsupported(what: str, line: int, col: int, filename: str) -> PddlError:
     return PddlError(UNSUPPORTED_FEATURE, f"{what} is not supported", line, col, filename)
 
 
-def _head(form: SList, filename: str) -> str:
+def _head(form: SList) -> str:
     if not form.items:
         return ""
     first = form.items[0]
@@ -105,7 +103,7 @@ def _parse_typed_names(items: tuple[SExpr, ...], what: str, filename: str) -> li
     while i < len(items):
         item = items[i]
         if isinstance(item, SList):
-            head = _head(item, filename)
+            head = _head(item)
             if head == "either":
                 raise _unsupported("'either' types", item.line, item.col, filename)
             raise PddlError(SYNTAX_ERROR, f"unexpected list in {what}", item.line, item.col, filename)
@@ -116,7 +114,7 @@ def _parse_typed_names(items: tuple[SExpr, ...], what: str, filename: str) -> li
                 raise PddlError(SYNTAX_ERROR, f"missing type after '-' in {what}", item.line, item.col, filename)
             type_form = items[i + 1]
             if isinstance(type_form, SList):
-                if _head(type_form, filename) == "either":
+                if _head(type_form) == "either":
                     raise _unsupported("'either' types", type_form.line, type_form.col, filename)
                 raise PddlError(SYNTAX_ERROR, f"expected type name in {what}", type_form.line, type_form.col, filename)
             for name in pending:
@@ -131,130 +129,102 @@ def _parse_typed_names(items: tuple[SExpr, ...], what: str, filename: str) -> li
     return out
 
 
-def _parse_parameters(form: SList, filename: str) -> tuple[Parameter, ...]:
+def _parse_parameters(items: tuple[SExpr, ...], filename: str) -> tuple[Parameter, ...]:
     params = []
-    for sym, type_name in _parse_typed_names(form.items, "parameter list", filename):
+    for sym, type_name in _parse_typed_names(items, "parameter list", filename):
         if not sym.text.startswith("?"):
             raise PddlError(SYNTAX_ERROR, f"parameter {sym.text!r} must start with '?'", sym.line, sym.col, filename)
         params.append(Parameter(sym.text, type_name))
     return tuple(params)
 
 
-class _DomainParser:
-    def __init__(self, source: PddlText):
-        self.source = source
-        self.filename = source.filename
-        self.types: list[TypeDecl] = []
-        self.fluents: list[FluentDecl] = []
-        self.actions: list[ActionSchema] = []
-        self.name = ""
+def _define(text: str, kind: str, filename: str) -> tuple[str, tuple[SExpr, ...], SList]:
+    """Read ``(define (KIND NAME) SECTION...)``: the name, the sections and the top form."""
+    forms = read_forms(text, filename)
+    if len(forms) != 1:
+        raise PddlError(SYNTAX_ERROR, f"expected a single (define ...) form, found {len(forms)}", 1, 1, filename)
+    top = expect_list(forms[0], "(define ...)", filename)
+    items = top.items
+    if not items or expect_symbol(items[0], "define", filename).text != "define":
+        raise PddlError(SYNTAX_ERROR, f"expected (define ({kind} ...) ...)", top.line, top.col, filename)
+    header = expect_list(items[1], f"({kind} NAME)", filename) if len(items) > 1 else None
+    if header is None or _head(header) != kind or len(header.items) != 2:
+        raise PddlError(SYNTAX_ERROR, f"expected ({kind} NAME) header", top.line, top.col, filename)
+    name = expect_symbol(header.items[1], f"{kind} name", filename).text
+    return name, items[2:], top
 
-    def parse(self) -> DomainModel:
-        forms = read_forms(self.source)
-        if len(forms) != 1:
-            raise PddlError(SYNTAX_ERROR, f"expected a single (define ...) form, found {len(forms)}", 1, 1, self.filename)
-        top = expect_list(forms[0], "(define ...)", self.filename)
-        items = top.items
-        if not items or expect_symbol(items[0], "define", self.filename).text != "define":
-            raise PddlError(SYNTAX_ERROR, "expected (define (domain ...) ...)", top.line, top.col, self.filename)
-        header = expect_list(items[1], "(domain NAME)", self.filename) if len(items) > 1 else None
-        if header is None or _head(header, self.filename) != "domain" or len(header.items) != 2:
-            raise PddlError(SYNTAX_ERROR, "expected (domain NAME) header", top.line, top.col, self.filename)
-        self.name = expect_symbol(header.items[1], "domain name", self.filename).text
 
-        for section in items[2:]:
-            self._section(expect_list(section, "domain section", self.filename))
+def _requirements(form: SList, filename: str) -> None:
+    for item in form.items[1:]:
+        sym = expect_symbol(item, "requirement flag", filename)
+        if sym.text in SUPPORTED_REQUIREMENTS:
+            continue
+        if sym.text in KNOWN_UNSUPPORTED_REQUIREMENTS:
+            raise _unsupported(f"requirement {sym.text}", sym.line, sym.col, filename)
+        raise PddlError(UNKNOWN_REQUIREMENT, f"unknown requirement {sym.text}", sym.line, sym.col, filename)
 
-        domain = DomainModel(self.name, tuple(self.types), tuple(self.fluents), tuple(self.actions))
-        leftover = validate_domain(domain)
-        if leftover:
-            raise PddlError(INVALID_MODEL, "; ".join(str(v) for v in leftover), top.line, top.col, self.filename)
-        return domain
 
-    def _section(self, form: SList) -> None:
-        head = _head(form, self.filename)
-        if head == ":requirements":
-            self._requirements(form)
-        elif head == ":types":
-            self._types(form)
-        elif head == ":predicates":
-            self._predicates(form)
-        elif head == ":functions":
-            self._functions(form)
-        elif head == ":action":
-            self._action(form)
-        elif head in (":durative-action", ":constants", ":derived", ":constraints"):
-            raise _unsupported(head, form.line, form.col, self.filename)
-        else:
-            raise PddlError(SYNTAX_ERROR, f"unknown domain section {head!r}", form.line, form.col, self.filename)
+def _types(form: SList, filename: str) -> list[TypeDecl]:
+    return [
+        TypeDecl(sym.text, parent)
+        for sym, parent in _parse_typed_names(form.items[1:], ":types", filename)
+        if sym.text != "object"  # the universal root is built in
+    ]
 
-    def _requirements(self, form: SList) -> None:
-        for item in form.items[1:]:
-            sym = expect_symbol(item, "requirement flag", self.filename)
-            if sym.text in SUPPORTED_REQUIREMENTS:
+
+def _fluent_decl(entry: SExpr, what: str, kind: str, filename: str) -> FluentDecl:
+    decl = expect_list(entry, f"{what} declaration", filename)
+    if not decl.items:
+        raise PddlError(SYNTAX_ERROR, f"empty {what} declaration", decl.line, decl.col, filename)
+    name = expect_symbol(decl.items[0], f"{what} name", filename).text
+    return FluentDecl(name, _parse_parameters(decl.items[1:], filename), kind=kind)
+
+
+def _predicates(form: SList, filename: str) -> list[FluentDecl]:
+    return [_fluent_decl(entry, "predicate", "boolean", filename) for entry in form.items[1:]]
+
+
+def _functions(form: SList, filename: str) -> list[FluentDecl]:
+    fluents = []
+    i = 1
+    items = form.items
+    while i < len(items):
+        entry = items[i]
+        if isinstance(entry, Symbol) and entry.text == "-":
+            # "(f ?x) - number" annotations are redundant in this subset.
+            if i + 1 < len(items) and isinstance(items[i + 1], Symbol) and items[i + 1].text == "number":
+                i += 2
                 continue
-            if sym.text in KNOWN_UNSUPPORTED_REQUIREMENTS:
-                raise _unsupported(f"requirement {sym.text}", sym.line, sym.col, self.filename)
-            raise PddlError(UNKNOWN_REQUIREMENT, f"unknown requirement {sym.text}", sym.line, sym.col, self.filename)
+            raise _unsupported("non-number function types", entry.line, entry.col, filename)
+        fluents.append(_fluent_decl(entry, "function", "numeric", filename))
+        i += 1
+    return fluents
 
-    def _types(self, form: SList) -> None:
-        for sym, parent in _parse_typed_names(form.items[1:], ":types", self.filename):
-            if sym.text == "object":
-                continue  # the universal root is built in
-            self.types.append(TypeDecl(sym.text, parent))
 
-    def _predicates(self, form: SList) -> None:
-        for entry in form.items[1:]:
-            decl = expect_list(entry, "predicate declaration", self.filename)
-            if not decl.items:
-                raise PddlError(SYNTAX_ERROR, "empty predicate declaration", decl.line, decl.col, self.filename)
-            name = expect_symbol(decl.items[0], "predicate name", self.filename).text
-            params = _parse_parameters(SList(decl.items[1:], decl.line, decl.col), self.filename)
-            self.fluents.append(FluentDecl(name, params, kind="boolean"))
-
-    def _functions(self, form: SList) -> None:
-        i = 1
-        items = form.items
-        while i < len(items):
-            entry = items[i]
-            if isinstance(entry, Symbol) and entry.text == "-":
-                # "(f ?x) - number" annotations are redundant in this subset.
-                if i + 1 < len(items) and isinstance(items[i + 1], Symbol) and items[i + 1].text == "number":
-                    i += 2
-                    continue
-                raise _unsupported("non-number function types", entry.line, entry.col, self.filename)
-            decl = expect_list(entry, "function declaration", self.filename)
-            if not decl.items:
-                raise PddlError(SYNTAX_ERROR, "empty function declaration", decl.line, decl.col, self.filename)
-            name = expect_symbol(decl.items[0], "function name", self.filename).text
-            params = _parse_parameters(SList(decl.items[1:], decl.line, decl.col), self.filename)
-            self.fluents.append(FluentDecl(name, params, kind="numeric"))
-            i += 1
-
-    def _action(self, form: SList) -> None:
-        items = form.items
-        if len(items) < 2:
-            raise PddlError(SYNTAX_ERROR, "action without a name", form.line, form.col, self.filename)
-        name = expect_symbol(items[1], "action name", self.filename).text
-        params: tuple[Parameter, ...] = ()
-        precondition: Expression = And(())
-        effects: tuple[Effect, ...] = ()
-        i = 2
-        while i < len(items):
-            key = expect_symbol(items[i], "action keyword", self.filename)
-            if i + 1 >= len(items):
-                raise PddlError(SYNTAX_ERROR, f"missing value after {key.text}", key.line, key.col, self.filename)
-            value = items[i + 1]
-            if key.text == ":parameters":
-                params = _parse_parameters(expect_list(value, "parameter list", self.filename), self.filename)
-            elif key.text == ":precondition":
-                precondition = _parse_condition(value, self.filename)
-            elif key.text == ":effect":
-                effects = _parse_effects(value, self.filename)
-            else:
-                raise _unsupported(f"action keyword {key.text}", key.line, key.col, self.filename)
-            i += 2
-        self.actions.append(ActionSchema(name, params, precondition, effects))
+def _action(form: SList, filename: str) -> ActionSchema:
+    items = form.items
+    if len(items) < 2:
+        raise PddlError(SYNTAX_ERROR, "action without a name", form.line, form.col, filename)
+    name = expect_symbol(items[1], "action name", filename).text
+    params: tuple[Parameter, ...] = ()
+    precondition: Expression = And(())
+    effects: tuple[Effect, ...] = ()
+    i = 2
+    while i < len(items):
+        key = expect_symbol(items[i], "action keyword", filename)
+        if i + 1 >= len(items):
+            raise PddlError(SYNTAX_ERROR, f"missing value after {key.text}", key.line, key.col, filename)
+        value = items[i + 1]
+        if key.text == ":parameters":
+            params = _parse_parameters(expect_list(value, "parameter list", filename).items, filename)
+        elif key.text == ":precondition":
+            precondition = _parse_condition(value, filename)
+        elif key.text == ":effect":
+            effects = _parse_effects(value, filename)
+        else:
+            raise _unsupported(f"action keyword {key.text}", key.line, key.col, filename)
+        i += 2
+    return ActionSchema(name, params, precondition, effects)
 
 
 def _atom_from(form: SList, filename: str) -> Atom:
@@ -272,7 +242,7 @@ def _parse_term(expr: SExpr, filename: str, atom_check=None) -> NumTerm:
         raise PddlError(SYNTAX_ERROR, f"expected a numeric term, got {expr.text!r}", expr.line, expr.col, filename)
     if not expr.items:
         raise PddlError(SYNTAX_ERROR, "empty numeric term", expr.line, expr.col, filename)
-    head = _head(expr, filename)
+    head = _head(expr)
     if head == "+" or head == "-":
         if len(expr.items) != 3:
             raise PddlError(SYNTAX_ERROR, f"'{head}' takes exactly two operands", expr.line, expr.col, filename)
@@ -291,7 +261,7 @@ def _parse_condition(expr: SExpr, filename: str, atom_check=None) -> Expression:
     form = expect_list(expr, "condition", filename)
     if not form.items:
         return And(())
-    head = _head(form, filename)
+    head = _head(form)
     if head == "and":
         return And(tuple(_parse_condition(c, filename, atom_check) for c in form.items[1:]))
     if head == "or":
@@ -316,7 +286,7 @@ def _parse_effects(expr: SExpr, filename: str) -> tuple[Effect, ...]:
     form = expect_list(expr, "effect", filename)
     if not form.items:
         return ()
-    if _head(form, filename) == "and":
+    if _head(form) == "and":
         out: list[Effect] = []
         for child in form.items[1:]:
             out.extend(_parse_effects(child, filename))
@@ -325,7 +295,7 @@ def _parse_effects(expr: SExpr, filename: str) -> tuple[Effect, ...]:
 
 
 def _parse_single_effect(form: SList, filename: str) -> Effect:
-    head = _head(form, filename)
+    head = _head(form)
     if head == "not":
         if len(form.items) != 2:
             raise PddlError(SYNTAX_ERROR, "'not' effect takes exactly one atom", form.line, form.col, filename)
@@ -342,26 +312,43 @@ def _parse_single_effect(form: SList, filename: str) -> Effect:
     return SetEffect(_atom_from(form, filename), value=True)
 
 
-def parse_domain(source: Union[str, PddlText], filename: Optional[str] = None) -> DomainModel:
-    return _DomainParser(as_text(source, filename)).parse()
+def parse_domain(text: str, filename: Optional[str] = None) -> DomainModel:
+    filename = filename or "<pddl>"
+    name, sections, top = _define(text, "domain", filename)
+    types: list[TypeDecl] = []
+    fluents: list[FluentDecl] = []
+    actions: list[ActionSchema] = []
+    for section in sections:
+        form = expect_list(section, "domain section", filename)
+        head = _head(form)
+        if head == ":requirements":
+            _requirements(form, filename)
+        elif head == ":types":
+            types.extend(_types(form, filename))
+        elif head == ":predicates":
+            fluents.extend(_predicates(form, filename))
+        elif head == ":functions":
+            fluents.extend(_functions(form, filename))
+        elif head == ":action":
+            actions.append(_action(form, filename))
+        elif head in (":durative-action", ":constants", ":derived", ":constraints"):
+            raise _unsupported(head, form.line, form.col, filename)
+        else:
+            raise PddlError(SYNTAX_ERROR, f"unknown domain section {head!r}", form.line, form.col, filename)
+
+    domain = DomainModel(name, tuple(types), tuple(fluents), tuple(actions))
+    leftover = validate_domain(domain)
+    if leftover:
+        raise PddlError(INVALID_MODEL, "; ".join(str(v) for v in leftover), top.line, top.col, filename)
+    return domain
 
 
-def parse_problem(source: Union[str, PddlText], domain: DomainModel, filename: Optional[str] = None) -> ProblemInstance:
-    text = as_text(source, filename)
-    fname = text.filename
-    forms = read_forms(text)
-    if len(forms) != 1:
-        raise PddlError(SYNTAX_ERROR, f"expected a single (define ...) form, found {len(forms)}", 1, 1, fname)
-    top = expect_list(forms[0], "(define ...)", fname)
-    items = top.items
-    if not items or expect_symbol(items[0], "define", fname).text != "define":
-        raise PddlError(SYNTAX_ERROR, "expected (define (problem ...) ...)", top.line, top.col, fname)
-    header = expect_list(items[1], "(problem NAME)", fname) if len(items) > 1 else None
-    if header is None or _head(header, fname) != "problem" or len(header.items) != 2:
-        raise PddlError(SYNTAX_ERROR, "expected (problem NAME) header", top.line, top.col, fname)
-    name = expect_symbol(header.items[1], "problem name", fname).text
+def parse_problem(text: str, domain: DomainModel, filename: Optional[str] = None) -> ProblemInstance:
+    filename = filename or "<pddl>"
+    name, sections, _ = _define(text, "problem", filename)
 
     objects: list[ObjectDecl] = []
+    object_names: set[str] = set()
     true_atoms: list[Atom] = []
     numerics: list[tuple[NumFluent, Fraction]] = []
     goal: Expression = And(())
@@ -370,55 +357,55 @@ def parse_problem(source: Union[str, PddlText], domain: DomainModel, filename: O
     def check_declared(atom: Atom, where: SList, expected_kind: str) -> None:
         decl = fluents.get(atom.fluent)
         if decl is None:
-            raise PddlError(UNDECLARED, f"fluent {atom.fluent} is not declared in domain {domain.name}", where.line, where.col, fname)
+            raise PddlError(UNDECLARED, f"fluent {atom.fluent} is not declared in domain {domain.name}", where.line, where.col, filename)
         if decl.kind != expected_kind:
-            raise PddlError(SYNTAX_ERROR, f"fluent {atom.fluent} is {decl.kind}, used as {expected_kind}", where.line, where.col, fname)
+            raise PddlError(SYNTAX_ERROR, f"fluent {atom.fluent} is {decl.kind}, used as {expected_kind}", where.line, where.col, filename)
         if len(atom.args) != decl.arity:
-            raise PddlError(SYNTAX_ERROR, f"fluent {atom.fluent} takes {decl.arity} arguments, got {len(atom.args)}", where.line, where.col, fname)
-        known = {o.name for o in objects}
+            raise PddlError(SYNTAX_ERROR, f"fluent {atom.fluent} takes {decl.arity} arguments, got {len(atom.args)}", where.line, where.col, filename)
         for arg in atom.args:
-            if arg not in known:
-                raise PddlError(UNDECLARED, f"object {arg} is not declared", where.line, where.col, fname)
+            if arg not in object_names:
+                raise PddlError(UNDECLARED, f"object {arg} is not declared", where.line, where.col, filename)
 
-    for section in items[2:]:
-        form = expect_list(section, "problem section", fname)
-        head = _head(form, fname)
+    for section in sections:
+        form = expect_list(section, "problem section", filename)
+        head = _head(form)
         if head == ":domain":
-            declared = expect_symbol(form.items[1], "domain name", fname).text if len(form.items) > 1 else ""
+            declared = expect_symbol(form.items[1], "domain name", filename).text if len(form.items) > 1 else ""
             if declared != domain.name:
-                raise PddlError(UNDECLARED, f"problem references domain {declared!r}, loaded domain is {domain.name!r}", form.line, form.col, fname)
+                raise PddlError(UNDECLARED, f"problem references domain {declared!r}, loaded domain is {domain.name!r}", form.line, form.col, filename)
         elif head == ":objects":
-            for sym, type_name in _parse_typed_names(form.items[1:], ":objects", fname):
-                if any(o.name == sym.text for o in objects):
-                    raise PddlError(SYNTAX_ERROR, f"object {sym.text} declared twice", sym.line, sym.col, fname)
+            for sym, type_name in _parse_typed_names(form.items[1:], ":objects", filename):
+                if sym.text in object_names:
+                    raise PddlError(SYNTAX_ERROR, f"object {sym.text} declared twice", sym.line, sym.col, filename)
+                object_names.add(sym.text)
                 objects.append(ObjectDecl(sym.text, type_name))
         elif head == ":init":
             for entry in form.items[1:]:
-                sub = expect_list(entry, "init element", fname)
-                sub_head = _head(sub, fname)
+                sub = expect_list(entry, "init element", filename)
+                sub_head = _head(sub)
                 if sub_head == "=":
                     if len(sub.items) != 3:
-                        raise PddlError(SYNTAX_ERROR, "'=' init takes a fluent and a value", sub.line, sub.col, fname)
-                    target = _atom_from(expect_list(sub.items[1], "numeric fluent", fname), fname)
+                        raise PddlError(SYNTAX_ERROR, "'=' init takes a fluent and a value", sub.line, sub.col, filename)
+                    target = _atom_from(expect_list(sub.items[1], "numeric fluent", filename), filename)
                     check_declared(target, sub, "numeric")
-                    value_sym = expect_symbol(sub.items[2], "numeric value", fname)
+                    value_sym = expect_symbol(sub.items[2], "numeric value", filename)
                     if not _NUMBER_RE.match(value_sym.text):
-                        raise PddlError(SYNTAX_ERROR, f"expected a number, got {value_sym.text!r}", value_sym.line, value_sym.col, fname)
+                        raise PddlError(SYNTAX_ERROR, f"expected a number, got {value_sym.text!r}", value_sym.line, value_sym.col, filename)
                     numerics.append((NumFluent(target.fluent, target.args), Fraction(value_sym.text)))
                 elif sub_head == "not":
-                    raise _unsupported("negated init literals (closed world)", sub.line, sub.col, fname)
+                    raise _unsupported("negated init literals (closed world)", sub.line, sub.col, filename)
                 else:
-                    atom = _atom_from(sub, fname)
+                    atom = _atom_from(sub, filename)
                     check_declared(atom, sub, "boolean")
                     true_atoms.append(atom)
         elif head == ":goal":
             if len(form.items) != 2:
-                raise PddlError(SYNTAX_ERROR, "':goal' takes exactly one condition", form.line, form.col, fname)
-            goal = _parse_condition(form.items[1], fname, atom_check=check_declared)
+                raise PddlError(SYNTAX_ERROR, "':goal' takes exactly one condition", form.line, form.col, filename)
+            goal = _parse_condition(form.items[1], filename, atom_check=check_declared)
         elif head in (":metric", ":constraints", ":length"):
-            raise _unsupported(head, form.line, form.col, fname)
+            raise _unsupported(head, form.line, form.col, filename)
         else:
-            raise PddlError(SYNTAX_ERROR, f"unknown problem section {head!r}", form.line, form.col, fname)
+            raise PddlError(SYNTAX_ERROR, f"unknown problem section {head!r}", form.line, form.col, filename)
 
     return ProblemInstance(
         domain=domain,

@@ -1,12 +1,16 @@
-"""Tokenizing and s-expression reading with source spans.
+"""S-expression reading with source spans, in one pass over the text.
 
-Identifiers are case-insensitive and normalized to lower case. Every token
-records its position so downstream diagnostics can point at the offending
-construct; parsing never crashes on arbitrary bytes, it raises `PddlError`.
+`read_forms` matches lexemes with a single regular expression and builds
+`Symbol` and `SList` nodes as it goes; there is no separate token list.
+Identifiers are case-insensitive and normalized to lower case. Every node
+records its line and column so downstream diagnostics can point at the
+offending construct; reading never crashes on arbitrary text, it raises
+`PddlError`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Optional, Union
 
 LEXICAL_ERROR = "lexical-error"
@@ -35,15 +39,6 @@ class PddlError(ValueError):
 
 
 @dataclass(frozen=True)
-class Token:
-    text: str
-    line: int
-    col: int
-    start: int  # byte offset into the source
-    end: int
-
-
-@dataclass(frozen=True)
 class Symbol:
     text: str
     line: int
@@ -62,87 +57,49 @@ class SList:
 
 SExpr = Union[Symbol, SList]
 
-_DELIMS = set("()")
-_WHITESPACE = set(" \t\r\n\f\v")
+# One lexeme per match: a parenthesis, a name, a comment or a line break.
+# Whitespace is spelled out rather than written \s, which would also take
+# \x1c-\x1f, \x85 and \xa0 out of names instead of reporting them.
+_LEXEME = re.compile(r"[()]|[^ \t\r\n\f\v();]+|;[^\n]*|\n")
 
 
-def tokenize(text: str, filename: str = "<pddl>") -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in _WHITESPACE:
-            i += 1
-            col += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _DELIMS:
-            tokens.append(Token(ch, line, col, i, i + 1))
-            i += 1
-            col += 1
-            continue
-        start = i
-        start_line, start_col = line, col
-        while i < n and text[i] not in _WHITESPACE and text[i] not in _DELIMS and text[i] != ";" and text[i] != "\n":
-            if not text[i].isprintable():
-                raise PddlError(LEXICAL_ERROR, f"unprintable byte {text[i]!r}", line, col, filename)
-            i += 1
-            col += 1
-        tokens.append(Token(text[start:i].lower(), start_line, start_col, start, i))
-    return tokens
+def read_forms(text: str, filename: str = "<pddl>") -> list[SExpr]:
+    """Read every top-level s-expression, enforcing balanced parentheses.
 
-
-@dataclass
-class PddlText:
-    """Raw source paired with its token index."""
-
-    text: str
-    filename: str = "<pddl>"
-    tokens: list[Token] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.tokens:
-            self.tokens = tokenize(self.text, self.filename)
-
-
-def read_forms(source: PddlText) -> list[SExpr]:
-    """Read every top-level s-expression, enforcing balanced parentheses."""
-    forms: list[SExpr] = []
+    A lexical error anywhere in the text wins over an unbalanced parenthesis,
+    so an unmatched ')' is only reported once the whole text is read.
+    """
     stack: list[tuple[list[SExpr], int, int]] = []
     current: list[SExpr] = []
-    for tok in source.tokens:
-        if tok.text == "(":
-            stack.append((current, tok.line, tok.col))
+    unmatched: Optional[tuple[int, int]] = None
+    line, line_start = 1, 0
+    for match in _LEXEME.finditer(text):
+        lexeme = match.group()
+        col = match.start() - line_start + 1
+        if lexeme == "(":
+            stack.append((current, line, col))
             current = []
-        elif tok.text == ")":
-            if not stack:
-                raise PddlError(UNBALANCED, "unmatched ')'", tok.line, tok.col, source.filename)
-            parent, line, col = stack.pop()
-            parent.append(SList(tuple(current), line, col))
-            current = parent
-        else:
-            current.append(Symbol(tok.text, tok.line, tok.col))
+        elif lexeme == ")":
+            if stack:
+                parent, open_line, open_col = stack.pop()
+                parent.append(SList(tuple(current), open_line, open_col))
+                current = parent
+            elif unmatched is None:
+                unmatched = (line, col)
+        elif lexeme == "\n":
+            line += 1
+            line_start = match.end()
+        elif lexeme[0] != ";":
+            if not lexeme.isprintable():
+                at = next(i for i, ch in enumerate(lexeme) if not ch.isprintable())
+                raise PddlError(LEXICAL_ERROR, f"unprintable byte {lexeme[at]!r}", line, col + at, filename)
+            current.append(Symbol(lexeme.lower(), line, col))
+    if unmatched is not None:
+        raise PddlError(UNBALANCED, "unmatched ')'", unmatched[0], unmatched[1], filename)
     if stack:
         _, line, col = stack[-1]
-        raise PddlError(UNBALANCED, "unclosed '('", line, col, source.filename)
-    forms.extend(current)
-    return forms
-
-
-def as_text(source: Union[str, PddlText], filename: Optional[str] = None) -> PddlText:
-    if isinstance(source, PddlText):
-        return source
-    return PddlText(source, filename or "<pddl>")
+        raise PddlError(UNBALANCED, "unclosed '('", line, col, filename)
+    return current
 
 
 def expect_list(expr: SExpr, what: str, filename: str) -> SList:

@@ -293,16 +293,6 @@ class GroundTask:
         return {a: nums[i] for i, a in enumerate(self.num_atoms)}
 
 
-def _comparison_form(comp: Comparison, index: dict[NumFluent, int]) -> Linear:
-    left = linearize(comp.left, index)
-    right = linearize(comp.right, index)
-    merged: dict[int, int] = dict(left.coeffs)
-    for idx, coef in right.coeffs:
-        merged[idx] = merged.get(idx, 0) - coef
-    coeffs = tuple(sorted((i, c) for i, c in merged.items() if c != 0))
-    return Linear(left.constant - right.constant, coeffs)
-
-
 # ------------------------------------------------------------ instantiation
 
 
@@ -528,7 +518,7 @@ def _compile_branch(literals, atom_index, num_index) -> Optional[Condition]:
                 return None
             neg |= 1 << idx
         elif isinstance(literal, Comparison):
-            comp = GroundComparison(literal.op, _comparison_form(literal, num_index))
+            comp = GroundComparison(literal.op, linearize(NumSub(literal.left, literal.right), num_index))
             if comp.form.coeffs:
                 num.append(comp)
             elif not comp.holds(()):

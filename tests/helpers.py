@@ -24,6 +24,10 @@ full product, the reference for the templates and static filter of
 ``planwright.planner.grounding._instantiate``. It shares with the planner
 only the branch compiler and linear forms, which also compile the goal.
 
+``reference_read_forms`` is the sixth: the original two-pass PDDL reader,
+which lexes the whole text into tokens before it matches any parenthesis,
+the reference for the one-pass ``planwright.pddl.syntax.read_forms``.
+
 ``bundled_problems`` parses the 140 bundled benchmark problems;
 ``refuel_problem`` builds a small numeric task whose actions increase,
 decrease and assign fluents; ``random_walk_states`` samples reachable states
@@ -70,7 +74,8 @@ from planwright.planner.grounding import (
 )
 
 from planwright.data_paths import benchmarks_root
-from planwright.pddl import parse_domain, parse_problem
+from planwright.pddl import PddlError, parse_domain, parse_problem
+from planwright.pddl.syntax import LEXICAL_ERROR, UNBALANCED, SList, Symbol
 
 State = tuple[frozenset, tuple]  # (true atoms, sorted ((fluent,args), value) pairs)
 
@@ -680,3 +685,63 @@ def bundled_problems() -> list[ProblemInstance]:
             if path.name != "domain.pddl":
                 problems.append(parse_problem(path.read_text(encoding="utf-8"), domain, filename=path.name))
     return problems
+
+
+def _reference_tokenize(text: str, filename: str) -> list[tuple[str, int, int]]:
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r\f\v":
+            i += 1
+            col += 1
+            continue
+        if ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch in "()":
+            tokens.append((ch, line, col))
+            i += 1
+            col += 1
+            continue
+        start = i
+        start_line, start_col = line, col
+        while i < n and text[i] not in " \t\r\n\f\v();":
+            if not text[i].isprintable():
+                raise PddlError(LEXICAL_ERROR, f"unprintable byte {text[i]!r}", line, col, filename)
+            i += 1
+            col += 1
+        tokens.append((text[start:i].lower(), start_line, start_col))
+    return tokens
+
+
+def reference_read_forms(text: str, filename: str = "<pddl>") -> list:
+    """Every top-level s-expression of ``text``, read in two passes: the whole
+    text is tokenized first, so a lexical error anywhere is reported before
+    an unbalanced parenthesis."""
+    stack = []
+    current = []
+    for token, line, col in _reference_tokenize(text, filename):
+        if token == "(":
+            stack.append((current, line, col))
+            current = []
+        elif token == ")":
+            if not stack:
+                raise PddlError(UNBALANCED, "unmatched ')'", line, col, filename)
+            parent, open_line, open_col = stack.pop()
+            parent.append(SList(tuple(current), open_line, open_col))
+            current = parent
+        else:
+            current.append(Symbol(token, line, col))
+    if stack:
+        _, line, col = stack[-1]
+        raise PddlError(UNBALANCED, "unclosed '('", line, col, filename)
+    return current

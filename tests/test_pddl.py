@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import reference_read_forms
+from planwright.data_paths import benchmarks_root
 from planwright.domains import (
     battery_grippers_domain,
     blocksworld_domain,
@@ -33,6 +35,7 @@ from planwright.pddl import (
     parse_problem,
     render_plan,
 )
+from planwright.pddl.syntax import read_forms
 
 SIZE_DOMAIN_TEXT = """
 (define (domain blocksworld)
@@ -106,6 +109,21 @@ class TestDomainCodec:
             parse_domain("(define (domain d)")
         assert err.value.code == "unbalanced-parentheses"
 
+    def test_lexical_error_beats_earlier_unmatched_paren(self):
+        with pytest.raises(PddlError) as err:
+            parse_domain("(a))\x00")
+        assert err.value.code == "lexical-error"
+
+    def test_unmatched_paren_position(self):
+        with pytest.raises(PddlError) as err:
+            parse_domain("(a))")
+        assert (err.value.code, err.value.line, err.value.col) == ("unbalanced-parentheses", 1, 4)
+
+    def test_unprintable_character_reported_at_its_column(self):
+        with pytest.raises(PddlError) as err:
+            parse_domain("(define\n  (ab\x01c))")
+        assert (err.value.code, err.value.line, err.value.col) == ("lexical-error", 2, 6)
+
     def test_either_types_unsupported(self):
         text = "(define (domain d) (:types a b - (either c d)))"
         with pytest.raises(PddlError) as err:
@@ -170,6 +188,22 @@ class TestProblemCodec:
         assert err.value.code == "undeclared-name"
         assert err.value.line == 2
 
+    def test_object_declared_twice(self):
+        domain = blocksworld_domain()
+        text = "(define (problem p) (:domain blocksworld) (:objects b1 b2 - block b1 - block) (:goal (and)))"
+        with pytest.raises(PddlError) as err:
+            parse_problem(text, domain)
+        assert err.value.code == "syntax-error"
+        assert err.value.message == "object b1 declared twice"
+
+    def test_init_before_objects_is_undeclared(self):
+        domain = blocksworld_domain()
+        text = "(define (problem p) (:domain blocksworld) (:init (on-table b1)) (:objects b1 - block) (:goal (and)))"
+        with pytest.raises(PddlError) as err:
+            parse_problem(text, domain)
+        assert err.value.code == "undeclared-name"
+        assert err.value.message == "object b1 is not declared"
+
     def test_undeclared_goal_fluent(self):
         domain = blocksworld_domain()
         text = "(define (problem p) (:domain blocksworld) (:objects b1 - block) (:goal (shiny b1)))"
@@ -208,6 +242,46 @@ class TestProblemCodec:
         b = blocksworld_problem("p", [["b2"], ["b1"]], [["b1", "b2"]])
         # same logical content entered in different order
         assert emit_problem(a) == emit_problem(b)
+
+
+_BUNDLED_TEXTS = [path.read_text(encoding="utf-8") for path in sorted(benchmarks_root().glob("*/*.pddl"))]
+_MUTANT_CHARS = ["(", ")", ";", "\n", "\t", "\r", "\x00", "\xa0", "\x0b"]
+
+
+@st.composite
+def bundled_mutants(draw):
+    """A bundled domain or problem file with characters inserted, spans
+    deleted, or the tail cut off."""
+    text = draw(st.sampled_from(_BUNDLED_TEXTS))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "truncate"]))
+        if edit == "insert":
+            text = text[:at] + draw(st.sampled_from(_MUTANT_CHARS)) + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + draw(st.integers(min_value=1, max_value=8)):]
+        else:
+            text = text[:at]
+    return text
+
+
+def _read_outcome(reader, text: str):
+    try:
+        return reader(text, "mutant.pddl")
+    except PddlError as err:
+        return (err.code, err.message, err.line, err.col)
+
+
+class TestReaderAgainstReference:
+    def test_bundled_files_read_alike(self):
+        assert len(_BUNDLED_TEXTS) == 147
+        for text in _BUNDLED_TEXTS:
+            assert read_forms(text) == reference_read_forms(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bundled_mutants())
+    def test_mutants_read_alike(self, text):
+        assert _read_outcome(read_forms, text) == _read_outcome(reference_read_forms, text)
 
 
 class TestPlanText:
