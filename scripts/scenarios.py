@@ -24,7 +24,7 @@ from planwright.ir import DomainModel, jsonio
 from planwright.memory import ProceduralStore
 from planwright.pddl import emit_domain, emit_expression
 from planwright.planner import PlanStep, SolveConfig, ground, solve
-from planwright.textworld import TextWorldEnv, kitchen_fixture, save_world
+from planwright.textworld import Entity, Location, TextWorldEnv, WorldState, state_to_json
 
 FRIDGE_MEMORY_SUMMARY = (
     "for problems involving the fridge, append a goal to close the fridge, even if not explicitly stated"
@@ -431,6 +431,25 @@ def write_scenario_files(root: Path) -> list[Path]:
             exec_recording.save(exec_path)
             written.append(exec_path)
     return written
+
+
+def kitchen_fixture() -> WorldState:
+    """The fridge-and-salmon kitchen used by the execution scenarios."""
+    return WorldState(
+        entities=(
+            Entity("fridge_305", "container"),
+            Entity("microwave", "heater"),
+            Entity("salmon", "item", Location("in", "fridge_305")),
+            Entity("pie", "item", Location("on", "counter")),
+            Entity("kitchentable", "surface"),
+            Entity("counter", "surface"),
+        ),
+        agent_at="kitchentable",
+    )
+
+
+def save_world(state: WorldState, path: Path) -> None:
+    path.write_text(json.dumps(state_to_json(state), indent=2) + "\n", encoding="utf-8")
 
 
 def executor_script_for(instructions: InstructionList) -> list[AgentMessage]:

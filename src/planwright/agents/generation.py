@@ -50,7 +50,6 @@ class ToolResolver(Protocol):
 @dataclass
 class GenerationOutcome:
     artifact: Any
-    raw: str
     turns: int
     critic_rejections: int
     critic_limit_hit: bool
@@ -119,7 +118,7 @@ def run_generation(
                 session.buffer.append(tool_result(call.id, text))
                 restart = restart or needs_restart
             if restart:
-                return GenerationOutcome(None, "", turns, rejections, False, restart=True)
+                return GenerationOutcome(None, turns, rejections, False, restart=True)
             continue
 
         try:
@@ -137,12 +136,12 @@ def run_generation(
         verdict = critic_review(response.content, CRITIC_CRITERIA, config.critic_threshold, gateway)
         events.add("critic", role, score=verdict.score, accepted=verdict.accepted, feedback=verdict.feedback)
         if verdict.accepted:
-            return GenerationOutcome(artifact, response.content, turns, rejections, False)
+            return GenerationOutcome(artifact, turns, rejections, False)
         rejections += 1
         if rejections >= config.critic_iterations:
             # Limit hit: proceed with the latest response as produced.
             events.add("critic-limit", role, rejections=rejections)
-            return GenerationOutcome(artifact, response.content, turns, rejections, True)
+            return GenerationOutcome(artifact, turns, rejections, True)
         session.buffer.append(
             user(
                 f"Reviewer feedback (score {verdict.score} below threshold {config.critic_threshold}):\n"

@@ -68,9 +68,6 @@ class GatewayMeter:
             raise CallCeilingExceeded(f"gateway call ceiling of {self.ceiling} exceeded")
         return self.gateway.chat(request)
 
-    def embed(self, text: str):
-        return self.gateway.embed(text)
-
 
 @dataclass
 class TaskSpec:
@@ -102,13 +99,16 @@ class UpstreamRequest:
 
 @dataclass
 class PipelineResult:
-    status: str
     problem: Optional[ProblemInstance]
     events: EventLog
     requests: list[UpstreamRequest] = field(default_factory=list)
     error: str = ""
     gateway_calls: int = 0
     failure_kind: str = ""  # "" | correction-limit | interaction | ceiling | validation
+
+    @property
+    def status(self) -> str:
+        return _status(self.failure_kind)
 
     @property
     def applied_requests(self) -> list[UpstreamRequest]:
@@ -298,7 +298,6 @@ def run_pipeline(
             state.goal = outcome.artifact
             return
 
-    status = STATUS_COMPLETE
     error = ""
     failure_kind = ""
     problem: Optional[ProblemInstance] = None
@@ -312,22 +311,24 @@ def run_pipeline(
         problem = ProblemInstance(state.domain, state.objects, state.init, state.goal, name=task.name)
         violations = validate(problem)
         if violations:
-            status = STATUS_FAILED
             failure_kind = "validation"
             error = "final problem failed validation: " + "; ".join(str(v) for v in violations)
             problem = None
     except CorrectionLimitReached as exc:
-        status = STATUS_CORRECTION_LIMIT
         failure_kind = "correction-limit"
         error = str(exc)
     except CallCeilingExceeded as exc:
-        status = STATUS_FAILED
         failure_kind = "ceiling"
         error = str(exc)
     except InteractionError as exc:
-        status = STATUS_FAILED
         failure_kind = "interaction"
         error = str(exc)
 
-    events.add("status", "", status=status, error=error)
-    return PipelineResult(status, problem, events, requests, error, meter.calls, failure_kind)
+    events.add("status", "", status=_status(failure_kind), error=error)
+    return PipelineResult(problem, events, requests, error, meter.calls, failure_kind)
+
+
+def _status(failure_kind: str) -> str:
+    if not failure_kind:
+        return STATUS_COMPLETE
+    return STATUS_CORRECTION_LIMIT if failure_kind == "correction-limit" else STATUS_FAILED

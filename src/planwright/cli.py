@@ -6,11 +6,15 @@ Exit codes are scripting-stable:
   2   no plan (unsolvable or search budget exhausted)
   3   execution aborted by the validator
   64  configuration error, including a malformed input file (task,
-      config, fixture, instructions, problem or world JSON)
+      config, fixture, instructions, problem or world JSON) and an
+      --out-dir that cannot be created
   65  interaction failure (user answers unavailable/exhausted)
   70  internal error
 Every nonzero path leaves a machine-readable failure record in the run
-directory (or on stderr when no run directory exists yet).
+directory (or on stderr when no run directory exists yet). `main` alone
+opens the run directory and ends it: a command returns on success and
+raises on any other outcome. In record mode `plan` and `execute` save the
+transcript on every exit once their inputs have been accepted.
 """
 from __future__ import annotations
 
@@ -66,9 +70,28 @@ class ConfigError(ValueError):
     pass
 
 
+class _Exit(Exception):
+    """A nonzero outcome of a command: its exit code and failure record."""
+
+    def __init__(self, code: int, stage: str, failure: str, message: str):
+        super().__init__(message)
+        self.code = code
+        self.stage = stage
+        self.failure = failure
+
+
+def _config_exit(exc: Exception) -> _Exit:
+    return _Exit(EX_CONFIG, "config", "config-error", str(exc))
+
+
+def _stderr_record(code: str, message: str) -> None:
+    """The failure record of a run that has no run directory to hold it."""
+    sys.stderr.write(json.dumps({"stage": "config", "code": code, "message": message}) + "\n")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 64, not argparse's default 2
-        sys.stderr.write(json.dumps({"stage": "config", "code": "usage", "message": message}) + "\n")
+        _stderr_record("usage", message)
         raise SystemExit(EX_CONFIG)
 
 
@@ -225,9 +248,7 @@ def _config_snapshot(args, run: RunDirectory) -> dict:
 # ----------------------------------------------------------------- plan
 
 
-def cmd_plan(args) -> int:
-    run = RunDirectory(args.out_dir, "plan", {})
-    run.config_snapshot = _config_snapshot(args, run)
+def cmd_plan(args, run: RunDirectory) -> None:
     try:
         task = TaskSpec.from_json(jsonio.read_object(Path(args.task).read_text(encoding="utf-8")))
         gateway, recording, fixture_out = _gateway_for(args)
@@ -244,9 +265,7 @@ def cmd_plan(args) -> int:
             correction_limit=args.correction_limit, critic_threshold=args.tau, critic_iterations=args.critic_iterations
         )
     except (ConfigError, PddlError, OSError, ValueError) as exc:
-        run.fail("config", "config-error", str(exc))
-        run.finalize(EX_CONFIG)
-        return EX_CONFIG
+        raise _config_exit(exc) from exc
 
     try:
         run.start("pipeline")
@@ -254,12 +273,9 @@ def cmd_plan(args) -> int:
         run.stop("pipeline")
         run.write_json("pipeline_result.json", result.to_json())
 
-        if result.status != "complete":
+        if result.failure_kind:
             code = EX_INTERACTION if result.failure_kind == "interaction" else EX_TASK_FAILED
-            run.fail("pipeline", result.failure_kind or result.status, result.error)
-            _save_fixture(recording, fixture_out)
-            run.finalize(code)
-            return code
+            raise _Exit(code, "pipeline", result.failure_kind, result.error)
 
         problem = result.problem
         run.write_text("domain.pddl", emit_domain(problem.domain))
@@ -270,48 +286,31 @@ def cmd_plan(args) -> int:
         try:
             task_ground = ground(problem)
         except GroundingError as exc:
-            run.fail("solve", "grounding-error", str(exc))
-            _save_fixture(recording, fixture_out)
-            run.finalize(EX_TASK_FAILED)
-            return EX_TASK_FAILED
+            raise _Exit(EX_TASK_FAILED, "solve", "grounding-error", str(exc)) from exc
         outcome = solve(task_ground, solve_cfg)
         run.stop("solve")
         run.add_timing("solve_wall", outcome.wall_time)
         run.write_json("outcome.json", outcome.to_json())
 
         if outcome.status != "plan":
-            run.fail("solve", outcome.status, f"no plan for goal {emit_expression(problem.goal)}")
-            _save_fixture(recording, fixture_out)
-            run.finalize(EX_UNSOLVABLE)
-            return EX_UNSOLVABLE
+            raise _Exit(EX_UNSOLVABLE, "solve", outcome.status, f"no plan for goal {emit_expression(problem.goal)}")
 
         verdict = validate_plan(problem, outcome.plan)
         if isinstance(verdict, Invalid):
-            run.fail("solve", "invalid-plan", f"solver returned an invalid plan: step {verdict.step_index}, {verdict.violated}")
-            _save_fixture(recording, fixture_out)
-            run.finalize(EX_INTERNAL)
-            return EX_INTERNAL
+            message = f"solver returned an invalid plan: step {verdict.step_index}, {verdict.violated}"
+            raise _Exit(EX_INTERNAL, "solve", "invalid-plan", message)
         run.write_text("plan.txt", render_plan(outcome.plan))
 
         translator_gateway = gateway if args.translate == "llm" else None
         instructions = translate_plan(outcome.plan, problem.domain, translator_gateway)
         run.write_json("instructions.json", instructions.to_json())
         run.write_text("instructions.txt", instructions.render())
-
+    finally:
         _save_fixture(recording, fixture_out)
-        run.finalize(EX_OK)
-        return EX_OK
-    except (FingerprintMismatch, ScriptExhausted) as exc:
-        run.fail("gateway", "fixture-divergence", str(exc))
-        run.finalize(EX_INTERNAL)
-        return EX_INTERNAL
-    except Exception as exc:  # keep the exit-code map total
-        run.fail("internal", type(exc).__name__, str(exc))
-        run.finalize(EX_INTERNAL)
-        return EX_INTERNAL
 
 
 def _save_fixture(recording: Optional[Transcript], target: Optional[Path]) -> None:
+    """Save what record mode captured, whatever the outcome of the run."""
     if recording is not None and target is not None:
         target.parent.mkdir(parents=True, exist_ok=True)
         recording.save(target)
@@ -320,9 +319,7 @@ def _save_fixture(recording: Optional[Transcript], target: Optional[Path]) -> No
 # ----------------------------------------------------------------- execute
 
 
-def cmd_execute(args) -> int:
-    run = RunDirectory(args.out_dir, "execute", {})
-    run.config_snapshot = _config_snapshot(args, run)
+def cmd_execute(args, run: RunDirectory) -> None:
     try:
         artifacts = Path(args.artifacts)
         instructions = InstructionList.from_json(jsonio.read_object((artifacts / "instructions.json").read_text(encoding="utf-8")))
@@ -331,9 +328,7 @@ def cmd_execute(args) -> int:
         goal_text = emit_expression(problem.goal)
         gateway, recording, fixture_out = _gateway_for(args)
     except (ConfigError, OSError, ValueError) as exc:
-        run.fail("config", "config-error", str(exc))
-        run.finalize(EX_CONFIG)
-        return EX_CONFIG
+        raise _config_exit(exc) from exc
 
     try:
         run.start("execute")
@@ -344,29 +339,16 @@ def cmd_execute(args) -> int:
         run.write_json("execution_log.json", report.log.to_json())
         run.write_json("verdict.json", report.verdict.to_json())
         run.write_json("world_final.json", state_to_json(env.state))
+    finally:
         _save_fixture(recording, fixture_out)
-        if report.verdict.decision == "goal-met":
-            run.finalize(EX_OK)
-            return EX_OK
-        run.fail("execute", "validator-abort", report.verdict.notification)
-        run.finalize(EX_EXEC_ABORT)
-        return EX_EXEC_ABORT
-    except (FingerprintMismatch, ScriptExhausted) as exc:
-        run.fail("gateway", "fixture-divergence", str(exc))
-        run.finalize(EX_INTERNAL)
-        return EX_INTERNAL
-    except Exception as exc:
-        run.fail("internal", type(exc).__name__, str(exc))
-        run.finalize(EX_INTERNAL)
-        return EX_INTERNAL
+    if report.verdict.decision != "goal-met":
+        raise _Exit(EX_EXEC_ABORT, "execute", "validator-abort", report.verdict.notification)
 
 
 # ----------------------------------------------------------------- bench
 
 
-def cmd_bench(args) -> int:
-    run = RunDirectory(args.out_dir, "bench", {})
-    run.config_snapshot = _config_snapshot(args, run)
+def cmd_bench(args, run: RunDirectory) -> None:
     try:
         if args.suite:
             suite_dir = Path(args.suite)
@@ -393,10 +375,8 @@ def cmd_bench(args) -> int:
         if args.repeat < 1:
             raise ConfigError("--repeat must be >= 1")
         cfg = SolveConfig(args.strategy, args.heuristic, args.node_budget, args.time_budget)
-    except (ConfigError, ValueError) as exc:
-        run.fail("config", "config-error", str(exc))
-        run.finalize(EX_CONFIG)
-        return EX_CONFIG
+    except (ConfigError, OSError, ValueError) as exc:
+        raise _config_exit(exc) from exc
     report_rows = []
     run.start("bench")
     for name, domain_path, problem_paths in entries:
@@ -449,14 +429,15 @@ def cmd_bench(args) -> int:
     report = {"rows": report_rows, "repeat": args.repeat}
     run.write_json("bench_report.json", report)
     _print_bench_table(report_rows)
-    run.finalize(EX_OK)
-    return EX_OK
 
 
 def _print_bench_table(rows) -> None:
     print(f"{'domain':<16} {'solved':>6} {'attempted':>9} {'percent':>8}")
     for row in rows:
         print(f"{row['domain']:<16} {row['solved']:>6} {row['attempted']:>9} {row['percent']:>7.1f}%")
+
+
+COMMANDS = {"plan": cmd_plan, "execute": cmd_execute, "bench": cmd_bench}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -466,24 +447,33 @@ def main(argv: Optional[list[str]] = None) -> int:
         _preload_config(argv, subparsers)
         config_error = None
     except ConfigError as exc:
-        sys.stderr.write(json.dumps({"stage": "config", "code": "config-error", "message": str(exc)}) + "\n")
+        _stderr_record("config-error", str(exc))
         config_error = exc
     # A rejected config file installs no defaults; parsing the flags alone
     # still finds --out-dir, so the error is recorded like any other.
     args = parser.parse_args(argv)
-    if config_error is not None:
+    try:
         run = RunDirectory(args.out_dir, args.command, {})
-        run.config_snapshot = _config_snapshot(args, run)
-        run.fail("config", "config-error", str(config_error))
-        run.finalize(EX_CONFIG)
+    except OSError as exc:
+        _stderr_record("config-error", f"cannot create run directory {args.out_dir}: {exc}")
         return EX_CONFIG
-    if args.command == "plan":
-        return cmd_plan(args)
-    if args.command == "execute":
-        return cmd_execute(args)
-    if args.command == "bench":
-        return cmd_bench(args)
-    return EX_CONFIG
+    run.config_snapshot = _config_snapshot(args, run)
+    failure: Optional[_Exit] = None
+    try:
+        if config_error is not None:
+            raise _config_exit(config_error)
+        COMMANDS[args.command](args, run)
+    except _Exit as exc:
+        failure = exc
+    except (FingerprintMismatch, ScriptExhausted) as exc:
+        failure = _Exit(EX_INTERNAL, "gateway", "fixture-divergence", str(exc))
+    except Exception as exc:  # keep the exit-code map total
+        failure = _Exit(EX_INTERNAL, "internal", type(exc).__name__, str(exc))
+    if failure is not None:
+        run.fail(failure.stage, failure.failure, str(failure))
+    code = EX_OK if failure is None else failure.code
+    run.finalize(code)
+    return code
 
 
 if __name__ == "__main__":

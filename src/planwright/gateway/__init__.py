@@ -1,7 +1,7 @@
 """Single seam over chat-with-tools backends, with recording and replay."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .backends import Backend, BackendError, LiveBackend, ReplayBackend, ScriptExhausted, ScriptedBackend
@@ -46,7 +46,6 @@ class Gateway:
     """
 
     backend: Backend
-    embedder: Embedder = field(default_factory=HashedBagOfWordsEmbedder)
     recording: Optional[Transcript] = None
 
     def chat(self, request: ChatRequest) -> AgentMessage:
@@ -67,20 +66,9 @@ class Gateway:
             raise ToolArgumentError(problems, response)
         return response
 
-    def embed(self, text: str) -> tuple:
-        vector = self.embedder.embed(text)
-        if self.recording is not None and not self.embedder.deterministic:
-            self.recording.embeddings[text] = tuple(vector)
-        return vector
-
 
 def replay_gateway(transcript: Transcript) -> Gateway:
-    embedder: Embedder
-    if transcript.embeddings:
-        embedder = FixtureEmbedder(transcript.embeddings)
-    else:
-        embedder = HashedBagOfWordsEmbedder()
-    return Gateway(ReplayBackend(transcript), embedder)
+    return Gateway(ReplayBackend(transcript))
 
 
 __all__ = [

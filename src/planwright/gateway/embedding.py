@@ -17,7 +17,6 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 class Embedder(Protocol):
     id: str
     dimension: int
-    deterministic: bool
 
     def embed(self, text: str) -> tuple: ...
 
@@ -28,7 +27,6 @@ class HashedBagOfWordsEmbedder:
     def __init__(self, dimension: int = 256):
         self.dimension = dimension
         self.id = f"hashed-bow-{dimension}"
-        self.deterministic = True
 
     def tokenize(self, text: str) -> list[str]:
         return _TOKEN_RE.findall(text.lower())
@@ -50,7 +48,6 @@ class FixtureEmbedder:
     def __init__(self, vectors: dict[str, Sequence], source_id: str = "fixture"):
         self.vectors = {k: tuple(v) for k, v in vectors.items()}
         self.id = source_id
-        self.deterministic = True
         self.dimension = len(next(iter(self.vectors.values()))) if self.vectors else 0
 
     def embed(self, text: str) -> tuple:

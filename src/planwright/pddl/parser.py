@@ -75,7 +75,7 @@ KNOWN_UNSUPPORTED_REQUIREMENTS = {
     ":constraints",
 }
 
-_NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?$")
+_NUMBER_RE = re.compile(r"^-?[0-9]+(\.[0-9]+)?$")
 
 COMPARISONS = ("<", "<=", "=", ">=", ">")
 NUMERIC_EFFECTS = ("increase", "decrease", "assign")

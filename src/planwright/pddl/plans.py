@@ -14,7 +14,7 @@ from .syntax import MALFORMED_STEP, PddlError
 
 _CALL_RE = re.compile(r"^(?P<name>[a-zA-Z_][\w-]*)\s*\((?P<args>[^()]*)\)$")
 _SEXP_RE = re.compile(r"^\(\s*(?P<body>[^()]*)\)$")
-_INDEX_RE = re.compile(r"^\d+[.):]\s*")
+_INDEX_RE = re.compile(r"^[0-9]+[.):]\s*")
 
 
 def parse_plan(text: str, filename: str = "<plan>") -> Plan:

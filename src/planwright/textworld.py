@@ -7,7 +7,6 @@ state, and a failed skill returns the state unchanged.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -344,22 +343,3 @@ def state_from_json(data: Any) -> WorldState:
 
 def load_world(path: Union[str, Path]) -> WorldState:
     return state_from_json(jsonio.read_object(Path(path).read_text(encoding="utf-8")))
-
-
-def save_world(state: WorldState, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(state_to_json(state), indent=2) + "\n", encoding="utf-8")
-
-
-def kitchen_fixture() -> WorldState:
-    """The fridge-and-salmon kitchen used by the execution scenarios."""
-    return WorldState(
-        entities=(
-            Entity("fridge_305", "container"),
-            Entity("microwave", "heater"),
-            Entity("salmon", "item", Location("in", "fridge_305")),
-            Entity("pie", "item", Location("on", "counter")),
-            Entity("kitchentable", "surface"),
-            Entity("counter", "surface"),
-        ),
-        agent_at="kitchentable",
-    )

@@ -214,7 +214,8 @@ class TestExecuteCommand:
         gw = Gateway(ScriptedBackend(responses), recording=recording)
         from planwright.abstraction import InstructionList
         from planwright.executor import run_execution
-        from planwright.textworld import TextWorldEnv, kitchen_fixture
+        from planwright.textworld import TextWorldEnv
+        from scenarios import kitchen_fixture
 
         run_execution(InstructionList(()), TextWorldEnv(kitchen_fixture(), And(())), gw, "(and)")
         fixture = tmp_path / "noop_fixture.json"
@@ -563,6 +564,62 @@ class TestConfigFile:
             "--temperature", "3.5",
         ])
         assert code == 64
+
+
+class TestExitPaths:
+    """Every exit leaves its record, wherever the run stops."""
+
+    def test_out_dir_that_is_a_file_is_config_error_on_stderr(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        assert main(plan_args("color", blocker)) == 64
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert (record["stage"], record["code"]) == ("config", "config-error")
+        assert record["message"].startswith(f"cannot create run directory {blocker}")
+        assert blocker.read_text() == "not a directory"
+
+    def test_unreadable_suite_is_config_error(self, tmp_path, monkeypatch):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        listdir = Path.iterdir
+
+        def iterdir(self):
+            if self == suite:
+                raise PermissionError(13, "Permission denied", str(self))
+            return listdir(self)
+
+        monkeypatch.setattr(Path, "iterdir", iterdir)
+        out = tmp_path / "bench"
+        assert main(["bench", "--suite", str(suite), "--out-dir", str(out)]) == 64
+        failure = json.loads((out / "failure.json").read_text())
+        assert (failure["stage"], failure["code"]) == ("config", "config-error")
+        assert "Permission denied" in failure["message"]
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 64
+
+    def test_record_mode_saves_transcript_on_internal_error(self, tmp_path, monkeypatch):
+        from planwright.gateway import ChatRequest, system, user
+
+        monkeypatch.setattr("planwright.cli.LiveBackend", lambda **kwargs: ScriptedBackend([assistant("hello")]))
+
+        def failing_pipeline(task, config, gateway, **kwargs):
+            gateway.chat(ChatRequest(messages=(system("s"), user("u"))))
+            raise RuntimeError("pipeline blew up")
+
+        monkeypatch.setattr("planwright.cli.run_pipeline", failing_pipeline)
+        d = scenario_dir("color")
+        fixture = tmp_path / "recorded.json"
+        out = tmp_path / "run"
+        code = main([
+            "plan", "--task", str(d / "task.json"), "--mode", "record", "--model", "gpt-test",
+            "--fixture", str(fixture), "--out-dir", str(out),
+        ])
+        assert code == 70
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure == {"stage": "internal", "code": "RuntimeError", "message": "pipeline blew up"}
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 70
+        assert [e.response.content for e in Transcript.load(fixture).exchanges] == ["hello"]
 
 
 class TestRecordThenReplay:

@@ -9,8 +9,8 @@ from planwright.gateway import Gateway, ScriptedBackend, ToolCall, assistant
 from planwright.ir import And, Atom
 from planwright.pddl import emit_expression
 from planwright.planner import PlanStep, SolveConfig, ground, solve
-from planwright.textworld import TextWorldEnv, kitchen_fixture
-from scenarios import executor_script_for
+from planwright.textworld import TextWorldEnv
+from scenarios import executor_script_for, kitchen_fixture
 
 
 def instruction(text: str, step: PlanStep, index: int = 1) -> Instruction:

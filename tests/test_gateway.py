@@ -137,8 +137,7 @@ class TestRecordReplay:
 
 class TestEmbedder:
     def test_self_similarity_is_one(self):
-        gateway = Gateway(ScriptedBackend([]))
-        v = gateway.embed("close the fridge goal")
+        v = HashedBagOfWordsEmbedder().embed("close the fridge goal")
         dot = sum(a * b for a, b in zip(v, v))
         assert math.isclose(dot / (math.sqrt(dot) * math.sqrt(dot)), 1.0)
 

@@ -175,6 +175,18 @@ class TestProblemCodec:
         problem = parse_problem(text, domain)
         assert problem.init.numeric_map()[NumFluent("battery_level", ("robot1",))] == Fraction(100)
 
+    def test_non_ascii_digits_are_not_a_number(self):
+        domain = battery_grippers_domain()
+        text = """
+        (define (problem p) (:domain grippers-battery)
+          (:objects robot1 - robot room1 - room)
+          (:init (= (battery_level robot1) \u0663\u0660))
+          (:goal (and)))
+        """
+        with pytest.raises(PddlError) as err:
+            parse_problem(text, domain)
+        assert err.value.message == "expected a number, got '\u0663\u0660'"
+
     def test_trivial_goal(self):
         domain = blocksworld_domain()
         problem = parse_problem("(define (problem p) (:domain blocksworld) (:goal (and)))", domain)
@@ -300,6 +312,11 @@ class TestPlanText:
     def test_numbered_lines_accepted(self):
         plan = parse_plan("1. pick-up(b1)\n2. stack(b1, b2)\n")
         assert len(plan.steps) == 2
+
+    def test_non_ascii_step_number_is_not_stripped(self):
+        with pytest.raises(PddlError) as err:
+            parse_plan("\u0661. (pick-up b1)")
+        assert err.value.code == "malformed-step"
 
     def test_malformed_step_has_line(self):
         with pytest.raises(PddlError) as err:

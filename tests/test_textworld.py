@@ -12,11 +12,10 @@ from planwright.textworld import (
     apply_skill,
     check_goal,
     describe_state,
-    kitchen_fixture,
     load_world,
-    save_world,
     state_to_json,
 )
+from scenarios import kitchen_fixture, save_world
 
 SALMON_GOAL = And(
     (
