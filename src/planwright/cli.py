@@ -19,11 +19,12 @@ transcript on every exit once their inputs have been accepted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 from . import __version__
 from .abstraction import InstructionList, translate_plan
@@ -95,7 +96,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_CONFIG)
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers, built once per process: every
+    in-process `main` call shares them, so none may leave state on them."""
     parser = _Parser(prog="planwright", description="Adaptive task planning pipeline.")
     parser.add_argument("--version", action="version", version=f"planwright {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -148,9 +152,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, subparsers
 
 
-def _preload_config(argv: list[str], subparsers: dict[str, argparse.ArgumentParser]) -> None:
-    """Install config-file values as subparser defaults before parsing, so
-    explicitly passed flags always win over the file."""
+def _preload_config(argv: list[str], subparsers: dict[str, argparse.ArgumentParser]) -> list[tuple[argparse.Action, Any]]:
+    """The config file's values, each paired with the subcommand action it
+    sets; `_parse_args` makes them that action's default."""
     config_path: Optional[str] = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
@@ -159,20 +163,33 @@ def _preload_config(argv: list[str], subparsers: dict[str, argparse.ArgumentPars
             config_path = token.split("=", 1)[1]
     command = next((t for t in argv if t in subparsers), None)
     if config_path is None or command is None:
-        return
+        return []
     try:
         data = jsonio.read_object(Path(config_path).read_text(encoding="utf-8"))
     except (OSError, jsonio.IRDecodeError) as exc:
         raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
-    target = subparsers[command]
-    actions = {a.dest: a for a in target._actions}
-    overrides = {}
+    actions = {a.dest: a for a in subparsers[command]._actions}
+    defaults = []
     for key, value in data.items():
         attr = key.replace("-", "_")
         if attr not in actions:
             raise ConfigError(f"unknown config key {key!r}")
-        overrides[attr] = _config_value(key, value, actions[attr])
-    target.set_defaults(**overrides)
+        defaults.append((actions[attr], _config_value(key, value, actions[attr])))
+    return defaults
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str], defaults: list[tuple[argparse.Action, Any]]) -> argparse.Namespace:
+    """Parse ``argv`` with config-file values as defaults, so explicitly
+    passed flags always win over the file. The parser is shared by every
+    `main` call in the process, so each action gets its own default back."""
+    saved = [(action, action.default) for action, _ in defaults]
+    for action, value in defaults:
+        action.default = value
+    try:
+        return parser.parse_args(argv)
+    finally:
+        for action, value in saved:
+            action.default = value
 
 
 def _config_value(key: str, value, action: argparse.Action):
@@ -444,14 +461,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subparsers = build_parser()
     try:
-        _preload_config(argv, subparsers)
+        defaults = _preload_config(argv, subparsers)
         config_error = None
     except ConfigError as exc:
         _stderr_record("config-error", str(exc))
-        config_error = exc
+        defaults, config_error = [], exc
     # A rejected config file installs no defaults; parsing the flags alone
     # still finds --out-dir, so the error is recorded like any other.
-    args = parser.parse_args(argv)
+    args = _parse_args(parser, argv, defaults)
     try:
         run = RunDirectory(args.out_dir, args.command, {})
     except OSError as exc:

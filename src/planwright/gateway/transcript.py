@@ -64,7 +64,7 @@ class Transcript:
         }
 
     def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8")
+        Path(path).write_text(jsonio.dumps(self.to_json()), encoding="utf-8")
 
     @staticmethod
     def from_json(data: Any) -> "Transcript":

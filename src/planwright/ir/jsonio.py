@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Union
 
 from .model import (
@@ -45,8 +46,46 @@ class IRDecodeError(ValueError):
     """Raised when a JSON document does not describe a valid IR value."""
 
 
+_encode_scalar = json.JSONEncoder().encode
+
+
 def dumps(payload: Any) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte.
+
+    With ``indent`` set, ``json.dumps`` falls back to its pure-Python
+    encoder. Here containers are walked in Python and each is built with one
+    join, while every leaf goes through the C encoder functions. Every JSON
+    file and prompt document the package writes comes through here.
+    """
+    return _encode(payload, "\n") + "\n"
+
+
+def _encode(value: Any, newline: str) -> str:
+    # Checked in json.encoder's order: str, then numbers, lists, dicts.
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None or isinstance(value, (int, float)):
+        return _encode_scalar(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_encode(item, inner) for item in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [_encode_key(key) + ": " + _encode(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _encode_key(key: Any) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _encode_scalar(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 # ---------------------------------------------------------------- encoding

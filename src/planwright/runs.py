@@ -14,6 +14,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Optional, Union
 
+from .ir import jsonio
+
 MANIFEST_NAME = "manifest.json"
 FAILURE_NAME = "failure.json"
 
@@ -53,7 +55,7 @@ class RunDirectory:
         return target
 
     def write_json(self, name: str, payload: Any) -> Path:
-        return self.write_text(name, json.dumps(payload, indent=2) + "\n")
+        return self.write_text(name, jsonio.dumps(payload))
 
     def fail(self, stage: str, code: str, message: str) -> None:
         self.write_json(FAILURE_NAME, {"stage": stage, "code": code, "message": message})

@@ -443,6 +443,17 @@ class TestConfigFile:
         assert manifest["config"]["heuristic"] == "blind"  # flag beat the file
         assert manifest["config"]["mode"] == "replay"
 
+    def test_config_values_do_not_outlive_their_run(self, tmp_path):
+        """Every `main` call in a process shares one parser, so a config
+        file's values must not become the defaults of the next run."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"node_budget": 7}))
+        with_config, without = tmp_path / "with", tmp_path / "without"
+        main(plan_args("color", with_config, config=config))
+        assert main(plan_args("color", without)) == 0
+        budgets = [json.loads((out / "manifest.json").read_text())["config"]["node_budget"] for out in (with_config, without)]
+        assert budgets == [7, 1_000_000]
+
     @staticmethod
     def assert_config_error_recorded(out: Path, message: str) -> None:
         """A --config error leaves the run directory every other config error leaves."""

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from planwright.ir import (
     ActionSchema,
@@ -255,6 +258,63 @@ class TestJsonCodec:
             jsonio.term_from_json({"op": "const", "value": 2.5})
         with pytest.raises(jsonio.IRDecodeError, match="'kind' must be str"):
             jsonio.fluent_from_json({"name": "f", "kind": 5})
+
+
+_ODD_STRINGS = st.sampled_from(['"', "\\", "\x00", "\x1f\x7f", "\n\t\r", " ", "é ß", "\U0001f600", ""])
+_ODD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324])
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(),
+    _ODD_FLOATS,
+    st.text(),
+    _ODD_STRINGS,
+)
+_KEYS = st.one_of(st.text(), _ODD_STRINGS, st.integers(), st.floats(), _ODD_FLOATS, st.booleans(), st.none())
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestDumps:
+    """`jsonio.dumps` is `json.dumps(x, indent=2) + "\\n"`, byte for byte."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_DOCUMENTS)
+    def test_matches_json_dumps(self, document):
+        from planwright.ir import jsonio
+
+        assert jsonio.dumps(document) == json.dumps(document, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "document",
+        [[], {}, (), [[]], {"a": {}}, [(), {}], {"k": [1, {"n": None}]}, {1: "i", 1.5: "f", True: "b", None: "n"}],
+    )
+    def test_shapes(self, document):
+        from planwright.ir import jsonio
+
+        assert jsonio.dumps(document) == json.dumps(document, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "document",
+        [Fraction(1, 3), {1, 2}, b"bytes", [1, {"x": Fraction(1, 2)}], {"x": {"y"}}, {(1, 2): 1}, {Fraction(1, 2): 1}],
+        ids=["fraction", "set", "bytes", "nested-fraction", "nested-set", "tuple-key", "fraction-key"],
+    )
+    def test_unsupported_value_is_type_error(self, document):
+        from planwright.ir import jsonio
+
+        with pytest.raises(TypeError):
+            json.dumps(document, indent=2)
+        with pytest.raises(TypeError):
+            jsonio.dumps(document)
 
 
 class TestGroundAtoms:
