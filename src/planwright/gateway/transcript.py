@@ -48,7 +48,6 @@ class Exchange:
 @dataclass
 class Transcript:
     exchanges: list[Exchange] = field(default_factory=list)
-    embeddings: dict[str, tuple] = field(default_factory=dict)
 
     def append(self, fp: str, response: AgentMessage) -> None:
         self.exchanges.append(Exchange(fp, response))
@@ -60,7 +59,6 @@ class Transcript:
                 {"fingerprint": e.fingerprint, "response": e.response.to_json()}
                 for e in self.exchanges
             ],
-            "embeddings": {text: list(vec) for text, vec in sorted(self.embeddings.items())},
         }
 
     def save(self, path: Union[str, Path]) -> None:
@@ -76,9 +74,7 @@ class Transcript:
             # Replay is positional, so the same fingerprint may legitimately
             # recur when two identical requests happen at different points.
             exchanges.append(Exchange(jsonio.field(entry, "fingerprint", str), AgentMessage.from_json(jsonio.field(entry, "response", dict))))
-        recorded = jsonio.field(data, "embeddings", dict, {})
-        embeddings = {text: jsonio.tuple_of(recorded, text, (int, float)) for text in recorded}
-        return Transcript(exchanges, embeddings)
+        return Transcript(exchanges)
 
     @staticmethod
     def load(path: Union[str, Path]) -> "Transcript":

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -133,6 +134,19 @@ class TestRecordReplay:
         loaded = Transcript.load(path)
         assert loaded.exchanges[0].fingerprint == fingerprint(req)
         assert Gateway(ReplayBackend(loaded)).chat(req).content == "x"
+
+    def test_fixture_with_embeddings_key_still_loads(self, tmp_path):
+        """Fixtures once carried an ``embeddings`` map; one that still does
+        replays as before, and a saved transcript no longer writes the key."""
+        recording = Transcript()
+        req = simple_request(user("one"))
+        Gateway(ScriptedBackend([assistant("x")]), recording=recording).chat(req)
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(recording.to_json() | {"embeddings": {"fridge": [0.5, 1]}}), encoding="utf-8")
+        loaded = Transcript.load(path)
+        assert Gateway(ReplayBackend(loaded)).chat(req).content == "x"
+        loaded.save(path)
+        assert "embeddings" not in json.loads(path.read_text(encoding="utf-8"))
 
 
 class TestEmbedder:
