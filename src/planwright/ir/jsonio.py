@@ -54,8 +54,9 @@ def dumps(payload: Any) -> str:
 
     With ``indent`` set, ``json.dumps`` falls back to its pure-Python
     encoder. Here containers are walked in Python and each is built with one
-    join, while every leaf goes through the C encoder functions. Every JSON
-    file and prompt document the package writes comes through here.
+    join, while every leaf goes through the C encoder functions. Every
+    indented document the package writes comes through here: run-directory
+    files, recorded fixtures and the JSON in agent prompts.
     """
     return _encode(payload, "\n") + "\n"
 
