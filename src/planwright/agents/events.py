@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass
+@dataclass(eq=False)
 class PipelineEvent:
     kind: str  # chat | tool-call | user-query | edit | memory-store | retrieval | critic | status
     agent: str = ""

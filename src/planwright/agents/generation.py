@@ -47,7 +47,7 @@ class ToolResolver(Protocol):
         """Resolve a tool call; returns (result text, restart needed)."""
 
 
-@dataclass
+@dataclass(eq=False)
 class GenerationOutcome:
     artifact: Any
     turns: int

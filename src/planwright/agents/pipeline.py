@@ -69,7 +69,7 @@ class GatewayMeter:
         return self.gateway.chat(request)
 
 
-@dataclass
+@dataclass(eq=False)
 class TaskSpec:
     name: str
     domain_description: str
@@ -86,7 +86,7 @@ class TaskSpec:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class UpstreamRequest:
     origin: str
     tool: str
@@ -97,7 +97,7 @@ class UpstreamRequest:
         return {"origin": self.origin, "tool": self.tool, "arguments": self.arguments, "outcome": self.outcome}
 
 
-@dataclass
+@dataclass(eq=False)
 class PipelineResult:
     problem: Optional[ProblemInstance]
     events: EventLog

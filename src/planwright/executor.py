@@ -28,7 +28,7 @@ from .ir import jsonio
 from .textworld import TextWorldEnv
 
 
-@dataclass
+@dataclass(eq=False)
 class StepRecord:
     instruction_index: int
     thought: str
@@ -60,7 +60,7 @@ class StepOutcome:
     reason: str = ""
 
 
-@dataclass
+@dataclass(eq=False)
 class ExecutionLog:
     records: list[StepRecord] = field(default_factory=list)
     status: str = "completed"  # completed | stopped-at-N
@@ -200,7 +200,7 @@ def validate_execution(
     return ValidatorVerdict("abort", notification=f"validator returned unknown decision {decision!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class ExecutionReport:
     log: ExecutionLog
     verdict: ValidatorVerdict

@@ -34,7 +34,7 @@ class ToolArgumentError(ValueError):
         super().__init__("; ".join(problems))
 
 
-@dataclass
+@dataclass(eq=False)
 class Gateway:
     """Validates requests, dispatches to a backend, and optionally records.
 

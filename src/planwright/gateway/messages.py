@@ -17,7 +17,7 @@ class MessageError(ValueError):
     """A message or request violates the conversational invariants."""
 
 
-@dataclass
+@dataclass(eq=False)
 class ToolParam:
     """One tool argument; every argument is a required string."""
 
@@ -25,7 +25,7 @@ class ToolParam:
     description: str = ""
 
 
-@dataclass
+@dataclass(eq=False)
 class ToolSchema:
     name: str
     description: str = ""
@@ -56,7 +56,7 @@ class ToolSchema:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class ToolCall:
     id: str
     name: str
@@ -70,7 +70,7 @@ class ToolCall:
         return ToolCall(jsonio.field(data, "id", str), jsonio.field(data, "name", str), dict(jsonio.field(data, "arguments", dict, {})))
 
 
-@dataclass
+@dataclass(eq=False)
 class AgentMessage:
     role: str
     content: str = ""
@@ -111,7 +111,7 @@ def tool_result(call_id: str, content: str) -> AgentMessage:
     return AgentMessage(ROLE_TOOL_RESULT, content, tool_call_id=call_id)
 
 
-@dataclass
+@dataclass(eq=False)
 class ChatRequest:
     messages: tuple[AgentMessage, ...]
     tools: tuple[ToolSchema, ...] = ()

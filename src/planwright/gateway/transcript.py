@@ -39,13 +39,13 @@ def fingerprint(request: ChatRequest) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-@dataclass
+@dataclass(eq=False)
 class Exchange:
     fingerprint: str
     response: AgentMessage
 
 
-@dataclass
+@dataclass(eq=False)
 class Transcript:
     exchanges: list[Exchange] = field(default_factory=list)
 

@@ -56,7 +56,7 @@ class SolveConfig:
             raise ValueError("budgets must be positive")
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveResult:
     status: str
     plan: Optional[Plan] = None
