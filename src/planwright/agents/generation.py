@@ -194,7 +194,7 @@ def generate_initial_state(
 ) -> GenerationOutcome:
     message = (
         "Current domain:\n"
-        + jsonio.dumps(jsonio.domain_to_json(domain))
+        + jsonio.dumps(domain)
         + f"\nInitial state description:\n{description}"
     )
     return run_generation(
@@ -210,7 +210,7 @@ def generate_initial_state(
 def generate_goal(domain, objects, init, description, session, gateway, resolver, events) -> GenerationOutcome:
     message = (
         "Current domain:\n"
-        + jsonio.dumps(jsonio.domain_to_json(domain))
+        + jsonio.dumps(domain)
         + "\nObjects:\n"
         + json.dumps([{"name": o.name, "type": o.type} for o in objects])
         + "\nInitial state:\n"

@@ -114,15 +114,23 @@ class PipelineResult:
     def applied_requests(self) -> list[UpstreamRequest]:
         return [r for r in self.requests if r.outcome.startswith("applied")]
 
-    def to_json(self) -> dict:
+    def to_document(self) -> dict:
+        """`to_json` with the problem left as the `ProblemInstance`, which
+        `jsonio.dumps` writes from the problem's once-encoded text."""
         return {
             "status": self.status,
-            "problem": jsonio.problem_to_json(self.problem) if self.problem is not None else None,
+            "problem": self.problem,
             "requests": [r.to_json() for r in self.requests],
             "gateway_calls": self.gateway_calls,
             "error": self.error,
             "events": self.events.to_json(),
         }
+
+    def to_json(self) -> dict:
+        document = self.to_document()
+        if self.problem is not None:
+            document["problem"] = jsonio.problem_to_json(self.problem)
+        return document
 
 
 class _RunState:
@@ -213,7 +221,7 @@ def run_pipeline(
         return data, ""
 
     def _resolve_domain_request(record: UpstreamRequest) -> tuple[str, bool]:
-        context = "Current domain:\n" + jsonio.dumps(jsonio.domain_to_json(state.domain))
+        context = "Current domain:\n" + jsonio.dumps(state.domain)
         data, rejection = _owner_decision("domain_editor", context, record)
         if data is None:
             return _settle(record, rejection)

@@ -288,7 +288,7 @@ def cmd_plan(args, run: RunDirectory) -> None:
         run.start("pipeline")
         result = run_pipeline(task, pipeline_config, gateway, memory=memory, user_channel=channel, provided_domain=provided_domain)
         run.stop("pipeline")
-        run.write_json("pipeline_result.json", result.to_json())
+        run.write_json("pipeline_result.json", result.to_document())
 
         if result.failure_kind:
             code = EX_INTERACTION if result.failure_kind == "interaction" else EX_TASK_FAILED
@@ -297,7 +297,7 @@ def cmd_plan(args, run: RunDirectory) -> None:
         problem = result.problem
         run.write_text("domain.pddl", emit_domain(problem.domain))
         run.write_text("problem.pddl", emit_problem(problem))
-        run.write_json("problem.json", jsonio.problem_to_json(problem))
+        run.write_json("problem.json", problem)
 
         run.start("solve")
         try:

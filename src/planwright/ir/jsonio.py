@@ -57,6 +57,10 @@ def dumps(payload: Any) -> str:
     join, while every leaf goes through the C encoder functions. Every
     indented document the package writes comes through here: run-directory
     files, recorded fixtures and the JSON in agent prompts.
+
+    A `DomainModel` or `ProblemInstance` may stand wherever a JSON value
+    may: it is written as its `domain_to_json` or `problem_to_json` value
+    would be, from text encoded once per instance (see `_document`).
     """
     return _encode(payload, "\n") + "\n"
 
@@ -78,7 +82,30 @@ def _encode(value: Any, newline: str) -> str:
         inner = newline + "  "
         items = [_encode_key(key) + ": " + _encode(item, inner) for key, item in value.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (DomainModel, ProblemInstance)):
+        # Every newline in the text is a line break, because
+        # encode_basestring_ascii writes one inside a string as "\\n";
+        # indenting each break re-nests the document.
+        return _document(value).replace("\n", newline)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _document(value: Union[DomainModel, ProblemInstance]) -> str:
+    """The top-level indented text of a domain or problem, without the final
+    newline. It is encoded on first use and kept in the instance's
+    ``__dict__``, which is not a field, so equality, hashing, ``repr`` and
+    ``replace`` ignore it, and it is freed with the instance. The instance is
+    frozen, so the text stays its encoding. A problem's text splices in its
+    domain's."""
+    cache = vars(value)
+    text = cache.get("_json_text")
+    if text is None:
+        if isinstance(value, DomainModel):
+            text = _encode(domain_to_json(value), "\n")
+        else:
+            text = _encode(_problem_payload(value, value.domain), "\n")
+        cache["_json_text"] = text
+    return text
 
 
 def _encode_key(key: Any) -> str:
@@ -171,9 +198,13 @@ def assignment_to_json(init: Assignment) -> dict:
 
 
 def problem_to_json(problem: ProblemInstance) -> dict:
+    return _problem_payload(problem, domain_to_json(problem.domain))
+
+
+def _problem_payload(problem: ProblemInstance, domain: Any) -> dict:
     return {
         "name": problem.name,
-        "domain": domain_to_json(problem.domain),
+        "domain": domain,
         "objects": [{"name": o.name, "type": o.type} for o in problem.objects],
         "init": assignment_to_json(problem.init),
         "goal": expression_to_json(problem.goal),

@@ -196,6 +196,12 @@ class TestColorScenario:
         assert json.dumps(result.to_json(), sort_keys=True) == replays[0]
         assert len(set(replays)) == 1
 
+    def test_result_document_writes_as_plain_json(self):
+        result, _ = record_scenario(color_scenario())
+        plain = result.to_json()
+        assert jsonio.dumps(result.to_document()) == json.dumps(plain, indent=2) + "\n"
+        assert json.loads(json.dumps(plain)) == plain
+
     def test_directionality_of_requests(self):
         result, _ = record_scenario(color_scenario())
         assert result.requests

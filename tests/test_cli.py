@@ -762,6 +762,25 @@ class TestDeterminism:
         assert normalized_tree(tmp_path / "a") == normalized_tree(tmp_path / "b")
 
 
+class TestReplayEncoding:
+    def test_each_domain_is_encoded_once_per_round(self, tmp_path, monkeypatch):
+        """One replay round of the shipped scenarios, with the benchmark's
+        arguments, turns each distinct `DomainModel` into JSON once: every
+        prompt and run-directory file after the first reuses its text."""
+        from test_replay_golden import replay_round
+
+        encoded = []  # keeps every model alive, so no id is reused
+        domain_to_json = jsonio.domain_to_json
+
+        def counting(domain):
+            encoded.append(domain)
+            return domain_to_json(domain)
+
+        monkeypatch.setattr(jsonio, "domain_to_json", counting)
+        replay_round(tmp_path / "round")
+        assert len(encoded) == len({id(domain) for domain in encoded}) == 7
+
+
 class TestImports:
     def test_cli_import_does_not_load_http_stack(self):
         """Only live mode talks HTTP, so importing the CLI leaves urllib.request unloaded."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -32,7 +33,9 @@ from planwright.ir import (
     validate,
     validate_domain,
 )
+from planwright.data_paths import benchmarks_root
 from planwright.domains import blocksworld_domain, blocksworld_problem
+from planwright.pddl import parse_domain, parse_problem
 
 from fractions import Fraction
 
@@ -284,6 +287,69 @@ _DOCUMENTS = st.recursive(
 )
 
 
+
+def _first_bundled_problems() -> list[ProblemInstance]:
+    """The first bundled problem of each benchmark domain."""
+    problems = []
+    for domain_dir in sorted(p for p in benchmarks_root().iterdir() if p.is_dir()):
+        domain = parse_domain((domain_dir / "domain.pddl").read_text(encoding="utf-8"))
+        first = min(p for p in domain_dir.glob("*.pddl") if p.name != "domain.pddl")
+        problems.append(parse_problem(first.read_text(encoding="utf-8"), domain, filename=first.name))
+    return problems
+
+
+# Names and text that a splice would break if a newline inside a string were
+# not escaped, or if quotes or non-ASCII text were written raw.
+_ODD_TYPE = 'bl\u00f6ck\n"x"'
+_ODD_FLUENT = 'on\n"top"'
+_ODD_DOMAIN = DomainModel(
+    'odd "domain"\n\u00e9\U0001f600',
+    types=(TypeDecl(_ODD_TYPE),),
+    fluents=(FluentDecl(_ODD_FLUENT, (Parameter("?a", _ODD_TYPE),), description='line one\nline "two" \u2013 \u00df\r\n'),),
+    actions=(
+        ActionSchema(
+            'lift\t"\u00e9"',
+            (Parameter("?a", _ODD_TYPE),),
+            Atom(_ODD_FLUENT, ("?a",)),
+            (SetEffect(Atom(_ODD_FLUENT, ("?a",)), False),),
+        ),
+    ),
+)
+_ODD_PROBLEM = ProblemInstance(
+    _ODD_DOMAIN,
+    (ObjectDecl('b\n"1"', _ODD_TYPE),),
+    Assignment.create([Atom(_ODD_FLUENT, ('b\n"1"',))]),
+    Atom(_ODD_FLUENT, ('b\n"1"',)),
+    name='odd\n"problem" \u00e9',
+)
+_IR_PROBLEMS = _first_bundled_problems() + [_ODD_PROBLEM]
+_IR_VALUES = st.sampled_from([p.domain for p in _IR_PROBLEMS] + _IR_PROBLEMS)
+_IR_DOCUMENTS = st.recursive(
+    st.one_of(_IR_VALUES, _LEAVES),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+def _plain(document):
+    """``document`` with every domain and problem replaced by its JSON value."""
+    from planwright.ir import jsonio
+
+    if isinstance(document, DomainModel):
+        return jsonio.domain_to_json(document)
+    if isinstance(document, ProblemInstance):
+        return jsonio.problem_to_json(document)
+    if isinstance(document, (list, tuple)):
+        return [_plain(item) for item in document]
+    if isinstance(document, dict):
+        return {key: _plain(item) for key, item in document.items()}
+    return document
+
+
 class TestDumps:
     """`jsonio.dumps` is `json.dumps(x, indent=2) + "\\n"`, byte for byte."""
 
@@ -315,6 +381,37 @@ class TestDumps:
             json.dumps(document, indent=2)
         with pytest.raises(TypeError):
             jsonio.dumps(document)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_IR_DOCUMENTS)
+    def test_splices_domains_and_problems_at_any_depth(self, document):
+        from planwright.ir import jsonio
+
+        assert jsonio.dumps(document) == json.dumps(_plain(document), indent=2) + "\n"
+
+    def test_changed_domain_encodes_its_new_content(self, bw3):
+        from planwright.ir import jsonio
+
+        old_text = jsonio.dumps(bw3.domain)
+        edit = AddOrModifyFluent(FluentDecl("color", (Parameter("?b", "block"),)), provenance="goal-generator")
+        edited = apply_edit(bw3.domain, bw3.objects, edit).domain
+        renamed = dataclasses.replace(bw3.domain, name="renamed")
+        moved = dataclasses.replace(bw3, domain=edited)
+        for value in (edited, renamed, moved):
+            assert jsonio.dumps(value) == json.dumps(_plain(value), indent=2) + "\n"
+        assert jsonio.dumps(edited) != old_text
+        assert jsonio.dumps(renamed) != old_text
+        assert '"color"' in jsonio.dumps(moved)
+
+    def test_encoding_leaves_equality_hash_and_repr(self, bw3):
+        from planwright.ir import jsonio
+
+        twin = blocksworld_problem("bw3", [["b1"], ["b2"], ["b3"]], [["b3", "b2", "b1"]])
+        before = [(hash(v), repr(v)) for v in (bw3, bw3.domain)]
+        jsonio.dumps({"problem": bw3, "domain": bw3.domain})
+        assert [(hash(v), repr(v)) for v in (bw3, bw3.domain)] == before
+        assert bw3 == twin and bw3.domain == twin.domain
+        assert hash(bw3) == hash(twin) and repr(bw3) == repr(twin)
 
 
 class TestGroundAtoms:
