@@ -287,7 +287,6 @@ _DOCUMENTS = st.recursive(
 )
 
 
-
 def _first_bundled_problems() -> list[ProblemInstance]:
     """The first bundled problem of each benchmark domain."""
     problems = []
