@@ -140,7 +140,6 @@ class _RunState:
         self.init: Assignment = Assignment()
         self.goal: Optional[Expression] = None
         self.extra_objects: tuple[ObjectDecl, ...] = ()
-        self.domain_changed = False
 
 
 def run_pipeline(
@@ -237,7 +236,6 @@ def run_pipeline(
             return _settle(record, f"rejected: malformed edit ({exc})")
         if isinstance(result.outcome, Applied):
             state.domain = result.domain
-            state.domain_changed = True
             return _settle(record, f"applied: {result.outcome.detail}", applied=True)
         return _settle(record, f"rejected: {result.outcome.reason}: {result.outcome.message}")
 
@@ -269,7 +267,6 @@ def run_pipeline(
 
     def stage_init() -> None:
         while True:
-            state.domain_changed = False
             retrieve_for("initial-state", task.initial_state_description)
             outcome = generate_initial_state(
                 state.domain,
@@ -280,14 +277,14 @@ def run_pipeline(
                 events,
                 extra_objects=state.extra_objects,
             )
-            if outcome.restart or state.domain_changed:
+            if outcome.restart:
                 continue
             state.objects, state.init = outcome.artifact
             return
 
     def stage_goal() -> None:
         while True:
-            state.domain_changed = False
+            domain = state.domain
             retrieve_for("goal", task.goal_description)
             outcome = generate_goal(
                 state.domain,
@@ -300,7 +297,7 @@ def run_pipeline(
                 events,
             )
             if outcome.restart:
-                if state.domain_changed:
+                if state.domain is not domain:  # an applied domain edit
                     stage_init()
                 continue
             state.goal = outcome.artifact

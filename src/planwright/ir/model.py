@@ -83,6 +83,20 @@ class NumConst:
         return str(self.value)
 
 
+def decimal_places(value: Fraction) -> Optional[int]:
+    """The digits after the point of ``value``'s finite decimal form, or None
+    when it has none: its denominator has a prime factor other than 2 and 5."""
+    den = value.denominator
+    twos = fives = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    return max(twos, fives) if den == 1 else None
+
+
 @dataclass(frozen=True)
 class NumFluent:
     """A numeric fluent applied to arguments, used as an arithmetic term."""

@@ -32,6 +32,7 @@ from .model import (
     Or,
     ProblemInstance,
     SetEffect,
+    decimal_places,
     expression_num_fluents,
     is_variable,
 )
@@ -54,6 +55,7 @@ CONFLICTING_EFFECT = "conflicting-effect"
 BAD_KIND = "bad-kind"
 BAD_OPERATOR = "bad-operator"
 UNINITIALIZED_NUMERIC = "uninitialized-numeric"
+NO_DECIMAL_FORM = "no-decimal-form"
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,9 @@ def _check_application(fluent_name: str, args: tuple[str, ...], expected_kind: s
 
 def _check_term(term: NumTerm, scope: _Scope, where: str, out: ValidationReport) -> None:
     if isinstance(term, NumConst):
-        return
-    if isinstance(term, NumFluent):
+        if decimal_places(term.value) is None:
+            out.append(Violation(NO_DECIMAL_FORM, f"constant {term.value} in {where} has no finite decimal form"))
+    elif isinstance(term, NumFluent):
         _check_application(term.fluent, term.args, NUMERIC, scope, where, out)
     elif isinstance(term, (NumAdd, NumSub)):
         _check_term(term.left, scope, where, out)
@@ -254,8 +257,10 @@ def validate(problem: ProblemInstance) -> ValidationReport:
 
     for atom in problem.init.sorted_atoms():
         _check_application(atom.fluent, atom.args, BOOLEAN, ground_scope, "init", out)
-    for target, _value in problem.init.numeric:
+    for target, value in problem.init.numeric:
         _check_application(target.fluent, target.args, NUMERIC, ground_scope, "init", out)
+        if decimal_places(value) is None:
+            out.append(Violation(NO_DECIMAL_FORM, f"initial value {value} of {target} has no finite decimal form"))
 
     check_expression(problem.goal, ground_scope, "goal", out)
 

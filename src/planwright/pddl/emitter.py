@@ -28,6 +28,7 @@ from ..ir import (
     Parameter,
     ProblemInstance,
     SetEffect,
+    decimal_places,
 )
 
 
@@ -39,17 +40,9 @@ def format_fraction(value: Fraction) -> str:
     """Render an exact rational as a PDDL number (integer or finite decimal)."""
     if value.denominator == 1:
         return str(value.numerator)
-    den = value.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
+    shift = decimal_places(value)
+    if shift is None:
         raise PddlEmitError(f"value {value} has no finite decimal form")
-    shift = max(twos, fives)
     scaled = value.numerator * 10**shift // value.denominator
     text = str(abs(scaled)).rjust(shift + 1, "0")
     sign = "-" if scaled < 0 else ""

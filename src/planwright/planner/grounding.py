@@ -9,6 +9,10 @@ binding row of constants and parameter values. A binding thus maps straight
 to atom bits, without building an `Atom`. Comparisons and numeric effects
 are substituted per binding and linearized.
 
+Only the atoms that the goal or a built binding names get a bit, the next
+one, when a table first misses on them: the goal's first. An initial atom
+that nothing names is left out, as nothing reads or changes it.
+
 Bindings are enumerated one parameter at a time, in declaration order. A
 partial binding is dropped as soon as a static precondition fails in the
 initial state: a positive literal, shared by every branch, of a fluent that
@@ -52,7 +56,6 @@ from ..ir import (
     Or,
     ProblemInstance,
     SetEffect,
-    ground_atoms,
 )
 
 
@@ -257,8 +260,7 @@ class GroundAction:
 @dataclass(frozen=True)
 class GroundTask:
     problem: ProblemInstance
-    atoms: tuple[Atom, ...]
-    atom_index: dict[Atom, int]
+    atoms: tuple[Atom, ...]  # atom i has bit 1 << i
     num_atoms: tuple[NumFluent, ...]
     num_index: dict[NumFluent, int]
     actions: tuple[GroundAction, ...]
@@ -298,58 +300,65 @@ class GroundTask:
 
 def ground(problem: ProblemInstance) -> GroundTask:
     """Instantiate, normalize, and prune. Requires a valid problem."""
-    domain = problem.domain
-    grounded = ground_atoms(domain, problem.objects)
-    atoms = grounded.booleans
-    atom_index = {a: i for i, a in enumerate(atoms)}
+    atoms: list[Atom] = []
+    tables = {f.name: _Table(f.name, atoms) for f in problem.domain.fluents}
 
-    init_true = problem.init.true_atoms
-    init_numeric = problem.init.numeric_map()
+    def bit(atom: Atom) -> int:
+        return tables[atom.fluent][atom.args]
 
     # Numeric atoms get indices only when initialized; using an
     # uninitialized one is reported during linearization.
-    num_atoms = tuple(a for a in grounded.numerics if a in init_numeric)
+    init_numeric = problem.init.numeric_map()
+    num_atoms = tuple(init_numeric)
     num_index = {a: i for i, a in enumerate(num_atoms)}
 
     # The goal is compiled first, so an uninitialized goal numeric is
     # reported before any action is instantiated.
-    branches = (_compile_branch(b, atom_index, num_index) for b in to_dnf_branches(to_nnf(problem.goal)))
+    branches = (_compile_branch(b, bit, num_index) for b in to_dnf_branches(to_nnf(problem.goal)))
     goal = tuple(b for b in branches if b is not None)
+    actions = _instantiate(problem, tables, num_index)
 
     init_bools = 0
-    for atom in init_true:
-        idx = atom_index.get(atom)
-        if idx is not None:
-            init_bools |= 1 << idx
-    init_nums = tuple(init_numeric[a] for a in num_atoms)
-
-    actions = _instantiate(problem, atom_index, num_index)
+    for atom in problem.init.true_atoms:
+        init_bools |= tables[atom.fluent].get(atom.args, 0)
     return GroundTask(
         problem=problem,
-        atoms=atoms,
-        atom_index=atom_index,
+        atoms=tuple(atoms),
         num_atoms=num_atoms,
         num_index=num_index,
         actions=tuple(_prune_unreachable(actions, init_bools)),
         init_bools=init_bools,
-        init_nums=init_nums,
+        init_nums=tuple(init_numeric.values()),
         goal=goal,
     )
 
 
-def _instantiate(problem: ProblemInstance, atom_index, num_index) -> list[GroundAction]:
-    """Every ground action variant of every schema, before pruning, in
-    schema, binding and branch order.
+class _Table(dict):
+    """One fluent's argument tuples -> atom bits. A miss numbers the atom:
+    it takes the next bit and is appended to ``atoms``."""
 
-    A binding that fails a static precondition is never built, so an
-    uninitialized numeric atom that only such a binding mentions is not
-    reported. Nor is one in a branch or binding that names an atom outside
-    the ground atoms, which only an ill-typed problem does.
+    __slots__ = ("fluent", "atoms")
+
+    def __init__(self, fluent: str, atoms: list[Atom]):
+        self.fluent = fluent
+        self.atoms = atoms
+
+    def __missing__(self, args: tuple[str, ...]) -> int:
+        bit = self[args] = 1 << len(self.atoms)
+        self.atoms.append(Atom(self.fluent, args))
+        return bit
+
+
+def _instantiate(problem: ProblemInstance, tables: dict[str, _Table], num_index) -> list[GroundAction]:
+    """Every ground action variant of every schema, before pruning, in
+    schema, binding and branch order. ``tables`` maps each fluent to its
+    `_Table`.
+
+    A binding that fails a static precondition is never built, so an atom
+    or an uninitialized numeric atom that only such a binding mentions is
+    neither numbered nor reported.
     """
     domain = problem.domain
-    tables: dict[str, dict[tuple[str, ...], int]] = {}
-    for atom, idx in atom_index.items():
-        tables.setdefault(atom.fluent, {})[atom.args] = 1 << idx
     changed = {e.atom.fluent for s in domain.actions for e in s.effects if isinstance(e, SetEffect)}
     static_true: dict[str, set[tuple[str, ...]]] = {}
     for atom in problem.init.true_atoms:
@@ -381,21 +390,18 @@ def _instantiate(problem: ProblemInstance, atom_index, num_index) -> list[Ground
             binding = dict(zip(names, row[nconst:])) if substitutes else None
             effects = None
             for literals, comps in branches:
-                masks = _masks(literals, row)
-                if masks is None:
-                    continue  # an ill-typed atom
+                pos, neg = _masks(literals, row)
                 numeric = _NO_COMPARISONS
                 if comps:
-                    numeric = _compile_branch([substitute(c, binding) for c in comps], atom_index, num_index)
-                pos, neg = masks
+                    # Comparisons only, so no atom needs a bit.
+                    numeric = _compile_branch([substitute(c, binding) for c in comps], None, num_index)
                 if numeric is None or pos & neg:
                     continue  # a false constant comparison, or p and (not p)
                 if effects is None:
                     effects = _ground_effects(set_effects, num_effects, row, binding, num_index)
-                if effects:
-                    add_mask, del_mask, amounts = effects
-                    pre = Condition(pos, neg, numeric.num)
-                    actions.append(GroundAction(schema.name, row[nconst:], pre, add_mask, del_mask, amounts))
+                add_mask, del_mask, amounts = effects
+                pre = Condition(pos, neg, numeric.num)
+                actions.append(GroundAction(schema.name, row[nconst:], pre, add_mask, del_mask, amounts))
         if len(actions) > GROUNDING_BUDGET:
             raise GroundingError(f"grounding exceeds the budget of {GROUNDING_BUDGET} actions")
     return actions
@@ -403,8 +409,8 @@ def _instantiate(problem: ProblemInstance, atom_index, num_index) -> list[Ground
 
 def _compile_schema(schema, tables, changed, static_true):
     """A schema's templates. Each atom becomes ``(flag, table, key)``:
-    ``flag`` tells a positive literal or an add effect, ``table`` maps the
-    fluent's argument tuples to atom bits, and ``key`` reads an argument
+    ``flag`` tells a positive literal or an add effect, ``table`` is the
+    fluent's `_Table`, and ``key`` reads an argument
     tuple off a binding row, ``constants + parameter values``.
 
     Returns the constants, the static checks ``(true argument tuples, key)``
@@ -450,7 +456,7 @@ def _compile_schema(schema, tables, changed, static_true):
 
 
 def _template(flag: bool, atom: Atom, tables, slot) -> tuple:
-    return flag, tables.get(atom.fluent, {}), _row_key([slot[a] for a in atom.args])
+    return flag, tables[atom.fluent], _row_key([slot[a] for a in atom.args])
 
 
 def _row_key(slots: list[int]) -> itemgetter:
@@ -462,14 +468,12 @@ def _row_key(slots: list[int]) -> itemgetter:
     return itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0, 0))
 
 
-def _masks(templates, row) -> Optional[tuple[int, int]]:
+def _masks(templates, row) -> tuple[int, int]:
     """The bits of the atoms that ``row`` binds in ``templates``, as
-    ``(flagged, unflagged)``, or None when one of the atoms does not exist."""
+    ``(flagged, unflagged)``."""
     flagged = unflagged = 0
     for flag, table, key in templates:
-        bit = table.get(key(row))
-        if bit is None:
-            return None
+        bit = table[key(row)]
         if flag:
             flagged |= bit
         else:
@@ -478,12 +482,8 @@ def _masks(templates, row) -> Optional[tuple[int, int]]:
 
 
 def _ground_effects(set_effects, num_effects, row, binding, num_index):
-    """``(add mask, delete mask, numeric effects)`` of one binding, or
-    False when one of its effect atoms does not exist."""
-    masks = _masks(set_effects, row)
-    if masks is None:
-        return False
-    add_mask, del_mask = masks
+    """``(add mask, delete mask, numeric effects)`` of one binding."""
+    add_mask, del_mask = _masks(set_effects, row)
     amounts: list[GroundNumericEffect] = []
     for effect in num_effects:
         target = substitute_term(effect.target, binding)
@@ -495,8 +495,9 @@ def _ground_effects(set_effects, num_effects, row, binding, num_index):
     return add_mask, del_mask & ~add_mask, tuple(amounts)
 
 
-def _compile_branch(literals, atom_index, num_index) -> Optional[Condition]:
-    """One conjunctive DNF branch as a `Condition`, or None if it can never hold.
+def _compile_branch(literals, bit, num_index) -> Optional[Condition]:
+    """One conjunctive DNF branch as a `Condition`, or None if it can never
+    hold. ``bit`` maps an atom to its one-bit mask.
 
     Every comparison is linearized, even after a false constant comparison
     has ruled the branch out, so an uninitialized numeric atom is always
@@ -508,15 +509,9 @@ def _compile_branch(literals, atom_index, num_index) -> Optional[Condition]:
     constants_hold = True
     for literal in literals:
         if isinstance(literal, Atom):
-            idx = atom_index.get(literal)
-            if idx is None:
-                return None  # cannot arise from a well-typed schema
-            pos |= 1 << idx
+            pos |= bit(literal)
         elif isinstance(literal, Not):
-            idx = atom_index.get(literal.child)
-            if idx is None:
-                return None
-            neg |= 1 << idx
+            neg |= bit(literal.child)
         elif isinstance(literal, Comparison):
             comp = GroundComparison(literal.op, linearize(NumSub(literal.left, literal.right), num_index))
             if comp.form.coeffs:

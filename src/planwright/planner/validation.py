@@ -13,12 +13,9 @@ from typing import Optional, Union
 from ..ir import (
     And,
     Atom,
-    Comparison,
     Expression,
-    Not,
     NumFluent,
     NumericEffect,
-    Or,
     ProblemInstance,
     SetEffect,
 )
@@ -119,9 +116,4 @@ def _first_violated(expr: Expression, atoms, numerics) -> str:
         for child in expr.children:
             if not eval_ground(child, atoms, numerics):
                 return _first_violated(child, atoms, numerics)
-        return str(expr)
-    if isinstance(expr, Not) and isinstance(expr.child, (And, Or)):
-        return str(expr)
-    if isinstance(expr, (Atom, Not, Or, Comparison)):
-        return str(expr)
     return str(expr)

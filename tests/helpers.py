@@ -230,12 +230,27 @@ def bfs_optimal_plan(problem: ProblemInstance, max_states: int = 400_000) -> Opt
     return None
 
 
-def reference_instantiate(problem: ProblemInstance, atom_index, num_index) -> list:
+class AtomNumbering(dict):
+    """Atom -> bit index. A miss numbers the atom with the next index."""
+
+    def __missing__(self, atom: Atom) -> int:
+        idx = self[atom] = len(self)
+        return idx
+
+
+def task_numbering(task) -> AtomNumbering:
+    """The task's atom numbering, extended past ``len(task.atoms)`` for the
+    atoms that only the oracles name: those of bindings that grounding drops
+    on a static precondition."""
+    return AtomNumbering((a, i) for i, a in enumerate(task.atoms))
+
+
+def reference_instantiate(problem: ProblemInstance, atom_index: AtomNumbering, num_index) -> list:
     """Every ground action variant of every schema, before pruning.
 
     This is the planner's original loop: it substitutes every literal of
     every DNF branch of every binding in the full product, and looks each
-    resulting ``Atom`` up in ``atom_index``.
+    resulting ``Atom`` up in ``atom_index``, which numbers it on a miss.
     """
     domain = problem.domain
     actions = []
@@ -256,7 +271,7 @@ def reference_instantiate(problem: ProblemInstance, atom_index, num_index) -> li
 
 
 def _reference_action(schema, binding, branch, atom_index, num_index):
-    pre = _compile_branch(branch, atom_index, num_index)
+    pre = _compile_branch(branch, lambda atom: 1 << atom_index[atom], num_index)
     if pre is None:
         return None
 
@@ -266,9 +281,7 @@ def _reference_action(schema, binding, branch, atom_index, num_index):
     for effect in schema.effects:
         if isinstance(effect, SetEffect):
             atom = Atom(effect.atom.fluent, tuple(binding.get(a, a) for a in effect.atom.args))
-            idx = atom_index.get(atom)
-            if idx is None:
-                return None
+            idx = atom_index[atom]
             if effect.value:
                 add_mask |= 1 << idx
             else:
@@ -296,7 +309,7 @@ def _mask_bits(mask: int) -> list[int]:
     return out
 
 
-def reference_pair_prune(actions, atoms, atom_index, init_true):
+def reference_pair_prune(actions, atom_index, init_true):
     """Pair-reachability fixpoint from the initial state.
 
     A pair of atoms is marked when some applicable action can make both true
@@ -307,7 +320,7 @@ def reference_pair_prune(actions, atoms, atom_index, init_true):
     This is the planner's original set-of-pairs prune, kept verbatim as the
     oracle for the bitset prune in ``planwright.planner.grounding``.
     """
-    n = len(atoms)
+    n = len(atom_index)
     reachable: set[tuple[int, int]] = set()
 
     def mark(i: int, j: int) -> bool:

@@ -145,6 +145,45 @@ class TestPlanCommand:
         assert "(:functions (size ?b))" in text
         assert "(< (size ?b1) (size ?b2))" in text
 
+    def test_domain_constant_without_decimal_form_gets_correction_feedback(self, tmp_path):
+        """A generated domain whose constant PDDL cannot write is sent back
+        to its agent like any other violation, and the corrected one plans."""
+        from fractions import Fraction
+
+        from planwright.agents import TaskSpec
+        from planwright.ir import ActionSchema, Assignment, Comparison, DomainModel, FluentDecl, NumConst, NumFluent, NumericEffect
+        from scenarios import Scenario, _doc, record_scenario
+
+        level = NumFluent("level")
+
+        def tank(step: Fraction) -> DomainModel:
+            fill = ActionSchema("fill", (), Comparison("<", level, NumConst(Fraction(1))), (NumericEffect("increase", level, NumConst(step)),))
+            return DomainModel("tank", fluents=(FluentDecl("level", kind="numeric"),), actions=(fill,))
+
+        init = Assignment.create(numeric={level: Fraction(0)})
+        goal = Comparison(">=", level, NumConst(Fraction(1)))
+        task = TaskSpec("tank", "a tank filled in steps", "the tank is empty", "the tank is full")
+        responses = [
+            _doc(jsonio.domain_to_json(tank(Fraction(1, 3)))),
+            _doc(jsonio.domain_to_json(tank(Fraction(1, 2)))),
+            ok_critic(),
+            _doc({"objects": [], "init": jsonio.assignment_to_json(init)}),
+            ok_critic(),
+            _doc({"goal": jsonio.expression_to_json(goal)}),
+            ok_critic(),
+        ]
+        _, recording = record_scenario(Scenario("tank", task, responses))
+        fixture, task_file, out = tmp_path / "fixture.json", tmp_path / "task.json", tmp_path / "run"
+        recording.save(fixture)
+        task_file.write_text(json.dumps(vars(task)))
+        code = main(["plan", "--task", str(task_file), "--mode", "replay", "--fixture", str(fixture), "--out-dir", str(out)])
+        assert code == 0
+        assert (out / "plan.txt").read_text().splitlines() == ["fill()", "fill()"]
+        events = json.loads((out / "pipeline_result.json").read_text())["events"]
+        [rejected] = [e for e in events if e["kind"] == "validation-error"]
+        assert rejected["agent"] == "domain"
+        assert any("1/3" in error and "no finite decimal form" in error for error in rejected["data"]["errors"])
+
 
 class TestExecuteCommand:
     def run_fridge_plan(self, tmp_path: Path) -> Path:

@@ -22,6 +22,7 @@ from planwright.ir import (
     ModifyAction,
     NumConst,
     NumFluent,
+    NumericEffect,
     ObjectDecl,
     Parameter,
     ProblemInstance,
@@ -29,7 +30,6 @@ from planwright.ir import (
     SetEffect,
     TypeDecl,
     apply_edit,
-    ground_atoms,
     validate,
     validate_domain,
 )
@@ -138,6 +138,46 @@ class TestValidate:
             actions=(ActionSchema("a", (), Atom("p", ("?x",)), ()),),
         )
         assert "unbound-variable" in {v.code for v in validate_domain(domain)}
+
+    @staticmethod
+    def tank(step: Fraction, start: Fraction = Fraction(0), goal_level: Fraction = Fraction(1)) -> ProblemInstance:
+        level = NumFluent("level")
+        fill = ActionSchema("fill", (), And(()), (NumericEffect("increase", level, NumConst(step)),))
+        domain = DomainModel("tank", fluents=(FluentDecl("level", kind="numeric"),), actions=(fill,))
+        goal = Comparison(">=", level, NumConst(goal_level))
+        return ProblemInstance(domain, (), Assignment.create(numeric={level: start}), goal)
+
+    @pytest.mark.parametrize("value", [Fraction(1), Fraction(-7, 4), Fraction(3, 20), Fraction(1, 1024)])
+    def test_decimal_constants_are_valid(self, value):
+        assert validate(self.tank(value, value, value)) == []
+
+    def test_constant_without_decimal_form_in_domain(self):
+        problem = self.tank(Fraction(1, 3))
+        report = validate_domain(problem.domain)
+        assert [v.code for v in report] == ["no-decimal-form"]
+        assert "1/3" in report[0].message and "effects of fill" in report[0].message
+        assert validate(problem) == report
+
+    def test_value_without_decimal_form_in_init_and_goal(self):
+        report = validate(self.tank(Fraction(1, 2), Fraction(2, 3), Fraction(5, 6)))
+        assert [v.code for v in report] == ["no-decimal-form"] * 2
+        assert "initial value 2/3 of (level)" in report[0].message
+        assert "5/6 in goal" in report[1].message
+
+    def test_decimal_places_matches_the_emitter(self):
+        from planwright.ir import decimal_places
+        from planwright.pddl import PddlEmitError, format_fraction
+
+        for den in range(1, 41):
+            value = Fraction(7, den)
+            places = decimal_places(value)
+            if places is None:
+                with pytest.raises(PddlEmitError):
+                    format_fraction(value)
+            else:
+                text = format_fraction(value)
+                assert Fraction(text) == value
+                assert len(text.partition(".")[2]) == places
 
 
 class TestApplyEdit:
@@ -411,45 +451,3 @@ class TestDumps:
         assert [(hash(v), repr(v)) for v in (bw3, bw3.domain)] == before
         assert bw3 == twin and bw3.domain == twin.domain
         assert hash(bw3) == hash(twin) and repr(bw3) == repr(twin)
-
-
-class TestGroundAtoms:
-    def test_two_block_on_enumeration(self):
-        domain = DomainModel(
-            "d",
-            types=(TypeDecl("block"),),
-            fluents=(FluentDecl("on", (Parameter("?a", "block"), Parameter("?b", "block"))),),
-        )
-        objs = (ObjectDecl("b1", "block"), ObjectDecl("b2", "block"))
-        grounded = ground_atoms(domain, objs)
-        assert grounded.booleans == (
-            Atom("on", ("b1", "b1")),
-            Atom("on", ("b1", "b2")),
-            Atom("on", ("b2", "b1")),
-            Atom("on", ("b2", "b2")),
-        )
-
-    def test_no_objects_of_type(self):
-        domain = DomainModel(
-            "d",
-            types=(TypeDecl("block"), TypeDecl("robot")),
-            fluents=(FluentDecl("held-by", (Parameter("?b", "block"), Parameter("?r", "robot"))),),
-        )
-        grounded = ground_atoms(domain, (ObjectDecl("b1", "block"),))
-        assert grounded.booleans == ()
-
-    def test_typed_pairs(self):
-        domain = DomainModel(
-            "d",
-            types=(TypeDecl("robot"), TypeDecl("place")),
-            fluents=(FluentDecl("at", (Parameter("?r", "robot"), Parameter("?p", "place"))),),
-        )
-        objs = (ObjectDecl("r1", "robot"), ObjectDecl("p1", "place"), ObjectDecl("p2", "place"))
-        grounded = ground_atoms(domain, objs)
-        assert len(grounded.booleans) == 2
-
-    def test_ground_atoms_typecheck(self, bw3):
-        grounded = ground_atoms(bw3.domain, bw3.objects)
-        for atom in grounded.booleans:
-            probe = ProblemInstance(bw3.domain, bw3.objects, bw3.init, goal=atom)
-            assert validate(probe) == []

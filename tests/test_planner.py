@@ -33,7 +33,6 @@ from planwright.ir import (
     ProblemInstance,
     SetEffect,
     TypeDecl,
-    ground_atoms,
     validate,
 )
 from planwright.planner import (
@@ -51,16 +50,18 @@ from planwright.planner import (
     solve,
     validate_plan,
 )
-from planwright.planner.grounding import _instantiate
+from planwright.planner.grounding import _instantiate, _Table
 from planwright.planner.search import SuccessorGenerator
 
 from helpers import (
+    AtomNumbering,
     bfs_optimal_plan,
     bundled_problems,
     random_walk_states,
     reference_instantiate,
     reference_pair_prune,
     refuel_problem,
+    task_numbering,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -153,8 +154,9 @@ class TestPruneMatchesReference:
     @staticmethod
     def check(problem: ProblemInstance) -> tuple[int, int]:
         task = ground(problem)
-        instantiated = reference_instantiate(problem, task.atom_index, task.num_index)
-        expected = reference_pair_prune(instantiated, task.atoms, task.atom_index, problem.init.true_atoms)
+        index = task_numbering(task)
+        instantiated = reference_instantiate(problem, index, task.num_index)
+        expected = reference_pair_prune(instantiated, index, problem.init.true_atoms)
         assert task.actions == tuple(expected)
         return len(instantiated), len(task.actions)
 
@@ -203,13 +205,19 @@ def check_instantiation(problem: ProblemInstance) -> tuple[int, int, int]:
     of which needs an atom of a static fluent that is false initially.
     """
     task = ground(problem)
-    reference = reference_instantiate(problem, task.atom_index, task.num_index)
-    instantiated = _instantiate(problem, task.atom_index, task.num_index)
-    assert list(task.actions) == reference_pair_prune(reference, task.atoms, task.atom_index, problem.init.true_atoms)
+    index = task_numbering(task)
+    reference = reference_instantiate(problem, index, task.num_index)
+    atoms: list[Atom] = []
+    tables = {f.name: _Table(f.name, atoms) for f in problem.domain.fluents}
+    for atom in task.atoms:
+        tables[atom.fluent][atom.args]  # numbers it, in the task's order
+    instantiated = _instantiate(problem, tables, task.num_index)
+    assert atoms == list(task.atoms)  # the task's bindings name no other atom
+    assert list(task.actions) == reference_pair_prune(reference, index, problem.init.true_atoms)
 
     changed = {e.atom.fluent for schema in problem.domain.actions for e in schema.effects if isinstance(e, SetEffect)}
     static_false = 0
-    for i, atom in enumerate(task.atoms):
+    for atom, i in index.items():
         if atom.fluent not in changed and atom not in problem.init.true_atoms:
             static_false |= 1 << i
     matched = 0
@@ -249,9 +257,8 @@ class TestInstantiateMatchesReference:
     )
     def test_uninitialized_numeric_error_text(self, problem, goal, message):
         stripped = ProblemInstance(problem.domain, problem.objects, Assignment.create(problem.init.true_atoms), goal)
-        atoms = ground_atoms(problem.domain, problem.objects).booleans
         with pytest.raises(GroundingError) as expected:
-            reference_instantiate(stripped, {a: i for i, a in enumerate(atoms)}, {})
+            reference_instantiate(stripped, AtomNumbering(), {})
         with pytest.raises(GroundingError) as err:
             ground(stripped)
         assert str(err.value) == str(expected.value) == message
@@ -353,6 +360,70 @@ class TestStaticFilter:
         problem = graph_problem(And((AT_FROM, Atom("adj", ("?from", "?to")))), [], objects=())
         assert check_instantiation(problem) == (0, 0, 0)
         assert check_instantiation(blocksworld_problem("bw0", [], [])) == (0, 0, 0)
+
+
+def wide_pddl(objects: int) -> tuple[str, str]:
+    """A domain with a 4-ary predicate that nothing names and one action,
+    and a problem over ``objects`` untyped objects."""
+    domain = """(define (domain wide)
+  (:predicates (p ?a) (q ?a) (r ?a ?b ?c ?d))
+  (:action go :parameters (?a) :precondition (p ?a) :effect (q ?a)))"""
+    names = " ".join(f"o{i}" for i in range(objects))
+    problem = f"(define (problem wide) (:domain wide) (:objects {names}) (:init (p o0)) (:goal (q o0)))"
+    return domain, problem
+
+
+# Grounds and solves the problem of ``wide_pddl`` read from standard input,
+# under a 1 GB address-space limit, and prints the atom count and the plan.
+WIDE_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from planwright.pddl import parse_domain, parse_problem
+from planwright.planner import SolveConfig, ground, solve
+domain_text, problem_text = json.load(sys.stdin)
+task = ground(parse_problem(problem_text, parse_domain(domain_text)))
+outcome = solve(task, SolveConfig(strategy="astar", heuristic="blind"))
+print(json.dumps([len(task.atoms), [str(step) for step in outcome.plan.steps]]))
+"""
+
+
+class TestRelevantAtoms:
+    """Grounding numbers only the atoms that the goal and the built bindings
+    name, so a wide predicate that nothing names costs nothing."""
+
+    def test_wide_unnamed_predicate_grounds_in_bounded_memory(self):
+        import subprocess
+
+        import planwright
+
+        # The child runs under its own limit, so a regression fails this
+        # test and not the machine: 30 objects make 810,000 atoms of r.
+        package_root = str(Path(planwright.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", WIDE_CHILD],
+            input=json.dumps(wide_pddl(30)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout) == [2, ["go(o0)"]]
+
+    def test_initial_atom_that_nothing_names_is_left_out(self):
+        from planwright.pddl import parse_domain, parse_problem
+
+        domain_text, problem_text = wide_pddl(3)
+        problem = parse_problem(problem_text, parse_domain(domain_text))
+        unnamed = Atom("r", ("o0", "o1", "o2", "o0"))
+        extended = ProblemInstance(problem.domain, problem.objects, Assignment.create([*problem.init.true_atoms, unnamed]), problem.goal)
+        assert validate(extended) == []
+        task = ground(extended)
+        # The goal is numbered first, then the one binding that the static
+        # precondition (p ?a) lets through.
+        assert task.atoms == (Atom("q", ("o0",)), Atom("p", ("o0",)))
+        assert task.init_bools == 0b10
+        assert [str(a) for a in task.actions] == ["go(o0)"]
 
 
 class TestSuccessorIndex:
@@ -703,8 +774,11 @@ class TestGoalShapes:
         g2 = And((Atom("carry", ("robot1", "ball1", "lgripper1")), Not(ROBOT_IN_ROOM1)))
         either, first, second = (ground(_with_goal(base, g)) for g in (Or((g1, g2)), g1, g2))
         for bools, nums in random_walk_states(either):
+            # Each task numbers its own atoms, so the state is mapped through them.
+            atoms = either.atoms_of(bools)
+            first_bools, second_bools = (sum(1 << i for i, a in enumerate(t.atoms) if a in atoms) for t in (first, second))
             for estimate in (h_add, h_max_cost):
-                assert estimate(either, bools, nums) == min(estimate(first, bools, nums), estimate(second, bools, nums))
+                assert estimate(either, bools, nums) == min(estimate(first, first_bools, nums), estimate(second, second_bools, nums))
 
 
 class TestValidatePlan:
@@ -779,8 +853,7 @@ def _independent_h_max(task, bools: int) -> float:
         from planwright.ir import And as IrAnd, Atom as IrAtom
 
         if isinstance(expr, IrAtom):
-            idx = task.atom_index[expr]
-            return cost[idx]
+            return cost[task.atoms.index(expr)]
         if isinstance(expr, IrAnd):
             parts = [goal_cost(c) for c in expr.children]
             return max(parts) if parts else 0
