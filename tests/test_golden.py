@@ -1,7 +1,8 @@
 """Golden grounding and search outputs for the 140 bundled problems.
 
 ``golden/suite_blind.json`` records, for each problem, the number of ground
-atoms, the number of ground actions kept after pruning, a sha256 of the kept
+atoms (those that the goal and the instantiated actions name), the number
+of ground actions kept after pruning, a sha256 of the kept
 ``(name, args)`` list in order, and the nodes expanded and plan under
 A*/blind. ``golden/suite_hadd.json`` records, for each problem, the status,
 nodes expanded and plan under greedy/h_add, and ``h_add`` and ``h_max_cost``
