@@ -410,8 +410,8 @@ def _instantiate(problem: ProblemInstance, tables: dict[str, _Table], num_index)
 def _compile_schema(schema, tables, changed, static_true):
     """A schema's templates. Each atom becomes ``(flag, table, key)``:
     ``flag`` tells a positive literal or an add effect, ``table`` is the
-    fluent's `_Table`, and ``key`` reads an argument
-    tuple off a binding row, ``constants + parameter values``.
+    fluent's `_Table`, and ``key`` reads an argument tuple off a binding
+    row, ``constants + parameter values``.
 
     Returns the constants, the static checks ``(true argument tuples, key)``
     to run once ``d`` parameters are bound (index ``d``), the DNF branches
