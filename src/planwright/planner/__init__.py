@@ -3,8 +3,7 @@ from .plan import Plan, PlanStep
 from .grounding import GroundAction, GroundTask, GroundingError, ground
 from .heuristics import INF, blind, h_add, h_max_cost
 from .search import STATUS_BUDGET, STATUS_PLAN, STATUS_UNSOLVABLE, SolveConfig, SolveResult, solve
-from .validation import Invalid, Valid, Verdict, validate_plan
-from .evaluate import eval_ground, eval_term
+from .validation import Invalid, Valid, Verdict, eval_ground, eval_term, validate_plan
 
 __all__ = [
     "GroundAction",

@@ -7,7 +7,8 @@ a branch or effect becomes a table and a key: the table maps the fluent's
 argument tuples to atom bits, and the key reads the argument tuple off a
 binding row of constants and parameter values. A binding thus maps straight
 to atom bits, without building an `Atom`. Comparisons and numeric effects
-are substituted per binding and linearized.
+are linearized per binding, and linearization binds a numeric atom's
+arguments where it meets the atom, so no bound copy of them is built.
 
 Only the atoms that the goal or a built binding names get a bit, the next
 one, when a table first misses on them: the goal's first. An initial atom
@@ -17,7 +18,7 @@ Bindings are enumerated one parameter at a time, in declaration order. A
 partial binding is dropped as soon as a static precondition fails in the
 initial state: a positive literal, shared by every branch, of a fluent that
 no schema adds or deletes, checked once all of its parameters are bound.
-Nothing adds that atom, so the relaxed pass below would prune the binding
+Nothing adds that atom, so the pruning below would drop the binding
 anyway. Extending the survivors in parameter order enumerates them in the
 order of the full product, so the actions come out in schema, binding, then
 branch order, as from substituting every binding. `GROUNDING_BUDGET` bounds
@@ -26,12 +27,13 @@ the work.
 Every branch, and every DNF branch of the goal, is compiled into a
 `Condition`: a positive and a negative atom bitmask plus linear numeric
 comparisons. The goal holds when any of its branches does. Instantiations
-that can never apply are pruned from the initial state in two passes: a
-relaxed single-atom reachability pass (deletes ignored), then a
-pair-reachability (h^2) fixpoint over the survivors that keeps, for every
-atom, an int bitmask of the atoms that can hold together with it. Pruning
-ignores negative and numeric conditions, which keeps it sound: it only ever
-removes actions that are impossible for boolean reasons.
+that can never apply are pruned from the initial state by one
+pair-reachability fixpoint over every instantiated action: h^m of Haslum &
+Geffner (2000, "Admissible heuristics for optimal planning") at m = 2,
+which keeps, for every atom, an int bitmask of the atoms that can hold
+together with it. Pruning ignores negative and numeric conditions, which
+keeps it sound: it only ever removes actions that are impossible for
+boolean reasons.
 """
 from __future__ import annotations
 
@@ -112,32 +114,6 @@ def to_dnf_branches(expr: Expression) -> list[list[Expression]]:
     return [[expr]]
 
 
-def substitute(expr: Expression, binding: dict[str, str]) -> Expression:
-    if isinstance(expr, Atom):
-        return Atom(expr.fluent, tuple(binding.get(a, a) for a in expr.args))
-    if isinstance(expr, And):
-        return And(tuple(substitute(c, binding) for c in expr.children))
-    if isinstance(expr, Or):
-        return Or(tuple(substitute(c, binding) for c in expr.children))
-    if isinstance(expr, Not):
-        return Not(substitute(expr.child, binding))
-    if isinstance(expr, Comparison):
-        return Comparison(expr.op, substitute_term(expr.left, binding), substitute_term(expr.right, binding))
-    raise TypeError(f"not a boolean expression: {expr!r}")
-
-
-def substitute_term(term: NumTerm, binding: dict[str, str]) -> NumTerm:
-    if isinstance(term, NumConst):
-        return term
-    if isinstance(term, NumFluent):
-        return NumFluent(term.fluent, tuple(binding.get(a, a) for a in term.args))
-    if isinstance(term, NumAdd):
-        return NumAdd(substitute_term(term.left, binding), substitute_term(term.right, binding))
-    if isinstance(term, NumSub):
-        return NumSub(substitute_term(term.left, binding), substitute_term(term.right, binding))
-    raise TypeError(f"not a numeric term: {term!r}")
-
-
 # ------------------------------------------------------------ linear forms
 
 
@@ -155,27 +131,32 @@ class Linear:
         return total
 
 
-def _linearize(term: NumTerm, index: dict[NumFluent, int], sign: int, constant: list[Fraction], coeffs: dict[int, int]) -> None:
+def _linearize(
+    term: NumTerm, binding: dict[str, str], index: dict[NumFluent, int], sign: int, constant: list[Fraction], coeffs: dict[int, int]
+) -> None:
     if isinstance(term, NumConst):
         constant[0] += term.value * sign
     elif isinstance(term, NumFluent):
-        if term not in index:
-            raise GroundingError(f"numeric atom {term} is used but uninitialized")
-        coeffs[index[term]] = coeffs.get(index[term], 0) + sign
+        bound = NumFluent(term.fluent, tuple(binding.get(a, a) for a in term.args))
+        if bound not in index:
+            raise GroundingError(f"numeric atom {bound} is used but uninitialized")
+        coeffs[index[bound]] = coeffs.get(index[bound], 0) + sign
     elif isinstance(term, NumAdd):
-        _linearize(term.left, index, sign, constant, coeffs)
-        _linearize(term.right, index, sign, constant, coeffs)
+        _linearize(term.left, binding, index, sign, constant, coeffs)
+        _linearize(term.right, binding, index, sign, constant, coeffs)
     elif isinstance(term, NumSub):
-        _linearize(term.left, index, sign, constant, coeffs)
-        _linearize(term.right, index, -sign, constant, coeffs)
+        _linearize(term.left, binding, index, sign, constant, coeffs)
+        _linearize(term.right, binding, index, -sign, constant, coeffs)
     else:
         raise TypeError(f"not a numeric term: {term!r}")
 
 
-def linearize(term: NumTerm, index: dict[NumFluent, int]) -> Linear:
+def linearize(term: NumTerm, binding: dict[str, str], index: dict[NumFluent, int]) -> Linear:
+    """``term`` with its numeric atoms' arguments bound by ``binding``, as a
+    linear form over the numeric atom indices ``index``."""
     constant = [Fraction(0)]
     coeffs: dict[int, int] = {}
-    _linearize(term, index, 1, constant, coeffs)
+    _linearize(term, binding, index, 1, constant, coeffs)
     return Linear(constant[0], tuple(sorted((i, c) for i, c in coeffs.items() if c != 0)))
 
 
@@ -288,12 +269,6 @@ class GroundTask:
 
         return RelaxedView(self)
 
-    def atoms_of(self, bools: int) -> frozenset[Atom]:
-        return frozenset(a for i, a in enumerate(self.atoms) if bools >> i & 1)
-
-    def numerics_of(self, nums: tuple[Fraction, ...]) -> dict[NumFluent, Fraction]:
-        return {a: nums[i] for i, a in enumerate(self.num_atoms)}
-
 
 # ------------------------------------------------------------ instantiation
 
@@ -314,7 +289,7 @@ def ground(problem: ProblemInstance) -> GroundTask:
 
     # The goal is compiled first, so an uninitialized goal numeric is
     # reported before any action is instantiated.
-    branches = (_compile_branch(b, bit, num_index) for b in to_dnf_branches(to_nnf(problem.goal)))
+    branches = (_compile_branch(b, {}, bit, num_index) for b in to_dnf_branches(to_nnf(problem.goal)))
     goal = tuple(b for b in branches if b is not None)
     actions = _instantiate(problem, tables, num_index)
 
@@ -326,7 +301,7 @@ def ground(problem: ProblemInstance) -> GroundTask:
         atoms=tuple(atoms),
         num_atoms=num_atoms,
         num_index=num_index,
-        actions=tuple(_prune_unreachable(actions, init_bools)),
+        actions=tuple(_prune_unreachable(actions, init_bools, len(atoms))),
         init_bools=init_bools,
         init_nums=tuple(init_numeric.values()),
         goal=goal,
@@ -384,17 +359,17 @@ def _instantiate(problem: ProblemInstance, tables: dict[str, _Table], num_index)
                 rows = [row for row in rows if all(key(row) in true for true, key in checks[depth])]
 
         names = [p.name for p in schema.parameters]
-        substitutes = bool(num_effects) or any(comps for _, comps in branches)
+        numeric_parts = bool(num_effects) or any(comps for _, comps in branches)
         nconst = len(consts)
         for row in rows:
-            binding = dict(zip(names, row[nconst:])) if substitutes else None
+            binding = dict(zip(names, row[nconst:])) if numeric_parts else None
             effects = None
             for literals, comps in branches:
                 pos, neg = _masks(literals, row)
                 numeric = _NO_COMPARISONS
                 if comps:
                     # Comparisons only, so no atom needs a bit.
-                    numeric = _compile_branch([substitute(c, binding) for c in comps], None, num_index)
+                    numeric = _compile_branch(comps, binding, None, num_index)
                 if numeric is None or pos & neg:
                     continue  # a false constant comparison, or p and (not p)
                 if effects is None:
@@ -486,18 +461,19 @@ def _ground_effects(set_effects, num_effects, row, binding, num_index):
     add_mask, del_mask = _masks(set_effects, row)
     amounts: list[GroundNumericEffect] = []
     for effect in num_effects:
-        target = substitute_term(effect.target, binding)
+        target = NumFluent(effect.target.fluent, tuple(binding.get(a, a) for a in effect.target.args))
         if target not in num_index:
             raise GroundingError(f"numeric atom {target} is used but uninitialized")
-        amount = linearize(substitute_term(effect.amount, binding), num_index)
+        amount = linearize(effect.amount, binding, num_index)
         amounts.append(GroundNumericEffect(effect.op, num_index[target], amount))
     # Add wins over delete is forbidden upstream; keep masks disjoint anyway.
     return add_mask, del_mask & ~add_mask, tuple(amounts)
 
 
-def _compile_branch(literals, bit, num_index) -> Optional[Condition]:
+def _compile_branch(literals, binding, bit, num_index) -> Optional[Condition]:
     """One conjunctive DNF branch as a `Condition`, or None if it can never
-    hold. ``bit`` maps an atom to its one-bit mask.
+    hold. ``binding`` binds the arguments of its numeric atoms, and ``bit``
+    maps an atom to its one-bit mask.
 
     Every comparison is linearized, even after a false constant comparison
     has ruled the branch out, so an uninitialized numeric atom is always
@@ -513,7 +489,7 @@ def _compile_branch(literals, bit, num_index) -> Optional[Condition]:
         elif isinstance(literal, Not):
             neg |= bit(literal.child)
         elif isinstance(literal, Comparison):
-            comp = GroundComparison(literal.op, linearize(NumSub(literal.left, literal.right), num_index))
+            comp = GroundComparison(literal.op, linearize(NumSub(literal.left, literal.right), binding, num_index))
             if comp.form.coeffs:
                 num.append(comp)
             elif not comp.holds(()):
@@ -537,53 +513,35 @@ def _mask_bits(mask: int) -> list[int]:
     return out
 
 
-def _prune_unreachable(actions: list[GroundAction], init_bools: int) -> list[GroundAction]:
+def _prune_unreachable(actions: list[GroundAction], init_bools: int, n: int) -> list[GroundAction]:
     """Drop the actions whose positive precondition can never hold.
 
-    Two fixpoints from the initial state, both ignoring negative and numeric
-    preconditions, so only genuinely impossible actions are removed:
+    A pair-reachability (h^2) fixpoint from the initial state over all ``n``
+    atoms and every action, ignoring negative and numeric preconditions, so
+    only genuinely impossible actions are removed. ``rows[i]`` is the mask
+    of atoms that can hold together with atom ``i``; it holds bit ``i``
+    itself once ``i`` is reachable. An action is enabled when every pair
+    within its positive precondition is reachable, i.e. when ``pre.pos``
+    lies inside ``rows[i]`` for each precondition atom ``i``. An enabled
+    action makes each added atom co-hold with the other added atoms and with
+    every atom that co-holds with the whole precondition and is neither
+    added nor deleted.
 
-    1. Relaxed reachability: fire every action whose positive precondition
-       is reached, with deletes ignored, until no atom is added. An action
-       whose precondition needs an unreached atom is dropped.
-    2. Pair reachability (h^2) over the survivors. ``rows[i]`` is the mask
-       of atoms that can hold together with atom ``i``; it holds bit ``i``
-       itself once ``i`` is reachable. An action is enabled when every
-       pair within its positive precondition is reachable, i.e. when
-       ``pre.pos`` lies inside ``rows[i]`` for each precondition atom ``i``.
-       An enabled action makes each added atom co-hold with the other added
-       atoms and with every atom that co-holds with the whole precondition
-       and is neither added nor deleted.
-
-    Survivors keep their order. Step 1 drops nothing that step 2 would keep:
-    a pair (i, i) is only ever marked for an atom i that step 1 reaches. The
-    least fixpoint of step 2 is unique, so the order of the updates does not
-    change the result.
+    Survivors keep their order. A pair (i, i) is only ever marked for an
+    atom i that is initially true or added by an enabled action, so the
+    fixpoint also drops every action that single-atom relaxed reachability
+    would drop. The least fixpoint is unique, so the order of the updates
+    does not change the result.
     """
-    reached = init_bools
-    pending = actions
-    grew = True
-    while grew:
-        grew = False
-        blocked = []
-        for action in pending:
-            if action.pre.pos & reached != action.pre.pos:
-                blocked.append(action)
-            elif action.add_mask & ~reached:
-                reached |= action.add_mask
-                grew = True
-        pending = blocked
-    candidates = [a for a in actions if a.pre.pos & reached == a.pre.pos]
-
-    rows = [init_bools if init_bools >> i & 1 else 0 for i in range(reached.bit_length())]
+    rows = [init_bools if init_bools >> i & 1 else 0 for i in range(n)]
     self_mask = init_bools
-    pre_bits = [_mask_bits(a.pre.pos) for a in candidates]
-    add_bits = [_mask_bits(a.add_mask) for a in candidates]
+    pre_bits = [_mask_bits(a.pre.pos) for a in actions]
+    add_bits = [_mask_bits(a.add_mask) for a in actions]
 
     grew = True
     while grew:
         grew = False
-        for action, pre, adds in zip(candidates, pre_bits, add_bits):
+        for action, pre, adds in zip(actions, pre_bits, add_bits):
             pre_mask = action.pre.pos
             together = self_mask
             for i in pre:
@@ -604,4 +562,4 @@ def _prune_unreachable(actions: list[GroundAction], init_bools: int) -> list[Gro
                     for j in _mask_bits(fresh & ~bit):
                         rows[j] |= bit
 
-    return [a for a, pre in zip(candidates, pre_bits) if all(not a.pre.pos & ~rows[i] for i in pre)]
+    return [a for a, pre in zip(actions, pre_bits) if all(not a.pre.pos & ~rows[i] for i in pre)]

@@ -22,9 +22,6 @@ class Plan:
         # Unit action costs: cost and length coincide.
         return len(self.steps)
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def to_json(self) -> dict:
         return {
             "steps": [{"name": s.name, "args": list(s.args)} for s in self.steps],

@@ -2,25 +2,32 @@
 
 Deliberately independent of the search machinery: actions are re-bound from
 their schemas and preconditions are evaluated as plain expressions over an
-explicit state, so a defect in grounding or search cannot hide here.
+explicit state, so a defect in grounding or search cannot hide here. It
+imports only the IR and the plan values, so its substitution and evaluation
+share no code with grounding.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 from ..ir import (
     And,
     Atom,
+    Comparison,
     Expression,
+    Not,
+    NumAdd,
+    NumConst,
     NumFluent,
+    NumSub,
+    NumTerm,
     NumericEffect,
+    Or,
     ProblemInstance,
     SetEffect,
 )
-from .evaluate import UndefinedNumericError, eval_ground, eval_term
-from .grounding import substitute, substitute_term
 from .plan import Plan
 
 
@@ -117,3 +124,84 @@ def _first_violated(expr: Expression, atoms, numerics) -> str:
             if not eval_ground(child, atoms, numerics):
                 return _first_violated(child, atoms, numerics)
     return str(expr)
+
+
+# ------------------------------------------------------------ substitution
+
+
+def substitute(expr: Expression, binding: dict[str, str]) -> Expression:
+    if isinstance(expr, Atom):
+        return Atom(expr.fluent, tuple(binding.get(a, a) for a in expr.args))
+    if isinstance(expr, And):
+        return And(tuple(substitute(c, binding) for c in expr.children))
+    if isinstance(expr, Or):
+        return Or(tuple(substitute(c, binding) for c in expr.children))
+    if isinstance(expr, Not):
+        return Not(substitute(expr.child, binding))
+    if isinstance(expr, Comparison):
+        return Comparison(expr.op, substitute_term(expr.left, binding), substitute_term(expr.right, binding))
+    raise TypeError(f"not a boolean expression: {expr!r}")
+
+
+def substitute_term(term: NumTerm, binding: dict[str, str]) -> NumTerm:
+    if isinstance(term, NumConst):
+        return term
+    if isinstance(term, NumFluent):
+        return NumFluent(term.fluent, tuple(binding.get(a, a) for a in term.args))
+    if isinstance(term, NumAdd):
+        return NumAdd(substitute_term(term.left, binding), substitute_term(term.right, binding))
+    if isinstance(term, NumSub):
+        return NumSub(substitute_term(term.left, binding), substitute_term(term.right, binding))
+    raise TypeError(f"not a numeric term: {term!r}")
+
+
+# ------------------------------------------------------------ evaluation
+
+
+class UndefinedNumericError(KeyError):
+    def __init__(self, target: NumFluent):
+        self.target = target
+        super().__init__(str(target))
+
+
+def eval_term(term: NumTerm, numerics: Mapping[NumFluent, Fraction]) -> Fraction:
+    if isinstance(term, NumConst):
+        return term.value
+    if isinstance(term, NumFluent):
+        try:
+            return numerics[term]
+        except KeyError:
+            raise UndefinedNumericError(term) from None
+    if isinstance(term, NumAdd):
+        return eval_term(term.left, numerics) + eval_term(term.right, numerics)
+    if isinstance(term, NumSub):
+        return eval_term(term.left, numerics) - eval_term(term.right, numerics)
+    raise TypeError(f"not a numeric term: {term!r}")
+
+
+def _compare(op: str, left: Fraction, right: Fraction) -> bool:
+    if op == "<":
+        return left < right
+    if op == "<=":
+        return left <= right
+    if op == "=":
+        return left == right
+    if op == ">=":
+        return left >= right
+    if op == ">":
+        return left > right
+    raise ValueError(f"unknown comparison {op!r}")
+
+
+def eval_ground(expr: Expression, true_atoms: frozenset[Atom] | set[Atom], numerics: Mapping[NumFluent, Fraction]) -> bool:
+    if isinstance(expr, Atom):
+        return expr in true_atoms
+    if isinstance(expr, And):
+        return all(eval_ground(c, true_atoms, numerics) for c in expr.children)
+    if isinstance(expr, Or):
+        return any(eval_ground(c, true_atoms, numerics) for c in expr.children)
+    if isinstance(expr, Not):
+        return not eval_ground(expr.child, true_atoms, numerics)
+    if isinstance(expr, Comparison):
+        return _compare(expr.op, eval_term(expr.left, numerics), eval_term(expr.right, numerics))
+    raise TypeError(f"not a boolean expression: {expr!r}")

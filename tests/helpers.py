@@ -21,17 +21,20 @@ successor entries of ``planwright.planner.search``.
 ``reference_instantiate`` is the fifth: the planner's original
 instantiation loop, which substitutes every literal of every binding in the
 full product, the reference for the templates and static filter of
-``planwright.planner.grounding._instantiate``. It shares with the planner
-only the branch compiler and linear forms, which also compile the goal.
+``planwright.planner.grounding._instantiate``. It binds with the plan
+validator's ``substitute``, and shares with grounding only the branch
+compiler and linear forms, which also compile the goal; it hands them the
+substituted expressions and an empty binding.
 
 ``reference_read_forms`` is the sixth: the original two-pass PDDL reader,
 which lexes the whole text into tokens before it matches any parenthesis,
 the reference for the one-pass ``planwright.pddl.syntax.read_forms``.
 
-``bundled_problems`` parses the 140 bundled benchmark problems;
-``refuel_problem`` builds a small numeric task whose actions increase,
-decrease and assign fluents; ``random_walk_states`` samples reachable states
-of a ground task for checks that run along a walk.
+``atoms_of`` and ``numerics_of`` read a ground task's state back as atoms
+and numeric values; ``bundled_problems`` parses the 140 bundled benchmark
+problems; ``refuel_problem`` builds a small numeric task whose actions
+increase, decrease and assign fluents; ``random_walk_states`` samples
+reachable states of a ground task for checks that run along a walk.
 """
 from __future__ import annotations
 
@@ -67,11 +70,10 @@ from planwright.planner.grounding import (
     GroundNumericEffect,
     _compile_branch,
     linearize,
-    substitute,
-    substitute_term,
     to_dnf_branches,
     to_nnf,
 )
+from planwright.planner.validation import substitute, substitute_term
 
 from planwright.data_paths import benchmarks_root
 from planwright.pddl import PddlError, parse_domain, parse_problem
@@ -271,7 +273,7 @@ def reference_instantiate(problem: ProblemInstance, atom_index: AtomNumbering, n
 
 
 def _reference_action(schema, binding, branch, atom_index, num_index):
-    pre = _compile_branch(branch, lambda atom: 1 << atom_index[atom], num_index)
+    pre = _compile_branch(branch, {}, lambda atom: 1 << atom_index[atom], num_index)
     if pre is None:
         return None
 
@@ -290,12 +292,20 @@ def _reference_action(schema, binding, branch, atom_index, num_index):
             target = NumFluent(effect.target.fluent, tuple(binding.get(a, a) for a in effect.target.args))
             if target not in num_index:
                 raise GroundingError(f"numeric atom {target} is used but uninitialized")
-            amount = linearize(substitute_term(effect.amount, binding), num_index)
+            amount = linearize(substitute_term(effect.amount, binding), {}, num_index)
             num_effects.append(GroundNumericEffect(effect.op, num_index[target], amount))
     del_mask &= ~add_mask
 
     args = tuple(binding[p.name] for p in schema.parameters)
     return GroundAction(schema.name, args, pre, add_mask, del_mask, tuple(num_effects))
+
+
+def atoms_of(task, bools: int) -> frozenset[Atom]:
+    return frozenset(a for i, a in enumerate(task.atoms) if bools >> i & 1)
+
+
+def numerics_of(task, nums: tuple) -> dict[NumFluent, Fraction]:
+    return {a: nums[i] for i, a in enumerate(task.num_atoms)}
 
 
 def _mask_bits(mask: int) -> list[int]:

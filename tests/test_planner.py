@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import gc
 import json
 import random
@@ -27,6 +28,7 @@ from planwright.ir import (
     NumAdd,
     NumConst,
     NumFluent,
+    NumericEffect,
     ObjectDecl,
     Or,
     Parameter,
@@ -50,13 +52,16 @@ from planwright.planner import (
     solve,
     validate_plan,
 )
+from planwright.planner import validation
 from planwright.planner.grounding import _instantiate, _Table
 from planwright.planner.search import SuccessorGenerator
 
 from helpers import (
     AtomNumbering,
+    atoms_of,
     bfs_optimal_plan,
     bundled_problems,
+    numerics_of,
     random_walk_states,
     reference_instantiate,
     reference_pair_prune,
@@ -763,7 +768,7 @@ class TestGoalShapes:
         task = ground(problem)
         verdicts = set()
         for bools, nums in random_walk_states(task):
-            expected = eval_ground(problem.goal, task.atoms_of(bools), task.numerics_of(nums))
+            expected = eval_ground(problem.goal, atoms_of(task, bools), numerics_of(task, nums))
             assert task.goal_holds(bools, nums) == expected
             verdicts.add(expected)
         assert verdicts == {True, False}  # the walk reaches both sides of the goal
@@ -775,10 +780,35 @@ class TestGoalShapes:
         either, first, second = (ground(_with_goal(base, g)) for g in (Or((g1, g2)), g1, g2))
         for bools, nums in random_walk_states(either):
             # Each task numbers its own atoms, so the state is mapped through them.
-            atoms = either.atoms_of(bools)
+            atoms = atoms_of(either, bools)
             first_bools, second_bools = (sum(1 << i for i, a in enumerate(t.atoms) if a in atoms) for t in (first, second))
             for estimate in (h_add, h_max_cost):
                 assert estimate(either, bools, nums) == min(estimate(first, first_bools, nums), estimate(second, second_bools, nums))
+
+
+ODOMETER = NumFluent("odometer", ("robot1",))
+
+
+def _unset_battery() -> ProblemInstance:
+    problem = battery_problem(30)
+    return ProblemInstance(problem.domain, problem.objects, Assignment.create(problem.init.true_atoms), problem.goal)
+
+
+def _with_odometer(amount, initial) -> ProblemInstance:
+    """``battery_problem(30)`` whose move also increases ``(odometer ?r)``
+    by ``amount``. The odometer starts at ``initial``, or has no value if
+    that is None."""
+    problem = battery_problem(30)
+    domain = problem.domain
+    move = domain.action_map()["move"]
+    drive = NumericEffect("increase", NumFluent("odometer", ("?r",)), amount)
+    move = ActionSchema(move.name, move.parameters, move.precondition, move.effects + (drive,))
+    robot = (Parameter("?r", "robot"),)
+    fluents = domain.fluents + (FluentDecl("odometer", robot, kind="numeric"), FluentDecl("speed", robot, kind="numeric"))
+    actions = tuple(move if a.name == "move" else a for a in domain.actions)
+    numeric = problem.init.numeric + (((ODOMETER, Fraction(initial)),) if initial is not None else ())
+    init = Assignment.create(problem.init.true_atoms, numeric)
+    return ProblemInstance(DomainModel(domain.name, domain.types, fluents, actions), problem.objects, init, problem.goal)
 
 
 class TestValidatePlan:
@@ -818,6 +848,35 @@ class TestValidatePlan:
         assert result.status == "plan"
         assert len(result.plan.steps) == len(oracle)
         assert isinstance(validate_plan(problem, result.plan), Valid)
+
+    def test_imports_nothing_from_grounding_search_or_heuristics(self):
+        # The validator is the independent cross-check of the planner, so a
+        # substitution or evaluation defect must not be shared with it.
+        tree = ast.parse(Path(validation.__file__).read_text(encoding="utf-8"))
+        names: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names.update((node.module or "").split("."))
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                names.update(part for alias in node.names for part in alias.name.split("."))
+        assert not names & {"grounding", "search", "heuristics"}
+
+    @pytest.mark.parametrize(
+        "problem, step, atom",
+        [
+            (_unset_battery(), 0, "(battery_level robot1)"),
+            (_with_odometer(NumFluent("speed", ("?r",)), initial=0), 0, "(speed robot1)"),
+            (_with_odometer(_num(1), initial=None), 0, "(odometer robot1)"),
+            (_with_goal(battery_problem(30), Comparison(">=", ODOMETER, _num(0))), 1, "(odometer robot1)"),
+        ],
+        ids=["precondition", "effect-amount", "effect-target", "goal"],
+    )
+    def test_numeric_atom_without_value(self, problem, step, atom):
+        # One numeric atom has no value, read where the id names; every other
+        # one that the plan reaches has a value.
+        plan = Plan((PlanStep("move", ("robot1", "room1", "room2")),))
+        assert validate_plan(problem, plan) == Invalid(step, f"numeric atom {atom} has no value")
 
 
 def _independent_h_max(task, bools: int) -> float:
