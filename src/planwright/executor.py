@@ -207,14 +207,6 @@ class ExecutionReport:
     passes: int
     gateway_calls: int
 
-    def to_json(self) -> dict:
-        return {
-            "log": self.log.to_json(),
-            "verdict": self.verdict.to_json(),
-            "passes": self.passes,
-            "gateway_calls": self.gateway_calls,
-        }
-
 
 def run_execution(
     instructions: InstructionList,

@@ -35,6 +35,7 @@ from .model import (
     decimal_places,
     expression_num_fluents,
     is_variable,
+    walk_terms,
 )
 
 # Violation codes, kept stable for tooling.
@@ -276,19 +277,10 @@ def _numeric_fluents_in_use(problem: ProblemInstance) -> set[str]:
         for effect in action.effects:
             if isinstance(effect, NumericEffect):
                 used.add(effect.target.fluent)
-                for node in _term_fluents(effect.amount):
-                    used.add(node)
+                used.update(t.fluent for t in walk_terms(effect.amount) if isinstance(t, NumFluent))
     for ref in expression_num_fluents(problem.goal):
         used.add(ref.fluent)
     return used
-
-
-def _term_fluents(term: NumTerm):
-    if isinstance(term, NumFluent):
-        yield term.fluent
-    elif isinstance(term, (NumAdd, NumSub)):
-        yield from _term_fluents(term.left)
-        yield from _term_fluents(term.right)
 
 
 def _check_numeric_closure(problem: ProblemInstance, scope: _Scope, out: ValidationReport) -> None:
