@@ -217,9 +217,6 @@ class GroundAction:
     def __str__(self) -> str:
         return f"{self.name}({', '.join(self.args)})"
 
-    def applicable(self, bools: int, nums: tuple[Fraction, ...]) -> bool:
-        return self.pre.holds(bools, nums)
-
     def apply(self, bools: int, nums: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
         new_bools = (bools & ~self.del_mask) | self.add_mask
         if not self.num_effects:

@@ -14,9 +14,10 @@ bitset prune.
 (Bellman-Ford) delete relaxation, the reference for the counter-based
 ``h_add`` and ``h_max_cost``.
 
-``reference_solve`` is the fourth: the planner's scan-based search loop,
-which tests every action in every state, the reference for the compiled
-successor entries of ``planwright.planner.search``.
+``reference_solve`` is the fourth: the planner's scan-based, heap-based
+search loop, which tests every action in every state, the reference for the
+compiled successor entries, packed int states and bucketed open list of
+``planwright.planner.search``.
 
 ``reference_instantiate`` is the fifth: the planner's original
 instantiation loop, which substitutes every literal of every binding in the
@@ -31,7 +32,8 @@ which lexes the whole text into tokens before it matches any parenthesis,
 the reference for the one-pass ``planwright.pddl.syntax.read_forms``.
 
 ``atoms_of`` and ``numerics_of`` read a ground task's state back as atoms
-and numeric values; ``bundled_problems`` parses the 140 bundled benchmark
+and numeric values; ``applicable`` tests a ground action's precondition in a
+state; ``bundled_problems`` parses the 140 bundled benchmark
 problems; ``refuel_problem`` builds a small numeric task whose actions
 increase, decrease and assign fluents; ``random_walk_states`` samples
 reachable states of a ground task for checks that run along a walk.
@@ -539,11 +541,14 @@ def reference_solve(task, strategy: str = "astar", heuristic: str = "blind", nod
     """``SolveResult.to_json()`` of the planner's search, by a scan over every action.
 
     This is the planner's loop from before successors were compiled to flat
-    entries, kept but for the time budget: every expanded state tests every
-    action with ``GroundAction.applicable``, applies it with
-    ``GroundAction.apply``, and tests the goal branch by branch with
-    ``Condition.holds``. Same f-values, FIFO counter and stale-entry rule, so
-    node counts and plans must be equal.
+    entries, kept but for the time budget, and it stays heap-based: a state
+    is a ``(bools, nums)`` pair, the open list is a ``heapq`` keyed by
+    ``(f, push counter)``, and ``best_g`` and ``parents`` are two dicts.
+    Every expanded state tests every action with ``applicable``, applies it
+    with ``GroundAction.apply``, and tests the goal branch by branch with
+    ``Condition.holds`` on every pop, whatever its h. Same f-values, FIFO
+    order and stale-entry rule, so node counts and plans must be equal to
+    those of the bucketed open list over packed int states.
     """
     import heapq
 
@@ -589,7 +594,7 @@ def reference_solve(task, strategy: str = "astar", heuristic: str = "blind", nod
             return result("budget-exhausted", expanded)
         expanded += 1
         for idx, action in enumerate(task.actions):
-            if not action.applicable(*state):
+            if not applicable(action, *state):
                 continue
             successor = action.apply(*state)
             new_g = g + 1
@@ -607,6 +612,11 @@ def reference_solve(task, strategy: str = "astar", heuristic: str = "blind", nod
     return result("unsolvable", expanded)
 
 
+def applicable(action: GroundAction, bools: int, nums: tuple[Fraction, ...]) -> bool:
+    """Whether the ground action's precondition holds in the state."""
+    return action.pre.holds(bools, nums)
+
+
 def random_walk_states(task, seeds=range(5), steps: int = 40) -> list:
     """Distinct states met on seeded random walks from the initial state, in order of first visit."""
     states = {(task.init_bools, task.init_nums): None}
@@ -614,7 +624,7 @@ def random_walk_states(task, seeds=range(5), steps: int = 40) -> list:
         rng = random.Random(seed)
         bools, nums = task.init_bools, task.init_nums
         for _ in range(steps):
-            apps = [a for a in task.actions if a.applicable(bools, nums)]
+            apps = [a for a in task.actions if applicable(a, bools, nums)]
             if not apps:
                 break
             bools, nums = rng.choice(apps).apply(bools, nums)

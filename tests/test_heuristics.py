@@ -9,6 +9,7 @@ tasks of the numeric golden.
 """
 from __future__ import annotations
 
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -27,10 +28,12 @@ from planwright.ir import (
     NumConst,
     NumericEffect,
     NumFluent,
+    Or,
     ProblemInstance,
     SetEffect,
 )
-from planwright.planner import ground, h_add, h_max_cost
+from planwright.domains import blocksworld_problem
+from planwright.planner import blind, ground, h_add, h_max_cost
 
 from helpers import bfs_optimal_plan, random_walk_states, reference_h, refuel_problem
 from test_golden import domain_dirs, domain_tasks, numeric_problems
@@ -67,6 +70,61 @@ def test_h_max_is_a_lower_bound_on_numeric_tasks():
         if oracle is not None:
             task = ground(problem)
             assert h_max_cost(task, task.init_bools, task.init_nums) <= len(oracle), problem.name
+
+
+def goal_states_estimate_zero(task, states) -> int:
+    """Assert that both estimates are 0 in every goal state among ``states``,
+    which lets search test the goal only on entries with h 0; return how many
+    goal states there were."""
+    hits = 0
+    for bools, nums in states:
+        if task.goal_holds(bools, nums):
+            hits += 1
+            assert blind(task, bools, nums) == h_add(task, bools, nums) == 0, (bools, nums)
+        else:
+            assert blind(task, bools, nums) == 1, (bools, nums)
+    return hits
+
+
+def _towers(rng: random.Random, blocks: list[str]) -> list[list[str]]:
+    order = rng.sample(blocks, len(blocks))
+    cuts = sorted(rng.sample(range(1, len(blocks)), rng.randrange(len(blocks))))
+    return [order[i:j] for i, j in zip([0, *cuts], [*cuts, len(blocks)])]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_goal_states_estimate_zero_on_seeded_blocksworld(seed):
+    # Three blocks have 13 states, so the walks reach the goal.
+    rng = random.Random(seed)
+    blocks = ["b1", "b2", "b3"]
+    task = ground(blocksworld_problem(f"bw-{seed}", _towers(rng, blocks), _towers(rng, blocks)))
+    assert goal_states_estimate_zero(task, random_walk_states(task, seeds=range(5), steps=40))
+
+
+def test_goal_states_estimate_zero_on_numeric_tasks():
+    hits = sum(
+        goal_states_estimate_zero(task, random_walk_states(task, seeds=range(5), steps=40))
+        for task in map(ground, numeric_problems())
+    )
+    assert hits
+
+
+@pytest.mark.parametrize(
+    "goal",
+    [
+        Atom("on", ("b2", "b1")),  # already true
+        Or((And(()), Atom("on", ("b1", "b2")))),  # a free branch
+    ],
+    ids=["already-true", "free-branch"],
+)
+def test_goal_true_from_the_start_estimates_zero(goal):
+    base = blocksworld_problem("bw", [["b1", "b2"], ["b3"]], [])
+    task = ground(ProblemInstance(base.domain, base.objects, base.init, goal))
+    states = random_walk_states(task, seeds=range(3), steps=20)
+    hits = goal_states_estimate_zero(task, states)
+    assert hits >= 1
+    if isinstance(goal, Or):
+        assert task.relaxed.free_goal and hits == len(states)
 
 
 FUEL = NumFluent("fuel", ())

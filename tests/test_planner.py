@@ -58,6 +58,7 @@ from planwright.planner.search import SuccessorGenerator
 
 from helpers import (
     AtomNumbering,
+    applicable,
     atoms_of,
     bfs_optimal_plan,
     bundled_problems,
@@ -443,7 +444,7 @@ class TestSuccessorIndex:
         seen = set()
         for bools, nums in random_walk_states(task, seeds=range(4), steps=30):
             entries = successors.applicable(bools, nums)
-            expected = [i for i, a in enumerate(task.actions) if a.applicable(bools, nums)]
+            expected = [i for i, a in enumerate(task.actions) if applicable(a, bools, nums)]
             assert [entry[0] for entry in entries] == expected
             for idx, _, _, _, keep, add, effects in entries:
                 action = task.actions[idx]
@@ -672,7 +673,7 @@ class TestHeuristics:
         # random walk to sample reachable states
         for _ in range(50):
             bools, nums = states[-1]
-            apps = [a for a in task.actions if a.applicable(bools, nums)]
+            apps = [a for a in task.actions if applicable(a, bools, nums)]
             action = rng.choice(apps)
             states.append(action.apply(bools, nums))
         for bools, nums in states:
@@ -708,7 +709,7 @@ class TestHeuristics:
         task = ground(problem)
         base = h_add(task, task.init_bools, task.init_nums)
         for action in task.actions:
-            if action.applicable(task.init_bools, task.init_nums):
+            if applicable(action, task.init_bools, task.init_nums):
                 richer = task.init_bools | action.add_mask  # add effects only
                 assert h_add(task, richer, task.init_nums) <= base + 1
 
