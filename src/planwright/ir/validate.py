@@ -7,7 +7,8 @@ means the instance is well-formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
+from math import prod
 from typing import Optional
 
 from .model import (
@@ -285,23 +286,42 @@ def _numeric_fluents_in_use(problem: ProblemInstance) -> set[str]:
 
 def _check_numeric_closure(problem: ProblemInstance, scope: _Scope, out: ValidationReport) -> None:
     """Every ground instance of a numeric fluent used by actions or the goal
-    must be initialized, otherwise action application would be undefined."""
+    must be initialized, otherwise action application would be undefined.
+
+    One violation per fluent gives how many typed instances lack a value and
+    the first of them in product order. The count is the size of the product
+    less the initialized instances inside it, so the product is walked only
+    until the first gap: at most one step more than the fluent has values.
+    """
     used = _numeric_fluents_in_use(problem)
     if not used:
         return
     domain = problem.domain
     declared = domain.fluent_map()
-    initialized = {(t.fluent, t.args) for t, _ in problem.init.numeric}
+    initialized: dict[str, set[tuple[str, ...]]] = {}
+    for t, _ in problem.init.numeric:
+        initialized.setdefault(t.fluent, set()).add(t.args)
     objects_by_name = sorted(problem.objects, key=lambda o: o.name)
     for name in sorted(used):
         decl = declared.get(name)
         if decl is None or decl.kind != NUMERIC:
             continue  # reported as unknown-fluent / kind-mismatch elsewhere
+        # A duplicated object (reported elsewhere) counts once.
         candidates = [
-            [o.name for o in objects_by_name if domain.is_subtype(o.type, param.type)]
+            list(dict.fromkeys(o.name for o in objects_by_name if domain.is_subtype(o.type, param.type)))
             for param in decl.parameters
         ]
-        for combo in product(*candidates):
-            if (name, tuple(combo)) not in initialized:
-                rendered = NumFluent(name, tuple(combo))
-                out.append(Violation(UNINITIALIZED_NUMERIC, f"numeric atom {rendered} is used but has no initial value"))
+        have = initialized.get(name, set())
+        members = [set(names) for names in candidates]
+        inside = sum(1 for args in have if len(args) == len(members) and all(a in m for a, m in zip(args, members)))
+        total = prod(len(names) for names in candidates)
+        if inside == total:
+            continue
+        first = next(combo for combo in islice(product(*candidates), len(have) + 1) if combo not in have)
+        rendered = NumFluent(name, first)
+        out.append(
+            Violation(
+                UNINITIALIZED_NUMERIC,
+                f"numeric atom {rendered} is used but has no initial value ({total - inside} of {total} instances of {name} have none)",
+            )
+        )

@@ -40,6 +40,32 @@ from planwright.pddl import parse_domain, parse_problem
 from fractions import Fraction
 
 
+def diagonal_pddl(objects: int) -> tuple[str, str]:
+    """A domain whose one action reads ``(f ?a ?a ?a ?a)`` of a 4-ary numeric
+    fluent, and a problem over ``objects`` untyped objects that sets only the
+    diagonal of ``f``."""
+    domain = """(define (domain diagonal) (:requirements :numeric-fluents)
+  (:predicates (q ?a)) (:functions (f ?a ?b ?c ?d))
+  (:action go :parameters (?a) :precondition (>= (f ?a ?a ?a ?a) 0) :effect (q ?a)))"""
+    names = [f"o{i}" for i in range(objects)]
+    init = " ".join(f"(= (f {n} {n} {n} {n}) 1)" for n in names)
+    problem = f"(define (problem diagonal) (:domain diagonal) (:objects {' '.join(names)}) (:init {init}) (:goal (q o0)))"
+    return domain, problem
+
+
+# Validates the problem of ``diagonal_pddl`` read from standard input, under a
+# 1 GB address-space limit, and prints each violation as (code, message).
+DIAGONAL_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from planwright.ir import validate
+from planwright.pddl import parse_domain, parse_problem
+domain_text, problem_text = json.load(sys.stdin)
+report = validate(parse_problem(problem_text, parse_domain(domain_text)))
+print(json.dumps([[v.code, v.message] for v in report]))
+"""
+
+
 @pytest.fixture
 def bw3():
     return blocksworld_problem("bw3", [["b1"], ["b2"], ["b3"]], [["b3", "b2", "b1"]])
@@ -105,6 +131,53 @@ class TestValidate:
         )
         report = validate(problem)
         assert {v.code for v in report} == {"uninitialized-numeric"}
+
+    def test_uninitialized_numeric_is_one_violation_per_fluent(self):
+        # The diagonal of (f ?a ?a ?a ?a) is set; 81 - 3 instances are not,
+        # the first of them in product order over the sorted object names.
+        domain_text, problem_text = diagonal_pddl(3)
+        report = validate(parse_problem(problem_text, parse_domain(domain_text)))
+        assert [(v.code, v.message) for v in report] == [
+            ("uninitialized-numeric", "numeric atom (f o0 o0 o0 o1) is used but has no initial value (78 of 81 instances of f have none)")
+        ]
+
+    def test_uninitialized_numeric_count_ignores_duplicates_and_values_outside_the_types(self):
+        # o1 is declared twice and counts once; the value of (g o0 t1) lies
+        # outside the product of (g ?a - thing ?b - thing), which stays
+        # empty only at (g o1 o0) and (g o1 o1).
+        domain_text = """(define (domain d) (:requirements :typing :numeric-fluents)
+  (:types thing other) (:predicates (q))
+  (:functions (g ?a - thing ?b - thing))
+  (:action go :parameters (?a - thing ?b - thing) :precondition (>= (g ?a ?b) 0) :effect (q)))"""
+        problem_text = """(define (problem p) (:domain d) (:objects o0 o1 - thing t1 - other)
+  (:init (= (g o0 o0) 1) (= (g o0 o1) 1) (= (g o0 t1) 1)) (:goal (q)))"""
+        parsed = parse_problem(problem_text, parse_domain(domain_text))
+        problem = dataclasses.replace(parsed, objects=parsed.objects + (ObjectDecl("o1", "thing"),))
+        messages = [v.message for v in validate(problem) if v.code == "uninitialized-numeric"]
+        assert messages == ["numeric atom (g o1 o0) is used but has no initial value (2 of 4 instances of g have none)"]
+
+    def test_uninitialized_numeric_check_is_bounded(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import planwright
+
+        # The child runs under its own limit, so a regression fails this test
+        # and not the machine: 30 objects leave 809,970 instances unset.
+        package_root = str(Path(planwright.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", DIAGONAL_CHILD],
+            input=json.dumps(diagonal_pddl(30)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout) == [
+            ["uninitialized-numeric", "numeric atom (f o0 o0 o0 o1) is used but has no initial value (809970 of 810000 instances of f have none)"]
+        ]
 
     @pytest.mark.parametrize(
         "domain, code",
