@@ -28,6 +28,7 @@ class RunDirectory:
     def __init__(self, path: Union[str, Path], command: str, config_snapshot: Optional[dict] = None):
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
+        self._resolved = self.path.resolve()
         self.command = command
         self.config_snapshot = config_snapshot or {}
         self.created_at = datetime.now(timezone.utc).isoformat()
@@ -67,7 +68,7 @@ class RunDirectory:
             return None
         p = Path(value)
         try:
-            return str(p.resolve().relative_to(self.path.resolve()))
+            return str(p.resolve().relative_to(self._resolved))
         except ValueError:
             return str(p)
 
