@@ -290,8 +290,8 @@ def _check_numeric_closure(problem: ProblemInstance, scope: _Scope, out: Validat
 
     One violation per fluent gives how many typed instances lack a value and
     the first of them in product order. The count is the size of the product
-    less the initialized instances inside it, so the product is walked only
-    until the first gap: at most one step more than the fluent has values.
+    less the initialized instances inside it. The first gap lies within one
+    step more than the fluent has values, so the walk stops there.
     """
     used = _numeric_fluents_in_use(problem)
     if not used:
