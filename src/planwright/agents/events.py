@@ -24,11 +24,5 @@ class EventLog:
         self.events.append(event)
         return event
 
-    def tool_calls(self, name: str | None = None) -> list[PipelineEvent]:
-        out = [e for e in self.events if e.kind == "tool-call"]
-        if name is not None:
-            out = [e for e in out if e.data.get("tool") == name]
-        return out
-
     def to_json(self) -> list[dict]:
         return [e.to_json() for e in self.events]

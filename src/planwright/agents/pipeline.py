@@ -110,10 +110,6 @@ class PipelineResult:
     def status(self) -> str:
         return _status(self.failure_kind)
 
-    @property
-    def applied_requests(self) -> list[UpstreamRequest]:
-        return [r for r in self.requests if r.outcome.startswith("applied")]
-
     def to_document(self) -> dict:
         """`to_json` with the problem left as the `ProblemInstance`, which
         `jsonio.dumps` writes from the problem's once-encoded text."""

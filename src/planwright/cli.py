@@ -299,20 +299,23 @@ def cmd_plan(args, run: RunDirectory) -> None:
         run.write_text("problem.pddl", emit_problem(problem))
         run.write_json("problem.json", problem)
 
-        run.start("solve")
+        run.start("ground")
         try:
             task_ground = ground(problem)
         except GroundingError as exc:
             raise _Exit(EX_TASK_FAILED, "solve", "grounding-error", str(exc)) from exc
+        run.stop("ground")
+        run.start("search")
         outcome = solve(task_ground, solve_cfg)
-        run.stop("solve")
-        run.add_timing("solve_wall", outcome.wall_time)
+        run.stop("search")
         run.write_json("outcome.json", outcome.to_json())
 
         if outcome.status != "plan":
             raise _Exit(EX_UNSOLVABLE, "solve", outcome.status, f"no plan for goal {emit_expression(problem.goal)}")
 
+        run.start("validate")
         verdict = validate_plan(problem, outcome.plan)
+        run.stop("validate")
         if isinstance(verdict, Invalid):
             message = f"solver returned an invalid plan: step {verdict.step_index}, {verdict.violated}"
             raise _Exit(EX_INTERNAL, "solve", "invalid-plan", message)

@@ -2,9 +2,15 @@
 
 ``apply_edit`` is atomic: it either returns a new model that differs only by
 the requested change, or it returns the inputs untouched together with a
-rejection reason. Malformed edits (unbound variables, empty provenance)
-raise instead of rejecting, since they indicate a bug in the requesting
-agent rather than a judgement call.
+rejection reason. An edit is checked by validating its result: the edited
+domain with ``validate_domain``, the merged object set with
+``validate_objects``. Malformed edits raise ``MalformedEditError`` instead of
+rejecting, since they indicate a bug in the requesting agent rather than a
+judgement call: empty provenance, an action replacement that replaces
+nothing, an object addition with no objects, and an edited domain whose
+report holds an ``unbound-variable`` violation. Every other violation
+rejects the edit as ``type-conflict``, except a duplicated object, which
+rejects as ``duplicate-object``.
 """
 from __future__ import annotations
 
@@ -18,16 +24,8 @@ from .model import (
     DomainModel,
     ModifyAction,
     ObjectDecl,
-    is_variable,
 )
-from .validate import (
-    UNBOUND_VARIABLE,
-    _Scope,
-    _check_effects,
-    _check_fluent_decl,
-    check_expression,
-    validate_domain,
-)
+from .validate import DUPLICATE_OBJECT, UNBOUND_VARIABLE, validate_domain, validate_objects
 
 
 class MalformedEditError(ValueError):
@@ -77,10 +75,6 @@ def _reject(domain: DomainModel, objects: tuple[ObjectDecl, ...], reason: str, m
 
 def _apply_fluent(domain: DomainModel, objects, edit: AddOrModifyFluent) -> EditResult:
     new = edit.fluent
-    problems: list = []
-    _check_fluent_decl(domain, new, problems)
-    if problems:
-        return _reject(domain, objects, "type-conflict", "; ".join(str(p) for p in problems))
     existing = domain.fluent_map().get(new.name)
     if existing is not None:
         if existing == new:
@@ -112,60 +106,28 @@ def _apply_action(domain: DomainModel, objects, edit: ModifyAction) -> EditResul
     if edit.effects is not None:
         new_schema = replace(new_schema, effects=tuple(edit.effects))
 
-    bound = {p.name for p in schema.parameters}
-    for part in _edit_variables(edit):
-        if is_variable(part) and part not in bound:
-            raise MalformedEditError(f"replacement for {edit.action} uses unbound variable {part}")
-
-    scope = _Scope(domain, variables={p.name: p.type for p in schema.parameters})
-    problems: list = []
-    if edit.precondition is not None:
-        check_expression(edit.precondition, scope, f"replacement precondition of {edit.action}", problems)
-    if edit.effects is not None:
-        _check_effects(domain, edit.action, new_schema.effects, scope, problems)
-    fatal = [p for p in problems if p.code != UNBOUND_VARIABLE]
-    if fatal:
-        return _reject(domain, objects, "type-conflict", "; ".join(str(p) for p in fatal))
-
     actions = tuple(new_schema if a.name == edit.action else a for a in domain.actions)
     return _finish(domain, replace(domain, actions=actions), objects, f"modified action {edit.action}")
-
-
-def _edit_variables(edit: ModifyAction):
-    from .model import expression_atoms, expression_num_fluents, NumericEffect, SetEffect, walk_terms, NumFluent
-
-    if edit.precondition is not None:
-        for atom in expression_atoms(edit.precondition):
-            yield from atom.args
-        for ref in expression_num_fluents(edit.precondition):
-            yield from ref.args
-    for effect in edit.effects or ():
-        if isinstance(effect, SetEffect):
-            yield from effect.atom.args
-        elif isinstance(effect, NumericEffect):
-            yield from effect.target.args
-            for term in walk_terms(effect.amount):
-                if isinstance(term, NumFluent):
-                    yield from term.args
 
 
 def _apply_objects(domain: DomainModel, objects, edit: AddObjects) -> EditResult:
     if not edit.objects:
         raise MalformedEditError("object addition lists no objects")
-    declared = {o.name for o in objects}
-    type_names = {t.name for t in domain.types} | {"object"}
-    for obj in edit.objects:
-        if obj.name in declared:
-            return _reject(domain, objects, "duplicate-object", f"object {obj.name} already declared")
-        if obj.type not in type_names:
-            return _reject(domain, objects, "type-conflict", f"object {obj.name} has undeclared type {obj.type}")
-        declared.add(obj.name)
-    merged = tuple(sorted(objects + tuple(edit.objects), key=lambda o: o.name))
+    added = objects + tuple(edit.objects)
+    problems = validate_objects(domain, added)
+    if problems:
+        first = problems[0]
+        reason = DUPLICATE_OBJECT if first.code == DUPLICATE_OBJECT else "type-conflict"
+        return _reject(domain, objects, reason, first.message)
+    merged = tuple(sorted(added, key=lambda o: o.name))
     return EditResult(domain, merged, Applied(f"added objects {', '.join(o.name for o in edit.objects)}"))
 
 
 def _finish(original: DomainModel, updated: DomainModel, objects, detail: str) -> EditResult:
     leftover = validate_domain(updated)
+    unbound = [v for v in leftover if v.code == UNBOUND_VARIABLE]
+    if unbound:
+        raise MalformedEditError("; ".join(str(v) for v in unbound))
     if leftover:
         return _reject(original, objects, "type-conflict", "; ".join(str(v) for v in leftover))
     return EditResult(updated, objects, Applied(detail))

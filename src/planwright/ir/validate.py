@@ -22,7 +22,6 @@ from .model import (
     Comparison,
     DomainModel,
     Expression,
-    FluentDecl,
     Not,
     NumAdd,
     NumConst,
@@ -30,6 +29,7 @@ from .model import (
     NumSub,
     NumTerm,
     NumericEffect,
+    ObjectDecl,
     Or,
     ProblemInstance,
     SetEffect,
@@ -152,14 +152,13 @@ def check_expression(expr: Expression, scope: _Scope, where: str, out: Validatio
         out.append(Violation(BAD_OPERATOR, f"unknown expression node {expr!r} in {where}"))
 
 
-def _check_types(domain: DomainModel, out: ValidationReport) -> None:
+def _check_types(domain: DomainModel, type_names: set[str], out: ValidationReport) -> None:
     seen: set[str] = set()
-    names = {t.name for t in domain.types}
     for decl in domain.types:
         if decl.name in seen or decl.name == OBJECT_TYPE:
             out.append(Violation(DUPLICATE_TYPE, f"type {decl.name} declared more than once"))
         seen.add(decl.name)
-        if decl.parent != OBJECT_TYPE and decl.parent not in names:
+        if decl.parent not in type_names:
             out.append(Violation(UNKNOWN_TYPE, f"type {decl.name} has undeclared parent {decl.parent}"))
     # Forest check: walking parents from any type must reach the root.
     parents = {t.name: t.parent for t in domain.types}
@@ -177,47 +176,66 @@ def _check_types(domain: DomainModel, out: ValidationReport) -> None:
             current = nxt
 
 
-def _check_fluent_decl(domain: DomainModel, decl: FluentDecl, out: ValidationReport) -> None:
-    if decl.kind not in (BOOLEAN, NUMERIC):
-        out.append(Violation(BAD_KIND, f"fluent {decl.name} has unknown kind {decl.kind}"))
+def _check_parameters(owner: str, parameters, type_names: set[str], out: ValidationReport) -> None:
+    """Parameters of a fluent or action; ``owner`` is ``fluent NAME`` or ``action NAME``."""
     seen: set[str] = set()
-    type_names = {t.name for t in domain.types} | {OBJECT_TYPE}
-    for param in decl.parameters:
+    for param in parameters:
         if param.name in seen:
-            out.append(Violation(DUPLICATE_PARAMETER, f"fluent {decl.name} repeats parameter {param.name}"))
+            out.append(Violation(DUPLICATE_PARAMETER, f"{owner} repeats parameter {param.name}"))
         seen.add(param.name)
         if param.type not in type_names:
-            out.append(Violation(UNKNOWN_TYPE, f"parameter {param.name} of fluent {decl.name} has undeclared type {param.type}"))
+            out.append(Violation(UNKNOWN_TYPE, f"parameter {param.name} of {owner} has undeclared type {param.type}"))
 
 
-def validate_domain(domain: DomainModel) -> ValidationReport:
-    """Check every domain-level invariant; empty report means valid."""
-    out: ValidationReport = []
-    _check_types(domain, out)
+def _type_names(domain: DomainModel) -> set[str]:
+    return {t.name for t in domain.types} | {OBJECT_TYPE}
 
-    type_names = {t.name for t in domain.types} | {OBJECT_TYPE}
+
+def _check_domain(domain: DomainModel, type_names: set[str], out: ValidationReport) -> None:
+    _check_types(domain, type_names, out)
+
     seen_fluents: set[str] = set()
     for decl in domain.fluents:
         if decl.name in seen_fluents:
             out.append(Violation(DUPLICATE_FLUENT, f"fluent {decl.name} declared more than once"))
         seen_fluents.add(decl.name)
-        _check_fluent_decl(domain, decl, out)
+        if decl.kind not in (BOOLEAN, NUMERIC):
+            out.append(Violation(BAD_KIND, f"fluent {decl.name} has unknown kind {decl.kind}"))
+        _check_parameters(f"fluent {decl.name}", decl.parameters, type_names, out)
 
     seen_actions: set[str] = set()
     for action in domain.actions:
         if action.name in seen_actions:
             out.append(Violation(DUPLICATE_ACTION, f"action {action.name} declared more than once"))
         seen_actions.add(action.name)
-        seen_params: set[str] = set()
-        for param in action.parameters:
-            if param.name in seen_params:
-                out.append(Violation(DUPLICATE_PARAMETER, f"action {action.name} repeats parameter {param.name}"))
-            seen_params.add(param.name)
-            if param.type not in type_names:
-                out.append(Violation(UNKNOWN_TYPE, f"parameter {param.name} of action {action.name} has undeclared type {param.type}"))
+        _check_parameters(f"action {action.name}", action.parameters, type_names, out)
         scope = _Scope(domain, variables={p.name: p.type for p in action.parameters})
         check_expression(action.precondition, scope, f"precondition of {action.name}", out)
         _check_effects(domain, action.name, action.effects, scope, out)
+
+
+def _check_objects(objects, type_names: set[str], out: ValidationReport) -> None:
+    seen: set[str] = set()
+    for obj in objects:
+        if obj.name in seen:
+            out.append(Violation(DUPLICATE_OBJECT, f"object {obj.name} declared more than once"))
+        seen.add(obj.name)
+        if obj.type not in type_names:
+            out.append(Violation(UNKNOWN_TYPE, f"object {obj.name} has undeclared type {obj.type}"))
+
+
+def validate_domain(domain: DomainModel) -> ValidationReport:
+    """Check every domain-level invariant; empty report means valid."""
+    out: ValidationReport = []
+    _check_domain(domain, _type_names(domain), out)
+    return out
+
+
+def validate_objects(domain: DomainModel, objects: tuple[ObjectDecl, ...]) -> ValidationReport:
+    """Check the names and types of an object set, in declaration order and,
+    for each object, the duplicate name before the type; empty report means valid."""
+    out: ValidationReport = []
+    _check_objects(objects, _type_names(domain), out)
     return out
 
 
@@ -243,16 +261,10 @@ def _check_effects(domain: DomainModel, action_name: str, effects, scope: _Scope
 def validate(problem: ProblemInstance) -> ValidationReport:
     """Full problem validation: domain, objects, init, goal, numeric closure."""
     domain = problem.domain
-    out = validate_domain(domain)
-
-    type_names = {t.name for t in domain.types} | {OBJECT_TYPE}
-    seen_objects: set[str] = set()
-    for obj in problem.objects:
-        if obj.name in seen_objects:
-            out.append(Violation(DUPLICATE_OBJECT, f"object {obj.name} declared more than once"))
-        seen_objects.add(obj.name)
-        if obj.type not in type_names:
-            out.append(Violation(UNKNOWN_TYPE, f"object {obj.name} has undeclared type {obj.type}"))
+    type_names = _type_names(domain)
+    out: ValidationReport = []
+    _check_domain(domain, type_names, out)
+    _check_objects(problem.objects, type_names, out)
 
     objects = {o.name: o.type for o in problem.objects}
     ground_scope = _Scope(domain, objects=objects)

@@ -201,9 +201,3 @@ class ContextBuffer:
 
     def window(self) -> list[AgentMessage]:
         return [self.system_message] + list(self._messages)
-
-    def clear(self) -> None:
-        self._messages.clear()
-
-    def __len__(self) -> int:
-        return len(self._messages)

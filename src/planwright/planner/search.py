@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -77,11 +77,8 @@ class SolveResult:
     status: str
     plan: Optional[Plan] = None
     nodes_expanded: int = 0
-    wall_time: float = field(default=0.0, repr=False)
 
     def to_json(self) -> dict:
-        # Wall time is real-time measurement and deliberately excluded so
-        # equal solves serialize identically; it travels in run manifests.
         out = {"status": self.status, "nodes_expanded": self.nodes_expanded}
         if self.plan is not None:
             out["plan"] = self.plan.to_json()
@@ -131,11 +128,11 @@ def solve(task: GroundTask, cfg: SolveConfig = SolveConfig()) -> SolveResult:
 
     init = task.init_bools
     if task.goal_holds(init, task.init_nums):
-        return SolveResult(STATUS_PLAN, Plan(()), 0, time.monotonic() - started)
+        return SolveResult(STATUS_PLAN, Plan(()), 0)
 
     h0 = estimate(task, init, task.init_nums)
     if h0 == INF:
-        return SolveResult(STATUS_UNSOLVABLE, None, 0, time.monotonic() - started)
+        return SolveResult(STATUS_UNSOLVABLE, None, 0)
 
     n = len(task.atoms)
     low = (1 << n) - 1
@@ -160,9 +157,9 @@ def solve(task: GroundTask, cfg: SolveConfig = SolveConfig()) -> SolveResult:
             continue  # stale entry
         nums = vectors[state >> n]
         if not h and task.goal_holds(state & low, nums):
-            return SolveResult(STATUS_PLAN, _reconstruct(task, nodes, state), expanded, time.monotonic() - started)
+            return SolveResult(STATUS_PLAN, _reconstruct(task, nodes, state), expanded)
         if expanded >= cfg.node_budget or time.monotonic() - started > cfg.time_budget:
-            return SolveResult(STATUS_BUDGET, None, expanded, time.monotonic() - started)
+            return SolveResult(STATUS_BUDGET, None, expanded)
         expanded += 1
         new_g = g + 1
         for action_idx, _, _, _, keep, add, effects in successors.applicable(state, nums):
@@ -190,7 +187,7 @@ def solve(task: GroundTask, cfg: SolveConfig = SolveConfig()) -> SolveResult:
             if successor_f < f:
                 f = successor_f
 
-    return SolveResult(STATUS_UNSOLVABLE, None, expanded, time.monotonic() - started)
+    return SolveResult(STATUS_UNSOLVABLE, None, expanded)
 
 
 def _reconstruct(task: GroundTask, nodes: dict, state: int) -> Plan:

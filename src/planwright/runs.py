@@ -44,9 +44,6 @@ class RunDirectory:
         if stage in self._t0:
             self.timings[stage] = time.monotonic() - self._t0.pop(stage)
 
-    def add_timing(self, stage: str, seconds: float) -> None:
-        self.timings[stage] = seconds
-
     # -- artifacts -----------------------------------------------------------
 
     def write_text(self, name: str, text: str) -> Path:

@@ -212,6 +212,12 @@ SKILLS = {
     "heat": (_heat, ("target",), "Heat an item that sits inside a heater you are next to."),
 }
 
+# What each skill argument names, shown to the executor model with the tool.
+_ARGUMENT_DESCRIPTIONS = {
+    "target": "Id of the entity the skill acts on.",
+    "destination": "Id of the surface or container that receives the held item.",
+}
+
 
 def describe_state(state: WorldState) -> str:
     """Deterministic description covering every entity's location and
@@ -274,7 +280,7 @@ class TextWorldEnv:
     """
 
     tools = tuple(
-        ToolSchema(name, description, tuple(ToolParam(p) for p in params))
+        ToolSchema(name, description, tuple(ToolParam(p, _ARGUMENT_DESCRIPTIONS[p]) for p in params))
         for name, (_, params, description) in SKILLS.items()
     )
 

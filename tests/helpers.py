@@ -36,7 +36,9 @@ and numeric values; ``applicable`` tests a ground action's precondition in a
 state; ``bundled_problems`` parses the 140 bundled benchmark
 problems; ``refuel_problem`` builds a small numeric task whose actions
 increase, decrease and assign fluents; ``random_walk_states`` samples
-reachable states of a ground task for checks that run along a walk.
+reachable states of a ground task for checks that run along a walk;
+``tool_calls`` and ``applied_requests`` pick events and upstream requests
+out of a pipeline run.
 """
 from __future__ import annotations
 
@@ -778,3 +780,13 @@ def reference_read_forms(text: str, filename: str = "<pddl>") -> list:
         _, line, col = stack[-1]
         raise PddlError(UNBALANCED, "unclosed '('", line, col, filename)
     return current
+
+
+def tool_calls(events, name: str) -> list:
+    """The ``tool-call`` events of an ``EventLog`` for the tool ``name``."""
+    return [e for e in events.events if e.kind == "tool-call" and e.data.get("tool") == name]
+
+
+def applied_requests(result) -> list:
+    """The upstream requests of a ``PipelineResult`` that were applied."""
+    return [r for r in result.requests if r.outcome.startswith("applied")]

@@ -46,7 +46,7 @@ from planwright.runs import normalized_tree
 from scenarios import FRIDGE_MEMORY_SUMMARY, fridge_recall_scenario
 from planwright.textworld import check_goal, state_from_json
 
-from helpers import bfs_optimal_plan
+from helpers import bfs_optimal_plan, tool_calls
 from test_planner import battery_problem
 
 ASTAR = SolveConfig(strategy="astar", heuristic="blind")
@@ -181,7 +181,7 @@ def test_color_goal_pipeline_replay_ten_times():
             user_channel=ScriptedUserChannel(list(answers)),
         )
         assert result.status == "complete"
-        calls = result.events.tool_calls("missing_or_incorrect_fluent")
+        calls = tool_calls(result.events, "missing_or_incorrect_fluent")
         assert calls and calls[0].data["arguments"]["fluent_name"] == "color"
         queries = [e for e in result.events.events if e.kind == "user-query"]
         assert len(queries) == 3 and all("color" in q.data["question"] for q in queries)

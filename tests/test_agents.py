@@ -39,6 +39,7 @@ from scenarios import (
     record_scenario,
     size_tower_scenario,
 )
+from helpers import applied_requests, tool_calls
 
 ASTAR = SolveConfig(strategy="astar", heuristic="blind")
 
@@ -165,7 +166,7 @@ class TestColorScenario:
         domain = result.problem.domain
         assert "color" in domain.fluent_map()
         assert Atom("color", ("b1", "blue")) in result.problem.init.true_atoms
-        calls = result.events.tool_calls("missing_or_incorrect_fluent")
+        calls = tool_calls(result.events, "missing_or_incorrect_fluent")
         assert calls and calls[0].data["arguments"]["fluent_name"] == "color"
         questions = [e for e in result.events.events if e.kind == "user-query"]
         assert [q.data["answer"] for q in questions] == ["blue", "red", "green"]
@@ -332,7 +333,7 @@ class TestInitAgentUpstreamRequests:
         )
         assert result.status == "complete"
         assert "contains" in result.problem.domain.fluent_map()
-        applied = result.applied_requests
+        applied = applied_requests(result)
         assert len(applied) == 1
         assert applied[0].origin == "initial-state"
         assert applied[0].tool == "missing_or_incorrect_fluent"
@@ -410,7 +411,7 @@ class TestGoalAgentObjectRequests:
         assert result.status == "complete"
         assert [o.name for o in result.problem.objects] == ["b1", "b2"]
         assert result.problem.goal == Atom("on-table", ("b2",))
-        [applied] = result.applied_requests
+        [applied] = applied_requests(result)
         assert (applied.origin, applied.tool) == ("goal", "missing_objects")
 
     @pytest.mark.parametrize(

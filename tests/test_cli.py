@@ -50,6 +50,7 @@ class TestPlanCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exit_code"] == 0
         assert "instructions.txt" in manifest["files"]
+        assert list(manifest["timings"]) == ["ground", "pipeline", "search", "validate"]
 
     def test_unsolvable_goal_exits_two_and_names_goal(self, tmp_path):
         fixture = tmp_path / "fixture.json"

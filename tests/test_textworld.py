@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from planwright.ir import And, Atom, Not
 from planwright.textworld import (
+    TextWorldEnv,
     UnknownEntityError,
     WorldState,
     apply_skill,
@@ -89,6 +90,10 @@ class TestSkills:
     def test_unknown_skill(self):
         with pytest.raises(ValueError):
             apply_skill(kitchen_fixture(), "teleport", ("salmon",))
+
+    def test_every_tool_argument_is_described(self):
+        params = [p for tool in TextWorldEnv.tools for p in tool.to_json()["parameters"]]
+        assert params and all(p["description"] for p in params)
 
 
 class TestDescribe:
