@@ -48,8 +48,6 @@ STORE_MEMORY_TOOL = ToolSchema(
     (ToolParam("summary", "Self-contained summary worth recalling for future tasks."),),
 )
 
-UPSTREAM_TOOLS = (MISSING_OR_INCORRECT_FLUENT, ACTION_MODIFICATION, MISSING_OBJECTS)
-
 TOOLSETS: dict[str, tuple[ToolSchema, ...]] = {
     "domain": (STORE_MEMORY_TOOL,),
     "initial-state": (FLUENT_TOOL, ACTION_TOOL, ASK_USER_TOOL, STORE_MEMORY_TOOL),

@@ -102,6 +102,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     in-process `main` call shares them, so none may leave state on them."""
     parser = _Parser(prog="planwright", description="Adaptive task planning pipeline.")
     parser.add_argument("--version", action="version", version=f"planwright {__version__}")
+    parser.set_defaults(config=None)  # `bench` takes no --config
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers: dict[str, argparse.ArgumentParser] = {}
 
@@ -152,23 +153,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, subparsers
 
 
-def _preload_config(argv: list[str], subparsers: dict[str, argparse.ArgumentParser]) -> list[tuple[argparse.Action, Any]]:
+def _read_config(config_path: str, subparser: argparse.ArgumentParser) -> list[tuple[argparse.Action, Any]]:
     """The config file's values, each paired with the subcommand action it
     sets; `_parse_args` makes them that action's default."""
-    config_path: Optional[str] = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
-    command = next((t for t in argv if t in subparsers), None)
-    if config_path is None or command is None:
-        return []
     try:
         data = jsonio.read_object(Path(config_path).read_text(encoding="utf-8"))
     except (OSError, jsonio.IRDecodeError) as exc:
         raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
-    actions = {a.dest: a for a in subparsers[command]._actions}
+    actions = {a.dest: a for a in subparser._actions}
     defaults = []
     for key, value in data.items():
         attr = key.replace("-", "_")
@@ -243,9 +235,9 @@ def _user_channel(args):
             data = json.loads(Path(answers).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read answers file {answers}: {exc}") from exc
-        if not isinstance(data, list):
+        if not isinstance(data, list) or not all(isinstance(a, str) for a in data):
             raise ConfigError("answers file must hold a JSON list of strings")
-        return ScriptedUserChannel([str(a) for a in data])
+        return ScriptedUserChannel(data)
     if args.mode == "live":
         return TerminalUserChannel()
     return RefusingUserChannel()
@@ -461,28 +453,22 @@ COMMANDS = {"plan": cmd_plan, "execute": cmd_execute, "bench": cmd_bench}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subparsers = build_parser()
+    args = parser.parse_args(argv)
     try:
-        defaults = _preload_config(argv, subparsers)
-        config_error = None
-    except ConfigError as exc:
-        _stderr_record("config-error", str(exc))
-        defaults, config_error = [], exc
-    # A rejected config file installs no defaults; parsing the flags alone
-    # still finds --out-dir, so the error is recorded like any other.
-    args = _parse_args(parser, argv, defaults)
-    try:
-        run = RunDirectory(args.out_dir, args.command, {})
+        run = RunDirectory(args.out_dir, args.command)
     except OSError as exc:
         _stderr_record("config-error", f"cannot create run directory {args.out_dir}: {exc}")
         return EX_CONFIG
-    run.config_snapshot = _config_snapshot(args, run)
     failure: Optional[_Exit] = None
     try:
-        if config_error is not None:
-            raise _config_exit(config_error)
+        if args.config is not None:
+            # Parse again with the file's values as defaults, so flags win.
+            args = _parse_args(parser, argv, _read_config(args.config, subparsers[args.command]))
         COMMANDS[args.command](args, run)
+    except ConfigError as exc:  # the config file's: a command turns its own into an _Exit
+        _stderr_record("config-error", str(exc))
+        failure = _config_exit(exc)
     except _Exit as exc:
         failure = exc
     except (FingerprintMismatch, ScriptExhausted) as exc:
@@ -492,6 +478,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if failure is not None:
         run.fail(failure.stage, failure.failure, str(failure))
     code = EX_OK if failure is None else failure.code
+    run.config_snapshot = _config_snapshot(args, run)
     run.finalize(code)
     return code
 

@@ -16,6 +16,8 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Union
 
 from .model import (
+    COMPARISON_OPS,
+    NUMERIC_EFFECT_OPS,
     ActionSchema,
     And,
     Assignment,
@@ -280,7 +282,7 @@ def expression_from_json(data: Any) -> Expression:
         return And(children) if op == "and" else Or(children)
     if op == "not":
         return Not(expression_from_json(field(data, "child", dict)))
-    if op in ("<", "<=", "=", ">=", ">"):
+    if op in COMPARISON_OPS:
         return Comparison(op, term_from_json(field(data, "left", dict)), term_from_json(field(data, "right", dict)))
     raise IRDecodeError(f"unknown expression op {op!r}")
 
@@ -305,7 +307,7 @@ def effect_from_json(data: Any) -> Effect:
         if not isinstance(atom, Atom):
             raise IRDecodeError("set effect must target an atom")
         return SetEffect(atom, field(data, "value", bool, True))
-    if op in ("increase", "decrease", "assign"):
+    if op in NUMERIC_EFFECT_OPS:
         target = term_from_json(field(data, "target", dict))
         if not isinstance(target, NumFluent):
             raise IRDecodeError(f"{op} effect must target a numeric fluent")

@@ -191,12 +191,6 @@ def walk_terms(term: NumTerm) -> Iterator[NumTerm]:
         yield from walk_terms(term.right)
 
 
-def expression_atoms(expr: Expression) -> Iterator[Atom]:
-    for node in walk_expression(expr):
-        if isinstance(node, Atom):
-            yield node
-
-
 def expression_num_fluents(expr: Expression) -> Iterator[NumFluent]:
     for node in walk_expression(expr):
         if isinstance(node, Comparison):

@@ -36,6 +36,7 @@ from ..ir import (
     TypeDecl,
     validate_domain,
 )
+from ..ir.model import COMPARISON_OPS, NUMERIC_EFFECT_OPS
 from .syntax import (
     INVALID_MODEL,
     SList,
@@ -76,9 +77,6 @@ KNOWN_UNSUPPORTED_REQUIREMENTS = {
 }
 
 _NUMBER_RE = re.compile(r"^-?[0-9]+(\.[0-9]+)?$")
-
-COMPARISONS = ("<", "<=", "=", ">=", ">")
-NUMERIC_EFFECTS = ("increase", "decrease", "assign")
 
 
 def _unsupported(what: str, line: int, col: int, filename: str) -> PddlError:
@@ -270,7 +268,7 @@ def _parse_condition(expr: SExpr, filename: str, atom_check=None) -> Expression:
         if len(form.items) != 2:
             raise PddlError(SYNTAX_ERROR, "'not' takes exactly one condition", form.line, form.col, filename)
         return Not(_parse_condition(form.items[1], filename, atom_check))
-    if head in COMPARISONS:
+    if head in COMPARISON_OPS:
         if len(form.items) != 3:
             raise PddlError(SYNTAX_ERROR, f"'{head}' takes exactly two terms", form.line, form.col, filename)
         return Comparison(head, _parse_term(form.items[1], filename, atom_check), _parse_term(form.items[2], filename, atom_check))
@@ -301,7 +299,7 @@ def _parse_single_effect(form: SList, filename: str) -> Effect:
             raise PddlError(SYNTAX_ERROR, "'not' effect takes exactly one atom", form.line, form.col, filename)
         inner = expect_list(form.items[1], "atom", filename)
         return SetEffect(_atom_from(inner, filename), value=False)
-    if head in NUMERIC_EFFECTS:
+    if head in NUMERIC_EFFECT_OPS:
         if len(form.items) != 3:
             raise PddlError(SYNTAX_ERROR, f"'{head}' takes a target and an amount", form.line, form.col, filename)
         target_atom = _atom_from(expect_list(form.items[1], "numeric fluent", filename), filename)

@@ -33,7 +33,6 @@ from .plan import Plan
 
 @dataclass(frozen=True)
 class Valid:
-    final_atoms: frozenset[Atom]
     final_numerics: tuple[tuple[NumFluent, Fraction], ...]
 
     def numeric_value(self, fluent: str, args: tuple[str, ...]) -> Optional[Fraction]:
@@ -114,7 +113,7 @@ def validate_plan(problem: ProblemInstance, plan: Plan) -> Verdict:
     except UndefinedNumericError as exc:
         return Invalid(len(plan.steps), f"numeric atom {exc.target} has no value")
 
-    return Valid(frozenset(atoms), tuple(sorted(numerics.items(), key=lambda kv: (kv[0].fluent, kv[0].args))))
+    return Valid(tuple(sorted(numerics.items(), key=lambda kv: (kv[0].fluent, kv[0].args))))
 
 
 def _first_violated(expr: Expression, atoms, numerics) -> str:

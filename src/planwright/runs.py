@@ -25,12 +25,12 @@ VOLATILE_MANIFEST_KEYS = ("created_at", "timings")
 
 
 class RunDirectory:
-    def __init__(self, path: Union[str, Path], command: str, config_snapshot: Optional[dict] = None):
+    def __init__(self, path: Union[str, Path], command: str):
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         self._resolved = self.path.resolve()
         self.command = command
-        self.config_snapshot = config_snapshot or {}
+        self.config_snapshot: dict = {}
         self.created_at = datetime.now(timezone.utc).isoformat()
         self.timings: dict[str, float] = {}
         self._t0: dict[str, float] = {}
@@ -48,7 +48,6 @@ class RunDirectory:
 
     def write_text(self, name: str, text: str) -> Path:
         target = self.path / name
-        target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text, encoding="utf-8")
         return target
 

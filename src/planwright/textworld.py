@@ -80,7 +80,6 @@ class WorldState:
 class SkillResult:
     success: bool
     observation: str
-    delta: str = ""
 
 
 def _reachable(state: WorldState, entity: Entity) -> bool:
@@ -113,7 +112,7 @@ def _fail(state: WorldState, text: str) -> tuple[SkillResult, WorldState]:
 
 def _walk_to(state: WorldState, target: str) -> tuple[SkillResult, WorldState]:
     new = replace(state, agent_at=target)
-    return SkillResult(True, f"You walk to the {target}.", f"agent_at={target}"), new
+    return SkillResult(True, f"You walk to the {target}."), new
 
 
 def _open(state: WorldState, target: str) -> tuple[SkillResult, WorldState]:
@@ -125,7 +124,7 @@ def _open(state: WorldState, target: str) -> tuple[SkillResult, WorldState]:
     if entity.is_open:
         return _fail(state, f"The {target} is already open.")
     new = state.with_entity(replace(entity, is_open=True))
-    return SkillResult(True, f"The {target} is now open.", f"is_open({target})=true"), new
+    return SkillResult(True, f"The {target} is now open."), new
 
 
 def _close(state: WorldState, target: str) -> tuple[SkillResult, WorldState]:
@@ -137,7 +136,7 @@ def _close(state: WorldState, target: str) -> tuple[SkillResult, WorldState]:
     if not entity.is_open:
         return _fail(state, f"The {target} is already closed.")
     new = state.with_entity(replace(entity, is_open=False))
-    return SkillResult(True, f"The {target} is now closed.", f"is_open({target})=false"), new
+    return SkillResult(True, f"The {target} is now closed."), new
 
 
 def _grab(state: WorldState, target: str) -> tuple[SkillResult, WorldState]:
@@ -157,7 +156,7 @@ def _grab(state: WorldState, target: str) -> tuple[SkillResult, WorldState]:
     hands = list(state.hands)
     hands[hand] = target
     new = replace(state.with_entity(replace(entity, location=Location("held"))), hands=tuple(hands))
-    return SkillResult(True, f"You pick up the {target}.", f"holding({target})"), new
+    return SkillResult(True, f"You pick up the {target}."), new
 
 
 def _release(state: WorldState, target: str, location: Location, verb: str) -> tuple[SkillResult, WorldState]:
@@ -166,7 +165,7 @@ def _release(state: WorldState, target: str, location: Location, verb: str) -> t
         return _fail(state, f"You are not holding the {target}.")
     hands = tuple(None if h == target else h for h in state.hands)
     new = replace(state.with_entity(replace(entity, location=location)), hands=hands)
-    return SkillResult(True, f"You {verb} the {target} {location.describe()}.", f"{target}@{location.describe()}"), new
+    return SkillResult(True, f"You {verb} the {target} {location.describe()}."), new
 
 
 def _put_on(state: WorldState, target: str, surface: str) -> tuple[SkillResult, WorldState]:
@@ -197,7 +196,7 @@ def _heat(state: WorldState, target: str) -> tuple[SkillResult, WorldState]:
     if state.agent_at != loc.target:
         return _fail(state, f"You are not next to the {loc.target}; walk to it first.")
     new = state.with_entity(replace(entity, is_heated=True))
-    return SkillResult(True, f"The {target} is heated.", f"is_heated({target})=true"), new
+    return SkillResult(True, f"The {target} is heated."), new
 
 
 # The skill vocabulary: name -> (handler, parameter names, description).

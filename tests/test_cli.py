@@ -121,6 +121,15 @@ class TestPlanCommand:
         ])
         assert code == 65
 
+    @pytest.mark.parametrize("answers", [["blue", 1], [None], [{"a": 2}]])
+    def test_answers_file_of_non_strings_is_config_error(self, tmp_path, answers):
+        answers_file = tmp_path / "answers.json"
+        answers_file.write_text(json.dumps(answers))
+        out = tmp_path / "run"
+        assert main(plan_args("color", out) + ["--answers-file", str(answers_file)]) == 64
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure == {"stage": "config", "code": "config-error", "message": "answers file must hold a JSON list of strings"}
+
     def test_always_failing_scenario_exits_one(self, tmp_path):
         out = tmp_path / "run"
         code = main(plan_args("always_failing", out))
@@ -207,6 +216,20 @@ class TestExecuteCommand:
         final = state_from_json(json.loads((out / "world_final.json").read_text()))
         problem = jsonio.problem_from_json(json.loads((artifacts / "problem.json").read_text()))
         assert check_goal(final, problem.goal)
+
+    def test_config_file_sets_execute_flags(self, tmp_path):
+        artifacts = self.run_fridge_plan(tmp_path)
+        d = scenario_dir("fridge_recall")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mode": "replay", "fixture": str(d / "exec_fixture.json"), "step-budget": 9}))
+        out = tmp_path / "exec-run"
+        code = main([
+            "execute", "--artifacts", str(artifacts), "--world", str(d / "world.json"),
+            "--out-dir", str(out), "--config", str(config),
+        ])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["config"]["fixture"], manifest["config"]["step_budget"]) == (str(d / "exec_fixture.json"), 9)
 
     def test_validator_abort_exits_three(self, tmp_path):
         artifacts = self.run_fridge_plan(tmp_path)
@@ -493,6 +516,27 @@ class TestConfigFile:
         assert main(plan_args("color", without)) == 0
         budgets = [json.loads((out / "manifest.json").read_text())["config"]["node_budget"] for out in (with_config, without)]
         assert budgets == [7, 1_000_000]
+
+    @pytest.mark.parametrize("spelling", [["--conf", "{}"], ["--conf={}"]])
+    def test_abbreviated_config_flag_applies_the_file(self, tmp_path, spelling):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"node_budget": 1}))
+        out = tmp_path / "run"
+        assert main(plan_args("color", out) + [s.format(config) for s in spelling]) == 2
+        assert json.loads((out / "outcome.json").read_text())["status"] == "budget-exhausted"
+        assert json.loads((out / "manifest.json").read_text())["config"]["node_budget"] == 1
+
+    def test_bench_takes_no_config_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"repeat": 2}))
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--suite", str(tmp_path), "--out-dir", str(out), "--config", str(config)])
+        assert exit_info.value.code == 64
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["code"] == "usage"
+        assert not out.exists()
 
     @staticmethod
     def assert_config_error_recorded(out: Path, message: str) -> None:

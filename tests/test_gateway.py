@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -178,12 +179,16 @@ class TestEmbedder:
         import subprocess
         import sys
 
+        import planwright
+
+        package_root = str(Path(planwright.__file__).resolve().parents[1])
         probe = (
             "from planwright.gateway import HashedBagOfWordsEmbedder;"
             "print(HashedBagOfWordsEmbedder().embed('close the fridge goal'))"
         )
+        env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}
         runs = {
-            subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout
+            subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env).stdout
             for _ in range(2)
         }
         assert len(runs) == 1
