@@ -8,25 +8,23 @@ consumers can always recover ground-truth arguments.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .agents.prompts import load_prompt
 from .gateway import ChatRequest, Gateway, system, user
 from .ir import DomainModel, jsonio
 from .planner import Plan, PlanStep
+from .values import Value
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(Value):
     index: int  # 1-based step number
     text: str
     step: PlanStep
     known_action: bool = True
 
 
-@dataclass(frozen=True)
-class InstructionList:
+class InstructionList(Value):
     items: tuple[Instruction, ...] = ()
 
     def __len__(self) -> int:

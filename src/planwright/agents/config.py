@@ -1,11 +1,10 @@
 """Settings of the generate-validate-critic loop the three agents share."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..values import Value
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Value):
     correction_limit: int = 10
     critic_threshold: float = 0.8  # tau
     critic_iterations: int = 3

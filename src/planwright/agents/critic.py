@@ -1,15 +1,13 @@
 """Generator-critic self-reflection: score sigma against threshold tau."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..gateway import ChatRequest, Gateway, system, user
 from ..ir import jsonio
+from ..values import Value
 from .prompts import load_prompt
 
 
-@dataclass(frozen=True)
-class CriticVerdict:
+class CriticVerdict(Value):
     score: float  # sigma in [0, 1]
     feedback: str
     accepted: bool

@@ -1,15 +1,20 @@
 """Structured pipeline event log, the run's inspectable transcript."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional
+
+from ..values import Record
 
 
-@dataclass(eq=False)
-class PipelineEvent:
+class PipelineEvent(Record):
     kind: str  # chat | tool-call | user-query | edit | memory-store | retrieval | critic | status
-    agent: str = ""
-    data: dict[str, Any] = field(default_factory=dict)
+    agent: str
+    data: dict[str, Any]
+
+    def __init__(self, kind: str, agent: str = "", data: Optional[dict[str, Any]] = None):
+        self.kind = kind
+        self.agent = agent
+        self.data = {} if data is None else data
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "agent": self.agent, "data": self.data}

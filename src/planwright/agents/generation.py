@@ -10,7 +10,6 @@ limit; once rejections exhaust it, the latest response is used as is.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Protocol
 
 from ..gateway import AgentMessage, ChatRequest, ToolArgumentError, ToolCall, system, tool_result, user
@@ -25,6 +24,7 @@ from ..ir import (
     validate_domain,
 )
 from ..memory import ContextBuffer
+from ..values import Record
 from .config import PipelineConfig
 from .critic import critic_review
 from .events import EventLog
@@ -47,8 +47,7 @@ class ToolResolver(Protocol):
         """Resolve a tool call; returns (result text, restart needed)."""
 
 
-@dataclass(eq=False)
-class GenerationOutcome:
+class GenerationOutcome(Record):
     artifact: Any
     turns: int
     critic_rejections: int

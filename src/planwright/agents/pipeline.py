@@ -9,7 +9,6 @@ call ceiling backstops every loop; exceeding it fails the run closed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..gateway import ChatRequest, Gateway, ToolCall, system, user
@@ -28,6 +27,7 @@ from ..ir import (
     validate,
 )
 from ..memory import ProceduralStore
+from ..values import Record
 from .channel import InteractionError, RefusingUserChannel, UserChannel
 from .config import PipelineConfig
 from .events import EventLog
@@ -69,8 +69,7 @@ class GatewayMeter:
         return self.gateway.chat(request)
 
 
-@dataclass(eq=False)
-class TaskSpec:
+class TaskSpec(Record):
     name: str
     domain_description: str
     initial_state_description: str
@@ -86,8 +85,7 @@ class TaskSpec:
         )
 
 
-@dataclass(eq=False)
-class UpstreamRequest:
+class UpstreamRequest(Record):
     origin: str
     tool: str
     arguments: dict[str, Any]
@@ -97,14 +95,29 @@ class UpstreamRequest:
         return {"origin": self.origin, "tool": self.tool, "arguments": self.arguments, "outcome": self.outcome}
 
 
-@dataclass(eq=False)
-class PipelineResult:
+class PipelineResult(Record):
     problem: Optional[ProblemInstance]
     events: EventLog
-    requests: list[UpstreamRequest] = field(default_factory=list)
-    error: str = ""
-    gateway_calls: int = 0
-    failure_kind: str = ""  # "" | correction-limit | interaction | ceiling | validation
+    requests: list[UpstreamRequest]
+    error: str
+    gateway_calls: int
+    failure_kind: str  # "" | correction-limit | interaction | ceiling | validation
+
+    def __init__(
+        self,
+        problem: Optional[ProblemInstance],
+        events: EventLog,
+        requests: Optional[list[UpstreamRequest]] = None,
+        error: str = "",
+        gateway_calls: int = 0,
+        failure_kind: str = "",
+    ):
+        self.problem = problem
+        self.events = events
+        self.requests = [] if requests is None else requests
+        self.error = error
+        self.gateway_calls = gateway_calls
+        self.failure_kind = failure_kind
 
     @property
     def status(self) -> str:

@@ -10,7 +10,6 @@ check to pass, so an agreeable model cannot hallucinate success.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .abstraction import InstructionList
@@ -26,10 +25,10 @@ from .gateway import (
 )
 from .ir import jsonio
 from .textworld import TextWorldEnv
+from .values import Record, Value
 
 
-@dataclass(eq=False)
-class StepRecord:
+class StepRecord(Record):
     instruction_index: int
     thought: str
     skill: Optional[str] = None
@@ -54,16 +53,18 @@ class StepRecord:
         return f"step {self.instruction_index}: {self.skill}({json.dumps(self.arguments, sort_keys=True)}) {status}: {self.observation}"
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(Value):
     done: bool
     reason: str = ""
 
 
-@dataclass(eq=False)
-class ExecutionLog:
-    records: list[StepRecord] = field(default_factory=list)
-    status: str = "completed"  # completed | stopped-at-N
+class ExecutionLog(Record):
+    records: list[StepRecord]
+    status: str  # completed | stopped-at-N
+
+    def __init__(self, records: Optional[list[StepRecord]] = None, status: str = "completed"):
+        self.records = [] if records is None else records
+        self.status = status
 
     def render(self) -> str:
         return "\n".join(r.render() for r in self.records) or "(no actions taken)"
@@ -72,8 +73,7 @@ class ExecutionLog:
         return {"status": self.status, "records": [r.to_json() for r in self.records]}
 
 
-@dataclass(frozen=True)
-class ValidatorVerdict:
+class ValidatorVerdict(Value):
     decision: str  # goal-met | retry | abort
     feedback: str = ""
     notification: str = ""
@@ -200,8 +200,7 @@ def validate_execution(
     return ValidatorVerdict("abort", notification=f"validator returned unknown decision {decision!r}")
 
 
-@dataclass(eq=False)
-class ExecutionReport:
+class ExecutionReport(Record):
     log: ExecutionLog
     verdict: ValidatorVerdict
     passes: int

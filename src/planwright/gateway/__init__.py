@@ -1,9 +1,9 @@
 """Single seam over chat-with-tools backends, with recording and replay."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ..values import Record
 from .backends import Backend, BackendError, LiveBackend, ReplayBackend, ScriptExhausted, ScriptedBackend
 from .embedding import Embedder, FixtureEmbedder, HashedBagOfWordsEmbedder
 from .messages import (
@@ -34,8 +34,7 @@ class ToolArgumentError(ValueError):
         super().__init__("; ".join(problems))
 
 
-@dataclass(eq=False)
-class Gateway:
+class Gateway(Record):
     """Validates requests, dispatches to a backend, and optionally records.
 
     Every tool call handed back to a caller has passed schema validation

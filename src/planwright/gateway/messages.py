@@ -1,10 +1,10 @@
 """Conversational wire types shared by all agents."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..ir import jsonio
+from ..values import Record
 
 ROLE_SYSTEM = "system"
 ROLE_USER = "user"
@@ -17,16 +17,14 @@ class MessageError(ValueError):
     """A message or request violates the conversational invariants."""
 
 
-@dataclass(eq=False)
-class ToolParam:
+class ToolParam(Record):
     """One tool argument; every argument is a required string."""
 
     name: str
     description: str = ""
 
 
-@dataclass(eq=False)
-class ToolSchema:
+class ToolSchema(Record):
     name: str
     description: str = ""
     parameters: tuple[ToolParam, ...] = ()
@@ -56,11 +54,15 @@ class ToolSchema:
         }
 
 
-@dataclass(eq=False)
-class ToolCall:
+class ToolCall(Record):
     id: str
     name: str
-    arguments: dict[str, Any] = field(default_factory=dict)
+    arguments: dict[str, Any]
+
+    def __init__(self, id: str, name: str, arguments: Optional[dict[str, Any]] = None):
+        self.id = id
+        self.name = name
+        self.arguments = {} if arguments is None else arguments
 
     def to_json(self) -> dict:
         return {"id": self.id, "name": self.name, "arguments": self.arguments}
@@ -70,12 +72,18 @@ class ToolCall:
         return ToolCall(jsonio.field(data, "id", str), jsonio.field(data, "name", str), dict(jsonio.field(data, "arguments", dict, {})))
 
 
-@dataclass(eq=False)
-class AgentMessage:
+class AgentMessage(Record):
     role: str
-    content: str = ""
-    tool_calls: tuple[ToolCall, ...] = ()
-    tool_call_id: Optional[str] = None
+    content: str
+    tool_calls: tuple[ToolCall, ...]
+    tool_call_id: Optional[str]
+
+    def __init__(self, role: str, content: str = "", tool_calls: tuple[ToolCall, ...] = (), tool_call_id: Optional[str] = None):
+        # Written out: replay builds one per message, the most of any record.
+        self.role = role
+        self.content = content
+        self.tool_calls = tool_calls
+        self.tool_call_id = tool_call_id
 
     def to_json(self) -> dict:
         out: dict[str, Any] = {"role": self.role, "content": self.content}
@@ -111,8 +119,7 @@ def tool_result(call_id: str, content: str) -> AgentMessage:
     return AgentMessage(ROLE_TOOL_RESULT, content, tool_call_id=call_id)
 
 
-@dataclass(eq=False)
-class ChatRequest:
+class ChatRequest(Record):
     messages: tuple[AgentMessage, ...]
     tools: tuple[ToolSchema, ...] = ()
 

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Optional, Union
 
 from ..ir import jsonio
+from ..values import Record
 from .messages import AgentMessage, ChatRequest
 
 
@@ -39,15 +39,16 @@ def fingerprint(request: ChatRequest) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-@dataclass(eq=False)
-class Exchange:
+class Exchange(Record):
     fingerprint: str
     response: AgentMessage
 
 
-@dataclass(eq=False)
-class Transcript:
-    exchanges: list[Exchange] = field(default_factory=list)
+class Transcript(Record):
+    exchanges: list[Exchange]
+
+    def __init__(self, exchanges: Optional[list[Exchange]] = None):
+        self.exchanges = [] if exchanges is None else exchanges
 
     def append(self, fp: str, response: AgentMessage) -> None:
         self.exchanges.append(Exchange(fp, response))

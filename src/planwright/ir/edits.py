@@ -14,9 +14,9 @@ rejects as ``duplicate-object``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Union
 
+from ..values import Value, replace
 from .model import (
     AddObjects,
     AddOrModifyFluent,
@@ -32,13 +32,11 @@ class MalformedEditError(ValueError):
     """The edit itself is ill-formed; nothing was applied."""
 
 
-@dataclass(frozen=True)
-class Applied:
+class Applied(Value):
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Rejected:
+class Rejected(Value):
     reason: str  # duplicate-fluent | unknown-action | type-conflict | duplicate-object
     message: str
 
@@ -46,8 +44,7 @@ class Rejected:
 EditOutcome = Union[Applied, Rejected]
 
 
-@dataclass(frozen=True)
-class EditResult:
+class EditResult(Value):
     domain: DomainModel
     objects: tuple[ObjectDecl, ...]
     outcome: EditOutcome

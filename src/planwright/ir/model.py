@@ -7,10 +7,13 @@ decisions are reproducible bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Union
+
+from ..values import Value
+
+_set = object.__setattr__  # writes a field past Value's __setattr__
 
 OBJECT_TYPE = "object"
 
@@ -25,22 +28,19 @@ def is_variable(name: str) -> bool:
     return name.startswith("?")
 
 
-@dataclass(frozen=True)
-class TypeDecl:
+class TypeDecl(Value):
     """A named object type; ``parent`` defaults to the universal root type."""
 
     name: str
     parent: str = OBJECT_TYPE
 
 
-@dataclass(frozen=True)
-class Parameter:
+class Parameter(Value):
     name: str  # '?'-prefixed variable name
     type: str = OBJECT_TYPE
 
 
-@dataclass(frozen=True)
-class FluentDecl:
+class FluentDecl(Value):
     """A state variable template: boolean (predicate) or numeric (function)."""
 
     name: str
@@ -62,12 +62,27 @@ class FluentDecl:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
-    """A boolean fluent applied to arguments (variables or object names)."""
+class _Application(Value):
+    """A fluent applied to arguments (variables or object names).
+
+    Parsing and grounding build and hash these by the thousand, so the
+    methods `Value` would run generically are written out.
+    """
 
     fluent: str
-    args: tuple[str, ...] = ()
+    args: tuple[str, ...]
+
+    def __init__(self, fluent: str, args: tuple[str, ...] = ()):
+        _set(self, "fluent", fluent)
+        _set(self, "args", args)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.fluent == other.fluent and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.fluent, self.args))
 
     def __str__(self) -> str:
         if not self.args:
@@ -75,8 +90,11 @@ class Atom:
         return f"({self.fluent} {' '.join(self.args)})"
 
 
-@dataclass(frozen=True)
-class NumConst:
+class Atom(_Application):
+    """A boolean fluent applied to arguments."""
+
+
+class NumConst(Value):
     value: Fraction
 
     def __str__(self) -> str:
@@ -97,21 +115,11 @@ def decimal_places(value: Fraction) -> Optional[int]:
     return max(twos, fives) if den == 1 else None
 
 
-@dataclass(frozen=True)
-class NumFluent:
+class NumFluent(_Application):
     """A numeric fluent applied to arguments, used as an arithmetic term."""
 
-    fluent: str
-    args: tuple[str, ...] = ()
 
-    def __str__(self) -> str:
-        if not self.args:
-            return f"({self.fluent})"
-        return f"({self.fluent} {' '.join(self.args)})"
-
-
-@dataclass(frozen=True)
-class NumAdd:
+class NumAdd(Value):
     left: "NumTerm"
     right: "NumTerm"
 
@@ -119,8 +127,7 @@ class NumAdd:
         return f"(+ {self.left} {self.right})"
 
 
-@dataclass(frozen=True)
-class NumSub:
+class NumSub(Value):
     left: "NumTerm"
     right: "NumTerm"
 
@@ -131,8 +138,7 @@ class NumSub:
 NumTerm = Union[NumConst, NumFluent, NumAdd, NumSub]
 
 
-@dataclass(frozen=True)
-class And:
+class And(Value):
     children: tuple["Expression", ...] = ()
 
     def __str__(self) -> str:
@@ -141,8 +147,7 @@ class And:
         return f"(and {' '.join(str(c) for c in self.children)})"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Value):
     children: tuple["Expression", ...] = ()
 
     def __str__(self) -> str:
@@ -151,16 +156,14 @@ class Or:
         return f"(or {' '.join(str(c) for c in self.children)})"
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Value):
     child: "Expression"
 
     def __str__(self) -> str:
         return f"(not {self.child})"
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(Value):
     op: str  # one of COMPARISON_OPS
     left: NumTerm
     right: NumTerm
@@ -205,8 +208,7 @@ def expression_num_fluents(expr: Expression) -> Iterator[NumFluent]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SetEffect:
+class SetEffect(Value):
     """Set a boolean atom to a literal truth value."""
 
     atom: Atom
@@ -216,8 +218,7 @@ class SetEffect:
         return str(self.atom) if self.value else f"(not {self.atom})"
 
 
-@dataclass(frozen=True)
-class NumericEffect:
+class NumericEffect(Value):
     """increase/decrease/assign a numeric atom by a linear term."""
 
     op: str  # "increase" | "decrease" | "assign"
@@ -238,16 +239,14 @@ NUMERIC_EFFECT_OPS = ("increase", "decrease", "assign")
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ActionSchema:
+class ActionSchema(Value):
     name: str
     parameters: tuple[Parameter, ...] = ()
     precondition: Expression = TRUE
     effects: tuple[Effect, ...] = ()
 
 
-@dataclass(frozen=True)
-class DomainModel:
+class DomainModel(Value):
     """A planning domain: types, fluents, and action schemas.
 
     Declarations are kept lexicographically sorted so that independently
@@ -332,8 +331,7 @@ class DomainModel:
         return False
 
 
-@dataclass(frozen=True)
-class ObjectDecl:
+class ObjectDecl(Value):
     name: str
     type: str = OBJECT_TYPE
 
@@ -344,8 +342,7 @@ def _freeze_numeric(values: Mapping[NumFluent, Fraction] | Iterable[tuple[NumFlu
     return frozen
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Value):
     """Closed-world state description: true boolean atoms plus numeric values.
 
     Boolean atoms absent from ``true_atoms`` are false. Both components are
@@ -366,11 +363,10 @@ class Assignment:
         return sorted(self.true_atoms, key=lambda a: (a.fluent, a.args))
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class ProblemInstance(Value):
     domain: DomainModel
     objects: tuple[ObjectDecl, ...] = ()
-    init: Assignment = field(default_factory=Assignment)
+    init: Assignment = Assignment()
     goal: Expression = TRUE
     name: str = "problem"
 
@@ -386,8 +382,7 @@ class ProblemInstance:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AddOrModifyFluent:
+class AddOrModifyFluent(Value):
     """Request a new fluent, or a documentation update to an identical one.
 
     Signature changes to an existing fluent are rejected downstream; the
@@ -398,8 +393,7 @@ class AddOrModifyFluent:
     provenance: str
 
 
-@dataclass(frozen=True)
-class ModifyAction:
+class ModifyAction(Value):
     """Replace the precondition and/or effects of an existing action."""
 
     action: str
@@ -408,8 +402,7 @@ class ModifyAction:
     provenance: str
 
 
-@dataclass(frozen=True)
-class AddObjects:
+class AddObjects(Value):
     objects: tuple[ObjectDecl, ...]
     provenance: str
 

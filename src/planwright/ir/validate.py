@@ -6,11 +6,11 @@ means the instance is well-formed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, product
 from math import prod
 from typing import Optional
 
+from ..values import Value
 from .model import (
     BOOLEAN,
     COMPARISON_OPS,
@@ -60,8 +60,7 @@ UNINITIALIZED_NUMERIC = "uninitialized-numeric"
 NO_DECIMAL_FORM = "no-decimal-form"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     code: str
     message: str
 
@@ -224,11 +223,23 @@ def _check_objects(objects, type_names: set[str], out: ValidationReport) -> None
             out.append(Violation(UNKNOWN_TYPE, f"object {obj.name} has undeclared type {obj.type}"))
 
 
+def _domain_report(domain: DomainModel) -> tuple[Violation, ...]:
+    """The violations of every domain-level invariant, found on first use
+    and kept in the instance's ``__dict__``, as ``DomainModel._parents`` is.
+    The report is a function of the frozen domain alone, and it is no field,
+    so equality, hashing, ``repr`` and ``replace`` ignore it."""
+    cache = vars(domain)
+    report = cache.get("_report")
+    if report is None:
+        out: ValidationReport = []
+        _check_domain(domain, _type_names(domain), out)
+        report = cache["_report"] = tuple(out)
+    return report
+
+
 def validate_domain(domain: DomainModel) -> ValidationReport:
     """Check every domain-level invariant; empty report means valid."""
-    out: ValidationReport = []
-    _check_domain(domain, _type_names(domain), out)
-    return out
+    return list(_domain_report(domain))
 
 
 def validate_objects(domain: DomainModel, objects: tuple[ObjectDecl, ...]) -> ValidationReport:
@@ -262,8 +273,7 @@ def validate(problem: ProblemInstance) -> ValidationReport:
     """Full problem validation: domain, objects, init, goal, numeric closure."""
     domain = problem.domain
     type_names = _type_names(domain)
-    out: ValidationReport = []
-    _check_domain(domain, type_names, out)
+    out = list(_domain_report(domain))
     _check_objects(problem.objects, type_names, out)
 
     objects = {o.name: o.type for o in problem.objects}

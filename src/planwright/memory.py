@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
@@ -19,6 +18,7 @@ from typing import Any, Callable, Optional, Sequence, Union
 from .gateway.embedding import Embedder, HashedBagOfWordsEmbedder
 from .gateway.messages import ROLE_SYSTEM, ROLE_TOOL_RESULT, AgentMessage
 from .ir import jsonio
+from .values import Value
 
 
 def cosine_key(left: Sequence, right: Sequence) -> tuple[Fraction, float]:
@@ -44,8 +44,7 @@ def cosine_key(left: Sequence, right: Sequence) -> tuple[Fraction, float]:
     return Fraction(dot * abs(dot), l2 * r2), float(dot) / math.sqrt(float(l2 * r2))
 
 
-@dataclass(frozen=True)
-class MemoryEntry:
+class MemoryEntry(Value):
     summary: str
     embedding: tuple
     source_agent: str = ""

@@ -10,8 +10,12 @@ offending construct; reading never crashes on arbitrary text, it raises
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
+
+from ..values import Value
+
+
+_set = object.__setattr__  # writes a field past Value's __setattr__
 
 LEXICAL_ERROR = "lexical-error"
 UNBALANCED = "unbalanced-parentheses"
@@ -38,21 +42,39 @@ class PddlError(ValueError):
         return f"{self.filename}:{self.line}:{self.col}: {self.code}: {self.message}"
 
 
-@dataclass(frozen=True)
-class Symbol:
+# Reading builds a node per lexeme, so the nodes write out the methods
+# `Value` would run generically.
+
+
+class Symbol(Value):
     text: str
     line: int
     col: int
+
+    def __init__(self, text: str, line: int, col: int):
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "col", col)
+
+    def __hash__(self) -> int:
+        return hash((self.text, self.line, self.col))
 
     def __str__(self) -> str:
         return self.text
 
 
-@dataclass(frozen=True)
-class SList:
+class SList(Value):
     items: tuple["SExpr", ...]
     line: int
     col: int
+
+    def __init__(self, items: tuple["SExpr", ...], line: int, col: int):
+        _set(self, "items", items)
+        _set(self, "line", line)
+        _set(self, "col", col)
+
+    def __hash__(self) -> int:
+        return hash((self.items, self.line, self.col))
 
 
 SExpr = Union[Symbol, SList]

@@ -37,7 +37,6 @@ boolean reasons.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -59,6 +58,9 @@ from ..ir import (
     ProblemInstance,
     SetEffect,
 )
+from ..values import Value
+
+_set = object.__setattr__  # writes a field past Value's __setattr__
 
 
 class GroundingError(ValueError):
@@ -66,7 +68,8 @@ class GroundingError(ValueError):
 
 
 # The most candidate bindings at one parameter of one schema, and the most
-# ground actions in all, that one grounding may build. Like the search's
+# ground actions in all, that one grounding may build, and the most atom pairs
+# its pruning pass may mark (reached atoms squared). Like the search's
 # node budget it is deterministic, and far above every bundled and benchmark
 # instance.
 GROUNDING_BUDGET = 1_000_000
@@ -117,8 +120,7 @@ def to_dnf_branches(expr: Expression) -> list[list[Expression]]:
 # ------------------------------------------------------------ linear forms
 
 
-@dataclass(frozen=True)
-class Linear:
+class Linear(Value):
     """constant + sum(coef * numeric_atom_index); all coefficients integers."""
 
     constant: Fraction
@@ -160,8 +162,7 @@ def linearize(term: NumTerm, binding: dict[str, str], index: dict[NumFluent, int
     return Linear(constant[0], tuple(sorted((i, c) for i, c in coeffs.items() if c != 0)))
 
 
-@dataclass(frozen=True)
-class GroundComparison:
+class GroundComparison(Value):
     """left - right rendered as a single linear form compared against zero."""
 
     op: str
@@ -180,21 +181,31 @@ class GroundComparison:
         return v > 0
 
 
-@dataclass(frozen=True)
-class GroundNumericEffect:
+class GroundNumericEffect(Value):
     op: str  # increase | decrease | assign
     target: int
     amount: Linear
 
 
-@dataclass(frozen=True)
-class Condition:
+# Grounding builds a Condition and a GroundAction per kept binding, so these
+# two write out the methods `Value` would run generically.
+
+
+class Condition(Value):
     """A compiled conjunction: atoms that must hold, atoms that must not, and
     numeric comparisons that must all hold."""
 
     pos: int  # bitmask over boolean atom indices
     neg: int
     num: tuple[GroundComparison, ...]
+
+    def __init__(self, pos: int, neg: int, num: tuple[GroundComparison, ...]):
+        _set(self, "pos", pos)
+        _set(self, "neg", neg)
+        _set(self, "num", num)
+
+    def __hash__(self) -> int:
+        return hash((self.pos, self.neg, self.num))
 
     def holds(self, bools: int, nums: tuple[Fraction, ...]) -> bool:
         if (bools & self.pos) != self.pos or (bools & self.neg) != 0:
@@ -205,14 +216,24 @@ class Condition:
 _NO_COMPARISONS = Condition(0, 0, ())
 
 
-@dataclass(frozen=True)
-class GroundAction:
+class GroundAction(Value):
     name: str
     args: tuple[str, ...]
     pre: Condition
     add_mask: int
     del_mask: int
     num_effects: tuple[GroundNumericEffect, ...]
+
+    def __init__(self, name: str, args: tuple[str, ...], pre: Condition, add_mask: int, del_mask: int, num_effects: tuple[GroundNumericEffect, ...]):
+        _set(self, "name", name)
+        _set(self, "args", args)
+        _set(self, "pre", pre)
+        _set(self, "add_mask", add_mask)
+        _set(self, "del_mask", del_mask)
+        _set(self, "num_effects", num_effects)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.args, self.pre, self.add_mask, self.del_mask, self.num_effects))
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(self.args)})"
@@ -235,8 +256,7 @@ class GroundAction:
         return new_bools, tuple(working)
 
 
-@dataclass(frozen=True)
-class GroundTask:
+class GroundTask(Value):
     problem: ProblemInstance
     atoms: tuple[Atom, ...]  # atom i has bit 1 << i
     num_atoms: tuple[NumFluent, ...]
@@ -529,9 +549,16 @@ def _prune_unreachable(actions: list[GroundAction], init_bools: int, n: int) -> 
     fixpoint also drops every action that single-atom relaxed reachability
     would drop. The least fixpoint is unique, so the order of the updates
     does not change the result.
+
+    The pairs the pass may mark, the reached atoms squared, count against
+    `GROUNDING_BUDGET` before it starts and whenever an atom is reached.
+    Over it, a `GroundingError` is raised: the pass takes time cubic in the
+    reached atoms, and a part-finished fixpoint would not be sound.
     """
     rows = [init_bools if init_bools >> i & 1 else 0 for i in range(n)]
     self_mask = init_bools
+    reached = init_bools.bit_count()
+    _check_pair_budget(reached)
     pre_bits = [_mask_bits(a.pre.pos) for a in actions]
     add_bits = [_mask_bits(a.add_mask) for a in actions]
 
@@ -555,8 +582,16 @@ def _prune_unreachable(actions: list[GroundAction], init_bools: int, n: int) -> 
                     grew = True
                     bit = 1 << i
                     rows[i] |= fresh
-                    self_mask |= bit
+                    if not self_mask & bit:
+                        self_mask |= bit
+                        reached += 1
+                        _check_pair_budget(reached)
                     for j in _mask_bits(fresh & ~bit):
                         rows[j] |= bit
 
     return [a for a, pre in zip(actions, pre_bits) if all(not a.pre.pos & ~rows[i] for i in pre)]
+
+
+def _check_pair_budget(reached: int) -> None:
+    if reached * reached > GROUNDING_BUDGET:
+        raise GroundingError(f"pruning {reached} reached atoms exceeds the budget of {GROUNDING_BUDGET} atom pairs")

@@ -1,11 +1,10 @@
 """Plan values produced by the solver and consumed by translation/execution."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..values import Value
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(Value):
     name: str
     args: tuple[str, ...] = ()
 
@@ -13,8 +12,7 @@ class PlanStep:
         return f"{self.name}({', '.join(self.args)})"
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(Value):
     steps: tuple[PlanStep, ...] = ()
 
     @property

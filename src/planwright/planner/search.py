@@ -41,10 +41,10 @@ from __future__ import annotations
 
 import time
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ..values import Record, Value
 from .grounding import GroundAction, GroundTask, _mask_bits
 from .heuristics import INF, blind, h_add
 from .plan import Plan, PlanStep
@@ -54,8 +54,7 @@ STATUS_UNSOLVABLE = "unsolvable"
 STATUS_BUDGET = "budget-exhausted"
 
 
-@dataclass(frozen=True)
-class SolveConfig:
+class SolveConfig(Value):
     strategy: str = "astar"  # astar | greedy
     heuristic: str = "blind"  # h_add | blind
     node_budget: int = 1_000_000
@@ -72,8 +71,7 @@ class SolveConfig:
             raise ValueError("budgets must be positive")
 
 
-@dataclass(eq=False)
-class SolveResult:
+class SolveResult(Record):
     status: str
     plan: Optional[Plan] = None
     nodes_expanded: int = 0

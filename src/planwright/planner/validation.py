@@ -8,7 +8,6 @@ share no code with grounding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -28,11 +27,11 @@ from ..ir import (
     ProblemInstance,
     SetEffect,
 )
+from ..values import Value
 from .plan import Plan
 
 
-@dataclass(frozen=True)
-class Valid:
+class Valid(Value):
     final_numerics: tuple[tuple[NumFluent, Fraction], ...]
 
     def numeric_value(self, fluent: str, args: tuple[str, ...]) -> Optional[Fraction]:
@@ -42,8 +41,7 @@ class Valid:
         return None
 
 
-@dataclass(frozen=True)
-class Invalid:
+class Invalid(Value):
     step_index: int
     violated: str
 

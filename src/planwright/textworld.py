@@ -7,12 +7,12 @@ state, and a failed skill returns the state unchanged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional, Union
 
 from .gateway import ToolParam, ToolSchema
 from .ir import And, Atom, Expression, Not, Or, jsonio
+from .values import Value, replace
 
 HANDS = 2
 
@@ -21,8 +21,7 @@ class UnknownEntityError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class Location:
+class Location(Value):
     kind: str  # "in" | "on" | "at" | "held" | "free"
     target: str = ""
 
@@ -34,11 +33,10 @@ class Location:
         return f"{self.kind} {self.target}"
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(Value):
     id: str
     cls: str  # item | surface | container | heater | room …
-    location: Location = field(default_factory=lambda: Location("free"))
+    location: Location = Location("free")
     is_open: bool = False
     is_heated: bool = False
 
@@ -51,8 +49,7 @@ class Entity:
         return self.cls == "item"
 
 
-@dataclass(frozen=True)
-class WorldState:
+class WorldState(Value):
     entities: tuple[Entity, ...]
     agent_at: str = ""
     hands: tuple[Optional[str], ...] = (None,) * HANDS
@@ -76,8 +73,7 @@ class WorldState:
         return None
 
 
-@dataclass(frozen=True)
-class SkillResult:
+class SkillResult(Value):
     success: bool
     observation: str
 

@@ -38,15 +38,20 @@ problems; ``refuel_problem`` builds a small numeric task whose actions
 increase, decrease and assign fluents; ``random_walk_states`` samples
 reachable states of a ground task for checks that run along a walk;
 ``tool_calls`` and ``applied_requests`` pick events and upstream requests
-out of a pipeline run.
+out of a pipeline run. ``run_python`` runs code in a fresh interpreter that
+imports the package under test.
 """
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 from typing import Optional
 
+import planwright
 from planwright.ir import (
     ActionSchema,
     And,
@@ -790,3 +795,21 @@ def tool_calls(events, name: str) -> list:
 def applied_requests(result) -> list:
     """The upstream requests of a ``PipelineResult`` that were applied."""
     return [r for r in result.requests if r.outcome.startswith("applied")]
+
+
+def run_python(code: str, stdin: Optional[str] = None, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter and capture its output as text.
+
+    The child's environment holds only ``PATH`` and ``PYTHONPATH``, set to the
+    root of the imported package, so it imports the very package under test,
+    installed or not, and nothing the caller's environment sets.
+    """
+    package_root = str(Path(planwright.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+    )

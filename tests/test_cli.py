@@ -13,6 +13,7 @@ from planwright.ir import jsonio
 from planwright.pddl import emit_domain
 from planwright.runs import normalized_tree
 from planwright.textworld import check_goal, state_from_json
+from helpers import run_python
 from scenarios import ok_critic
 
 
@@ -444,14 +445,15 @@ class TestBenchCommand:
     def test_grounding_budget_reported_per_row(self, tmp_path, monkeypatch):
         import planwright.planner.grounding as grounding
 
-        # p01 and p02 instantiate 24 actions, p03 instantiates 40.
-        monkeypatch.setattr(grounding, "GROUNDING_BUDGET", 30)
+        # p01 and p02 reach 19 atoms, p03 reaches 29; the budget also bounds
+        # the atom pairs of the prune, and 19 * 19 <= 400 < 29 * 29.
+        monkeypatch.setattr(grounding, "GROUNDING_BUDGET", 400)
         row = self._bench_blocksworld(tmp_path)
         statuses = {p["problem"]: p["status"] for p in row["problems"]}
         assert statuses == {
             "p01.pddl": "solved",
             "p02.pddl": "solved",
-            "p03.pddl": "grounding-error: grounding exceeds the budget of 30 actions",
+            "p03.pddl": "grounding-error: pruning 21 reached atoms exceeds the budget of 400 atom pairs",
         }
         assert row["solved"] == 2
 
@@ -864,38 +866,76 @@ class TestReplayEncoding:
         replay_round(tmp_path / "round")
         assert len(encoded) == len({id(domain) for domain in encoded}) == 7
 
+    def test_each_domain_is_checked_once_per_round(self, tmp_path, monkeypatch):
+        """One replay round checks the domain-level invariants of each
+        distinct `DomainModel` once, and every later `validate_domain` or
+        `validate` call reports them, byte for byte, as a fresh check would."""
+        import importlib
+
+        from test_replay_golden import replay_round
+
+        # The module, not the function that planwright.ir exports under its name.
+        validation = importlib.import_module("planwright.ir.validate")
+
+        checked = []  # keeps every model alive, so no id is reused
+        reports = []
+        check_domain, domain_report = validation._check_domain, validation._domain_report
+
+        def counting_check(domain, type_names, out):
+            checked.append(domain)
+            check_domain(domain, type_names, out)
+
+        def recording_report(domain):
+            report = domain_report(domain)
+            reports.append((domain, report))
+            return report
+
+        monkeypatch.setattr(validation, "_check_domain", counting_check)
+        monkeypatch.setattr(validation, "_domain_report", recording_report)
+        replay_round(tmp_path / "round")
+        assert len(checked) == len({id(domain) for domain in checked}) == 7
+        assert len(reports) == 22
+        for domain, report in reports:
+            fresh: list = []
+            check_domain(domain, validation._type_names(domain), fresh)
+            assert [repr(v) for v in report] == [repr(v) for v in fresh]
+
 
 class TestImports:
     def test_cli_import_does_not_load_http_stack(self):
         """Only live mode talks HTTP, so importing the CLI leaves urllib.request unloaded."""
-        import subprocess
-        import sys
+        proc = run_python("import sys, planwright.cli; print('urllib.request' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_cli_import_creates_no_dataclasses(self):
+        """The value types are built on ``planwright.values``, whose methods
+        sit in the bytecode cache, so importing the CLI loads neither
+        ``dataclasses`` nor the ``inspect`` module it imports, and no module of
+        the package imports ``dataclasses``."""
+        import ast
 
         import planwright
 
-        package_root = str(Path(planwright.__file__).resolve().parents[1])
-        probe = "import sys, planwright.cli; print('urllib.request' in sys.modules)"
-        proc = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
-        )
+        proc = run_python("import sys, planwright.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
+        imported = set()
+        for path in Path(planwright.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported.update((path.name, alias.name) for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    imported.add((path.name, node.module))
+        assert [name for name, module in imported if module == "dataclasses"] == []
 
     def test_cli_reaches_every_runtime_module(self):
         """Importing the CLI loads every module of the package except two that
         no entry point needs: ``bench/workloads.py``, the scripts and the tests
         import ``domains`` (problem builders) and ``data_paths`` (bundled file
         locations). Any other module the CLI leaves unloaded is unreachable."""
-        import subprocess
-        import sys
         import textwrap
 
-        import planwright
-
-        package_root = str(Path(planwright.__file__).resolve().parents[1])
         probe = textwrap.dedent(
             """
             import json, sys
@@ -909,11 +949,6 @@ class TestImports:
             print(json.dumps(sorted(names - set(sys.modules))))
             """
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
-        )
+        proc = run_python(probe)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == ["planwright.data_paths", "planwright.domains"]

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
 
 import pytest
 
@@ -176,22 +175,15 @@ class TestEmbedder:
         assert HashedBagOfWordsEmbedder().embed("pack my bags") == HashedBagOfWordsEmbedder().embed("pack my bags")
 
     def test_deterministic_across_processes(self):
-        import subprocess
-        import sys
+        from helpers import run_python
 
-        import planwright
-
-        package_root = str(Path(planwright.__file__).resolve().parents[1])
         probe = (
             "from planwright.gateway import HashedBagOfWordsEmbedder;"
             "print(HashedBagOfWordsEmbedder().embed('close the fridge goal'))"
         )
-        env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}
-        runs = {
-            subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env).stdout
-            for _ in range(2)
-        }
-        assert len(runs) == 1
+        runs = [run_python(probe) for _ in range(2)]
+        assert [proc.returncode for proc in runs] == [0, 0], runs[0].stderr
+        assert len({proc.stdout for proc in runs}) == 1
 
 
 class TestLiveBackendWire:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -39,6 +38,7 @@ from planwright.ir import (
 from planwright.data_paths import benchmarks_root
 from planwright.domains import blocksworld_domain, blocksworld_problem
 from planwright.pddl import parse_domain, parse_problem
+from planwright.values import replace
 
 from fractions import Fraction
 
@@ -155,28 +155,16 @@ class TestValidate:
         problem_text = """(define (problem p) (:domain d) (:objects o0 o1 - thing t1 - other)
   (:init (= (g o0 o0) 1) (= (g o0 o1) 1) (= (g o0 t1) 1)) (:goal (q)))"""
         parsed = parse_problem(problem_text, parse_domain(domain_text))
-        problem = dataclasses.replace(parsed, objects=parsed.objects + (ObjectDecl("o1", "thing"),))
+        problem = replace(parsed, objects=parsed.objects + (ObjectDecl("o1", "thing"),))
         messages = [v.message for v in validate(problem) if v.code == "uninitialized-numeric"]
         assert messages == ["numeric atom (g o1 o0) is used but has no initial value (2 of 4 instances of g have none)"]
 
     def test_uninitialized_numeric_check_is_bounded(self):
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import planwright
+        from helpers import run_python
 
         # The child runs under its own limit, so a regression fails this test
         # and not the machine: 30 objects leave 809,970 instances unset.
-        package_root = str(Path(planwright.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", DIAGONAL_CHILD],
-            input=json.dumps(diagonal_pddl(30)),
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
-        )
+        proc = run_python(DIAGONAL_CHILD, stdin=json.dumps(diagonal_pddl(30)), timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert json.loads(proc.stdout) == [
             ["uninitialized-numeric", "numeric atom (f o0 o0 o0 o1) is used but has no initial value (809970 of 810000 instances of f have none)"]
@@ -330,15 +318,15 @@ class TestApplyEdit:
     def test_rejected_fluent_gets_the_edited_domains_report(self, bw3):
         tint = FluentDecl("tint", (Parameter("?b", "block"), Parameter("?b", "colour")))
         result = apply_edit(bw3.domain, bw3.objects, AddOrModifyFluent(tint, provenance="goal-generator"))
-        edited = dataclasses.replace(bw3.domain, fluents=bw3.domain.fluents + (tint,))
+        edited = replace(bw3.domain, fluents=bw3.domain.fluents + (tint,))
         assert result.outcome == Rejected("type-conflict", "; ".join(str(v) for v in validate_domain(edited)))
         assert result.domain == bw3.domain
 
     def test_rejected_action_gets_the_edited_domains_report(self, bw3):
         precondition = Atom("holding", ("?b1", "?b2"))
         result = apply_edit(bw3.domain, bw3.objects, ModifyAction("stack", precondition, None, provenance="goal-generator"))
-        stack = dataclasses.replace(bw3.domain.action_map()["stack"], precondition=precondition)
-        edited = dataclasses.replace(bw3.domain, actions=tuple(stack if a.name == "stack" else a for a in bw3.domain.actions))
+        stack = replace(bw3.domain.action_map()["stack"], precondition=precondition)
+        edited = replace(bw3.domain, actions=tuple(stack if a.name == "stack" else a for a in bw3.domain.actions))
         message = "; ".join(str(v) for v in validate_domain(edited))
         assert result.outcome == Rejected("type-conflict", message)
         assert "in precondition of stack" in message
@@ -576,8 +564,8 @@ class TestDumps:
         old_text = jsonio.dumps(bw3.domain)
         edit = AddOrModifyFluent(FluentDecl("color", (Parameter("?b", "block"),)), provenance="goal-generator")
         edited = apply_edit(bw3.domain, bw3.objects, edit).domain
-        renamed = dataclasses.replace(bw3.domain, name="renamed")
-        moved = dataclasses.replace(bw3, domain=edited)
+        renamed = replace(bw3.domain, name="renamed")
+        moved = replace(bw3, domain=edited)
         for value in (edited, renamed, moved):
             assert jsonio.dumps(value) == json.dumps(_plain(value), indent=2) + "\n"
         assert jsonio.dumps(edited) != old_text

@@ -67,6 +67,7 @@ from helpers import (
     reference_instantiate,
     reference_pair_prune,
     refuel_problem,
+    run_python,
     task_numbering,
 )
 
@@ -398,21 +399,9 @@ class TestRelevantAtoms:
     name, so a wide predicate that nothing names costs nothing."""
 
     def test_wide_unnamed_predicate_grounds_in_bounded_memory(self):
-        import subprocess
-
-        import planwright
-
         # The child runs under its own limit, so a regression fails this
         # test and not the machine: 30 objects make 810,000 atoms of r.
-        package_root = str(Path(planwright.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", WIDE_CHILD],
-            input=json.dumps(wide_pddl(30)),
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
-        )
+        proc = run_python(WIDE_CHILD, stdin=json.dumps(wide_pddl(30)), timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert json.loads(proc.stdout) == [2, ["go(o0)"]]
 
@@ -430,6 +419,63 @@ class TestRelevantAtoms:
         assert task.atoms == (Atom("q", ("o0",)), Atom("p", ("o0",)))
         assert task.init_bools == 0b10
         assert [str(a) for a in task.actions] == ["go(o0)"]
+
+
+def touch_pddl(objects: int) -> tuple[str, str]:
+    """``wide_pddl`` with an action that adds any atom of the 4-ary predicate
+    and has no precondition."""
+    domain, problem = wide_pddl(objects)
+    touch = "(:action touch :parameters (?a ?b ?c ?d) :effect (r ?a ?b ?c ?d))"
+    return domain.replace("(:action go", touch + "\n  (:action go"), problem
+
+
+# Grounds the problem of ``touch_pddl`` read from standard input, under a
+# 1 GB address-space limit, and prints the atom and action counts, or the
+# grounding error.
+TOUCH_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from planwright.pddl import parse_domain, parse_problem
+from planwright.planner import GroundingError, ground
+domain_text, problem_text = json.load(sys.stdin)
+try:
+    task = ground(parse_problem(problem_text, parse_domain(domain_text)))
+except GroundingError as exc:
+    print(json.dumps(str(exc)))
+else:
+    print(json.dumps([len(task.atoms), len(task.actions)]))
+"""
+
+
+class TestPairBudget:
+    """Every atom that ``touch`` adds can hold together with every reached
+    atom, so the pair-reachability prune marks the reached atoms squared,
+    in time cubic in them: 10 objects took 68.5 s before the pair budget."""
+
+    def test_prune_over_the_pair_budget_is_a_grounding_error(self):
+        # In a child under its own limit and timeout, so a regression fails
+        # this test and not the machine.
+        proc = run_python(TOUCH_CHILD, stdin=json.dumps(touch_pddl(10)), timeout=30)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout) == "pruning 1001 reached atoms exceeds the budget of 1000000 atom pairs"
+
+    def test_action_budget_is_checked_before_the_pair_budget(self, monkeypatch):
+        import planwright.planner.grounding as grounding
+        from planwright.data_paths import benchmarks_root
+        from planwright.pddl import parse_domain, parse_problem
+
+        # blocksworld p03 instantiates 40 actions and reaches 29 atoms.
+        src = benchmarks_root() / "blocksworld"
+        problem = parse_problem((src / "p03.pddl").read_text(), parse_domain((src / "domain.pddl").read_text()))
+        monkeypatch.setattr(grounding, "GROUNDING_BUDGET", 30)
+        with pytest.raises(GroundingError, match="^grounding exceeds the budget of 30 actions$"):
+            ground(problem)
+
+    def test_prune_under_the_pair_budget_keeps_every_action(self):
+        # 5 objects: 625 atoms of r, reached with (p o0), are inside the budget.
+        proc = run_python(TOUCH_CHILD, stdin=json.dumps(touch_pddl(5)), timeout=30)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout) == [627, 626]
 
 
 class TestSuccessorIndex:

@@ -17,13 +17,11 @@ For one sample of each type this pins what callers and outputs rely on:
 from __future__ import annotations
 
 import sys
-from dataclasses import is_dataclass, replace
 from fractions import Fraction
 
 import pytest
 
 import planwright.cli  # noqa: F401  (loads every runtime module)
-from planwright import domains  # noqa: F401
 from planwright.abstraction import Instruction, InstructionList
 from planwright.agents.config import PipelineConfig
 from planwright.agents.critic import CriticVerdict
@@ -64,11 +62,12 @@ from planwright.ir.model import (
 from planwright.ir.validate import Violation
 from planwright.memory import MemoryEntry
 from planwright.pddl.syntax import SList, Symbol
-from planwright.planner.grounding import Condition, GroundAction, GroundComparison, GroundNumericEffect, GroundTask, Linear, ground
+from planwright.planner.grounding import Condition, GroundAction, GroundComparison, GroundNumericEffect, Linear, ground
 from planwright.planner.plan import Plan, PlanStep
 from planwright.planner.search import SolveConfig, SolveResult
 from planwright.planner.validation import Invalid, Valid
 from planwright.textworld import Entity, Location, SkillResult, WorldState
+from planwright.values import Record, replace
 
 ON = Atom("on", ("a", "b"))
 FUEL = NumFluent("fuel", ("t",))
@@ -290,7 +289,7 @@ def _value_types() -> set[type]:
         for name, module in list(sys.modules.items())
         if name.startswith("planwright")
         for cls in vars(module).values()
-        if isinstance(cls, type) and cls.__module__ == name and is_dataclass(cls)
+        if isinstance(cls, type) and cls.__module__ == name and issubclass(cls, Record) and cls._fields and not cls.__subclasses__()
     }
 
 
