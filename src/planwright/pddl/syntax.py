@@ -14,7 +14,6 @@ from typing import Optional, Union
 
 from ..values import Value
 
-
 _set = object.__setattr__  # writes a field past Value's __setattr__
 
 LEXICAL_ERROR = "lexical-error"
