@@ -11,9 +11,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from ..values import Value
-
-_set = object.__setattr__  # writes a field past Value's __setattr__
+from ..values import Value, set_field
 
 OBJECT_TYPE = "object"
 
@@ -73,8 +71,8 @@ class _Application(Value):
     args: tuple[str, ...]
 
     def __init__(self, fluent: str, args: tuple[str, ...] = ()):
-        _set(self, "fluent", fluent)
-        _set(self, "args", args)
+        set_field(self, "fluent", fluent)
+        set_field(self, "args", args)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -262,9 +260,9 @@ class DomainModel(Value):
     actions: tuple[ActionSchema, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "types", tuple(sorted(self.types, key=lambda t: t.name)))
-        object.__setattr__(self, "fluents", tuple(sorted(self.fluents, key=lambda f: f.name)))
-        object.__setattr__(self, "actions", tuple(sorted(self.actions, key=lambda a: a.name)))
+        set_field(self, "types", tuple(sorted(self.types, key=lambda t: t.name)))
+        set_field(self, "fluents", tuple(sorted(self.fluents, key=lambda f: f.name)))
+        set_field(self, "actions", tuple(sorted(self.actions, key=lambda a: a.name)))
 
     @property
     def uses_typing(self) -> bool:
@@ -371,7 +369,7 @@ class ProblemInstance(Value):
     name: str = "problem"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "objects", tuple(sorted(self.objects, key=lambda o: o.name)))
+        set_field(self, "objects", tuple(sorted(self.objects, key=lambda o: o.name)))
 
     def object_map(self) -> dict[str, ObjectDecl]:
         return {o.name: o for o in self.objects}

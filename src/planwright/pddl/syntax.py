@@ -12,9 +12,7 @@ from __future__ import annotations
 import re
 from typing import Optional, Union
 
-from ..values import Value
-
-_set = object.__setattr__  # writes a field past Value's __setattr__
+from ..values import Value, set_field
 
 LEXICAL_ERROR = "lexical-error"
 UNBALANCED = "unbalanced-parentheses"
@@ -51,9 +49,9 @@ class Symbol(Value):
     col: int
 
     def __init__(self, text: str, line: int, col: int):
-        _set(self, "text", text)
-        _set(self, "line", line)
-        _set(self, "col", col)
+        set_field(self, "text", text)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
     def __hash__(self) -> int:
         return hash((self.text, self.line, self.col))
@@ -68,9 +66,9 @@ class SList(Value):
     col: int
 
     def __init__(self, items: tuple["SExpr", ...], line: int, col: int):
-        _set(self, "items", items)
-        _set(self, "line", line)
-        _set(self, "col", col)
+        set_field(self, "items", items)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
     def __hash__(self) -> int:
         return hash((self.items, self.line, self.col))

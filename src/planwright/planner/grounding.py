@@ -27,13 +27,13 @@ the work.
 Every branch, and every DNF branch of the goal, is compiled into a
 `Condition`: a positive and a negative atom bitmask plus linear numeric
 comparisons. The goal holds when any of its branches does. Instantiations
-that can never apply are pruned from the initial state by one
-pair-reachability fixpoint over every instantiated action: h^m of Haslum &
-Geffner (2000, "Admissible heuristics for optimal planning") at m = 2,
-which keeps, for every atom, an int bitmask of the atoms that can hold
-together with it. Pruning ignores negative and numeric conditions, which
-keeps it sound: it only ever removes actions that are impossible for
-boolean reasons.
+that can never apply are pruned from the initial state by single-atom
+relaxed reachability and then, when the atom pairs it may mark fit the
+budget, by one pair-reachability fixpoint: h^m of Haslum & Geffner (2000,
+"Admissible heuristics for optimal planning") at m = 2, which keeps, for
+every atom, an int bitmask of the atoms that can hold together with it.
+Pruning ignores negative and numeric conditions, which keeps it sound: it
+only ever removes actions that are impossible for boolean reasons.
 """
 from __future__ import annotations
 
@@ -58,9 +58,7 @@ from ..ir import (
     ProblemInstance,
     SetEffect,
 )
-from ..values import Value
-
-_set = object.__setattr__  # writes a field past Value's __setattr__
+from ..values import Value, set_field
 
 
 class GroundingError(ValueError):
@@ -69,7 +67,7 @@ class GroundingError(ValueError):
 
 # The most candidate bindings at one parameter of one schema, and the most
 # ground actions in all, that one grounding may build, and the most atom pairs
-# its pruning pass may mark (reached atoms squared). Like the search's
+# (reached atoms squared) over which it runs the pair prune. Like the search's
 # node budget it is deterministic, and far above every bundled and benchmark
 # instance.
 GROUNDING_BUDGET = 1_000_000
@@ -200,9 +198,9 @@ class Condition(Value):
     num: tuple[GroundComparison, ...]
 
     def __init__(self, pos: int, neg: int, num: tuple[GroundComparison, ...]):
-        _set(self, "pos", pos)
-        _set(self, "neg", neg)
-        _set(self, "num", num)
+        set_field(self, "pos", pos)
+        set_field(self, "neg", neg)
+        set_field(self, "num", num)
 
     def __hash__(self) -> int:
         return hash((self.pos, self.neg, self.num))
@@ -225,12 +223,12 @@ class GroundAction(Value):
     num_effects: tuple[GroundNumericEffect, ...]
 
     def __init__(self, name: str, args: tuple[str, ...], pre: Condition, add_mask: int, del_mask: int, num_effects: tuple[GroundNumericEffect, ...]):
-        _set(self, "name", name)
-        _set(self, "args", args)
-        _set(self, "pre", pre)
-        _set(self, "add_mask", add_mask)
-        _set(self, "del_mask", del_mask)
-        _set(self, "num_effects", num_effects)
+        set_field(self, "name", name)
+        set_field(self, "args", args)
+        set_field(self, "pre", pre)
+        set_field(self, "add_mask", add_mask)
+        set_field(self, "del_mask", del_mask)
+        set_field(self, "num_effects", num_effects)
 
     def __hash__(self) -> int:
         return hash((self.name, self.args, self.pre, self.add_mask, self.del_mask, self.num_effects))
@@ -533,6 +531,42 @@ def _mask_bits(mask: int) -> list[int]:
 def _prune_unreachable(actions: list[GroundAction], init_bools: int, n: int) -> list[GroundAction]:
     """Drop the actions whose positive precondition can never hold.
 
+    Single-atom relaxed reachability comes first. When the atoms it reaches,
+    squared, exceed `GROUNDING_BUDGET`, its survivors are the result: the
+    pair prune takes time cubic in the reached atoms, and a part-finished
+    pair fixpoint would not be sound. Otherwise the pair prune runs over the
+    survivors; it can only reach fewer atoms, so it marks at most that many
+    pairs. Survivors keep their order either way.
+    """
+    reached = _relaxed_reached(actions, init_bools)
+    actions = [a for a in actions if not a.pre.pos & ~reached]
+    if reached.bit_count() ** 2 > GROUNDING_BUDGET:
+        return actions
+    return _prune_pairs(actions, init_bools, n)
+
+
+def _relaxed_reached(actions: list[GroundAction], init_bools: int) -> int:
+    """The mask of the atoms reachable from ``init_bools`` when deletes and
+    negative and numeric preconditions are ignored."""
+    reached = init_bools
+    waiting = actions
+    while waiting:
+        left = []
+        for action in waiting:
+            if action.pre.pos & ~reached:
+                left.append(action)
+            else:
+                reached |= action.add_mask
+        if len(left) == len(waiting):
+            break
+        waiting = left
+    return reached
+
+
+def _prune_pairs(actions: list[GroundAction], init_bools: int, n: int) -> list[GroundAction]:
+    """Drop the actions whose positive precondition can never hold, by pair
+    reachability.
+
     A pair-reachability (h^2) fixpoint from the initial state over all ``n``
     atoms and every action, ignoring negative and numeric preconditions, so
     only genuinely impossible actions are removed. ``rows[i]`` is the mask
@@ -549,16 +583,9 @@ def _prune_unreachable(actions: list[GroundAction], init_bools: int, n: int) -> 
     fixpoint also drops every action that single-atom relaxed reachability
     would drop. The least fixpoint is unique, so the order of the updates
     does not change the result.
-
-    The pairs the pass may mark, the reached atoms squared, count against
-    `GROUNDING_BUDGET` before it starts and whenever an atom is reached.
-    Over it, a `GroundingError` is raised: the pass takes time cubic in the
-    reached atoms, and a part-finished fixpoint would not be sound.
     """
     rows = [init_bools if init_bools >> i & 1 else 0 for i in range(n)]
     self_mask = init_bools
-    reached = init_bools.bit_count()
-    _check_pair_budget(reached)
     pre_bits = [_mask_bits(a.pre.pos) for a in actions]
     add_bits = [_mask_bits(a.add_mask) for a in actions]
 
@@ -582,16 +609,8 @@ def _prune_unreachable(actions: list[GroundAction], init_bools: int, n: int) -> 
                     grew = True
                     bit = 1 << i
                     rows[i] |= fresh
-                    if not self_mask & bit:
-                        self_mask |= bit
-                        reached += 1
-                        _check_pair_budget(reached)
+                    self_mask |= bit
                     for j in _mask_bits(fresh & ~bit):
                         rows[j] |= bit
 
     return [a for a, pre in zip(actions, pre_bits) if all(not a.pre.pos & ~rows[i] for i in pre)]
-
-
-def _check_pair_budget(reached: int) -> None:
-    if reached * reached > GROUNDING_BUDGET:
-        raise GroundingError(f"pruning {reached} reached atoms exceeds the budget of {GROUNDING_BUDGET} atom pairs")

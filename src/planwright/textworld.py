@@ -12,7 +12,7 @@ from typing import Any, Optional, Union
 
 from .gateway import ToolParam, ToolSchema
 from .ir import And, Atom, Expression, Not, Or, jsonio
-from .values import Value, replace
+from .values import Value, replace, set_field
 
 HANDS = 2
 
@@ -55,7 +55,7 @@ class WorldState(Value):
     hands: tuple[Optional[str], ...] = (None,) * HANDS
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entities", tuple(sorted(self.entities, key=lambda e: e.id)))
+        set_field(self, "entities", tuple(sorted(self.entities, key=lambda e: e.id)))
 
     def entity(self, entity_id: str) -> Entity:
         for entity in self.entities:

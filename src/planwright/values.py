@@ -17,7 +17,15 @@ import. `Record` gives a class:
 and their fields are equal, and a value hashes as the tuple of its field
 values. A class may write its own ``__init__`` with the same parameters, as
 the types built in the hot loops of parsing and grounding do, where the
-generic one would cost more; a frozen one writes through ``object.__setattr__``.
+generic one would cost more; it, and a frozen class's ``__post_init__``,
+writes a field through `set_field`.
+
+Fields are read from the annotations in the class's own ``__dict__``, so a
+module that declares a subclass needs ``from __future__ import
+annotations``: without it, Python 3.14 keeps them in ``__annotate__``
+instead, and the class is refused. A list, dict or set default would be
+shared by every instance, so it is refused too; such a field is filled in by
+the class's own ``__init__``.
 
 Instances keep their ``__dict__``. An attribute cached there, such as a
 ``functools.cached_property``, is no field, so equality, hashing, repr and
@@ -30,6 +38,8 @@ from typing import Any, TypeVar
 
 R = TypeVar("R", bound="Record")
 
+set_field = object.__setattr__  # writes a field past Value's __setattr__
+
 
 class Record:
     """A mutable record with the generic ``__init__`` and repr, compared by identity."""
@@ -40,9 +50,15 @@ class Record:
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
+        if "__annotate__" in cls.__dict__ and "__annotations__" not in cls.__dict__:
+            raise TypeError(f"{cls.__qualname__}: fields need `from __future__ import annotations` in its module")
         own = tuple(cls.__dict__.get("__annotations__", {}))
+        defaults = {name: cls.__dict__[name] for name in own if name in cls.__dict__}
+        for name, value in defaults.items():
+            if isinstance(value, (list, dict, set)):
+                raise TypeError(f"{cls.__qualname__}.{name}: a {type(value).__name__} default would be shared by every instance")
         cls._fields = cls._fields + own
-        cls._defaults = {**cls._defaults, **{name: cls.__dict__[name] for name in own if name in cls.__dict__}}
+        cls._defaults = {**cls._defaults, **defaults}
         cls._has_post_init = hasattr(cls, "__post_init__")
         get = attrgetter(*cls._fields) if cls._fields else None
         # attrgetter of one name returns the bare value, not a 1-tuple.
@@ -53,7 +69,7 @@ class Record:
         if len(args) > len(fields):
             raise TypeError(f"{type(self).__qualname__}() takes {len(fields)} arguments but {len(args)} were given")
         for name, value in zip(fields, args):
-            object.__setattr__(self, name, value)
+            set_field(self, name, value)
         for name in fields[len(args):]:
             if name in kwargs:
                 value = kwargs.pop(name)
@@ -61,7 +77,7 @@ class Record:
                 value = self._defaults[name]
             else:
                 raise TypeError(f"{type(self).__qualname__}() missing argument {name!r}")
-            object.__setattr__(self, name, value)
+            set_field(self, name, value)
         if kwargs:
             raise TypeError(f"{type(self).__qualname__}() got an unexpected keyword argument {next(iter(kwargs))!r}")
         if self._has_post_init:

@@ -8,7 +8,8 @@ ground-truth side of dual-route checks.
 ``reference_pair_prune`` is the second oracle: the straightforward
 set-of-pairs reachability prune, which reads only the masks of the
 planner's ground actions and serves as the reference for the planner's
-bitset prune.
+bitset prune; ``reference_relaxed_prune``, its single-atom counterpart, is
+the reference for the prune used over the pair budget.
 
 ``reference_h`` is the third: the planner's original round-robin
 (Bellman-Ford) delete relaxation, the reference for the counter-based
@@ -326,6 +327,29 @@ def _mask_bits(mask: int) -> list[int]:
         mask >>= 1
         i += 1
     return out
+
+
+def reference_relaxed_prune(actions, atom_index, init_true):
+    """Single-atom relaxed reachability from the initial state.
+
+    An atom is reached when it is initially true or some action whose
+    positive precondition atoms are all reached adds it; an action survives
+    when all of its positive precondition atoms are reached. Deletes and
+    negative and numeric preconditions are ignored. The oracle for the prune
+    that ``planwright.planner.grounding`` falls back to over its pair budget.
+    """
+    reached = {atom_index[a] for a in init_true if a in atom_index}
+    pre_bits = [set(_mask_bits(a.pre.pos)) for a in actions]
+    changed = True
+    while changed:
+        changed = False
+        for pre, action in zip(pre_bits, actions):
+            if pre <= reached:
+                adds = set(_mask_bits(action.add_mask))
+                if not adds <= reached:
+                    reached |= adds
+                    changed = True
+    return [a for pre, a in zip(pre_bits, actions) if pre <= reached]
 
 
 def reference_pair_prune(actions, atom_index, init_true):

@@ -445,15 +445,14 @@ class TestBenchCommand:
     def test_grounding_budget_reported_per_row(self, tmp_path, monkeypatch):
         import planwright.planner.grounding as grounding
 
-        # p01 and p02 reach 19 atoms, p03 reaches 29; the budget also bounds
-        # the atom pairs of the prune, and 19 * 19 <= 400 < 29 * 29.
-        monkeypatch.setattr(grounding, "GROUNDING_BUDGET", 400)
+        # p01 and p02 instantiate 24 actions, p03 instantiates 40.
+        monkeypatch.setattr(grounding, "GROUNDING_BUDGET", 30)
         row = self._bench_blocksworld(tmp_path)
         statuses = {p["problem"]: p["status"] for p in row["problems"]}
         assert statuses == {
             "p01.pddl": "solved",
             "p02.pddl": "solved",
-            "p03.pddl": "grounding-error: pruning 21 reached atoms exceeds the budget of 400 atom pairs",
+            "p03.pddl": "grounding-error: grounding exceeds the budget of 30 actions",
         }
         assert row["solved"] == 2
 

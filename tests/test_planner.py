@@ -66,6 +66,7 @@ from helpers import (
     random_walk_states,
     reference_instantiate,
     reference_pair_prune,
+    reference_relaxed_prune,
     refuel_problem,
     run_python,
     task_numbering,
@@ -450,32 +451,46 @@ else:
 class TestPairBudget:
     """Every atom that ``touch`` adds can hold together with every reached
     atom, so the pair-reachability prune marks the reached atoms squared,
-    in time cubic in them: 10 objects took 68.5 s before the pair budget."""
+    in time cubic in them: 10 objects took 68.5 s before the pair budget.
+    Over the budget, single-atom relaxed reachability prunes alone."""
 
-    def test_prune_over_the_pair_budget_is_a_grounding_error(self):
+    def test_prune_over_the_pair_budget_keeps_the_single_atom_survivors(self):
         # In a child under its own limit and timeout, so a regression fails
-        # this test and not the machine.
+        # this test and not the machine: 10,002 reached atoms make 10^8 pairs.
         proc = run_python(TOUCH_CHILD, stdin=json.dumps(touch_pddl(10)), timeout=30)
         assert proc.returncode == 0, proc.stderr[-2000:]
-        assert json.loads(proc.stdout) == "pruning 1001 reached atoms exceeds the budget of 1000000 atom pairs"
+        assert json.loads(proc.stdout) == [10002, 10001]
 
-    def test_action_budget_is_checked_before_the_pair_budget(self, monkeypatch):
-        import planwright.planner.grounding as grounding
-        from planwright.data_paths import benchmarks_root
-        from planwright.pddl import parse_domain, parse_problem
-
-        # blocksworld p03 instantiates 40 actions and reaches 29 atoms.
-        src = benchmarks_root() / "blocksworld"
-        problem = parse_problem((src / "p03.pddl").read_text(), parse_domain((src / "domain.pddl").read_text()))
-        monkeypatch.setattr(grounding, "GROUNDING_BUDGET", 30)
-        with pytest.raises(GroundingError, match="^grounding exceeds the budget of 30 actions$"):
-            ground(problem)
+    def test_six_objects_ground_every_action(self):
+        # 1,298 reached atoms: just over the budget, where the pair prune
+        # alone took 0.3 s.
+        proc = run_python(TOUCH_CHILD, stdin=json.dumps(touch_pddl(6)), timeout=30)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout) == [1298, 1297]
 
     def test_prune_under_the_pair_budget_keeps_every_action(self):
         # 5 objects: 625 atoms of r, reached with (p o0), are inside the budget.
         proc = run_python(TOUCH_CHILD, stdin=json.dumps(touch_pddl(5)), timeout=30)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert json.loads(proc.stdout) == [627, 626]
+
+    @pytest.mark.parametrize("name, pairs, single", [("p01", 18, 24), ("p02", 18, 24), ("p03", 32, 40)])
+    def test_budget_chooses_between_the_oracles(self, monkeypatch, name, pairs, single):
+        import planwright.planner.grounding as grounding
+        from planwright.data_paths import benchmarks_root
+        from planwright.pddl import parse_domain, parse_problem
+
+        # blocksworld p01 and p02 reach 19 atoms, p03 reaches 29: each is
+        # inside a budget of 29 * 29 and over one of 100.
+        src = benchmarks_root() / "blocksworld"
+        problem = parse_problem((src / f"{name}.pddl").read_text(), parse_domain((src / "domain.pddl").read_text()))
+        for budget, oracle, kept in [(29 * 29, reference_pair_prune, pairs), (100, reference_relaxed_prune, single)]:
+            monkeypatch.setattr(grounding, "GROUNDING_BUDGET", budget)
+            task = ground(problem)
+            index = task_numbering(task)
+            expected = oracle(reference_instantiate(problem, index, task.num_index), index, problem.init.true_atoms)
+            assert task.actions == tuple(expected)
+            assert len(task.actions) == kept
 
 
 class TestSuccessorIndex:

@@ -67,7 +67,7 @@ from planwright.planner.plan import Plan, PlanStep
 from planwright.planner.search import SolveConfig, SolveResult
 from planwright.planner.validation import Invalid, Valid
 from planwright.textworld import Entity, Location, SkillResult, WorldState
-from planwright.values import Record, replace
+from planwright.values import Record, Value, replace
 
 ON = Atom("on", ("a", "b"))
 FUEL = NumFluent("fuel", ("t",))
@@ -379,6 +379,22 @@ def test_defaults_and_keywords():
         Atom("p", (), "extra")
     with pytest.raises(TypeError):
         Atom("p", colour="red")
+
+
+@pytest.mark.parametrize("default", [[], {}, set()], ids=["list", "dict", "set"])
+def test_mutable_default_is_refused(default):
+    # Shared by every instance, as a class attribute, so refused when the
+    # class is made.
+    with pytest.raises(TypeError, match="default would be shared by every instance"):
+        type("Bag", (Record,), {"__annotations__": {"items": "list"}, "items": default})
+
+
+def test_annotations_kept_in_annotate_are_refused():
+    # A subclass compiled without ``from __future__ import annotations`` on
+    # Python 3.14 keeps its annotations in ``__annotate__`` alone; read as
+    # no fields, every instance would be equal.
+    with pytest.raises(TypeError, match="from __future__ import annotations"):
+        type("Point", (Value,), {"__annotate__": lambda format: {"x": int}})
 
 
 def test_replace_reruns_post_init():
