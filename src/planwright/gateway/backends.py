@@ -137,12 +137,17 @@ class LiveBackend:
             raise BackendError(f"malformed backend response: {data!r}") from exc
         calls = []
         for tc in message.get("tool_calls") or []:
-            raw = tc["function"].get("arguments", "{}")
             try:
-                arguments = json.loads(raw) if isinstance(raw, str) else dict(raw)
+                name, raw = tc["function"]["name"], tc["function"].get("arguments", "{}")
+            except (KeyError, TypeError) as exc:
+                raise BackendError(f"malformed backend response: {data!r}") from exc
+            try:
+                arguments = json.loads(raw) if isinstance(raw, str) else raw
             except json.JSONDecodeError:
-                arguments = {"_raw": raw}
-            calls.append(ToolCall(tc.get("id", f"call-{len(calls)}"), tc["function"]["name"], arguments))
+                arguments = None
+            # Anything but a JSON object reaches the agent as a schema failure.
+            arguments = dict(arguments) if isinstance(arguments, dict) else {"_raw": raw}
+            calls.append(ToolCall(tc.get("id", f"call-{len(calls)}"), name, arguments))
         return AgentMessage("assistant", message.get("content") or "", tuple(calls))
 
     @staticmethod

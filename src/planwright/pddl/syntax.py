@@ -39,8 +39,8 @@ class PddlError(ValueError):
         return f"{self.filename}:{self.line}:{self.col}: {self.code}: {self.message}"
 
 
-# Reading builds a node per lexeme, so the nodes write out the methods
-# `Value` would run generically.
+# Reading builds a node per lexeme, so the nodes write out the `__init__`
+# that `Value` would run generically.
 
 
 class Symbol(Value):
@@ -52,9 +52,6 @@ class Symbol(Value):
         set_field(self, "text", text)
         set_field(self, "line", line)
         set_field(self, "col", col)
-
-    def __hash__(self) -> int:
-        return hash((self.text, self.line, self.col))
 
     def __str__(self) -> str:
         return self.text
@@ -69,9 +66,6 @@ class SList(Value):
         set_field(self, "items", items)
         set_field(self, "line", line)
         set_field(self, "col", col)
-
-    def __hash__(self) -> int:
-        return hash((self.items, self.line, self.col))
 
 
 SExpr = Union[Symbol, SList]

@@ -24,10 +24,11 @@ order of the full product, so the actions come out in schema, binding, then
 branch order, as from substituting every binding. `GROUNDING_BUDGET` bounds
 the work.
 
-Every branch, and every DNF branch of the goal, is compiled into a
-`Condition`: a positive and a negative atom bitmask plus linear numeric
-comparisons. The goal holds when any of its branches does. Instantiations
-that can never apply are pruned from the initial state by single-atom
+Every branch, and every DNF branch of the goal, is compiled into one plain
+form, ``(pos, neg, num)``: a positive and a negative atom bitmask plus linear
+numeric comparisons. An action holds its branch as its fields of those
+names; the goal is a tuple of branches, and holds when any of them does.
+Instantiations that can never apply are pruned from the initial state by single-atom
 relaxed reachability and then, when the atom pairs it may mark fit the
 budget, by one pair-reachability fixpoint: h^m of Haslum & Geffner (2000,
 "Admissible heuristics for optimal planning") at m = 2, which keeps, for
@@ -185,56 +186,29 @@ class GroundNumericEffect(Value):
     amount: Linear
 
 
-# Grounding builds a Condition and a GroundAction per kept binding, so these
-# two write out the methods `Value` would run generically.
-
-
-class Condition(Value):
-    """A compiled conjunction: atoms that must hold, atoms that must not, and
-    numeric comparisons that must all hold."""
-
-    pos: int  # bitmask over boolean atom indices
-    neg: int
-    num: tuple[GroundComparison, ...]
-
-    def __init__(self, pos: int, neg: int, num: tuple[GroundComparison, ...]):
-        set_field(self, "pos", pos)
-        set_field(self, "neg", neg)
-        set_field(self, "num", num)
-
-    def __hash__(self) -> int:
-        return hash((self.pos, self.neg, self.num))
-
-    def holds(self, bools: int, nums: tuple[Fraction, ...]) -> bool:
-        if (bools & self.pos) != self.pos or (bools & self.neg) != 0:
-            return False
-        return all(c.holds(nums) for c in self.num)
-
-
-_NO_COMPARISONS = Condition(0, 0, ())
+# Grounding builds a GroundAction per kept binding, so it writes out the
+# `__init__` that `Value` would run generically.
 
 
 class GroundAction(Value):
     name: str
     args: tuple[str, ...]
-    pre: Condition
+    pos: int  # precondition: bitmask of the atoms that must hold,
+    neg: int  # bitmask of those that must not,
+    num: tuple[GroundComparison, ...]  # and comparisons that must all hold
     add_mask: int
     del_mask: int
     num_effects: tuple[GroundNumericEffect, ...]
 
-    def __init__(self, name: str, args: tuple[str, ...], pre: Condition, add_mask: int, del_mask: int, num_effects: tuple[GroundNumericEffect, ...]):
+    def __init__(self, name: str, args: tuple[str, ...], pos: int, neg: int, num: tuple[GroundComparison, ...], add_mask: int, del_mask: int, num_effects: tuple[GroundNumericEffect, ...]):
         set_field(self, "name", name)
         set_field(self, "args", args)
-        set_field(self, "pre", pre)
+        set_field(self, "pos", pos)
+        set_field(self, "neg", neg)
+        set_field(self, "num", num)
         set_field(self, "add_mask", add_mask)
         set_field(self, "del_mask", del_mask)
         set_field(self, "num_effects", num_effects)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.args, self.pre, self.add_mask, self.del_mask, self.num_effects))
-
-    def __str__(self) -> str:
-        return f"{self.name}({', '.join(self.args)})"
 
     def apply(self, bools: int, nums: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
         new_bools = (bools & ~self.del_mask) | self.add_mask
@@ -258,23 +232,16 @@ class GroundTask(Value):
     problem: ProblemInstance
     atoms: tuple[Atom, ...]  # atom i has bit 1 << i
     num_atoms: tuple[NumFluent, ...]
-    num_index: dict[NumFluent, int]
     actions: tuple[GroundAction, ...]
     init_bools: int
     init_nums: tuple[Fraction, ...]
-    goal: tuple[Condition, ...]  # DNF branches; the source is problem.goal
+    goal: tuple[tuple[int, int, tuple[GroundComparison, ...]], ...]  # DNF branches as (pos, neg, num); the source is problem.goal
 
     def goal_holds(self, bools: int, nums: tuple[Fraction, ...]) -> bool:
-        for pos, neg, numeric in self._goal_test:
-            if bools & pos == pos and not bools & neg and (numeric is None or numeric.holds(bools, nums)):
+        for pos, neg, num in self.goal:
+            if bools & pos == pos and not bools & neg and (not num or all(c.holds(nums) for c in num)):
                 return True
         return False
-
-    @cached_property
-    def _goal_test(self) -> tuple[tuple[int, int, Optional[Condition]], ...]:
-        """The goal branches as ``(pos, neg, branch)``, where ``branch`` is
-        None unless it has numeric comparisons to test as well."""
-        return tuple((b.pos, b.neg, b if b.num else None) for b in self.goal)
 
     @cached_property
     def relaxed(self):
@@ -315,7 +282,6 @@ def ground(problem: ProblemInstance) -> GroundTask:
         problem=problem,
         atoms=tuple(atoms),
         num_atoms=num_atoms,
-        num_index=num_index,
         actions=tuple(_prune_unreachable(actions, init_bools, len(atoms))),
         init_bools=init_bools,
         init_nums=tuple(init_numeric.values()),
@@ -381,17 +347,12 @@ def _instantiate(problem: ProblemInstance, tables: dict[str, _Table], num_index)
             effects = None
             for literals, comps in branches:
                 pos, neg = _masks(literals, row)
-                numeric = _NO_COMPARISONS
-                if comps:
-                    # Comparisons only, so no atom needs a bit.
-                    numeric = _compile_branch(comps, binding, None, num_index)
-                if numeric is None or pos & neg:
+                num = _ground_comparisons(comps, binding, num_index) if comps else ()
+                if num is None or pos & neg:
                     continue  # a false constant comparison, or p and (not p)
                 if effects is None:
                     effects = _ground_effects(set_effects, num_effects, row, binding, num_index)
-                add_mask, del_mask, amounts = effects
-                pre = Condition(pos, neg, numeric.num)
-                actions.append(GroundAction(schema.name, row[nconst:], pre, add_mask, del_mask, amounts))
+                actions.append(GroundAction(schema.name, row[nconst:], pos, neg, num, *effects))
         if len(actions) > GROUNDING_BUDGET:
             raise GroundingError(f"grounding exceeds the budget of {GROUNDING_BUDGET} actions")
     return actions
@@ -485,35 +446,32 @@ def _ground_effects(set_effects, num_effects, row, binding, num_index):
     return add_mask, del_mask & ~add_mask, tuple(amounts)
 
 
-def _compile_branch(literals, binding, bit, num_index) -> Optional[Condition]:
-    """One conjunctive DNF branch as a `Condition`, or None if it can never
-    hold. ``binding`` binds the arguments of its numeric atoms, and ``bit``
-    maps an atom to its one-bit mask.
-
-    Every comparison is linearized, even after a false constant comparison
-    has ruled the branch out, so an uninitialized numeric atom is always
-    reported.
-    """
-    pos = 0
-    neg = 0
-    num: list[GroundComparison] = []
-    constants_hold = True
+def _compile_branch(literals, binding, bit, num_index) -> Optional[tuple]:
+    """One conjunctive DNF branch as ``(pos, neg, num)``, or None if it can
+    never hold. ``binding`` binds the arguments of its numeric atoms, and
+    ``bit`` maps an atom to its one-bit mask."""
+    pos = neg = 0
     for literal in literals:
         if isinstance(literal, Atom):
             pos |= bit(literal)
         elif isinstance(literal, Not):
             neg |= bit(literal.child)
-        elif isinstance(literal, Comparison):
-            comp = GroundComparison(literal.op, linearize(NumSub(literal.left, literal.right), binding, num_index))
-            if comp.form.coeffs:
-                num.append(comp)
-            elif not comp.holds(()):
-                constants_hold = False
-        else:
+        elif not isinstance(literal, Comparison):
             raise GroundingError(f"unexpected literal {literal!r} after normalization")
-    if not constants_hold or pos & neg:
+    num = _ground_comparisons([c for c in literals if isinstance(c, Comparison)], binding, num_index)
+    if num is None or pos & neg:
         return None  # a false constant comparison, or p and (not p)
-    return Condition(pos, neg, tuple(num))
+    return pos, neg, num
+
+
+def _ground_comparisons(comps, binding, num_index) -> Optional[tuple[GroundComparison, ...]]:
+    """The linearized comparisons that read a numeric atom, or None if a
+    constant one is false. All are linearized first, so an uninitialized
+    numeric atom is always reported."""
+    grounded = [GroundComparison(c.op, linearize(NumSub(c.left, c.right), binding, num_index)) for c in comps]
+    if not all(c.holds(()) for c in grounded if not c.form.coeffs):
+        return None
+    return tuple(c for c in grounded if c.form.coeffs)
 
 
 # ------------------------------------------------------------ pruning
@@ -539,7 +497,7 @@ def _prune_unreachable(actions: list[GroundAction], init_bools: int, n: int) -> 
     pairs. Survivors keep their order either way.
     """
     reached = _relaxed_reached(actions, init_bools)
-    actions = [a for a in actions if not a.pre.pos & ~reached]
+    actions = [a for a in actions if not a.pos & ~reached]
     if reached.bit_count() ** 2 > GROUNDING_BUDGET:
         return actions
     return _prune_pairs(actions, init_bools, n)
@@ -553,7 +511,7 @@ def _relaxed_reached(actions: list[GroundAction], init_bools: int) -> int:
     while waiting:
         left = []
         for action in waiting:
-            if action.pre.pos & ~reached:
+            if action.pos & ~reached:
                 left.append(action)
             else:
                 reached |= action.add_mask
@@ -572,8 +530,8 @@ def _prune_pairs(actions: list[GroundAction], init_bools: int, n: int) -> list[G
     only genuinely impossible actions are removed. ``rows[i]`` is the mask
     of atoms that can hold together with atom ``i``; it holds bit ``i``
     itself once ``i`` is reachable. An action is enabled when every pair
-    within its positive precondition is reachable, i.e. when ``pre.pos``
-    lies inside ``rows[i]`` for each precondition atom ``i``. An enabled
+    within its positive precondition is reachable, i.e. when its ``pos``
+    mask lies inside ``rows[i]`` for each precondition atom ``i``. An enabled
     action makes each added atom co-hold with the other added atoms and with
     every atom that co-holds with the whole precondition and is neither
     added nor deleted.
@@ -586,14 +544,14 @@ def _prune_pairs(actions: list[GroundAction], init_bools: int, n: int) -> list[G
     """
     rows = [init_bools if init_bools >> i & 1 else 0 for i in range(n)]
     self_mask = init_bools
-    pre_bits = [_mask_bits(a.pre.pos) for a in actions]
+    pre_bits = [_mask_bits(a.pos) for a in actions]
     add_bits = [_mask_bits(a.add_mask) for a in actions]
 
     grew = True
     while grew:
         grew = False
         for action, pre, adds in zip(actions, pre_bits, add_bits):
-            pre_mask = action.pre.pos
+            pre_mask = action.pos
             together = self_mask
             for i in pre:
                 row = rows[i]
@@ -613,4 +571,4 @@ def _prune_pairs(actions: list[GroundAction], init_bools: int, n: int) -> list[G
                     for j in _mask_bits(fresh & ~bit):
                         rows[j] |= bit
 
-    return [a for a, pre in zip(actions, pre_bits) if all(not a.pre.pos & ~rows[i] for i in pre)]
+    return [a for a, pre in zip(actions, pre_bits) if all(not a.pos & ~rows[i] for i in pre)]

@@ -29,7 +29,8 @@ cost being settled reaches the cheapest finished goal branch.
 The per-task part is compiled once, on first use, into a `RelaxedView` that
 the task caches (`GroundTask.relaxed`): the precondition and effect fact
 lists of every action, and an inverse index from each fact to the actions
-and goal branches that need it.
+and goal branches that need it. Preconditions and goal branches come in one
+form, ``(pos, neg, num)``, and are turned into fact lists alike.
 """
 from __future__ import annotations
 
@@ -71,12 +72,12 @@ class RelaxedView:
         n = len(task.atoms)
         comparisons: dict[GroundComparison, int] = {}
 
-        def facts(cond) -> list[int]:
-            out = _mask_bits(cond.pos) + [n + i for i in _mask_bits(cond.neg)]
-            out.extend(comparisons.setdefault(comp, 2 * n + len(comparisons)) for comp in cond.num)
+        def facts(pos: int, neg: int, num: tuple[GroundComparison, ...]) -> list[int]:
+            out = _mask_bits(pos) + [n + i for i in _mask_bits(neg)]
+            out.extend(comparisons.setdefault(comp, 2 * n + len(comparisons)) for comp in num)
             return out
 
-        needs = [facts(a.pre) for a in task.actions] + [facts(branch) for branch in task.goal]
+        needs = [facts(a.pos, a.neg, a.num) for a in task.actions] + [facts(*branch) for branch in task.goal]
         self.atom_count = n
         self.first_goal = len(task.actions)
         self.need_counts = [len(f) for f in needs]

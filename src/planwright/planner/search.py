@@ -14,15 +14,16 @@ initial vector first, so a task without numeric effects only ever has vector
 reached to ``(g, parent, action index)``.
 
 Successors come from a `SuccessorGenerator` built once per solve. It turns
-each action into one flat entry that holds its precondition masks and
-comparisons, the mask of the atoms it keeps, its add mask and its numeric
-effects. Each entry is filed under one atom of its positive precondition:
-the one that the fewest actions need, lowest index first on ties. Entries
-with no positive precondition go on a list that is checked in every state.
-A state then tests only the entries filed under its true atoms, plus that
-list, with one mask test each (grounding drops every branch that needs both
-``p`` and ``not p``, so ``pos & neg`` is 0); numeric comparisons are
-evaluated only for actions that have them. The applicable entries come back
+each action into one flat entry that holds its precondition (the action's
+``pos`` and ``neg`` masks and ``num`` comparisons), the mask of the atoms it
+keeps, its add mask and its numeric effects. Each entry is filed under one
+atom of its positive precondition: the one that the fewest actions need,
+lowest index first on ties. Entries with no positive precondition go on a
+list that is checked in every state. A state then tests only the entries
+filed under its true atoms, plus that list, with one mask test each
+(grounding drops every branch that needs both ``p`` and ``not p``, so
+``pos & neg`` is 0); numeric comparisons are evaluated only for actions
+that have them. The applicable entries come back
 in ascending action index, the order of a scan over every action, so
 tie-breaking, node counts and plans are the same as with the scan. A
 propositional action is applied as ``(state & keep) | add``, which carries
@@ -86,20 +87,19 @@ class SolveResult(Record):
 class SuccessorGenerator:
     """The actions of a task as flat entries, filed under one positive precondition atom each.
 
-    An entry is ``(index, pre.pos | pre.neg, pre.pos, pre.num, ~del_mask,
-    add_mask, num_effects)``: everything the search reads to test and apply
-    the action.
+    An entry is ``(index, pos | neg, pos, num, ~del_mask, add_mask,
+    num_effects)``: everything the search reads to test and apply the
+    action.
     """
 
     def __init__(self, actions: tuple[GroundAction, ...]):
-        pres = [_mask_bits(a.pre.pos) for a in actions]
+        pres = [_mask_bits(a.pos) for a in actions]
         need = Counter(i for atoms in pres for i in atoms)
         self.always: list[tuple] = []
         # Keyed by the atom's bit, 1 << i, which `applicable` peels off the state.
         self.filed: dict[int, list[tuple]] = {}
         for idx, (a, atoms) in enumerate(zip(actions, pres)):
-            pre = a.pre
-            entry = (idx, pre.pos | pre.neg, pre.pos, pre.num, ~a.del_mask, a.add_mask, a.num_effects)
+            entry = (idx, a.pos | a.neg, a.pos, a.num, ~a.del_mask, a.add_mask, a.num_effects)
             if atoms:  # min keeps the lowest atom among equally needed ones
                 self.filed.setdefault(1 << min(atoms, key=need.__getitem__), []).append(entry)
             else:

@@ -9,7 +9,7 @@ share no code with grounding.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
 from ..ir import (
     And,
@@ -33,12 +33,6 @@ from .plan import Plan
 
 class Valid(Value):
     final_numerics: tuple[tuple[NumFluent, Fraction], ...]
-
-    def numeric_value(self, fluent: str, args: tuple[str, ...]) -> Optional[Fraction]:
-        for target, value in self.final_numerics:
-            if target.fluent == fluent and target.args == args:
-                return value
-        return None
 
 
 class Invalid(Value):

@@ -337,7 +337,7 @@ def state_from_json(data: Any) -> WorldState:
     if not all(h is None or isinstance(h, str) for h in hands):
         raise jsonio.IRDecodeError("hands must hold entity ids or null")
     if len(hands) != HANDS:
-        hands = (None,) * HANDS
+        raise jsonio.IRDecodeError(f"hands must hold exactly {HANDS} entries")
     entities = tuple(_entity_from_json(e) for e in jsonio.field(data, "entities", list, []))
     return WorldState(entities, jsonio.field(data, "agent_at", str, ""), hands)
 

@@ -32,9 +32,11 @@ substituted expressions and an empty binding.
 which lexes the whole text into tokens before it matches any parenthesis,
 the reference for the one-pass ``planwright.pddl.syntax.read_forms``.
 
-``atoms_of`` and ``numerics_of`` read a ground task's state back as atoms
-and numeric values; ``applicable`` tests a ground action's precondition in a
-state; ``bundled_problems`` parses the 140 bundled benchmark
+``task_numbering`` and ``num_numbering`` give a ground task's atom and
+numeric atom indices; ``atoms_of`` and ``numerics_of`` read a ground task's
+state back as atoms and numeric values; ``branch_holds`` tests a compiled
+``(pos, neg, num)`` conjunction in a state, and ``applicable`` a ground
+action's precondition; ``bundled_problems`` parses the 140 bundled benchmark
 problems; ``refuel_problem`` builds a small numeric task whose actions
 increase, decrease and assign fluents; ``random_walk_states`` samples
 reachable states of a ground task for checks that run along a walk;
@@ -257,6 +259,11 @@ def task_numbering(task) -> AtomNumbering:
     return AtomNumbering((a, i) for i, a in enumerate(task.atoms))
 
 
+def num_numbering(task) -> dict:
+    """The task's numeric atom -> index map, as grounding builds it."""
+    return {a: i for i, a in enumerate(task.num_atoms)}
+
+
 def reference_instantiate(problem: ProblemInstance, atom_index: AtomNumbering, num_index) -> list:
     """Every ground action variant of every schema, before pruning.
 
@@ -307,7 +314,7 @@ def _reference_action(schema, binding, branch, atom_index, num_index):
     del_mask &= ~add_mask
 
     args = tuple(binding[p.name] for p in schema.parameters)
-    return GroundAction(schema.name, args, pre, add_mask, del_mask, tuple(num_effects))
+    return GroundAction(schema.name, args, *pre, add_mask, del_mask, tuple(num_effects))
 
 
 def atoms_of(task, bools: int) -> frozenset[Atom]:
@@ -339,7 +346,7 @@ def reference_relaxed_prune(actions, atom_index, init_true):
     that ``planwright.planner.grounding`` falls back to over its pair budget.
     """
     reached = {atom_index[a] for a in init_true if a in atom_index}
-    pre_bits = [set(_mask_bits(a.pre.pos)) for a in actions]
+    pre_bits = [set(_mask_bits(a.pos)) for a in actions]
     changed = True
     while changed:
         changed = False
@@ -388,7 +395,7 @@ def reference_pair_prune(actions, atom_index, init_true):
                 return False
         return True
 
-    pre_bits = [_mask_bits(a.pre.pos) for a in actions]
+    pre_bits = [_mask_bits(a.pos) for a in actions]
     add_bits = [_mask_bits(a.add_mask) for a in actions]
 
     changed = True
@@ -460,22 +467,22 @@ class _Relaxation:
         self.comp_cost = {}
         self.tracked = []
         for action in task.actions:
-            self.tracked.extend(action.pre.num)
-        for branch in task.goal:
-            self.tracked.extend(branch.num)
+            self.tracked.extend(action.num)
+        for _, _, num in task.goal:
+            self.tracked.extend(num)
 
-    def condition_cost(self, cond):
-        parts = [self.pos[i] for i in _mask_bits(cond.pos)]
-        parts.extend(self.neg[i] for i in _mask_bits(cond.neg))
-        parts.extend(self.comp_cost.get(comp, INF) for comp in cond.num)
+    def condition_cost(self, pos, neg, num):
+        parts = [self.pos[i] for i in _mask_bits(pos)]
+        parts.extend(self.neg[i] for i in _mask_bits(neg))
+        parts.extend(self.comp_cost.get(comp, INF) for comp in num)
         return self.combine(parts) if parts else 0
 
     def action_cost(self, action):
-        body = self.condition_cost(action.pre)
+        body = self.condition_cost(action.pos, action.neg, action.num)
         return INF if body == INF else 1 + body
 
     def goal_cost(self):
-        return min((self.condition_cost(branch) for branch in self.task.goal), default=INF)
+        return min((self.condition_cost(*branch) for branch in self.task.goal), default=INF)
 
     def run(self) -> None:
         lo, hi = list(self.nums), list(self.nums)
@@ -577,7 +584,7 @@ def reference_solve(task, strategy: str = "astar", heuristic: str = "blind", nod
     ``(f, push counter)``, and ``best_g`` and ``parents`` are two dicts.
     Every expanded state tests every action with ``applicable``, applies it
     with ``GroundAction.apply``, and tests the goal branch by branch with
-    ``Condition.holds`` on every pop, whatever its h. Same f-values, FIFO
+    ``branch_holds`` on every pop, whatever its h. Same f-values, FIFO
     order and stale-entry rule, so node counts and plans must be equal to
     those of the bucketed open list over packed int states.
     """
@@ -586,7 +593,7 @@ def reference_solve(task, strategy: str = "astar", heuristic: str = "blind", nod
     from planwright.planner import h_add
 
     def goal_holds(state) -> bool:
-        return any(branch.holds(*state) for branch in task.goal)
+        return any(branch_holds(*branch, *state) for branch in task.goal)
 
     def estimate(state):
         if heuristic == "h_add":
@@ -643,9 +650,16 @@ def reference_solve(task, strategy: str = "astar", heuristic: str = "blind", nod
     return result("unsolvable", expanded)
 
 
+def branch_holds(pos: int, neg: int, num: tuple, bools: int, nums: tuple[Fraction, ...]) -> bool:
+    """Whether a compiled conjunction, an action's precondition or a goal
+    branch, holds in the state. Written out here so that the oracles share
+    no goal test with ``GroundTask.goal_holds``."""
+    return bools & pos == pos and not bools & neg and all(c.holds(nums) for c in num)
+
+
 def applicable(action: GroundAction, bools: int, nums: tuple[Fraction, ...]) -> bool:
     """Whether the ground action's precondition holds in the state."""
-    return action.pre.holds(bools, nums)
+    return branch_holds(action.pos, action.neg, action.num, bools, nums)
 
 
 def random_walk_states(task, seeds=range(5), steps: int = 40) -> list:

@@ -156,7 +156,7 @@ def test_battery_scenario_bounds_and_unsolvable_case():
     assert sum(1 for s in outcome.plan.steps if s.name == "move") <= 2
     verdict = validate_plan(feasible, outcome.plan)
     assert isinstance(verdict, Valid)
-    assert verdict.numeric_value("battery_level", ("robot1",)) >= 20
+    assert dict(verdict.final_numerics)[NumFluent("battery_level", ("robot1",))] >= 20
 
     infeasible = battery_problem(10)
     assert bfs_optimal_plan(infeasible) is None

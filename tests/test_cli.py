@@ -318,7 +318,7 @@ class TestMalformedInputFiles:
     }
 
     @pytest.mark.parametrize(
-        "case", [*PLAN_INPUTS, "instruction-without-index", "world-list"]
+        "case", [*PLAN_INPUTS, "instruction-without-index", "world-list", "world-with-one-hand"]
     )
     def test_exits_64_with_config_error(self, tmp_path, case):
         d = scenario_dir("fridge_recall")
@@ -332,7 +332,11 @@ class TestMalformedInputFiles:
             bad.write_text("[]")
             artifacts = tmp_path / "plan-run"
             assert main(plan_args("fridge_recall", artifacts)) == 0
-            world = bad if case == "world-list" else d / "world.json"
+            world = bad if case.startswith("world-") else d / "world.json"
+            if case == "world-with-one-hand":
+                doc = json.loads((d / "world.json").read_text())
+                doc["hands"] = ["cup"]
+                bad.write_text(json.dumps(doc))
             if case == "instruction-without-index":
                 doc = json.loads((artifacts / "instructions.json").read_text())
                 del doc["instructions"][0]["index"]

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from planwright.gateway import (
+    BackendError,
     ChatRequest,
     FingerprintMismatch,
     Gateway,
@@ -232,6 +233,33 @@ class TestLiveBackendWire:
             },
             "required": ["fluent_name", "fluent_description"],
         }
+
+    @pytest.mark.parametrize(
+        "tool_call",
+        [
+            {"id": "a", "function": {"name": "missing_or_incorrect_fluent", "arguments": "[1]"}},
+            {"id": "a", "function": {"name": "missing_or_incorrect_fluent", "arguments": "5"}},
+            {"id": "a", "function": {"name": "missing_or_incorrect_fluent", "arguments": '"s"'}},
+            {"id": "a", "function": {"name": "missing_or_incorrect_fluent", "arguments": [1]}},
+            {"id": "a"},
+        ],
+        ids=["list", "number", "string", "unencoded-list", "no-function"],
+    )
+    def test_tool_call_that_is_no_object_is_reported(self, monkeypatch, tool_call):
+        """Arguments that are JSON but no object come back as ``_raw`` for the
+        agent's correction loop, like unparseable text; a tool call with no
+        function is a malformed response."""
+        response = {"choices": [{"message": {"content": None, "tool_calls": [tool_call]}}]}
+        monkeypatch.setenv("PLANWRIGHT_API_KEY", "test-key")
+        gateway = Gateway(LiveBackend("gpt-4o", transport=lambda url, headers, payload: response))
+        request = simple_request(user("add color"), tools=[FLUENT_TOOL])
+        if "function" not in tool_call:
+            with pytest.raises(BackendError, match="malformed backend response"):
+                gateway.chat(request)
+            return
+        with pytest.raises(ToolArgumentError) as err:
+            gateway.chat(request)
+        assert err.value.response.tool_calls[0].arguments == {"_raw": tool_call["function"]["arguments"]}
 
     @pytest.mark.parametrize(
         "settings, expected",

@@ -62,6 +62,7 @@ from helpers import (
     atoms_of,
     bfs_optimal_plan,
     bundled_problems,
+    num_numbering,
     numerics_of,
     random_walk_states,
     reference_instantiate,
@@ -151,8 +152,8 @@ class TestGrounding:
 
     def test_deterministic_order(self):
         problem = blocksworld_problem("bw3", [["b1"], ["b2"], ["b3"]], [["b1", "b2", "b3"]])
-        first = [str(a) for a in ground(problem).actions]
-        second = [str(a) for a in ground(problem).actions]
+        first = [(a.name, a.args) for a in ground(problem).actions]
+        second = [(a.name, a.args) for a in ground(problem).actions]
         assert first == second
 
 
@@ -163,7 +164,7 @@ class TestPruneMatchesReference:
     def check(problem: ProblemInstance) -> tuple[int, int]:
         task = ground(problem)
         index = task_numbering(task)
-        instantiated = reference_instantiate(problem, index, task.num_index)
+        instantiated = reference_instantiate(problem, index, num_numbering(task))
         expected = reference_pair_prune(instantiated, index, problem.init.true_atoms)
         assert task.actions == tuple(expected)
         return len(instantiated), len(task.actions)
@@ -214,12 +215,12 @@ def check_instantiation(problem: ProblemInstance) -> tuple[int, int, int]:
     """
     task = ground(problem)
     index = task_numbering(task)
-    reference = reference_instantiate(problem, index, task.num_index)
+    reference = reference_instantiate(problem, index, num_numbering(task))
     atoms: list[Atom] = []
     tables = {f.name: _Table(f.name, atoms) for f in problem.domain.fluents}
     for atom in task.atoms:
         tables[atom.fluent][atom.args]  # numbers it, in the task's order
-    instantiated = _instantiate(problem, tables, task.num_index)
+    instantiated = _instantiate(problem, tables, num_numbering(task))
     assert atoms == list(task.atoms)  # the task's bindings name no other atom
     assert list(task.actions) == reference_pair_prune(reference, index, problem.init.true_atoms)
 
@@ -233,7 +234,7 @@ def check_instantiation(problem: ProblemInstance) -> tuple[int, int, int]:
         if matched < len(instantiated) and instantiated[matched] == action:
             matched += 1
         else:
-            assert action.pre.pos & static_false, f"{action} dropped but needs no static atom false initially"
+            assert action.pos & static_false, f"{action} dropped but needs no static atom false initially"
     assert matched == len(instantiated)
     return len(reference), len(instantiated), len(task.actions)
 
@@ -419,7 +420,7 @@ class TestRelevantAtoms:
         # precondition (p ?a) lets through.
         assert task.atoms == (Atom("q", ("o0",)), Atom("p", ("o0",)))
         assert task.init_bools == 0b10
-        assert [str(a) for a in task.actions] == ["go(o0)"]
+        assert [(a.name, a.args) for a in task.actions] == [("go", ("o0",))]
 
 
 def touch_pddl(objects: int) -> tuple[str, str]:
@@ -488,7 +489,7 @@ class TestPairBudget:
             monkeypatch.setattr(grounding, "GROUNDING_BUDGET", budget)
             task = ground(problem)
             index = task_numbering(task)
-            expected = oracle(reference_instantiate(problem, index, task.num_index), index, problem.init.true_atoms)
+            expected = oracle(reference_instantiate(problem, index, num_numbering(task)), index, problem.init.true_atoms)
             assert task.actions == tuple(expected)
             assert len(task.actions) == kept
 
@@ -540,13 +541,13 @@ class TestSuccessorIndex:
 
     def test_or_negative_and_no_positive_precondition(self):
         problem = valves_problem()
-        assert any(not a.pre.pos for a in ground(problem).actions)  # open-valve needs only (not (open ?v))
+        assert any(not a.pos for a in ground(problem).actions)  # open-valve needs only (not (open ?v))
         self.check(problem)
 
     def test_numeric_and_no_positive_precondition(self):
         problem = meter_problem()
         task = ground(problem)
-        assert any(a.pre.num and not a.pre.pos for a in task.actions)
+        assert any(a.num and not a.pos for a in task.actions)
         self.check(problem)
         assert [str(step) for step in solve(task, ASTAR).plan.steps] == ["tick()"] * 3 + ["latch()"]
 
@@ -696,7 +697,7 @@ class TestBatteryScenario:
         assert len(moves) <= 2
         verdict = validate_plan(problem, result.plan)
         assert isinstance(verdict, Valid)
-        assert verdict.numeric_value("battery_level", ("robot1",)) >= 20
+        assert dict(verdict.final_numerics)[NumFluent("battery_level", ("robot1",))] >= 20
 
     def test_battery_10_with_required_move_is_unsolvable(self):
         problem = battery_problem(10)
@@ -960,8 +961,8 @@ def _independent_h_max(task, bools: int) -> float:
     while changed:
         changed = False
         for action in task.actions:
-            assert action.pre.neg == 0 and not action.pre.num  # test scope
-            pre = [cost[i] for i in bits(action.pre.pos)]
+            assert action.neg == 0 and not action.num  # test scope
+            pre = [cost[i] for i in bits(action.pos)]
             if any(c == INF for c in pre):
                 continue
             new_cost = 1 + (max(pre) if pre else 0)

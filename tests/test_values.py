@@ -62,7 +62,7 @@ from planwright.ir.model import (
 from planwright.ir.validate import Violation
 from planwright.memory import MemoryEntry
 from planwright.pddl.syntax import SList, Symbol
-from planwright.planner.grounding import Condition, GroundAction, GroundComparison, GroundNumericEffect, Linear, ground
+from planwright.planner.grounding import GroundAction, GroundComparison, GroundNumericEffect, Linear, ground
 from planwright.planner.plan import Plan, PlanStep
 from planwright.planner.search import SolveConfig, SolveResult
 from planwright.planner.validation import Invalid, Valid
@@ -165,13 +165,12 @@ FROZEN = [
         ("op", "target", "amount"),
         "GroundNumericEffect(op='assign', target=0, amount=Linear(constant=Fraction(5, 1), coeffs=()))",
     ),
-    (Condition(0b101, 0b10, ()), ("pos", "neg", "num"), "Condition(pos=5, neg=2, num=())"),
     (
-        GroundAction("stack", ("a",), Condition(1, 0, ()), 2, 1, ()),
-        ("name", "args", "pre", "add_mask", "del_mask", "num_effects"),
-        "GroundAction(name='stack', args=('a',), pre=Condition(pos=1, neg=0, num=()), add_mask=2, del_mask=1, num_effects=())",
+        GroundAction("stack", ("a",), 1, 0, (), 2, 1, ()),
+        ("name", "args", "pos", "neg", "num", "add_mask", "del_mask", "num_effects"),
+        "GroundAction(name='stack', args=('a',), pos=1, neg=0, num=(), add_mask=2, del_mask=1, num_effects=())",
     ),
-    (ground(_problem()), ("problem", "atoms", "num_atoms", "num_index", "actions", "init_bools", "init_nums", "goal"), None),
+    (ground(_problem()), ("problem", "atoms", "num_atoms", "actions", "init_bools", "init_nums", "goal"), None),
     (_step(), ("name", "args"), "PlanStep(name='stack', args=('a',))"),
     (Plan((_step(),)), ("steps",), "Plan(steps=(PlanStep(name='stack', args=('a',)),))"),
     (SolveConfig("greedy", "h_add", 10, 1.5), ("strategy", "heuristic", "node_budget", "time_budget"), "SolveConfig(strategy='greedy', heuristic='h_add', node_budget=10, time_budget=1.5)"),
