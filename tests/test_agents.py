@@ -18,13 +18,19 @@ from planwright.agents import (
 from planwright.agents.critic import parse_score_payload
 from planwright.agents.generation import parse_domain_artifact, parse_init_artifact
 from planwright.agents.pipeline import CALL_CEILING
+from planwright.agents.prompts import load_prompt
 from planwright.domains import blocksworld_domain
 from planwright.gateway import (
+    ChatRequest,
     Gateway,
     ReplayBackend,
     ScriptedBackend,
     ToolCall,
+    Transcript,
     assistant,
+    fingerprint,
+    system,
+    user,
 )
 from planwright.ir import Atom, DomainModel, FluentDecl, Not, Parameter, TypeDecl, jsonio, validate
 from planwright.pddl import emit_domain
@@ -379,7 +385,7 @@ class TestGoalAgentObjectRequests:
     """The goal agent asks the initial-state agent for objects; the owner's
     reply is applied, or rejected without ending the run."""
 
-    def run(self, call, owner_reply, goal):
+    def run(self, call, owner_reply, goal, recording=None):
         objects = [{"name": "b1", "type": "block"}]
         init = {
             "booleans": [
@@ -400,15 +406,27 @@ class TestGoalAgentObjectRequests:
         return run_pipeline(
             TaskSpec("objects", "", "one block on the table", "two blocks on the table"),
             PipelineConfig(),
-            Gateway(ScriptedBackend(responses)),
+            Gateway(ScriptedBackend(responses), recording=recording),
             provided_domain=blocksworld_domain(),
         )
 
     def test_missing_objects_applied_then_goal_regenerated(self):
         call = ToolCall("o1", "missing_objects", {"object_type": "block", "object_description": "b2"})
         reply = json.dumps({"decision": "apply", "objects": [{"name": "b2", "type": "block"}]})
-        result = self.run(call, reply, {"op": "atom", "fluent": "on-table", "args": ["b2"]})
+        transcript = Transcript()
+        result = self.run(call, reply, {"op": "atom", "fluent": "on-table", "args": ["b2"]}, recording=transcript)
         assert result.status == "complete"
+        # The fourth exchange is the object editor's decision; pin its request.
+        owner_message = (
+            "Current objects:\n"
+            '[{"name": "b1", "type": "block"}]\n'
+            "Declared types:\n"
+            '["block", "object"]\n'
+            "Request from the goal agent via missing_objects:\n"
+            '{"object_description": "b2", "object_type": "block"}'
+        )
+        owner_request = ChatRequest(messages=(system(load_prompt("object_editor")), user(owner_message)))
+        assert transcript.exchanges[3].fingerprint == fingerprint(owner_request)
         assert [o.name for o in result.problem.objects] == ["b1", "b2"]
         assert result.problem.goal == Atom("on-table", ("b2",))
         [applied] = applied_requests(result)
