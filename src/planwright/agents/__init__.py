@@ -3,14 +3,7 @@ from .channel import InteractionError, RefusingUserChannel, ScriptedUserChannel,
 from .config import PipelineConfig
 from .critic import CriticVerdict, critic_review
 from .events import EventLog, PipelineEvent
-from .generation import (
-    AgentSession,
-    CorrectionLimitReached,
-    GenerationOutcome,
-    generate_domain,
-    generate_goal,
-    generate_initial_state,
-)
+from .generation import AgentSession, CorrectionLimitReached, GenerationOutcome
 from .pipeline import (
     CallCeilingExceeded,
     GatewayMeter,
@@ -46,9 +39,6 @@ __all__ = [
     "UpstreamRequest",
     "UserChannel",
     "critic_review",
-    "generate_domain",
-    "generate_goal",
-    "generate_initial_state",
     "run_pipeline",
     "tools",
 ]

@@ -1,6 +1,8 @@
 """Generator-critic self-reflection: score sigma against threshold tau."""
 from __future__ import annotations
 
+import math
+
 from ..gateway import ChatRequest, Gateway, system, user
 from ..ir import jsonio
 from ..values import Value
@@ -14,12 +16,13 @@ class CriticVerdict(Value):
 
 
 def parse_score_payload(content: str) -> tuple[float, str] | None:
+    """The critic's (score, feedback), or None unless the score is a finite number."""
     try:
         data = jsonio.read_object(content)
         score = jsonio.field(data, "score", (int, float))
-    except jsonio.IRDecodeError:
-        return None
-    if isinstance(score, bool):
+        if isinstance(score, bool) or not math.isfinite(score):  # an int too large for a float overflows
+            return None
+    except (jsonio.IRDecodeError, OverflowError):
         return None
     return float(score), str(data.get("feedback", ""))
 

@@ -1,16 +1,17 @@
 """The shared generate-validate-reflect loop behind all three agents.
 
-One generation turn is one gateway call asking the generator for output.
-Machine-validation failures and critic rejections both consume turns; the
-correction limit bounds the total turns per operation, and hitting it
-raises `CorrectionLimitReached` with the last error attached. Critic
-reviews are separate gateway calls and are bounded by the critic iteration
-limit; once rejections exhaust it, the latest response is used as is.
+The pipeline's stages call `run_generation` directly, each with its own task
+message and artifact parser. One generation turn is one gateway call asking
+the generator for output. Machine-validation failures and critic rejections
+both consume turns; the correction limit bounds the total turns per
+operation, and hitting it raises `CorrectionLimitReached` with the last
+error attached. Critic reviews are separate gateway calls and are bounded by
+the critic iteration limit; once rejections exhaust it, the latest response
+is used as is.
 """
 from __future__ import annotations
 
-import json
-from typing import Any, Callable, Optional, Protocol
+from typing import Any, Callable, Optional
 
 from ..gateway import AgentMessage, ChatRequest, ToolArgumentError, ToolCall, system, tool_result, user
 from ..ir import (
@@ -40,11 +41,6 @@ class CorrectionLimitReached(RuntimeError):
         self.turns = turns
         self.last_error = last_error
         super().__init__(f"{role} agent hit its correction limit after {turns} turns: {last_error}")
-
-
-class ToolResolver(Protocol):
-    def __call__(self, origin: str, call: ToolCall) -> tuple[str, bool]:
-        """Resolve a tool call; returns (result text, restart needed)."""
 
 
 class GenerationOutcome(Record):
@@ -77,9 +73,12 @@ def run_generation(
     gateway,
     task_message: str,
     parse_artifact: Callable[[str], tuple[Any, list[str]]],
-    resolver: ToolResolver,
+    resolver: Callable[[str, ToolCall], tuple[str, bool]],
     events: EventLog,
 ) -> GenerationOutcome:
+    """Run ``session`` on ``task_message`` until an artifact is accepted.
+    ``resolver(role, call)`` settles each tool call and returns (result
+    text, restart needed); a restart ends the run with no artifact."""
     config = session.config
     role = session.role
     session.buffer.append(user(task_message))
@@ -178,49 +177,3 @@ def parse_goal_artifact(
     probe = ProblemInstance(domain, objects, init, goal)
     problems = [str(v) for v in validate(probe)]
     return (goal, problems) if not problems else (None, problems)
-
-
-# ------------------------------------------------------- operation wrappers
-
-
-def generate_domain(description, session, gateway, resolver, events) -> GenerationOutcome:
-    message = f"Domain description:\n{description}"
-    return run_generation(session, gateway, message, parse_domain_artifact, resolver, events)
-
-
-def generate_initial_state(
-    domain, description, session, gateway, resolver, events, extra_objects=()
-) -> GenerationOutcome:
-    message = (
-        "Current domain:\n"
-        + jsonio.dumps(domain)
-        + f"\nInitial state description:\n{description}"
-    )
-    return run_generation(
-        session,
-        gateway,
-        message,
-        lambda content: parse_init_artifact(content, domain, extra_objects),
-        resolver,
-        events,
-    )
-
-
-def generate_goal(domain, objects, init, description, session, gateway, resolver, events) -> GenerationOutcome:
-    message = (
-        "Current domain:\n"
-        + jsonio.dumps(domain)
-        + "\nObjects:\n"
-        + json.dumps([{"name": o.name, "type": o.type} for o in objects])
-        + "\nInitial state:\n"
-        + jsonio.dumps(jsonio.assignment_to_json(init))
-        + f"\nGoal description:\n{description}"
-    )
-    return run_generation(
-        session,
-        gateway,
-        message,
-        lambda content: parse_goal_artifact(content, domain, objects, init),
-        resolver,
-        events,
-    )

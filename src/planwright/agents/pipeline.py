@@ -1,14 +1,18 @@
 """Orchestration of the three generator agents into one pipeline run.
 
-Cross-agent changes flow strictly upward as tool-mediated requests: a
-downstream agent asks, the owning upstream agent decides, and the edit is
-applied through the IR's atomic edit operation. After an applied edit, only
-the artifacts downstream of the edited one regenerate. A global gateway
-call ceiling backstops every loop; exceeding it fails the run closed.
+Each stage (domain, initial state, goal) builds its task message and calls
+`run_generation` with its artifact parser. Cross-agent changes flow strictly
+upward as tool-mediated requests: a downstream agent asks, the owning
+upstream agent decides, and the edit is applied through the IR's atomic edit
+operation. One resolver settles all three request tools: the object editor
+owns `missing_objects`, the domain editor the other two. After an applied
+edit, only the artifacts downstream of the edited one regenerate. A global
+gateway call ceiling backstops every loop; exceeding it fails the run closed.
 """
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Any, Optional
 
 from ..gateway import ChatRequest, Gateway, ToolCall, system, user
@@ -34,9 +38,10 @@ from .events import EventLog
 from .generation import (
     AgentSession,
     CorrectionLimitReached,
-    generate_domain,
-    generate_goal,
-    generate_initial_state,
+    parse_domain_artifact,
+    parse_goal_artifact,
+    parse_init_artifact,
+    run_generation,
 )
 from .prompts import load_prompt
 from .tools import ACTION_MODIFICATION, ASK_USER, MISSING_OBJECTS, MISSING_OR_INCORRECT_FLUENT, STORE_MEMORY
@@ -194,14 +199,10 @@ def run_pipeline(
             entry = memory.store(summary, source_agent=origin)
             events.add("memory-store", origin, summary=entry.summary)
             return "stored", False
-        if call.name in (MISSING_OR_INCORRECT_FLUENT, ACTION_MODIFICATION):
+        if call.name in (MISSING_OR_INCORRECT_FLUENT, ACTION_MODIFICATION, MISSING_OBJECTS):
             record = UpstreamRequest(origin, call.name, dict(call.arguments))
             requests.append(record)
-            return _resolve_domain_request(record)
-        if call.name == MISSING_OBJECTS:
-            record = UpstreamRequest(origin, call.name, dict(call.arguments))
-            requests.append(record)
-            return _resolve_objects_request(record)
+            return _resolve_request(record)
         return f"tool {call.name} is not handled by the orchestrator", False
 
     def _settle(record: UpstreamRequest, outcome: str, applied: bool = False) -> tuple[str, bool]:
@@ -209,9 +210,22 @@ def run_pipeline(
         events.add("edit", record.origin, tool=record.tool, outcome=outcome)
         return outcome, applied
 
-    def _owner_decision(prompt_name: str, context: str, record: UpstreamRequest) -> tuple[Optional[dict], str]:
-        """Put ``record`` to the owning agent. Returns its reply when it decided
-        to apply the change, else None and the rejection to record."""
+    def _resolve_request(record: UpstreamRequest) -> tuple[str, bool]:
+        """Put ``record`` to the agent that owns what it would change: the
+        object editor for ``missing_objects``, else the domain editor. Apply
+        the edit the owner decides on, or record why nothing was applied."""
+        adds_objects = record.tool == MISSING_OBJECTS
+        if adds_objects:
+            prompt_name = "object_editor"
+            context = (
+                "Current objects:\n"
+                + json.dumps([{"name": o.name, "type": o.type} for o in state.objects])
+                + "\nDeclared types:\n"
+                + json.dumps([t.name for t in state.domain.types] + ["object"])
+            )
+        else:
+            prompt_name = "domain_editor"
+            context = "Current domain:\n" + jsonio.dumps(state.domain)
         content = (
             context
             + f"\nRequest from the {record.origin} agent via {record.tool}:\n"
@@ -223,18 +237,14 @@ def run_pipeline(
             decision = jsonio.field(data, "decision", str, "")
             reason = jsonio.field(data, "reason", str, "owner declined the change")
         except jsonio.IRDecodeError:
-            return None, "rejected: owner response was not parseable"
+            return _settle(record, "rejected: owner response was not parseable")
         if decision != "apply":
-            return None, f"rejected: {reason}"
-        return data, ""
-
-    def _resolve_domain_request(record: UpstreamRequest) -> tuple[str, bool]:
-        context = "Current domain:\n" + jsonio.dumps(state.domain)
-        data, rejection = _owner_decision("domain_editor", context, record)
-        if data is None:
-            return _settle(record, rejection)
+            return _settle(record, f"rejected: {reason}")
         try:
-            if "fluent" in data:
+            if adds_objects:
+                additions = jsonio.objects_from_json(jsonio.field(data, "objects", list, []))
+                edit = AddObjects(additions, provenance=record.origin)
+            elif "fluent" in data:
                 edit = AddOrModifyFluent(jsonio.fluent_from_json(data["fluent"]), provenance=record.origin)
             elif "action" in data:
                 edit = jsonio.modify_action_from_json(data, record.origin)
@@ -244,48 +254,29 @@ def run_pipeline(
         except (jsonio.IRDecodeError, MalformedEditError) as exc:
             return _settle(record, f"rejected: malformed edit ({exc})")
         if isinstance(result.outcome, Applied):
-            state.domain = result.domain
-            return _settle(record, f"applied: {result.outcome.detail}", applied=True)
-        return _settle(record, f"rejected: {result.outcome.reason}: {result.outcome.message}")
-
-    def _resolve_objects_request(record: UpstreamRequest) -> tuple[str, bool]:
-        context = (
-            "Current objects:\n"
-            + json.dumps([{"name": o.name, "type": o.type} for o in state.objects])
-            + "\nDeclared types:\n"
-            + json.dumps([t.name for t in state.domain.types] + ["object"])
-        )
-        data, rejection = _owner_decision("object_editor", context, record)
-        if data is None:
-            return _settle(record, rejection)
-        try:
-            additions = jsonio.objects_from_json(jsonio.field(data, "objects", list, []))
-            result = apply_edit(state.domain, state.objects, AddObjects(additions, provenance=record.origin))
-        except (jsonio.IRDecodeError, MalformedEditError) as exc:
-            return _settle(record, f"rejected: malformed edit ({exc})")
-        if isinstance(result.outcome, Applied):
-            state.objects = result.objects
-            state.extra_objects = state.extra_objects + additions
+            # apply_edit hands back the part it left alone as the same object.
+            state.domain, state.objects = result.domain, result.objects
+            if adds_objects:
+                state.extra_objects = state.extra_objects + edit.objects
             return _settle(record, f"applied: {result.outcome.detail}", applied=True)
         return _settle(record, f"rejected: {result.outcome.reason}: {result.outcome.message}")
 
     def stage_domain() -> None:
         retrieve_for("domain", task.domain_description)
-        outcome = generate_domain(task.domain_description, sessions["domain"], meter, resolver, events)
+        message = f"Domain description:\n{task.domain_description}"
+        outcome = run_generation(sessions["domain"], meter, message, parse_domain_artifact, resolver, events)
         state.domain = outcome.artifact
 
     def stage_init() -> None:
         while True:
             retrieve_for("initial-state", task.initial_state_description)
-            outcome = generate_initial_state(
-                state.domain,
-                task.initial_state_description,
-                sessions["initial-state"],
-                meter,
-                resolver,
-                events,
-                extra_objects=state.extra_objects,
+            message = (
+                "Current domain:\n"
+                + jsonio.dumps(state.domain)
+                + f"\nInitial state description:\n{task.initial_state_description}"
             )
+            parse = partial(parse_init_artifact, domain=state.domain, extra_objects=state.extra_objects)
+            outcome = run_generation(sessions["initial-state"], meter, message, parse, resolver, events)
             if outcome.restart:
                 continue
             state.objects, state.init = outcome.artifact
@@ -293,18 +284,19 @@ def run_pipeline(
 
     def stage_goal() -> None:
         while True:
-            domain = state.domain
+            domain, objects, init = state.domain, state.objects, state.init
             retrieve_for("goal", task.goal_description)
-            outcome = generate_goal(
-                state.domain,
-                state.objects,
-                state.init,
-                task.goal_description,
-                sessions["goal"],
-                meter,
-                resolver,
-                events,
+            message = (
+                "Current domain:\n"
+                + jsonio.dumps(domain)
+                + "\nObjects:\n"
+                + json.dumps([{"name": o.name, "type": o.type} for o in objects])
+                + "\nInitial state:\n"
+                + jsonio.dumps(jsonio.assignment_to_json(init))
+                + f"\nGoal description:\n{task.goal_description}"
             )
+            parse = partial(parse_goal_artifact, domain=domain, objects=objects, init=init)
+            outcome = run_generation(sessions["goal"], meter, message, parse, resolver, events)
             if outcome.restart:
                 if state.domain is not domain:  # an applied domain edit
                     stage_init()

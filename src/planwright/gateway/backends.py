@@ -133,8 +133,14 @@ class LiveBackend:
         data = self.transport(f"{self.base_url}/chat/completions", headers, payload)
         try:
             message = data["choices"][0]["message"]
-        except (KeyError, IndexError) as exc:
+        except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed backend response: {data!r}") from exc
+        if (
+            not isinstance(message, dict)
+            or not isinstance(message.get("content"), (str, type(None)))
+            or not isinstance(message.get("tool_calls") or [], list)
+        ):
+            raise BackendError(f"malformed backend response: {data!r}")
         calls = []
         for tc in message.get("tool_calls") or []:
             try:

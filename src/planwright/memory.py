@@ -98,6 +98,12 @@ class ProceduralStore:
         if stored_id and stored_id != self.embedder.id:
             raise ValueError(f"store was built with embedder {stored_id!r}, not {self.embedder.id!r}")
         self.entries = [MemoryEntry.from_json(jsonio.read_object(line)) for line in lines[1:]]
+        # Retrieval scores every entry, so one it cannot score is refused here.
+        dimension = self.embedder.dimension
+        for entry in self.entries:
+            finite = all(isinstance(v, int) or math.isfinite(v) for v in entry.embedding)
+            if len(entry.embedding) != dimension or not finite:
+                raise ValueError(f"memory entry {entry.summary!r} needs {dimension} finite embedding components")
 
     def _persist(self, entry: MemoryEntry) -> None:
         if self.path is None:

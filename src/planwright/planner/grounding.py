@@ -24,8 +24,10 @@ order of the full product, so the actions come out in schema, binding, then
 branch order, as from substituting every binding. `GROUNDING_BUDGET` bounds
 the work.
 
-Every branch, and every DNF branch of the goal, is compiled into one plain
-form, ``(pos, neg, num)``: a positive and a negative atom bitmask plus linear
+The goal is compiled with the same templates, as a schema without
+parameters whose precondition is the goal; its static checks are ignored.
+Every branch, of an action or of the goal, is compiled into one plain form,
+``(pos, neg, num)``: a positive and a negative atom bitmask plus linear
 numeric comparisons. An action holds its branch as its fields of those
 names; the goal is a tuple of branches, and holds when any of them does.
 Instantiations that can never apply are pruned from the initial state by single-atom
@@ -44,6 +46,7 @@ from operator import itemgetter
 from typing import Optional
 
 from ..ir import (
+    ActionSchema,
     And,
     Atom,
     Comparison,
@@ -260,19 +263,23 @@ def ground(problem: ProblemInstance) -> GroundTask:
     atoms: list[Atom] = []
     tables = {f.name: _Table(f.name, atoms) for f in problem.domain.fluents}
 
-    def bit(atom: Atom) -> int:
-        return tables[atom.fluent][atom.args]
-
     # Numeric atoms get indices only when initialized; using an
     # uninitialized one is reported during linearization.
     init_numeric = problem.init.numeric_map()
     num_atoms = tuple(init_numeric)
     num_index = {a: i for i, a in enumerate(num_atoms)}
 
-    # The goal is compiled first, so an uninitialized goal numeric is
+    # The goal is compiled first, as a schema without parameters, so its
+    # atoms take the first bits and an uninitialized goal numeric is
     # reported before any action is instantiated.
-    branches = (_compile_branch(b, {}, bit, num_index) for b in to_dnf_branches(to_nnf(problem.goal)))
-    goal = tuple(b for b in branches if b is not None)
+    consts, _, branches, _, _ = _compile_schema(ActionSchema("goal", (), problem.goal), tables, (), {})
+    goal = []
+    for literals, comps in branches:
+        pos, neg = _masks(literals, consts)
+        num = _ground_comparisons(comps, {}, num_index)
+        if num is None or pos & neg:
+            continue  # a false constant comparison, or p and (not p)
+        goal.append((pos, neg, num))
     actions = _instantiate(problem, tables, num_index)
 
     init_bools = 0
@@ -285,7 +292,7 @@ def ground(problem: ProblemInstance) -> GroundTask:
         actions=tuple(_prune_unreachable(actions, init_bools, len(atoms))),
         init_bools=init_bools,
         init_nums=tuple(init_numeric.values()),
-        goal=goal,
+        goal=tuple(goal),
     )
 
 
@@ -444,24 +451,6 @@ def _ground_effects(set_effects, num_effects, row, binding, num_index):
         amounts.append(GroundNumericEffect(effect.op, num_index[target], amount))
     # Add wins over delete is forbidden upstream; keep masks disjoint anyway.
     return add_mask, del_mask & ~add_mask, tuple(amounts)
-
-
-def _compile_branch(literals, binding, bit, num_index) -> Optional[tuple]:
-    """One conjunctive DNF branch as ``(pos, neg, num)``, or None if it can
-    never hold. ``binding`` binds the arguments of its numeric atoms, and
-    ``bit`` maps an atom to its one-bit mask."""
-    pos = neg = 0
-    for literal in literals:
-        if isinstance(literal, Atom):
-            pos |= bit(literal)
-        elif isinstance(literal, Not):
-            neg |= bit(literal.child)
-        elif not isinstance(literal, Comparison):
-            raise GroundingError(f"unexpected literal {literal!r} after normalization")
-    num = _ground_comparisons([c for c in literals if isinstance(c, Comparison)], binding, num_index)
-    if num is None or pos & neg:
-        return None  # a false constant comparison, or p and (not p)
-    return pos, neg, num
 
 
 def _ground_comparisons(comps, binding, num_index) -> Optional[tuple[GroundComparison, ...]]:

@@ -78,9 +78,9 @@ from planwright.ir import (
 )
 from planwright.planner.grounding import (
     GroundAction,
+    GroundComparison,
     GroundingError,
     GroundNumericEffect,
-    _compile_branch,
     linearize,
     to_dnf_branches,
     to_nnf,
@@ -289,8 +289,25 @@ def reference_instantiate(problem: ProblemInstance, atom_index: AtomNumbering, n
     return actions
 
 
+def _reference_branch(literals, atom_index, num_index):
+    """One ground DNF branch as ``(pos, neg, num)``, or None if it can never
+    hold: a constant comparison is false, or it holds p and (not p)."""
+    pos = neg = 0
+    comparisons = []
+    for literal in literals:
+        if isinstance(literal, Atom):
+            pos |= 1 << atom_index[literal]
+        elif isinstance(literal, Not):
+            neg |= 1 << atom_index[literal.child]
+        else:
+            comparisons.append(GroundComparison(literal.op, linearize(NumSub(literal.left, literal.right), {}, num_index)))
+    if pos & neg or not all(c.holds(()) for c in comparisons if not c.form.coeffs):
+        return None
+    return pos, neg, tuple(c for c in comparisons if c.form.coeffs)
+
+
 def _reference_action(schema, binding, branch, atom_index, num_index):
-    pre = _compile_branch(branch, {}, lambda atom: 1 << atom_index[atom], num_index)
+    pre = _reference_branch(branch, atom_index, num_index)
     if pre is None:
         return None
 

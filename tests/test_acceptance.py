@@ -234,8 +234,9 @@ def test_fridge_memory_scenario_end_to_end(tmp_path):
 def test_self_reflection_contract():
     """accept <=> score >= tau; rejections <= iteration limit; limit-hit
     runs proceed with the latest response."""
-    from planwright.agents import AgentSession, critic_review, generate_domain
+    from planwright.agents import AgentSession, critic_review
     from planwright.agents.events import EventLog
+    from planwright.agents.generation import parse_domain_artifact, run_generation
 
     rng = random.Random(13)
     for _ in range(40):
@@ -254,8 +255,13 @@ def test_self_reflection_contract():
         responses += [assistant(domain_doc), assistant(json.dumps({"score": 0.99, "feedback": "ok"}))]
         session = AgentSession("domain", PipelineConfig(critic_iterations=limit))
         events = EventLog()
-        outcome = generate_domain(
-            "desc", session, Gateway(ScriptedBackend(responses)), lambda o, c: ("", False), events
+        outcome = run_generation(
+            session,
+            Gateway(ScriptedBackend(responses)),
+            "Domain description:\ndesc",
+            parse_domain_artifact,
+            lambda o, c: ("", False),
+            events,
         )
         assert outcome.critic_rejections <= limit
         assert outcome.critic_limit_hit

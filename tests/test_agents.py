@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 from planwright.agents import (
     AgentSession,
     CorrectionLimitReached,
+    CriticVerdict,
     PipelineConfig,
     ScriptedUserChannel,
     TaskSpec,
     critic_review,
-    generate_domain,
     run_pipeline,
 )
 from planwright.agents.critic import parse_score_payload
-from planwright.agents.generation import parse_domain_artifact, parse_init_artifact
+from planwright.agents.generation import parse_domain_artifact, parse_init_artifact, run_generation
 from planwright.agents.pipeline import CALL_CEILING
 from planwright.agents.prompts import load_prompt
 from planwright.domains import blocksworld_domain
@@ -90,6 +90,17 @@ class TestCritic:
     def test_fenced_verdict_is_read(self):
         assert parse_score_payload('```json\n{"score": 0.9}\n```') == (0.9, "")
 
+    @pytest.mark.parametrize(
+        "score",
+        ["1" + "0" * 400, "NaN", "Infinity", "-Infinity", "1e400"],
+        ids=["huge-int", "nan", "infinity", "minus-infinity", "float-overflow"],
+    )
+    def test_score_that_is_no_finite_number_is_rejection(self, score):
+        text = '{"score": ' + score + ', "feedback": "x"}'
+        assert parse_score_payload(text) is None
+        verdict = critic_review("candidate", "criteria", 0.8, scripted_gateway(assistant(text)))
+        assert verdict == CriticVerdict(0.0, text, accepted=False)
+
 
 class TestGenerateDomain:
     def domain_doc(self):
@@ -101,7 +112,7 @@ class TestGenerateDomain:
         session = AgentSession("domain", PipelineConfig(correction_limit=limit))
         gw = scripted_gateway(*responses)
         events = EventLog()
-        outcome = generate_domain("blocksworld", session, gw, null_resolver, events)
+        outcome = run_generation(session, gw, "Domain description:\nblocksworld", parse_domain_artifact, null_resolver, events)
         return outcome, events
 
     def test_scripted_blocksworld(self):

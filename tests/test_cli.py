@@ -315,6 +315,8 @@ class TestMalformedInputFiles:
         "task-list": ("task", "[]"),
         "fixture-list": ("fixture", "[]"),
         "memory-entry-without-summary": ("memory_store", '{"version": 1}\n{"embedding": [1]}\n'),
+        "memory-entry-of-wrong-dimension": ("memory_store", '{"version": 1}\n{"summary": "s", "embedding": [1, 0, 0, 0, 0, 0, 0, 0, 0, 0]}\n'),
+        "memory-entry-not-finite": ("memory_store", '{"version": 1}\n{"summary": "s", "embedding": [1e400' + ', 0' * 255 + ']}\n'),
     }
 
     @pytest.mark.parametrize(

@@ -262,6 +262,27 @@ class TestLiveBackendWire:
         assert err.value.response.tool_calls[0].arguments == {"_raw": tool_call["function"]["arguments"]}
 
     @pytest.mark.parametrize(
+        "body",
+        [
+            ["x"],
+            {"choices": "abc"},
+            {"choices": [["message"]]},
+            {"choices": [{"message": "hi"}]},
+            {"choices": [{"message": {"content": 5}}]},
+            {"choices": [{"message": {"content": None, "tool_calls": 5}}]},
+        ],
+        ids=["body-list", "choices-string", "choice-list", "message-string", "content-number", "tool-calls-number"],
+    )
+    def test_response_of_the_wrong_shape_is_reported(self, monkeypatch, body):
+        """A body, choice or message that is no object, content that is
+        neither a string nor null, and tool calls that are no list are
+        malformed responses."""
+        monkeypatch.setenv("PLANWRIGHT_API_KEY", "test-key")
+        gateway = Gateway(LiveBackend("gpt-4o", transport=lambda url, headers, payload: body))
+        with pytest.raises(BackendError, match="malformed backend response"):
+            gateway.chat(simple_request(user("add color"), tools=[FLUENT_TOOL]))
+
+    @pytest.mark.parametrize(
         "settings, expected",
         [({"model": "gpt-4o"}, ("gpt-4o", 0.0)), ({"model": "other", "temperature": 0.7}, ("other", 0.7))],
     )
