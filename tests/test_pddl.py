@@ -15,19 +15,33 @@ from planwright.domains import (
     household_problem,
 )
 from planwright.ir import (
+    ActionSchema,
     AddOrModifyFluent,
     And,
+    Assignment,
     Atom,
     Comparison,
+    DomainModel,
     FluentDecl,
     ModifyAction,
+    Not,
+    NumAdd,
+    NumConst,
+    NumericEffect,
     NumFluent,
+    NumSub,
+    ObjectDecl,
+    Or,
     Parameter,
+    ProblemInstance,
+    SetEffect,
+    TypeDecl,
     apply_edit,
 )
 from planwright.pddl import (
     PddlError,
     emit_domain,
+    emit_expression,
     emit_problem,
     format_fraction,
     parse_domain,
@@ -438,3 +452,146 @@ def test_format_fraction():
     assert format_fraction(Fraction(30)) == "30"
     assert format_fraction(Fraction(3, 2)) == "1.5"
     assert format_fraction(Fraction(-7, 4)) == "-1.75"
+
+
+def tank_problem(typed: bool) -> ProblemInstance:
+    """A small numeric problem whose domain and goal use every node kind."""
+    tank = "tank" if typed else "object"
+    t = Parameter("?t", tank)
+    level, flow = NumFluent("level", ("?t",)), NumFluent("flow")
+    half_more = NumConst(Fraction(3, 2))
+    fill = ActionSchema(
+        "fill",
+        (t,),
+        And((
+            Atom("open", ("?t",)),
+            Not(Atom("broken", ("?t",))),
+            Comparison("<=", NumAdd(level, half_more), NumSub(NumFluent("capacity", ("?t",)), flow)),
+        )),
+        (NumericEffect("increase", level, half_more), SetEffect(Atom("ready"), False)),
+    )
+    drain = ActionSchema(
+        "drain",
+        (t, Parameter("?u", tank)),
+        Or((Atom("open", ("?t",)), Atom("ready"))),
+        (
+            NumericEffect("decrease", level, flow),
+            NumericEffect("assign", flow, NumSub(flow, NumConst(Fraction(1)))),
+            SetEffect(Atom("ready")),
+        ),
+    )
+    fluents = (
+        FluentDecl("open", (t,)),
+        FluentDecl("broken", (t,)),
+        FluentDecl("ready"),
+        FluentDecl("level", (t,), "numeric"),
+        FluentDecl("capacity", (t,), "numeric"),
+        FluentDecl("flow", (), "numeric"),
+    )
+    domain = DomainModel("tanks", (TypeDecl("tank"),) if typed else (), fluents, (fill, drain, ActionSchema("wait")))
+    numeric = {
+        NumFluent("level", ("t1",)): Fraction(0),
+        NumFluent("level", ("t2",)): Fraction(9, 4),
+        NumFluent("capacity", ("t1",)): Fraction(5),
+        NumFluent("capacity", ("t2",)): Fraction(5),
+        NumFluent("flow"): Fraction(1),
+    }
+    goal = And((
+        Comparison(">=", NumFluent("level", ("t1",)), NumConst(Fraction(3, 2))),
+        Not(Atom("broken", ("t2",))),
+        Or((Atom("ready"), Atom("open", ("t2",)))),
+    ))
+    objects = (ObjectDecl("t2", tank), ObjectDecl("t1", tank))
+    init = Assignment.create([Atom("open", ("t1",)), Atom("ready")], numeric)
+    return ProblemInstance(domain, objects, init, goal, "fill-two")
+
+
+TANKS_DOMAIN_TEXT = """\
+(define (domain tanks)
+  (:requirements :strips :typing :negative-preconditions :disjunctive-preconditions :numeric-fluents)
+  (:types tank - object)
+  (:predicates
+    (broken ?t - tank)
+    (open ?t - tank)
+    (ready))
+  (:functions (capacity ?t - tank) (flow) (level ?t - tank))
+  (:action drain
+    :parameters (?t ?u - tank)
+    :precondition (or (open ?t) (ready))
+    :effect (and (decrease (level ?t) (flow)) (assign (flow) (- (flow) 1)) (ready)))
+  (:action fill
+    :parameters (?t - tank)
+    :precondition (and (open ?t) (not (broken ?t)) (<= (+ (level ?t) 1.5) (- (capacity ?t) (flow))))
+    :effect (and (increase (level ?t) 1.5) (not (ready))))
+  (:action wait
+    :parameters ()
+    :precondition (and)
+    :effect (and))
+)
+"""
+
+UNTYPED_TANKS_DOMAIN_TEXT = """\
+(define (domain tanks)
+  (:requirements :strips :negative-preconditions :disjunctive-preconditions :numeric-fluents)
+  (:predicates
+    (broken ?t)
+    (open ?t)
+    (ready))
+  (:functions (capacity ?t) (flow) (level ?t))
+  (:action drain
+    :parameters (?t ?u)
+    :precondition (or (open ?t) (ready))
+    :effect (and (decrease (level ?t) (flow)) (assign (flow) (- (flow) 1)) (ready)))
+  (:action fill
+    :parameters (?t)
+    :precondition (and (open ?t) (not (broken ?t)) (<= (+ (level ?t) 1.5) (- (capacity ?t) (flow))))
+    :effect (and (increase (level ?t) 1.5) (not (ready))))
+  (:action wait
+    :parameters ()
+    :precondition (and)
+    :effect (and))
+)
+"""
+
+TANKS_GOAL_TEXT = "(and (>= (level t1) 1.5) (not (broken t2)) (or (ready) (open t2)))"
+
+TANKS_PROBLEM_TEXT = """\
+(define (problem fill-two)
+  (:domain tanks)
+  (:objects t1 t2 - tank)
+  (:init
+    (open t1)
+    (ready)
+    (= (capacity t1) 5)
+    (= (capacity t2) 5)
+    (= (flow) 1)
+    (= (level t1) 0)
+    (= (level t2) 2.25))
+  (:goal (and (>= (level t1) 1.5) (not (broken t2)) (or (ready) (open t2))))
+)
+"""
+
+
+class TestEmittedText:
+    """The exact text of every node kind, each requirement flag and both
+    object layouts, pinned so the emitter can be restructured safely."""
+
+    def test_typed_domain_and_problem(self):
+        problem = tank_problem(typed=True)
+        assert emit_domain(problem.domain) == TANKS_DOMAIN_TEXT
+        assert emit_problem(problem) == TANKS_PROBLEM_TEXT
+        assert emit_expression(problem.goal) == TANKS_GOAL_TEXT
+        assert parse_problem(TANKS_PROBLEM_TEXT, parse_domain(TANKS_DOMAIN_TEXT)) == problem
+
+    def test_untyped_domain_and_problem(self):
+        problem = tank_problem(typed=False)
+        assert emit_domain(problem.domain) == UNTYPED_TANKS_DOMAIN_TEXT
+        assert emit_problem(problem) == TANKS_PROBLEM_TEXT.replace("(:objects t1 t2 - tank)", "(:objects t1 t2)")
+        assert emit_expression(problem.goal) == TANKS_GOAL_TEXT
+        assert parse_domain(UNTYPED_TANKS_DOMAIN_TEXT) == problem.domain
+
+    def test_empty_domain_and_problem(self):
+        problem = ProblemInstance(DomainModel("empty"), name="nothing")
+        assert emit_domain(problem.domain) == "(define (domain empty)\n  (:requirements :strips)\n)\n"
+        assert emit_problem(problem) == "(define (problem nothing)\n  (:domain empty)\n  (:init)\n  (:goal (and))\n)\n"
+        assert emit_expression(problem.goal) == "(and)"
