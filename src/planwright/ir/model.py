@@ -4,6 +4,10 @@ Everything here is an immutable value: edits and transitions produce new
 objects, so instances can be shared freely across threads. Numeric state is
 held as exact `fractions.Fraction` values so that planner and validator
 decisions are reproducible bit for bit.
+
+``str()`` of an expression, a numeric term or an effect is its PDDL text,
+the text `planwright.pddl` writes into domain and problem files and that
+diagnostics quote.
 """
 from __future__ import annotations
 
@@ -92,13 +96,6 @@ class Atom(_Application):
     """A boolean fluent applied to arguments."""
 
 
-class NumConst(Value):
-    value: Fraction
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
 def decimal_places(value: Fraction) -> Optional[int]:
     """The digits after the point of ``value``'s finite decimal form, or None
     when it has none: its denominator has a prime factor other than 2 and 5."""
@@ -111,6 +108,30 @@ def decimal_places(value: Fraction) -> Optional[int]:
         den //= 5
         fives += 1
     return max(twos, fives) if den == 1 else None
+
+
+class PddlEmitError(ValueError):
+    pass
+
+
+def format_fraction(value: Fraction) -> str:
+    """Render an exact rational as a PDDL number (integer or finite decimal)."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    shift = decimal_places(value)
+    if shift is None:
+        raise PddlEmitError(f"value {value} has no finite decimal form")
+    scaled = value.numerator * 10**shift // value.denominator
+    text = str(abs(scaled)).rjust(shift + 1, "0")
+    sign = "-" if scaled < 0 else ""
+    return f"{sign}{text[:-shift]}.{text[-shift:]}"
+
+
+class NumConst(Value):
+    value: Fraction
+
+    def __str__(self) -> str:
+        return format_fraction(self.value)
 
 
 class NumFluent(_Application):
@@ -265,38 +286,17 @@ class DomainModel(Value):
         set_field(self, "actions", tuple(sorted(self.actions, key=lambda a: a.name)))
 
     @property
-    def uses_typing(self) -> bool:
-        return bool(self.types)
-
-    @property
-    def uses_numeric_fluents(self) -> bool:
-        return any(f.kind == NUMERIC for f in self.fluents)
-
-    @property
-    def uses_negative_preconditions(self) -> bool:
-        return self._precondition_uses(Not)
-
-    @property
-    def uses_disjunctive_preconditions(self) -> bool:
-        return self._precondition_uses(Or)
-
-    def _precondition_uses(self, node_type: type) -> bool:
-        for action in self.actions:
-            for node in walk_expression(action.precondition):
-                if isinstance(node, node_type):
-                    return True
-        return False
-
-    @property
     def requirements(self) -> tuple[str, ...]:
+        """The ``:requirements`` flags, derived from what the domain uses."""
+        nodes = {type(node) for action in self.actions for node in walk_expression(action.precondition)}
         flags = [":strips"]
-        if self.uses_typing:
+        if self.types:
             flags.append(":typing")
-        if self.uses_negative_preconditions:
+        if Not in nodes:
             flags.append(":negative-preconditions")
-        if self.uses_disjunctive_preconditions:
+        if Or in nodes:
             flags.append(":disjunctive-preconditions")
-        if self.uses_numeric_fluents:
+        if any(f.kind == NUMERIC for f in self.fluents):
             flags.append(":numeric-fluents")
         return tuple(flags)
 

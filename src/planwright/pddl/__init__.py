@@ -1,7 +1,8 @@
 """PDDL codec: parse and emit the supported subset, plus plan text."""
+from ..ir import PddlEmitError, format_fraction
 from .syntax import PddlError
 from .parser import parse_domain, parse_problem
-from .emitter import PddlEmitError, emit_domain, emit_problem, emit_expression, format_fraction
+from .emitter import emit_domain, emit_problem, emit_expression
 from .plans import parse_plan, render_plan
 
 __all__ = [

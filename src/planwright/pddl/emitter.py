@@ -1,52 +1,16 @@
-"""Deterministic PDDL emission.
+"""Deterministic PDDL emission: the layout of domain and problem files.
 
-Equal IR values emit byte-identical text, and the layout is a fixpoint of
-parse-then-emit: parsing the output and emitting again reproduces it
-exactly. Variables typed with the universal root are printed bare when the
-position allows it, matching conventional PDDL style.
+The emitter lays out a file's sections and its typed name lists; every
+expression, effect and numeric term is written as its ``str()``, which is
+its PDDL text (see `planwright.ir.model`). Equal IR values emit
+byte-identical text, and the layout is a fixpoint of parse-then-emit:
+parsing the output and emitting again reproduces it exactly. Variables
+typed with the universal root are printed bare when the position allows
+it, matching conventional PDDL style.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
-from ..ir import (
-    ActionSchema,
-    And,
-    Atom,
-    Comparison,
-    DomainModel,
-    Expression,
-    FluentDecl,
-    Not,
-    NumAdd,
-    NumConst,
-    NumFluent,
-    NumSub,
-    NumTerm,
-    NumericEffect,
-    Or,
-    Parameter,
-    ProblemInstance,
-    SetEffect,
-    decimal_places,
-)
-
-
-class PddlEmitError(ValueError):
-    pass
-
-
-def format_fraction(value: Fraction) -> str:
-    """Render an exact rational as a PDDL number (integer or finite decimal)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    shift = decimal_places(value)
-    if shift is None:
-        raise PddlEmitError(f"value {value} has no finite decimal form")
-    scaled = value.numerator * 10**shift // value.denominator
-    text = str(abs(scaled)).rjust(shift + 1, "0")
-    sign = "-" if scaled < 0 else ""
-    return f"{sign}{text[:-shift]}.{text[-shift:]}"
+from ..ir import ActionSchema, DomainModel, Expression, FluentDecl, Parameter, ProblemInstance, format_fraction
 
 
 def _typed_names(names: list[str], types: list[str], explicit: bool = False) -> str:
@@ -74,45 +38,8 @@ def _params(params: tuple[Parameter, ...]) -> str:
     return _typed_names([p.name for p in params], [p.type for p in params])
 
 
-def emit_term(term: NumTerm) -> str:
-    if isinstance(term, NumConst):
-        return format_fraction(term.value)
-    if isinstance(term, NumFluent):
-        return _application(term.fluent, term.args)
-    if isinstance(term, NumAdd):
-        return f"(+ {emit_term(term.left)} {emit_term(term.right)})"
-    if isinstance(term, NumSub):
-        return f"(- {emit_term(term.left)} {emit_term(term.right)})"
-    raise PddlEmitError(f"cannot emit term {term!r}")
-
-
-def _application(name: str, args: tuple[str, ...]) -> str:
-    return f"({name})" if not args else f"({name} {' '.join(args)})"
-
-
 def emit_expression(expr: Expression) -> str:
-    if isinstance(expr, Atom):
-        return _application(expr.fluent, expr.args)
-    if isinstance(expr, And):
-        inner = " ".join(emit_expression(c) for c in expr.children)
-        return f"(and {inner})" if inner else "(and)"
-    if isinstance(expr, Or):
-        inner = " ".join(emit_expression(c) for c in expr.children)
-        return f"(or {inner})" if inner else "(or)"
-    if isinstance(expr, Not):
-        return f"(not {emit_expression(expr.child)})"
-    if isinstance(expr, Comparison):
-        return f"({expr.op} {emit_term(expr.left)} {emit_term(expr.right)})"
-    raise PddlEmitError(f"cannot emit expression {expr!r}")
-
-
-def _emit_effect(effect) -> str:
-    if isinstance(effect, SetEffect):
-        rendered = _application(effect.atom.fluent, effect.atom.args)
-        return rendered if effect.value else f"(not {rendered})"
-    if isinstance(effect, NumericEffect):
-        return f"({effect.op} {_application(effect.target.fluent, effect.target.args)} {emit_term(effect.amount)})"
-    raise PddlEmitError(f"cannot emit effect {effect!r}")
+    return str(expr)
 
 
 def _fluent_decl(decl: FluentDecl) -> str:
@@ -141,11 +68,11 @@ def emit_domain(domain: DomainModel) -> str:
 
 
 def _emit_action(action: ActionSchema) -> list[str]:
-    effect_body = " ".join(_emit_effect(e) for e in action.effects)
+    effect_body = " ".join(str(e) for e in action.effects)
     return [
         f"  (:action {action.name}",
         f"    :parameters ({_params(action.parameters)})",
-        f"    :precondition {emit_expression(action.precondition)}",
+        f"    :precondition {action.precondition}",
         f"    :effect (and {effect_body}))" if effect_body else "    :effect (and))",
     ]
 
@@ -156,11 +83,8 @@ def emit_problem(problem: ProblemInstance) -> str:
     if problem.objects:
         rendered = _typed_names([o.name for o in problem.objects], [o.type for o in problem.objects])
         lines.append(f"  (:objects {rendered})")
-    init_lines = [_application(a.fluent, a.args) for a in problem.init.sorted_atoms()]
-    init_lines += [
-        f"(= {_application(t.fluent, t.args)} {format_fraction(v)})"
-        for t, v in problem.init.numeric
-    ]
+    init_lines = [str(a) for a in problem.init.sorted_atoms()]
+    init_lines += [f"(= {t} {format_fraction(v)})" for t, v in problem.init.numeric]
     if init_lines:
         lines.append("  (:init")
         for entry in init_lines[:-1]:
@@ -168,6 +92,6 @@ def emit_problem(problem: ProblemInstance) -> str:
         lines.append(f"    {init_lines[-1]})")
     else:
         lines.append("  (:init)")
-    lines.append(f"  (:goal {emit_expression(problem.goal)})")
+    lines.append(f"  (:goal {problem.goal})")
     lines.append(")")
     return "\n".join(lines) + "\n"

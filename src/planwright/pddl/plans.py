@@ -44,5 +44,5 @@ def parse_plan(text: str, filename: str = "<plan>") -> Plan:
 
 def render_plan(plan: Plan) -> str:
     """Call-style rendering, the inverse of `parse_plan` on its own output."""
-    lines = [f"{step.name}({', '.join(step.args)})" for step in plan.steps]
+    lines = [str(step) for step in plan.steps]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -238,10 +238,13 @@ class TestValidate:
             if places is None:
                 with pytest.raises(PddlEmitError):
                     format_fraction(value)
+                with pytest.raises(PddlEmitError):
+                    str(NumConst(value))
             else:
                 text = format_fraction(value)
                 assert Fraction(text) == value
                 assert len(text.partition(".")[2]) == places
+                assert str(NumConst(value)) == text
 
 
 class TestApplyEdit:
