@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from importlib import resources
+
+from ..data_paths import data_root
 
 # System prompt of each generator agent, by role.
 ROLE_PROMPTS = {
@@ -14,5 +15,4 @@ ROLE_PROMPTS = {
 
 @lru_cache(maxsize=None)
 def load_prompt(name: str) -> str:
-    ref = resources.files("planwright.data.prompts").joinpath(f"{name}.txt")
-    return ref.read_text(encoding="utf-8").strip()
+    return (data_root() / "prompts" / f"{name}.txt").read_text(encoding="utf-8").strip()

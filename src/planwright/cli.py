@@ -333,6 +333,10 @@ def _save_fixture(recording: Optional[Transcript], target: Optional[Path]) -> No
 
 def cmd_execute(args, run: RunDirectory) -> None:
     try:
+        if args.step_budget < 1:
+            raise ConfigError("--step-budget must be >= 1")
+        if args.retry_budget < 0:
+            raise ConfigError("--retry-budget must be >= 0")
         artifacts = Path(args.artifacts)
         instructions = InstructionList.from_json(jsonio.read_object((artifacts / "instructions.json").read_text(encoding="utf-8")))
         problem = jsonio.problem_from_json(jsonio.read_object((artifacts / "problem.json").read_text(encoding="utf-8")))

@@ -1,12 +1,11 @@
 """Locations of the data files shipped inside the package."""
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 
 def data_root() -> Path:
-    return Path(str(resources.files("planwright"))) / "data"
+    return Path(__file__).parent / "data"
 
 
 def benchmarks_root() -> Path:

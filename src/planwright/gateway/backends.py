@@ -147,13 +147,16 @@ class LiveBackend:
                 name, raw = tc["function"]["name"], tc["function"].get("arguments", "{}")
             except (KeyError, TypeError) as exc:
                 raise BackendError(f"malformed backend response: {data!r}") from exc
+            call_id = tc.get("id", f"call-{len(calls)}")
+            if not isinstance(name, str) or not isinstance(call_id, str):
+                raise BackendError(f"malformed backend response: {data!r}")
             try:
                 arguments = json.loads(raw) if isinstance(raw, str) else raw
             except json.JSONDecodeError:
                 arguments = None
             # Anything but a JSON object reaches the agent as a schema failure.
             arguments = dict(arguments) if isinstance(arguments, dict) else {"_raw": raw}
-            calls.append(ToolCall(tc.get("id", f"call-{len(calls)}"), name, arguments))
+            calls.append(ToolCall(call_id, name, arguments))
         return AgentMessage("assistant", message.get("content") or "", tuple(calls))
 
     @staticmethod

@@ -319,8 +319,13 @@ class TestMalformedInputFiles:
         "memory-entry-not-finite": ("memory_store", '{"version": 1}\n{"summary": "s", "embedding": [1e400' + ', 0' * 255 + ']}\n'),
     }
 
+    EXECUTE_FLAGS = {
+        "step-budget-zero": ["--step-budget", "0"],
+        "retry-budget-negative": ["--retry-budget", "-1"],
+    }
+
     @pytest.mark.parametrize(
-        "case", [*PLAN_INPUTS, "instruction-without-index", "world-list", "world-with-one-hand"]
+        "case", [*PLAN_INPUTS, "instruction-without-index", "world-list", "world-with-one-hand", *EXECUTE_FLAGS]
     )
     def test_exits_64_with_config_error(self, tmp_path, case):
         d = scenario_dir("fridge_recall")
@@ -346,6 +351,7 @@ class TestMalformedInputFiles:
             argv = [
                 "execute", "--artifacts", str(artifacts), "--world", str(world),
                 "--mode", "replay", "--fixture", str(d / "exec_fixture.json"), "--out-dir", str(out),
+                *self.EXECUTE_FLAGS.get(case, ()),
             ]
         assert main(argv) == 64
         failure = json.loads((out / "failure.json").read_text())
@@ -935,10 +941,10 @@ class TestImports:
         assert [name for name, module in imported if module == "dataclasses"] == []
 
     def test_cli_reaches_every_runtime_module(self):
-        """Importing the CLI loads every module of the package except two that
+        """Importing the CLI loads every module of the package except one that
         no entry point needs: ``bench/workloads.py``, the scripts and the tests
-        import ``domains`` (problem builders) and ``data_paths`` (bundled file
-        locations). Any other module the CLI leaves unloaded is unreachable."""
+        import ``domains`` (problem builders). Any other module the CLI leaves
+        unloaded is unreachable."""
         import textwrap
 
         probe = textwrap.dedent(
@@ -956,4 +962,4 @@ class TestImports:
         )
         proc = run_python(probe)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == ["planwright.data_paths", "planwright.domains"]
+        assert json.loads(proc.stdout) == ["planwright.domains"]

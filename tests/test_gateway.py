@@ -270,13 +270,19 @@ class TestLiveBackendWire:
             {"choices": [{"message": "hi"}]},
             {"choices": [{"message": {"content": 5}}]},
             {"choices": [{"message": {"content": None, "tool_calls": 5}}]},
+            {"choices": [{"message": {"tool_calls": [{"id": 5, "function": {"name": "missing_or_incorrect_fluent"}}]}}]},
+            {"choices": [{"message": {"tool_calls": [{"id": "c1", "function": {"name": 5}}]}}]},
         ],
-        ids=["body-list", "choices-string", "choice-list", "message-string", "content-number", "tool-calls-number"],
+        ids=[
+            "body-list", "choices-string", "choice-list", "message-string", "content-number", "tool-calls-number",
+            "tool-call-id-number", "tool-call-name-number",
+        ],
     )
     def test_response_of_the_wrong_shape_is_reported(self, monkeypatch, body):
         """A body, choice or message that is no object, content that is
-        neither a string nor null, and tool calls that are no list are
-        malformed responses."""
+        neither a string nor null, tool calls that are no list, and a tool
+        call whose id or name is no string are malformed responses: a
+        recording of any of them could not be replayed."""
         monkeypatch.setenv("PLANWRIGHT_API_KEY", "test-key")
         gateway = Gateway(LiveBackend("gpt-4o", transport=lambda url, headers, payload: body))
         with pytest.raises(BackendError, match="malformed backend response"):
