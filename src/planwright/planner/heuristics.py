@@ -20,11 +20,13 @@ change a price.
 
 The fixpoint is computed as a generalised Dijkstra (Liu, Koenig & Furcy
 2002). Facts are settled in order of cost. Each action and goal branch keeps
-a counter of unsettled precondition facts, and an action fires when its
-counter reaches 0. A fired action offers its effects at its own cost; its
-numeric effects widen the intervals when that cost is settled, so every
-comparison they make satisfiable is priced at it. The search stops once the
-cost being settled reaches the cheapest finished goal branch.
+one int counter, its summed fact cost times a per-task stride plus its
+unsettled precondition facts, and fires when its unsettled facts reach 0.
+A fired action offers its effects at its own cost; its numeric effects widen
+the intervals when that cost is settled, before any fact of that cost, so
+every comparison they make satisfiable is priced at it. The search stops
+once the cost being settled reaches the cheapest priced goal branch, or once
+every goal branch is priced, since no later fact can change the value then.
 
 The per-task part is compiled once, on first use, into a `RelaxedView` that
 the task caches (`GroundTask.relaxed`): the precondition and effect fact
@@ -66,6 +68,15 @@ class RelaxedView:
     ``2n + j``. Consumers are numbered too: action ``k`` is consumer ``k`` and
     goal branch ``b`` is consumer ``len(task.actions) + b``. A fact repeated
     within one condition is needed, and priced, once per occurrence.
+
+    During `goal_cost`, consumer ``k``'s counter is ``sum * stride +
+    unsettled``: the summed cost of its settled facts (kept 0 for
+    `h_max_cost`, whose consumers fire at the cost being settled) and the
+    number of its facts still unsettled. ``stride`` is one more than the
+    largest need count, so the counter is 0 modulo ``stride`` exactly when
+    ``k`` fires. Action ``k``'s numeric effects are the item
+    ``fact_count + k``; items start out settled, so the fact loop skips them,
+    and a level that holds any first widens by each, in order.
     """
 
     def __init__(self, task: GroundTask):
@@ -99,6 +110,9 @@ class RelaxedView:
             for k, a in enumerate(task.actions)
         ]
         self.num_effects = [a.num_effects for a in task.actions]
+        self.stride = max(self.need_counts, default=0) + 1
+        self.widens = any(self.num_effects)
+        self.settled_at_start = bytes(self.fact_count) + (b"\x01" * self.first_goal if self.widens else b"")
         self.free_effects = [f for k in range(self.first_goal) if not self.need_counts[k] for f in self.effects[k]]
         self.free_goal = any(not count for count in self.need_counts[self.first_goal :])
         # Rounds of re-widening after which a bound that still moves can only
@@ -111,11 +125,12 @@ class RelaxedView:
         n = self.atom_count
         fact_count = self.fact_count
         first_goal = self.first_goal
+        stride = self.stride
         needed_by = self.needed_by
         effects = self.effects
-        remaining = self.need_counts[:]
-        acc = [0] * len(remaining)
-        settled = bytearray(fact_count)
+        counter = self.need_counts[:]
+        settled = bytearray(self.settled_at_start)
+        goals_left = len(counter) - first_goal
         widened: list[int] = []
         lo = hi = None
 
@@ -127,26 +142,32 @@ class RelaxedView:
         cost = 0
         while cost < best and cost < len(buckets):
             frontier = buckets[cost]
-            for fact in frontier:
-                if fact >= fact_count:
+            if self.widens:
+                for item in [f - fact_count for f in frontier if f >= fact_count]:
                     if lo is None:
                         lo, hi = list(nums), list(nums)
-                    widened.append(fact - fact_count)
+                    widened.append(item)
                     self._widen(widened, lo, hi)
                     frontier.extend(f for f, comp in self.comparisons if not settled[f] and _satisfiable(comp, lo, hi))
-                    continue
+            # Settling a fact at this cost adds the cost to each consumer's
+            # sum (h_add only) and takes one from its unsettled facts.
+            step = cost * stride - 1 if additive else -1
+            for fact in frontier:
                 if settled[fact]:
                     continue
                 settled[fact] = 1
                 for k in needed_by[fact]:
-                    total = acc[k] + cost if additive else cost
-                    acc[k] = total
-                    remaining[k] -= 1
-                    if remaining[k]:
+                    total = counter[k] + step
+                    counter[k] = total
+                    if total % stride:
                         continue
+                    total = total // stride if additive else cost
                     if k >= first_goal:
                         if total < best:
                             best = total
+                        goals_left -= 1
+                        if not goals_left:
+                            return best
                         continue
                     total += 1
                     while len(buckets) <= total:

@@ -127,6 +127,20 @@ def test_goal_true_from_the_start_estimates_zero(goal):
         assert task.relaxed.free_goal and hits == len(states)
 
 
+def test_goal_branch_priced_first_need_not_be_the_cheapest():
+    # Three blocks on the table. The holding branch is priced first, at cost
+    # 1 with sum 3; the on branch at cost 2 with sum 2. A search that stopped
+    # at the first priced branch would return 3 for h_add.
+    base = blocksworld_problem("bw", [["b1"], ["b2"], ["b3"]], [])
+    holding_all = And(tuple(Atom("holding", (b,)) for b in ("b1", "b2", "b3")))
+    goal = Or((holding_all, Atom("on", ("b1", "b2"))))
+    task = ground(ProblemInstance(base.domain, base.objects, base.init, goal))
+    init = (task.init_bools, task.init_nums)
+    assert h_add(task, *init) == reference_h(task, *init) == 2
+    assert h_max_cost(task, *init) == reference_h(task, *init, combine=max) == 1
+    assert_matches_reference(task, seeds=range(5), steps=20)
+
+
 FUEL = NumFluent("fuel", ())
 
 
