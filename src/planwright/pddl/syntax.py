@@ -5,7 +5,9 @@
 Identifiers are case-insensitive and normalized to lower case. Every node
 records its line and column so downstream diagnostics can point at the
 offending construct; reading never crashes on arbitrary text, it raises
-`PddlError`.
+`PddlError`. Lists nest at most `MAX_DEPTH` deep, so the recursive walkers
+downstream (parsing, rendering, normal forms, validation) never come near
+the interpreter's recursion limit.
 """
 from __future__ import annotations
 
@@ -22,6 +24,11 @@ UNSUPPORTED_FEATURE = "unsupported-feature"
 UNDECLARED = "undeclared-name"
 INVALID_MODEL = "invalid-model"
 MALFORMED_STEP = "malformed-step"
+TOO_DEEP = "too-deep"
+
+# Far above the nesting of any shipped file (5) and far below the depth at
+# which a recursive walker fails (about 330 nested `Not`s in `str()`).
+MAX_DEPTH = 64
 
 
 class PddlError(ValueError):
@@ -79,17 +86,20 @@ _LEXEME = re.compile(r"[()]|[^ \t\r\n\f\v();]+|;[^\n]*|\n")
 def read_forms(text: str, filename: str = "<pddl>") -> list[SExpr]:
     """Read every top-level s-expression, enforcing balanced parentheses.
 
-    A lexical error anywhere in the text wins over an unbalanced parenthesis,
-    so an unmatched ')' is only reported once the whole text is read.
+    A lexical error anywhere in the text wins over a structural one, so the
+    first unmatched ')' or '(' opening a list deeper than `MAX_DEPTH` is only
+    reported once the whole text is read, and an unclosed '(' after that.
     """
     stack: list[tuple[list[SExpr], int, int]] = []
     current: list[SExpr] = []
-    unmatched: Optional[tuple[int, int]] = None
+    structural: Optional[tuple[str, str, int, int]] = None
     line, line_start = 1, 0
     for match in _LEXEME.finditer(text):
         lexeme = match.group()
         col = match.start() - line_start + 1
         if lexeme == "(":
+            if len(stack) == MAX_DEPTH and structural is None:
+                structural = (TOO_DEEP, f"lists nest more than {MAX_DEPTH} deep", line, col)
             stack.append((current, line, col))
             current = []
         elif lexeme == ")":
@@ -97,8 +107,8 @@ def read_forms(text: str, filename: str = "<pddl>") -> list[SExpr]:
                 parent, open_line, open_col = stack.pop()
                 parent.append(SList(tuple(current), open_line, open_col))
                 current = parent
-            elif unmatched is None:
-                unmatched = (line, col)
+            elif structural is None:
+                structural = (UNBALANCED, "unmatched ')'", line, col)
         elif lexeme == "\n":
             line += 1
             line_start = match.end()
@@ -107,8 +117,8 @@ def read_forms(text: str, filename: str = "<pddl>") -> list[SExpr]:
                 at = next(i for i, ch in enumerate(lexeme) if not ch.isprintable())
                 raise PddlError(LEXICAL_ERROR, f"unprintable byte {lexeme[at]!r}", line, col + at, filename)
             current.append(Symbol(lexeme.lower(), line, col))
-    if unmatched is not None:
-        raise PddlError(UNBALANCED, "unmatched ')'", unmatched[0], unmatched[1], filename)
+    if structural is not None:
+        raise PddlError(*structural, filename)
     if stack:
         _, line, col = stack[-1]
         raise PddlError(UNBALANCED, "unclosed '('", line, col, filename)

@@ -89,7 +89,7 @@ from planwright.planner.validation import substitute, substitute_term
 
 from planwright.data_paths import benchmarks_root
 from planwright.pddl import PddlError, parse_domain, parse_problem
-from planwright.pddl.syntax import LEXICAL_ERROR, UNBALANCED, SList, Symbol
+from planwright.pddl.syntax import LEXICAL_ERROR, MAX_DEPTH, TOO_DEEP, UNBALANCED, SList, Symbol
 
 State = tuple[frozenset, tuple]  # (true atoms, sorted ((fluent,args), value) pairs)
 
@@ -821,11 +821,13 @@ def _reference_tokenize(text: str, filename: str) -> list[tuple[str, int, int]]:
 def reference_read_forms(text: str, filename: str = "<pddl>") -> list:
     """Every top-level s-expression of ``text``, read in two passes: the whole
     text is tokenized first, so a lexical error anywhere is reported before
-    an unbalanced parenthesis."""
+    an unbalanced parenthesis or a list nested deeper than ``MAX_DEPTH``."""
     stack = []
     current = []
     for token, line, col in _reference_tokenize(text, filename):
         if token == "(":
+            if len(stack) == MAX_DEPTH:
+                raise PddlError(TOO_DEEP, f"lists nest more than {MAX_DEPTH} deep", line, col, filename)
             stack.append((current, line, col))
             current = []
         elif token == ")":
@@ -840,6 +842,20 @@ def reference_read_forms(text: str, filename: str = "<pddl>") -> list:
         _, line, col = stack[-1]
         raise PddlError(UNBALANCED, "unclosed '('", line, col, filename)
     return current
+
+
+def nested_domain_text(depth: int) -> str:
+    """A one-action domain whose deepest list, the precondition's ``(p)``
+    under ``(not …)``s, lies ``depth`` lists deep: ``define`` is the first
+    and the action the second."""
+    nots = depth - 3
+    precondition = "(not " * nots + "(p)" + ")" * nots
+    return (
+        "(define (domain deep)\n"
+        "  (:requirements :strips :negative-preconditions)\n"
+        "  (:predicates (p) (q))\n"
+        f"  (:action a :parameters () :precondition {precondition} :effect (q)))\n"
+    )
 
 
 def tool_calls(events, name: str) -> list:
@@ -857,11 +873,12 @@ def run_python(code: str, stdin: Optional[str] = None, timeout: float = 120) -> 
 
     The child's environment holds only ``PATH`` and ``PYTHONPATH``, set to the
     root of the imported package, so it imports the very package under test,
-    installed or not, and nothing the caller's environment sets.
+    installed or not, and nothing the caller's environment sets. It runs with
+    ``-B``, so it writes no bytecode into the package.
     """
     package_root = str(Path(planwright.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-B", "-c", code],
         input=stdin,
         capture_output=True,
         text=True,

@@ -13,7 +13,7 @@ from planwright.ir import jsonio
 from planwright.pddl import emit_domain
 from planwright.runs import normalized_tree
 from planwright.textworld import check_goal, state_from_json
-from helpers import run_python
+from helpers import nested_domain_text, run_python
 from scenarios import ok_critic
 
 
@@ -317,6 +317,7 @@ class TestMalformedInputFiles:
         "memory-entry-without-summary": ("memory_store", '{"version": 1}\n{"embedding": [1]}\n'),
         "memory-entry-of-wrong-dimension": ("memory_store", '{"version": 1}\n{"summary": "s", "embedding": [1, 0, 0, 0, 0, 0, 0, 0, 0, 0]}\n'),
         "memory-entry-not-finite": ("memory_store", '{"version": 1}\n{"summary": "s", "embedding": [1e400' + ', 0' * 255 + ']}\n'),
+        "domain-too-deep": ("domain", nested_domain_text(3000)),
     }
 
     EXECUTE_FLAGS = {
@@ -357,6 +358,17 @@ class TestMalformedInputFiles:
         failure = json.loads((out / "failure.json").read_text())
         assert (failure["stage"], failure["code"]) == ("config", "config-error")
         assert json.loads((out / "manifest.json").read_text())["exit_code"] == 64
+
+    def test_bench_reports_a_too_deep_domain_in_its_row(self, tmp_path):
+        from planwright.data_paths import benchmarks_root
+
+        domain = tmp_path / "domain.pddl"
+        domain.write_text(nested_domain_text(3000))
+        out = tmp_path / "bench"
+        argv = ["bench", "--domain", str(domain), "--problems", str(benchmarks_root() / "blocksworld"), "--out-dir", str(out)]
+        assert main(argv) == 0
+        [row] = json.loads((out / "bench_report.json").read_text())["rows"]
+        assert "too-deep" in row["error"] and row["attempted"] == 0
 
 
 class TestBenchCommand:
@@ -840,13 +852,14 @@ class TestDeterminism:
 
         import planwright
 
-        # The child imports the very package under test, installed or not.
+        # The child imports the very package under test, installed or not,
+        # and writes no bytecode into it.
         package_root = str(Path(planwright.__file__).resolve().parents[1])
         for leg, seed in (("a", "101"), ("b", "202")):
             out = tmp_path / leg
             argv = plan_args("color", out)
             proc = subprocess.run(
-                [sys.executable, "-m", "planwright.cli", *argv],
+                [sys.executable, "-B", "-m", "planwright.cli", *argv],
                 capture_output=True,
                 text=True,
                 env={

@@ -39,7 +39,7 @@ def test_benchmarks_match_generator(tmp_path):
             f'OUT = Path({str(tmp_path / "benchmarks")!r})',
         )
     )
-    subprocess.run([sys.executable, str(patched)], check=True, env=env, capture_output=True)
+    subprocess.run([sys.executable, "-B", str(patched)], check=True, env=env, capture_output=True)
     shipped = tree_bytes(benchmarks_root())
     regenerated = tree_bytes(tmp_path / "benchmarks")
     assert regenerated == shipped, "benchmark drift; rerun scripts/gen_benchmarks.py"

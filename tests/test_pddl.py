@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_read_forms
+from helpers import nested_domain_text, reference_read_forms
 from planwright.data_paths import benchmarks_root
 from planwright.domains import (
     battery_grippers_domain,
@@ -49,7 +49,9 @@ from planwright.pddl import (
     parse_problem,
     render_plan,
 )
-from planwright.pddl.syntax import read_forms
+from planwright.pddl.syntax import LEXICAL_ERROR, MAX_DEPTH, TOO_DEEP, UNBALANCED, read_forms
+from planwright.planner import ground
+from planwright.planner.grounding import to_dnf_branches, to_nnf
 
 SIZE_DOMAIN_TEXT = """
 (define (domain blocksworld)
@@ -308,6 +310,50 @@ class TestReaderAgainstReference:
     @given(bundled_mutants())
     def test_mutants_read_alike(self, text):
         assert _read_outcome(read_forms, text) == _read_outcome(reference_read_forms, text)
+
+
+_AT_LIMIT = nested_domain_text(MAX_DEPTH)
+_TOO_DEEP = nested_domain_text(MAX_DEPTH + 1)
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            (_AT_LIMIT, None),
+            (_TOO_DEEP, TOO_DEEP),
+            (nested_domain_text(3000), TOO_DEEP),
+            (_TOO_DEEP + "\x00", LEXICAL_ERROR),
+            (")" + _TOO_DEEP, UNBALANCED),
+            (_TOO_DEEP + ")", TOO_DEEP),
+            (_TOO_DEEP[:-3], TOO_DEEP),
+        ],
+        ids=["at-limit", "one-over", "3000-deep", "then-lexical", "after-unmatched", "then-unmatched", "then-unclosed"],
+    )
+    def test_reader_agrees_with_reference(self, text, code):
+        outcome = _read_outcome(read_forms, text)
+        assert outcome == _read_outcome(reference_read_forms, text)
+        assert (outcome[0] if isinstance(outcome, tuple) else None) == code
+        if code == TOO_DEEP:
+            # At the '(' of the first list past the limit; the precondition,
+            # five characters a list, starts 3 deep.
+            line = text.splitlines()[3]
+            start = line.index(":precondition ") + len(":precondition ")
+            assert outcome[2:] == (4, start + 5 * (MAX_DEPTH - 2) + 1)
+
+    def test_walkers_handle_a_domain_at_the_limit(self):
+        from planwright.ir import validate, validate_domain
+
+        domain = parse_domain(_AT_LIMIT)
+        precondition = domain.actions[0].precondition
+        assert str(precondition).count("(not ") == MAX_DEPTH - 3
+        assert parse_domain(emit_domain(domain)) == domain
+        assert to_nnf(precondition) == Not(Atom("p"))
+        assert to_dnf_branches(to_nnf(precondition)) == [[Not(Atom("p"))]]
+        assert validate_domain(domain) == []
+        problem = parse_problem("(define (problem deep-1) (:domain deep) (:init) (:goal (q)))", domain)
+        assert validate(problem) == []
+        assert [a.name for a in ground(problem).actions] == ["a"]
 
 
 class TestPlanText:
