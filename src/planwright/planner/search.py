@@ -13,19 +13,19 @@ initial vector first, so a task without numeric effects only ever has vector
 0 and its states are the boolean masks themselves. One dict maps every state
 reached to ``(g, parent, action index)``.
 
-Successors come from a `SuccessorGenerator` built once per solve. It turns
-each action into one flat entry that holds its precondition (the action's
-``pos`` and ``neg`` masks and ``num`` comparisons), the mask of the atoms it
-keeps, its add mask and its numeric effects. Each entry is filed under one
-atom of its positive precondition: the one that the fewest actions need,
-lowest index first on ties. Entries with no positive precondition go on a
-list that is checked in every state. A state then tests only the entries
-filed under its true atoms, plus that list, with one mask test each
-(grounding drops every branch that needs both ``p`` and ``not p``, so
-``pos & neg`` is 0); numeric comparisons are evaluated only for actions
-that have them. The applicable entries come back
-in ascending action index, the order of a scan over every action, so
-tie-breaking, node counts and plans are the same as with the scan. A
+Successors come from a `SuccessorGenerator` built once per solve, which
+reads a state's applicable actions off one int: bit ``i`` stands for action
+``i``. The atoms that some precondition tests are cut into 8-atom slices.
+Entry ``v`` of a slice's table is the mask of the actions whose positive and
+negative precondition atoms in that slice agree with the bits ``v``, so the
+applicable set is the AND of one lookup per slice. A lookup keeps only the
+slice's tested atoms, which keeps the vector index out. An entry is made the
+first time its value is met, from two 16-entry tables over the slice's
+4-atom halves, so a table holds at most 256 ints. Reading the mask from the
+low bit up gives the actions in ascending index, the order of a scan over
+every action, so tie-breaking, node counts and plans are the same as with
+the scan, and nothing is filtered or sorted; only the actions that have
+numeric comparisons are then checked against the state's vector. A
 propositional action is applied as ``(state & keep) | add``, which carries
 the vector index through unchanged; one with numeric effects goes through
 `GroundAction.apply`, so the numeric semantics live in one place, and its
@@ -41,8 +41,9 @@ goal state.
 from __future__ import annotations
 
 import time
-from collections import Counter, deque
+from collections import deque
 from fractions import Fraction
+from itertools import compress
 from typing import Optional
 
 from ..values import Record, Value
@@ -53,6 +54,10 @@ from .plan import Plan, PlanStep
 STATUS_PLAN = "plan"
 STATUS_UNSOLVABLE = "unsolvable"
 STATUS_BUDGET = "budget-exhausted"
+
+
+_WORD = (1 << 64) - 1
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits as 0 and 1
 
 
 class SolveConfig(Value):
@@ -84,39 +89,120 @@ class SolveResult(Record):
         return out
 
 
-class SuccessorGenerator:
-    """The actions of a task as flat entries, filed under one positive precondition atom each.
+class _SliceTable(dict):
+    """Entry ``v``: the actions whose precondition atoms in one 8-atom slice
+    of the state agree with the slice's bits ``v``.
 
-    An entry is ``(index, pos | neg, pos, num, ~del_mask, add_mask,
-    num_effects)``: everything the search reads to test and apply the
-    action.
+    An entry is made the first time its value is looked up, as the AND of
+    the entries of the slice's two 4-atom halves, so a slice holds at most
+    256 ints.
+    """
+
+    __slots__ = ("low", "high")
+
+    def __init__(self, low: list[int], high: list[int]):
+        self.low = low
+        self.high = high
+
+    def __missing__(self, v: int) -> int:
+        mask = self[v] = self.low[v & 15] & self.high[v >> 4]
+        return mask
+
+
+def _half_table(every: int, need_true: dict[int, int], need_false: dict[int, int], first: int, tested: int) -> list[int]:
+    """The 16 masks of the actions that agree with atoms ``first`` to
+    ``first + 3``, indexed by those atoms' bits, doubled one atom at a time:
+    with the atom's bit clear, the actions that need it true drop out, and
+    with it set, those that need it false. ``tested`` has the bits of the
+    atoms that some precondition tests."""
+    if not tested:
+        return [every] * 16
+    table = [every]
+    for bit in (1 << first, 2 << first, 4 << first, 8 << first):
+        true, false = need_true.get(bit), need_false.get(bit)
+        if true is not None:
+            true = ~true
+            clear = [t & true for t in table]
+        else:
+            clear = table
+        if false is not None:
+            false = ~false
+            table = clear + [t & false for t in table]
+        else:
+            table = clear + table
+    return table
+
+
+class SuccessorGenerator:
+    """The applicable actions of a state, read off one bitmask over the actions.
+
+    Bit ``i`` of a mask stands for action ``i``. The atoms that some
+    precondition tests are cut into 8-atom slices, and each slice has a
+    `_SliceTable`; the state's applicable actions are the AND of one entry
+    per slice, bar those whose comparisons fail. An entry is ``(index, num,
+    ~del_mask, add_mask, num_effects)``: everything the search reads to
+    test and apply the action.
     """
 
     def __init__(self, actions: tuple[GroundAction, ...]):
-        pres = [_mask_bits(a.pos) for a in actions]
-        need = Counter(i for atoms in pres for i in atoms)
-        self.always: list[tuple] = []
-        # Keyed by the atom's bit, 1 << i, which `applicable` peels off the state.
-        self.filed: dict[int, list[tuple]] = {}
-        for idx, (a, atoms) in enumerate(zip(actions, pres)):
-            entry = (idx, a.pos | a.neg, a.pos, a.num, ~a.del_mask, a.add_mask, a.num_effects)
-            if atoms:  # min keeps the lowest atom among equally needed ones
-                self.filed.setdefault(1 << min(atoms, key=need.__getitem__), []).append(entry)
-            else:
-                self.always.append(entry)
-        self.keys = sum(self.filed)
+        need_true: dict[int, int] = {}
+        need_false: dict[int, int] = {}
+        self.entries = entries = []
+        numeric = 0  # the actions that have comparisons
+        bit = 1
+        for idx, a in enumerate(actions):
+            pos = a.pos
+            while pos:
+                low = pos & -pos
+                need_true[low] = need_true.get(low, 0) | bit
+                pos ^= low
+            neg = a.neg
+            while neg:
+                low = neg & -neg
+                need_false[low] = need_false.get(low, 0) | bit
+                neg ^= low
+            if a.num:
+                numeric |= bit
+            entries.append((idx, a.num, ~a.del_mask, a.add_mask, a.num_effects))
+            bit <<= 1
+        self.numeric = numeric
+        self.every = every = bit - 1
+        tested: dict[int, int] = {}  # slice number: the bits of its atoms that some precondition tests
+        for atom in (*need_true, *need_false):
+            i = atom.bit_length() - 1
+            tested[i >> 3] = tested.get(i >> 3, 0) | 1 << (i & 7)
+        # Masking a slice with its tested bits keeps the numeric-vector index
+        # above the atoms out of every lookup, and two values that differ only
+        # in atoms no action tests share one entry.
+        self.slices = [
+            (
+                8 * k,
+                bits,
+                _SliceTable(
+                    _half_table(every, need_true, need_false, 8 * k, bits & 15),
+                    _half_table(every, need_true, need_false, 8 * k + 4, bits >> 4),
+                ),
+            )
+            for k, bits in sorted(tested.items())
+        ]
 
     def applicable(self, state: int, nums: tuple[Fraction, ...]) -> list[tuple]:
         """Entries of the actions applicable in the state, in ascending index."""
-        candidates = self.always[:]
-        filed = self.filed
-        true_keys = state & self.keys
-        while true_keys:
-            bit = true_keys & -true_keys
-            candidates += filed[bit]
-            true_keys ^= bit
-        out = [e for e in candidates if state & e[1] == e[2] and (not e[3] or all(c.holds(nums) for c in e[3]))]
-        out.sort()
+        mask = self.every
+        for shift, bits, table in self.slices:
+            mask &= table[state >> shift & bits]
+        check = mask & self.numeric
+        if mask <= _WORD:  # peeled bit by bit while every step is on a small int
+            out = []
+            entries = self.entries
+            while mask:
+                low = mask & -mask
+                out.append(entries[low.bit_length() - 1])
+                mask ^= low
+        else:  # read from its binary digits, low bit first, in time linear in the actions
+            out = list(compress(self.entries, bin(mask)[:1:-1].encode().translate(_DIGITS)))
+        if check:
+            return [e for e in out if not e[1] or all(c.holds(nums) for c in e[1])]
         return out
 
 
@@ -160,7 +246,7 @@ def solve(task: GroundTask, cfg: SolveConfig = SolveConfig()) -> SolveResult:
             return SolveResult(STATUS_BUDGET, None, expanded)
         expanded += 1
         new_g = g + 1
-        for action_idx, _, _, _, keep, add, effects in successors.applicable(state, nums):
+        for action_idx, _, keep, add, effects in successors.applicable(state, nums):
             if effects:
                 bools, successor_nums = actions[action_idx].apply(state & low, nums)
                 vector = vector_index.get(successor_nums)

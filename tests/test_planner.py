@@ -495,26 +495,56 @@ class TestPairBudget:
 
 
 class TestSuccessorIndex:
-    """The compiled entries are exactly the applicable actions, in ascending
+    """The generator's entries are exactly the applicable actions, in ascending
     index, as a scan finds them, and each one's successor is the state
-    `GroundAction.apply` gives."""
+    `GroundAction.apply` gives. States are also checked the way `solve`
+    builds them, with a numeric-vector index in the bits above the atoms."""
 
     @staticmethod
-    def check(problem: ProblemInstance) -> None:
+    def check(problem: ProblemInstance, vectors=(0, 1, 5, 1000)) -> set[int]:
         task = ground(problem)
         successors = SuccessorGenerator(task.actions)
+        n = len(task.atoms)
         seen = set()
         for bools, nums in random_walk_states(task, seeds=range(4), steps=30):
-            entries = successors.applicable(bools, nums)
             expected = [i for i, a in enumerate(task.actions) if applicable(a, bools, nums)]
-            assert [entry[0] for entry in entries] == expected
-            for idx, _, _, _, keep, add, effects in entries:
-                action = task.actions[idx]
-                assert effects == action.num_effects
-                if not effects:  # solve applies these from the entry alone
-                    assert ((bools & keep) | add, nums) == action.apply(bools, nums)
+            for vector in vectors:
+                state = bools | vector << n
+                entries = successors.applicable(state, nums)
+                assert [entry[0] for entry in entries] == expected
+                for idx, _, keep, add, effects in entries:
+                    action = task.actions[idx]
+                    assert effects == action.num_effects
+                    if not effects:  # solve applies these from the entry alone, keeping the vector index
+                        after, after_nums = action.apply(bools, nums)
+                        assert ((state & keep) | add, nums) == (after | vector << n, after_nums)
             seen.update(expected)
         assert seen  # the walks exercise the entries
+        return seen
+
+    def test_numeric_task_with_a_partial_last_slice(self):
+        # 14 atoms: the last 8-atom slice holds 6 of them, and the two bits
+        # above them, with everything higher, hold the vector index.
+        problem = refuel_problem(0, 1)
+        task = ground(problem)
+        assert len(task.atoms) % 8 and all(a.num for a in task.actions)
+        self.check(problem)
+
+    @pytest.mark.parametrize("kind", [0, 1])
+    def test_scale_instances_with_more_than_64_actions(self, kind):
+        problem = scale_instances(1)[kind]  # blocksworld, then grippers
+        assert len(ground(problem).actions) > 64
+        assert max(self.check(problem)) >= 64  # applicable actions in the second 64-bit word
+
+    def test_every_action_applicable(self):
+        from planwright.pddl import parse_domain, parse_problem
+
+        domain, problem_text = touch_pddl(5)
+        problem = parse_problem(problem_text, parse_domain(domain))
+        task = ground(problem)
+        entries = SuccessorGenerator(task.actions).applicable(task.init_bools, task.init_nums)
+        assert [entry[0] for entry in entries] == list(range(626))
+        self.check(problem)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_seeded_blocksworld(self, seed):
