@@ -90,12 +90,12 @@ class SolveResult(Record):
 
 
 class _SliceTable(dict):
-    """Entry ``v``: the actions whose precondition atoms in one 8-atom slice
-    of the state agree with the slice's bits ``v``.
+    """Maps the bits ``v`` of one 8-atom slice of a state to the mask of the
+    actions whose precondition atoms in that slice agree with them.
 
-    An entry is made the first time its value is looked up, as the AND of
-    the entries of the slice's two 4-atom halves, so a slice holds at most
-    256 ints.
+    A mask is made the first time its ``v`` is looked up, as the AND of the
+    masks of the slice's two 4-atom halves, so a table holds at most 256
+    ints.
     """
 
     __slots__ = ("low", "high")
@@ -145,10 +145,11 @@ class SuccessorGenerator:
     """
 
     def __init__(self, actions: tuple[GroundAction, ...]):
-        need_true: dict[int, int] = {}
-        need_false: dict[int, int] = {}
+        need_true: dict[int, int] = {}  # atom bit: the actions that need the atom true
+        need_false: dict[int, int] = {}  # and those that need it false
         self.entries = entries = []
         numeric = 0  # the actions that have comparisons
+        tested = 0  # the atoms that some precondition tests
         bit = 1
         for idx, a in enumerate(actions):
             pos = a.pos
@@ -161,30 +162,23 @@ class SuccessorGenerator:
                 low = neg & -neg
                 need_false[low] = need_false.get(low, 0) | bit
                 neg ^= low
+            tested |= a.pos | a.neg
             if a.num:
                 numeric |= bit
             entries.append((idx, a.num, ~a.del_mask, a.add_mask, a.num_effects))
             bit <<= 1
         self.numeric = numeric
         self.every = every = bit - 1
-        tested: dict[int, int] = {}  # slice number: the bits of its atoms that some precondition tests
-        for atom in (*need_true, *need_false):
-            i = atom.bit_length() - 1
-            tested[i >> 3] = tested.get(i >> 3, 0) | 1 << (i & 7)
-        # Masking a slice with its tested bits keeps the numeric-vector index
-        # above the atoms out of every lookup, and two values that differ only
-        # in atoms no action tests share one entry.
-        self.slices = [
-            (
-                8 * k,
-                bits,
-                _SliceTable(
-                    _half_table(every, need_true, need_false, 8 * k, bits & 15),
-                    _half_table(every, need_true, need_false, 8 * k + 4, bits >> 4),
-                ),
-            )
-            for k, bits in sorted(tested.items())
-        ]
+        # A lookup masks the state's slice with the slice's tested atoms, which
+        # keeps the numeric-vector index above the atoms out, and lets values
+        # that differ only in untested atoms share one entry.
+        self.slices = []
+        for shift in range(0, tested.bit_length(), 8):
+            bits = tested >> shift & 255
+            if bits:
+                low = _half_table(every, need_true, need_false, shift, bits & 15)
+                high = _half_table(every, need_true, need_false, shift + 4, bits >> 4)
+                self.slices.append((shift, bits, _SliceTable(low, high)))
 
     def applicable(self, state: int, nums: tuple[Fraction, ...]) -> list[tuple]:
         """Entries of the actions applicable in the state, in ascending index."""
