@@ -47,7 +47,7 @@ from itertools import compress
 from typing import Optional
 
 from ..values import Record, Value
-from .grounding import GroundAction, GroundTask, _mask_bits
+from .grounding import GroundAction, GroundTask
 from .heuristics import INF, blind, h_add
 from .plan import Plan, PlanStep
 
@@ -185,7 +185,7 @@ class SuccessorGenerator:
         mask = self.every
         for shift, bits, table in self.slices:
             mask &= table[state >> shift & bits]
-        check = mask & self.numeric
+        compared = mask & self.numeric  # applicable but for their comparisons
         if mask <= _WORD:  # peeled bit by bit while every step is on a small int
             out = []
             entries = self.entries
@@ -195,7 +195,7 @@ class SuccessorGenerator:
                 mask ^= low
         else:  # read from its binary digits, low bit first, in time linear in the actions
             out = list(compress(self.entries, bin(mask)[:1:-1].encode().translate(_DIGITS)))
-        if check:
+        if compared:
             return [e for e in out if not e[1] or all(c.holds(nums) for c in e[1])]
         return out
 
