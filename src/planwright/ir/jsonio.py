@@ -6,12 +6,16 @@ byte-identical text. Numeric values are rendered as exact rational strings
 ("30", "3/2") to avoid any float round-tripping.
 
 Decoding reads a document with `read_object` and checks every field with
-`field` or `tuple_of`; any malformed input raises `IRDecodeError`.
+`field` or `tuple_of`; any malformed input raises `IRDecodeError`. A
+document may nest at most `MAX_JSON_DEPTH` deep, so the recursive decoders
+and every later walker of the IR see a bounded depth.
 """
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Union
 
@@ -218,6 +222,28 @@ def _problem_payload(problem: ProblemInstance, domain: Any) -> dict:
 _REQUIRED = object()
 Kind = Union[type, tuple[type, ...]]
 
+# The deepest nesting `read_object` accepts: two JSON levels, an object and
+# its list of children, for each of the 64 levels of list that the PDDL
+# reader admits (`planwright.pddl.syntax.MAX_DEPTH`), and 32 more for the
+# documents that hold an expression. `json.loads` itself fails near 990.
+MAX_JSON_DEPTH = 2 * 64 + 32
+
+_NOT_BRACKET = re.compile(r"[^\[\]{}]+")
+_NESTING = {"{": 1, "[": 1, "}": -1, "]": -1}
+
+
+def _too_deep(body: str) -> bool:
+    """Whether the containers of the JSON text ``body`` nest more than
+    `MAX_JSON_DEPTH` deep, found in one linear scan that skips the contents
+    of strings. A text with fewer openers cannot, and is not scanned."""
+    if body.count("{") + body.count("[") <= MAX_JSON_DEPTH:
+        return False
+    # Without its escaped backslashes and quotes, every quote left opens or
+    # closes a string, so the even pieces between quotes lie outside them.
+    outside = body.replace("\\\\", "").replace('\\"', "").split('"')[::2]
+    brackets = _NOT_BRACKET.sub("", "".join(outside))
+    return max(accumulate(map(_NESTING.__getitem__, brackets)), default=0) > MAX_JSON_DEPTH
+
 
 def read_object(text: str) -> dict:
     """Parse a document holding exactly one JSON object, bare or wrapped in a
@@ -228,6 +254,8 @@ def read_object(text: str) -> dict:
         body = body[first_newline + 1 :] if first_newline != -1 else ""
         if body.rstrip().endswith("```"):
             body = body.rstrip()[:-3]
+    if _too_deep(body):
+        raise IRDecodeError(f"JSON nests more than {MAX_JSON_DEPTH} deep")
     try:
         data = json.loads(body)
     except json.JSONDecodeError as exc:

@@ -8,6 +8,12 @@ decisions are reproducible bit for bit.
 ``str()`` of an expression, a numeric term or an effect is its PDDL text,
 the text `planwright.pddl` writes into domain and problem files and that
 diagnostics quote.
+
+The walkers of expressions and terms recurse. The readers bound how deep
+they must go: `planwright.pddl.syntax` reads lists nested at most
+`MAX_DEPTH` deep, and `jsonio.read_object` documents nested at most
+`MAX_JSON_DEPTH` deep. IR built in code and not read from text, as in the
+tests and ``scripts/``, is not depth-checked.
 """
 from __future__ import annotations
 

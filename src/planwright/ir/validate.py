@@ -292,17 +292,24 @@ def validate(problem: ProblemInstance) -> ValidationReport:
     return out
 
 
-def _numeric_fluents_in_use(problem: ProblemInstance) -> set[str]:
-    used: set[str] = set()
-    for action in problem.domain.actions:
-        for ref in expression_num_fluents(action.precondition):
-            used.add(ref.fluent)
-        for effect in action.effects:
-            if isinstance(effect, NumericEffect):
-                used.add(effect.target.fluent)
-                used.update(t.fluent for t in walk_terms(effect.amount) if isinstance(t, NumFluent))
-    for ref in expression_num_fluents(problem.goal):
-        used.add(ref.fluent)
+def _numeric_fluents_in_use(problem: ProblemInstance) -> frozenset[str]:
+    return _domain_numeric_fluents(problem.domain) | {ref.fluent for ref in expression_num_fluents(problem.goal)}
+
+
+def _domain_numeric_fluents(domain: DomainModel) -> frozenset[str]:
+    """The numeric fluents that the actions read or change, found on first
+    use and kept in the instance's ``__dict__``, as `_domain_report` is."""
+    cache = vars(domain)
+    used = cache.get("_numeric_in_use")
+    if used is None:
+        found: set[str] = set()
+        for action in domain.actions:
+            found.update(ref.fluent for ref in expression_num_fluents(action.precondition))
+            for effect in action.effects:
+                if isinstance(effect, NumericEffect):
+                    found.add(effect.target.fluent)
+                    found.update(t.fluent for t in walk_terms(effect.amount) if isinstance(t, NumFluent))
+        used = cache["_numeric_in_use"] = frozenset(found)
     return used
 
 

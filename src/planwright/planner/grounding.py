@@ -1,14 +1,17 @@
 """Grounding: from a problem instance to an indexed propositional task.
 
-Each action schema is compiled once per grounding into templates. Its
+Each domain is compiled once, on the first grounding of that `DomainModel`
+object, into a form that every problem of the domain binds. Each schema's
 precondition is normalized to DNF branches of literals and numeric
 comparisons (disjunctions split into separate variants), and every atom of
-a branch or effect becomes a table and a key: the table maps the fluent's
-argument tuples to atom bits, and the key reads the argument tuple off a
-binding row of constants and parameter values. A binding thus maps straight
-to atom bits, without building an `Atom`. Comparisons and numeric effects
-are linearized per binding, and linearization binds a numeric atom's
-arguments where it meets the atom, so no bound copy of them is built.
+a branch or effect becomes a fluent name and a key: the key reads the
+fluent's argument tuple off a binding row of constants and parameter
+values. A problem binds the form by swapping each fluent name for its own
+table, which maps the fluent's argument tuples to atom bits. A binding thus
+maps straight to atom bits, without building an `Atom`. Comparisons and
+numeric effects are linearized per binding, and linearization binds a
+numeric atom's arguments where it meets the atom, so no bound copy of them
+is built.
 
 Only the atoms that the goal or a built binding names get a bit, the next
 one, when a table first misses on them: the goal's first. An initial atom
@@ -22,10 +25,10 @@ Nothing adds that atom, so the pruning below would drop the binding
 anyway. Extending the survivors in parameter order enumerates them in the
 order of the full product, so the actions come out in schema, binding, then
 branch order, as from substituting every binding. `GROUNDING_BUDGET` bounds
-the work.
+the work, each count checked before what it counts is built: the DNF
+branches of a precondition or the goal, the candidate bindings at each
+parameter, and the variants a schema's bindings make.
 
-The goal is compiled with the same templates, as a schema without
-parameters whose precondition is the goal; its static checks are ignored.
 Every branch, of an action or of the goal, is compiled into one plain form,
 ``(pos, neg, num)``: a positive and a negative atom bitmask plus linear
 numeric comparisons. An action holds its branch as its fields of those
@@ -50,6 +53,7 @@ from ..ir import (
     And,
     Atom,
     Comparison,
+    DomainModel,
     Expression,
     Not,
     NumAdd,
@@ -69,9 +73,10 @@ class GroundingError(ValueError):
     pass
 
 
-# The most candidate bindings at one parameter of one schema, and the most
-# ground actions in all, that one grounding may build, and the most atom pairs
-# (reached atoms squared) over which it runs the pair prune. Like the search's
+# The most DNF branches of one precondition or goal, the most candidate
+# bindings at one parameter of one schema, and the most ground actions in all,
+# that one grounding may build, and the most atom pairs (reached atoms
+# squared) over which it runs the pair prune. Like the search's
 # node budget it is deterministic, and far above every bundled and benchmark
 # instance.
 GROUNDING_BUDGET = 1_000_000
@@ -117,6 +122,34 @@ def to_dnf_branches(expr: Expression) -> list[list[Expression]]:
             out.extend(to_dnf_branches(child))
         return out
     return [[expr]]
+
+
+def _branch_count(expr: Expression, owner: str) -> int:
+    """How many branches `to_dnf_branches` makes of the NNF ``expr``: an
+    ``And`` multiplies its children's counts, an ``Or`` adds them, a literal
+    counts one. Raises `GroundingError` as soon as a count, or a partial
+    product, exceeds `GROUNDING_BUDGET`, since `to_dnf_branches` would build
+    that many lists; ``owner`` names the expression in the message."""
+    if isinstance(expr, And):
+        count = 1
+        for child in expr.children:
+            count *= _branch_count(child, owner)
+            if count > GROUNDING_BUDGET:
+                break
+    elif isinstance(expr, Or):
+        count = sum(_branch_count(child, owner) for child in expr.children)
+    else:
+        return 1
+    if count > GROUNDING_BUDGET:
+        raise GroundingError(f"{owner} exceeds the budget of {GROUNDING_BUDGET} DNF branches")
+    return count
+
+
+def _dnf(expr: Expression, owner: str) -> list[list[Expression]]:
+    """The DNF branches of ``expr``, counted against the budget first."""
+    nnf = to_nnf(expr)
+    _branch_count(nnf, owner)
+    return to_dnf_branches(nnf)
 
 
 # ------------------------------------------------------------ linear forms
@@ -269,13 +302,20 @@ def ground(problem: ProblemInstance) -> GroundTask:
     num_atoms = tuple(init_numeric)
     num_index = {a: i for i, a in enumerate(num_atoms)}
 
-    # The goal is compiled first, as a schema without parameters, so its
-    # atoms take the first bits and an uninitialized goal numeric is
-    # reported before any action is instantiated.
-    consts, _, branches, _, _ = _compile_schema(ActionSchema("goal", (), problem.goal), tables, (), {})
+    # The goal is compiled first, so its atoms take the first bits, in
+    # literal order, and an uninitialized goal numeric is reported before
+    # any action is instantiated.
     goal = []
-    for literals, comps in branches:
-        pos, neg = _masks(literals, consts)
+    for branch in _dnf(problem.goal, "the goal"):
+        pos = neg = 0
+        comps = []
+        for lit in branch:
+            if isinstance(lit, Comparison):
+                comps.append(lit)
+            elif isinstance(lit, Atom):
+                pos |= tables[lit.fluent][lit.args]
+            else:  # after NNF, a negated atom
+                neg |= tables[lit.child.fluent][lit.child.args]
         num = _ground_comparisons(comps, {}, num_index)
         if num is None or pos & neg:
             continue  # a false constant comparison, or p and (not p)
@@ -322,18 +362,20 @@ def _instantiate(problem: ProblemInstance, tables: dict[str, _Table], num_index)
     neither numbered nor reported.
     """
     domain = problem.domain
-    changed = {e.atom.fluent for s in domain.actions for e in s.effects if isinstance(e, SetEffect)}
+    changed, forms = _domain_form(domain)
     static_true: dict[str, set[tuple[str, ...]]] = {}
     for atom in problem.init.true_atoms:
         if atom.fluent not in changed:
             static_true.setdefault(atom.fluent, set()).add(atom.args)
     pools: dict[str, list[str]] = {}
     actions: list[GroundAction] = []
-    for schema in domain.actions:
+    for schema, consts, checks, branches, set_effects, num_effects in forms:
         for p in schema.parameters:
             if p.type not in pools:
                 pools[p.type] = sorted(o.name for o in problem.objects if domain.is_subtype(o.type, p.type))
-        consts, checks, branches, set_effects, num_effects = _compile_schema(schema, tables, changed, static_true)
+        # The form is bound to this problem: each static fluent becomes its
+        # true argument tuples here, and each fluent its table below.
+        checks = [[(static_true.get(fluent, frozenset()), key) for fluent, key in level] for level in checks]
 
         # Bindings grow one parameter at a time, in declaration order, so
         # the survivors keep the order of the full product.
@@ -345,6 +387,12 @@ def _instantiate(problem: ProblemInstance, tables: dict[str, _Table], num_index)
             rows = [row + (name,) for row in rows for name in pool]
             if checks[depth]:
                 rows = [row for row in rows if all(key(row) in true for true, key in checks[depth])]
+        if not rows:
+            continue
+        if len(actions) + len(rows) * len(branches) > GROUNDING_BUDGET:
+            raise GroundingError(f"grounding exceeds the budget of {GROUNDING_BUDGET} actions")
+        branches = [(_bind(literals, tables), comps) for literals, comps in branches]
+        set_effects = _bind(set_effects, tables)
 
         names = [p.name for p in schema.parameters]
         numeric_parts = bool(num_effects) or any(comps for _, comps in branches)
@@ -360,23 +408,41 @@ def _instantiate(problem: ProblemInstance, tables: dict[str, _Table], num_index)
                 if effects is None:
                     effects = _ground_effects(set_effects, num_effects, row, binding, num_index)
                 actions.append(GroundAction(schema.name, row[nconst:], pos, neg, num, *effects))
-        if len(actions) > GROUNDING_BUDGET:
-            raise GroundingError(f"grounding exceeds the budget of {GROUNDING_BUDGET} actions")
     return actions
 
 
-def _compile_schema(schema, tables, changed, static_true):
-    """A schema's templates. Each atom becomes ``(flag, table, key)``:
-    ``flag`` tells a positive literal or an add effect, ``table`` is the
-    fluent's `_Table`, and ``key`` reads an argument tuple off a binding
-    row, ``constants + parameter values``.
+def _domain_form(domain: DomainModel) -> tuple:
+    """The half of grounding that depends on the domain alone: the fluents
+    that some schema adds or deletes, and each schema's `_schema_form`.
 
-    Returns the constants, the static checks ``(true argument tuples, key)``
+    It is built on first use and kept in the instance's ``__dict__``, as
+    `planwright.ir.validate` keeps a domain's report: it is no field, so
+    equality, hashing, ``repr`` and ``replace`` ignore it, and it is freed
+    with the domain. The domain is frozen, so the form stays its own. It is
+    keyed to the domain and not to a schema, because an edited domain keeps
+    its untouched schemas while an effect it adds can make a static fluent
+    changed.
+    """
+    cache = vars(domain)
+    form = cache.get("_grounding_form")
+    if form is None:
+        changed = frozenset(e.atom.fluent for s in domain.actions for e in s.effects if isinstance(e, SetEffect))
+        form = cache["_grounding_form"] = (changed, tuple(_schema_form(s, changed) for s in domain.actions))
+    return form
+
+
+def _schema_form(schema: ActionSchema, changed: frozenset) -> tuple:
+    """A schema's templates. Each atom becomes ``(flag, fluent, key)``:
+    ``flag`` tells a positive literal or an add effect, and ``key`` reads
+    the fluent's argument tuple off a binding row, ``constants + parameter
+    values``.
+
+    Returns the schema, its constants, the static checks ``(fluent, key)``
     to run once ``d`` parameters are bound (index ``d``), the DNF branches
     as ``(literals, comparisons)``, and the boolean and numeric effects.
     """
     position = {p.name: i for i, p in enumerate(schema.parameters)}
-    branches = to_dnf_branches(to_nnf(schema.precondition))
+    branches = _dnf(schema.precondition, f"the precondition of {schema.name}")
     atoms = [lit.child if isinstance(lit, Not) else lit for b in branches for lit in b if not isinstance(lit, Comparison)]
     atoms += [e.atom for e in schema.effects if isinstance(e, SetEffect)]
     consts = tuple(dict.fromkeys(a for atom in atoms for a in atom.args if a not in position))
@@ -391,13 +457,11 @@ def _compile_schema(schema, tables, changed, static_true):
             if isinstance(lit, Comparison):
                 comps.append(lit)
             elif isinstance(lit, Atom):
-                literals.append(_template(True, lit, tables, slot))
-            elif isinstance(lit, Not):
-                literals.append(_template(False, lit.child, tables, slot))
-            else:
-                raise GroundingError(f"unexpected literal {lit!r} after normalization")
+                literals.append(_template(True, lit, slot))
+            else:  # after NNF, a negated atom
+                literals.append(_template(False, lit.child, slot))
         templates.append((tuple(literals), tuple(comps)))
-    set_effects = tuple(_template(e.value, e.atom, tables, slot) for e in schema.effects if isinstance(e, SetEffect))
+    set_effects = tuple(_template(e.value, e.atom, slot) for e in schema.effects if isinstance(e, SetEffect))
     num_effects = tuple(e for e in schema.effects if isinstance(e, NumericEffect))
 
     # A static precondition is a positive literal that every branch shares,
@@ -408,13 +472,17 @@ def _compile_schema(schema, tables, changed, static_true):
     for atom in shared:
         if isinstance(atom, Atom) and atom.fluent not in changed:
             depth = max((position[a] + 1 for a in atom.args if a in position), default=0)
-            key = _row_key([slot[a] for a in atom.args])
-            checks[depth].append((static_true.get(atom.fluent, frozenset()), key))
-    return consts, checks, tuple(templates), set_effects, num_effects
+            checks[depth].append((atom.fluent, _row_key([slot[a] for a in atom.args])))
+    return schema, consts, checks, tuple(templates), set_effects, num_effects
 
 
-def _template(flag: bool, atom: Atom, tables, slot) -> tuple:
-    return flag, tables[atom.fluent], _row_key([slot[a] for a in atom.args])
+def _template(flag: bool, atom: Atom, slot) -> tuple:
+    return flag, atom.fluent, _row_key([slot[a] for a in atom.args])
+
+
+def _bind(templates, tables) -> tuple:
+    """``templates`` with each fluent name swapped for its table."""
+    return tuple((flag, tables[fluent], key) for flag, fluent, key in templates)
 
 
 def _row_key(slots: list[int]) -> itemgetter:

@@ -149,6 +149,16 @@ class TestPlanCommand:
         assert "exceeds the budget of 1 bindings" in failure["message"]
         assert json.loads((out / "manifest.json").read_text())["exit_code"] == 1
 
+    def test_dnf_budget_exceeded_exits_one(self, tmp_path, monkeypatch):
+        import planwright.planner.grounding as grounding
+
+        # The goal's one branch is counted, and refused, before it is built.
+        monkeypatch.setattr(grounding, "GROUNDING_BUDGET", 0)
+        out = tmp_path / "run"
+        assert main(plan_args("color", out)) == 1
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure == {"stage": "solve", "code": "grounding-error", "message": "the goal exceeds the budget of 0 DNF branches"}
+
     def test_size_tower_scenario(self, tmp_path):
         out = tmp_path / "run"
         assert main(plan_args("size_tower", out)) == 0

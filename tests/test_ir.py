@@ -436,6 +436,62 @@ class TestJsonCodec:
             jsonio.fluent_from_json({"name": "f", "kind": 5})
 
 
+def _json_depth(value) -> int:
+    """How deep the lists and objects of a decoded JSON value nest."""
+    if isinstance(value, dict):
+        return 1 + max(map(_json_depth, value.values()), default=0)
+    if isinstance(value, list):
+        return 1 + max(map(_json_depth, value), default=0)
+    return 0
+
+
+def _nested_object(depth: int) -> str:
+    """An object whose one member holds lists, ``depth`` levels in all."""
+    return '{"a": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}"
+
+
+class TestJsonDepth:
+    """`read_object` rejects a document nested past `MAX_JSON_DEPTH` with
+    `IRDecodeError`, before `json.loads` can recurse out of the stack."""
+
+    def test_at_the_limit_and_one_over(self):
+        from planwright.ir.jsonio import MAX_JSON_DEPTH, IRDecodeError, read_object
+
+        assert _json_depth(read_object(_nested_object(MAX_JSON_DEPTH))) == MAX_JSON_DEPTH
+        for depth in (MAX_JSON_DEPTH + 1, 1001, 5000):
+            with pytest.raises(IRDecodeError, match=f"JSON nests more than {MAX_JSON_DEPTH} deep"):
+                read_object(_nested_object(depth))
+        with pytest.raises(IRDecodeError, match="nests more than"):
+            read_object("```json\n" + _nested_object(MAX_JSON_DEPTH + 1) + "\n```")
+
+    def test_brackets_inside_strings_do_not_count(self):
+        from planwright.ir.jsonio import MAX_JSON_DEPTH, read_object
+
+        # Escaped quotes and backslashes must not end a string early.
+        strings = {"open": "[" * 1000, "quoted": '\\"{' * 500, "slash": "\\", "close": "]}" * 500}
+        text = json.dumps({**strings, "deep": json.loads(_nested_object(MAX_JSON_DEPTH - 1))})
+        data = read_object(text)
+        assert _json_depth(data) == MAX_JSON_DEPTH
+        assert {key: data[key] for key in strings} == strings
+
+    def test_expression_at_the_pddl_limit_round_trips(self):
+        from planwright.ir import jsonio
+        from planwright.pddl.syntax import MAX_DEPTH
+
+        # `and` takes two JSON levels per list, the most of any node: the
+        # precondition's innermost `(p)` lies MAX_DEPTH lists deep.
+        ands = MAX_DEPTH - 3
+        domain = parse_domain(
+            "(define (domain deep) (:predicates (p) (q))\n"
+            f"  (:action a :parameters () :precondition {'(and ' * ands}(p){')' * ands} :effect (q)))"
+        )
+        problem = parse_problem("(define (problem deep-1) (:domain deep) (:init (p)) (:goal (q)))", domain)
+        text = jsonio.dumps(jsonio.problem_to_json(problem))
+        assert _json_depth(json.loads(text)) == 2 * MAX_DEPTH
+        assert jsonio.problem_from_json(jsonio.read_object(text)) == problem
+        assert jsonio.domain_from_json(jsonio.read_object(jsonio.dumps(domain))) == domain
+
+
 _ODD_STRINGS = st.sampled_from(['"', "\\", "\x00", "\x1f\x7f", "\n\t\r", " ", "é ß", "\U0001f600", ""])
 _ODD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324])
 _LEAVES = st.one_of(

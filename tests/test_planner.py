@@ -53,7 +53,7 @@ from planwright.planner import (
     validate_plan,
 )
 from planwright.planner import validation
-from planwright.planner.grounding import _instantiate, _Table
+from planwright.planner.grounding import GroundAction, _instantiate, _Table
 from planwright.planner.search import SuccessorGenerator
 
 from helpers import (
@@ -492,6 +492,178 @@ class TestPairBudget:
             expected = oracle(reference_instantiate(problem, index, num_numbering(task)), index, problem.init.true_atoms)
             assert task.actions == tuple(expected)
             assert len(task.actions) == kept
+
+
+def disjunction_pddl(k: int, objects: int = 0) -> tuple[str, str]:
+    """A domain whose one action's precondition is the conjunction of ``k``
+    two-way disjunctions ``(or (p_i) (q_i))``, so 2^k DNF branches, and a
+    problem that reaches its goal in one step. With ``objects``, the action
+    takes one parameter over that many objects."""
+    predicates = " ".join(f"(p_{i}) (q_{i})" for i in range(1, k + 1))
+    precondition = "(and " + " ".join(f"(or (p_{i}) (q_{i}))" for i in range(1, k + 1)) + ")"
+    parameters = "(?x)" if objects else "()"
+    domain = f"""(define (domain wide-or) (:requirements :strips :disjunctive-preconditions)
+  (:predicates {predicates} (done))
+  (:action go :parameters {parameters} :precondition {precondition} :effect (done)))"""
+    names = " ".join(f"o{i}" for i in range(objects))
+    init = " ".join(f"(p_{i})" for i in range(1, k + 1))
+    problem = f"(define (problem wide-or-1) (:domain wide-or) (:objects {names}) (:init {init}) (:goal (done)))"
+    return domain, problem
+
+
+# Runs `planwright bench` over the domain and problem of ``disjunction_pddl``
+# read from standard input, under a 1 GB address-space limit, and prints the
+# problem statuses of its one row.
+DISJUNCTION_BENCH_CHILD = """
+import json, resource, sys, tempfile
+from pathlib import Path
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from planwright.cli import main
+domain_text, problem_text = json.load(sys.stdin)
+with tempfile.TemporaryDirectory() as tmp:
+    root = Path(tmp)
+    (root / "problems").mkdir()
+    (root / "domain.pddl").write_text(domain_text)
+    (root / "problems" / "p01.pddl").write_text(problem_text)
+    code = main(["bench", "--domain", str(root / "domain.pddl"), "--problems", str(root / "problems"), "--out-dir", str(root / "out")])
+    [row] = json.loads((root / "out" / "bench_report.json").read_text())["rows"]
+print(json.dumps([code, [p["status"] for p in row["problems"]]]))
+"""
+
+
+class TestDnfBudget:
+    """Every count is checked against `GROUNDING_BUDGET` before what it
+    counts is built. The k = 20 task runs in a child under its own 1 GB
+    limit and a 20 s timeout, so a regression fails the test and not the
+    machine: without the checks, it ended in `MemoryError` after 18.5 s."""
+
+    def test_branches_are_counted_before_they_are_built(self):
+        # 2^20 = 1,048,576 branches
+        proc = run_python(TOUCH_CHILD, stdin=json.dumps(disjunction_pddl(20)), timeout=20)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout) == "the precondition of go exceeds the budget of 1000000 DNF branches"
+
+    def test_bindings_times_branches_are_counted_before_the_variants(self, monkeypatch):
+        import planwright.planner.grounding as grounding
+        from planwright.pddl import parse_domain, parse_problem
+
+        built = []
+
+        def counted(*fields):
+            built.append(fields[:2])
+            return GroundAction(*fields)
+
+        # 20 bindings and 8 branches, each inside a budget of 100 alone: the
+        # 160 variants are refused before the first is built.
+        domain_text, problem_text = disjunction_pddl(3, objects=20)
+        problem = parse_problem(problem_text, parse_domain(domain_text))
+        monkeypatch.setattr(grounding, "GroundAction", counted)
+        monkeypatch.setattr(grounding, "GROUNDING_BUDGET", 100)
+        with pytest.raises(GroundingError, match="grounding exceeds the budget of 100 actions"):
+            ground(problem)
+        assert built == []
+
+    def test_bench_writes_a_grounding_error_row(self):
+        proc = run_python(DISJUNCTION_BENCH_CHILD, stdin=json.dumps(disjunction_pddl(20)), timeout=20)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        status = "grounding-error: the precondition of go exceeds the budget of 1000000 DNF branches"
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, [status]]
+
+    def test_goal_branches_are_counted(self, monkeypatch):
+        import planwright.planner.grounding as grounding
+
+        problem = graph_problem(AT_FROM, [])
+        goal = And((Or((Atom("fresh", ("p1",)), Atom("fresh", ("p2",)))), Or((Atom("power"), Atom("fresh", ("home",))))))
+        monkeypatch.setattr(grounding, "GROUNDING_BUDGET", 3)
+        with pytest.raises(GroundingError, match="the goal exceeds the budget of 3 DNF branches"):
+            ground(ProblemInstance(problem.domain, problem.objects, problem.init, goal))
+        monkeypatch.undo()
+        assert len(ground(ProblemInstance(problem.domain, problem.objects, problem.init, goal)).goal) == 4
+
+    def test_small_disjunctions_ground_every_variant(self):
+        from planwright.pddl import parse_domain, parse_problem
+
+        domain_text, problem_text = disjunction_pddl(3, objects=2)
+        problem = parse_problem(problem_text, parse_domain(domain_text))
+        assert check_instantiation(problem) == (16, 16, 2)
+
+
+def _blocksworld(*names: str) -> list[ProblemInstance]:
+    """The bundled blocksworld problems ``names``, parsed against one domain."""
+    from planwright.data_paths import benchmarks_root
+    from planwright.pddl import parse_domain, parse_problem
+
+    src = benchmarks_root() / "blocksworld"
+    domain = parse_domain((src / "domain.pddl").read_text())
+    return [parse_problem((src / f"{name}.pddl").read_text(), domain) for name in names]
+
+
+class TestDomainForm:
+    """Each `DomainModel` is compiled once, on its first grounding, and
+    every later problem of that domain object binds the same form."""
+
+    def test_problems_of_one_domain_match_the_reference(self):
+        first, second = _blocksworld("p01", "p05")
+        assert first.domain is second.domain
+        for problem in (first, second, first):
+            check_instantiation(problem)
+        assert "_grounding_form" in vars(first.domain)
+
+    def test_regrounding_equals_a_fresh_parse(self):
+        [problem] = _blocksworld("p03")
+        [fresh] = _blocksworld("p03")
+        once, twice = ground(problem), ground(problem)
+        assert once == twice == ground(fresh)
+        assert once.atoms == ground(fresh).atoms and once.actions == ground(fresh).actions
+
+    def test_edited_domain_gets_its_own_form(self):
+        # In D1 nothing adds adj, so the static check drops every drive
+        # whose adj is false initially. D2 adds an action that adds adj and
+        # keeps D1's drive schema object: its drives must all be built.
+        from planwright.values import replace
+
+        init = [Atom("adj", ("home", "p1"))]
+        first = graph_problem(And((AT_FROM, Atom("adj", ("?from", "?to")))), init)
+        x, y = Parameter("?x", "place"), Parameter("?y", "place")
+        link = ActionSchema("link", (x, y), And(()), (SetEffect(Atom("adj", ("?x", "?y"))),))
+        edited = replace(first.domain, actions=first.domain.actions + (link,))
+        second = ProblemInstance(edited, first.objects, first.init, first.goal, "graph")
+        assert edited.action_map()["drive"] is first.domain.action_map()["drive"]
+
+        assert check_instantiation(first) == (9, 1, 1)
+        assert check_instantiation(second) == (18, 18, 18)
+        assert [a.args for a in ground(second).actions if a.name == "drive"][5] == ("t1", "p1", "p2")
+
+    def test_cached_forms_are_no_fields(self):
+        from planwright.values import replace
+
+        [problem] = _blocksworld("p02")
+        [fresh] = _blocksworld("p02")
+        domain = problem.domain
+        before = (repr(domain), hash(domain))
+        assert validate(problem) == []
+        ground(problem)
+        assert {"_grounding_form", "_numeric_in_use"} <= set(vars(domain))
+        assert (repr(domain), hash(domain)) == before == (repr(fresh.domain), hash(fresh.domain))
+        assert domain == fresh.domain and fresh.domain == domain
+        copy = replace(domain)
+        assert copy == domain and not {"_grounding_form", "_numeric_in_use"} & set(vars(copy))
+
+    def test_edited_domain_reads_a_numeric_fluent(self):
+        # validate keeps the numeric fluents that a domain's actions use with
+        # the domain, so an edit that reads one is checked afresh.
+        from planwright.pddl import parse_domain, parse_problem
+        from planwright.values import replace
+
+        domain = parse_domain("""(define (domain tank) (:requirements :numeric-fluents)
+  (:predicates (done)) (:functions (fuel))
+  (:action finish :parameters () :precondition (and) :effect (done)))""")
+        problem = parse_problem("(define (problem tank-1) (:domain tank) (:init) (:goal (done)))", domain)
+        assert validate(problem) == []
+        burn = ActionSchema("burn", (), Comparison(">=", NumFluent("fuel", ()), NumConst(Fraction(1))), (SetEffect(Atom("done", ())),))
+        edited = ProblemInstance(replace(domain, actions=domain.actions + (burn,)), problem.objects, problem.init, problem.goal, problem.name)
+        assert [v.code for v in validate(edited)] == ["uninitialized-numeric"]
+        assert validate(problem) == []
 
 
 class TestSuccessorIndex:

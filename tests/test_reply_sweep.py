@@ -33,6 +33,9 @@ VARIANTS = (
     '{"goal": 3, "init": []}',
     '{"init": {"booleans": 5}}',
     '{"decision": 5}',
+    # nested past the JSON reader's depth limit and past what `json.loads`
+    # can recurse through
+    '{"objects": ' + "[" * 5000 + "]" * 5000 + "}",
 )
 
 
