@@ -24,7 +24,7 @@ from planwright.ir import DomainModel, jsonio
 from planwright.memory import ProceduralStore
 from planwright.pddl import emit_domain, emit_expression
 from planwright.planner import PlanStep, SolveConfig, ground, solve
-from planwright.textworld import Entity, Location, TextWorldEnv, WorldState, state_to_json
+from planwright.textworld import Entity, Location, TextWorldEnv, WorldState
 
 FRIDGE_MEMORY_SUMMARY = (
     "for problems involving the fridge, append a goal to close the fridge, even if not explicitly stated"
@@ -92,7 +92,7 @@ def color_scenario() -> Scenario:
     }
     responses = [
         # domain generation + review
-        _doc(jsonio.domain_to_json(domain)),
+        _doc(domain.to_json()),
         ok_critic(),
         # first initial state + review
         _doc({"objects": base_objects, "init": base_init}),
@@ -142,8 +142,8 @@ def color_scenario() -> Scenario:
 def _household_docs() -> tuple[dict, dict]:
     problem = household_problem()
     objects = [{"name": o.name, "type": o.type} for o in problem.objects]
-    init = jsonio.assignment_to_json(problem.init)
-    return {"objects": objects, "init": init}, {"goal": jsonio.expression_to_json(problem.goal)}
+    init = problem.init.to_json()
+    return {"objects": objects, "init": init}, {"goal": problem.goal.to_json()}
 
 
 FRIDGE_TASK_TEXTS = {
@@ -163,7 +163,7 @@ FRIDGE_TASK_TEXTS = {
 def fridge_store_scenario() -> Scenario:
     init_doc, goal_doc = _household_docs()
     responses = [
-        _doc(jsonio.domain_to_json(household_domain())),
+        _doc(household_domain().to_json()),
         ok_critic(),
         _doc(init_doc),
         ok_critic(),
@@ -189,7 +189,7 @@ def fridge_store_scenario() -> Scenario:
 def fridge_recall_scenario() -> Scenario:
     init_doc, goal_doc = _household_docs()
     responses = [
-        _doc(jsonio.domain_to_json(household_domain())),
+        _doc(household_domain().to_json()),
         ok_critic(),
         _doc(init_doc),
         ok_critic(),
@@ -449,7 +449,7 @@ def kitchen_fixture() -> WorldState:
 
 
 def save_world(state: WorldState, path: Path) -> None:
-    path.write_text(json.dumps(state_to_json(state), indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(state.to_json(), indent=2) + "\n", encoding="utf-8")
 
 
 def executor_script_for(instructions: InstructionList) -> list[AgentMessage]:

@@ -8,7 +8,7 @@ consumers can always recover ground-truth arguments.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from .agents.prompts import load_prompt
 from .gateway import ChatRequest, Gateway, system, user
@@ -34,18 +34,8 @@ class InstructionList(Value):
         """Numbered-list layout for human display."""
         return "\n".join(f"{i.index}. {i.text}" for i in self.items) + ("\n" if self.items else "")
 
-    def to_json(self) -> dict:
-        return {
-            "instructions": [
-                {
-                    "index": i.index,
-                    "text": i.text,
-                    "step": {"name": i.step.name, "args": list(i.step.args)},
-                    "known_action": i.known_action,
-                }
-                for i in self.items
-            ]
-        }
+    def json_items(self) -> list[tuple[str, Any]]:
+        return [("instructions", self.items)]
 
     @staticmethod
     def from_json(data: dict) -> "InstructionList":

@@ -16,18 +16,11 @@ class PipelineEvent(Record):
         self.agent = agent
         self.data = {} if data is None else data
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "agent": self.agent, "data": self.data}
 
-
-class EventLog:
-    def __init__(self) -> None:
-        self.events: list[PipelineEvent] = []
+class EventLog(list):
+    """The run's events, in the order they happened."""
 
     def add(self, kind: str, agent: str = "", **data: Any) -> PipelineEvent:
         event = PipelineEvent(kind, agent, data)
-        self.events.append(event)
+        self.append(event)
         return event
-
-    def to_json(self) -> list[dict]:
-        return [e.to_json() for e in self.events]

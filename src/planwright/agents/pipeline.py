@@ -96,9 +96,6 @@ class UpstreamRequest(Record):
     arguments: dict[str, Any]
     outcome: str = ""
 
-    def to_json(self) -> dict:
-        return {"origin": self.origin, "tool": self.tool, "arguments": self.arguments, "outcome": self.outcome}
-
 
 class PipelineResult(Record):
     problem: Optional[ProblemInstance]
@@ -107,6 +104,7 @@ class PipelineResult(Record):
     error: str
     gateway_calls: int
     failure_kind: str  # "" | correction-limit | interaction | ceiling | validation
+    _json_keys = ("status", "problem", "requests", "gateway_calls", "error", "events")
 
     def __init__(
         self,
@@ -127,24 +125,6 @@ class PipelineResult(Record):
     @property
     def status(self) -> str:
         return _status(self.failure_kind)
-
-    def to_document(self) -> dict:
-        """`to_json` with the problem left as the `ProblemInstance`, which
-        `jsonio.dumps` writes from the problem's once-encoded text."""
-        return {
-            "status": self.status,
-            "problem": self.problem,
-            "requests": [r.to_json() for r in self.requests],
-            "gateway_calls": self.gateway_calls,
-            "error": self.error,
-            "events": self.events.to_json(),
-        }
-
-    def to_json(self) -> dict:
-        document = self.to_document()
-        if self.problem is not None:
-            document["problem"] = jsonio.problem_to_json(self.problem)
-        return document
 
 
 class _RunState:
@@ -292,7 +272,7 @@ def run_pipeline(
                 + "\nObjects:\n"
                 + json.dumps([{"name": o.name, "type": o.type} for o in objects])
                 + "\nInitial state:\n"
-                + jsonio.dumps(jsonio.assignment_to_json(init))
+                + jsonio.dumps(init)
                 + f"\nGoal description:\n{task.goal_description}"
             )
             parse = partial(parse_goal_artifact, domain=domain, objects=objects, init=init)

@@ -50,7 +50,7 @@ from .memory import ProceduralStore
 from .pddl import PddlError, emit_domain, emit_expression, emit_problem, parse_domain, parse_problem, render_plan
 from .planner import GroundingError, Invalid, SolveConfig, ground, solve, validate_plan
 from .runs import RunDirectory
-from .textworld import TextWorldEnv, load_world, state_to_json
+from .textworld import TextWorldEnv, load_world
 
 EX_OK = 0
 EX_TASK_FAILED = 1
@@ -232,8 +232,8 @@ def _user_channel(args):
     answers = getattr(args, "answers_file", None)
     if answers:
         try:
-            data = json.loads(Path(answers).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            data = jsonio.loads(Path(answers).read_text(encoding="utf-8"))
+        except (OSError, jsonio.IRDecodeError) as exc:
             raise ConfigError(f"cannot read answers file {answers}: {exc}") from exc
         if not isinstance(data, list) or not all(isinstance(a, str) for a in data):
             raise ConfigError("answers file must hold a JSON list of strings")
@@ -280,7 +280,7 @@ def cmd_plan(args, run: RunDirectory) -> None:
         run.start("pipeline")
         result = run_pipeline(task, pipeline_config, gateway, memory=memory, user_channel=channel, provided_domain=provided_domain)
         run.stop("pipeline")
-        run.write_json("pipeline_result.json", result.to_document())
+        run.write_json("pipeline_result.json", result)
 
         if result.failure_kind:
             code = EX_INTERACTION if result.failure_kind == "interaction" else EX_TASK_FAILED
@@ -300,7 +300,7 @@ def cmd_plan(args, run: RunDirectory) -> None:
         run.start("search")
         outcome = solve(task_ground, solve_cfg)
         run.stop("search")
-        run.write_json("outcome.json", outcome.to_json())
+        run.write_json("outcome.json", outcome)
 
         if outcome.status != "plan":
             raise _Exit(EX_UNSOLVABLE, "solve", outcome.status, f"no plan for goal {emit_expression(problem.goal)}")
@@ -315,7 +315,7 @@ def cmd_plan(args, run: RunDirectory) -> None:
 
         translator_gateway = gateway if args.translate == "llm" else None
         instructions = translate_plan(outcome.plan, problem.domain, translator_gateway)
-        run.write_json("instructions.json", instructions.to_json())
+        run.write_json("instructions.json", instructions)
         run.write_text("instructions.txt", instructions.render())
     finally:
         _save_fixture(recording, fixture_out)
@@ -352,9 +352,9 @@ def cmd_execute(args, run: RunDirectory) -> None:
             instructions, env, gateway, goal_text, step_budget=args.step_budget, retry_budget=args.retry_budget
         )
         run.stop("execute")
-        run.write_json("execution_log.json", report.log.to_json())
-        run.write_json("verdict.json", report.verdict.to_json())
-        run.write_json("world_final.json", state_to_json(env.state))
+        run.write_json("execution_log.json", report.log)
+        run.write_json("verdict.json", report.verdict)
+        run.write_json("world_final.json", env.state)
     finally:
         _save_fixture(recording, fixture_out)
     if report.verdict.decision != "goal-met":

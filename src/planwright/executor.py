@@ -36,16 +36,6 @@ class StepRecord(Record):
     observation: Optional[str] = None
     success: Optional[bool] = None
 
-    def to_json(self) -> dict:
-        return {
-            "instruction_index": self.instruction_index,
-            "thought": self.thought,
-            "skill": self.skill,
-            "arguments": self.arguments,
-            "observation": self.observation,
-            "success": self.success,
-        }
-
     def render(self) -> str:
         if self.skill is None:
             return f"step {self.instruction_index}: (reasoning) {self.thought}"
@@ -61,6 +51,7 @@ class StepOutcome(Value):
 class ExecutionLog(Record):
     records: list[StepRecord]
     status: str  # completed | stopped-at-N
+    _json_keys = ("status", "records")
 
     def __init__(self, records: Optional[list[StepRecord]] = None, status: str = "completed"):
         self.records = [] if records is None else records
@@ -69,17 +60,11 @@ class ExecutionLog(Record):
     def render(self) -> str:
         return "\n".join(r.render() for r in self.records) or "(no actions taken)"
 
-    def to_json(self) -> dict:
-        return {"status": self.status, "records": [r.to_json() for r in self.records]}
-
 
 class ValidatorVerdict(Value):
     decision: str  # goal-met | retry | abort
     feedback: str = ""
     notification: str = ""
-
-    def to_json(self) -> dict:
-        return {"decision": self.decision, "feedback": self.feedback, "notification": self.notification}
 
 
 def execute_step(

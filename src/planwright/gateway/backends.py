@@ -5,6 +5,7 @@ import json
 import os
 from typing import Callable, Iterable, Optional, Protocol
 
+from ..ir import jsonio
 from .messages import AgentMessage, ChatRequest, ToolCall
 from .transcript import FingerprintMismatch, Transcript, fingerprint
 
@@ -97,9 +98,13 @@ class LiveBackend:
         req = urllib.request.Request(url, data=body, headers=headers, method="POST")
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return json.loads(resp.read().decode("utf-8"))
+                raw = resp.read()
         except urllib.error.URLError as exc:
             raise BackendError(f"chat backend unreachable: {exc}") from exc
+        try:
+            return jsonio.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, jsonio.IRDecodeError) as exc:
+            raise BackendError(f"malformed backend response: {exc}") from exc
 
     def complete(self, request: ChatRequest) -> AgentMessage:
         key = os.environ.get(self.api_key_env, "")
@@ -151,8 +156,8 @@ class LiveBackend:
             if not isinstance(name, str) or not isinstance(call_id, str):
                 raise BackendError(f"malformed backend response: {data!r}")
             try:
-                arguments = json.loads(raw) if isinstance(raw, str) else raw
-            except json.JSONDecodeError:
+                arguments = jsonio.loads(raw) if isinstance(raw, str) else raw
+            except jsonio.IRDecodeError:
                 arguments = None
             # Anything but a JSON object reaches the agent as a schema failure.
             arguments = dict(arguments) if isinstance(arguments, dict) else {"_raw": raw}

@@ -22,6 +22,9 @@ class ToolParam(Record):
 
     name: str
     description: str = ""
+    type = "string"
+    required = True
+    _json_keys = ("name", "type", "required", "description")
 
 
 class ToolSchema(Record):
@@ -44,14 +47,12 @@ class ToolSchema(Record):
         return problems
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "parameters": [
-                {"name": p.name, "type": "string", "required": True, "description": p.description}
-                for p in self.parameters
-            ],
-        }
+        # Written out, as ToolCall's and AgentMessage's are: every replay
+        # fingerprint encodes the tools and the whole message window, where
+        # the generic walk takes about five times as long. `json_items` stays
+        # generic, and tests/test_values.py checks that both give one form.
+        parameters = [{"name": p.name, "type": p.type, "required": p.required, "description": p.description} for p in self.parameters]
+        return {"name": self.name, "description": self.description, "parameters": parameters}
 
 
 class ToolCall(Record):
@@ -77,6 +78,7 @@ class AgentMessage(Record):
     content: str
     tool_calls: tuple[ToolCall, ...]
     tool_call_id: Optional[str]
+    _json_omit = {"tool_calls": (), "tool_call_id": None}
 
     def __init__(self, role: str, content: str = "", tool_calls: tuple[ToolCall, ...] = (), tool_call_id: Optional[str] = None):
         # Written out: replay builds one per message, the most of any record.
@@ -88,7 +90,7 @@ class AgentMessage(Record):
     def to_json(self) -> dict:
         out: dict[str, Any] = {"role": self.role, "content": self.content}
         if self.tool_calls:
-            out["tool_calls"] = [tc.to_json() for tc in self.tool_calls]
+            out["tool_calls"] = [call.to_json() for call in self.tool_calls]
         if self.tool_call_id is not None:
             out["tool_call_id"] = self.tool_call_id
         return out

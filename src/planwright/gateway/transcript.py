@@ -46,6 +46,8 @@ class Exchange(Record):
 
 class Transcript(Record):
     exchanges: list[Exchange]
+    version = 1
+    _json_keys = ("version", "exchanges")
 
     def __init__(self, exchanges: Optional[list[Exchange]] = None):
         self.exchanges = [] if exchanges is None else exchanges
@@ -53,17 +55,8 @@ class Transcript(Record):
     def append(self, fp: str, response: AgentMessage) -> None:
         self.exchanges.append(Exchange(fp, response))
 
-    def to_json(self) -> dict:
-        return {
-            "version": 1,
-            "exchanges": [
-                {"fingerprint": e.fingerprint, "response": e.response.to_json()}
-                for e in self.exchanges
-            ],
-        }
-
     def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(jsonio.dumps(self.to_json()), encoding="utf-8")
+        Path(path).write_text(jsonio.dumps(self), encoding="utf-8")
 
     @staticmethod
     def from_json(data: Any) -> "Transcript":

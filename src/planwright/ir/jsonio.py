@@ -5,10 +5,12 @@ and CLI artifacts. Encoding is deterministic: equal values produce
 byte-identical text. Numeric values are rendered as exact rational strings
 ("30", "3/2") to avoid any float round-tripping.
 
-Decoding reads a document with `read_object` and checks every field with
-`field` or `tuple_of`; any malformed input raises `IRDecodeError`. A
-document may nest at most `MAX_JSON_DEPTH` deep, so the recursive decoders
-and every later walker of the IR see a bounded depth.
+Each value type writes its own JSON form (`planwright.values.Record.to_json`),
+and `dumps` lays it out. Decoding reads a document with `loads` or
+`read_object` and checks every field with `field` or `tuple_of`; any
+malformed input raises `IRDecodeError`. A document may nest at most
+`MAX_JSON_DEPTH` deep, so the recursive decoders and every later walker of
+the IR see a bounded depth.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Union
 
+from ..values import Record, cached_on
 from .model import (
     COMPARISON_OPS,
     NUMERIC_EFFECT_OPS,
@@ -56,17 +59,16 @@ _encode_scalar = json.JSONEncoder().encode
 
 
 def dumps(payload: Any) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte.
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, where any
+    `Record` in ``payload`` stands for its ``to_json()`` value.
 
     With ``indent`` set, ``json.dumps`` falls back to its pure-Python
     encoder. Here containers are walked in Python and each is built with one
-    join, while every leaf goes through the C encoder functions. Every
-    indented document the package writes comes through here: run-directory
-    files, recorded fixtures and the JSON in agent prompts.
-
-    A `DomainModel` or `ProblemInstance` may stand wherever a JSON value
-    may: it is written as its `domain_to_json` or `problem_to_json` value
-    would be, from text encoded once per instance (see `_document`).
+    join, while every leaf goes through the C encoder functions. A record is
+    written from its `Record.json_items` pairs, and a `DomainModel` or
+    `ProblemInstance` from text encoded once per instance (see `_document`).
+    Every indented document the package writes comes through here:
+    run-directory files, recorded fixtures and the JSON in agent prompts.
     """
     return _encode(payload, "\n") + "\n"
 
@@ -83,35 +85,30 @@ def _encode(value: Any, newline: str) -> str:
         inner = newline + "  "
         return "[" + inner + ("," + inner).join([_encode(item, inner) for item in value]) + newline + "]"
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = [_encode_key(key) + ": " + _encode(item, inner) for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return _encode_items(value.items(), newline)
     if isinstance(value, (DomainModel, ProblemInstance)):
         # Every newline in the text is a line break, because
         # encode_basestring_ascii writes one inside a string as "\\n";
         # indenting each break re-nests the document.
         return _document(value).replace("\n", newline)
+    if isinstance(value, Record):
+        return _encode_items(value.json_items(), newline)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _encode_items(items: Any, newline: str) -> str:
+    if not items:
+        return "{}"
+    inner = newline + "  "
+    members = [_encode_key(key) + ": " + _encode(item, inner) for key, item in items]
+    return "{" + inner + ("," + inner).join(members) + newline + "}"
 
 
 def _document(value: Union[DomainModel, ProblemInstance]) -> str:
     """The top-level indented text of a domain or problem, without the final
-    newline. It is encoded on first use and kept in the instance's
-    ``__dict__``, which is not a field, so equality, hashing, ``repr`` and
-    ``replace`` ignore it, and it is freed with the instance. The instance is
-    frozen, so the text stays its encoding. A problem's text splices in its
-    domain's."""
-    cache = vars(value)
-    text = cache.get("_json_text")
-    if text is None:
-        if isinstance(value, DomainModel):
-            text = _encode(domain_to_json(value), "\n")
-        else:
-            text = _encode(_problem_payload(value, value.domain), "\n")
-        cache["_json_text"] = text
-    return text
+    newline, encoded once per instance (`cached_on`). A problem's text
+    splices in its domain's."""
+    return cached_on(value, "_json_text", lambda record: _encode_items(record.json_items(), "\n"))
 
 
 def _encode_key(key: Any) -> str:
@@ -120,101 +117,6 @@ def _encode_key(key: Any) -> str:
     if key is None or isinstance(key, (int, float)):
         return '"' + _encode_scalar(key) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-# ---------------------------------------------------------------- encoding
-
-
-def expression_to_json(expr: Expression) -> dict:
-    if isinstance(expr, Atom):
-        return {"op": "atom", "fluent": expr.fluent, "args": list(expr.args)}
-    if isinstance(expr, And):
-        return {"op": "and", "children": [expression_to_json(c) for c in expr.children]}
-    if isinstance(expr, Or):
-        return {"op": "or", "children": [expression_to_json(c) for c in expr.children]}
-    if isinstance(expr, Not):
-        return {"op": "not", "child": expression_to_json(expr.child)}
-    if isinstance(expr, Comparison):
-        return {"op": expr.op, "left": term_to_json(expr.left), "right": term_to_json(expr.right)}
-    raise IRDecodeError(f"cannot encode expression {expr!r}")
-
-
-def term_to_json(term: NumTerm) -> dict:
-    if isinstance(term, NumConst):
-        return {"op": "const", "value": str(term.value)}
-    if isinstance(term, NumFluent):
-        return {"op": "fluent", "fluent": term.fluent, "args": list(term.args)}
-    if isinstance(term, NumAdd):
-        return {"op": "+", "left": term_to_json(term.left), "right": term_to_json(term.right)}
-    if isinstance(term, NumSub):
-        return {"op": "-", "left": term_to_json(term.left), "right": term_to_json(term.right)}
-    raise IRDecodeError(f"cannot encode term {term!r}")
-
-
-def effect_to_json(effect: Effect) -> dict:
-    if isinstance(effect, SetEffect):
-        return {"op": "set", "atom": expression_to_json(effect.atom), "value": effect.value}
-    if isinstance(effect, NumericEffect):
-        return {"op": effect.op, "target": term_to_json(effect.target), "amount": term_to_json(effect.amount)}
-    raise IRDecodeError(f"cannot encode effect {effect!r}")
-
-
-def _parameter_to_json(param: Parameter) -> dict:
-    return {"name": param.name, "type": param.type}
-
-
-def fluent_to_json(decl: FluentDecl) -> dict:
-    out = {
-        "name": decl.name,
-        "parameters": [_parameter_to_json(p) for p in decl.parameters],
-        "kind": decl.kind,
-    }
-    if decl.description:
-        out["description"] = decl.description
-    return out
-
-
-def action_to_json(action: ActionSchema) -> dict:
-    return {
-        "name": action.name,
-        "parameters": [_parameter_to_json(p) for p in action.parameters],
-        "precondition": expression_to_json(action.precondition),
-        "effects": [effect_to_json(e) for e in action.effects],
-    }
-
-
-def domain_to_json(domain: DomainModel) -> dict:
-    return {
-        "name": domain.name,
-        "requirements": list(domain.requirements),
-        "types": [{"name": t.name, "parent": t.parent} for t in domain.types],
-        "fluents": [fluent_to_json(f) for f in domain.fluents],
-        "actions": [action_to_json(a) for a in domain.actions],
-    }
-
-
-def assignment_to_json(init: Assignment) -> dict:
-    return {
-        "booleans": [expression_to_json(a) for a in init.sorted_atoms()],
-        "numerics": [
-            {"fluent": target.fluent, "args": list(target.args), "value": str(value)}
-            for target, value in init.numeric
-        ],
-    }
-
-
-def problem_to_json(problem: ProblemInstance) -> dict:
-    return _problem_payload(problem, domain_to_json(problem.domain))
-
-
-def _problem_payload(problem: ProblemInstance, domain: Any) -> dict:
-    return {
-        "name": problem.name,
-        "domain": domain,
-        "objects": [{"name": o.name, "type": o.type} for o in problem.objects],
-        "init": assignment_to_json(problem.init),
-        "goal": expression_to_json(problem.goal),
-    }
 
 
 # ---------------------------------------------------------------- decoding
@@ -245,6 +147,18 @@ def _too_deep(body: str) -> bool:
     return max(accumulate(map(_NESTING.__getitem__, brackets)), default=0) > MAX_JSON_DEPTH
 
 
+def loads(text: str) -> Any:
+    """``json.loads(text)``, refusing a document nested more than
+    `MAX_JSON_DEPTH` deep before it is parsed. Every JSON text from outside
+    the program is read here; any malformed one raises `IRDecodeError`."""
+    if _too_deep(text):
+        raise IRDecodeError(f"JSON nests more than {MAX_JSON_DEPTH} deep")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise IRDecodeError(str(exc)) from exc
+
+
 def read_object(text: str) -> dict:
     """Parse a document holding exactly one JSON object, bare or wrapped in a
     markdown code fence. Every agent reply and input file is read here."""
@@ -254,12 +168,7 @@ def read_object(text: str) -> dict:
         body = body[first_newline + 1 :] if first_newline != -1 else ""
         if body.rstrip().endswith("```"):
             body = body.rstrip()[:-3]
-    if _too_deep(body):
-        raise IRDecodeError(f"JSON nests more than {MAX_JSON_DEPTH} deep")
-    try:
-        data = json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise IRDecodeError(str(exc)) from exc
+    data = loads(body)
     if not isinstance(data, dict):
         raise IRDecodeError(f"expected object, got {type(data).__name__}")
     return data

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Any, Iterable, Iterator, Mapping, Optional, Union
 
 from ..values import Value, set_field
 
@@ -55,6 +55,7 @@ class FluentDecl(Value):
     parameters: tuple[Parameter, ...] = ()
     kind: str = BOOLEAN
     description: str = ""
+    _json_omit = {"description": ""}
 
     @property
     def arity(self) -> int:
@@ -101,6 +102,8 @@ class _Application(Value):
 class Atom(_Application):
     """A boolean fluent applied to arguments."""
 
+    _json_op = "atom"
+
 
 def decimal_places(value: Fraction) -> Optional[int]:
     """The digits after the point of ``value``'s finite decimal form, or None
@@ -139,14 +142,20 @@ class NumConst(Value):
     def __str__(self) -> str:
         return format_fraction(self.value)
 
+    def json_items(self) -> list[tuple[str, Any]]:
+        return [("op", "const"), ("value", str(self.value))]
+
 
 class NumFluent(_Application):
     """A numeric fluent applied to arguments, used as an arithmetic term."""
+
+    _json_op = "fluent"
 
 
 class NumAdd(Value):
     left: "NumTerm"
     right: "NumTerm"
+    _json_op = "+"
 
     def __str__(self) -> str:
         return f"(+ {self.left} {self.right})"
@@ -155,6 +164,7 @@ class NumAdd(Value):
 class NumSub(Value):
     left: "NumTerm"
     right: "NumTerm"
+    _json_op = "-"
 
     def __str__(self) -> str:
         return f"(- {self.left} {self.right})"
@@ -165,6 +175,7 @@ NumTerm = Union[NumConst, NumFluent, NumAdd, NumSub]
 
 class And(Value):
     children: tuple["Expression", ...] = ()
+    _json_op = "and"
 
     def __str__(self) -> str:
         if not self.children:
@@ -174,6 +185,7 @@ class And(Value):
 
 class Or(Value):
     children: tuple["Expression", ...] = ()
+    _json_op = "or"
 
     def __str__(self) -> str:
         if not self.children:
@@ -183,6 +195,7 @@ class Or(Value):
 
 class Not(Value):
     child: "Expression"
+    _json_op = "not"
 
     def __str__(self) -> str:
         return f"(not {self.child})"
@@ -238,6 +251,7 @@ class SetEffect(Value):
 
     atom: Atom
     value: bool = True
+    _json_op = "set"
 
     def __str__(self) -> str:
         return str(self.atom) if self.value else f"(not {self.atom})"
@@ -285,6 +299,7 @@ class DomainModel(Value):
     types: tuple[TypeDecl, ...] = ()
     fluents: tuple[FluentDecl, ...] = ()
     actions: tuple[ActionSchema, ...] = ()
+    _json_keys = ("name", "requirements", "types", "fluents", "actions")
 
     def __post_init__(self) -> None:
         set_field(self, "types", tuple(sorted(self.types, key=lambda t: t.name)))
@@ -366,6 +381,10 @@ class Assignment(Value):
     def sorted_atoms(self) -> list[Atom]:
         return sorted(self.true_atoms, key=lambda a: (a.fluent, a.args))
 
+    def json_items(self) -> list[tuple[str, Any]]:
+        numerics = [{"fluent": t.fluent, "args": list(t.args), "value": str(v)} for t, v in self.numeric]
+        return [("booleans", self.sorted_atoms()), ("numerics", numerics)]
+
 
 class ProblemInstance(Value):
     domain: DomainModel
@@ -373,6 +392,7 @@ class ProblemInstance(Value):
     init: Assignment = Assignment()
     goal: Expression = TRUE
     name: str = "problem"
+    _json_keys = ("name", "domain", "objects", "init", "goal")
 
     def __post_init__(self) -> None:
         set_field(self, "objects", tuple(sorted(self.objects, key=lambda o: o.name)))

@@ -10,7 +10,7 @@ from itertools import islice, product
 from math import prod
 from typing import Optional
 
-from ..values import Value
+from ..values import Value, cached_on
 from .model import (
     BOOLEAN,
     COMPARISON_OPS,
@@ -224,17 +224,15 @@ def _check_objects(objects, type_names: set[str], out: ValidationReport) -> None
 
 
 def _domain_report(domain: DomainModel) -> tuple[Violation, ...]:
-    """The violations of every domain-level invariant, found on first use
-    and kept in the instance's ``__dict__``, as ``DomainModel._parents`` is.
-    The report is a function of the frozen domain alone, and it is no field,
-    so equality, hashing, ``repr`` and ``replace`` ignore it."""
-    cache = vars(domain)
-    report = cache.get("_report")
-    if report is None:
-        out: ValidationReport = []
-        _check_domain(domain, _type_names(domain), out)
-        report = cache["_report"] = tuple(out)
-    return report
+    """The violations of every domain-level invariant, found once per domain
+    (`cached_on`)."""
+    return cached_on(domain, "_report", _check_whole_domain)
+
+
+def _check_whole_domain(domain: DomainModel) -> tuple[Violation, ...]:
+    out: ValidationReport = []
+    _check_domain(domain, _type_names(domain), out)
+    return tuple(out)
 
 
 def validate_domain(domain: DomainModel) -> ValidationReport:
@@ -293,24 +291,20 @@ def validate(problem: ProblemInstance) -> ValidationReport:
 
 
 def _numeric_fluents_in_use(problem: ProblemInstance) -> frozenset[str]:
-    return _domain_numeric_fluents(problem.domain) | {ref.fluent for ref in expression_num_fluents(problem.goal)}
+    return cached_on(problem.domain, "_numeric_in_use", _domain_numeric_fluents) | {ref.fluent for ref in expression_num_fluents(problem.goal)}
 
 
 def _domain_numeric_fluents(domain: DomainModel) -> frozenset[str]:
-    """The numeric fluents that the actions read or change, found on first
-    use and kept in the instance's ``__dict__``, as `_domain_report` is."""
-    cache = vars(domain)
-    used = cache.get("_numeric_in_use")
-    if used is None:
-        found: set[str] = set()
-        for action in domain.actions:
-            found.update(ref.fluent for ref in expression_num_fluents(action.precondition))
-            for effect in action.effects:
-                if isinstance(effect, NumericEffect):
-                    found.add(effect.target.fluent)
-                    found.update(t.fluent for t in walk_terms(effect.amount) if isinstance(t, NumFluent))
-        used = cache["_numeric_in_use"] = frozenset(found)
-    return used
+    """The numeric fluents that the actions read or change, which
+    `_numeric_fluents_in_use` keeps on the domain (`cached_on`)."""
+    found: set[str] = set()
+    for action in domain.actions:
+        found.update(ref.fluent for ref in expression_num_fluents(action.precondition))
+        for effect in action.effects:
+            if isinstance(effect, NumericEffect):
+                found.add(effect.target.fluent)
+                found.update(t.fluent for t in walk_terms(effect.amount) if isinstance(t, NumFluent))
+    return frozenset(found)
 
 
 def _check_numeric_closure(problem: ProblemInstance, scope: _Scope, out: ValidationReport) -> None:

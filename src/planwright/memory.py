@@ -50,14 +50,6 @@ class MemoryEntry(Value):
     source_agent: str = ""
     timestamp: float = 0.0
 
-    def to_json(self) -> dict:
-        return {
-            "summary": self.summary,
-            "embedding": list(self.embedding),
-            "source_agent": self.source_agent,
-            "timestamp": self.timestamp,
-        }
-
     @staticmethod
     def from_json(data: Any) -> "MemoryEntry":
         return MemoryEntry(

@@ -66,7 +66,7 @@ from ..ir import (
     ProblemInstance,
     SetEffect,
 )
-from ..values import Value, set_field
+from ..values import Value, cached_on, set_field
 
 
 class GroundingError(ValueError):
@@ -362,7 +362,7 @@ def _instantiate(problem: ProblemInstance, tables: dict[str, _Table], num_index)
     neither numbered nor reported.
     """
     domain = problem.domain
-    changed, forms = _domain_form(domain)
+    changed, forms = cached_on(domain, "_grounding_form", _domain_form)
     static_true: dict[str, set[tuple[str, ...]]] = {}
     for atom in problem.init.true_atoms:
         if atom.fluent not in changed:
@@ -415,20 +415,12 @@ def _domain_form(domain: DomainModel) -> tuple:
     """The half of grounding that depends on the domain alone: the fluents
     that some schema adds or deletes, and each schema's `_schema_form`.
 
-    It is built on first use and kept in the instance's ``__dict__``, as
-    `planwright.ir.validate` keeps a domain's report: it is no field, so
-    equality, hashing, ``repr`` and ``replace`` ignore it, and it is freed
-    with the domain. The domain is frozen, so the form stays its own. It is
-    keyed to the domain and not to a schema, because an edited domain keeps
-    its untouched schemas while an effect it adds can make a static fluent
-    changed.
+    `_instantiate` keeps it on the domain (`cached_on`). It is keyed to the
+    domain and not to a schema, because an edited domain keeps its untouched
+    schemas while an effect it adds can make a static fluent changed.
     """
-    cache = vars(domain)
-    form = cache.get("_grounding_form")
-    if form is None:
-        changed = frozenset(e.atom.fluent for s in domain.actions for e in s.effects if isinstance(e, SetEffect))
-        form = cache["_grounding_form"] = (changed, tuple(_schema_form(s, changed) for s in domain.actions))
-    return form
+    changed = frozenset(e.atom.fluent for s in domain.actions for e in s.effects if isinstance(e, SetEffect))
+    return changed, tuple(_schema_form(s, changed) for s in domain.actions)
 
 
 def _schema_form(schema: ActionSchema, changed: frozenset) -> tuple:

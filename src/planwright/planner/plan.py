@@ -14,14 +14,9 @@ class PlanStep(Value):
 
 class Plan(Value):
     steps: tuple[PlanStep, ...] = ()
+    _json_keys = ("steps", "cost")
 
     @property
     def cost(self) -> int:
         # Unit action costs: cost and length coincide.
         return len(self.steps)
-
-    def to_json(self) -> dict:
-        return {
-            "steps": [{"name": s.name, "args": list(s.args)} for s in self.steps],
-            "cost": self.cost,
-        }

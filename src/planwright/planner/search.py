@@ -81,12 +81,8 @@ class SolveResult(Record):
     status: str
     plan: Optional[Plan] = None
     nodes_expanded: int = 0
-
-    def to_json(self) -> dict:
-        out = {"status": self.status, "nodes_expanded": self.nodes_expanded}
-        if self.plan is not None:
-            out["plan"] = self.plan.to_json()
-        return out
+    _json_keys = ("status", "nodes_expanded", "plan")
+    _json_omit = {"plan": None}
 
 
 class _SliceTable(dict):

@@ -96,7 +96,7 @@ def normalized_tree(path: Union[str, Path]) -> dict[str, str]:
         rel = str(file.relative_to(root))
         text = file.read_text(encoding="utf-8")
         if file.name == MANIFEST_NAME:
-            data = json.loads(text)
+            data = jsonio.loads(text)
             for key in VOLATILE_MANIFEST_KEYS:
                 data.pop(key, None)
             text = json.dumps(data, indent=2, sort_keys=True)

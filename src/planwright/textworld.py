@@ -40,6 +40,9 @@ class Entity(Value):
     is_open: bool = False
     is_heated: bool = False
 
+    def json_items(self) -> list[tuple[str, Any]]:
+        return [("class" if key == "cls" else key, value) for key, value in super().json_items()]
+
     @property
     def openable(self) -> bool:
         return self.cls in ("container", "heater")
@@ -53,6 +56,7 @@ class WorldState(Value):
     entities: tuple[Entity, ...]
     agent_at: str = ""
     hands: tuple[Optional[str], ...] = (None,) * HANDS
+    _json_keys = ("agent_at", "hands", "entities")
 
     def __post_init__(self) -> None:
         set_field(self, "entities", tuple(sorted(self.entities, key=lambda e: e.id)))
@@ -302,23 +306,6 @@ class TextWorldEnv:
 
 
 # ---------------------------------------------------------------- fixtures
-
-
-def state_to_json(state: WorldState) -> dict:
-    return {
-        "agent_at": state.agent_at,
-        "hands": list(state.hands),
-        "entities": [
-            {
-                "id": e.id,
-                "class": e.cls,
-                "location": {"kind": e.location.kind, "target": e.location.target},
-                "is_open": e.is_open,
-                "is_heated": e.is_heated,
-            }
-            for e in state.entities
-        ],
-    }
 
 
 def _entity_from_json(data: Any) -> Entity:

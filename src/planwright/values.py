@@ -28,13 +28,26 @@ shared by every instance, so it is refused too; such a field is filled in by
 the class's own ``__init__``.
 
 Instances keep their ``__dict__``. An attribute cached there, such as a
-``functools.cached_property``, is no field, so equality, hashing, repr and
-`replace` ignore it.
+``functools.cached_property`` or what `cached_on` keeps, is no field, so
+equality, hashing, repr and `replace` ignore it.
+
+Every record has one JSON form, written by `Record.to_json` from the pairs
+of `Record.json_items`: each field is a key, in declaration order, a nested
+record is its own JSON form, a tuple or list a list, and a dict or scalar is
+kept as it is. Three class attributes declare the exceptions:
+
+- ``_json_op``: a tag written first, as ``"op"``;
+- ``_json_keys``: the keys in the order written, which may also name a
+  derived or constant attribute that is no field;
+- ``_json_omit``: a default under which a key is left out.
+
+A class whose form differs in any other way overrides ``json_items``.
+`planwright.ir.jsonio.dumps` writes a record from the same pairs.
 """
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, TypeVar
+from typing import Any, Callable, Optional, TypeVar
 
 R = TypeVar("R", bound="Record")
 
@@ -47,6 +60,9 @@ class Record:
     _fields: tuple[str, ...] = ()
     _defaults: dict[str, Any] = {}
     _has_post_init = False
+    _json_op: Optional[str] = None
+    _json_keys: tuple[str, ...] = ()
+    _json_omit: dict[str, Any] = {}
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -87,6 +103,28 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
+    def json_items(self) -> list[tuple[str, Any]]:
+        """The keys of the JSON form, each with its value as it is held."""
+        items = [("op", self._json_op)] if self._json_op else []
+        omit = self._json_omit
+        for name in self._json_keys or self._fields:
+            value = getattr(self, name)
+            if name not in omit or value != omit[name]:
+                items.append((name, value))
+        return items
+
+    def to_json(self) -> dict:
+        """The JSON form as plain dicts, lists and scalars."""
+        return {key: _plain(value) for key, value in self.json_items()}
+
+
+def _plain(value: Any) -> Any:
+    if isinstance(value, Record):
+        return value.to_json()
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    return value
+
 
 class Value(Record):
     """A frozen record, equal to an instance of the same class with equal fields."""
@@ -113,3 +151,15 @@ def replace(record: R, **changes: Any) -> R:
         if name not in changes:
             changes[name] = getattr(record, name)
     return type(record)(**changes)
+
+
+def cached_on(instance: Record, key: str, build: Callable[[Any], Any]) -> Any:
+    """``build(instance)``, made on first use and kept in the instance's
+    ``__dict__`` under ``key``. It is no field, so equality, hashing, repr
+    and `replace` ignore it, and it is freed with the instance. Use it only
+    on a frozen value, whose fields cannot change under what was built."""
+    cache = vars(instance)
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build(instance)
+    return value

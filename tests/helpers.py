@@ -860,7 +860,7 @@ def nested_domain_text(depth: int) -> str:
 
 def tool_calls(events, name: str) -> list:
     """The ``tool-call`` events of an ``EventLog`` for the tool ``name``."""
-    return [e for e in events.events if e.kind == "tool-call" and e.data.get("tool") == name]
+    return [e for e in events if e.kind == "tool-call" and e.data.get("tool") == name]
 
 
 def applied_requests(result) -> list:

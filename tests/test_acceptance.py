@@ -183,7 +183,7 @@ def test_color_goal_pipeline_replay_ten_times():
         assert result.status == "complete"
         calls = tool_calls(result.events, "missing_or_incorrect_fluent")
         assert calls and calls[0].data["arguments"]["fluent_name"] == "color"
-        queries = [e for e in result.events.events if e.kind == "user-query"]
+        queries = [e for e in result.events if e.kind == "user-query"]
         assert len(queries) == 3 and all("color" in q.data["question"] for q in queries)
         outcome = solve(ground(result.problem), ASTAR)
         assert outcome.status == "plan"
@@ -246,7 +246,7 @@ def test_self_reflection_contract():
         verdict = critic_review("candidate", "criteria", tau, gw)
         assert verdict.accepted == (sigma >= tau)
 
-    domain_doc = jsonio.dumps(jsonio.domain_to_json(blocksworld_domain())).rstrip("\n")
+    domain_doc = jsonio.dumps(blocksworld_domain()).rstrip("\n")
     for limit in (1, 2, 3, 4):
         reject = assistant(json.dumps({"score": 0.1, "feedback": "no"}))
         responses = []
@@ -350,7 +350,7 @@ def test_recursion_limit_and_global_ceiling():
         user_channel=ScriptedUserChannel([]),
     )
     assert result.status == "correction-limit-reached"
-    generation_turns = [e for e in result.events.events if e.kind == "chat" and e.agent == "domain"]
+    generation_turns = [e for e in result.events if e.kind == "chat" and e.agent == "domain"]
     assert len(generation_turns) == 10
 
     for fixture in sorted((data_root() / "scenarios").rglob("*fixture.json")):

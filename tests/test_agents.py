@@ -104,7 +104,7 @@ class TestCritic:
 
 class TestGenerateDomain:
     def domain_doc(self):
-        return jsonio.dumps(jsonio.domain_to_json(blocksworld_domain())).rstrip("\n")
+        return jsonio.dumps(blocksworld_domain()).rstrip("\n")
 
     def run(self, *responses, limit=10):
         from planwright.agents.events import EventLog
@@ -124,7 +124,7 @@ class TestGenerateDomain:
         outcome, events = self.run(assistant("not json"), assistant(self.domain_doc()), ok_critic())
         assert outcome.turns == 2
         assert outcome.artifact is not None
-        [rejected] = [e for e in events.events if e.kind == "validation-error"]
+        [rejected] = [e for e in events if e.kind == "validation-error"]
         assert rejected.data["errors"] == ["cannot parse domain document: Expecting value: line 1 column 1 (char 0)"]
 
     def test_always_malformed_hits_limit_after_exactly_ten(self):
@@ -137,7 +137,7 @@ class TestGenerateDomain:
         outcome, events = self.run(bad_call, assistant(self.domain_doc()), ok_critic())
         assert outcome.artifact is not None
         assert outcome.turns == 2
-        assert any(e.kind == "tool-error" for e in events.events)
+        assert any(e.kind == "tool-error" for e in events)
 
     def test_critic_limit_uses_latest_response(self):
         reject = assistant(json.dumps({"score": 0.5, "feedback": "try harder"}))
@@ -149,7 +149,7 @@ class TestGenerateDomain:
         assert outcome.critic_limit_hit
         assert outcome.critic_rejections == 3
         assert outcome.artifact is not None
-        assert any(e.kind == "critic-limit" for e in events.events)
+        assert any(e.kind == "critic-limit" for e in events)
 
 
 class TestArtifactParsers:
@@ -185,7 +185,7 @@ class TestColorScenario:
         assert Atom("color", ("b1", "blue")) in result.problem.init.true_atoms
         calls = tool_calls(result.events, "missing_or_incorrect_fluent")
         assert calls and calls[0].data["arguments"]["fluent_name"] == "color"
-        questions = [e for e in result.events.events if e.kind == "user-query"]
+        questions = [e for e in result.events if e.kind == "user-query"]
         assert [q.data["answer"] for q in questions] == ["blue", "red", "green"]
         assert validate(result.problem) == []
 
@@ -217,7 +217,7 @@ class TestColorScenario:
     def test_result_document_writes_as_plain_json(self):
         result, _ = record_scenario(color_scenario())
         plain = result.to_json()
-        assert jsonio.dumps(result.to_document()) == json.dumps(plain, indent=2) + "\n"
+        assert jsonio.dumps(result) == json.dumps(plain, indent=2) + "\n"
         assert json.loads(json.dumps(plain)) == plain
 
     def test_directionality_of_requests(self):
@@ -232,7 +232,7 @@ class TestFridgeScenarios:
         path = tmp_path / "memory.jsonl"
         result, _ = record_scenario(fridge_store_scenario(), memory_path=path)
         assert result.status == "complete"
-        stored = [e for e in result.events.events if e.kind == "memory-store"]
+        stored = [e for e in result.events if e.kind == "memory-store"]
         assert stored and stored[0].data["summary"] == FRIDGE_MEMORY_SUMMARY
         assert path.exists()
 
@@ -241,7 +241,7 @@ class TestFridgeScenarios:
         assert result.status == "complete"
         goal = result.problem.goal
         assert Not(Atom("is_open", ("fridge_305",))) in goal.children
-        retrievals = [e for e in result.events.events if e.kind == "retrieval" and e.agent == "goal"]
+        retrievals = [e for e in result.events if e.kind == "retrieval" and e.agent == "goal"]
         assert retrievals and retrievals[0].data["hits"]
         assert retrievals[0].data["hits"][0]["score"] >= 0.35
 
@@ -279,7 +279,7 @@ class TestLimits:
         result, _ = record_scenario(scenario)
         assert result.status == "correction-limit-reached"
         assert "correction limit" in result.error
-        chats = [e for e in result.events.events if e.kind == "chat"]
+        chats = [e for e in result.events if e.kind == "chat"]
         assert len(chats) == 10
 
     def test_global_ceiling_fails_closed(self):
@@ -359,7 +359,7 @@ class TestInitAgentUpstreamRequests:
 class TestBenchmarkMode:
     def test_spurious_duplicate_fluent_rejected_and_run_completes(self):
         domain = blocksworld_domain()
-        clear_decl = jsonio.fluent_to_json(domain.fluent_map()["clear"])
+        clear_decl = domain.fluent_map()["clear"].to_json()
         objects = [{"name": "b1", "type": "block"}]
         init = {
             "booleans": [
@@ -469,6 +469,6 @@ class TestGoalAgentObjectRequests:
         assert result.status == "complete"
         [request] = result.requests
         assert request.outcome.startswith(outcome)
-        assert [e.data["outcome"] for e in result.events.events if e.kind == "edit"] == [request.outcome]
+        assert [e.data["outcome"] for e in result.events if e.kind == "edit"] == [request.outcome]
         assert result.problem.domain == blocksworld_domain()
         assert [o.name for o in result.problem.objects] == ["b1"]

@@ -9,7 +9,7 @@ from planwright.cli import main
 from planwright.data_paths import scenario_dir
 from planwright.domains import blocksworld_domain
 from planwright.gateway import Gateway, ScriptedBackend, Transcript, assistant
-from planwright.ir import jsonio
+from planwright.ir import DomainModel, jsonio
 from planwright.pddl import emit_domain
 from planwright.runs import normalized_tree
 from planwright.textworld import check_goal, state_from_json
@@ -131,6 +131,15 @@ class TestPlanCommand:
         failure = json.loads((out / "failure.json").read_text())
         assert failure == {"stage": "config", "code": "config-error", "message": "answers file must hold a JSON list of strings"}
 
+    def test_too_deep_answers_file_is_config_error(self, tmp_path):
+        answers_file = tmp_path / "answers.json"
+        answers_file.write_text("[" * 5000 + "]" * 5000)
+        out = tmp_path / "run"
+        assert main(plan_args("color", out) + ["--answers-file", str(answers_file)]) == 64
+        failure = json.loads((out / "failure.json").read_text())
+        assert (failure["stage"], failure["code"]) == ("config", "config-error")
+        assert failure["message"].endswith(f"JSON nests more than {jsonio.MAX_JSON_DEPTH} deep")
+
     def test_always_failing_scenario_exits_one(self, tmp_path):
         out = tmp_path / "run"
         code = main(plan_args("always_failing", out))
@@ -185,12 +194,12 @@ class TestPlanCommand:
         goal = Comparison(">=", level, NumConst(Fraction(1)))
         task = TaskSpec("tank", "a tank filled in steps", "the tank is empty", "the tank is full")
         responses = [
-            _doc(jsonio.domain_to_json(tank(Fraction(1, 3)))),
-            _doc(jsonio.domain_to_json(tank(Fraction(1, 2)))),
+            _doc(tank(Fraction(1, 3)).to_json()),
+            _doc(tank(Fraction(1, 2)).to_json()),
             ok_critic(),
-            _doc({"objects": [], "init": jsonio.assignment_to_json(init)}),
+            _doc({"objects": [], "init": init.to_json()}),
             ok_critic(),
-            _doc({"goal": jsonio.expression_to_json(goal)}),
+            _doc({"goal": goal.to_json()}),
             ok_critic(),
         ]
         _, recording = record_scenario(Scenario("tank", task, responses))
@@ -281,7 +290,7 @@ class TestExecuteCommand:
 
         problem = household_problem()
         trivial = ProblemInstance(problem.domain, problem.objects, problem.init, And(()), "trivial")
-        (artifacts / "problem.json").write_text(json.dumps(jsonio.problem_to_json(trivial)))
+        (artifacts / "problem.json").write_text(json.dumps(trivial.to_json()))
         (artifacts / "instructions.json").write_text(json.dumps({"instructions": []}))
         responses = [assistant(json.dumps({"decision": "goal-met"}))]
         recording = Transcript()
@@ -890,13 +899,13 @@ class TestReplayEncoding:
         from test_replay_golden import replay_round
 
         encoded = []  # keeps every model alive, so no id is reused
-        domain_to_json = jsonio.domain_to_json
+        json_items = DomainModel.json_items
 
         def counting(domain):
             encoded.append(domain)
-            return domain_to_json(domain)
+            return json_items(domain)
 
-        monkeypatch.setattr(jsonio, "domain_to_json", counting)
+        monkeypatch.setattr(DomainModel, "json_items", counting)
         replay_round(tmp_path / "round")
         assert len(encoded) == len({id(domain) for domain in encoded}) == 7
 
@@ -962,6 +971,29 @@ class TestImports:
                 elif isinstance(node, ast.ImportFrom):
                     imported.add((path.name, node.module))
         assert [name for name, module in imported if module == "dataclasses"] == []
+
+    def test_only_jsonio_parses_json(self):
+        """Every JSON text from outside the program goes through
+        `jsonio.loads`, which refuses a document nested too deep to parse: no
+        other module of the package calls ``json.loads`` or ``json.load``."""
+        import ast
+
+        import planwright
+
+        root = Path(planwright.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "json":
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if {"load", "loads"} & set(names):
+                    offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert [o for o in offenders if not o.startswith("ir/jsonio.py:")] == []
+        assert offenders  # the check sees jsonio's own call
 
     def test_cli_reaches_every_runtime_module(self):
         """Importing the CLI loads every module of the package except one that

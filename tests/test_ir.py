@@ -406,22 +406,22 @@ class TestJsonCodec:
         from planwright.domains import battery_grippers_domain, household_domain
 
         for domain in (bw3.domain, battery_grippers_domain(), household_domain()):
-            data = jsonio.domain_to_json(domain)
+            data = domain.to_json()
             assert jsonio.domain_from_json(data) == domain
 
     def test_problem_round_trip_and_determinism(self, bw3):
         from planwright.ir import jsonio
 
-        data = jsonio.problem_to_json(bw3)
+        data = bw3.to_json()
         assert jsonio.problem_from_json(data) == bw3
-        assert jsonio.dumps(data) == jsonio.dumps(jsonio.problem_to_json(bw3))
+        assert jsonio.dumps(data) == jsonio.dumps(bw3.to_json())
 
     def test_numeric_values_survive_as_exact_rationals(self):
         from planwright.ir import jsonio
 
         term = jsonio.term_from_json({"op": "const", "value": "3/2"})
         assert term.value == Fraction(3, 2)
-        assert jsonio.term_to_json(term) == {"op": "const", "value": "3/2"}
+        assert term.to_json() == {"op": "const", "value": "3/2"}
 
     def test_decode_errors_are_reported(self):
         from planwright.ir import jsonio
@@ -486,7 +486,7 @@ class TestJsonDepth:
             f"  (:action a :parameters () :precondition {'(and ' * ands}(p){')' * ands} :effect (q)))"
         )
         problem = parse_problem("(define (problem deep-1) (:domain deep) (:init (p)) (:goal (q)))", domain)
-        text = jsonio.dumps(jsonio.problem_to_json(problem))
+        text = jsonio.dumps(problem.to_json())
         assert _json_depth(json.loads(text)) == 2 * MAX_DEPTH
         assert jsonio.problem_from_json(jsonio.read_object(text)) == problem
         assert jsonio.domain_from_json(jsonio.read_object(jsonio.dumps(domain))) == domain
@@ -568,9 +568,9 @@ def _plain(document):
     from planwright.ir import jsonio
 
     if isinstance(document, DomainModel):
-        return jsonio.domain_to_json(document)
+        return document.to_json()
     if isinstance(document, ProblemInstance):
-        return jsonio.problem_to_json(document)
+        return document.to_json()
     if isinstance(document, (list, tuple)):
         return [_plain(item) for item in document]
     if isinstance(document, dict):

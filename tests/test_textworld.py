@@ -14,7 +14,6 @@ from planwright.textworld import (
     check_goal,
     describe_state,
     load_world,
-    state_to_json,
 )
 from scenarios import kitchen_fixture, save_world
 
@@ -180,7 +179,7 @@ class TestProperties:
         path = tmp_path / "world.json"
         save_world(kitchen_fixture(), path)
         assert load_world(path) == kitchen_fixture()
-        assert state_to_json(load_world(path)) == state_to_json(kitchen_fixture())
+        assert load_world(path).to_json() == kitchen_fixture().to_json()
 
 
 def _assert_frame(before: WorldState, after: WorldState, skill: str, args):

@@ -12,10 +12,14 @@ For one sample of each type this pins what callers and outputs rely on:
 - `replace`, which re-runs `__post_init__`;
 - attributes cached on an instance (`DomainModel._parents`, the JSON text
   `jsonio.dumps` keeps, `GroundTask.relaxed`), which equality, hashing,
-  repr and `replace` ignore.
+  repr and `replace` ignore;
+- the JSON form: ``to_json`` decodes back to the sample, `jsonio.dumps`
+  writes the same text as ``json.dumps`` of it, and each class's JSON
+  declarations name its attributes.
 """
 from __future__ import annotations
 
+import json
 import sys
 from fractions import Fraction
 
@@ -66,7 +70,7 @@ from planwright.planner.grounding import GroundAction, GroundComparison, GroundN
 from planwright.planner.plan import Plan, PlanStep
 from planwright.planner.search import SolveConfig, SolveResult
 from planwright.planner.validation import Invalid, Valid
-from planwright.textworld import Entity, Location, SkillResult, WorldState
+from planwright.textworld import Entity, Location, SkillResult, WorldState, state_from_json
 from planwright.values import Record, Value, replace
 
 ON = Atom("on", ("a", "b"))
@@ -439,3 +443,122 @@ def test_cached_attributes_are_ignored():
     assert "_json_text" not in vars(replace(problem))
     fresh = ground(_problem())
     assert _fields(fresh, ("atoms", "actions", "init_bools", "goal")) == _fields(task, ("atoms", "actions", "init_bools", "goal"))
+
+
+# ---------------------------------------------------------------- JSON form
+
+_DECODERS = {
+    FluentDecl: jsonio.fluent_from_json,
+    **dict.fromkeys((Atom, And, Or, Not, Comparison), jsonio.expression_from_json),
+    **dict.fromkeys((NumConst, NumFluent, NumAdd, NumSub), jsonio.term_from_json),
+    **dict.fromkeys((SetEffect, NumericEffect), jsonio.effect_from_json),
+    ActionSchema: jsonio.action_from_json,
+    DomainModel: jsonio.domain_from_json,
+    ObjectDecl: lambda data: jsonio.objects_from_json([data])[0],
+    Assignment: jsonio.assignment_from_json,
+    ProblemInstance: jsonio.problem_from_json,
+    ToolCall: ToolCall.from_json,
+    AgentMessage: AgentMessage.from_json,
+    Transcript: Transcript.from_json,
+    MemoryEntry: MemoryEntry.from_json,
+    InstructionList: InstructionList.from_json,
+    WorldState: state_from_json,
+    TaskSpec: TaskSpec.from_json,
+}
+
+# More samples, for the keys that the ones above leave out or keep at their
+# defaults.
+_MORE = [
+    FluentDecl("fuel", (Parameter("?t", "truck"),), "numeric"),
+    And(()),
+    Comparison("=", NumAdd(FUEL, NumConst(Fraction(-7, 4))), NumSub(FUEL, FUEL)),
+    NumericEffect("assign", FUEL, NumConst(Fraction(0))),
+    AgentMessage("tool-result", "done", tool_call_id="c1"),
+    AgentMessage("user"),
+    Transcript([Exchange("ab12", _message()), Exchange("cd34", AgentMessage("assistant", "fine"))]),
+    SolveResult("unsolvable", None, 7),
+    PipelineResult(_problem(), EventLog(), [UpstreamRequest("goal", "missing_objects", {"objects": "c"}, "applied")], "", 4),
+    WorldState((Entity("apple", "item", Location("in", "fridge"), is_heated=True),), "", (None, None)),
+]
+
+_SAMPLES = [sample for sample, _, _ in FROZEN + RECORDS] + _MORE
+
+# The record types written to a run directory or a fixture.
+_WRITTEN = {
+    PipelineResult, ProblemInstance, DomainModel, SolveResult, InstructionList,
+    ExecutionLog, ValidatorVerdict, WorldState, Transcript, MemoryEntry,
+}
+
+
+def _json_ids(samples):
+    return [f"{type(sample).__name__}-{i}" for i, sample in enumerate(samples)]
+
+
+_CODEC = [sample for sample in _SAMPLES if type(sample) in _DECODERS]
+
+
+@pytest.mark.parametrize("sample", _CODEC, ids=_json_ids(_CODEC))
+def test_json_round_trip(sample):
+    decoded = _DECODERS[type(sample)](json.loads(json.dumps(sample.to_json())))
+    assert type(decoded) is type(sample)
+    assert repr(decoded) == repr(sample)
+    if isinstance(sample, Value):
+        assert decoded == sample
+
+
+def test_codec_samples_cover_every_decoder_and_written_type():
+    assert set(_DECODERS) <= {type(sample) for sample in _CODEC}
+    assert {type(sample) for sample in _SAMPLES} >= _WRITTEN
+
+
+@pytest.mark.parametrize("sample", _SAMPLES, ids=_json_ids(_SAMPLES))
+def test_dumps_writes_a_record_as_its_json_form(sample):
+    """`jsonio.dumps` writes a record from the same pairs as ``to_json``, so
+    the two cannot drift apart; a record holding something JSON has no form
+    for fails the same way through both."""
+    try:
+        expected = json.dumps(sample.to_json(), indent=2) + "\n"
+    except TypeError:
+        assert type(sample) not in _WRITTEN
+        with pytest.raises(TypeError):
+            jsonio.dumps(sample)
+    else:
+        assert jsonio.dumps(sample) == expected
+        assert jsonio.dumps([sample, {"nested": sample}]) == json.dumps([sample.to_json(), {"nested": sample.to_json()}], indent=2) + "\n"
+
+
+def _record_types(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_types(sub)
+
+
+def test_json_declarations_name_attributes():
+    for cls in _record_types():
+        written = cls._json_keys or cls._fields
+        for name in cls._json_keys + tuple(cls._json_omit):
+            assert name in cls._fields or hasattr(cls, name), (cls.__qualname__, name)
+        assert set(cls._json_omit) <= set(written), cls.__qualname__
+        assert set(cls._fields) - set(written) <= {"failure_kind"}, cls.__qualname__
+
+
+def test_json_form_pins_its_exceptions():
+    assert ON.to_json() == {"op": "atom", "fluent": "on", "args": ["a", "b"]}
+    assert NumConst(Fraction(3, 2)).to_json() == {"op": "const", "value": "3/2"}
+    assert FluentDecl("clear").to_json() == {"name": "clear", "parameters": [], "kind": "boolean"}
+    assert list(_domain().to_json()) == ["name", "requirements", "types", "fluents", "actions"]
+    assert list(_problem().to_json()) == ["name", "domain", "objects", "init", "goal"]
+    assert Assignment.create([ON], {FUEL: Fraction(1, 3)}).to_json() == {
+        "booleans": [ON.to_json()],
+        "numerics": [{"fluent": "fuel", "args": ["t"], "value": "1/3"}],
+    }
+    assert Plan((_step(),)).to_json() == {"steps": [{"name": "stack", "args": ["a"]}], "cost": 1}
+    assert SolveResult("unsolvable").to_json() == {"status": "unsolvable", "nodes_expanded": 0}
+    assert AgentMessage("user", "hi").to_json() == {"role": "user", "content": "hi"}
+    assert ToolParam("q", "why").to_json() == {"name": "q", "type": "string", "required": True, "description": "why"}
+    assert Transcript().to_json() == {"version": 1, "exchanges": []}
+    assert ExecutionLog().to_json() == {"status": "completed", "records": []}
+    assert list(PipelineResult(None, EventLog()).to_json()) == ["status", "problem", "requests", "gateway_calls", "error", "events"]
+    assert InstructionList(()).to_json() == {"instructions": []}
+    assert list(WorldState(()).to_json()) == ["agent_at", "hands", "entities"]
+    assert Entity("apple", "item").to_json()["class"] == "item"
