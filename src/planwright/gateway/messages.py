@@ -46,14 +46,6 @@ class ToolSchema(Record):
                 problems.append(f"argument {name!r} must be string")
         return problems
 
-    def to_json(self) -> dict:
-        # Written out, as ToolCall's and AgentMessage's are: every replay
-        # fingerprint encodes the tools and the whole message window, where
-        # the generic walk takes about five times as long. `json_items` stays
-        # generic, and tests/test_values.py checks that both give one form.
-        parameters = [{"name": p.name, "type": p.type, "required": p.required, "description": p.description} for p in self.parameters]
-        return {"name": self.name, "description": self.description, "parameters": parameters}
-
 
 class ToolCall(Record):
     id: str
@@ -64,9 +56,6 @@ class ToolCall(Record):
         self.id = id
         self.name = name
         self.arguments = {} if arguments is None else arguments
-
-    def to_json(self) -> dict:
-        return {"id": self.id, "name": self.name, "arguments": self.arguments}
 
     @staticmethod
     def from_json(data: Any) -> "ToolCall":
@@ -84,16 +73,8 @@ class AgentMessage(Record):
         # Written out: replay builds one per message, the most of any record.
         self.role = role
         self.content = content
-        self.tool_calls = tool_calls
+        self.tool_calls = tuple(tool_calls)  # so no calls is always the omitted ()
         self.tool_call_id = tool_call_id
-
-    def to_json(self) -> dict:
-        out: dict[str, Any] = {"role": self.role, "content": self.content}
-        if self.tool_calls:
-            out["tool_calls"] = [call.to_json() for call in self.tool_calls]
-        if self.tool_call_id is not None:
-            out["tool_call_id"] = self.tool_call_id
-        return out
 
     @staticmethod
     def from_json(data: Any) -> "AgentMessage":

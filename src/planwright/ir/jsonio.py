@@ -155,7 +155,7 @@ def loads(text: str) -> Any:
         raise IRDecodeError(f"JSON nests more than {MAX_JSON_DEPTH} deep")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise IRDecodeError(str(exc)) from exc
 
 

@@ -242,9 +242,10 @@ class TestLiveBackendWire:
             {"id": "a", "function": {"name": "missing_or_incorrect_fluent", "arguments": '"s"'}},
             {"id": "a", "function": {"name": "missing_or_incorrect_fluent", "arguments": [1]}},
             {"id": "a", "function": {"name": "missing_or_incorrect_fluent", "arguments": "[" * 5000 + "]" * 5000}},
+            {"id": "a", "function": {"name": "missing_or_incorrect_fluent", "arguments": '{"a": ' + "1" * 5000 + "}"}},
             {"id": "a"},
         ],
-        ids=["list", "number", "string", "unencoded-list", "too-deep", "no-function"],
+        ids=["list", "number", "string", "unencoded-list", "too-deep", "huge-int", "no-function"],
     )
     def test_tool_call_that_is_no_object_is_reported(self, monkeypatch, tool_call):
         """Arguments that are JSON but no object come back as ``_raw`` for the
@@ -289,11 +290,16 @@ class TestLiveBackendWire:
         with pytest.raises(BackendError, match="malformed backend response"):
             gateway.chat(simple_request(user("add color"), tools=[FLUENT_TOOL]))
 
-    @pytest.mark.parametrize("body", [b"[" * 5000 + b"]" * 5000, b"<html>busy</html>", b'{"choices": "\xff"}'], ids=["too-deep", "not-json", "not-utf-8"])
+    @pytest.mark.parametrize(
+        "body",
+        [b"[" * 5000 + b"]" * 5000, b"<html>busy</html>", b'{"choices": "\xff"}', b'{"a": ' + b"1" * 5000 + b"}"],
+        ids=["too-deep", "not-json", "not-utf-8", "huge-int"],
+    )
     def test_http_body_that_cannot_be_parsed_is_reported(self, monkeypatch, body):
         """The default transport reads the response body through
-        `jsonio.loads`, so a body nested too deep, no JSON at all or not
-        UTF-8 is a malformed response, not an exception from the parser."""
+        `jsonio.loads`, so a body nested too deep, no JSON at all, not UTF-8
+        or with an integer past the interpreter's digit limit is a malformed
+        response, not an exception from the parser."""
         import io
         import urllib.request
 

@@ -464,6 +464,14 @@ class TestJsonDepth:
         with pytest.raises(IRDecodeError, match="nests more than"):
             read_object("```json\n" + _nested_object(MAX_JSON_DEPTH + 1) + "\n```")
 
+    def test_integer_past_the_digit_limit_is_a_decode_error(self):
+        """`json.loads` raises a bare `ValueError` for an integer literal
+        longer than the interpreter's int-string limit (4,300 digits)."""
+        from planwright.ir.jsonio import IRDecodeError, read_object
+
+        with pytest.raises(IRDecodeError, match="digits"):
+            read_object('{"a": ' + "1" * 5000 + "}")
+
     def test_brackets_inside_strings_do_not_count(self):
         from planwright.ir.jsonio import MAX_JSON_DEPTH, read_object
 

@@ -36,6 +36,8 @@ VARIANTS = (
     # nested past the JSON reader's depth limit and past what `json.loads`
     # can recurse through
     '{"objects": ' + "[" * 5000 + "]" * 5000 + "}",
+    # an integer past the interpreter's int-string digit limit
+    '{"objects": ' + "1" * 5000 + "}",
 )
 
 

@@ -555,6 +555,7 @@ def test_json_form_pins_its_exceptions():
     assert Plan((_step(),)).to_json() == {"steps": [{"name": "stack", "args": ["a"]}], "cost": 1}
     assert SolveResult("unsolvable").to_json() == {"status": "unsolvable", "nodes_expanded": 0}
     assert AgentMessage("user", "hi").to_json() == {"role": "user", "content": "hi"}
+    assert AgentMessage("assistant", "ok", []).to_json() == {"role": "assistant", "content": "ok"}
     assert ToolParam("q", "why").to_json() == {"name": "q", "type": "string", "required": True, "description": "why"}
     assert Transcript().to_json() == {"version": 1, "exchanges": []}
     assert ExecutionLog().to_json() == {"status": "completed", "records": []}
