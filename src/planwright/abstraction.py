@@ -14,7 +14,7 @@ from .agents.prompts import load_prompt
 from .gateway import ChatRequest, Gateway, system, user
 from .ir import DomainModel, jsonio
 from .planner import Plan, PlanStep
-from .values import Value
+from .values import Value, field
 
 
 class Instruction(Value):
@@ -22,6 +22,7 @@ class Instruction(Value):
     text: str
     step: PlanStep
     known_action: bool = True
+    _json_kinds = {"index": int, "text": str, "step": PlanStep, "known_action": bool}
 
 
 class InstructionList(Value):
@@ -37,20 +38,9 @@ class InstructionList(Value):
     def json_items(self) -> list[tuple[str, Any]]:
         return [("instructions", self.items)]
 
-    @staticmethod
-    def from_json(data: dict) -> "InstructionList":
-        items = []
-        for entry in jsonio.field(data, "instructions", list, []):
-            step = jsonio.field(entry, "step", dict)
-            items.append(
-                Instruction(
-                    index=jsonio.field(entry, "index", int),
-                    text=jsonio.field(entry, "text", str),
-                    step=PlanStep(jsonio.field(step, "name", str), jsonio.tuple_of(step, "args", str, ())),
-                    known_action=jsonio.field(entry, "known_action", bool, True),
-                )
-            )
-        return InstructionList(tuple(items))
+    @classmethod
+    def from_json(cls, data: Any) -> "InstructionList":
+        return cls(field(data, "instructions", [Instruction], ()))
 
 
 def fallback_instruction(step: PlanStep) -> str:

@@ -20,7 +20,7 @@ def parse_score_payload(content: str) -> tuple[float, str] | None:
     try:
         data = jsonio.read_object(content)
         score = jsonio.field(data, "score", (int, float))
-        if isinstance(score, bool) or not math.isfinite(score):  # an int too large for a float overflows
+        if not math.isfinite(score):  # an int too large for a float overflows
             return None
     except (jsonio.IRDecodeError, OverflowError):
         return None

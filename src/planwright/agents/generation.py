@@ -24,6 +24,7 @@ from ..ir import (
     validate,
     validate_domain,
 )
+from ..ir.model import expression_from_json
 from ..memory import ContextBuffer
 from ..values import Record
 from .config import PipelineConfig
@@ -154,15 +155,15 @@ def run_generation(
 
 
 def parse_domain_artifact(content: str) -> tuple[Optional[DomainModel], list[str]]:
-    domain = jsonio.domain_from_json(jsonio.read_object(content))
+    domain = DomainModel.from_json(jsonio.read_object(content))
     problems = [str(v) for v in validate_domain(domain)]
     return (domain, problems) if not problems else (None, problems)
 
 
 def parse_init_artifact(content: str, domain: DomainModel, extra_objects: tuple[ObjectDecl, ...] = ()) -> tuple[Optional[tuple[tuple[ObjectDecl, ...], Assignment]], list[str]]:
     data = jsonio.read_object(content)
-    raw_objects = jsonio.objects_from_json(jsonio.field(data, "objects", list, []))
-    init = jsonio.assignment_from_json(jsonio.field(data, "init", dict, {}))
+    raw_objects = jsonio.field(data, "objects", [ObjectDecl], ())
+    init = jsonio.field(data, "init", Assignment, Assignment())
     seen = {o.name for o in raw_objects}
     merged = raw_objects + tuple(o for o in extra_objects if o.name not in seen)
     probe = ProblemInstance(domain, merged, init)
@@ -173,7 +174,7 @@ def parse_init_artifact(content: str, domain: DomainModel, extra_objects: tuple[
 def parse_goal_artifact(
     content: str, domain: DomainModel, objects: tuple[ObjectDecl, ...], init: Assignment
 ) -> tuple[Optional[Expression], list[str]]:
-    goal = jsonio.expression_from_json(jsonio.field(jsonio.read_object(content), "goal", dict))
+    goal = jsonio.field(jsonio.read_object(content), "goal", expression_from_json)
     probe = ProblemInstance(domain, objects, init, goal)
     problems = [str(v) for v in validate(probe)]
     return (goal, problems) if not problems else (None, problems)

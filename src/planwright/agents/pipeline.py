@@ -23,7 +23,9 @@ from ..ir import (
     Assignment,
     DomainModel,
     Expression,
+    FluentDecl,
     MalformedEditError,
+    ModifyAction,
     ObjectDecl,
     ProblemInstance,
     apply_edit,
@@ -76,18 +78,11 @@ class GatewayMeter:
 
 class TaskSpec(Record):
     name: str
-    domain_description: str
-    initial_state_description: str
-    goal_description: str
-
-    @staticmethod
-    def from_json(data: dict) -> "TaskSpec":
-        return TaskSpec(
-            name=jsonio.field(data, "name", str, "task"),
-            domain_description=jsonio.field(data, "domain_description", str, ""),
-            initial_state_description=jsonio.field(data, "initial_state_description", str, ""),
-            goal_description=jsonio.field(data, "goal_description", str, ""),
-        )
+    domain_description: str = ""
+    initial_state_description: str = ""
+    goal_description: str = ""
+    _json_kinds = dict.fromkeys(("name", "domain_description", "initial_state_description", "goal_description"), str)
+    _json_defaults = {"name": "task"}
 
 
 class UpstreamRequest(Record):
@@ -222,12 +217,12 @@ def run_pipeline(
             return _settle(record, f"rejected: {reason}")
         try:
             if adds_objects:
-                additions = jsonio.objects_from_json(jsonio.field(data, "objects", list, []))
+                additions = jsonio.field(data, "objects", [ObjectDecl], ())
                 edit = AddObjects(additions, provenance=record.origin)
             elif "fluent" in data:
-                edit = AddOrModifyFluent(jsonio.fluent_from_json(data["fluent"]), provenance=record.origin)
+                edit = AddOrModifyFluent(FluentDecl.from_json(data["fluent"]), provenance=record.origin)
             elif "action" in data:
-                edit = jsonio.modify_action_from_json(data, record.origin)
+                edit = ModifyAction.from_json(data, record.origin)
             else:
                 return _settle(record, "rejected: owner response named no edit")
             result = apply_edit(state.domain, state.objects, edit)

@@ -45,7 +45,7 @@ from .gateway import (
     Transcript,
     replay_gateway,
 )
-from .ir import jsonio, validate
+from .ir import ProblemInstance, jsonio, validate
 from .memory import ProceduralStore
 from .pddl import PddlError, emit_domain, emit_expression, emit_problem, parse_domain, parse_problem, render_plan
 from .planner import GroundingError, Invalid, SolveConfig, ground, solve, validate_plan
@@ -339,7 +339,7 @@ def cmd_execute(args, run: RunDirectory) -> None:
             raise ConfigError("--retry-budget must be >= 0")
         artifacts = Path(args.artifacts)
         instructions = InstructionList.from_json(jsonio.read_object((artifacts / "instructions.json").read_text(encoding="utf-8")))
-        problem = jsonio.problem_from_json(jsonio.read_object((artifacts / "problem.json").read_text(encoding="utf-8")))
+        problem = ProblemInstance.from_json(jsonio.read_object((artifacts / "problem.json").read_text(encoding="utf-8")))
         env = TextWorldEnv(load_world(args.world), problem.goal)
         goal_text = emit_expression(problem.goal)
         gateway, recording, fixture_out = _gateway_for(args)

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..ir import jsonio
 from ..values import Record
 
 ROLE_SYSTEM = "system"
@@ -51,15 +50,13 @@ class ToolCall(Record):
     id: str
     name: str
     arguments: dict[str, Any]
+    _json_kinds = {"id": str, "name": str, "arguments": dict}
+    _json_defaults = {"arguments": None}
 
     def __init__(self, id: str, name: str, arguments: Optional[dict[str, Any]] = None):
         self.id = id
         self.name = name
         self.arguments = {} if arguments is None else arguments
-
-    @staticmethod
-    def from_json(data: Any) -> "ToolCall":
-        return ToolCall(jsonio.field(data, "id", str), jsonio.field(data, "name", str), dict(jsonio.field(data, "arguments", dict, {})))
 
 
 class AgentMessage(Record):
@@ -68,6 +65,8 @@ class AgentMessage(Record):
     tool_calls: tuple[ToolCall, ...]
     tool_call_id: Optional[str]
     _json_omit = {"tool_calls": (), "tool_call_id": None}
+    _json_kinds = {"role": str, "content": str, "tool_calls": [ToolCall], "tool_call_id": (str, type(None))}
+    _json_defaults = {"content": "", "tool_calls": (), "tool_call_id": None}
 
     def __init__(self, role: str, content: str = "", tool_calls: tuple[ToolCall, ...] = (), tool_call_id: Optional[str] = None):
         # Written out: replay builds one per message, the most of any record.
@@ -75,15 +74,6 @@ class AgentMessage(Record):
         self.content = content
         self.tool_calls = tuple(tool_calls)  # so no calls is always the omitted ()
         self.tool_call_id = tool_call_id
-
-    @staticmethod
-    def from_json(data: Any) -> "AgentMessage":
-        return AgentMessage(
-            role=jsonio.field(data, "role", str),
-            content=jsonio.field(data, "content", str, ""),
-            tool_calls=tuple(ToolCall.from_json(tc) for tc in jsonio.field(data, "tool_calls", list, [])),
-            tool_call_id=jsonio.field(data, "tool_call_id", (str, type(None)), None),
-        )
 
 
 def system(content: str) -> AgentMessage:

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from ..ir import jsonio
-from ..values import Record
+from ..values import Record, field
 from .messages import AgentMessage, ChatRequest
 
 
@@ -42,6 +42,7 @@ def fingerprint(request: ChatRequest) -> str:
 class Exchange(Record):
     fingerprint: str
     response: AgentMessage
+    _json_kinds = {"fingerprint": str, "response": AgentMessage}
 
 
 class Transcript(Record):
@@ -58,17 +59,14 @@ class Transcript(Record):
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_text(jsonio.dumps(self), encoding="utf-8")
 
-    @staticmethod
-    def from_json(data: Any) -> "Transcript":
-        version = jsonio.field(data, "version", int, None)
+    @classmethod
+    def from_json(cls, data: Any) -> "Transcript":
+        version = field(data, "version", int, None)
         if version != 1:
             raise TranscriptError(f"unsupported transcript version {version!r}")
-        exchanges = []
-        for entry in jsonio.field(data, "exchanges", list, []):
-            # Replay is positional, so the same fingerprint may legitimately
-            # recur when two identical requests happen at different points.
-            exchanges.append(Exchange(jsonio.field(entry, "fingerprint", str), AgentMessage.from_json(jsonio.field(entry, "response", dict))))
-        return Transcript(exchanges)
+        # Replay is positional, so the same fingerprint may legitimately
+        # recur when two identical requests happen at different points.
+        return cls(list(field(data, "exchanges", [Exchange], ())))
 
     @staticmethod
     def load(path: Union[str, Path]) -> "Transcript":

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Mapping, Optional, Union
 
-from ..values import Value, set_field
+from ..values import REQUIRED, IRDecodeError, Value, field, set_field
 
 OBJECT_TYPE = "object"
 
@@ -41,11 +41,13 @@ class TypeDecl(Value):
 
     name: str
     parent: str = OBJECT_TYPE
+    _json_kinds = {"name": str, "parent": str}
 
 
 class Parameter(Value):
     name: str  # '?'-prefixed variable name
     type: str = OBJECT_TYPE
+    _json_kinds = {"name": str, "type": str}
 
 
 class FluentDecl(Value):
@@ -56,6 +58,7 @@ class FluentDecl(Value):
     kind: str = BOOLEAN
     description: str = ""
     _json_omit = {"description": ""}
+    _json_kinds = {"name": str, "parameters": [Parameter], "kind": str, "description": str}
 
     @property
     def arity(self) -> int:
@@ -273,6 +276,58 @@ Effect = Union[SetEffect, NumericEffect]
 NUMERIC_EFFECT_OPS = ("increase", "decrease", "assign")
 
 
+# Reading from JSON: a node's class is the one its "op" key names.
+
+
+def _number(data: Any) -> Fraction:
+    raw = field(data, "value", (int, str))
+    try:
+        return Fraction(str(raw))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise IRDecodeError(f"bad numeric value {raw!r}") from exc
+
+
+def expression_from_json(data: Any) -> Expression:
+    op = field(data, "op", str)
+    if op == "atom":
+        return Atom(field(data, "fluent", str), field(data, "args", [str], ()))
+    if op in ("and", "or"):
+        children = field(data, "children", [expression_from_json])
+        return And(children) if op == "and" else Or(children)
+    if op == "not":
+        return Not(field(data, "child", expression_from_json))
+    if op in COMPARISON_OPS:
+        return Comparison(op, field(data, "left", term_from_json), field(data, "right", term_from_json))
+    raise IRDecodeError(f"unknown expression op {op!r}")
+
+
+def term_from_json(data: Any) -> NumTerm:
+    op = field(data, "op", str)
+    if op == "const":
+        return NumConst(_number(data))
+    if op == "fluent":
+        return NumFluent(field(data, "fluent", str), field(data, "args", [str], ()))
+    if op in ("+", "-"):
+        left, right = field(data, "left", term_from_json), field(data, "right", term_from_json)
+        return NumAdd(left, right) if op == "+" else NumSub(left, right)
+    raise IRDecodeError(f"unknown term op {op!r}")
+
+
+def effect_from_json(data: Any) -> Effect:
+    op = field(data, "op", str)
+    if op == "set":
+        atom = field(data, "atom", expression_from_json)
+        if not isinstance(atom, Atom):
+            raise IRDecodeError("set effect must target an atom")
+        return SetEffect(atom, field(data, "value", bool, True))
+    if op in NUMERIC_EFFECT_OPS:
+        target = field(data, "target", term_from_json)
+        if not isinstance(target, NumFluent):
+            raise IRDecodeError(f"{op} effect must target a numeric fluent")
+        return NumericEffect(op, target, field(data, "amount", term_from_json))
+    raise IRDecodeError(f"unknown effect op {op!r}")
+
+
 # --------------------------------------------------------------------------
 # Schemas, domains, problems
 # --------------------------------------------------------------------------
@@ -283,6 +338,8 @@ class ActionSchema(Value):
     parameters: tuple[Parameter, ...] = ()
     precondition: Expression = TRUE
     effects: tuple[Effect, ...] = ()
+    _json_kinds = {"name": str, "parameters": [Parameter], "precondition": expression_from_json, "effects": [effect_from_json]}
+    _json_defaults = {"precondition": REQUIRED}
 
 
 class DomainModel(Value):
@@ -300,6 +357,8 @@ class DomainModel(Value):
     fluents: tuple[FluentDecl, ...] = ()
     actions: tuple[ActionSchema, ...] = ()
     _json_keys = ("name", "requirements", "types", "fluents", "actions")
+    # "requirements" is read by no kind: the flags are derived from content.
+    _json_kinds = {"name": str, "types": [TypeDecl], "fluents": [FluentDecl], "actions": [ActionSchema]}
 
     def __post_init__(self) -> None:
         set_field(self, "types", tuple(sorted(self.types, key=lambda t: t.name)))
@@ -353,6 +412,7 @@ class DomainModel(Value):
 class ObjectDecl(Value):
     name: str
     type: str = OBJECT_TYPE
+    _json_kinds = {"name": str, "type": str}
 
 
 def _freeze_numeric(values: Mapping[NumFluent, Fraction] | Iterable[tuple[NumFluent, Fraction]]) -> tuple[tuple[NumFluent, Fraction], ...]:
@@ -385,6 +445,20 @@ class Assignment(Value):
         numerics = [{"fluent": t.fluent, "args": list(t.args), "value": str(v)} for t, v in self.numeric]
         return [("booleans", self.sorted_atoms()), ("numerics", numerics)]
 
+    @classmethod
+    def from_json(cls, data: Any) -> "Assignment":
+        atoms = []
+        for entry in field(data, "booleans", list, ()):
+            atom = expression_from_json(entry)
+            if not isinstance(atom, Atom):
+                raise IRDecodeError("init booleans must be atoms")
+            atoms.append(atom)
+        numerics = [
+            (NumFluent(field(entry, "fluent", str), field(entry, "args", [str], ())), _number(entry))
+            for entry in field(data, "numerics", list, ())
+        ]
+        return cls.create(atoms, numerics)
+
 
 class ProblemInstance(Value):
     domain: DomainModel
@@ -393,6 +467,8 @@ class ProblemInstance(Value):
     goal: Expression = TRUE
     name: str = "problem"
     _json_keys = ("name", "domain", "objects", "init", "goal")
+    _json_kinds = {"domain": DomainModel, "objects": [ObjectDecl], "init": Assignment, "goal": expression_from_json, "name": str}
+    _json_defaults = {"goal": REQUIRED}
 
     def __post_init__(self) -> None:
         set_field(self, "objects", tuple(sorted(self.objects, key=lambda o: o.name)))
@@ -424,6 +500,13 @@ class ModifyAction(Value):
     precondition: Optional[Expression]
     effects: Optional[tuple[Effect, ...]]
     provenance: str
+    _json_kinds = {"action": str, "precondition": expression_from_json, "effects": [effect_from_json]}
+    _json_defaults = {"precondition": None, "effects": None}
+
+    @classmethod
+    def from_json(cls, data: Any, provenance: str) -> "ModifyAction":  # type: ignore[override]
+        # The requesting agent is no key of the reply; the caller names it.
+        return cls(*cls._json_args(data), provenance)
 
 
 class AddObjects(Value):

@@ -13,7 +13,7 @@ import math
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .gateway.embedding import Embedder, HashedBagOfWordsEmbedder
 from .gateway.messages import ROLE_SYSTEM, ROLE_TOOL_RESULT, AgentMessage
@@ -49,15 +49,7 @@ class MemoryEntry(Value):
     embedding: tuple
     source_agent: str = ""
     timestamp: float = 0.0
-
-    @staticmethod
-    def from_json(data: Any) -> "MemoryEntry":
-        return MemoryEntry(
-            summary=jsonio.field(data, "summary", str),
-            embedding=jsonio.tuple_of(data, "embedding", (int, float)),
-            source_agent=jsonio.field(data, "source_agent", str, ""),
-            timestamp=jsonio.field(data, "timestamp", (int, float), 0.0),
-        )
+    _json_kinds = {"summary": str, "embedding": [(int, float)], "source_agent": str, "timestamp": (int, float)}
 
 
 class ProceduralStore:

@@ -7,6 +7,7 @@ from ..values import Value
 class PlanStep(Value):
     name: str
     args: tuple[str, ...] = ()
+    _json_kinds = {"name": str, "args": [str]}
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(self.args)})"

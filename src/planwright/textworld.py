@@ -12,7 +12,7 @@ from typing import Any, Optional, Union
 
 from .gateway import ToolParam, ToolSchema
 from .ir import And, Atom, Expression, Not, Or, jsonio
-from .values import Value, replace, set_field
+from .values import IRDecodeError, Value, replace, set_field
 
 HANDS = 2
 
@@ -24,6 +24,8 @@ class UnknownEntityError(KeyError):
 class Location(Value):
     kind: str  # "in" | "on" | "at" | "held" | "free"
     target: str = ""
+    _json_kinds = {"kind": str, "target": str}
+    _json_defaults = {"kind": "free"}
 
     def describe(self) -> str:
         if self.kind == "held":
@@ -39,6 +41,8 @@ class Entity(Value):
     location: Location = Location("free")
     is_open: bool = False
     is_heated: bool = False
+    # Read by position, so the JSON key "class" fills the field cls.
+    _json_kinds = {"id": str, "class": str, "location": Location, "is_open": bool, "is_heated": bool}
 
     def json_items(self) -> list[tuple[str, Any]]:
         return [("class" if key == "cls" else key, value) for key, value in super().json_items()]
@@ -57,9 +61,18 @@ class WorldState(Value):
     agent_at: str = ""
     hands: tuple[Optional[str], ...] = (None,) * HANDS
     _json_keys = ("agent_at", "hands", "entities")
+    _json_kinds = {"entities": [Entity], "agent_at": str, "hands": [(str, type(None))]}
+    _json_defaults = {"entities": ()}
 
     def __post_init__(self) -> None:
         set_field(self, "entities", tuple(sorted(self.entities, key=lambda e: e.id)))
+
+    @classmethod
+    def from_json(cls, data: Any) -> "WorldState":
+        state = super().from_json(data)
+        if len(state.hands) != HANDS:
+            raise IRDecodeError(f"hands must hold exactly {HANDS} entries")
+        return state
 
     def entity(self, entity_id: str) -> Entity:
         for entity in self.entities:
@@ -308,26 +321,5 @@ class TextWorldEnv:
 # ---------------------------------------------------------------- fixtures
 
 
-def _entity_from_json(data: Any) -> Entity:
-    location = jsonio.field(data, "location", dict, {})
-    return Entity(
-        id=jsonio.field(data, "id", str),
-        cls=jsonio.field(data, "class", str),
-        location=Location(jsonio.field(location, "kind", str, "free"), jsonio.field(location, "target", str, "")),
-        is_open=jsonio.field(data, "is_open", bool, False),
-        is_heated=jsonio.field(data, "is_heated", bool, False),
-    )
-
-
-def state_from_json(data: Any) -> WorldState:
-    hands = tuple(jsonio.field(data, "hands", list, [None] * HANDS))
-    if not all(h is None or isinstance(h, str) for h in hands):
-        raise jsonio.IRDecodeError("hands must hold entity ids or null")
-    if len(hands) != HANDS:
-        raise jsonio.IRDecodeError(f"hands must hold exactly {HANDS} entries")
-    entities = tuple(_entity_from_json(e) for e in jsonio.field(data, "entities", list, []))
-    return WorldState(entities, jsonio.field(data, "agent_at", str, ""), hands)
-
-
 def load_world(path: Union[str, Path]) -> WorldState:
-    return state_from_json(jsonio.read_object(Path(path).read_text(encoding="utf-8")))
+    return WorldState.from_json(jsonio.read_object(Path(path).read_text(encoding="utf-8")))

@@ -43,6 +43,22 @@ kept as it is. Three class attributes declare the exceptions:
 
 A class whose form differs in any other way overrides ``json_items``.
 `planwright.ir.jsonio.dumps` writes a record from the same pairs.
+
+`Record.from_json` reads the form back and checks it. It reads each key of
+the class's ``_json_kinds`` table with `field`, and passes the values to the
+class in table order, so the table lists its keys in field order. A kind is:
+
+- a type or a tuple of types, checked; a ``bool`` passes only where the kind
+  names ``bool``, so a JSON ``true`` is no ``int``;
+- a record class, or a decoder function such as
+  `planwright.ir.model.expression_from_json`, which reads a JSON object;
+- ``[kind]``, a list of that kind, read as a tuple.
+
+A key may be absent only where it has a decode default: the class default,
+unless ``_json_defaults`` names another, where ``REQUIRED`` keeps a key
+required. Other keys are ignored, and malformed input raises
+`IRDecodeError`. A class overrides ``from_json`` to check values against
+each other, to read a key that names no field, or to dispatch on a key.
 """
 from __future__ import annotations
 
@@ -52,6 +68,12 @@ from typing import Any, Callable, Optional, TypeVar
 R = TypeVar("R", bound="Record")
 
 set_field = object.__setattr__  # writes a field past Value's __setattr__
+
+REQUIRED: Any = object()  # the decode default of a key that must be present
+
+
+class IRDecodeError(ValueError):
+    """Raised when a JSON document does not describe a valid value."""
 
 
 class Record:
@@ -63,6 +85,8 @@ class Record:
     _json_op: Optional[str] = None
     _json_keys: tuple[str, ...] = ()
     _json_omit: dict[str, Any] = {}
+    _json_kinds: dict[str, Any] = {}
+    _json_defaults: dict[str, Any] = {}
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -117,6 +141,19 @@ class Record:
         """The JSON form as plain dicts, lists and scalars."""
         return {key: _plain(value) for key, value in self.json_items()}
 
+    @classmethod
+    def from_json(cls: type[R], data: Any) -> R:
+        """The record whose JSON form ``data`` is, read by `_json_kinds`."""
+        return cls(*cls._json_args(data))
+
+    @classmethod
+    def _json_args(cls, data: Any) -> list:
+        """The value of each key of `_json_kinds`, in table order."""
+        if not cls._json_kinds:
+            raise TypeError(f"{cls.__qualname__} declares no _json_kinds to read")
+        defaults, own = cls._defaults, cls._json_defaults
+        return [field(data, key, kind, own.get(key, defaults.get(key, REQUIRED))) for key, kind in cls._json_kinds.items()]
+
 
 def _plain(value: Any) -> Any:
     if isinstance(value, Record):
@@ -124,6 +161,51 @@ def _plain(value: Any) -> Any:
     if isinstance(value, (tuple, list)):
         return [_plain(item) for item in value]
     return value
+
+
+def field(data: Any, key: str, kind: Any, default: Any = REQUIRED) -> Any:
+    """``data[key]``, read as a ``kind`` (see the module docstring). With a
+    ``default`` the key is optional: an absent key yields the default, a
+    present one is read."""
+    if not isinstance(data, dict):
+        raise IRDecodeError(f"expected object, got {type(data).__name__}")
+    if key not in data:
+        if default is REQUIRED:
+            raise IRDecodeError(f"missing field {key!r}")
+        return default
+    value = data[key]
+    if value.__class__ is kind:  # exactly a checked type, as a parsed value is no record
+        return value
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise IRDecodeError(f"field {key!r} must be list")
+        item = kind[0]
+        if _is_type(item):
+            if not all(x.__class__ is item or _is(x, item) for x in value):
+                raise IRDecodeError(f"field {key!r} must hold only {_kind_names(item)}")
+            return tuple(value)
+        return tuple(map(item.from_json if isinstance(item, type) else item, value))
+    if _is_type(kind):
+        if not _is(value, kind):
+            raise IRDecodeError(f"field {key!r} must be {_kind_names(kind)}")
+        return value
+    if not isinstance(value, dict):
+        raise IRDecodeError(f"field {key!r} must be dict")
+    return (kind.from_json if isinstance(kind, type) else kind)(value)
+
+
+def _is_type(kind: Any) -> bool:
+    return isinstance(kind, tuple) or (isinstance(kind, type) and not issubclass(kind, Record))
+
+
+def _is(value: Any, kind: Any) -> bool:
+    # bool subclasses int; a JSON true passes only where the kind names bool.
+    return isinstance(value, kind) and (value.__class__ is not bool or kind is bool or (isinstance(kind, tuple) and bool in kind))
+
+
+def _kind_names(kind: Any) -> str:
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    return " or ".join(k.__name__ for k in kinds)
 
 
 class Value(Record):

@@ -44,7 +44,7 @@ from planwright.pddl import emit_domain, emit_expression, parse_domain, parse_pr
 from planwright.planner import SolveConfig, Valid, ground, solve, validate_plan
 from planwright.runs import normalized_tree
 from scenarios import FRIDGE_MEMORY_SUMMARY, fridge_recall_scenario
-from planwright.textworld import check_goal, state_from_json
+from planwright.textworld import WorldState, check_goal
 
 from helpers import bfs_optimal_plan, tool_calls
 from test_planner import battery_problem
@@ -227,7 +227,7 @@ def test_fridge_memory_scenario_end_to_end(tmp_path):
         "--mode", "replay", "--fixture", str(d / "exec_fixture.json"), "--out-dir", str(out_exec),
     ])
     assert code == 0
-    final = state_from_json(json.loads((out_exec / "world_final.json").read_text()))
+    final = WorldState.from_json(json.loads((out_exec / "world_final.json").read_text()))
     assert check_goal(final, result.problem.goal)
 
 

@@ -12,7 +12,7 @@ from planwright.gateway import Gateway, ScriptedBackend, Transcript, assistant
 from planwright.ir import DomainModel, jsonio
 from planwright.pddl import emit_domain
 from planwright.runs import normalized_tree
-from planwright.textworld import check_goal, state_from_json
+from planwright.textworld import WorldState, check_goal
 from helpers import nested_domain_text, run_python
 from scenarios import ok_critic
 
@@ -233,7 +233,7 @@ class TestExecuteCommand:
         assert code == 0
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["decision"] == "goal-met"
-        final = state_from_json(json.loads((out / "world_final.json").read_text()))
+        final = WorldState.from_json(json.loads((out / "world_final.json").read_text()))
         problem = jsonio.problem_from_json(json.loads((artifacts / "problem.json").read_text()))
         assert check_goal(final, problem.goal)
 

@@ -34,6 +34,7 @@ from planwright.ir import (
 )
 from planwright.domains import blocksworld_problem
 from planwright.planner import blind, ground, h_add, h_max_cost
+from planwright.planner.heuristics import INF
 
 from helpers import bfs_optimal_plan, random_walk_states, reference_h, refuel_problem
 from test_golden import domain_dirs, domain_tasks, numeric_problems
@@ -183,6 +184,38 @@ def test_assign_reading_its_own_target_terminates():
     task = ground(ProblemInstance(domain, (), init, Comparison(">=", FUEL, NumConst(Fraction(50))), "pump"))
     assert h_add(task, task.init_bools, task.init_nums) == 1
     assert h_max_cost(task, task.init_bools, task.init_nums) == 1
+
+
+def _tank_task(effect_op: str, amount: int, goal_op: str, start: int):
+    """Fuel from ``start``; one action ``step`` with the effect
+    ``(effect_op (fuel) amount)``; the goal ``(goal_op (fuel) 0)``."""
+    effect = NumericEffect(effect_op, FUEL, NumConst(Fraction(amount)))
+    domain = DomainModel("tank", fluents=(FluentDecl("fuel", (), kind="numeric"),), actions=(ActionSchema("step", (), And(()), (effect,)),))
+    init = Assignment.create([], [(FUEL, Fraction(start))])
+    return ground(ProblemInstance(domain, (), init, Comparison(goal_op, FUEL, NumConst(Fraction(0))), "tank"))
+
+
+@pytest.mark.parametrize(
+    "effect_op, amount, goal_op, start, estimate",
+    [
+        # An increase or decrease by nothing widens neither bound.
+        ("increase", 0, "<", 0, INF),
+        ("decrease", 0, ">", 0, INF),
+        ("increase", 1, ">", 0, 1),
+        ("decrease", 1, "<", 0, 1),
+        # Fuel rising from 1 never equals 0; fuel falling from 1 may.
+        ("increase", 1, "=", 1, INF),
+        ("decrease", 1, "=", 1, 1),
+        ("increase", 1, "<=", 1, INF),
+        ("decrease", 1, ">=", -1, INF),
+        ("assign", 0, "=", 1, 1),
+    ],
+)
+def test_numeric_bounds_widen_only_as_far_as_the_effect_reaches(effect_op, amount, goal_op, start, estimate):
+    task = _tank_task(effect_op, amount, goal_op, start)
+    init = (task.init_bools, task.init_nums)
+    assert h_add(task, *init) == h_max_cost(task, *init) == estimate
+    assert reference_h(task, *init) == reference_h(task, *init, combine=max) == estimate
 
 
 def test_view_is_compiled_once_per_task():

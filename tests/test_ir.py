@@ -407,7 +407,7 @@ class TestJsonCodec:
 
         for domain in (bw3.domain, battery_grippers_domain(), household_domain()):
             data = domain.to_json()
-            assert jsonio.domain_from_json(data) == domain
+            assert DomainModel.from_json(data) == domain
 
     def test_problem_round_trip_and_determinism(self, bw3):
         from planwright.ir import jsonio
@@ -417,23 +417,24 @@ class TestJsonCodec:
         assert jsonio.dumps(data) == jsonio.dumps(bw3.to_json())
 
     def test_numeric_values_survive_as_exact_rationals(self):
-        from planwright.ir import jsonio
+        from planwright.ir.model import term_from_json
 
-        term = jsonio.term_from_json({"op": "const", "value": "3/2"})
+        term = term_from_json({"op": "const", "value": "3/2"})
         assert term.value == Fraction(3, 2)
         assert term.to_json() == {"op": "const", "value": "3/2"}
 
     def test_decode_errors_are_reported(self):
         from planwright.ir import jsonio
+        from planwright.ir.model import expression_from_json, term_from_json
 
         with pytest.raises(jsonio.IRDecodeError):
-            jsonio.expression_from_json({"op": "xor", "children": []})
+            expression_from_json({"op": "xor", "children": []})
         with pytest.raises(jsonio.IRDecodeError):
-            jsonio.term_from_json({"op": "const", "value": "one half"})
+            term_from_json({"op": "const", "value": "one half"})
         with pytest.raises(jsonio.IRDecodeError, match="must be int or str"):
-            jsonio.term_from_json({"op": "const", "value": 2.5})
+            term_from_json({"op": "const", "value": 2.5})
         with pytest.raises(jsonio.IRDecodeError, match="'kind' must be str"):
-            jsonio.fluent_from_json({"name": "f", "kind": 5})
+            FluentDecl.from_json({"name": "f", "kind": 5})
 
 
 def _json_depth(value) -> int:
@@ -497,7 +498,7 @@ class TestJsonDepth:
         text = jsonio.dumps(problem.to_json())
         assert _json_depth(json.loads(text)) == 2 * MAX_DEPTH
         assert jsonio.problem_from_json(jsonio.read_object(text)) == problem
-        assert jsonio.domain_from_json(jsonio.read_object(jsonio.dumps(domain))) == domain
+        assert DomainModel.from_json(jsonio.read_object(jsonio.dumps(domain))) == domain
 
 
 _ODD_STRINGS = st.sampled_from(['"', "\\", "\x00", "\x1f\x7f", "\n\t\r", " ", "é ß", "\U0001f600", ""])

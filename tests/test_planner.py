@@ -1143,6 +1143,33 @@ class TestValidatePlan:
         plan = Plan((PlanStep("move", ("robot1", "room1", "room2")),))
         assert validate_plan(problem, plan) == Invalid(step, f"numeric atom {atom} has no value")
 
+    @staticmethod
+    def _tank(precondition, effects, level: int) -> ProblemInstance:
+        """One numeric fluent ``(level)``, from ``level``, and one action
+        ``step`` with the given precondition and effects; the goal is true."""
+        domain = DomainModel(
+            "tank",
+            fluents=tuple(FluentDecl(name, (), kind="numeric") for name in ("level", "low", "high")),
+            actions=(ActionSchema("step", (), precondition, effects),),
+        )
+        init = Assignment.create([], [(NumFluent(name, ()), Fraction(level)) for name in ("level", "low", "high")])
+        return ProblemInstance(domain, (), init, And(()), "tank")
+
+    @pytest.mark.parametrize("op", ["<", "<=", "=", ">=", ">"])
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_comparison_holds_exactly_as_its_operator(self, op, level):
+        # (op (level) 2) at a level below, at and above 2.
+        holds = {"<": level < 2, "<=": level <= 2, "=": level == 2, ">=": level >= 2, ">": level > 2}[op]
+        problem = self._tank(Comparison(op, NumFluent("level", ()), _num(2)), (), level)
+        verdict = validate_plan(problem, Plan((PlanStep("step", ()),)))
+        assert verdict == (Valid(problem.init.numeric) if holds else Invalid(0, f"({op} (level) 2)"))
+
+    def test_increase_decrease_and_assign_update_their_own_targets(self):
+        level, low, high = (NumFluent(name, ()) for name in ("level", "low", "high"))
+        effects = (NumericEffect("increase", level, _num(3)), NumericEffect("decrease", low, _num(2)), NumericEffect("assign", high, _num(7)))
+        verdict = validate_plan(self._tank(And(()), effects, 10), Plan((PlanStep("step", ()),) * 2))
+        assert verdict == Valid(((high, Fraction(7)), (level, Fraction(16)), (low, Fraction(6))))
+
 
 def _independent_h_max(task, bools: int) -> float:
     """Reference h_max for tasks with positive boolean conditions only:

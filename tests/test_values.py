@@ -15,13 +15,19 @@ For one sample of each type this pins what callers and outputs rely on:
   repr and `replace` ignore;
 - the JSON form: ``to_json`` decodes back to the sample, `jsonio.dumps`
   writes the same text as ``json.dumps`` of it, and each class's JSON
-  declarations name its attributes.
+  declarations name its attributes;
+- the JSON reader: every decoder either reads or refuses with
+  `IRDecodeError` each sample with one key dropped or replaced, a JSON
+  ``true`` is read as an int nowhere, and each class's kind table names its
+  fields in order.
 """
 from __future__ import annotations
 
+import copy
 import json
 import sys
 from fractions import Fraction
+from typing import Any, Iterator
 
 import pytest
 
@@ -36,7 +42,7 @@ from planwright.executor import ExecutionLog, ExecutionReport, StepOutcome, Step
 from planwright.gateway import Gateway
 from planwright.gateway.backends import ScriptedBackend
 from planwright.gateway.messages import AgentMessage, ChatRequest, ToolCall, ToolParam, ToolSchema
-from planwright.gateway.transcript import Exchange, Transcript
+from planwright.gateway.transcript import Exchange, Transcript, TranscriptError
 from planwright.ir import jsonio
 from planwright.ir.edits import Applied, EditResult, Rejected
 from planwright.ir.model import (
@@ -62,6 +68,9 @@ from planwright.ir.model import (
     ProblemInstance,
     SetEffect,
     TypeDecl,
+    effect_from_json,
+    expression_from_json,
+    term_from_json,
 )
 from planwright.ir.validate import Violation
 from planwright.memory import MemoryEntry
@@ -70,8 +79,8 @@ from planwright.planner.grounding import GroundAction, GroundComparison, GroundN
 from planwright.planner.plan import Plan, PlanStep
 from planwright.planner.search import SolveConfig, SolveResult
 from planwright.planner.validation import Invalid, Valid
-from planwright.textworld import Entity, Location, SkillResult, WorldState, state_from_json
-from planwright.values import Record, Value, replace
+from planwright.textworld import Entity, Location, SkillResult, WorldState
+from planwright.values import IRDecodeError, Record, Value, field, replace
 
 ON = Atom("on", ("a", "b"))
 FUEL = NumFluent("fuel", ("t",))
@@ -447,23 +456,17 @@ def test_cached_attributes_are_ignored():
 
 # ---------------------------------------------------------------- JSON form
 
+# Each record type reads itself; only the three node unions, whose class
+# is the one the "op" key names, keep a function. The types nested in these
+# (TypeDecl, Exchange, Entity and the like) are read inside them.
 _DECODERS = {
-    FluentDecl: jsonio.fluent_from_json,
-    **dict.fromkeys((Atom, And, Or, Not, Comparison), jsonio.expression_from_json),
-    **dict.fromkeys((NumConst, NumFluent, NumAdd, NumSub), jsonio.term_from_json),
-    **dict.fromkeys((SetEffect, NumericEffect), jsonio.effect_from_json),
-    ActionSchema: jsonio.action_from_json,
-    DomainModel: jsonio.domain_from_json,
-    ObjectDecl: lambda data: jsonio.objects_from_json([data])[0],
-    Assignment: jsonio.assignment_from_json,
-    ProblemInstance: jsonio.problem_from_json,
-    ToolCall: ToolCall.from_json,
-    AgentMessage: AgentMessage.from_json,
-    Transcript: Transcript.from_json,
-    MemoryEntry: MemoryEntry.from_json,
-    InstructionList: InstructionList.from_json,
-    WorldState: state_from_json,
-    TaskSpec: TaskSpec.from_json,
+    **{cls: cls.from_json for cls in (
+        FluentDecl, ActionSchema, DomainModel, ObjectDecl, Assignment, ProblemInstance,
+        ToolCall, AgentMessage, Transcript, MemoryEntry, InstructionList, WorldState, TaskSpec,
+    )},
+    **dict.fromkeys((Atom, And, Or, Not, Comparison), expression_from_json),
+    **dict.fromkeys((NumConst, NumFluent, NumAdd, NumSub), term_from_json),
+    **dict.fromkeys((SetEffect, NumericEffect), effect_from_json),
 }
 
 # More samples, for the keys that the ones above leave out or keep at their
@@ -563,3 +566,115 @@ def test_json_form_pins_its_exceptions():
     assert InstructionList(()).to_json() == {"instructions": []}
     assert list(WorldState(()).to_json()) == ["agent_at", "hands", "entities"]
     assert Entity("apple", "item").to_json()["class"] == "item"
+
+
+def test_json_decode_declarations_name_fields_in_order():
+    """`Record.from_json` builds a record from its keys' values by position,
+    so a class's kind table lists a prefix of its fields, in field order."""
+    renamed = {(Entity, "class"): "cls"}  # the JSON key of Entity.cls
+    tables = [cls for cls in _record_types() if cls._json_kinds or cls._json_defaults]
+    assert {TypeDecl, DomainModel, ProblemInstance, ModifyAction, AgentMessage, Entity, WorldState, TaskSpec} <= set(tables)
+    for cls in tables:
+        names = [renamed.get((cls, key), key) for key in cls._json_kinds]
+        assert names == list(cls._fields[: len(names)]), cls.__qualname__
+        assert set(cls._json_defaults) <= set(cls._json_kinds), cls.__qualname__
+
+
+def test_a_class_without_kinds_has_no_reader():
+    with pytest.raises(TypeError, match="declares no _json_kinds"):
+        And.from_json({"op": "and", "children": []})
+
+
+def _key_paths(node: Any, path: tuple = ()) -> Iterator[tuple]:
+    """The path of every object key and list item in the JSON value ``node``."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield path + (key,)
+            yield from _key_paths(child, path + (key,))
+
+
+_REPLACEMENTS = (None, 1, True, "x", [], {}, [1], 2.5)
+_DROP = object()
+
+
+def _mutants(data: dict) -> Iterator[tuple[tuple, Any, dict]]:
+    for path in _key_paths(data):
+        for replacement in (_DROP, *_REPLACEMENTS):
+            mutant = copy.deepcopy(data)
+            parent = mutant
+            for step in path[:-1]:
+                parent = parent[step]
+            if replacement is _DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = replacement
+            yield path, replacement, mutant
+
+
+@pytest.mark.parametrize("sample", _CODEC, ids=_json_ids(_CODEC))
+def test_mutated_keys_decode_or_raise_decode_error(sample):
+    """Each key or list item of the sample's JSON, at any depth, dropped or
+    replaced by a value of each JSON type: the decoder reads it or refuses it with
+    `IRDecodeError`, and raises nothing else. A transcript without its
+    version is refused as a `TranscriptError`."""
+    decode = _DECODERS[type(sample)]
+    escaped = []
+    for path, replacement, mutant in _mutants(json.loads(json.dumps(sample.to_json()))):
+        expected = TranscriptError if (type(sample), path, replacement) == (Transcript, ("version",), _DROP) else IRDecodeError
+        try:
+            decode(mutant)
+        except expected:
+            pass
+        except Exception as exc:  # noqa: BLE001  (any other escape is the failure)
+            escaped.append((path, replacement, repr(exc)))
+    assert escaped == []
+
+
+def test_the_sweep_reaches_nested_keys():
+    paths = set(_key_paths(Transcript([Exchange("ab12", _message())]).to_json()))
+    assert ("exchanges", 0, "response", "tool_calls", 0, "arguments", "q") in paths
+    assert ("exchanges", 0) in paths
+    assert sum(1 for sample in _CODEC for _ in _mutants(sample.to_json())) == 3096
+
+
+@pytest.mark.parametrize(
+    "decode, data",
+    [
+        (Transcript.from_json, {"version": True, "exchanges": []}),
+        (InstructionList.from_json, {"instructions": [{"index": True, "text": "Stack a.", "step": {"name": "stack"}}]}),
+        (MemoryEntry.from_json, {"summary": "s", "embedding": [True, False]}),
+        (MemoryEntry.from_json, {"summary": "s", "embedding": [1, 0], "timestamp": True}),
+    ],
+    ids=["transcript-version", "instruction-index", "memory-embedding", "memory-timestamp"],
+)
+def test_a_json_true_is_no_int(decode, data):
+    with pytest.raises(IRDecodeError, match="must"):
+        decode(data)
+
+
+def test_a_bool_passes_only_where_the_kind_names_bool():
+    data = {"flag": True}
+    assert field(data, "flag", bool) is True
+    assert field(data, "flag", (bool, int)) is True
+    for kind in (int, float, (int, float), (str, type(None))):
+        with pytest.raises(IRDecodeError, match="'flag' must be"):
+            field(data, "flag", kind)
+    with pytest.raises(IRDecodeError, match="'flags' must hold only int"):
+        field({"flags": [1, False]}, "flags", [int])
+    assert field({"flags": [1, False]}, "flags", [(int, bool)]) == (1, False)
+
+
+def test_decode_defaults_that_differ_from_the_class():
+    # Required, although the class has a default: an action or problem read
+    # from an agent reply must state its precondition or goal.
+    with pytest.raises(IRDecodeError, match="missing field 'precondition'"):
+        ActionSchema.from_json({"name": "stack"})
+    with pytest.raises(IRDecodeError, match="missing field 'goal'"):
+        ProblemInstance.from_json({"domain": {"name": "blocks"}})
+    # Optional, with a default the class does not have.
+    assert ModifyAction.from_json({"action": "stack"}, "planner") == ModifyAction("stack", None, None, "planner")
+    assert TaskSpec.from_json({}).name == "task"
+    assert Location.from_json({}) == Location("free")
+    assert Transcript.from_json({"version": 1}).exchanges == []
+    assert AgentMessage.from_json({"role": "user"}).to_json() == {"role": "user", "content": ""}
+    assert ToolCall.from_json({"id": "c1", "name": "ask"}).arguments == {}
