@@ -35,6 +35,7 @@ from planwright.gateway import (
 from planwright.ir import Atom, DomainModel, FluentDecl, Not, Parameter, TypeDecl, jsonio, validate
 from planwright.pddl import emit_domain
 from planwright.planner import SolveConfig, Valid, ground, solve, validate_plan
+from planwright.runs import RunDirectory
 from scenarios import (
     FRIDGE_MEMORY_SUMMARY,
     always_failing_scenario,
@@ -298,6 +299,27 @@ class TestLimits:
         )
         assert (result.status, result.failure_kind) == ("failed", "ceiling")
         assert result.gateway_calls == CALL_CEILING + 1
+
+    def test_ceiling_during_an_edit_decision_leaves_the_request_unsettled(self, tmp_path, monkeypatch):
+        """The ceiling trips while the domain editor is asked about the init
+        agent's request, so `pipeline_result.json` holds the request with no
+        outcome and no edit event."""
+        monkeypatch.setattr("planwright.agents.pipeline.CALL_CEILING", 1)
+        arguments = {"fluent_name": "color", "fluent_description": "the color of a block"}
+        request = ToolCall("r1", "missing_or_incorrect_fluent", arguments)
+        result = run_pipeline(
+            TaskSpec("t", "", "blocks", "goal"),
+            PipelineConfig(),
+            scripted_gateway(assistant("", (request,))),
+            provided_domain=blocksworld_domain(),
+        )
+        RunDirectory(tmp_path, "plan").write_json("pipeline_result.json", result)
+        written = json.loads((tmp_path / "pipeline_result.json").read_text())
+        assert (written["status"], written["gateway_calls"], written["error"]) == ("failed", 2, "gateway call ceiling of 1 exceeded")
+        assert written["requests"] == [
+            {"origin": "initial-state", "tool": "missing_or_incorrect_fluent", "arguments": arguments, "outcome": ""}
+        ]
+        assert [e["kind"] for e in written["events"]] == ["stage", "chat", "tool-call", "status"]
 
     def test_scenario_call_counts_stay_under_ceiling(self):
         for factory in (color_scenario, fridge_store_scenario, fridge_recall_scenario, size_tower_scenario):

@@ -9,6 +9,7 @@ from planwright.gateway import Gateway, ScriptedBackend, ToolCall, assistant
 from planwright.ir import And, Atom
 from planwright.pddl import emit_expression
 from planwright.planner import PlanStep, SolveConfig, ground, solve
+from planwright.runs import RunDirectory
 from planwright.textworld import TextWorldEnv
 from scenarios import executor_script_for, kitchen_fixture
 
@@ -193,3 +194,46 @@ class TestRunExecution:
         report = run_execution(InstructionList(items), env, gw, "(is_open fridge_305)", retry_budget=2)
         assert report.verdict.decision == "abort"
         assert report.passes == 3
+
+    def test_two_passes_write_one_log(self, tmp_path):
+        """A pass that stops, a retry and a pass that completes: the log
+        written holds every pass's records and the last pass's status."""
+        env = fresh_env(goal=Atom("is_open", ("fridge_305",)))
+        items = (instruction("Open the fridge.", PlanStep("open", ("fridge_305",))),)
+        script = [
+            call("levitate", "c1", target="fridge_305"),
+            call("levitate", "c2", target="fridge_305"),
+            assistant(json.dumps({"decision": "retry", "feedback": "use the open skill"})),
+            call("walk_to", "c3", target="fridge_305"),
+            call("open", "c4", target="fridge_305"),
+            assistant("The fridge is open."),
+            assistant(json.dumps({"decision": "goal-met"})),
+        ]
+        report = run_execution(InstructionList(items), env, Gateway(ScriptedBackend(script)), "(is_open fridge_305)", retry_budget=1)
+        assert (report.passes, report.verdict.decision) == (2, "goal-met")
+        RunDirectory(tmp_path, "execute").write_json("execution_log.json", report.log)
+        empty = {"skill": None, "arguments": None, "observation": None, "success": None}
+        assert json.loads((tmp_path / "execution_log.json").read_text()) == {
+            "status": "completed",
+            "records": [
+                {"instruction_index": 1, "thought": "tool call rejected: unknown tool 'levitate'", **empty},
+                {"instruction_index": 1, "thought": "instruction abandoned: unknown-skill", **empty},
+                {
+                    "instruction_index": 1,
+                    "thought": "calling walk_to",
+                    "skill": "walk_to",
+                    "arguments": {"target": "fridge_305"},
+                    "observation": "You walk to the fridge_305.",
+                    "success": True,
+                },
+                {
+                    "instruction_index": 1,
+                    "thought": "calling open",
+                    "skill": "open",
+                    "arguments": {"target": "fridge_305"},
+                    "observation": "The fridge_305 is now open.",
+                    "success": True,
+                },
+                {"instruction_index": 1, "thought": "The fridge is open.", **empty},
+            ],
+        }
