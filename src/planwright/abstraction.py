@@ -77,12 +77,12 @@ def _llm_request(plan: Plan, domain: DomainModel) -> ChatRequest:
 
 def _parse_instructions(content: str, expected: int) -> Optional[list[str]]:
     try:
-        items = jsonio.field(jsonio.read_object(content), "instructions", list)
+        items = jsonio.field(jsonio.read_object(content), "instructions", [str])
     except jsonio.IRDecodeError:
         return None
     if len(items) != expected:
         return None
-    texts = [str(t).strip() for t in items]
+    texts = [t.strip() for t in items]
     if any(not t for t in texts):
         return None
     return texts

@@ -22,9 +22,10 @@ def parse_score_payload(content: str) -> tuple[float, str] | None:
         score = jsonio.field(data, "score", (int, float))
         if not math.isfinite(score):  # an int too large for a float overflows
             return None
+        feedback = jsonio.field(data, "feedback", str, "")
     except (jsonio.IRDecodeError, OverflowError):
         return None
-    return float(score), str(data.get("feedback", ""))
+    return float(score), feedback
 
 
 def critic_review(candidate: str, criteria: str, threshold: float, gateway: Gateway) -> CriticVerdict:

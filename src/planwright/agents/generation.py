@@ -26,7 +26,7 @@ from ..ir import (
 )
 from ..ir.model import expression_from_json
 from ..memory import ContextBuffer
-from ..values import Record
+from ..values import Value
 from .config import PipelineConfig
 from .critic import critic_review
 from .events import EventLog
@@ -44,7 +44,7 @@ class CorrectionLimitReached(RuntimeError):
         super().__init__(f"{role} agent hit its correction limit after {turns} turns: {last_error}")
 
 
-class GenerationOutcome(Record):
+class GenerationOutcome(Value):
     artifact: Any
     turns: int
     critic_rejections: int

@@ -33,7 +33,7 @@ from ..ir import (
     validate,
 )
 from ..memory import ProceduralStore
-from ..values import Record
+from ..values import Value, replace
 from .channel import InteractionError, RefusingUserChannel, UserChannel
 from .config import PipelineConfig
 from .events import EventLog
@@ -76,7 +76,7 @@ class GatewayMeter:
         return self.gateway.chat(request)
 
 
-class TaskSpec(Record):
+class TaskSpec(Value):
     name: str
     domain_description: str = ""
     initial_state_description: str = ""
@@ -85,37 +85,21 @@ class TaskSpec(Record):
     _json_defaults = {"name": "task"}
 
 
-class UpstreamRequest(Record):
+class UpstreamRequest(Value):
     origin: str
     tool: str
     arguments: dict[str, Any]
     outcome: str = ""
 
 
-class PipelineResult(Record):
+class PipelineResult(Value):
     problem: Optional[ProblemInstance]
     events: EventLog
-    requests: list[UpstreamRequest]
-    error: str
-    gateway_calls: int
-    failure_kind: str  # "" | correction-limit | interaction | ceiling | validation
+    requests: tuple[UpstreamRequest, ...] = ()
+    error: str = ""
+    gateway_calls: int = 0
+    failure_kind: str = ""  # "" | correction-limit | interaction | ceiling | validation
     _json_keys = ("status", "problem", "requests", "gateway_calls", "error", "events")
-
-    def __init__(
-        self,
-        problem: Optional[ProblemInstance],
-        events: EventLog,
-        requests: Optional[list[UpstreamRequest]] = None,
-        error: str = "",
-        gateway_calls: int = 0,
-        failure_kind: str = "",
-    ):
-        self.problem = problem
-        self.events = events
-        self.requests = [] if requests is None else requests
-        self.error = error
-        self.gateway_calls = gateway_calls
-        self.failure_kind = failure_kind
 
     @property
     def status(self) -> str:
@@ -181,7 +165,7 @@ def run_pipeline(
         return f"tool {call.name} is not handled by the orchestrator", False
 
     def _settle(record: UpstreamRequest, outcome: str, applied: bool = False) -> tuple[str, bool]:
-        record.outcome = outcome
+        requests[-1] = replace(record, outcome=outcome)  # the request being settled is the last one appended
         events.add("edit", record.origin, tool=record.tool, outcome=outcome)
         return outcome, applied
 
@@ -306,7 +290,7 @@ def run_pipeline(
         error = str(exc)
 
     events.add("status", "", status=_status(failure_kind), error=error)
-    return PipelineResult(problem, events, requests, error, meter.calls, failure_kind)
+    return PipelineResult(problem, events, tuple(requests), error, meter.calls, failure_kind)
 
 
 def _status(failure_kind: str) -> str:

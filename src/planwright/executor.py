@@ -25,10 +25,10 @@ from .gateway import (
 )
 from .ir import jsonio
 from .textworld import TextWorldEnv
-from .values import Record, Value
+from .values import Value
 
 
-class StepRecord(Record):
+class StepRecord(Value):
     instruction_index: int
     thought: str
     skill: Optional[str] = None
@@ -48,14 +48,10 @@ class StepOutcome(Value):
     reason: str = ""
 
 
-class ExecutionLog(Record):
-    records: list[StepRecord]
-    status: str  # completed | stopped-at-N
+class ExecutionLog(Value):
+    records: tuple[StepRecord, ...] = ()
+    status: str = "completed"  # completed | stopped-at-N
     _json_keys = ("status", "records")
-
-    def __init__(self, records: Optional[list[StepRecord]] = None, status: str = "completed"):
-        self.records = [] if records is None else records
-        self.status = status
 
     def render(self) -> str:
         return "\n".join(r.render() for r in self.records) or "(no actions taken)"
@@ -135,18 +131,16 @@ def execute_plan(
     feedback: str = "",
 ) -> ExecutionLog:
     """Process instructions in order; stop at the first failed step."""
-    log = ExecutionLog()
+    records: list[StepRecord] = []
+    status = "completed"
     for instruction in instructions.items:
-        outcome, records = execute_step(instruction, env, gateway, step_budget, feedback)
-        log.records.extend(records)
+        outcome, steps = execute_step(instruction, env, gateway, step_budget, feedback)
+        records.extend(steps)
         if not outcome.done:
-            log.status = f"stopped-at-{instruction.index}"
-            log.records.append(
-                StepRecord(instruction.index, f"instruction abandoned: {outcome.reason}")
-            )
-            return log
-    log.status = "completed"
-    return log
+            status = f"stopped-at-{instruction.index}"
+            records.append(StepRecord(instruction.index, f"instruction abandoned: {outcome.reason}"))
+            break
+    return ExecutionLog(tuple(records), status)
 
 
 def validate_execution(
@@ -166,6 +160,8 @@ def validate_execution(
     try:
         data = jsonio.read_object(response.content)
         decision = jsonio.field(data, "decision", str, "")
+        for key in ("feedback", "notification"):  # free text, read below
+            jsonio.field(data, key, str, "")
     except jsonio.IRDecodeError:
         data = {"feedback": f"validator answer was not parseable: {response.content}"}
         decision = "retry"
@@ -178,14 +174,14 @@ def validate_execution(
         data["feedback"] = "the environment goal check fails despite the reported success; re-execute"
     if decision == "retry":
         if retry_budget > 0:
-            return ValidatorVerdict("retry", feedback=str(data.get("feedback", "try again")))
-        return ValidatorVerdict("abort", notification="retry budget exhausted: " + str(data.get("feedback", "goal not met")))
+            return ValidatorVerdict("retry", feedback=data.get("feedback", "try again"))
+        return ValidatorVerdict("abort", notification="retry budget exhausted: " + data.get("feedback", "goal not met"))
     if decision == "abort":
-        return ValidatorVerdict("abort", notification=str(data.get("notification", "execution aborted")))
+        return ValidatorVerdict("abort", notification=data.get("notification", "execution aborted"))
     return ValidatorVerdict("abort", notification=f"validator returned unknown decision {decision!r}")
 
 
-class ExecutionReport(Record):
+class ExecutionReport(Value):
     log: ExecutionLog
     verdict: ValidatorVerdict
     passes: int
@@ -206,14 +202,13 @@ def run_execution(
     feedback = ""
     passes = 0
     remaining = retry_budget
-    combined = ExecutionLog()
+    records: list[StepRecord] = []
     while True:
         passes += 1
         log = execute_plan(instructions, env, meter, step_budget, feedback)
-        combined.records.extend(log.records)
-        combined.status = log.status
+        records.extend(log.records)
         verdict = validate_execution(log, goal_text, env, meter, remaining)
         if verdict.decision != "retry":
-            return ExecutionReport(combined, verdict, passes, meter.calls)
+            return ExecutionReport(ExecutionLog(tuple(records), log.status), verdict, passes, meter.calls)
         remaining -= 1
         feedback = verdict.feedback

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..values import Record
+from ..values import Value
 from .backends import Backend, BackendError, LiveBackend, ReplayBackend, ScriptExhausted, ScriptedBackend
 from .embedding import Embedder, FixtureEmbedder, HashedBagOfWordsEmbedder
 from .messages import (
@@ -34,7 +34,7 @@ class ToolArgumentError(ValueError):
         super().__init__("; ".join(problems))
 
 
-class Gateway(Record):
+class Gateway(Value):
     """Validates requests, dispatches to a backend, and optionally records.
 
     Every tool call handed back to a caller has passed schema validation

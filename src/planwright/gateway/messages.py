@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..values import Record
+from ..values import Value, set_field
 
 ROLE_SYSTEM = "system"
 ROLE_USER = "user"
@@ -16,7 +16,7 @@ class MessageError(ValueError):
     """A message or request violates the conversational invariants."""
 
 
-class ToolParam(Record):
+class ToolParam(Value):
     """One tool argument; every argument is a required string."""
 
     name: str
@@ -26,7 +26,7 @@ class ToolParam(Record):
     _json_keys = ("name", "type", "required", "description")
 
 
-class ToolSchema(Record):
+class ToolSchema(Value):
     name: str
     description: str = ""
     parameters: tuple[ToolParam, ...] = ()
@@ -46,7 +46,7 @@ class ToolSchema(Record):
         return problems
 
 
-class ToolCall(Record):
+class ToolCall(Value):
     id: str
     name: str
     arguments: dict[str, Any]
@@ -54,12 +54,12 @@ class ToolCall(Record):
     _json_defaults = {"arguments": None}
 
     def __init__(self, id: str, name: str, arguments: Optional[dict[str, Any]] = None):
-        self.id = id
-        self.name = name
-        self.arguments = {} if arguments is None else arguments
+        set_field(self, "id", id)
+        set_field(self, "name", name)
+        set_field(self, "arguments", {} if arguments is None else arguments)
 
 
-class AgentMessage(Record):
+class AgentMessage(Value):
     role: str
     content: str
     tool_calls: tuple[ToolCall, ...]
@@ -69,11 +69,11 @@ class AgentMessage(Record):
     _json_defaults = {"content": "", "tool_calls": (), "tool_call_id": None}
 
     def __init__(self, role: str, content: str = "", tool_calls: tuple[ToolCall, ...] = (), tool_call_id: Optional[str] = None):
-        # Written out: replay builds one per message, the most of any record.
-        self.role = role
-        self.content = content
-        self.tool_calls = tuple(tool_calls)  # so no calls is always the omitted ()
-        self.tool_call_id = tool_call_id
+        # Written out: replay builds one per message, the most of any value.
+        set_field(self, "role", role)
+        set_field(self, "content", content)
+        set_field(self, "tool_calls", tuple(tool_calls))  # so no calls is always the omitted ()
+        set_field(self, "tool_call_id", tool_call_id)
 
 
 def system(content: str) -> AgentMessage:
@@ -92,7 +92,7 @@ def tool_result(call_id: str, content: str) -> AgentMessage:
     return AgentMessage(ROLE_TOOL_RESULT, content, tool_call_id=call_id)
 
 
-class ChatRequest(Record):
+class ChatRequest(Value):
     messages: tuple[AgentMessage, ...]
     tools: tuple[ToolSchema, ...] = ()
 

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from ..ir import jsonio
-from ..values import Record, field
+from ..values import Value, field, set_field
 from .messages import AgentMessage, ChatRequest
 
 
@@ -39,19 +39,22 @@ def fingerprint(request: ChatRequest) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-class Exchange(Record):
+class Exchange(Value):
     fingerprint: str
     response: AgentMessage
     _json_kinds = {"fingerprint": str, "response": AgentMessage}
 
 
-class Transcript(Record):
+class Transcript(Value):
+    """``exchanges`` is the one list of any value that is appended to in
+    place: a recording gateway adds each exchange as it is served."""
+
     exchanges: list[Exchange]
     version = 1
     _json_keys = ("version", "exchanges")
 
     def __init__(self, exchanges: Optional[list[Exchange]] = None):
-        self.exchanges = [] if exchanges is None else exchanges
+        set_field(self, "exchanges", [] if exchanges is None else exchanges)
 
     def append(self, fp: str, response: AgentMessage) -> None:
         self.exchanges.append(Exchange(fp, response))

@@ -5,9 +5,9 @@ and CLI artifacts. Encoding is deterministic: equal values produce
 byte-identical text. Numeric values are rendered as exact rational strings
 ("30", "3/2") to avoid any float round-tripping.
 
-Each value type writes its own JSON form (`planwright.values.Record.to_json`),
+Each value type writes its own JSON form (`planwright.values.Value.to_json`),
 and `dumps` lays it out. Each also reads it back and checks it
-(`Record.from_json`, with `field` for a single key). What is left here is
+(`Value.from_json`, with `field` for a single key). What is left here is
 the text: `dumps` writes it, and `loads` and `read_object` read every JSON
 text from outside the program; any malformed one raises `IRDecodeError`. A
 document may nest at most `MAX_JSON_DEPTH` deep, so the recursive decoders
@@ -21,7 +21,7 @@ from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Union
 
-from ..values import IRDecodeError, Record, cached_on, field  # noqa: F401  (field: read as jsonio.field)
+from ..values import IRDecodeError, Value, cached_on, field  # noqa: F401  (field: read as jsonio.field)
 from .model import DomainModel, ProblemInstance
 
 _encode_scalar = json.JSONEncoder().encode
@@ -29,12 +29,12 @@ _encode_scalar = json.JSONEncoder().encode
 
 def dumps(payload: Any) -> str:
     """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, where any
-    `Record` in ``payload`` stands for its ``to_json()`` value.
+    `Value` in ``payload`` stands for its ``to_json()`` value.
 
     With ``indent`` set, ``json.dumps`` falls back to its pure-Python
     encoder. Here containers are walked in Python and each is built with one
-    join, while every leaf goes through the C encoder functions. A record is
-    written from its `Record.json_items` pairs, and a `DomainModel` or
+    join, while every leaf goes through the C encoder functions. A value is
+    written from its `Value.json_items` pairs, and a `DomainModel` or
     `ProblemInstance` from text encoded once per instance (see `_document`).
     Every indented document the package writes comes through here:
     run-directory files, recorded fixtures and the JSON in agent prompts.
@@ -60,7 +60,7 @@ def _encode(value: Any, newline: str) -> str:
         # encode_basestring_ascii writes one inside a string as "\\n";
         # indenting each break re-nests the document.
         return _document(value).replace("\n", newline)
-    if isinstance(value, Record):
+    if isinstance(value, Value):
         return _encode_items(value.json_items(), newline)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

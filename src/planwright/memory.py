@@ -77,8 +77,11 @@ class ProceduralStore:
         lines = [l for l in self.path.read_text(encoding="utf-8").splitlines() if l.strip()]
         if not lines:
             return
+        header = jsonio.read_object(lines[0])
+        if jsonio.field(header, "version", int, None) != 1:
+            raise ValueError(f"memory store {self.path} does not start with its version 1 header")
         self._has_header = True
-        stored_id = jsonio.field(jsonio.read_object(lines[0]), "embedder", str, "")
+        stored_id = jsonio.field(header, "embedder", str, "")
         if stored_id and stored_id != self.embedder.id:
             raise ValueError(f"store was built with embedder {stored_id!r}, not {self.embedder.id!r}")
         self.entries = [MemoryEntry.from_json(jsonio.read_object(line)) for line in lines[1:]]

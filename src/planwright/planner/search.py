@@ -46,7 +46,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Optional
 
-from ..values import Record, Value
+from ..values import Value
 from .grounding import GroundAction, GroundTask
 from .heuristics import INF, blind, h_add
 from .plan import Plan, PlanStep
@@ -77,7 +77,7 @@ class SolveConfig(Value):
             raise ValueError("budgets must be positive")
 
 
-class SolveResult(Record):
+class SolveResult(Value):
     status: str
     plan: Optional[Plan] = None
     nodes_expanded: int = 0

@@ -1,24 +1,23 @@
-"""Record and value types whose methods are written once, here.
+"""Value types whose methods are written once, here.
 
-A subclass declares its fields as class annotations, in order after the
-fields it inherits, each with an optional default given as the class
-attribute of the same name. ``__init_subclass__`` reads them into
+A subclass of `Value` declares its fields as class annotations, in order
+after the fields it inherits, each with an optional default given as the
+class attribute of the same name. ``__init_subclass__`` reads them into
 ``_fields`` and ``_defaults``; no code is generated per class, so every
 method below is compiled once, into the bytecode cache, rather than at each
-import. `Record` gives a class:
+import. `Value` gives a class:
 
 - an ``__init__`` that takes the fields by position or keyword, fills in the
   defaults, and then calls ``__post_init__`` where the class defines one;
 - the repr ``Name(field=value, ...)``;
-- identity equality and hashing, from ``object``.
+- equality with an instance of the very same class whose fields are equal,
+  and the hash of the tuple of its field values;
+- frozen fields: assigning or deleting an attribute raises `AttributeError`.
 
-`Value` is a frozen `Record`: assigning or deleting an attribute raises
-`AttributeError`, two values are equal when they are of the very same class
-and their fields are equal, and a value hashes as the tuple of its field
-values. A class may write its own ``__init__`` with the same parameters, as
-the types built in the hot loops of parsing and grounding do, where the
-generic one would cost more; it, and a frozen class's ``__post_init__``,
-writes a field through `set_field`.
+A class may write its own ``__init__`` with the same parameters, as the
+types built in the hot loops do; it, and ``__post_init__``, writes a field
+through `set_field`. A value that holds a list or dict (a transcript's
+exchanges, say) is unhashable, and the list or dict is not frozen.
 
 Fields are read from the annotations in the class's own ``__dict__``, so a
 module that declares a subclass needs ``from __future__ import
@@ -31,9 +30,9 @@ Instances keep their ``__dict__``. An attribute cached there, such as a
 ``functools.cached_property`` or what `cached_on` keeps, is no field, so
 equality, hashing, repr and `replace` ignore it.
 
-Every record has one JSON form, written by `Record.to_json` from the pairs
-of `Record.json_items`: each field is a key, in declaration order, a nested
-record is its own JSON form, a tuple or list a list, and a dict or scalar is
+Every value has one JSON form, written by `Value.to_json` from the pairs
+of `Value.json_items`: each field is a key, in declaration order, a nested
+value is its own JSON form, a tuple or list a list, and a dict or scalar is
 kept as it is. Three class attributes declare the exceptions:
 
 - ``_json_op``: a tag written first, as ``"op"``;
@@ -42,15 +41,15 @@ kept as it is. Three class attributes declare the exceptions:
 - ``_json_omit``: a default under which a key is left out.
 
 A class whose form differs in any other way overrides ``json_items``.
-`planwright.ir.jsonio.dumps` writes a record from the same pairs.
+`planwright.ir.jsonio.dumps` writes a value from the same pairs.
 
-`Record.from_json` reads the form back and checks it. It reads each key of
+`Value.from_json` reads the form back and checks it. It reads each key of
 the class's ``_json_kinds`` table with `field`, and passes the values to the
 class in table order, so the table lists its keys in field order. A kind is:
 
 - a type or a tuple of types, checked; a ``bool`` passes only where the kind
   names ``bool``, so a JSON ``true`` is no ``int``;
-- a record class, or a decoder function such as
+- a value class, or a decoder function such as
   `planwright.ir.model.expression_from_json`, which reads a JSON object;
 - ``[kind]``, a list of that kind, read as a tuple.
 
@@ -65,7 +64,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Any, Callable, Optional, TypeVar
 
-R = TypeVar("R", bound="Record")
+R = TypeVar("R", bound="Value")
 
 set_field = object.__setattr__  # writes a field past Value's __setattr__
 
@@ -76,8 +75,8 @@ class IRDecodeError(ValueError):
     """Raised when a JSON document does not describe a valid value."""
 
 
-class Record:
-    """A mutable record with the generic ``__init__`` and repr, compared by identity."""
+class Value:
+    """A frozen value, equal to an instance of the same class with equal fields."""
 
     _fields: tuple[str, ...] = ()
     _defaults: dict[str, Any] = {}
@@ -127,6 +126,20 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__qualname__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__qualname__}")
+
     def json_items(self) -> list[tuple[str, Any]]:
         """The keys of the JSON form, each with its value as it is held."""
         items = [("op", self._json_op)] if self._json_op else []
@@ -143,7 +156,7 @@ class Record:
 
     @classmethod
     def from_json(cls: type[R], data: Any) -> R:
-        """The record whose JSON form ``data`` is, read by `_json_kinds`."""
+        """The value whose JSON form ``data`` is, read by `_json_kinds`."""
         return cls(*cls._json_args(data))
 
     @classmethod
@@ -156,7 +169,7 @@ class Record:
 
 
 def _plain(value: Any) -> Any:
-    if isinstance(value, Record):
+    if isinstance(value, Value):
         return value.to_json()
     if isinstance(value, (tuple, list)):
         return [_plain(item) for item in value]
@@ -174,7 +187,7 @@ def field(data: Any, key: str, kind: Any, default: Any = REQUIRED) -> Any:
             raise IRDecodeError(f"missing field {key!r}")
         return default
     value = data[key]
-    if value.__class__ is kind:  # exactly a checked type, as a parsed value is no record
+    if value.__class__ is kind:  # exactly a checked type, as a parsed value is no Value
         return value
     if isinstance(kind, list):
         if not isinstance(value, list):
@@ -195,7 +208,7 @@ def field(data: Any, key: str, kind: Any, default: Any = REQUIRED) -> Any:
 
 
 def _is_type(kind: Any) -> bool:
-    return isinstance(kind, tuple) or (isinstance(kind, type) and not issubclass(kind, Record))
+    return isinstance(kind, tuple) or (isinstance(kind, type) and not issubclass(kind, Value))
 
 
 def _is(value: Any, kind: Any) -> bool:
@@ -208,24 +221,6 @@ def _kind_names(kind: Any) -> str:
     return " or ".join(k.__name__ for k in kinds)
 
 
-class Value(Record):
-    """A frozen record, equal to an instance of the same class with equal fields."""
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values(self) == other._values(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values(self))
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__qualname__}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__qualname__}")
-
-
 def replace(record: R, **changes: Any) -> R:
     """A copy of ``record`` with ``changes`` to its fields, built through
     ``__init__``, so ``__post_init__`` runs again."""
@@ -235,11 +230,11 @@ def replace(record: R, **changes: Any) -> R:
     return type(record)(**changes)
 
 
-def cached_on(instance: Record, key: str, build: Callable[[Any], Any]) -> Any:
+def cached_on(instance: Value, key: str, build: Callable[[Any], Any]) -> Any:
     """``build(instance)``, made on first use and kept in the instance's
     ``__dict__`` under ``key``. It is no field, so equality, hashing, repr
     and `replace` ignore it, and it is freed with the instance. Use it only
-    on a frozen value, whose fields cannot change under what was built."""
+    where no list or dict that a field holds changes under what was built."""
     cache = vars(instance)
     value = cache.get(key)
     if value is None:

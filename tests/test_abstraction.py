@@ -53,6 +53,13 @@ def test_wrong_count_retried_then_fallback():
     assert len(result) == 3
 
 
+def test_instruction_that_is_no_string_is_retried_then_fallback():
+    bad = assistant(json.dumps({"instructions": [None, {"a": 1}, "Remove."]}))
+    gateway = Gateway(ScriptedBackend([bad, bad]))
+    result = translate_plan(FLOORTILE_PLAN, blocksworld_domain(), gateway)
+    assert result == translate_plan(FLOORTILE_PLAN, blocksworld_domain())
+
+
 def test_wrong_count_then_correct_uses_retry():
     texts = ["Move.", "Place.", "Remove."]
     gateway = Gateway(

@@ -88,6 +88,12 @@ class TestCritic:
         gw = scripted_gateway(assistant(json.dumps({"score": 0.8, "feedback": ""})))
         assert critic_review("candidate", "criteria", 0.8, gw).accepted
 
+    def test_feedback_that_is_no_string_is_rejection(self):
+        text = json.dumps({"score": 0.2, "feedback": None})
+        assert parse_score_payload(text) is None
+        verdict = critic_review("candidate", "criteria", 0.8, scripted_gateway(assistant(text)))
+        assert verdict == CriticVerdict(0.0, text, accepted=False)
+
     def test_fenced_verdict_is_read(self):
         assert parse_score_payload('```json\n{"score": 0.9}\n```') == (0.9, "")
 

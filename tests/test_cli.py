@@ -337,6 +337,7 @@ class TestMalformedInputFiles:
         "memory-entry-of-wrong-dimension": ("memory_store", '{"version": 1}\n{"summary": "s", "embedding": [1, 0, 0, 0, 0, 0, 0, 0, 0, 0]}\n'),
         "memory-entry-not-finite": ("memory_store", '{"version": 1}\n{"summary": "s", "embedding": [1e400' + ', 0' * 255 + ']}\n'),
         "domain-too-deep": ("domain", nested_domain_text(3000)),
+        "memory-without-header": ("memory_store", "".join((scenario_dir("fridge_recall") / "memory.jsonl").read_text().splitlines(True)[1:])),
     }
 
     EXECUTE_FLAGS = {

@@ -4,7 +4,7 @@ import json
 
 from planwright.abstraction import Instruction, InstructionList, translate_plan
 from planwright.domains import household_problem
-from planwright.executor import execute_plan, execute_step, run_execution, validate_execution
+from planwright.executor import ExecutionLog, ValidatorVerdict, execute_plan, execute_step, run_execution, validate_execution
 from planwright.gateway import Gateway, ScriptedBackend, ToolCall, assistant
 from planwright.ir import And, Atom
 from planwright.pddl import emit_expression
@@ -101,7 +101,7 @@ class TestExecutePlan:
         env = fresh_env()
         log = execute_plan(InstructionList(()), env, Gateway(ScriptedBackend([])))
         assert log.status == "completed"
-        assert log.records == []
+        assert log.records == ()
 
     def test_failure_at_step_two_stops(self):
         env = fresh_env()
@@ -155,6 +155,13 @@ class TestValidateExecution:
         verdict = validate_execution(ExecutionLog(), "(is_open fridge_305)", env, gw, retry_budget=2)
         assert verdict.decision == "retry"
         assert verdict.feedback == "grab the salmon before heating"
+
+    def test_feedback_that_is_no_string_is_not_parseable(self):
+        env = fresh_env(goal=Atom("is_open", ("fridge_305",)))
+        text = json.dumps({"decision": "retry", "feedback": None})
+        gw = Gateway(ScriptedBackend([assistant(text)]))
+        verdict = validate_execution(ExecutionLog(), "(is_open fridge_305)", env, gw, retry_budget=2)
+        assert verdict == ValidatorVerdict("retry", feedback=f"validator answer was not parseable: {text}")
 
     def test_retry_budget_zero_aborts(self):
         env = fresh_env(goal=Atom("is_open", ("fridge_305",)))

@@ -66,6 +66,16 @@ class TestStore:
         assert [e.embedding for e in reloaded.entries] == [e.embedding for e in store.entries]
         assert reloaded.retrieve("fridge", k=2) == store.retrieve("fridge", k=2)
 
+    def test_store_without_its_header_is_refused(self, tmp_path):
+        path = tmp_path / "memory.jsonl"
+        store = ProceduralStore(path)
+        store.store("watch the battery level")
+        store.store(FRIDGE_NOTE)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[1:]))
+        with pytest.raises(ValueError, match="header"):
+            ProceduralStore(path)
+
     def test_two_stores_appending_in_turn_share_one_header(self, tmp_path, monkeypatch):
         path = tmp_path / "memory.jsonl"
         first = ProceduralStore(path, clock=lambda: 1.0)

@@ -3,12 +3,12 @@
 For one sample of each type this pins what callers and outputs rely on:
 
 - the repr text;
-- equality: frozen types compare their fields and only equal an instance of
-  the very same class; records compare by identity;
+- equality: values compare their fields and only equal an instance of the
+  very same class;
 - hashing: a frozen value hashes as the tuple of its field values, so the
   iteration order of a frozenset of values depends on nothing else;
-- frozenness: assigning or deleting an attribute of a frozen value raises
-  `AttributeError`, while records stay assignable;
+- frozenness: assigning or deleting an attribute of any value raises
+  `AttributeError`;
 - `replace`, which re-runs `__post_init__`;
 - attributes cached on an instance (`DomainModel._parents`, the JSON text
   `jsonio.dumps` keeps, `GroundTask.relaxed`), which equality, hashing,
@@ -80,7 +80,7 @@ from planwright.planner.plan import Plan, PlanStep
 from planwright.planner.search import SolveConfig, SolveResult
 from planwright.planner.validation import Invalid, Valid
 from planwright.textworld import Entity, Location, SkillResult, WorldState
-from planwright.values import IRDecodeError, Record, Value, field, replace
+from planwright.values import IRDecodeError, Value, field, replace
 
 ON = Atom("on", ("a", "b"))
 FUEL = NumFluent("fuel", ("t",))
@@ -102,6 +102,10 @@ def _problem() -> ProblemInstance:
 
 def _step() -> PlanStep:
     return PlanStep("stack", ("a",))
+
+
+def _message() -> AgentMessage:
+    return AgentMessage("assistant", "ok", (ToolCall("c1", "ask", {"q": "why"}),))
 
 
 # (sample, field names, repr text). A repr of None is checked against the
@@ -221,15 +225,6 @@ FROZEN = [
         ("summary", "embedding", "source_agent", "timestamp"),
         "MemoryEntry(summary='put the apple in the fridge', embedding=(1, 0, 2), source_agent='planner', timestamp=3.0)",
     ),
-]
-
-
-def _message() -> AgentMessage:
-    return AgentMessage("assistant", "ok", (ToolCall("c1", "ask", {"q": "why"}),))
-
-
-# (sample, field names, repr text), as above.
-RECORDS = [
     (PipelineEvent("chat", "planner", {"n": 1}), ("kind", "agent", "data"), "PipelineEvent(kind='chat', agent='planner', data={'n': 1})"),
     (
         GenerationOutcome("artifact", 2, 1, False),
@@ -252,7 +247,7 @@ RECORDS = [
         ("instruction_index", "thought", "skill", "arguments", "observation", "success"),
         "StepRecord(instruction_index=1, thought='open it', skill='open', arguments={'entity': 'fridge'}, observation='opened', success=True)",
     ),
-    (ExecutionLog(), ("records", "status"), "ExecutionLog(records=[], status='completed')"),
+    (ExecutionLog(), ("records", "status"), "ExecutionLog(records=(), status='completed')"),
     (
         ExecutionReport(ExecutionLog([StepRecord(1, "think")], "stopped-at-1"), ValidatorVerdict("abort"), 1, 3),
         ("log", "verdict", "passes", "gateway_calls"),
@@ -301,12 +296,12 @@ def _value_types() -> set[type]:
         for name, module in list(sys.modules.items())
         if name.startswith("planwright")
         for cls in vars(module).values()
-        if isinstance(cls, type) and cls.__module__ == name and issubclass(cls, Record) and cls._fields and not cls.__subclasses__()
+        if isinstance(cls, type) and cls.__module__ == name and issubclass(cls, Value) and cls._fields and not cls.__subclasses__()
     }
 
 
 def test_every_value_type_has_a_sample():
-    sampled = [type(sample) for sample, _, _ in FROZEN + RECORDS]
+    sampled = [type(sample) for sample, _, _ in FROZEN]
     assert len(sampled) == len(set(sampled))
     assert set(sampled) == _value_types()
 
@@ -315,7 +310,7 @@ def _ids(cases):
     return [type(sample).__name__ for sample, _, _ in cases]
 
 
-@pytest.mark.parametrize("sample, names, text", FROZEN + RECORDS, ids=_ids(FROZEN + RECORDS))
+@pytest.mark.parametrize("sample, names, text", FROZEN, ids=_ids(FROZEN))
 def test_repr(sample, names, text):
     assert repr(sample) == _field_repr(sample, names)
     if text is not None:
@@ -346,16 +341,6 @@ def test_frozen_value_semantics(sample, names, text):
     assert _fields(sample, names) == _fields(twin, names)
 
 
-@pytest.mark.parametrize("sample, names, text", RECORDS, ids=_ids(RECORDS))
-def test_records_compare_by_identity_and_stay_assignable(sample, names, text):
-    twin = replace(sample)
-    assert _fields(twin, names) == _fields(sample, names)
-    assert sample == sample and twin != sample
-    assert hash(sample) == object.__hash__(sample)
-    setattr(sample, names[-1], getattr(twin, names[-1]))
-    assert _fields(twin, names) == _fields(sample, names)
-
-
 @pytest.mark.parametrize(
     "left, right",
     [
@@ -383,8 +368,6 @@ def test_defaults_and_keywords():
     assert ToolCall("c1", "ask").arguments is not ToolCall("c2", "ask").arguments
     assert Transcript().exchanges is not Transcript().exchanges
     assert PipelineEvent("chat").data is not PipelineEvent("chat").data
-    assert ExecutionLog().records is not ExecutionLog().records
-    assert PipelineResult(None, EventLog()).requests is not PipelineResult(None, EventLog()).requests
     with pytest.raises(TypeError):
         Atom()
     with pytest.raises(TypeError):
@@ -398,7 +381,7 @@ def test_mutable_default_is_refused(default):
     # Shared by every instance, as a class attribute, so refused when the
     # class is made.
     with pytest.raises(TypeError, match="default would be shared by every instance"):
-        type("Bag", (Record,), {"__annotations__": {"items": "list"}, "items": default})
+        type("Bag", (Value,), {"__annotations__": {"items": "list"}, "items": default})
 
 
 def test_annotations_kept_in_annotate_are_refused():
@@ -484,7 +467,7 @@ _MORE = [
     WorldState((Entity("apple", "item", Location("in", "fridge"), is_heated=True),), "", (None, None)),
 ]
 
-_SAMPLES = [sample for sample, _, _ in FROZEN + RECORDS] + _MORE
+_SAMPLES = [sample for sample, _, _ in FROZEN] + _MORE
 
 # The record types written to a run directory or a fixture.
 _WRITTEN = {
@@ -505,8 +488,7 @@ def test_json_round_trip(sample):
     decoded = _DECODERS[type(sample)](json.loads(json.dumps(sample.to_json())))
     assert type(decoded) is type(sample)
     assert repr(decoded) == repr(sample)
-    if isinstance(sample, Value):
-        assert decoded == sample
+    assert decoded == sample
 
 
 def test_codec_samples_cover_every_decoder_and_written_type():
@@ -530,7 +512,7 @@ def test_dumps_writes_a_record_as_its_json_form(sample):
         assert jsonio.dumps([sample, {"nested": sample}]) == json.dumps([sample.to_json(), {"nested": sample.to_json()}], indent=2) + "\n"
 
 
-def _record_types(cls=Record):
+def _record_types(cls=Value):
     for sub in cls.__subclasses__():
         yield sub
         yield from _record_types(sub)
@@ -569,7 +551,7 @@ def test_json_form_pins_its_exceptions():
 
 
 def test_json_decode_declarations_name_fields_in_order():
-    """`Record.from_json` builds a record from its keys' values by position,
+    """`Value.from_json` builds a value from its keys' values by position,
     so a class's kind table lists a prefix of its fields, in field order."""
     renamed = {(Entity, "class"): "cls"}  # the JSON key of Entity.cls
     tables = [cls for cls in _record_types() if cls._json_kinds or cls._json_defaults]
