@@ -155,6 +155,8 @@ def run_pipeline(
             summary = str(call.arguments.get("summary", "")).strip()
             if memory is None:
                 return "no memory store configured; nothing saved", False
+            if not summary:
+                return "the summary is blank; nothing saved", False
             entry = memory.store(summary, source_agent=origin)
             events.add("memory-store", origin, summary=entry.summary)
             return "stored", False

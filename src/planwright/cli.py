@@ -50,7 +50,7 @@ from .memory import ProceduralStore
 from .pddl import PddlError, emit_domain, emit_expression, emit_problem, parse_domain, parse_problem, render_plan
 from .planner import GroundingError, Invalid, SolveConfig, ground, solve, validate_plan
 from .runs import RunDirectory
-from .textworld import TextWorldEnv, load_world
+from .textworld import TextWorldEnv, UnknownEntityError, load_world
 
 EX_OK = 0
 EX_TASK_FAILED = 1
@@ -205,8 +205,6 @@ def _gateway_for(args) -> tuple[Gateway, Optional[Transcript], Optional[Path]]:
 
     Returns (gateway, recording transcript or None, fixture path to save)."""
     mode = args.mode
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
     if mode in ("record", "replay") and not args.fixture:
         raise ConfigError(f"{mode} mode requires --fixture")
     if mode != "replay" and args.model == "default":
@@ -342,8 +340,9 @@ def cmd_execute(args, run: RunDirectory) -> None:
         problem = ProblemInstance.from_json(jsonio.read_object((artifacts / "problem.json").read_text(encoding="utf-8")))
         env = TextWorldEnv(load_world(args.world), problem.goal)
         goal_text = emit_expression(problem.goal)
+        env.goal_satisfied()  # a goal the world cannot evaluate fails here, before any model call
         gateway, recording, fixture_out = _gateway_for(args)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError, UnknownEntityError) as exc:
         raise _config_exit(exc) from exc
 
     try:

@@ -13,7 +13,6 @@ import json
 from typing import Optional
 
 from .abstraction import InstructionList
-from .agents.pipeline import GatewayMeter
 from .agents.prompts import load_prompt
 from .gateway import (
     ChatRequest,
@@ -185,7 +184,6 @@ class ExecutionReport(Value):
     log: ExecutionLog
     verdict: ValidatorVerdict
     passes: int
-    gateway_calls: int
 
 
 def run_execution(
@@ -197,18 +195,16 @@ def run_execution(
     retry_budget: int = 2,
 ) -> ExecutionReport:
     """Executor/validator loop: execute, validate, retry on feedback."""
-    ceiling = (retry_budget + 1) * (max(len(instructions), 1) * step_budget + 1)
-    meter = GatewayMeter(gateway, ceiling)
     feedback = ""
     passes = 0
     remaining = retry_budget
     records: list[StepRecord] = []
     while True:
         passes += 1
-        log = execute_plan(instructions, env, meter, step_budget, feedback)
+        log = execute_plan(instructions, env, gateway, step_budget, feedback)
         records.extend(log.records)
-        verdict = validate_execution(log, goal_text, env, meter, remaining)
+        verdict = validate_execution(log, goal_text, env, gateway, remaining)
         if verdict.decision != "retry":
-            return ExecutionReport(ExecutionLog(tuple(records), log.status), verdict, passes, meter.calls)
+            return ExecutionReport(ExecutionLog(tuple(records), log.status), verdict, passes)
         remaining -= 1
         feedback = verdict.feedback

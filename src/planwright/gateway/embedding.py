@@ -43,7 +43,8 @@ class HashedBagOfWordsEmbedder:
 
 
 class FixtureEmbedder:
-    """Replays embeddings recorded from a live embedder."""
+    """Serves fixed vectors from a text-to-vector table; a text missing
+    from the table raises `LookupError`."""
 
     def __init__(self, vectors: dict[str, Sequence], source_id: str = "fixture"):
         self.vectors = {k: tuple(v) for k, v in vectors.items()}
@@ -54,4 +55,4 @@ class FixtureEmbedder:
         try:
             return self.vectors[text]
         except KeyError:
-            raise LookupError(f"no recorded embedding for text: {text[:60]!r}") from None
+            raise LookupError(f"no embedding in the table for text: {text[:60]!r}") from None

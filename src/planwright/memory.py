@@ -30,15 +30,13 @@ def cosine_key(left: Sequence, right: Sequence) -> tuple[Fraction, float]:
     """
     if len(left) != len(right):
         raise ValueError(f"dimension mismatch: {len(left)} vs {len(right)}")
-    if all(type(v) is int for v in left) and all(type(v) is int for v in right):
-        # integer fast path: the bundled embedder produces count vectors
-        dot = sum(a * b for a, b in zip(left, right))
-        l2 = sum(a * a for a in left)
-        r2 = sum(b * b for b in right)
-    else:
-        dot = sum((Fraction(a) * Fraction(b) for a, b in zip(left, right)), Fraction(0))
-        l2 = sum((Fraction(a) ** 2 for a in left), Fraction(0))
-        r2 = sum((Fraction(b) ** 2 for b in right), Fraction(0))
+    # A float becomes its exact fraction; an int, such as a count from the
+    # bundled embedder, stays an int, so a count vector's sums stay ints.
+    left = [Fraction(v) if isinstance(v, float) else v for v in left]
+    right = [Fraction(v) if isinstance(v, float) else v for v in right]
+    dot = sum(a * b for a, b in zip(left, right))
+    l2 = sum(a * a for a in left)
+    r2 = sum(b * b for b in right)
     if l2 == 0 or r2 == 0:
         return Fraction(0), 0.0
     return Fraction(dot * abs(dot), l2 * r2), float(dot) / math.sqrt(float(l2 * r2))
@@ -147,8 +145,10 @@ class ContextBuffer:
     """Bounded recent-message window; the system message is never evicted.
 
     Capacity counts non-system messages. An assistant message carrying tool
-    calls and the tool results answering it form an eviction group: they are
-    always dropped together, never orphaned.
+    calls and the tool results that follow it form an eviction group: they
+    are always dropped together, never orphaned. Eviction drops the oldest
+    message and every tool result right behind it, so a group is told by
+    position alone, never by call ids, which a backend may repeat.
     """
 
     def __init__(self, system_message: AgentMessage, capacity: int = 40):
@@ -163,33 +163,12 @@ class ContextBuffer:
     def append(self, message: AgentMessage) -> None:
         if message.role == ROLE_SYSTEM:
             raise ValueError("only one system message per buffer")
-        self._messages.append(message)
-        while len(self._messages) > self.capacity:
-            self._evict_oldest_group()
-
-    def _evict_oldest_group(self) -> None:
-        head = self._messages[0]
-        group_ids: set[str] = set()
-        if head.tool_calls:
-            group_ids = {tc.id for tc in head.tool_calls}
-        elif head.role == ROLE_TOOL_RESULT and head.tool_call_id:
-            # find the assistant that issued this call and take its whole group
-            for msg in self._messages:
-                if any(tc.id == head.tool_call_id for tc in msg.tool_calls):
-                    group_ids = {tc.id for tc in msg.tool_calls}
-                    break
-            group_ids.add(head.tool_call_id)
-        if not group_ids:
-            self._messages.pop(0)
-            return
-        self._messages = [
-            m
-            for m in self._messages
-            if not (
-                (m.tool_calls and {tc.id for tc in m.tool_calls} & group_ids)
-                or (m.role == ROLE_TOOL_RESULT and m.tool_call_id in group_ids)
-            )
-        ]
+        messages = self._messages
+        messages.append(message)
+        while len(messages) > self.capacity:
+            del messages[0]
+            while messages and messages[0].role == ROLE_TOOL_RESULT:
+                del messages[0]
 
     def window(self) -> list[AgentMessage]:
         return [self.system_message] + list(self._messages)

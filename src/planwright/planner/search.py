@@ -43,7 +43,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from fractions import Fraction
-from itertools import compress
 from typing import Optional
 
 from ..values import Value
@@ -54,10 +53,6 @@ from .plan import Plan, PlanStep
 STATUS_PLAN = "plan"
 STATUS_UNSOLVABLE = "unsolvable"
 STATUS_BUDGET = "budget-exhausted"
-
-
-_WORD = (1 << 64) - 1
-_DIGITS = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits as 0 and 1
 
 
 class SolveConfig(Value):
@@ -182,15 +177,12 @@ class SuccessorGenerator:
         for shift, bits, table in self.slices:
             mask &= table[state >> shift & bits]
         compared = mask & self.numeric  # applicable but for their comparisons
-        if mask <= _WORD:  # peeled bit by bit while every step is on a small int
-            out = []
-            entries = self.entries
-            while mask:
-                low = mask & -mask
-                out.append(entries[low.bit_length() - 1])
-                mask ^= low
-        else:  # read from its binary digits, low bit first, in time linear in the actions
-            out = list(compress(self.entries, bin(mask)[:1:-1].encode().translate(_DIGITS)))
+        out = []
+        entries = self.entries
+        while mask:
+            low = mask & -mask
+            out.append(entries[low.bit_length() - 1])
+            mask ^= low
         if compared:
             return [e for e in out if not e[1] or all(c.holds(nums) for c in e[1])]
         return out

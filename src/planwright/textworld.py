@@ -18,7 +18,8 @@ HANDS = 2
 
 
 class UnknownEntityError(KeyError):
-    pass
+    def __str__(self) -> str:  # KeyError's own shows only the quoted id
+        return f"the world has no entity {self.args[0]!r}"
 
 
 class Location(Value):
@@ -252,11 +253,16 @@ def describe_state(state: WorldState) -> str:
 
 
 def check_goal(state: WorldState, goal: Expression) -> bool:
-    """Exact evaluation of a goal expression over world properties."""
+    """Exact evaluation of a goal expression over world properties.
+
+    Every part is evaluated, so a goal that names an entity the world lacks
+    raises `UnknownEntityError`, and one that uses a property or expression
+    the world does not model raises `ValueError`, whatever the state.
+    """
     if isinstance(goal, And):
-        return all(check_goal(state, c) for c in goal.children)
+        return all([check_goal(state, c) for c in goal.children])
     if isinstance(goal, Or):
-        return any(check_goal(state, c) for c in goal.children)
+        return any([check_goal(state, c) for c in goal.children])
     if isinstance(goal, Not):
         return not check_goal(state, goal.child)
     if isinstance(goal, Atom):
@@ -266,20 +272,21 @@ def check_goal(state: WorldState, goal: Expression) -> bool:
 
 def _check_atom(state: WorldState, atom: Atom) -> bool:
     name, args = atom.fluent, atom.args
+    entities = [state.entity(arg) for arg in args]
     if name == "is_open" and len(args) == 1:
-        return state.entity(args[0]).is_open
+        return entities[0].is_open
     if name == "is_heated" and len(args) == 1:
-        return state.entity(args[0]).is_heated
+        return entities[0].is_heated
     if name == "on" and len(args) == 2:
-        loc = state.entity(args[0]).location
+        loc = entities[0].location
         return loc.kind == "on" and loc.target == args[1]
     if name in ("in", "inside") and len(args) == 2:
-        loc = state.entity(args[0]).location
+        loc = entities[0].location
         return loc.kind == "in" and loc.target == args[1]
     if name == "holding" and len(args) == 1:
-        return state.entity(args[0]).location.kind == "held"
+        return entities[0].location.kind == "held"
     if name == "at" and len(args) == 2:
-        loc = state.entity(args[0]).location
+        loc = entities[0].location
         return loc.kind == "at" and loc.target == args[1]
     raise ValueError(f"goal references unknown world property {atom}")
 

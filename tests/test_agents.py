@@ -33,6 +33,7 @@ from planwright.gateway import (
     user,
 )
 from planwright.ir import Atom, DomainModel, FluentDecl, Not, Parameter, TypeDecl, jsonio, validate
+from planwright.memory import ProceduralStore
 from planwright.pddl import emit_domain
 from planwright.planner import SolveConfig, Valid, ground, solve, validate_plan
 from planwright.runs import RunDirectory
@@ -208,8 +209,6 @@ class TestColorScenario:
         replays = []
         for _ in range(3):
             gw = Gateway(ReplayBackend(transcript))
-            from planwright.memory import ProceduralStore
-
             replay = run_pipeline(
                 scenario.task,
                 PipelineConfig(),
@@ -242,6 +241,29 @@ class TestFridgeScenarios:
         stored = [e for e in result.events if e.kind == "memory-store"]
         assert stored and stored[0].data["summary"] == FRIDGE_MEMORY_SUMMARY
         assert path.exists()
+
+    def test_blank_memory_summary_saves_nothing(self):
+        """The tool schema takes any string, so a blank summary reaches the
+        orchestrator; it stores nothing and tells the agent so."""
+        requests = []
+
+        class Capturing(ScriptedBackend):
+            def complete(self, request):
+                requests.append(request)
+                return super().complete(request)
+
+        scenario = fridge_store_scenario()
+        responses = [
+            assistant("Saving.", (ToolCall("call-mem-1", "store_memory", {"summary": "   "}),)) if r.tool_calls else r
+            for r in scenario.responses
+        ]
+        memory = ProceduralStore(clock=lambda: 0.0)
+        result = run_pipeline(scenario.task, PipelineConfig(), Gateway(Capturing(responses)), memory=memory)
+        assert result.status == "complete"
+        assert memory.entries == []
+        assert not [e for e in result.events if e.kind == "memory-store"]
+        answers = {m.content for r in requests for m in r.messages if m.tool_call_id == "call-mem-1"}
+        assert answers == {"the summary is blank; nothing saved"}
 
     def test_recall_phase_appends_close_fridge_conjunct(self):
         result, _ = record_scenario(fridge_recall_scenario())

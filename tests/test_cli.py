@@ -328,6 +328,30 @@ class TestExecuteCommand:
         assert "no finite decimal form" in failure["message"]
         assert json.loads((out / "manifest.json").read_text())["exit_code"] == 64
 
+    @pytest.mark.parametrize("fixture", ["shipped", "empty"])
+    def test_goal_naming_an_entity_the_world_lacks_is_config_error(self, tmp_path, fixture):
+        """The fridge goal puts the salmon on the kitchentable. In a world
+        without it the goal check fails before any model call, so a fixture
+        with no exchange at all gives the same exit."""
+        artifacts = self.run_fridge_plan(tmp_path)
+        d = scenario_dir("fridge_recall")
+        world = json.loads((d / "world.json").read_text())
+        world["entities"] = [e for e in world["entities"] if e["id"] != "kitchentable"]
+        (tmp_path / "world.json").write_text(json.dumps(world))
+        exchanges = d / "exec_fixture.json"
+        if fixture == "empty":
+            exchanges = tmp_path / "empty_fixture.json"
+            Transcript().save(exchanges)
+        out = tmp_path / "exec-run"
+        code = main([
+            "execute", "--artifacts", str(artifacts), "--world", str(tmp_path / "world.json"),
+            "--mode", "replay", "--fixture", str(exchanges), "--out-dir", str(out),
+        ])
+        assert code == 64
+        failure = json.loads((out / "failure.json").read_text())
+        assert (failure["stage"], failure["code"]) == ("config", "config-error")
+        assert failure["message"] == "the world has no entity 'kitchentable'"
+
 
 class TestMalformedInputFiles:
     PLAN_INPUTS = {

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from planwright.abstraction import Instruction, InstructionList, translate_plan
 from planwright.domains import household_problem
 from planwright.executor import ExecutionLog, ValidatorVerdict, execute_plan, execute_step, run_execution, validate_execution
@@ -201,6 +203,22 @@ class TestRunExecution:
         report = run_execution(InstructionList(items), env, gw, "(is_open fridge_305)", retry_budget=2)
         assert report.verdict.decision == "abort"
         assert report.passes == 3
+
+    @pytest.mark.parametrize("n, step_budget, retry_budget", [(1, 1, 0), (2, 3, 1), (3, 2, 2)])
+    def test_calls_reach_but_never_pass_the_budget_bound(self, n, step_budget, retry_budget):
+        """A pass makes at most n·step_budget + 1 calls and there are at most
+        retry_budget + 1 passes. Each instruction here takes every turn of its
+        budget (skill calls, then a reply that declares it done) and every
+        verdict is retry, so the run uses exactly that many replies."""
+        items = tuple(instruction(f"Step {i}.", PlanStep("pace", ()), i) for i in range(1, n + 1))
+        per_instruction = [call("walk_to", f"c{t}", target="counter") for t in range(step_budget - 1)] + [assistant("Done.")]
+        retry = assistant(json.dumps({"decision": "retry", "feedback": "again"}))
+        script = (per_instruction * n + [retry]) * (retry_budget + 1)
+        assert len(script) == (retry_budget + 1) * (n * step_budget + 1)
+        backend = ScriptedBackend(script)
+        report = run_execution(InstructionList(items), fresh_env(), Gateway(backend), "(and)", step_budget, retry_budget)
+        assert backend.position == len(script)
+        assert (report.passes, report.verdict.decision, report.log.status) == (retry_budget + 1, "abort", "completed")
 
     def test_two_passes_write_one_log(self, tmp_path):
         """A pass that stops, a retry and a pass that completes: the log

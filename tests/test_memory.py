@@ -201,6 +201,17 @@ class TestContextBuffer:
         buf = ContextBuffer(system("sys"), capacity=3)
         assert [m.role for m in buf.window()] == ["system"]
 
+    def test_repeated_call_ids_evict_one_group(self):
+        """A backend that names every turn's first call ``call-0`` repeats
+        ids; eviction drops only the oldest group, not every group that
+        reuses its id."""
+        buf = ContextBuffer(system("sys"), capacity=4)
+        for turn in ("first", "second"):
+            buf.append(assistant(turn, (ToolCall("call-0", "open", {}),)))
+            buf.append(tool_result("call-0", f"{turn} result"))
+        buf.append(user("next"))
+        assert [m.content for m in buf.window()] == ["sys", "second", "second result", "next"]
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from(["user", "pair"]), max_size=12), st.integers(min_value=2, max_value=6))
     def test_tool_results_never_orphaned(self, script, capacity):

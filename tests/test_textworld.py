@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planwright.ir import And, Atom, Not
+from planwright.ir import And, Atom, Not, Or
 from planwright.textworld import (
     TextWorldEnv,
     UnknownEntityError,
@@ -143,6 +143,21 @@ class TestGoal:
     def test_unknown_property_raises(self):
         with pytest.raises(ValueError):
             check_goal(kitchen_fixture(), Atom("is_glowing", ("salmon",)))
+
+    @pytest.mark.parametrize(
+        "goal, error",
+        [
+            (And((Atom("is_heated", ("salmon",)), Atom("on", ("salmon", "ghost")))), UnknownEntityError),
+            (Or((Not(Atom("is_heated", ("salmon",))), Atom("is_heated", ("ghost",)))), UnknownEntityError),
+            (And((Atom("is_open", ("fridge_305",)), Atom("warm", ("salmon",)))), ValueError),
+        ],
+        ids=["second-argument", "after-a-true-disjunct", "property-after-a-false-conjunct"],
+    )
+    def test_every_part_is_checked_whatever_the_state(self, goal, error):
+        """A goal that names what the world lacks raises on any state, so
+        checking it once on the loaded world catches it."""
+        with pytest.raises(error):
+            check_goal(kitchen_fixture(), goal)
 
 
 class TestProperties:

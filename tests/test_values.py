@@ -249,10 +249,10 @@ FROZEN = [
     ),
     (ExecutionLog(), ("records", "status"), "ExecutionLog(records=(), status='completed')"),
     (
-        ExecutionReport(ExecutionLog([StepRecord(1, "think")], "stopped-at-1"), ValidatorVerdict("abort"), 1, 3),
-        ("log", "verdict", "passes", "gateway_calls"),
+        ExecutionReport(ExecutionLog([StepRecord(1, "think")], "stopped-at-1"), ValidatorVerdict("abort"), 1),
+        ("log", "verdict", "passes"),
         "ExecutionReport(log=ExecutionLog(records=[StepRecord(instruction_index=1, thought='think', skill=None, arguments=None, observation=None, success=None)],"
-        " status='stopped-at-1'), verdict=ValidatorVerdict(decision='abort', feedback='', notification=''), passes=1, gateway_calls=3)",
+        " status='stopped-at-1'), verdict=ValidatorVerdict(decision='abort', feedback='', notification=''), passes=1)",
     ),
     (Gateway(ScriptedBackend([])), ("backend", "recording"), None),
     (ToolParam("name", "the name"), ("name", "description"), "ToolParam(name='name', description='the name')"),
