@@ -6,8 +6,8 @@ Exit codes are scripting-stable:
   2   no plan (unsolvable or search budget exhausted)
   3   execution aborted by the validator
   64  configuration error, including a malformed input file (task,
-      config, fixture, instructions, problem or world JSON) and an
-      --out-dir that cannot be created
+      config, fixture, instructions, problem or world JSON), a goal that
+      names what the world lacks, and an --out-dir that cannot be created
   65  interaction failure (user answers unavailable/exhausted)
   70  internal error
 Every nonzero path leaves a machine-readable failure record in the run
