@@ -51,12 +51,13 @@ def fallback_instruction(step: PlanStep) -> str:
     return f"{verb}."
 
 
-def _fallback(plan: Plan, domain: DomainModel) -> InstructionList:
+def _instructions(plan: Plan, domain: DomainModel, texts) -> InstructionList:
+    """One instruction per plan step, with its text from ``texts``, in step order."""
     known = domain.action_map()
     return InstructionList(
         tuple(
-            Instruction(i + 1, fallback_instruction(step), step, known_action=step.name in known)
-            for i, step in enumerate(plan.steps)
+            Instruction(i + 1, text, step, known_action=step.name in known)
+            for i, (text, step) in enumerate(zip(texts, plan.steps))
         )
     )
 
@@ -92,24 +93,17 @@ def translate_plan(plan: Plan, domain: DomainModel, gateway: Optional[Gateway] =
     """One instruction per step. The LLM gets one retry on a wrong-count or
     empty answer, then the deterministic fallback takes over; without a
     gateway the fallback is used directly."""
-    if gateway is None or not plan.steps:
-        return _fallback(plan, domain)
-    known = domain.action_map()
-    request = _llm_request(plan, domain)
-    for attempt in range(2):
-        response = gateway.chat(request)
-        texts = _parse_instructions(response.content, len(plan.steps))
-        if texts is not None:
-            return InstructionList(
-                tuple(
-                    Instruction(i + 1, text, step, known_action=step.name in known)
-                    for i, (text, step) in enumerate(zip(texts, plan.steps))
+    if gateway is not None and plan.steps:
+        request = _llm_request(plan, domain)
+        for attempt in range(2):
+            response = gateway.chat(request)
+            texts = _parse_instructions(response.content, len(plan.steps))
+            if texts is not None:
+                return _instructions(plan, domain, texts)
+            if attempt == 0:
+                note = user(
+                    f"Your answer must contain exactly {len(plan.steps)} nonempty instructions "
+                    "in a JSON document of the form {\"instructions\": [...]}. Resend."
                 )
-            )
-        if attempt == 0:
-            note = user(
-                f"Your answer must contain exactly {len(plan.steps)} nonempty instructions "
-                "in a JSON document of the form {\"instructions\": [...]}. Resend."
-            )
-            request = ChatRequest(request.messages + (response, note))
-    return _fallback(plan, domain)
+                request = ChatRequest(request.messages + (response, note))
+    return _instructions(plan, domain, map(fallback_instruction, plan.steps))

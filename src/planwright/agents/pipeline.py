@@ -30,7 +30,6 @@ from ..ir import (
     ProblemInstance,
     apply_edit,
     jsonio,
-    validate,
 )
 from ..memory import ProceduralStore
 from ..values import Value, replace
@@ -98,7 +97,7 @@ class PipelineResult(Value):
     requests: tuple[UpstreamRequest, ...] = ()
     error: str = ""
     gateway_calls: int = 0
-    failure_kind: str = ""  # "" | correction-limit | interaction | ceiling | validation
+    failure_kind: str = ""  # "" | correction-limit | interaction | ceiling
     _json_keys = ("status", "problem", "requests", "gateway_calls", "error", "events")
 
     @property
@@ -275,12 +274,9 @@ def run_pipeline(
             events.add("stage", "domain", bypassed=True)
         stage_init()
         stage_goal()
+        # parse_goal_artifact validated this domain, these objects and this
+        # init with this goal: an applied edit restarts the stage first.
         problem = ProblemInstance(state.domain, state.objects, state.init, state.goal, name=task.name)
-        violations = validate(problem)
-        if violations:
-            failure_kind = "validation"
-            error = "final problem failed validation: " + "; ".join(str(v) for v in violations)
-            problem = None
     except CorrectionLimitReached as exc:
         failure_kind = "correction-limit"
         error = str(exc)

@@ -200,10 +200,9 @@ def _config_value(key: str, value, action: argparse.Action):
     return kind(value)
 
 
-def _gateway_for(args) -> tuple[Gateway, Optional[Transcript], Optional[Path]]:
-    """Build the gateway for the requested mode.
-
-    Returns (gateway, recording transcript or None, fixture path to save)."""
+def _gateway_for(args) -> Gateway:
+    """Build the gateway for the requested mode; in record mode it records
+    into a fresh transcript, which `_save_fixture` writes to --fixture."""
     mode = args.mode
     if mode in ("record", "replay") and not args.fixture:
         raise ConfigError(f"{mode} mode requires --fixture")
@@ -216,14 +215,11 @@ def _gateway_for(args) -> tuple[Gateway, Optional[Transcript], Optional[Path]]:
             transcript = Transcript.load(args.fixture)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load fixture {args.fixture}: {exc}") from exc
-        return replay_gateway(transcript), None, None
+        return replay_gateway(transcript)
     backend = LiveBackend(
         base_url=args.api_base, model=args.model, temperature=args.temperature, api_key_env=args.api_key_env
     )
-    if mode == "record":
-        recording = Transcript()
-        return Gateway(backend, recording=recording), recording, Path(args.fixture)
-    return Gateway(backend), None, None
+    return Gateway(backend, recording=Transcript() if mode == "record" else None)
 
 
 def _user_channel(args):
@@ -258,7 +254,7 @@ def _config_snapshot(args, run: RunDirectory) -> dict:
 def cmd_plan(args, run: RunDirectory) -> None:
     try:
         task = TaskSpec.from_json(jsonio.read_object(Path(args.task).read_text(encoding="utf-8")))
-        gateway, recording, fixture_out = _gateway_for(args)
+        gateway = _gateway_for(args)
         channel = _user_channel(args)
         provided_domain = None
         if args.domain:
@@ -316,14 +312,15 @@ def cmd_plan(args, run: RunDirectory) -> None:
         run.write_json("instructions.json", instructions)
         run.write_text("instructions.txt", instructions.render())
     finally:
-        _save_fixture(recording, fixture_out)
+        _save_fixture(gateway, args.fixture)
 
 
-def _save_fixture(recording: Optional[Transcript], target: Optional[Path]) -> None:
-    """Save what record mode captured, whatever the outcome of the run."""
-    if recording is not None and target is not None:
+def _save_fixture(gateway: Gateway, fixture: Optional[str]) -> None:
+    """Save what record mode captured to --fixture, whatever the outcome of the run."""
+    if gateway.recording is not None:
+        target = Path(fixture)
         target.parent.mkdir(parents=True, exist_ok=True)
-        recording.save(target)
+        gateway.recording.save(target)
 
 
 # ----------------------------------------------------------------- execute
@@ -341,7 +338,7 @@ def cmd_execute(args, run: RunDirectory) -> None:
         env = TextWorldEnv(load_world(args.world), problem.goal)
         goal_text = emit_expression(problem.goal)
         env.goal_satisfied()  # a goal the world cannot evaluate fails here, before any model call
-        gateway, recording, fixture_out = _gateway_for(args)
+        gateway = _gateway_for(args)
     except (ConfigError, OSError, ValueError, UnknownEntityError) as exc:
         raise _config_exit(exc) from exc
 
@@ -355,7 +352,7 @@ def cmd_execute(args, run: RunDirectory) -> None:
         run.write_json("verdict.json", report.verdict)
         run.write_json("world_final.json", env.state)
     finally:
-        _save_fixture(recording, fixture_out)
+        _save_fixture(gateway, args.fixture)
     if report.verdict.decision != "goal-met":
         raise _Exit(EX_EXEC_ABORT, "execute", "validator-abort", report.verdict.notification)
 

@@ -159,24 +159,23 @@ def validate_execution(
     try:
         data = jsonio.read_object(response.content)
         decision = jsonio.field(data, "decision", str, "")
-        for key in ("feedback", "notification"):  # free text, read below
-            jsonio.field(data, key, str, "")
+        feedback = jsonio.field(data, "feedback", str, None)  # None when absent
+        notification = jsonio.field(data, "notification", str, "execution aborted")
     except jsonio.IRDecodeError:
-        data = {"feedback": f"validator answer was not parseable: {response.content}"}
-        decision = "retry"
+        decision, feedback = "retry", f"validator answer was not parseable: {response.content}"
 
     env_ok = env.goal_satisfied()
     if decision == "goal-met":
         if env_ok:
             return ValidatorVerdict("goal-met")
         decision = "retry"
-        data["feedback"] = "the environment goal check fails despite the reported success; re-execute"
+        feedback = "the environment goal check fails despite the reported success; re-execute"
     if decision == "retry":
         if retry_budget > 0:
-            return ValidatorVerdict("retry", feedback=data.get("feedback", "try again"))
-        return ValidatorVerdict("abort", notification="retry budget exhausted: " + data.get("feedback", "goal not met"))
+            return ValidatorVerdict("retry", feedback="try again" if feedback is None else feedback)
+        return ValidatorVerdict("abort", notification="retry budget exhausted: " + ("goal not met" if feedback is None else feedback))
     if decision == "abort":
-        return ValidatorVerdict("abort", notification=data.get("notification", "execution aborted"))
+        return ValidatorVerdict("abort", notification=notification)
     return ValidatorVerdict("abort", notification=f"validator returned unknown decision {decision!r}")
 
 

@@ -35,8 +35,8 @@ The open list is a list of FIFO buckets indexed by f, which is an integer:
 both heuristics return integer costs, and an infinite estimate is never
 pushed. Search pops from the lowest non-empty bucket, in push order, which
 is the order of a heap keyed by ``(f, push counter)``. An entry keeps its h,
-and the goal is tested only when h is 0: both heuristics give 0 in every
-goal state.
+and a popped entry whose h is 0 is a goal: both heuristics are 0 in exactly
+the states where some goal branch holds, so h is the goal test.
 """
 from __future__ import annotations
 
@@ -193,9 +193,6 @@ def solve(task: GroundTask, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     estimate = h_add if cfg.heuristic == "h_add" else blind
 
     init = task.init_bools
-    if task.goal_holds(init, task.init_nums):
-        return SolveResult(STATUS_PLAN, Plan(()), 0)
-
     h0 = estimate(task, init, task.init_nums)
     if h0 == INF:
         return SolveResult(STATUS_UNSOLVABLE, None, 0)
@@ -221,13 +218,13 @@ def solve(task: GroundTask, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         g, h, state = bucket.popleft()
         if nodes[state][0] < g:
             continue  # stale entry
-        nums = vectors[state >> n]
-        if not h and task.goal_holds(state & low, nums):
+        if not h:
             return SolveResult(STATUS_PLAN, _reconstruct(task, nodes, state), expanded)
         if expanded >= cfg.node_budget or time.monotonic() - started > cfg.time_budget:
             return SolveResult(STATUS_BUDGET, None, expanded)
         expanded += 1
         new_g = g + 1
+        nums = vectors[state >> n]
         for action_idx, _, keep, add, effects in successors.applicable(state, nums):
             if effects:
                 bools, successor_nums = actions[action_idx].apply(state & low, nums)

@@ -7,6 +7,7 @@ state, and a failed skill returns the state unchanged.
 """
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -70,9 +71,18 @@ class WorldState(Value):
 
     @classmethod
     def from_json(cls, data: Any) -> "WorldState":
+        """Read a world, refusing one whose agent, hands or locations name
+        an entity it lacks."""
         state = super().from_json(data)
         if len(state.hands) != HANDS:
             raise IRDecodeError(f"hands must hold exactly {HANDS} entries")
+        named = [("agent_at", state.agent_at)] if state.agent_at else []
+        named += [("hands", held) for held in state.hands if held is not None]
+        named += [(f"location of {e.id}", e.location.target) for e in state.entities if e.location.kind in ("in", "on", "at")]
+        ids = {e.id for e in state.entities}
+        for where, name in named:
+            if name not in ids:
+                raise IRDecodeError(f"{where} names {name!r}, which the world lacks")
         return state
 
     def entity(self, entity_id: str) -> Entity:
@@ -102,123 +112,107 @@ def _reachable(state: WorldState, entity: Entity) -> bool:
     if entity.id == state.agent_at:
         return True
     loc = entity.location
-    if loc.kind == "on" and loc.target == state.agent_at:
+    if loc.target != state.agent_at:
+        return False
+    if loc.kind in ("on", "at"):
         return True
-    if loc.kind == "at" and loc.target == state.agent_at:
-        return True
-    if loc.kind == "in" and loc.target == state.agent_at:
-        return state.entity(loc.target).is_open
-    return False
+    return loc.kind == "in" and state.entity(loc.target).is_open
 
 
 def apply_skill(state: WorldState, skill: str, args: tuple[str, ...]) -> tuple[SkillResult, WorldState]:
+    """Apply ``skill`` to the entities named by ``args``; each handler takes
+    the state and those entities. An id the world lacks raises
+    `UnknownEntityError`."""
     if skill not in SKILLS:
         raise ValueError(f"unknown skill {skill!r}; available: {', '.join(SKILLS)}")
-    for arg in args:
-        state.entity(arg)  # raises UnknownEntityError
     handler = SKILLS[skill][0]
-    return handler(state, *args)
+    return handler(state, *[state.entity(arg) for arg in args])
 
 
 def _fail(state: WorldState, text: str) -> tuple[SkillResult, WorldState]:
     return SkillResult(False, text), state
 
 
-def _walk_to(state: WorldState, target: str) -> tuple[SkillResult, WorldState]:
-    new = replace(state, agent_at=target)
-    return SkillResult(True, f"You walk to the {target}."), new
+def _walk_to(state: WorldState, target: Entity) -> tuple[SkillResult, WorldState]:
+    new = replace(state, agent_at=target.id)
+    return SkillResult(True, f"You walk to the {target.id}."), new
 
 
-def _open(state: WorldState, target: str) -> tuple[SkillResult, WorldState]:
-    entity = state.entity(target)
-    if state.agent_at != target:
-        return _fail(state, f"You are not next to the {target}; walk to it first.")
-    if not entity.openable:
-        return _fail(state, f"The {target} cannot be opened.")
-    if entity.is_open:
-        return _fail(state, f"The {target} is already open.")
-    new = state.with_entity(replace(entity, is_open=True))
-    return SkillResult(True, f"The {target} is now open."), new
+def _set_open(state: WorldState, target: Entity, is_open: bool) -> tuple[SkillResult, WorldState]:
+    """The `open` skill with ``is_open`` true, the `close` skill with it false."""
+    if state.agent_at != target.id:
+        return _fail(state, f"You are not next to the {target.id}; walk to it first.")
+    if not target.openable:
+        return _fail(state, f"The {target.id} cannot be {'opened' if is_open else 'closed'}.")
+    word = "open" if is_open else "closed"
+    if target.is_open == is_open:
+        return _fail(state, f"The {target.id} is already {word}.")
+    new = state.with_entity(replace(target, is_open=is_open))
+    return SkillResult(True, f"The {target.id} is now {word}."), new
 
 
-def _close(state: WorldState, target: str) -> tuple[SkillResult, WorldState]:
-    entity = state.entity(target)
-    if state.agent_at != target:
-        return _fail(state, f"You are not next to the {target}; walk to it first.")
-    if not entity.openable:
-        return _fail(state, f"The {target} cannot be closed.")
-    if not entity.is_open:
-        return _fail(state, f"The {target} is already closed.")
-    new = state.with_entity(replace(entity, is_open=False))
-    return SkillResult(True, f"The {target} is now closed."), new
-
-
-def _grab(state: WorldState, target: str) -> tuple[SkillResult, WorldState]:
-    entity = state.entity(target)
-    if not entity.grabbable:
-        return _fail(state, f"The {target} cannot be picked up.")
-    if entity.location.kind == "held":
-        return _fail(state, f"You are already holding the {target}.")
-    if not _reachable(state, entity):
-        container = entity.location
+def _grab(state: WorldState, target: Entity) -> tuple[SkillResult, WorldState]:
+    if not target.grabbable:
+        return _fail(state, f"The {target.id} cannot be picked up.")
+    if target.location.kind == "held":
+        return _fail(state, f"You are already holding the {target.id}.")
+    if not _reachable(state, target):
+        container = target.location
         if container.kind == "in" and not state.entity(container.target).is_open:
             return _fail(state, f"The {container.target} is closed.")
-        return _fail(state, f"The {target} is out of reach; walk to it first.")
+        return _fail(state, f"The {target.id} is out of reach; walk to it first.")
     hand = state.free_hand()
     if hand is None:
         return _fail(state, "Both hands are full.")
     hands = list(state.hands)
-    hands[hand] = target
-    new = replace(state.with_entity(replace(entity, location=Location("held"))), hands=tuple(hands))
-    return SkillResult(True, f"You pick up the {target}."), new
+    hands[hand] = target.id
+    new = replace(state.with_entity(replace(target, location=Location("held"))), hands=tuple(hands))
+    return SkillResult(True, f"You pick up the {target.id}."), new
 
 
-def _release(state: WorldState, target: str, location: Location, verb: str) -> tuple[SkillResult, WorldState]:
-    entity = state.entity(target)
-    if entity.location.kind != "held":
-        return _fail(state, f"You are not holding the {target}.")
-    hands = tuple(None if h == target else h for h in state.hands)
-    new = replace(state.with_entity(replace(entity, location=location)), hands=hands)
-    return SkillResult(True, f"You {verb} the {target} {location.describe()}."), new
+def _release(state: WorldState, target: Entity, location: Location, verb: str) -> tuple[SkillResult, WorldState]:
+    if target.location.kind != "held":
+        return _fail(state, f"You are not holding the {target.id}.")
+    hands = tuple(None if h == target.id else h for h in state.hands)
+    new = replace(state.with_entity(replace(target, location=location)), hands=hands)
+    return SkillResult(True, f"You {verb} the {target.id} {location.describe()}."), new
 
 
-def _put_on(state: WorldState, target: str, surface: str) -> tuple[SkillResult, WorldState]:
-    dest = state.entity(surface)
-    if dest.cls not in ("surface",):
-        return _fail(state, f"The {surface} is not a surface.")
-    if state.agent_at != surface:
-        return _fail(state, f"You are not next to the {surface}; walk to it first.")
-    return _release(state, target, Location("on", surface), "place")
+def _put_on(state: WorldState, target: Entity, surface: Entity) -> tuple[SkillResult, WorldState]:
+    if surface.cls not in ("surface",):
+        return _fail(state, f"The {surface.id} is not a surface.")
+    if state.agent_at != surface.id:
+        return _fail(state, f"You are not next to the {surface.id}; walk to it first.")
+    return _release(state, target, Location("on", surface.id), "place")
 
 
-def _put_in(state: WorldState, target: str, container: str) -> tuple[SkillResult, WorldState]:
-    dest = state.entity(container)
-    if not dest.openable:
-        return _fail(state, f"The {container} is not a container.")
-    if state.agent_at != container:
-        return _fail(state, f"You are not next to the {container}; walk to it first.")
-    if not dest.is_open:
-        return _fail(state, f"The {container} is closed.")
-    return _release(state, target, Location("in", container), "put")
+def _put_in(state: WorldState, target: Entity, container: Entity) -> tuple[SkillResult, WorldState]:
+    if not container.openable:
+        return _fail(state, f"The {container.id} is not a container.")
+    if state.agent_at != container.id:
+        return _fail(state, f"You are not next to the {container.id}; walk to it first.")
+    if not container.is_open:
+        return _fail(state, f"The {container.id} is closed.")
+    return _release(state, target, Location("in", container.id), "put")
 
 
-def _heat(state: WorldState, target: str) -> tuple[SkillResult, WorldState]:
-    entity = state.entity(target)
-    loc = entity.location
+def _heat(state: WorldState, target: Entity) -> tuple[SkillResult, WorldState]:
+    loc = target.location
     if loc.kind != "in" or state.entity(loc.target).cls != "heater":
-        return _fail(state, f"The {target} must be inside a heater to heat it.")
+        return _fail(state, f"The {target.id} must be inside a heater to heat it.")
     if state.agent_at != loc.target:
         return _fail(state, f"You are not next to the {loc.target}; walk to it first.")
-    new = state.with_entity(replace(entity, is_heated=True))
-    return SkillResult(True, f"The {target} is heated."), new
+    new = state.with_entity(replace(target, is_heated=True))
+    return SkillResult(True, f"The {target.id} is heated."), new
 
 
 # The skill vocabulary: name -> (handler, parameter names, description).
-# The executor model sees each entry as a tool whose arguments are entity ids.
+# The executor model sees each entry as a tool whose arguments are entity ids;
+# `apply_skill` looks each id up once and hands the handler the entities.
 SKILLS = {
     "walk_to": (_walk_to, ("target",), "Walk next to the named entity."),
-    "open": (_open, ("target",), "Open a container you are next to."),
-    "close": (_close, ("target",), "Close a container you are next to."),
+    "open": (partial(_set_open, is_open=True), ("target",), "Open a container you are next to."),
+    "close": (partial(_set_open, is_open=False), ("target",), "Close a container you are next to."),
     "grab": (_grab, ("target",), "Pick up a reachable item with a free hand."),
     "put_on": (_put_on, ("target", "destination"), "Place a held item onto a surface you are next to."),
     "put_in": (_put_in, ("target", "destination"), "Put a held item into an open container you are next to."),

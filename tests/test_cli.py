@@ -328,15 +328,17 @@ class TestExecuteCommand:
         assert "no finite decimal form" in failure["message"]
         assert json.loads((out / "manifest.json").read_text())["exit_code"] == 64
 
-    @pytest.mark.parametrize("fixture", ["shipped", "empty"])
-    def test_goal_naming_an_entity_the_world_lacks_is_config_error(self, tmp_path, fixture):
-        """The fridge goal puts the salmon on the kitchentable. In a world
-        without it the goal check fails before any model call, so a fixture
-        with no exchange at all gives the same exit."""
+    def execute_without_kitchentable(self, tmp_path, fixture: str, **world_changes) -> dict:
+        """Run `execute` in replay mode in the fridge world minus the
+        kitchentable, with ``world_changes`` applied, and return its failure
+        record after checking that it is a config error. The ``empty``
+        fixture holds no exchange, so the run must fail before any model
+        call."""
         artifacts = self.run_fridge_plan(tmp_path)
         d = scenario_dir("fridge_recall")
         world = json.loads((d / "world.json").read_text())
         world["entities"] = [e for e in world["entities"] if e["id"] != "kitchentable"]
+        world.update(world_changes)
         (tmp_path / "world.json").write_text(json.dumps(world))
         exchanges = d / "exec_fixture.json"
         if fixture == "empty":
@@ -350,7 +352,22 @@ class TestExecuteCommand:
         assert code == 64
         failure = json.loads((out / "failure.json").read_text())
         assert (failure["stage"], failure["code"]) == ("config", "config-error")
+        return failure
+
+    @pytest.mark.parametrize("fixture", ["shipped", "empty"])
+    def test_goal_naming_an_entity_the_world_lacks_is_config_error(self, tmp_path, fixture):
+        """The fridge goal puts the salmon on the kitchentable. In a world
+        without it the goal check fails before any model call. The agent
+        starts at the counter, so the world itself loads."""
+        failure = self.execute_without_kitchentable(tmp_path, fixture, agent_at="counter")
         assert failure["message"] == "the world has no entity 'kitchentable'"
+
+    @pytest.mark.parametrize("fixture", ["shipped", "empty"])
+    def test_world_whose_agent_stands_at_a_missing_entity_is_config_error(self, tmp_path, fixture):
+        """The fridge world's agent starts at the kitchentable. Without that
+        entity the world is refused as it loads."""
+        failure = self.execute_without_kitchentable(tmp_path, fixture)
+        assert failure["message"] == "agent_at names 'kitchentable', which the world lacks"
 
 
 class TestMalformedInputFiles:
@@ -962,7 +979,7 @@ class TestReplayEncoding:
         monkeypatch.setattr(validation, "_domain_report", recording_report)
         replay_round(tmp_path / "round")
         assert len(checked) == len({id(domain) for domain in checked}) == 7
-        assert len(reports) == 22
+        assert len(reports) == 18
         for domain, report in reports:
             fresh: list = []
             check_domain(domain, validation._type_names(domain), fresh)

@@ -175,6 +175,44 @@ class TestValidateExecution:
         assert "retry budget exhausted" in verdict.notification
 
 
+    @pytest.mark.parametrize(
+        "reply, budget, expected",
+        [
+            ('{"decision": "retry"}', 1, ValidatorVerdict("retry", feedback="try again")),
+            ('{"decision": "retry"}', 0, ValidatorVerdict("abort", notification="retry budget exhausted: goal not met")),
+            ('{"decision": "retry", "feedback": ""}', 1, ValidatorVerdict("retry", feedback="")),
+            ('{"decision": "retry", "feedback": ""}', 0, ValidatorVerdict("abort", notification="retry budget exhausted: ")),
+            (
+                '{"decision": "retry", "feedback": 3}',
+                1,
+                ValidatorVerdict("retry", feedback='validator answer was not parseable: {"decision": "retry", "feedback": 3}'),
+            ),
+            (
+                '{"decision": "retry", "feedback": 3}',
+                0,
+                ValidatorVerdict(
+                    "abort",
+                    notification='retry budget exhausted: validator answer was not parseable: {"decision": "retry", "feedback": 3}',
+                ),
+            ),
+            ('{"decision": "abort"}', 1, ValidatorVerdict("abort", notification="execution aborted")),
+            ('{"decision": "abort"}', 0, ValidatorVerdict("abort", notification="execution aborted")),
+            ('{"decision": "abort", "notification": "stop", "feedback": "x"}', 1, ValidatorVerdict("abort", notification="stop")),
+            ("not json", 1, ValidatorVerdict("retry", feedback="validator answer was not parseable: not json")),
+            ("not json", 0, ValidatorVerdict("abort", notification="retry budget exhausted: validator answer was not parseable: not json")),
+        ],
+        ids=[
+            "feedback-absent-1", "feedback-absent-0", "feedback-empty-1", "feedback-empty-0",
+            "feedback-no-string-1", "feedback-no-string-0", "notification-absent-1", "notification-absent-0",
+            "notification-given", "unparseable-1", "unparseable-0",
+        ],
+    )
+    def test_verdict_for_each_reply_form(self, reply, budget, expected):
+        env = fresh_env(goal=Atom("is_open", ("fridge_305",)))
+        gw = Gateway(ScriptedBackend([assistant(reply)]))
+        assert validate_execution(ExecutionLog(), "(is_open fridge_305)", env, gw, retry_budget=budget) == expected
+
+
 class TestRunExecution:
     def test_retry_path_reruns_plan(self):
         problem = household_problem()

@@ -28,12 +28,13 @@ from planwright.ir import (
     NumConst,
     NumericEffect,
     NumFluent,
+    Not,
     Or,
     ProblemInstance,
     SetEffect,
 )
 from planwright.domains import blocksworld_problem
-from planwright.planner import blind, ground, h_add, h_max_cost
+from planwright.planner import Plan, SolveConfig, SolveResult, blind, ground, h_add, h_max_cost, solve
 from planwright.planner.heuristics import INF
 
 from helpers import bfs_optimal_plan, random_walk_states, reference_h, refuel_problem
@@ -74,16 +75,16 @@ def test_h_max_is_a_lower_bound_on_numeric_tasks():
 
 
 def goal_states_estimate_zero(task, states) -> int:
-    """Assert that both estimates are 0 in every goal state among ``states``,
-    which lets search test the goal only on entries with h 0; return how many
-    goal states there were."""
+    """Assert that every estimate is 0 in exactly the goal states among
+    ``states``, which lets search take h == 0 as its goal test; return how
+    many goal states there were."""
     hits = 0
     for bools, nums in states:
-        if task.goal_holds(bools, nums):
-            hits += 1
-            assert blind(task, bools, nums) == h_add(task, bools, nums) == 0, (bools, nums)
-        else:
-            assert blind(task, bools, nums) == 1, (bools, nums)
+        holds = task.goal_holds(bools, nums)
+        hits += holds
+        assert blind(task, bools, nums) == (0 if holds else 1), (bools, nums)
+        for estimate in (h_add, h_max_cost):
+            assert (estimate(task, bools, nums) == 0) == holds, (estimate.__name__, bools, nums)
     return hits
 
 
@@ -126,6 +127,61 @@ def test_goal_true_from_the_start_estimates_zero(goal):
     assert hits >= 1
     if isinstance(goal, Or):
         assert task.relaxed.free_goal and hits == len(states)
+
+
+REFUEL = [refuel_problem(fuel, goal) for fuel in range(6) for goal in (0, 2, "capacity")]
+
+
+def plan_end(task, plan):
+    """The state that ``plan`` reaches from the task's initial state."""
+    actions = {(a.name, a.args): a for a in task.actions}
+    state = (task.init_bools, task.init_nums)
+    for step in plan.steps:
+        state = actions[(step.name, step.args)].apply(*state)
+    return state
+
+
+def _bundled_and_refuel_tasks():
+    return [task for d in domain_dirs() for _, task in domain_tasks(d)] + [ground(p) for p in REFUEL]
+
+
+def test_estimates_are_zero_exactly_in_goal_states_on_random_walks():
+    tasks = _bundled_and_refuel_tasks()
+    assert len(tasks) == 158
+    assert sum(goal_states_estimate_zero(t, random_walk_states(t)) for t in tasks)
+
+
+def test_estimates_are_zero_at_every_plan_end():
+    tasks = _bundled_and_refuel_tasks()
+    for task in tasks:
+        outcome = solve(task, SolveConfig("greedy", "h_add"))
+        assert outcome.status == "plan"
+        assert goal_states_estimate_zero(task, [plan_end(task, outcome.plan)]) == 1
+
+
+def test_goal_with_no_satisfiable_branch_is_unsolvable_without_expanding():
+    base = blocksworld_problem("bw", [["b1", "b2"], ["b3"]], [])
+    p = Atom("on", ("b2", "b1"))
+    task = ground(ProblemInstance(base.domain, base.objects, base.init, And((p, Not(p)))))
+    init = (task.init_bools, task.init_nums)
+    assert h_add(task, *init) == h_max_cost(task, *init) == INF
+    assert blind(task, *init) == 1
+    goal_states_estimate_zero(task, random_walk_states(task))
+    assert solve(task, SolveConfig("greedy", "h_add")) == SolveResult("unsolvable", None, 0)
+    assert solve(task).status == "unsolvable"
+
+
+@pytest.mark.parametrize("cfg", [SolveConfig(), SolveConfig("greedy", "h_add")], ids=["astar-blind", "greedy-hadd"])
+def test_task_whose_initial_state_is_a_goal_has_the_empty_plan(cfg):
+    at_goal = [
+        (name, task)
+        for d in domain_dirs()
+        for name, task in domain_tasks(d)
+        if task.goal_holds(task.init_bools, task.init_nums)
+    ]
+    assert [name for name, _ in at_goal] == ["p11.pddl", "p16.pddl", "p19.pddl"]
+    for _, task in at_goal:
+        assert solve(task, cfg) == SolveResult("plan", Plan(()), 0)
 
 
 def test_goal_branch_priced_first_need_not_be_the_cheapest():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planwright.ir import And, Atom, Not, Or
+from planwright.values import IRDecodeError
 from planwright.textworld import (
     TextWorldEnv,
     UnknownEntityError,
@@ -93,6 +94,34 @@ class TestSkills:
     def test_every_tool_argument_is_described(self):
         params = [p for tool in TextWorldEnv.tools for p in tool.to_json()["parameters"]]
         assert params and all(p["description"] for p in params)
+
+    @pytest.mark.parametrize(
+        "walk, steps, success, observation",
+        [
+            ((), [("open", "fridge_305")], False, "You are not next to the fridge_305; walk to it first."),
+            (("counter",), [("open", "counter")], False, "The counter cannot be opened."),
+            (("fridge_305",), [("open", "fridge_305")], True, "The fridge_305 is now open."),
+            (("fridge_305",), [("open", "fridge_305"), ("open", "fridge_305")], False, "The fridge_305 is already open."),
+            ((), [("close", "fridge_305")], False, "You are not next to the fridge_305; walk to it first."),
+            (("counter",), [("close", "counter")], False, "The counter cannot be closed."),
+            (("fridge_305",), [("close", "fridge_305")], False, "The fridge_305 is already closed."),
+            (("fridge_305",), [("open", "fridge_305"), ("close", "fridge_305")], True, "The fridge_305 is now closed."),
+        ],
+        ids=[
+            "open-not-next-to", "open-not-openable", "open", "open-already-open",
+            "close-not-next-to", "close-not-openable", "close-already-closed", "close",
+        ],
+    )
+    def test_open_and_close_observations(self, walk, steps, success, observation):
+        state = run_sequence(kitchen_fixture(), [("walk_to", walk)] if walk else [])
+        state = run_sequence(state, [(skill, (target,)) for skill, target in steps[:-1]])
+        skill, target = steps[-1]
+        result, new_state = apply_skill(state, skill, (target,))
+        assert (result.success, result.observation) == (success, observation)
+        if success:
+            assert new_state.entity(target).is_open == (skill == "open")
+        else:
+            assert new_state == state
 
 
 class TestDescribe:
@@ -189,6 +218,26 @@ class TestProperties:
             else:
                 _assert_frame(state, new_state, skill, args)
             state = new_state
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda w: w.update(agent_at="pantry"), "agent_at names 'pantry', which the world lacks"),
+            (lambda w: w.update(hands=[None, "knife"]), "hands names 'knife', which the world lacks"),
+            (lambda w: w["entities"][4]["location"].update(target="shelf"), "location of pie names 'shelf', which the world lacks"),
+            (lambda w: w["entities"][5]["location"].update(target="box"), "location of salmon names 'box', which the world lacks"),
+            (lambda w: w["entities"][4].update(location={"kind": "at", "target": "door"}), "location of pie names 'door', which the world lacks"),
+        ],
+        ids=["agent_at", "hands", "on", "in", "at"],
+    )
+    def test_world_naming_a_missing_entity_is_refused(self, edit, message):
+        data = kitchen_fixture().to_json()
+        assert [e["id"] for e in data["entities"]][4:] == ["pie", "salmon"]
+        WorldState.from_json(data)
+        edit(data)
+        with pytest.raises(IRDecodeError) as info:
+            WorldState.from_json(data)
+        assert str(info.value) == message
 
     def test_world_fixture_round_trip(self, tmp_path):
         path = tmp_path / "world.json"

@@ -214,10 +214,11 @@ FROZEN = [
         "Entity(id='apple', cls='item', location=Location(kind='free', target=''), is_open=False, is_heated=False)",
     ),
     (
-        WorldState((Entity("fridge", "container", is_open=True),), "kitchen", ("apple", None)),
+        WorldState((Entity("apple", "item", Location("held")), Entity("fridge", "container", is_open=True)), "fridge", ("apple", None)),
         ("entities", "agent_at", "hands"),
-        "WorldState(entities=(Entity(id='fridge', cls='container', location=Location(kind='free', target=''), is_open=True, is_heated=False),),"
-        " agent_at='kitchen', hands=('apple', None))",
+        "WorldState(entities=(Entity(id='apple', cls='item', location=Location(kind='held', target=''), is_open=False, is_heated=False),"
+        " Entity(id='fridge', cls='container', location=Location(kind='free', target=''), is_open=True, is_heated=False)),"
+        " agent_at='fridge', hands=('apple', None))",
     ),
     (SkillResult(False, "it is closed"), ("success", "observation"), "SkillResult(success=False, observation='it is closed')"),
     (
@@ -464,7 +465,7 @@ _MORE = [
     Transcript([Exchange("ab12", _message()), Exchange("cd34", AgentMessage("assistant", "fine"))]),
     SolveResult("unsolvable", None, 7),
     PipelineResult(_problem(), EventLog(), [UpstreamRequest("goal", "missing_objects", {"objects": "c"}, "applied")], "", 4),
-    WorldState((Entity("apple", "item", Location("in", "fridge"), is_heated=True),), "", (None, None)),
+    WorldState((Entity("apple", "item", Location("in", "fridge"), is_heated=True), Entity("fridge", "container")), "", (None, None)),
 ]
 
 _SAMPLES = [sample for sample, _, _ in FROZEN] + _MORE
@@ -616,7 +617,7 @@ def test_the_sweep_reaches_nested_keys():
     paths = set(_key_paths(Transcript([Exchange("ab12", _message())]).to_json()))
     assert ("exchanges", 0, "response", "tool_calls", 0, "arguments", "q") in paths
     assert ("exchanges", 0) in paths
-    assert sum(1 for sample in _CODEC for _ in _mutants(sample.to_json())) == 3096
+    assert sum(1 for sample in _CODEC for _ in _mutants(sample.to_json())) == 3240
 
 
 @pytest.mark.parametrize(
