@@ -49,6 +49,7 @@ from .ir import ProblemInstance, jsonio, validate
 from .memory import ProceduralStore
 from .pddl import PddlError, emit_domain, emit_expression, emit_problem, parse_domain, parse_problem, render_plan
 from .planner import GroundingError, Invalid, SolveConfig, ground, solve, validate_plan
+from .planner.search import HEURISTICS, STRATEGIES
 from .runs import RunDirectory
 from .textworld import TextWorldEnv, UnknownEntityError, load_world
 
@@ -104,7 +105,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     parser.add_argument("--version", action="version", version=f"planwright {__version__}")
     parser.set_defaults(config=None)  # `bench` takes no --config
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: dict[str, argparse.ArgumentParser] = {}
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--mode", choices=MODES, default="replay")
@@ -116,6 +116,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--api-base", default="https://api.openai.com/v1")
         p.add_argument("--api-key-env", default="PLANWRIGHT_API_KEY")
 
+    def solver(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--strategy", choices=STRATEGIES, default="astar")
+        p.add_argument("--heuristic", choices=HEURISTICS, default="blind")
+        p.add_argument("--node-budget", type=int, default=1_000_000)
+        p.add_argument("--time-budget", type=float, default=60.0)
+
     plan = sub.add_parser("plan", help="generate a problem, solve it, translate the plan")
     common(plan)
     plan.add_argument("--task", required=True, help="task JSON file (descriptions of domain/init/goal)")
@@ -125,10 +131,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     plan.add_argument("--tau", type=float, default=0.8)
     plan.add_argument("--correction-limit", type=int, default=10)
     plan.add_argument("--critic-iterations", type=int, default=3)
-    plan.add_argument("--strategy", choices=("astar", "greedy"), default="astar")
-    plan.add_argument("--heuristic", choices=("blind", "h_add"), default="blind")
-    plan.add_argument("--node-budget", type=int, default=1_000_000)
-    plan.add_argument("--time-budget", type=float, default=60.0)
+    solver(plan)
     plan.add_argument("--translate", choices=("fallback", "llm"), default="fallback")
 
     execute = sub.add_parser("execute", help="execute translated instructions in the text world")
@@ -144,52 +147,33 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     bench.add_argument("--domain", help="single domain PDDL file")
     bench.add_argument("--problems", help="directory of problem PDDL files for --domain")
     bench.add_argument("--repeat", type=int, default=1)
-    bench.add_argument("--strategy", choices=("astar", "greedy"), default="astar")
-    bench.add_argument("--heuristic", choices=("blind", "h_add"), default="blind")
-    bench.add_argument("--node-budget", type=int, default=1_000_000)
-    bench.add_argument("--time-budget", type=float, default=60.0)
-
-    subparsers.update(plan=plan, execute=execute, bench=bench)
-    return parser, subparsers
+    solver(bench)
+    return parser, sub.choices  # the subcommand parsers by name
 
 
-def _read_config(config_path: str, subparser: argparse.ArgumentParser) -> list[tuple[argparse.Action, Any]]:
-    """The config file's values, each paired with the subcommand action it
-    sets; `_parse_args` makes them that action's default."""
+def _read_config(config_path: str, subparser: argparse.ArgumentParser) -> dict[str, Any]:
+    """The config file's values, each checked by `_config_value`, keyed by
+    the ``dest`` of its subcommand flag: the namespace `main` parses into."""
     try:
         data = jsonio.read_object(Path(config_path).read_text(encoding="utf-8"))
     except (OSError, jsonio.IRDecodeError) as exc:
         raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
     actions = {a.dest: a for a in subparser._actions}
-    defaults = []
+    values = {}
     for key, value in data.items():
         attr = key.replace("-", "_")
         if attr not in actions:
             raise ConfigError(f"unknown config key {key!r}")
-        defaults.append((actions[attr], _config_value(key, value, actions[attr])))
-    return defaults
-
-
-def _parse_args(parser: argparse.ArgumentParser, argv: list[str], defaults: list[tuple[argparse.Action, Any]]) -> argparse.Namespace:
-    """Parse ``argv`` with config-file values as defaults, so explicitly
-    passed flags always win over the file. The parser is shared by every
-    `main` call in the process, so each action gets its own default back."""
-    saved = [(action, action.default) for action, _ in defaults]
-    for action, value in defaults:
-        action.default = value
-    try:
-        return parser.parse_args(argv)
-    finally:
-        for action, value in saved:
-            action.default = value
+        values[attr] = _config_value(key, value, actions[attr])
+    return values
 
 
 def _config_value(key: str, value, action: argparse.Action):
     """A config-file value checked against its flag's type and choices.
 
-    argparse converts only string defaults, so a value of the wrong JSON
-    type would otherwise reach the command unconverted. Strings are not
-    parsed as numbers: a number must be a JSON number.
+    argparse neither converts nor checks a value that its namespace holds,
+    so a value of the wrong JSON type would otherwise reach the command
+    unconverted. Strings are not parsed as numbers: a number must be a JSON number.
     """
     kind = action.type or str
     accepted = (int, float) if kind is float else kind
@@ -366,24 +350,20 @@ def cmd_bench(args, run: RunDirectory) -> None:
             suite_dir = Path(args.suite)
             if not suite_dir.is_dir():
                 raise ConfigError(f"suite directory {args.suite} does not exist")
-            entries = [
-                (sub.name, sub / "domain.pddl", sorted(p for p in sub.glob("*.pddl") if p.name != "domain.pddl"))
-                for sub in sorted(suite_dir.iterdir())
-                if sub.is_dir()
-            ]
+            sets = [(sub.name, sub / "domain.pddl", sub) for sub in sorted(suite_dir.iterdir()) if sub.is_dir()]
         elif args.domain and args.problems:
             problems_dir = Path(args.problems)
             if not problems_dir.is_dir():
                 raise ConfigError(f"problems directory {args.problems} does not exist")
-            domain_path = Path(args.domain).resolve()
-            problem_paths = sorted(
-                p for p in problems_dir.glob("*.pddl")
-                if p.resolve() != domain_path and p.name != "domain.pddl"
-            )
-            label = domain_path.parent.name if domain_path.stem == "domain" else domain_path.stem
-            entries = [(label, Path(args.domain), problem_paths)]
+            domain = Path(args.domain).resolve()
+            sets = [(domain.parent.name if domain.stem == "domain" else domain.stem, Path(args.domain), problems_dir)]
         else:
             raise ConfigError("bench needs either --suite or both --domain and --problems")
+        # Both forms read a problem set alike: every *.pddl but the domain file and any domain.pddl.
+        entries = [
+            (label, path, sorted(p for p in d.glob("*.pddl") if p.name != "domain.pddl" and p.resolve() != path.resolve()))
+            for label, path, d in sets
+        ]
         if args.repeat < 1:
             raise ConfigError("--repeat must be >= 1")
         cfg = SolveConfig(args.strategy, args.heuristic, args.node_budget, args.time_budget)
@@ -453,6 +433,12 @@ COMMANDS = {"plan": cmd_plan, "execute": cmd_execute, "bench": cmd_bench}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run the command in ``argv`` (default ``sys.argv[1:]``); return its exit
+    code. With ``--config``, the command's parser reads its flags again into a
+    namespace that holds the file's values; argparse adds only the defaults a
+    namespace lacks, so flags replace file values and no parser keeps one."""
+    if argv is None:
+        argv = sys.argv[1:]
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -463,8 +449,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     failure: Optional[_Exit] = None
     try:
         if args.config is not None:
-            # Parse again with the file's values as defaults, so flags win.
-            args = _parse_args(parser, argv, _read_config(args.config, subparsers[args.command]))
+            subparser = subparsers[args.command]
+            namespace = argparse.Namespace(command=args.command, **_read_config(args.config, subparser))
+            args = subparser.parse_args(argv[1:], namespace)  # argv[0] is the command
         COMMANDS[args.command](args, run)
     except ConfigError as exc:  # the config file's: a command turns its own into an _Exit
         _stderr_record("config-error", str(exc))

@@ -159,14 +159,16 @@ def validate_execution(
     try:
         data = jsonio.read_object(response.content)
         decision = jsonio.field(data, "decision", str, "")
-        feedback = jsonio.field(data, "feedback", str, None)  # None when absent
-        notification = jsonio.field(data, "notification", str, "execution aborted")
+        # Each verdict reads only the free-text key that it shows.
+        if decision == "retry":
+            feedback = jsonio.field(data, "feedback", str, None)  # None when absent
+        elif decision == "abort":
+            notification = jsonio.field(data, "notification", str, "execution aborted")
     except jsonio.IRDecodeError:
         decision, feedback = "retry", f"validator answer was not parseable: {response.content}"
 
-    env_ok = env.goal_satisfied()
     if decision == "goal-met":
-        if env_ok:
+        if env.goal_satisfied():
             return ValidatorVerdict("goal-met")
         decision = "retry"
         feedback = "the environment goal check fails despite the reported success; re-execute"

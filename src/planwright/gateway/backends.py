@@ -91,7 +91,6 @@ class LiveBackend:
 
     def _http_post(self, url: str, headers: dict, payload: dict) -> dict:
         # Imported here so that replay and offline runs never load the HTTP stack.
-        import urllib.error
         import urllib.request
 
         body = json.dumps(payload).encode("utf-8")
@@ -99,7 +98,7 @@ class LiveBackend:
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 raw = resp.read()
-        except urllib.error.URLError as exc:
+        except OSError as exc:  # URLError, a timeout, a reset connection
             raise BackendError(f"chat backend unreachable: {exc}") from exc
         try:
             return jsonio.loads(raw.decode("utf-8"))
@@ -107,6 +106,10 @@ class LiveBackend:
             raise BackendError(f"malformed backend response: {exc}") from exc
 
     def complete(self, request: ChatRequest) -> AgentMessage:
+        """One exchange. The reply's ``choices[0].message``, its ``content`` (str
+        or null) and ``tool_calls`` (list or null), and each call's ``function``,
+        ``function.name`` and ``id`` (default ``call-N``) are read with
+        `jsonio.field`; any other shape raises `BackendError`."""
         key = os.environ.get(self.api_key_env, "")
         if not key:
             raise BackendError(f"no API key in ${self.api_key_env}")
@@ -136,33 +139,26 @@ class LiveBackend:
             ]
         headers = {"Content-Type": "application/json", "Authorization": f"Bearer {key}"}
         data = self.transport(f"{self.base_url}/chat/completions", headers, payload)
-        try:
-            message = data["choices"][0]["message"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise BackendError(f"malformed backend response: {data!r}") from exc
-        if (
-            not isinstance(message, dict)
-            or not isinstance(message.get("content"), (str, type(None)))
-            or not isinstance(message.get("tool_calls") or [], list)
-        ):
-            raise BackendError(f"malformed backend response: {data!r}")
         calls = []
-        for tc in message.get("tool_calls") or []:
-            try:
-                name, raw = tc["function"]["name"], tc["function"].get("arguments", "{}")
-            except (KeyError, TypeError) as exc:
-                raise BackendError(f"malformed backend response: {data!r}") from exc
-            call_id = tc.get("id", f"call-{len(calls)}")
-            if not isinstance(name, str) or not isinstance(call_id, str):
-                raise BackendError(f"malformed backend response: {data!r}")
-            try:
-                arguments = jsonio.loads(raw) if isinstance(raw, str) else raw
-            except jsonio.IRDecodeError:
-                arguments = None
-            # Anything but a JSON object reaches the agent as a schema failure.
-            arguments = dict(arguments) if isinstance(arguments, dict) else {"_raw": raw}
-            calls.append(ToolCall(call_id, name, arguments))
-        return AgentMessage("assistant", message.get("content") or "", tuple(calls))
+        try:
+            choices = jsonio.field(data, "choices", list)
+            message = jsonio.field(choices[0] if choices else {}, "message", dict)
+            content = jsonio.field(message, "content", (str, type(None)), None)
+            for tc in jsonio.field(message, "tool_calls", (list, type(None)), None) or ():
+                function = jsonio.field(tc, "function", dict)
+                name = jsonio.field(function, "name", str)
+                call_id = jsonio.field(tc, "id", str, f"call-{len(calls)}")
+                raw = function.get("arguments", "{}")
+                try:
+                    arguments = jsonio.loads(raw) if isinstance(raw, str) else raw
+                except jsonio.IRDecodeError:
+                    arguments = None
+                # Anything but a JSON object reaches the agent as a schema failure.
+                arguments = dict(arguments) if isinstance(arguments, dict) else {"_raw": raw}
+                calls.append(ToolCall(call_id, name, arguments))
+        except jsonio.IRDecodeError as exc:
+            raise BackendError(f"malformed backend response: {exc}") from exc
+        return AgentMessage("assistant", content or "", tuple(calls))
 
     @staticmethod
     def _wire_message(msg: AgentMessage) -> dict:

@@ -47,7 +47,8 @@ Cost = Union[int, float]
 
 
 def blind(task: GroundTask, bools: int, nums: tuple[Fraction, ...]) -> Cost:
-    return 0 if task.goal_holds(bools, nums) else 1
+    """0 in a goal state, inf when the goal has no branch, else 1."""
+    return 0 if task.goal_holds(bools, nums) else 1 if task.goal else INF
 
 
 def h_add(task: GroundTask, bools: int, nums: tuple[Fraction, ...]) -> Cost:

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from planwright.cli import main
-from planwright.data_paths import scenario_dir
+from planwright.cli import build_parser, main
+from planwright.data_paths import benchmarks_root, scenario_dir
 from planwright.domains import blocksworld_domain
 from planwright.gateway import Gateway, ScriptedBackend, Transcript, assistant
 from planwright.ir import DomainModel, jsonio
@@ -557,6 +557,24 @@ class TestBenchCommand:
         assert statuses == {"p01.pddl": "solved", "p02.pddl": "internal-error: ZeroDivisionError", "p03.pddl": "solved"}
         assert row["solved"] == 2
 
+    @pytest.fixture(scope="class")
+    def suite_rows(self, tmp_path_factory) -> dict:
+        out = tmp_path_factory.mktemp("suite") / "bench"
+        assert main(["bench", "--suite", str(benchmarks_root()), "--out-dir", str(out)]) == 0
+        return {row["domain"]: row for row in json.loads((out / "bench_report.json").read_text())["rows"]}
+
+    @pytest.mark.parametrize(
+        "domain", ["barman", "blocksworld", "floortile", "grippers", "storage", "termes", "tyreworld"]
+    )
+    def test_domain_form_writes_the_suite_row(self, tmp_path, suite_rows, domain):
+        """`--domain D/domain.pddl --problems D` reads its problem set as
+        `--suite` reads D, so its one row equals D's suite row."""
+        assert len(suite_rows) == 7
+        d = benchmarks_root() / domain
+        out = tmp_path / "bench"
+        assert main(["bench", "--domain", str(d / "domain.pddl"), "--problems", str(d), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "bench_report.json").read_text())["rows"] == [suite_rows[domain]]
+
     def test_bench_aggregate_equals_sum_of_rows(self, tmp_path):
         from planwright.data_paths import benchmarks_root
 
@@ -602,6 +620,21 @@ class TestConfigFile:
         assert main(plan_args("color", without)) == 0
         budgets = [json.loads((out / "manifest.json").read_text())["config"]["node_budget"] for out in (with_config, without)]
         assert budgets == [7, 1_000_000]
+
+    def test_config_run_leaves_every_default_as_it_was(self, tmp_path):
+        """The file's values go into the run's namespace, never onto the
+        parsers that every `main` call in the process shares."""
+        def defaults():
+            return {(command, a.dest): a.default for command, p in build_parser()[1].items() for a in p._actions}
+
+        before = defaults()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"node-budget": 7, "heuristic": "h_add", "temperature": 1, "model": "m"}))
+        out = tmp_path / "run"
+        assert main(plan_args("color", out, config=config)) == 0
+        snapshot = json.loads((out / "manifest.json").read_text())["config"]
+        assert [snapshot[k] for k in ("node_budget", "heuristic", "temperature", "model")] == [7, "h_add", 1.0, "m"]
+        assert defaults() == before
 
     @pytest.mark.parametrize("spelling", [["--conf", "{}"], ["--conf={}"]])
     def test_abbreviated_config_flag_applies_the_file(self, tmp_path, spelling):
@@ -1060,3 +1093,33 @@ class TestImports:
         proc = run_python(probe)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == ["planwright.domains"]
+
+
+class TestSolverNames:
+    def test_choices_are_the_solver_tables(self):
+        """`plan` and `bench` offer exactly the planner's names, in its order."""
+        from planwright.planner.search import HEURISTICS, STRATEGIES
+
+        assert (STRATEGIES, tuple(HEURISTICS)) == (("astar", "greedy"), ("blind", "h_add"))
+        for command in ("plan", "bench"):
+            actions = {a.dest: a for a in build_parser()[1][command]._actions}
+            assert (actions["strategy"].choices, tuple(actions["heuristic"].choices)) == (STRATEGIES, tuple(HEURISTICS))
+
+    def test_solve_config_accepts_exactly_the_table_names(self):
+        from planwright.planner import SolveConfig, ground, solve
+        from planwright.planner.search import HEURISTICS, STRATEGIES
+        from planwright.pddl import parse_domain, parse_problem
+
+        d = benchmarks_root() / "blocksworld"
+        domain = parse_domain((d / "domain.pddl").read_text())
+        task = ground(parse_problem((d / "p01.pddl").read_text(), domain))
+        for strategy in STRATEGIES:
+            for heuristic in HEURISTICS:
+                assert solve(task, SolveConfig(strategy, heuristic)).status == "plan"
+        # Other names of the heuristics module are no heuristic names.
+        for name in ("", "Blind", "h_max", "h_max_cost", "INF", "lmcut"):
+            with pytest.raises(ValueError, match="unknown heuristic"):
+                SolveConfig(heuristic=name)
+        for name in ("", "bfs", "Astar"):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                SolveConfig(strategy=name)

@@ -212,6 +212,17 @@ class TestValidateExecution:
         gw = Gateway(ScriptedBackend([assistant(reply)]))
         assert validate_execution(ExecutionLog(), "(is_open fridge_305)", env, gw, retry_budget=budget) == expected
 
+    @pytest.mark.parametrize(
+        "reply",
+        ['{"decision": "goal-met", "feedback": 3}', '{"decision": "goal-met", "notification": ["x"]}'],
+        ids=["feedback", "notification"],
+    )
+    def test_met_goal_ignores_free_text_it_does_not_show(self, reply):
+        """A goal-met verdict shows neither free-text key, so a key that is
+        no string does not turn a met goal into an abort."""
+        gw = Gateway(ScriptedBackend([assistant(reply)]))
+        assert validate_execution(ExecutionLog(), "(and)", fresh_env(), gw, retry_budget=0) == ValidatorVerdict("goal-met")
+
 
 class TestRunExecution:
     def test_retry_path_reruns_plan(self):

@@ -274,17 +274,24 @@ class TestLiveBackendWire:
             {"choices": [{"message": {"content": None, "tool_calls": 5}}]},
             {"choices": [{"message": {"tool_calls": [{"id": 5, "function": {"name": "missing_or_incorrect_fluent"}}]}}]},
             {"choices": [{"message": {"tool_calls": [{"id": "c1", "function": {"name": 5}}]}}]},
+            {"choices": []},
+            {"choices": [{"message": {"content": "", "tool_calls": ""}}]},
+            {"choices": [{"message": {"content": "", "tool_calls": 0}}]},
+            {"choices": [{"message": {"content": "", "tool_calls": False}}]},
+            {"choices": [{"message": {"content": "", "tool_calls": {}}}]},
         ],
         ids=[
             "body-list", "choices-string", "choice-list", "message-string", "content-number", "tool-calls-number",
-            "tool-call-id-number", "tool-call-name-number",
+            "tool-call-id-number", "tool-call-name-number", "choices-empty", "tool-calls-empty-string",
+            "tool-calls-zero", "tool-calls-false", "tool-calls-empty-object",
         ],
     )
     def test_response_of_the_wrong_shape_is_reported(self, monkeypatch, body):
-        """A body, choice or message that is no object, content that is
-        neither a string nor null, tool calls that are no list, and a tool
-        call whose id or name is no string are malformed responses: a
-        recording of any of them could not be replayed."""
+        """A body, choice or message that is no object, no choice at all,
+        content that is neither a string nor null, tool calls that are
+        neither a list nor null (falsy ones included), and a tool call whose
+        id or name is no string are malformed responses: a recording of any
+        of them could not be replayed."""
         monkeypatch.setenv("PLANWRIGHT_API_KEY", "test-key")
         gateway = Gateway(LiveBackend("gpt-4o", transport=lambda url, headers, payload: body))
         with pytest.raises(BackendError, match="malformed backend response"):
@@ -307,6 +314,28 @@ class TestLiveBackendWire:
         monkeypatch.setenv("PLANWRIGHT_API_KEY", "test-key")
         gateway = Gateway(LiveBackend("gpt-4o", base_url="https://example.test/v1"))
         with pytest.raises(BackendError, match="malformed backend response"):
+            gateway.chat(simple_request(user("add color")))
+
+    @pytest.mark.parametrize("error", [TimeoutError("timed out"), ConnectionResetError("reset by peer")], ids=["timeout", "reset"])
+    def test_failed_read_is_reported(self, monkeypatch, error):
+        """A read that times out or whose connection is reset is a
+        `BackendError`, like an unreachable endpoint."""
+        import urllib.request
+
+        class Response:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def read(self):
+                raise error
+
+        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: Response())
+        monkeypatch.setenv("PLANWRIGHT_API_KEY", "test-key")
+        gateway = Gateway(LiveBackend("gpt-4o", base_url="https://example.test/v1"))
+        with pytest.raises(BackendError, match="chat backend unreachable"):
             gateway.chat(simple_request(user("add color")))
 
     @pytest.mark.parametrize(

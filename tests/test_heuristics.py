@@ -82,7 +82,7 @@ def goal_states_estimate_zero(task, states) -> int:
     for bools, nums in states:
         holds = task.goal_holds(bools, nums)
         hits += holds
-        assert blind(task, bools, nums) == (0 if holds else 1), (bools, nums)
+        assert blind(task, bools, nums) == (0 if holds else 1 if task.goal else INF), (bools, nums)
         for estimate in (h_add, h_max_cost):
             assert (estimate(task, bools, nums) == 0) == holds, (estimate.__name__, bools, nums)
     return hits
@@ -164,11 +164,10 @@ def test_goal_with_no_satisfiable_branch_is_unsolvable_without_expanding():
     p = Atom("on", ("b2", "b1"))
     task = ground(ProblemInstance(base.domain, base.objects, base.init, And((p, Not(p)))))
     init = (task.init_bools, task.init_nums)
-    assert h_add(task, *init) == h_max_cost(task, *init) == INF
-    assert blind(task, *init) == 1
+    assert h_add(task, *init) == h_max_cost(task, *init) == blind(task, *init) == INF
     goal_states_estimate_zero(task, random_walk_states(task))
     assert solve(task, SolveConfig("greedy", "h_add")) == SolveResult("unsolvable", None, 0)
-    assert solve(task).status == "unsolvable"
+    assert solve(task) == SolveResult("unsolvable", None, 0)  # A*/blind
 
 
 @pytest.mark.parametrize("cfg", [SolveConfig(), SolveConfig("greedy", "h_add")], ids=["astar-blind", "greedy-hadd"])
