@@ -91,6 +91,7 @@ class LiveBackend:
 
     def _http_post(self, url: str, headers: dict, payload: dict) -> dict:
         # Imported here so that replay and offline runs never load the HTTP stack.
+        import http.client
         import urllib.request
 
         body = json.dumps(payload).encode("utf-8")
@@ -98,7 +99,7 @@ class LiveBackend:
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 raw = resp.read()
-        except OSError as exc:  # URLError, a timeout, a reset connection
+        except (OSError, http.client.HTTPException) as exc:  # URLError, a timeout, a reset connection, a body cut off
             raise BackendError(f"chat backend unreachable: {exc}") from exc
         try:
             return jsonio.loads(raw.decode("utf-8"))

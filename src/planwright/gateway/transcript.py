@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from ..ir import jsonio
-from ..values import Value, field, set_field
+from ..values import Value, cached_on, field, set_field
 from .messages import AgentMessage, ChatRequest
 
 
@@ -27,15 +27,23 @@ class FingerprintMismatch(TranscriptError):
         super().__init__(f"replay diverged at exchange {position}: {detail}")
 
 
+def _canonical(value: Value) -> str:
+    return json.dumps(value.to_json(), sort_keys=True, separators=(",", ":"))
+
+
 def fingerprint(request: ChatRequest) -> str:
     """Hash of the semantic request content: roles, texts, tool calls, and
     the tool schemas offered. The model id and sampling temperature belong
-    to the live backend, not the request, so fixtures never depend on them."""
-    payload = {
-        "messages": [m.to_json() for m in request.messages],
-        "tools": [t.to_json() for t in request.tools],
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    to the live backend, not the request, so fixtures never depend on them.
+
+    The hashed text is the canonical JSON (sorted keys, no spaces) of
+    ``{"messages": [...], "tools": [...]}``. Each message and schema is
+    encoded once and kept on it (`cached_on`), since a conversation resends
+    its earlier messages with every request; no tool call's arguments dict
+    is changed once the call is built."""
+    messages = ",".join(cached_on(m, "_canonical_json", _canonical) for m in request.messages)
+    tools = ",".join(cached_on(t, "_canonical_json", _canonical) for t in request.tools)
+    canonical = '{"messages":[' + messages + '],"tools":[' + tools + "]}"
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -274,10 +274,11 @@ class GroundTask(Value):
     goal: tuple[tuple[int, int, tuple[GroundComparison, ...]], ...]  # DNF branches as (pos, neg, num); the source is problem.goal
 
     def goal_holds(self, bools: int, nums: tuple[Fraction, ...]) -> bool:
-        for pos, neg, num in self.goal:
-            if bools & pos == pos and not bools & neg and (not num or all(c.holds(nums) for c in num)):
-                return True
-        return False
+        """Whether some goal branch holds: the blind heuristic's goal test,
+        which search calls without this frame."""
+        from .heuristics import blind  # heuristics imports this module
+
+        return blind(self, bools, nums) == 0
 
     @cached_property
     def relaxed(self):

@@ -48,7 +48,10 @@ Cost = Union[int, float]
 
 def blind(task: GroundTask, bools: int, nums: tuple[Fraction, ...]) -> Cost:
     """0 in a goal state, inf when the goal has no branch, else 1."""
-    return 0 if task.goal_holds(bools, nums) else 1 if task.goal else INF
+    for pos, neg, num in task.goal:
+        if bools & pos == pos and not bools & neg and (not num or all(c.holds(nums) for c in num)):
+            return 0
+    return 1 if task.goal else INF
 
 
 def h_add(task: GroundTask, bools: int, nums: tuple[Fraction, ...]) -> Cost:

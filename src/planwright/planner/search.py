@@ -15,21 +15,21 @@ reached to ``(g, parent, action index)``.
 
 Successors come from a `SuccessorGenerator` built once per solve, which
 reads a state's applicable actions off one int: bit ``i`` stands for action
-``i``. The atoms that some precondition tests are cut into 8-atom slices.
+``i``. The atoms that some precondition tests are cut into 16-atom slices.
 Entry ``v`` of a slice's table is the mask of the actions whose positive and
 negative precondition atoms in that slice agree with the bits ``v``, so the
-applicable set is the AND of one lookup per slice. A lookup keeps only the
-slice's tested atoms, which keeps the vector index out. An entry is made the
-first time its value is met, from two 16-entry tables over the slice's
-4-atom halves, so a table holds at most 256 ints. Reading the mask from the
-low bit up gives the actions in ascending index, the order of a scan over
-every action, so tie-breaking, node counts and plans are the same as with
-the scan, and nothing is filtered or sorted; only the actions that have
-numeric comparisons are then checked against the state's vector. A
-propositional action is applied as ``(state & keep) | add``, which carries
-the vector index through unchanged; one with numeric effects goes through
-`GroundAction.apply`, so the numeric semantics live in one place, and its
-vector is interned.
+AND of one lookup per slice is the mask of the actions whose atom
+preconditions hold. A lookup keeps only the slice's tested atoms, which keeps
+the vector index out. An entry is made the first time its value is met, from
+four 16-entry tables over the slice's 4-atom quarters, so a table holds only
+the values search meets. `solve` reads the mask from the low bit up, which
+gives the actions in ascending index, the order of a scan over every action,
+so tie-breaking, node counts and plans are the same as with the scan, and
+nothing is filtered or sorted; only an action that has numeric comparisons
+is then checked against the state's vector. A propositional action is
+applied as ``(state & keep) | add``, which carries the vector index through
+unchanged; one with numeric effects goes through `GroundAction.apply`, so
+the numeric semantics live in one place, and its vector is interned.
 
 The open list is a list of FIFO buckets indexed by f, which is an integer:
 both heuristics return integer costs, and an infinite estimate is never
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from fractions import Fraction
 from typing import Optional
 
 from ..values import Value
@@ -88,26 +87,25 @@ class SolveResult(Value):
 
 
 class _SliceTable(dict):
-    """Maps the bits ``v`` of one 8-atom slice of a state to the mask of the
+    """Maps the bits ``v`` of one 16-atom slice of a state to the mask of the
     actions whose precondition atoms in that slice agree with them.
 
     A mask is made the first time its ``v`` is looked up, as the AND of the
-    masks of the slice's two 4-atom halves, so a table holds at most 256
-    ints.
+    masks of the slice's four 4-atom quarters, so a table holds only the
+    values search meets.
     """
 
-    __slots__ = ("low", "high")
+    __slots__ = ("q0", "q1", "q2", "q3")
 
-    def __init__(self, low: list[int], high: list[int]):
-        self.low = low
-        self.high = high
+    def __init__(self, q0: list[int], q1: list[int], q2: list[int], q3: list[int]):
+        self.q0, self.q1, self.q2, self.q3 = q0, q1, q2, q3
 
     def __missing__(self, v: int) -> int:
-        mask = self[v] = self.low[v & 15] & self.high[v >> 4]
+        mask = self[v] = self.q0[v & 15] & self.q1[v >> 4 & 15] & self.q2[v >> 8 & 15] & self.q3[v >> 12]
         return mask
 
 
-def _half_table(every: int, need_true: dict[int, int], need_false: dict[int, int], first: int, tested: int) -> list[int]:
+def _quarter_table(every: int, need_true: dict[int, int], need_false: dict[int, int], first: int, tested: int) -> list[int]:
     """The 16 masks of the actions that agree with atoms ``first`` to
     ``first + 3``, indexed by those atoms' bits, doubled one atom at a time:
     with the atom's bit clear, the actions that need it true drop out, and
@@ -135,21 +133,21 @@ class SuccessorGenerator:
     """The applicable actions of a state, read off one bitmask over the actions.
 
     Bit ``i`` of a mask stands for action ``i``. The atoms that some
-    precondition tests are cut into 8-atom slices, and each slice has a
-    `_SliceTable`; the state's applicable actions are the AND of one entry
-    per slice, bar those whose comparisons fail. An entry is ``(index, num,
-    ~del_mask, add_mask, num_effects)``: everything the search reads to
-    test and apply the action.
+    precondition tests are cut into 16-atom slices, and each slice has a
+    `_SliceTable`; the AND of one entry per slice is the mask of the actions
+    whose atom preconditions hold. Entry ``i`` of `entries` is ``(num,
+    ~del_mask, add_mask, num_effects)`` of action ``i``: everything the
+    search reads to finish the test, on the comparisons ``num``, and to
+    apply the action.
     """
 
     def __init__(self, actions: tuple[GroundAction, ...]):
         need_true: dict[int, int] = {}  # atom bit: the actions that need the atom true
         need_false: dict[int, int] = {}  # and those that need it false
         self.entries = entries = []
-        numeric = 0  # the actions that have comparisons
         tested = 0  # the atoms that some precondition tests
         bit = 1
-        for idx, a in enumerate(actions):
+        for a in actions:
             pos = a.pos
             while pos:
                 low = pos & -pos
@@ -161,38 +159,27 @@ class SuccessorGenerator:
                 need_false[low] = need_false.get(low, 0) | bit
                 neg ^= low
             tested |= a.pos | a.neg
-            if a.num:
-                numeric |= bit
-            entries.append((idx, a.num, ~a.del_mask, a.add_mask, a.num_effects))
+            entries.append((a.num, ~a.del_mask, a.add_mask, a.num_effects))
             bit <<= 1
-        self.numeric = numeric
         self.every = every = bit - 1
         # A lookup masks the state's slice with the slice's tested atoms, which
         # keeps the numeric-vector index above the atoms out, and lets values
         # that differ only in untested atoms share one entry.
         self.slices = []
-        for shift in range(0, tested.bit_length(), 8):
-            bits = tested >> shift & 255
+        for shift in range(0, tested.bit_length(), 16):
+            bits = tested >> shift & 0xFFFF
             if bits:
-                low = _half_table(every, need_true, need_false, shift, bits & 15)
-                high = _half_table(every, need_true, need_false, shift + 4, bits >> 4)
-                self.slices.append((shift, bits, _SliceTable(low, high)))
+                quarters = (_quarter_table(every, need_true, need_false, shift + q, bits >> q & 15) for q in (0, 4, 8, 12))
+                self.slices.append((shift, bits, _SliceTable(*quarters)))
 
-    def applicable(self, state: int, nums: tuple[Fraction, ...]) -> list[tuple]:
-        """Entries of the actions applicable in the state, in ascending index."""
+    def applicable(self, state: int) -> int:
+        """The mask of the actions whose atom preconditions hold in the state.
+        An action with comparisons (a non-empty ``num`` in its entry) is
+        applicable only if they hold too, which this does not check."""
         mask = self.every
         for shift, bits, table in self.slices:
             mask &= table[state >> shift & bits]
-        compared = mask & self.numeric  # applicable but for their comparisons
-        out = []
-        entries = self.entries
-        while mask:
-            low = mask & -mask
-            out.append(entries[low.bit_length() - 1])
-            mask ^= low
-        if compared:
-            return [e for e in out if not e[1] or all(c.holds(nums) for c in e[1])]
-        return out
+        return mask
 
 
 def solve(task: GroundTask, cfg: SolveConfig = SolveConfig()) -> SolveResult:
@@ -216,6 +203,7 @@ def solve(task: GroundTask, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     greedy = cfg.strategy == "greedy"
     actions = task.actions
     successors = SuccessorGenerator(actions)
+    entries = successors.entries
 
     while f < len(buckets):
         bucket = buckets[f]
@@ -232,7 +220,15 @@ def solve(task: GroundTask, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         expanded += 1
         new_g = g + 1
         nums = vectors[state >> n]
-        for action_idx, _, keep, add, effects in successors.applicable(state, nums):
+        # From the low bit up: ascending index, as a scan over every action.
+        mask = successors.applicable(state)
+        while mask:
+            low_bit = mask & -mask
+            mask ^= low_bit
+            action_idx = low_bit.bit_length() - 1
+            comparisons, keep, add, effects = entries[action_idx]
+            if comparisons and not all(c.holds(nums) for c in comparisons):
+                continue
             if effects:
                 bools, successor_nums = actions[action_idx].apply(state & low, nums)
                 vector = vector_index.get(successor_nums)

@@ -667,6 +667,17 @@ def reference_solve(task, strategy: str = "astar", heuristic: str = "blind", nod
     return result("unsolvable", expanded)
 
 
+def reference_fingerprint(request) -> str:
+    """The request fingerprint as one `json.dumps` of the whole request, the
+    formula the shipped fixtures were recorded with."""
+    import hashlib
+    import json
+
+    payload = {"messages": [m.to_json() for m in request.messages], "tools": [t.to_json() for t in request.tools]}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def branch_holds(pos: int, neg: int, num: tuple, bools: int, nums: tuple[Fraction, ...]) -> bool:
     """Whether a compiled conjunction, an action's precondition or a goal
     branch, holds in the state. Written out here so that the oracles share

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import http.client
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planwright.gateway import (
+    AgentMessage,
     BackendError,
     ChatRequest,
     FingerprintMismatch,
@@ -26,6 +29,8 @@ from planwright.gateway import (
     tool_result,
     user,
 )
+
+from helpers import reference_fingerprint
 
 FLUENT_TOOL = ToolSchema(
     "missing_or_incorrect_fluent",
@@ -148,6 +153,50 @@ class TestRecordReplay:
         assert Gateway(ReplayBackend(loaded)).chat(req).content == "x"
         loaded.save(path)
         assert "embeddings" not in json.loads(path.read_text(encoding="utf-8"))
+
+
+class TestFingerprint:
+    """`fingerprint` joins canonical texts kept on each message and schema;
+    the hash must equal that of one dump of the whole request."""
+
+    def test_every_shipped_request(self, monkeypatch, tmp_path):
+        from planwright.gateway import backends
+
+        from test_replay_golden import replay_round
+
+        requests = []
+
+        def recording(request):
+            requests.append(request)
+            return fingerprint(request)
+
+        monkeypatch.setattr(backends, "fingerprint", recording)
+        replay_round(tmp_path)
+        assert len(requests) == 77  # the five plan replays and the execute
+        for request in requests:
+            assert fingerprint(request) == reference_fingerprint(request)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_generated_requests(self, data):
+        text = st.text(max_size=12)
+        arguments = st.dictionaries(text, st.one_of(text, st.integers(), st.booleans(), st.none(), st.lists(text, max_size=3)), max_size=4)
+        calls = st.builds(ToolCall, text, text, st.one_of(st.none(), arguments))
+        messages = st.builds(
+            lambda role, content, tool_calls, call_id: AgentMessage(role, content, tuple(tool_calls), call_id),
+            st.sampled_from(["system", "user", "assistant", "tool-result"]),
+            text,
+            st.lists(calls, max_size=2),
+            st.one_of(st.none(), text),
+        )
+        tools = st.builds(ToolSchema, text, text, st.lists(st.builds(ToolParam, text, text), max_size=3).map(tuple))
+        pool = data.draw(st.lists(messages, min_size=1, max_size=5))
+        schemas = data.draw(st.lists(tools, max_size=3))
+        # Requests that share message objects, as a conversation's do, each
+        # hashed after the shared ones were cached by an earlier request.
+        for end in range(1, len(pool) + 1):
+            request = ChatRequest(tuple(pool[:end]), tuple(schemas))
+            assert fingerprint(request) == reference_fingerprint(request)
 
 
 class TestEmbedder:
@@ -316,10 +365,14 @@ class TestLiveBackendWire:
         with pytest.raises(BackendError, match="malformed backend response"):
             gateway.chat(simple_request(user("add color")))
 
-    @pytest.mark.parametrize("error", [TimeoutError("timed out"), ConnectionResetError("reset by peer")], ids=["timeout", "reset"])
+    @pytest.mark.parametrize(
+        "error",
+        [TimeoutError("timed out"), ConnectionResetError("reset by peer"), http.client.IncompleteRead(b'{"cho')],
+        ids=["timeout", "reset", "cut-off"],
+    )
     def test_failed_read_is_reported(self, monkeypatch, error):
-        """A read that times out or whose connection is reset is a
-        `BackendError`, like an unreachable endpoint."""
+        """A read that times out, whose connection is reset or whose body is
+        cut off is a `BackendError`, like an unreachable endpoint."""
         import urllib.request
 
         class Response:

@@ -58,9 +58,11 @@ from planwright.planner.search import SuccessorGenerator
 
 from helpers import (
     AtomNumbering,
+    _mask_bits,
     applicable,
     atoms_of,
     bfs_optimal_plan,
+    branch_holds,
     bundled_problems,
     num_numbering,
     numerics_of,
@@ -68,6 +70,7 @@ from helpers import (
     reference_instantiate,
     reference_pair_prune,
     reference_relaxed_prune,
+    reference_solve,
     refuel_problem,
     run_python,
     task_numbering,
@@ -667,9 +670,9 @@ class TestDomainForm:
 
 
 class TestSuccessorIndex:
-    """The generator's entries are exactly the applicable actions, in ascending
-    index, as a scan finds them, and each one's successor is the state
-    `GroundAction.apply` gives. States are also checked the way `solve`
+    """The generator's mask is exactly the actions whose atom preconditions
+    hold, as a scan finds them, and each one's entry applies it as
+    `GroundAction.apply` does. States are also checked the way `solve`
     builds them, with a numeric-vector index in the bits above the atoms."""
 
     @staticmethod
@@ -679,28 +682,56 @@ class TestSuccessorIndex:
         n = len(task.atoms)
         seen = set()
         for bools, nums in random_walk_states(task, seeds=range(4), steps=30):
-            expected = [i for i, a in enumerate(task.actions) if applicable(a, bools, nums)]
+            expected = sum(1 << i for i, a in enumerate(task.actions) if branch_holds(a.pos, a.neg, (), bools, nums))
             for vector in vectors:
                 state = bools | vector << n
-                entries = successors.applicable(state, nums)
-                assert [entry[0] for entry in entries] == expected
-                for idx, _, keep, add, effects in entries:
-                    action = task.actions[idx]
-                    assert effects == action.num_effects
-                    if not effects:  # solve applies these from the entry alone, keeping the vector index
-                        after, after_nums = action.apply(bools, nums)
-                        assert ((state & keep) | add, nums) == (after | vector << n, after_nums)
-            seen.update(expected)
+                assert successors.applicable(state) == expected
+            for idx in _mask_bits(expected):
+                action = task.actions[idx]
+                num, keep, add, effects = successors.entries[idx]
+                assert (num, effects) == (action.num, action.num_effects)
+                after, after_nums = action.apply(bools, nums)
+                for vector in vectors:  # solve keeps the vector index of a propositional successor
+                    assert (bools | vector << n) & keep | add == after | vector << n
+                if not effects:
+                    assert after_nums == nums
+                if applicable(action, bools, nums):
+                    seen.add(idx)
         assert seen  # the walks exercise the entries
         return seen
 
     def test_numeric_task_with_a_partial_last_slice(self):
-        # 14 atoms: the last 8-atom slice holds 6 of them, and the two bits
+        # 14 atoms: the one 16-atom slice holds 14 of them, and the two bits
         # above them, with everything higher, hold the vector index.
         problem = refuel_problem(0, 1)
         task = ground(problem)
-        assert len(task.atoms) % 8 and all(a.num for a in task.actions)
+        assert len(task.atoms) % 16 and all(a.num for a in task.actions)
         self.check(problem)
+
+    def test_partly_filled_third_slice(self):
+        # 41 atoms, the highest that a precondition tests being atom 39: two
+        # full 16-atom slices, then one that reads 8 atoms.
+        problem = blocksworld_problem("bw-5", [["b1", "b2"], ["b3", "b4", "b5"]], [["b5", "b4", "b3", "b2", "b1"]])
+        task = ground(problem)
+        assert len(task.atoms) == 41
+        assert [(shift, bits.bit_length()) for shift, bits, _ in SuccessorGenerator(task.actions).slices] == [(0, 16), (16, 16), (32, 8)]
+        self.check(problem)
+
+    def test_tested_atoms_leave_a_window_empty(self):
+        # Atoms 16-31 are only ever added and deleted, never tested, so no
+        # slice covers them; the slice above still reads atoms 32-47.
+        def action(i: int, pos: int, neg: int) -> GroundAction:
+            return GroundAction(f"a{i}", (), pos, neg, (), 1 << (16 + i % 16) | 1 << (32 + i % 5), 1 << i % 7, ())
+
+        actions = tuple(action(i, 1 << i % 7 | 1 << (32 + i % 3), 1 << (40 + i % 4) if i % 2 else 0) for i in range(20))
+        successors = SuccessorGenerator(actions)
+        assert [shift for shift, _, _ in successors.slices] == [0, 32]
+        rng = random.Random(0)
+        for _ in range(300):
+            state = rng.getrandbits(48) | rng.getrandbits(8) << 48  # bits above the atoms stand for a vector index
+            expected = sum(1 << i for i, a in enumerate(actions) if branch_holds(a.pos, a.neg, (), state, ()))
+            assert successors.applicable(state) == expected
+        assert successors.applicable((1 << 7) - 1 | 7 << 32) == successors.every  # every odd action's negation holds too
 
     @pytest.mark.parametrize("kind", [0, 1])
     def test_scale_instances_with_more_than_64_actions(self, kind):
@@ -708,14 +739,37 @@ class TestSuccessorIndex:
         assert len(ground(problem).actions) > 64
         assert max(self.check(problem)) >= 64  # applicable actions in the second 64-bit word
 
+    @pytest.mark.parametrize(
+        "problem, atoms, actions",
+        [
+            (blocksworld_problem("bw-10", [[f"b{i}" for i in range(1, 11)]], [[f"b{i}" for i in range(10, 0, -1)]]), 131, 200),
+            (
+                grippers_problem(
+                    "g-8", rooms=4, robots=2,
+                    ball_rooms={f"ball{b}": f"room{b % 4 + 1}" for b in range(1, 9)},
+                    goal_rooms={f"ball{b}": f"room{(b + 1) % 4 + 1}" for b in range(1, 9)},
+                ),
+                112, 288,
+            ),
+        ],
+        ids=["blocksworld-10", "grippers-2-4-8"],
+    )
+    def test_larger_tasks_match_the_reference_search(self, problem, atoms, actions):
+        # Several full slices and masks wider than three 64-bit words.
+        task = ground(problem)
+        assert (len(task.atoms), len(task.actions)) == (atoms, actions)
+        self.check(problem)
+        result = solve(task, SolveConfig(node_budget=300)).to_json()
+        assert result == reference_solve(task, node_budget=300)
+        assert result["status"] == "budget-exhausted"
+
     def test_every_action_applicable(self):
         from planwright.pddl import parse_domain, parse_problem
 
         domain, problem_text = touch_pddl(5)
         problem = parse_problem(problem_text, parse_domain(domain))
         task = ground(problem)
-        entries = SuccessorGenerator(task.actions).applicable(task.init_bools, task.init_nums)
-        assert [entry[0] for entry in entries] == list(range(626))
+        assert SuccessorGenerator(task.actions).applicable(task.init_bools) == (1 << 626) - 1
         self.check(problem)
 
     @pytest.mark.parametrize("seed", range(3))

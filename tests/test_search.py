@@ -15,9 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from planwright.planner import SolveConfig, ground, solve
+from planwright.planner import SolveConfig, ground, heuristics, solve
 
-from helpers import reference_solve
+from helpers import bundled_problems, reference_solve
 from test_golden import numeric_problems
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -45,3 +45,21 @@ def test_scale_instances_match_reference(seed):
 def test_numeric_tasks_match_reference(problem, strategy, heuristic):
     task = ground(problem)
     assert solve(task, SolveConfig(strategy, heuristic)).to_json() == reference_solve(task, strategy, heuristic)
+
+
+def test_blind_is_looked_up_per_solve(monkeypatch):
+    # solve reads the estimate off the `heuristics` module each call, so a
+    # wrapper bound there, as the bench tracer binds one, sees every state
+    # evaluated: as many as the traced suite-blind workload counts.
+    calls = 0
+    blind = heuristics.blind
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return blind(*args)
+
+    monkeypatch.setattr(heuristics, "blind", counting)
+    for problem in bundled_problems():
+        assert solve(ground(problem)).status == "plan", problem.name
+    assert calls == 85_182
