@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Generate the bundled benchmark domains and problem sets.
+"""Generate the bundled benchmark problem sets.
 
-Seven domains, twenty problems each, all emitted through the canonical
-emitter so every file is a parse/emit fixpoint by construction. Blocksworld
-and grippers instances are kept small enough for exhaustive-search
-cross-checks; the other five exist for codec coverage at realistic shapes.
+Seven domains, twenty problems each. Each domain is defined by its shipped
+``domain.pddl`` alone: the generators read it through
+``planwright.domains.bundled_domain`` and emit it back unchanged, so the
+drift test holds every shipped file to a parse/emit fixpoint. The problems
+are generated from seeded random sources. Blocksworld and grippers instances
+are kept small enough for exhaustive-search cross-checks; the other five
+exist for codec coverage at realistic shapes.
 """
 from __future__ import annotations
 
@@ -14,101 +17,21 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from planwright.domains import blocksworld_domain, blocksworld_problem, grippers_domain, grippers_problem
-from planwright.ir import (
-    ActionSchema,
-    And,
-    Assignment,
-    Atom,
-    DomainModel,
-    FluentDecl,
-    Not,
-    ObjectDecl,
-    Parameter as P,
-    ProblemInstance,
-    SetEffect,
-    TypeDecl,
-    validate,
-)
+from planwright.domains import blocksworld_problem, bundled_domain, grippers_problem
+from planwright.ir import And, Assignment, Atom, DomainModel, ObjectDecl, ProblemInstance, validate
 from planwright.pddl import emit_domain, emit_problem, parse_domain, parse_problem
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "planwright" / "data" / "benchmarks"
 
 
+def problem_name(domain: DomainModel, index: int) -> str:
+    return f"{domain.name}-{index + 1:02d}"
+
+
 # ------------------------------------------------------------------ barman
 
 
-def barman_domain() -> DomainModel:
-    return DomainModel(
-        "barman",
-        types=(TypeDecl("hand"), TypeDecl("shot"), TypeDecl("ingredient"), TypeDecl("dispenser")),
-        fluents=(
-            FluentDecl("handempty", (P("?h", "hand"),)),
-            FluentDecl("holding", (P("?h", "hand"), P("?s", "shot"))),
-            FluentDecl("ontable", (P("?s", "shot"),)),
-            FluentDecl("clean", (P("?s", "shot"),)),
-            FluentDecl("empty", (P("?s", "shot"),)),
-            FluentDecl("contains", (P("?s", "shot"), P("?i", "ingredient"))),
-            FluentDecl("dispenses", (P("?d", "dispenser"), P("?i", "ingredient"))),
-        ),
-        actions=(
-            ActionSchema(
-                "grasp",
-                (P("?h", "hand"), P("?s", "shot")),
-                And((Atom("handempty", ("?h",)), Atom("ontable", ("?s",)))),
-                (
-                    SetEffect(Atom("holding", ("?h", "?s"))),
-                    SetEffect(Atom("handempty", ("?h",)), False),
-                    SetEffect(Atom("ontable", ("?s",)), False),
-                ),
-            ),
-            ActionSchema(
-                "leave",
-                (P("?h", "hand"), P("?s", "shot")),
-                Atom("holding", ("?h", "?s")),
-                (
-                    SetEffect(Atom("ontable", ("?s",))),
-                    SetEffect(Atom("handempty", ("?h",))),
-                    SetEffect(Atom("holding", ("?h", "?s")), False),
-                ),
-            ),
-            ActionSchema(
-                "fill-shot",
-                (P("?s", "shot"), P("?i", "ingredient"), P("?h", "hand"), P("?d", "dispenser")),
-                And(
-                    (
-                        Atom("holding", ("?h", "?s")),
-                        Atom("empty", ("?s",)),
-                        Atom("clean", ("?s",)),
-                        Atom("dispenses", ("?d", "?i")),
-                    )
-                ),
-                (
-                    SetEffect(Atom("contains", ("?s", "?i"))),
-                    SetEffect(Atom("empty", ("?s",)), False),
-                    SetEffect(Atom("clean", ("?s",)), False),
-                ),
-            ),
-            ActionSchema(
-                "empty-shot",
-                (P("?h", "hand"), P("?s", "shot"), P("?i", "ingredient")),
-                And((Atom("holding", ("?h", "?s")), Atom("contains", ("?s", "?i")))),
-                (
-                    SetEffect(Atom("empty", ("?s",))),
-                    SetEffect(Atom("contains", ("?s", "?i")), False),
-                ),
-            ),
-            ActionSchema(
-                "clean-shot",
-                (P("?h", "hand"), P("?s", "shot")),
-                And((Atom("holding", ("?h", "?s")), Atom("empty", ("?s",)))),
-                (SetEffect(Atom("clean", ("?s",))),),
-            ),
-        ),
-    )
-
-
-def barman_problem(name: str, rng: random.Random) -> ProblemInstance:
+def barman_problem(domain: DomainModel, index: int, rng: random.Random) -> ProblemInstance:
     shots = rng.randint(2, 4)
     ingredients = rng.randint(2, 3)
     objects = [ObjectDecl("left", "hand"), ObjectDecl("right", "hand")]
@@ -126,86 +49,13 @@ def barman_problem(name: str, rng: random.Random) -> ProblemInstance:
             for i in range(1, min(shots, 2) + 1)
         )
     )
-    return ProblemInstance(barman_domain(), tuple(objects), Assignment.create(atoms), goal, name)
+    return ProblemInstance(domain, tuple(objects), Assignment.create(atoms), goal, problem_name(domain, index))
 
 
 # ---------------------------------------------------------------- floortile
 
 
-def floortile_domain() -> DomainModel:
-    return DomainModel(
-        "floortile",
-        types=(TypeDecl("robot"), TypeDecl("tile"), TypeDecl("color")),
-        fluents=(
-            FluentDecl("robot-at", (P("?r", "robot"), P("?t", "tile"))),
-            FluentDecl("up", (P("?a", "tile"), P("?b", "tile"))),
-            FluentDecl("right", (P("?a", "tile"), P("?b", "tile"))),
-            FluentDecl("clear", (P("?t", "tile"),)),
-            FluentDecl("painted", (P("?t", "tile"), P("?c", "color"))),
-            FluentDecl("robot-has", (P("?r", "robot"), P("?c", "color"))),
-            FluentDecl("available-color", (P("?c", "color"),)),
-        ),
-        actions=(
-            ActionSchema(
-                "change-color",
-                (P("?r", "robot"), P("?c1", "color"), P("?c2", "color")),
-                And((Atom("robot-has", ("?r", "?c1")), Atom("available-color", ("?c2",)))),
-                (
-                    SetEffect(Atom("robot-has", ("?r", "?c2"))),
-                    SetEffect(Atom("robot-has", ("?r", "?c1")), False),
-                ),
-            ),
-            ActionSchema(
-                "paint-up",
-                (P("?r", "robot"), P("?a", "tile"), P("?b", "tile"), P("?c", "color")),
-                And(
-                    (
-                        Atom("robot-at", ("?r", "?a")),
-                        Atom("up", ("?a", "?b")),
-                        Atom("clear", ("?b",)),
-                        Atom("robot-has", ("?r", "?c")),
-                    )
-                ),
-                (SetEffect(Atom("painted", ("?b", "?c"))), SetEffect(Atom("clear", ("?b",)), False)),
-            ),
-            ActionSchema(
-                "move-up",
-                (P("?r", "robot"), P("?a", "tile"), P("?b", "tile")),
-                And((Atom("robot-at", ("?r", "?a")), Atom("up", ("?a", "?b")), Atom("clear", ("?b",)))),
-                (
-                    SetEffect(Atom("robot-at", ("?r", "?b"))),
-                    SetEffect(Atom("clear", ("?a",))),
-                    SetEffect(Atom("robot-at", ("?r", "?a")), False),
-                    SetEffect(Atom("clear", ("?b",)), False),
-                ),
-            ),
-            ActionSchema(
-                "move-right",
-                (P("?r", "robot"), P("?a", "tile"), P("?b", "tile")),
-                And((Atom("robot-at", ("?r", "?a")), Atom("right", ("?a", "?b")), Atom("clear", ("?b",)))),
-                (
-                    SetEffect(Atom("robot-at", ("?r", "?b"))),
-                    SetEffect(Atom("clear", ("?a",))),
-                    SetEffect(Atom("robot-at", ("?r", "?a")), False),
-                    SetEffect(Atom("clear", ("?b",)), False),
-                ),
-            ),
-            ActionSchema(
-                "move-left",
-                (P("?r", "robot"), P("?a", "tile"), P("?b", "tile")),
-                And((Atom("robot-at", ("?r", "?a")), Atom("right", ("?b", "?a")), Atom("clear", ("?b",)))),
-                (
-                    SetEffect(Atom("robot-at", ("?r", "?b"))),
-                    SetEffect(Atom("clear", ("?a",))),
-                    SetEffect(Atom("robot-at", ("?r", "?a")), False),
-                    SetEffect(Atom("clear", ("?b",)), False),
-                ),
-            ),
-        ),
-    )
-
-
-def floortile_problem(name: str, rng: random.Random) -> ProblemInstance:
+def floortile_problem(domain: DomainModel, index: int, rng: random.Random) -> ProblemInstance:
     rows = rng.randint(2, 3)
     cols = rng.randint(2, 3)
     colors = ["white", "black"]
@@ -226,77 +76,13 @@ def floortile_problem(name: str, rng: random.Random) -> ProblemInstance:
     atoms.append(Atom("robot-has", ("robot1", rng.choice(colors))))
     paint_target = tiles[-1]
     goal = And((Atom("painted", (paint_target, rng.choice(colors))),))
-    return ProblemInstance(floortile_domain(), tuple(objects), Assignment.create(atoms), goal, name)
+    return ProblemInstance(domain, tuple(objects), Assignment.create(atoms), goal, problem_name(domain, index))
 
 
 # ------------------------------------------------------------------ storage
 
 
-def storage_domain() -> DomainModel:
-    return DomainModel(
-        "storage",
-        types=(TypeDecl("hoist"), TypeDecl("crate"), TypeDecl("area")),
-        fluents=(
-            FluentDecl("at", (P("?h", "hoist"), P("?a", "area"))),
-            FluentDecl("in", (P("?c", "crate"), P("?a", "area"))),
-            FluentDecl("lifting", (P("?h", "hoist"), P("?c", "crate"))),
-            FluentDecl("available", (P("?h", "hoist"),)),
-            FluentDecl("clear", (P("?a", "area"),)),
-            FluentDecl("connected", (P("?a", "area"), P("?b", "area"))),
-        ),
-        actions=(
-            ActionSchema(
-                "move",
-                (P("?h", "hoist"), P("?a", "area"), P("?b", "area")),
-                And((Atom("at", ("?h", "?a")), Atom("connected", ("?a", "?b")), Atom("clear", ("?b",)))),
-                (
-                    SetEffect(Atom("at", ("?h", "?b"))),
-                    SetEffect(Atom("clear", ("?a",))),
-                    SetEffect(Atom("at", ("?h", "?a")), False),
-                    SetEffect(Atom("clear", ("?b",)), False),
-                ),
-            ),
-            ActionSchema(
-                "lift",
-                (P("?h", "hoist"), P("?c", "crate"), P("?a", "area"), P("?b", "area")),
-                And(
-                    (
-                        Atom("at", ("?h", "?a")),
-                        Atom("connected", ("?a", "?b")),
-                        Atom("in", ("?c", "?b")),
-                        Atom("available", ("?h",)),
-                    )
-                ),
-                (
-                    SetEffect(Atom("lifting", ("?h", "?c"))),
-                    SetEffect(Atom("clear", ("?b",))),
-                    SetEffect(Atom("in", ("?c", "?b")), False),
-                    SetEffect(Atom("available", ("?h",)), False),
-                ),
-            ),
-            ActionSchema(
-                "drop",
-                (P("?h", "hoist"), P("?c", "crate"), P("?a", "area"), P("?b", "area")),
-                And(
-                    (
-                        Atom("at", ("?h", "?a")),
-                        Atom("connected", ("?a", "?b")),
-                        Atom("lifting", ("?h", "?c")),
-                        Atom("clear", ("?b",)),
-                    )
-                ),
-                (
-                    SetEffect(Atom("in", ("?c", "?b"))),
-                    SetEffect(Atom("available", ("?h",))),
-                    SetEffect(Atom("lifting", ("?h", "?c")), False),
-                    SetEffect(Atom("clear", ("?b",)), False),
-                ),
-            ),
-        ),
-    )
-
-
-def storage_problem(name: str, rng: random.Random) -> ProblemInstance:
+def storage_problem(domain: DomainModel, index: int, rng: random.Random) -> ProblemInstance:
     areas = rng.randint(3, 5)
     crates = rng.randint(1, 2)
     objects = [ObjectDecl("hoist1", "hoist")]
@@ -313,85 +99,13 @@ def storage_problem(name: str, rng: random.Random) -> ProblemInstance:
     for area in sorted(clear):
         atoms.append(Atom("clear", (f"area{area}",)))
     goal = And(tuple(Atom("in", (f"crate{i}", f"area{rng.choice(sorted(clear) or [2])}")) for i in range(1, crates + 1)))
-    return ProblemInstance(storage_domain(), tuple(objects), Assignment.create(atoms), goal, name)
+    return ProblemInstance(domain, tuple(objects), Assignment.create(atoms), goal, problem_name(domain, index))
 
 
 # ------------------------------------------------------------------- termes
 
 
-def termes_domain() -> DomainModel:
-    return DomainModel(
-        "termes",
-        types=(TypeDecl("position"), TypeDecl("numb")),
-        fluents=(
-            FluentDecl("at", (P("?p", "position"),)),
-            FluentDecl("neighbor", (P("?a", "position"), P("?b", "position"))),
-            FluentDecl("height", (P("?p", "position"), P("?n", "numb"))),
-            FluentDecl("succ", (P("?a", "numb"), P("?b", "numb"))),
-            FluentDecl("has-block", ()),
-            FluentDecl("depot", (P("?p", "position"),)),
-        ),
-        actions=(
-            ActionSchema(
-                "move",
-                (P("?a", "position"), P("?b", "position"), P("?h", "numb")),
-                And(
-                    (
-                        Atom("at", ("?a",)),
-                        Atom("neighbor", ("?a", "?b")),
-                        Atom("height", ("?a", "?h")),
-                        Atom("height", ("?b", "?h")),
-                    )
-                ),
-                (SetEffect(Atom("at", ("?b",))), SetEffect(Atom("at", ("?a",)), False)),
-            ),
-            ActionSchema(
-                "place-block",
-                (P("?a", "position"), P("?b", "position"), P("?h", "numb"), P("?h1", "numb")),
-                And(
-                    (
-                        Atom("at", ("?a",)),
-                        Atom("neighbor", ("?a", "?b")),
-                        Atom("height", ("?b", "?h")),
-                        Atom("succ", ("?h1", "?h")),
-                        Atom("has-block"),
-                    )
-                ),
-                (
-                    SetEffect(Atom("height", ("?b", "?h1"))),
-                    SetEffect(Atom("height", ("?b", "?h")), False),
-                    SetEffect(Atom("has-block"), False),
-                ),
-            ),
-            ActionSchema(
-                "remove-block",
-                (P("?a", "position"), P("?b", "position"), P("?h", "numb"), P("?h1", "numb")),
-                And(
-                    (
-                        Atom("at", ("?a",)),
-                        Atom("neighbor", ("?a", "?b")),
-                        Atom("height", ("?b", "?h1")),
-                        Atom("succ", ("?h1", "?h")),
-                        Not(Atom("has-block")),
-                    )
-                ),
-                (
-                    SetEffect(Atom("height", ("?b", "?h"))),
-                    SetEffect(Atom("height", ("?b", "?h1")), False),
-                    SetEffect(Atom("has-block")),
-                ),
-            ),
-            ActionSchema(
-                "create-block",
-                (P("?p", "position"),),
-                And((Atom("at", ("?p",)), Atom("depot", ("?p",)), Not(Atom("has-block")))),
-                (SetEffect(Atom("has-block")),),
-            ),
-        ),
-    )
-
-
-def termes_problem(name: str, rng: random.Random) -> ProblemInstance:
+def termes_problem(domain: DomainModel, index: int, rng: random.Random) -> ProblemInstance:
     positions = rng.randint(3, 4)
     heights = 3
     objects = [ObjectDecl(f"pos-0-{i}", "position") for i in range(positions)]
@@ -406,88 +120,13 @@ def termes_problem(name: str, rng: random.Random) -> ProblemInstance:
         atoms.append(Atom("succ", (f"n{i + 1}", f"n{i}")))
     target = rng.randint(1, positions - 1)
     goal = And((Atom("height", (f"pos-0-{target}", "n1")),))
-    return ProblemInstance(termes_domain(), tuple(objects), Assignment.create(atoms), goal, name)
+    return ProblemInstance(domain, tuple(objects), Assignment.create(atoms), goal, problem_name(domain, index))
 
 
 # ---------------------------------------------------------------- tyreworld
 
 
-def tyreworld_domain() -> DomainModel:
-    return DomainModel(
-        "tyreworld",
-        types=(TypeDecl("item"), TypeDecl("wheel", parent="item"), TypeDecl("nut", parent="item"), TypeDecl("tool", parent="item"), TypeDecl("hub")),
-        fluents=(
-            FluentDecl("have", (P("?i", "item"),)),
-            FluentDecl("in-boot", (P("?i", "item"),)),
-            FluentDecl("boot-open", ()),
-            FluentDecl("is-wrench", (P("?t", "tool"),)),
-            FluentDecl("on-hub", (P("?w", "wheel"), P("?h", "hub"))),
-            FluentDecl("free", (P("?h", "hub"),)),
-            FluentDecl("tight", (P("?n", "nut"), P("?h", "hub"))),
-            FluentDecl("loose", (P("?n", "nut"), P("?h", "hub"))),
-        ),
-        actions=(
-            ActionSchema(
-                "open-boot",
-                (),
-                Not(Atom("boot-open")),
-                (SetEffect(Atom("boot-open")),),
-            ),
-            ActionSchema(
-                "close-boot",
-                (),
-                Atom("boot-open"),
-                (SetEffect(Atom("boot-open"), False),),
-            ),
-            ActionSchema(
-                "fetch",
-                (P("?i", "item"),),
-                And((Atom("boot-open"), Atom("in-boot", ("?i",)))),
-                (SetEffect(Atom("have", ("?i",))), SetEffect(Atom("in-boot", ("?i",)), False)),
-            ),
-            ActionSchema(
-                "put-away",
-                (P("?i", "item"),),
-                And((Atom("boot-open"), Atom("have", ("?i",)))),
-                (SetEffect(Atom("in-boot", ("?i",))), SetEffect(Atom("have", ("?i",)), False)),
-            ),
-            ActionSchema(
-                "loosen",
-                (P("?n", "nut"), P("?h", "hub"), P("?t", "tool")),
-                And((Atom("have", ("?t",)), Atom("is-wrench", ("?t",)), Atom("tight", ("?n", "?h")))),
-                (SetEffect(Atom("loose", ("?n", "?h"))), SetEffect(Atom("tight", ("?n", "?h")), False)),
-            ),
-            ActionSchema(
-                "tighten",
-                (P("?n", "nut"), P("?h", "hub"), P("?t", "tool")),
-                And((Atom("have", ("?t",)), Atom("is-wrench", ("?t",)), Atom("loose", ("?n", "?h")))),
-                (SetEffect(Atom("tight", ("?n", "?h"))), SetEffect(Atom("loose", ("?n", "?h")), False)),
-            ),
-            ActionSchema(
-                "remove-wheel",
-                (P("?w", "wheel"), P("?h", "hub"), P("?n", "nut")),
-                And((Atom("on-hub", ("?w", "?h")), Atom("loose", ("?n", "?h")))),
-                (
-                    SetEffect(Atom("have", ("?w",))),
-                    SetEffect(Atom("free", ("?h",))),
-                    SetEffect(Atom("on-hub", ("?w", "?h")), False),
-                ),
-            ),
-            ActionSchema(
-                "put-on-wheel",
-                (P("?w", "wheel"), P("?h", "hub"), P("?n", "nut")),
-                And((Atom("have", ("?w",)), Atom("free", ("?h",)), Atom("loose", ("?n", "?h")))),
-                (
-                    SetEffect(Atom("on-hub", ("?w", "?h"))),
-                    SetEffect(Atom("free", ("?h",)), False),
-                    SetEffect(Atom("have", ("?w",)), False),
-                ),
-            ),
-        ),
-    )
-
-
-def tyreworld_problem(name: str, rng: random.Random) -> ProblemInstance:
+def tyreworld_problem(domain: DomainModel, index: int, rng: random.Random) -> ProblemInstance:
     hubs = rng.randint(1, 2)
     objects = [ObjectDecl("wrench1", "tool")]
     atoms = [Atom("is-wrench", ("wrench1",)), Atom("in-boot", ("wrench1",))]
@@ -508,7 +147,8 @@ def tyreworld_problem(name: str, rng: random.Random) -> ProblemInstance:
             Atom("on-hub", (f"spare{i}", f"hub{i}")),
             Atom("in-boot", (f"flat{i}",)),
         ]
-    return ProblemInstance(tyreworld_domain(), tuple(objects), Assignment.create(atoms), And(tuple(goal_terms)), name)
+    goal = And(tuple(goal_terms))
+    return ProblemInstance(domain, tuple(objects), Assignment.create(atoms), goal, problem_name(domain, index))
 
 
 # -------------------------------------------------------------- blocks/grip
@@ -529,12 +169,12 @@ def random_towers(rng: random.Random, blocks: list[str]) -> list[list[str]]:
     return towers
 
 
-def gen_blocksworld(index: int, rng: random.Random) -> ProblemInstance:
+def gen_blocksworld(domain: DomainModel, index: int, rng: random.Random) -> ProblemInstance:
     blocks = [f"b{i}" for i in range(1, BLOCK_SIZES[index] + 1)]
-    return blocksworld_problem(f"blocksworld-{index + 1:02d}", random_towers(rng, blocks), random_towers(rng, blocks))
+    return blocksworld_problem(problem_name(domain, index), random_towers(rng, blocks), random_towers(rng, blocks))
 
 
-def gen_grippers(index: int, rng: random.Random) -> ProblemInstance:
+def gen_grippers(domain: DomainModel, index: int, rng: random.Random) -> ProblemInstance:
     rooms = rng.randint(2, 3)
     robots = 1 if index < 12 else 2
     balls = rng.randint(2, 4)
@@ -542,19 +182,18 @@ def gen_grippers(index: int, rng: random.Random) -> ProblemInstance:
     ball_rooms = {f"ball{i}": rng.choice(room_names) for i in range(1, balls + 1)}
     goal_rooms = {ball: rng.choice(room_names) for ball in ball_rooms}
     robot_rooms = {f"robot{i}": rng.choice(room_names) for i in range(1, robots + 1)}
-    return grippers_problem(
-        f"grippers-{index + 1:02d}", rooms, robots, ball_rooms, goal_rooms, robot_rooms
-    )
+    return grippers_problem(problem_name(domain, index), rooms, robots, ball_rooms, goal_rooms, robot_rooms)
 
 
+# Benchmark name -> factory of its problem `index` over the shipped domain.
 GENERATORS = {
-    "barman": (barman_domain, barman_problem),
-    "blocksworld": (blocksworld_domain, None),
-    "floortile": (floortile_domain, floortile_problem),
-    "grippers": (grippers_domain, None),
-    "storage": (storage_domain, storage_problem),
-    "termes": (termes_domain, termes_problem),
-    "tyreworld": (tyreworld_domain, tyreworld_problem),
+    "barman": barman_problem,
+    "blocksworld": gen_blocksworld,
+    "floortile": floortile_problem,
+    "grippers": gen_grippers,
+    "storage": storage_problem,
+    "termes": termes_problem,
+    "tyreworld": tyreworld_problem,
 }
 
 
@@ -566,10 +205,10 @@ def _solvable(problem: ProblemInstance) -> bool:
 
 
 def main() -> None:
-    for name, (domain_factory, problem_factory) in sorted(GENERATORS.items()):
+    for name, problem_factory in sorted(GENERATORS.items()):
         directory = OUT / name
         directory.mkdir(parents=True, exist_ok=True)
-        domain = domain_factory()
+        domain = bundled_domain(name)
         domain_text = emit_domain(domain)
         assert parse_domain(domain_text) == domain, name
         (directory / "domain.pddl").write_text(domain_text, encoding="utf-8")
@@ -578,12 +217,7 @@ def main() -> None:
             # the instance provably solves
             for attempt in range(50):
                 rng = random.Random(f"planwright-{name}-{index}-{attempt}")
-                if name == "blocksworld":
-                    problem = gen_blocksworld(index, rng)
-                elif name == "grippers":
-                    problem = gen_grippers(index, rng)
-                else:
-                    problem = problem_factory(f"{name}-{index + 1:02d}", rng)
+                problem = problem_factory(domain, index, rng)
                 report = validate(problem)
                 assert not report, (name, index, report)
                 if _solvable(problem):

@@ -6,8 +6,9 @@ Exit codes are scripting-stable:
   2   no plan (unsolvable or search budget exhausted)
   3   execution aborted by the validator
   64  configuration error, including a malformed input file (task,
-      config, fixture, instructions, problem or world JSON), a goal that
-      names what the world lacks, and an --out-dir that cannot be created
+      config, fixture, instructions, problem or world JSON), a live or
+      record run without an API key in --api-key-env, a goal that names
+      what the world lacks, and an --out-dir that cannot be created
   65  interaction failure (user answers unavailable/exhausted)
   70  internal error
 Every nonzero path leaves a machine-readable failure record in the run
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -200,6 +202,8 @@ def _gateway_for(args) -> Gateway:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load fixture {args.fixture}: {exc}") from exc
         return replay_gateway(transcript)
+    if not os.environ.get(args.api_key_env):
+        raise ConfigError(f"{mode} mode requires an API key in ${args.api_key_env}")
     backend = LiveBackend(
         base_url=args.api_base, model=args.model, temperature=args.temperature, api_key_env=args.api_key_env
     )

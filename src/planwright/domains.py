@@ -1,12 +1,17 @@
-"""Programmatic builders for the domains the test scenarios revolve around.
+"""The domains and problems the test scenarios and benchmarks revolve around.
 
-These are plain IR constructors; the bundled ``.pddl`` files are emitted
-from builders like these so the shipped data is canonical by construction.
+A bundled benchmark domain is defined once, by its shipped
+``data/benchmarks/<name>/domain.pddl``; ``bundled_domain`` reads it. The
+problem builders and the domains no PDDL file holds (grippers with a
+battery, and the household domain, whose fluent descriptions PDDL cannot
+carry) are plain IR constructors.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
+from .data_paths import benchmarks_root
 from .ir import (
     ActionSchema,
     And,
@@ -25,71 +30,20 @@ from .ir import (
     SetEffect,
     TypeDecl,
 )
+from .pddl import parse_domain
 
 P = Parameter
 
 
+@functools.cache
+def bundled_domain(name: str) -> DomainModel:
+    """The shipped ``data/benchmarks/<name>/domain.pddl``, parsed once per process."""
+    path = benchmarks_root() / name / "domain.pddl"
+    return parse_domain(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def blocksworld_domain() -> DomainModel:
-    block = "block"
-    return DomainModel(
-        name="blocksworld",
-        types=(TypeDecl(block),),
-        fluents=(
-            FluentDecl("arm-empty", ()),
-            FluentDecl("clear", (P("?b", block),)),
-            FluentDecl("holding", (P("?b", block),)),
-            FluentDecl("on", (P("?b1", block), P("?b2", block))),
-            FluentDecl("on-table", (P("?b", block),)),
-        ),
-        actions=(
-            ActionSchema(
-                "pick-up",
-                (P("?b", block),),
-                And((Atom("clear", ("?b",)), Atom("on-table", ("?b",)), Atom("arm-empty"))),
-                (
-                    SetEffect(Atom("holding", ("?b",))),
-                    SetEffect(Atom("clear", ("?b",)), False),
-                    SetEffect(Atom("on-table", ("?b",)), False),
-                    SetEffect(Atom("arm-empty"), False),
-                ),
-            ),
-            ActionSchema(
-                "put-down",
-                (P("?b", block),),
-                Atom("holding", ("?b",)),
-                (
-                    SetEffect(Atom("clear", ("?b",))),
-                    SetEffect(Atom("on-table", ("?b",))),
-                    SetEffect(Atom("arm-empty")),
-                    SetEffect(Atom("holding", ("?b",)), False),
-                ),
-            ),
-            ActionSchema(
-                "stack",
-                (P("?b1", block), P("?b2", block)),
-                And((Atom("holding", ("?b1",)), Atom("clear", ("?b2",)))),
-                (
-                    SetEffect(Atom("clear", ("?b1",))),
-                    SetEffect(Atom("on", ("?b1", "?b2"))),
-                    SetEffect(Atom("arm-empty")),
-                    SetEffect(Atom("holding", ("?b1",)), False),
-                    SetEffect(Atom("clear", ("?b2",)), False),
-                ),
-            ),
-            ActionSchema(
-                "unstack",
-                (P("?b1", block), P("?b2", block)),
-                And((Atom("on", ("?b1", "?b2")), Atom("clear", ("?b1",)), Atom("arm-empty"))),
-                (
-                    SetEffect(Atom("holding", ("?b1",))),
-                    SetEffect(Atom("clear", ("?b2",))),
-                    SetEffect(Atom("on", ("?b1", "?b2")), False),
-                    SetEffect(Atom("clear", ("?b1",)), False),
-                    SetEffect(Atom("arm-empty"), False),
-                ),
-            ),
-        ),
-    )
+    return bundled_domain("blocksworld")
 
 
 def blocksworld_problem(name: str, towers: list[list[str]], goal_towers: list[list[str]]) -> ProblemInstance:
@@ -115,47 +69,7 @@ def blocksworld_problem(name: str, towers: list[list[str]], goal_towers: list[li
 
 
 def grippers_domain() -> DomainModel:
-    return DomainModel(
-        name="grippers",
-        types=(TypeDecl("robot"), TypeDecl("room"), TypeDecl("ball"), TypeDecl("gripper")),
-        fluents=(
-            FluentDecl("at-robby", (P("?r", "robot"), P("?x", "room"))),
-            FluentDecl("at", (P("?o", "ball"), P("?x", "room"))),
-            FluentDecl("free", (P("?r", "robot"), P("?g", "gripper"))),
-            FluentDecl("carry", (P("?r", "robot"), P("?o", "ball"), P("?g", "gripper"))),
-        ),
-        actions=(
-            ActionSchema(
-                "move",
-                (P("?r", "robot"), P("?from", "room"), P("?to", "room")),
-                Atom("at-robby", ("?r", "?from")),
-                (
-                    SetEffect(Atom("at-robby", ("?r", "?to"))),
-                    SetEffect(Atom("at-robby", ("?r", "?from")), False),
-                ),
-            ),
-            ActionSchema(
-                "pick",
-                (P("?r", "robot"), P("?o", "ball"), P("?x", "room"), P("?g", "gripper")),
-                And((Atom("at", ("?o", "?x")), Atom("at-robby", ("?r", "?x")), Atom("free", ("?r", "?g")))),
-                (
-                    SetEffect(Atom("carry", ("?r", "?o", "?g"))),
-                    SetEffect(Atom("at", ("?o", "?x")), False),
-                    SetEffect(Atom("free", ("?r", "?g")), False),
-                ),
-            ),
-            ActionSchema(
-                "drop",
-                (P("?r", "robot"), P("?o", "ball"), P("?x", "room"), P("?g", "gripper")),
-                And((Atom("carry", ("?r", "?o", "?g")), Atom("at-robby", ("?r", "?x")))),
-                (
-                    SetEffect(Atom("at", ("?o", "?x"))),
-                    SetEffect(Atom("free", ("?r", "?g"))),
-                    SetEffect(Atom("carry", ("?r", "?o", "?g")), False),
-                ),
-            ),
-        ),
-    )
+    return bundled_domain("grippers")
 
 
 def grippers_problem(

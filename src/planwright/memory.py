@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 from .gateway.embedding import Embedder, HashedBagOfWordsEmbedder
 from .gateway.messages import ROLE_SYSTEM, ROLE_TOOL_RESULT, AgentMessage
 from .ir import jsonio
-from .values import Value
+from .values import IRDecodeError, Value
 
 
 def cosine_key(left: Sequence, right: Sequence) -> tuple[Fraction, float]:
@@ -72,17 +72,26 @@ class ProceduralStore:
             self._load()
 
     def _load(self) -> None:
-        lines = [l for l in self.path.read_text(encoding="utf-8").splitlines() if l.strip()]
-        if not lines:
+        records: list = []  # the header's dict, then one entry per line
+        # Numbered before blank lines are skipped, so an error names the
+        # line as the file counts it.
+        for number, line in enumerate(self.path.read_text(encoding="utf-8").splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                data = jsonio.read_object(line)
+                records.append(MemoryEntry.from_json(data) if records else data)
+            except IRDecodeError as exc:
+                raise IRDecodeError(f"memory store {self.path}, line {number}: {exc}") from exc
+        if not records:
             return
-        header = jsonio.read_object(lines[0])
+        header, self.entries = records[0], records[1:]
         if jsonio.field(header, "version", int, None) != 1:
             raise ValueError(f"memory store {self.path} does not start with its version 1 header")
         self._has_header = True
         stored_id = jsonio.field(header, "embedder", str, "")
         if stored_id and stored_id != self.embedder.id:
             raise ValueError(f"store was built with embedder {stored_id!r}, not {self.embedder.id!r}")
-        self.entries = [MemoryEntry.from_json(jsonio.read_object(line)) for line in lines[1:]]
         # Retrieval scores every entry, so one it cannot score is refused here.
         dimension = self.embedder.dimension
         for entry in self.entries:

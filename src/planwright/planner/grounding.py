@@ -273,13 +273,6 @@ class GroundTask(Value):
     init_nums: tuple[Fraction, ...]
     goal: tuple[tuple[int, int, tuple[GroundComparison, ...]], ...]  # DNF branches as (pos, neg, num); the source is problem.goal
 
-    def goal_holds(self, bools: int, nums: tuple[Fraction, ...]) -> bool:
-        """Whether some goal branch holds: the blind heuristic's goal test,
-        which search calls without this frame."""
-        from .heuristics import blind  # heuristics imports this module
-
-        return blind(self, bools, nums) == 0
-
     @cached_property
     def relaxed(self):
         """The delete-relaxed view the heuristics search, compiled on first

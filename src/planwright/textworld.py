@@ -72,7 +72,7 @@ class WorldState(Value):
     @classmethod
     def from_json(cls, data: Any) -> "WorldState":
         """Read a world, refusing one whose agent, hands or locations name
-        an entity it lacks."""
+        an entity it lacks, or whose hands disagree with its held entities."""
         state = super().from_json(data)
         if len(state.hands) != HANDS:
             raise IRDecodeError(f"hands must hold exactly {HANDS} entries")
@@ -83,6 +83,15 @@ class WorldState(Value):
         for where, name in named:
             if name not in ids:
                 raise IRDecodeError(f"{where} names {name!r}, which the world lacks")
+        in_hand = [held for held in state.hands if held is not None]
+        for entity in state.entities:
+            holds = in_hand.count(entity.id)
+            if holds > 1:
+                raise IRDecodeError(f"hands hold {entity.id!r} twice")
+            if holds and entity.location.kind != "held":
+                raise IRDecodeError(f"hands hold {entity.id!r}, whose location is {entity.location.describe()!r}")
+            if not holds and entity.location.kind == "held":
+                raise IRDecodeError(f"location of {entity.id} is held, but no hand holds it")
         return state
 
     def entity(self, entity_id: str) -> Entity:

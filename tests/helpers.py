@@ -681,7 +681,7 @@ def reference_fingerprint(request) -> str:
 def branch_holds(pos: int, neg: int, num: tuple, bools: int, nums: tuple[Fraction, ...]) -> bool:
     """Whether a compiled conjunction, an action's precondition or a goal
     branch, holds in the state. Written out here so that the oracles share
-    no goal test with ``GroundTask.goal_holds``."""
+    no goal test with ``heuristics.blind``, search's goal test."""
     return bools & pos == pos and not bools & neg and all(c.holds(nums) for c in num)
 
 

@@ -816,6 +816,7 @@ class TestExitPaths:
         from planwright.gateway import ChatRequest, system, user
 
         monkeypatch.setattr("planwright.cli.LiveBackend", lambda **kwargs: ScriptedBackend([assistant("hello")]))
+        monkeypatch.setenv("PLANWRIGHT_API_KEY", "test-key")
 
         def failing_pipeline(task, config, gateway, **kwargs):
             gateway.chat(ChatRequest(messages=(system("s"), user("u"))))
@@ -850,6 +851,7 @@ class TestRecordThenReplay:
             return ScriptedBackend(list(responses))
 
         monkeypatch.setattr("planwright.cli.LiveBackend", live_backend)
+        monkeypatch.setenv("PLANWRIGHT_API_KEY", "test-key")
         d = scenario_dir("color")
         fixture = tmp_path / "recorded.json"
         common = ["plan", "--task", str(d / "task.json"), "--answers-file", str(d / "answers.json"), *flags]
@@ -911,6 +913,33 @@ class TestRecordThenReplay:
         failure = json.loads((out / "failure.json").read_text())
         assert failure == {"stage": "config", "code": "config-error", "message": f"{mode} mode requires --model"}
         assert json.loads((out / "manifest.json").read_text())["exit_code"] == 64
+        assert built == [] and not fixture.exists()
+
+    @pytest.mark.parametrize(
+        "variable, key", [("PLANWRIGHT_API_KEY", None), ("MY_KEY", None), ("MY_KEY", "")], ids=["default-unset", "unset", "empty"]
+    )
+    @pytest.mark.parametrize("mode", ["live", "record"])
+    def test_live_api_key_required(self, tmp_path, monkeypatch, mode, variable, key):
+        """A run that would reach the endpoint without a key in the
+        `--api-key-env` variable is a configuration error, found before any
+        backend is built."""
+        built = []
+        monkeypatch.setattr("planwright.cli.LiveBackend", lambda **kwargs: built.append(kwargs))
+        if key is None:
+            monkeypatch.delenv(variable, raising=False)
+        else:
+            monkeypatch.setenv(variable, key)
+        key_flag = [] if variable == "PLANWRIGHT_API_KEY" else ["--api-key-env", variable]
+        d = scenario_dir("color")
+        out = tmp_path / "run"
+        fixture = tmp_path / "recorded.json"
+        code = main([
+            "plan", "--task", str(d / "task.json"), "--mode", mode, "--model", "m", *key_flag,
+            "--fixture", str(fixture), "--out-dir", str(out),
+        ])
+        assert code == 64
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure == {"stage": "config", "code": "config-error", "message": f"{mode} mode requires an API key in ${variable}"}
         assert built == [] and not fixture.exists()
 
 

@@ -30,15 +30,19 @@ def test_scenario_fixtures_match_generators(tmp_path):
 
 
 def test_benchmarks_match_generator(tmp_path):
+    """The problems are what the generator makes today, and each shipped
+    domain is a parse/emit fixpoint: the generator reads it and writes it back."""
     env = {"PYTHONPATH": str(REPO / "src")}
     script = REPO / "scripts" / "gen_benchmarks.py"
     patched = tmp_path / "gen.py"
-    patched.write_text(
-        script.read_text().replace(
-            'OUT = Path(__file__).resolve().parents[1] / "src" / "planwright" / "data" / "benchmarks"',
-            f'OUT = Path({str(tmp_path / "benchmarks")!r})',
-        )
+    text = script.read_text()
+    redirected = text.replace(
+        'OUT = Path(__file__).resolve().parents[1] / "src" / "planwright" / "data" / "benchmarks"',
+        f'OUT = Path({str(tmp_path / "benchmarks")!r})',
     )
+    # Without the redirect the generator would write into the shipped tree.
+    assert redirected != text, "the generator's OUT line changed; update this test's redirect"
+    patched.write_text(redirected)
     subprocess.run([sys.executable, "-B", str(patched)], check=True, env=env, capture_output=True)
     shipped = tree_bytes(benchmarks_root())
     regenerated = tree_bytes(tmp_path / "benchmarks")

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planwright.data_paths import scenario_dir
 from planwright.gateway import FixtureEmbedder, HashedBagOfWordsEmbedder, ToolCall, assistant, system, tool_result, user
 from planwright.memory import ContextBuffer, ProceduralStore, cosine_key
+from planwright.values import IRDecodeError
 
 FRIDGE_NOTE = "for problems involving the fridge, append a goal to close the fridge, even if not explicitly stated"
 
@@ -94,6 +96,16 @@ class TestStore:
         expected = "".join(line + "\n" for line in [header] + [json.dumps(e.to_json()) for e in entries])
         assert path.read_bytes() == expected.encode("utf-8")
         assert [e.summary for e in ProceduralStore(path).entries] == [e.summary for e in entries]
+
+    def test_malformed_line_names_its_file_and_line(self, tmp_path):
+        """A torn last line is reported with the store's path and the line's
+        number in the file, blank lines counted."""
+        header, entry = (scenario_dir("fridge_recall") / "memory.jsonl").read_text().splitlines()
+        path = tmp_path / "memory.jsonl"
+        path.write_text(f"{header}\n\n{entry}\n{entry[:30]}")
+        with pytest.raises(IRDecodeError) as info:
+            ProceduralStore(path)
+        assert str(info.value) == f"memory store {path}, line 4: Unterminated string starting at: line 1 column 13 (char 12)"
 
     def test_embedder_mismatch_detected(self, tmp_path):
         path = tmp_path / "memory.jsonl"

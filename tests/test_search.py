@@ -1,9 +1,10 @@
 """The compiled search loop against the scan-based reference.
 
 ``reference_solve`` in ``helpers`` tests every action in every state through
-``GroundAction`` and keeps ``(bools, nums)`` states on a heap; ``solve`` tests
-only the compiled entries filed under the state's true atoms and keeps int
-states in f buckets. Both must expand the same nodes in the same order, so
+``GroundAction`` and keeps ``(bools, nums)`` states on a heap; ``solve`` reads
+the applicable actions off one bitmask, the AND of one slice-table entry per
+16-atom slice of the state, tests only the comparisons of the actions whose
+bits are set, and keeps int states in f buckets. Both must expand the same nodes in the same order, so
 ``to_json()`` must be equal: status, nodes expanded and plan. The tasks are
 the seed-1 to seed-3 scale-hadd instances of the benchmark and the numeric
 tasks of the numeric golden (battery grippers and refuel).

@@ -227,8 +227,11 @@ class TestProperties:
             (lambda w: w["entities"][4]["location"].update(target="shelf"), "location of pie names 'shelf', which the world lacks"),
             (lambda w: w["entities"][5]["location"].update(target="box"), "location of salmon names 'box', which the world lacks"),
             (lambda w: w["entities"][4].update(location={"kind": "at", "target": "door"}), "location of pie names 'door', which the world lacks"),
+            (lambda w: w.update(hands=["pie", "pie"]), "hands hold 'pie' twice"),
+            (lambda w: w.update(hands=["pie", None]), "hands hold 'pie', whose location is 'on counter'"),
+            (lambda w: w["entities"][5].update(location={"kind": "held"}), "location of salmon is held, but no hand holds it"),
         ],
-        ids=["agent_at", "hands", "on", "in", "at"],
+        ids=["agent_at", "hands", "on", "in", "at", "hands-twice", "hands-not-held", "held-not-in-hands"],
     )
     def test_world_naming_a_missing_entity_is_refused(self, edit, message):
         data = kitchen_fixture().to_json()
