@@ -10,12 +10,15 @@ Exit codes are scripting-stable:
       record run without an API key in --api-key-env, a goal that names
       what the world lacks, and an --out-dir that cannot be created
   65  interaction failure (user answers unavailable/exhausted)
-  70  internal error
+  70  internal error, replay fixture divergence, a failed chat backend
+      (stage gateway), and a run directory that cannot take its own failure
+      record or manifest (stage output; the record goes to stderr)
 Every nonzero path leaves a machine-readable failure record in the run
-directory (or on stderr when no run directory exists yet). `main` alone
-opens the run directory and ends it: a command returns on success and
-raises on any other outcome. In record mode `plan` and `execute` save the
-transcript on every exit once their inputs have been accepted.
+directory (or on stderr when no run directory exists yet, or the directory
+cannot take the record). `main` alone opens the run directory and ends it:
+a command returns on success and raises on any other outcome. In record
+mode `plan` and `execute` save the transcript on every exit once their
+inputs have been accepted.
 """
 from __future__ import annotations
 
@@ -40,6 +43,7 @@ from .agents import (
 )
 from .executor import run_execution
 from .gateway import (
+    BackendError,
     FingerprintMismatch,
     Gateway,
     LiveBackend,
@@ -88,14 +92,14 @@ def _config_exit(exc: Exception) -> _Exit:
     return _Exit(EX_CONFIG, "config", "config-error", str(exc))
 
 
-def _stderr_record(code: str, message: str) -> None:
-    """The failure record of a run that has no run directory to hold it."""
-    sys.stderr.write(json.dumps({"stage": "config", "code": code, "message": message}) + "\n")
+def _stderr_record(stage: str, code: str, message: str) -> None:
+    """The failure record of a run whose run directory cannot hold it."""
+    sys.stderr.write(json.dumps({"stage": stage, "code": code, "message": message}) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 64, not argparse's default 2
-        _stderr_record("usage", message)
+        _stderr_record("config", "usage", message)
         raise SystemExit(EX_CONFIG)
 
 
@@ -435,6 +439,16 @@ def _print_bench_table(rows) -> None:
 
 COMMANDS = {"plan": cmd_plan, "execute": cmd_execute, "bench": cmd_bench}
 
+# Exit code, stage and failure code of an exception that no command turns into
+# an _Exit itself: the entry of the first class in its MRO that has one (so a
+# ScriptExhausted is a fixture divergence, not a BackendError). Any other
+# exception is an internal error named by its class.
+FAILURES: dict[type, tuple[int, str, str]] = {
+    FingerprintMismatch: (EX_INTERNAL, "gateway", "fixture-divergence"),
+    ScriptExhausted: (EX_INTERNAL, "gateway", "fixture-divergence"),
+    BackendError: (EX_INTERNAL, "gateway", "BackendError"),
+}
+
 
 def main(argv: Optional[list[str]] = None) -> int:
     """Run the command in ``argv`` (default ``sys.argv[1:]``); return its exit
@@ -448,7 +462,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         run = RunDirectory(args.out_dir, args.command)
     except OSError as exc:
-        _stderr_record("config-error", f"cannot create run directory {args.out_dir}: {exc}")
+        _stderr_record("config", "config-error", f"cannot create run directory {args.out_dir}: {exc}")
         return EX_CONFIG
     failure: Optional[_Exit] = None
     try:
@@ -458,19 +472,26 @@ def main(argv: Optional[list[str]] = None) -> int:
             args = subparser.parse_args(argv[1:], namespace)  # argv[0] is the command
         COMMANDS[args.command](args, run)
     except ConfigError as exc:  # the config file's: a command turns its own into an _Exit
-        _stderr_record("config-error", str(exc))
+        _stderr_record("config", "config-error", str(exc))
         failure = _config_exit(exc)
     except _Exit as exc:
         failure = exc
-    except (FingerprintMismatch, ScriptExhausted) as exc:
-        failure = _Exit(EX_INTERNAL, "gateway", "fixture-divergence", str(exc))
     except Exception as exc:  # keep the exit-code map total
-        failure = _Exit(EX_INTERNAL, "internal", type(exc).__name__, str(exc))
-    if failure is not None:
-        run.fail(failure.stage, failure.failure, str(failure))
+        internal = (EX_INTERNAL, "internal", type(exc).__name__)
+        exit_code, stage, name = next((FAILURES[kind] for kind in type(exc).__mro__ if kind in FAILURES), internal)
+        failure = _Exit(exit_code, stage, name, str(exc))
     code = EX_OK if failure is None else failure.code
     run.config_snapshot = _config_snapshot(args, run)
-    run.finalize(code)
+    try:
+        if failure is not None:
+            run.fail(failure.stage, failure.failure, str(failure))
+        run.finalize(code)
+    except OSError as exc:  # the run directory cannot hold its own record
+        message = f"cannot write the run record: {exc}"
+        if failure is not None:
+            message += f"; the run had failed first, stage {failure.stage}, code {failure.failure}: {failure}"
+        _stderr_record("output", type(exc).__name__, message)
+        return EX_INTERNAL
     return code
 
 

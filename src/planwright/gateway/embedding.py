@@ -7,7 +7,6 @@ interface.
 """
 from __future__ import annotations
 
-import hashlib
 import re
 from typing import Protocol, Sequence
 
@@ -32,6 +31,8 @@ class HashedBagOfWordsEmbedder:
         return _TOKEN_RE.findall(text.lower())
 
     def bucket(self, token: str) -> int:
+        import hashlib  # only on this path; keeps CLI start-up lean
+
         digest = hashlib.sha256(token.encode("utf-8")).digest()
         return int.from_bytes(digest[:4], "big") % self.dimension
 

@@ -7,7 +7,6 @@ diverged from the fixture, which is an error, not a fallback.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -41,6 +40,8 @@ def fingerprint(request: ChatRequest) -> str:
     encoded once and kept on it (`cached_on`), since a conversation resends
     its earlier messages with every request; no tool call's arguments dict
     is changed once the call is built."""
+    import hashlib  # only on this path; keeps CLI start-up lean
+
     messages = ",".join(cached_on(m, "_canonical_json", _canonical) for m in request.messages)
     tools = ",".join(cached_on(t, "_canonical_json", _canonical) for t in request.tools)
     canonical = '{"messages":[' + messages + '],"tools":[' + tools + "]}"

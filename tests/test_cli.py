@@ -836,6 +836,48 @@ class TestExitPaths:
         assert json.loads((out / "manifest.json").read_text())["exit_code"] == 70
         assert [e.response.content for e in Transcript.load(fixture).exchanges] == ["hello"]
 
+    @pytest.mark.parametrize(
+        "backend, stage, code, message",
+        [
+            ("http", "gateway", "BackendError", "chat backend unreachable: timed out"),
+            ("exhausted", "gateway", "fixture-divergence", "script exhausted after 0 responses"),
+        ],
+    )
+    def test_backend_failure_is_stage_gateway(self, tmp_path, monkeypatch, backend, stage, code, message):
+        """A live backend that fails is the gateway's failure, exit 70; a
+        script that runs out (a `BackendError` too) stays a fixture divergence."""
+        import urllib.request
+
+        def timeout(request, timeout):
+            raise TimeoutError("timed out")
+
+        monkeypatch.setattr(urllib.request, "urlopen", timeout)
+        if backend == "exhausted":
+            monkeypatch.setattr("planwright.cli.LiveBackend", lambda **kwargs: ScriptedBackend([]))
+        monkeypatch.setenv("PLANWRIGHT_API_KEY", "test-key")
+        out = tmp_path / "run"
+        d = scenario_dir("color")
+        assert main(["plan", "--task", str(d / "task.json"), "--mode", "live", "--model", "m", "--out-dir", str(out)]) == 70
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure == {"stage": stage, "code": code, "message": message}
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 70
+
+    @pytest.mark.parametrize("scenario, blocked", [("color", "manifest.json"), ("always_failing", "failure.json")])
+    def test_record_that_cannot_be_written_goes_to_stderr(self, tmp_path, capsys, scenario, blocked):
+        """A run directory that cannot take the run's own record (here a
+        directory stands where the file goes) is an output failure, exit 70,
+        with the record on stderr; the run's earlier failure is named in it."""
+        out = tmp_path / "run"
+        (out / blocked).mkdir(parents=True)
+        assert main(plan_args(scenario, out)) == 70
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert (record["stage"], record["code"]) == ("output", "IsADirectoryError")
+        assert record["message"].startswith("cannot write the run record: ")
+        assert ("the run had failed first, stage pipeline" in record["message"]) == (scenario == "always_failing")
+        assert not (out / "manifest.json").is_file()
+
 
 class TestRecordThenReplay:
     @staticmethod
@@ -1054,6 +1096,27 @@ class TestImports:
         proc = run_python("import sys, planwright.cli; print('urllib.request' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cli_import_does_not_load_openssl(self):
+        """Only the fingerprint and the bag-of-words embedder take a digest,
+        so importing the CLI loads neither ``hashlib`` nor OpenSSL's ``_hashlib``."""
+        proc = run_python("import sys, planwright.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command, loads_openssl", [("bench", False), ("plan", True)])
+    def test_only_the_llm_half_loads_openssl(self, tmp_path, command, loads_openssl):
+        """A bench run never hashes, so it never loads ``_hashlib``; a replay
+        fingerprints every request, so it does (the control that the probe
+        sees the module at all)."""
+        if command == "bench":
+            d = benchmarks_root() / "blocksworld"
+            argv = ["bench", "--domain", str(d / "domain.pddl"), "--problems", str(d), "--out-dir", str(tmp_path / "run")]
+        else:
+            argv = plan_args("color", tmp_path / "run")
+        proc = run_python(f"import sys; from planwright.cli import main; print(main({argv!r}), '_hashlib' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"0 {loads_openssl}"
 
     def test_cli_import_creates_no_dataclasses(self):
         """The value types are built on ``planwright.values``, whose methods
