@@ -2,25 +2,42 @@
 
 Each scenario pairs a task with the deterministic response script a live
 model would have produced. Running the pipeline against the script in
-record mode yields the replayable transcript fixtures shipped under
+record mode (`ScriptedBackend` stands in for the model) yields the
+replayable transcript fixtures shipped under
 ``src/planwright/data/scenarios``; ``make_fixtures.py`` writes them, and the
 tests regenerate them into temporary directories and compare, so the
-shipped fixtures cannot drift from the agent code.
+shipped fixtures cannot drift from the agent code. The household domain and
+problem of the fridge scenarios are built here as IR: PDDL cannot carry
+their fluent descriptions.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from planwright.abstraction import InstructionList, translate_plan
 from planwright.agents import PipelineConfig, ScriptedUserChannel, TaskSpec, run_pipeline
 from planwright.cli import FIXED_CLOCK
-from planwright.domains import blocksworld_domain, household_domain, household_problem
+from planwright.domains import blocksworld_domain
 from planwright.executor import run_execution
-from planwright.gateway import AgentMessage, Gateway, ScriptedBackend, ToolCall, Transcript, assistant
-from planwright.ir import DomainModel, jsonio
+from planwright.gateway import AgentMessage, ChatRequest, FingerprintMismatch, Gateway, ToolCall, Transcript, assistant
+from planwright.ir import (
+    ActionSchema,
+    And,
+    Assignment,
+    Atom,
+    DomainModel,
+    FluentDecl,
+    Not,
+    ObjectDecl,
+    Parameter,
+    ProblemInstance,
+    SetEffect,
+    TypeDecl,
+    jsonio,
+)
 from planwright.memory import ProceduralStore
 from planwright.pddl import emit_domain, emit_expression
 from planwright.planner import PlanStep, SolveConfig, ground, solve
@@ -29,6 +46,24 @@ from planwright.textworld import Entity, Location, TextWorldEnv, WorldState
 FRIDGE_MEMORY_SUMMARY = (
     "for problems involving the fridge, append a goal to close the fridge, even if not explicitly stated"
 )
+
+
+class ScriptedBackend:
+    """Serves a fixed response sequence in order: the deterministic stand-in
+    for a live model. Run a pipeline against it in record mode and the
+    recorder produces a replayable transcript with real fingerprints. A
+    script that runs out diverges as a replayed fixture does."""
+
+    def __init__(self, responses: Iterable[AgentMessage]):
+        self.responses = list(responses)
+        self.position = 0
+
+    def complete(self, request: ChatRequest) -> AgentMessage:
+        if self.position >= len(self.responses):
+            raise FingerprintMismatch(self.position, "script has no further responses")
+        response = self.responses[self.position]
+        self.position += 1
+        return response
 
 
 def ok_critic(score: float = 0.95, feedback: str = "meets the criteria") -> AgentMessage:
@@ -137,6 +172,109 @@ def color_scenario() -> Scenario:
 
 
 # ----------------------------------------------------------------- fridge
+
+P = Parameter
+
+
+def household_domain() -> DomainModel:
+    item, surface, container, heater = "item", "surface", "container", "heater"
+    return DomainModel(
+        name="household",
+        types=(
+            TypeDecl(item),
+            TypeDecl(surface),
+            TypeDecl(container),
+            TypeDecl(heater, parent=container),
+        ),
+        fluents=(
+            FluentDecl("is_open", (P("?c", container),), description="the container's door is open"),
+            FluentDecl("inside", (P("?i", item), P("?c", container))),
+            FluentDecl("on", (P("?i", item), P("?s", surface))),
+            FluentDecl("holding", (P("?i", item),)),
+            FluentDecl("hand_empty", ()),
+            FluentDecl("is_heated", (P("?i", item),)),
+        ),
+        actions=(
+            ActionSchema(
+                "open",
+                (P("?c", container),),
+                Not(Atom("is_open", ("?c",))),
+                (SetEffect(Atom("is_open", ("?c",))),),
+            ),
+            ActionSchema(
+                "close",
+                (P("?c", container),),
+                Atom("is_open", ("?c",)),
+                (SetEffect(Atom("is_open", ("?c",)), False),),
+            ),
+            ActionSchema(
+                "take-from",
+                (P("?i", item), P("?c", container)),
+                And((Atom("inside", ("?i", "?c")), Atom("is_open", ("?c",)), Atom("hand_empty"))),
+                (
+                    SetEffect(Atom("holding", ("?i",))),
+                    SetEffect(Atom("inside", ("?i", "?c")), False),
+                    SetEffect(Atom("hand_empty"), False),
+                ),
+            ),
+            ActionSchema(
+                "put-in",
+                (P("?i", item), P("?c", container)),
+                And((Atom("holding", ("?i",)), Atom("is_open", ("?c",)))),
+                (
+                    SetEffect(Atom("inside", ("?i", "?c"))),
+                    SetEffect(Atom("hand_empty")),
+                    SetEffect(Atom("holding", ("?i",)), False),
+                ),
+            ),
+            ActionSchema(
+                "put-on",
+                (P("?i", item), P("?s", surface)),
+                Atom("holding", ("?i",)),
+                (
+                    SetEffect(Atom("on", ("?i", "?s"))),
+                    SetEffect(Atom("hand_empty")),
+                    SetEffect(Atom("holding", ("?i",)), False),
+                ),
+            ),
+            ActionSchema(
+                "heat",
+                (P("?i", item), P("?h", heater)),
+                Atom("inside", ("?i", "?h")),
+                (SetEffect(Atom("is_heated", ("?i",))),),
+            ),
+        ),
+    )
+
+
+def household_problem() -> ProblemInstance:
+    """Warm the salmon from the fridge, put it on the table, close the fridge."""
+    return ProblemInstance(
+        domain=household_domain(),
+        objects=(
+            ObjectDecl("fridge_305", "container"),
+            ObjectDecl("microwave", "heater"),
+            ObjectDecl("salmon", "item"),
+            ObjectDecl("pie", "item"),
+            ObjectDecl("kitchentable", "surface"),
+            ObjectDecl("counter", "surface"),
+        ),
+        init=Assignment.create(
+            [
+                Atom("inside", ("salmon", "fridge_305")),
+                Atom("on", ("pie", "counter")),
+                Atom("hand_empty"),
+            ]
+        ),
+        goal=And(
+            (
+                Atom("on", ("salmon", "kitchentable")),
+                Atom("is_heated", ("salmon",)),
+                Not(Atom("is_open", ("fridge_305",))),
+            )
+        ),
+        name="warm-salmon",
+    )
 
 
 def _household_docs() -> tuple[dict, dict]:

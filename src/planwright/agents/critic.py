@@ -8,6 +8,8 @@ from ..ir import jsonio
 from ..values import Value
 from .prompts import load_prompt
 
+CRITERIA = "correctness, coherence, and completeness"
+
 
 class CriticVerdict(Value):
     score: float  # sigma in [0, 1]
@@ -28,12 +30,12 @@ def parse_score_payload(content: str) -> tuple[float, str] | None:
     return float(score), feedback
 
 
-def critic_review(candidate: str, criteria: str, threshold: float, gateway: Gateway) -> CriticVerdict:
+def critic_review(candidate: str, threshold: float, gateway: Gateway) -> CriticVerdict:
     """One critic pass; unparsable critic output counts as a rejection with
     the raw text forwarded as feedback."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
-    prompt = load_prompt("critic") + f"\n\nAcceptance threshold: {threshold}\nReview criteria: {criteria}"
+    prompt = load_prompt("critic") + f"\n\nAcceptance threshold: {threshold}\nReview criteria: {CRITERIA}"
     response = gateway.chat(ChatRequest(messages=(system(prompt), user(candidate))))
     parsed = parse_score_payload(response.content)
     if parsed is None:

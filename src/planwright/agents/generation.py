@@ -33,9 +33,6 @@ from .events import EventLog
 from .prompts import ROLE_PROMPTS, load_prompt
 from .tools import TOOLSETS
 
-CRITIC_CRITERIA = "correctness, coherence, and completeness"
-
-
 class CorrectionLimitReached(RuntimeError):
     def __init__(self, role: str, turns: int, last_error: str):
         self.role = role
@@ -132,7 +129,7 @@ def run_generation(
             )
             continue
 
-        verdict = critic_review(response.content, CRITIC_CRITERIA, config.critic_threshold, gateway)
+        verdict = critic_review(response.content, config.critic_threshold, gateway)
         events.add("critic", role, score=verdict.score, accepted=verdict.accepted, feedback=verdict.feedback)
         if verdict.accepted:
             return GenerationOutcome(artifact, turns, rejections, False)

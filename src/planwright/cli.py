@@ -10,15 +10,17 @@ Exit codes are scripting-stable:
       record run without an API key in --api-key-env, a goal that names
       what the world lacks, and an --out-dir that cannot be created
   65  interaction failure (user answers unavailable/exhausted)
-  70  internal error, replay fixture divergence, a failed chat backend
-      (stage gateway), and a run directory that cannot take its own failure
-      record or manifest (stage output; the record goes to stderr)
+  70  internal error, replay fixture divergence and a failed chat backend
+      (stage gateway), and a failed write of an output (stage output, code
+      the OSError's class; when the run directory cannot take its own
+      failure record or manifest, the record goes to stderr)
 Every nonzero path leaves a machine-readable failure record in the run
 directory (or on stderr when no run directory exists yet, or the directory
 cannot take the record). `main` alone opens the run directory and ends it:
-a command returns on success and raises on any other outcome. In record
-mode `plan` and `execute` save the transcript on every exit once their
-inputs have been accepted.
+it first removes the files the command writes there, and the failure record
+and manifest, so the directory holds one run; a command returns on success
+and raises on any other outcome. In record mode `plan` and `execute` save
+the transcript on every exit once their inputs have been accepted.
 """
 from __future__ import annotations
 
@@ -47,9 +49,8 @@ from .gateway import (
     FingerprintMismatch,
     Gateway,
     LiveBackend,
-    ScriptExhausted,
+    ReplayBackend,
     Transcript,
-    replay_gateway,
 )
 from .ir import ProblemInstance, jsonio, validate
 from .memory import ProceduralStore
@@ -205,7 +206,7 @@ def _gateway_for(args) -> Gateway:
             transcript = Transcript.load(args.fixture)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load fixture {args.fixture}: {exc}") from exc
-        return replay_gateway(transcript)
+        return Gateway(ReplayBackend(transcript))
     if not os.environ.get(args.api_key_env):
         raise ConfigError(f"{mode} mode requires an API key in ${args.api_key_env}")
     backend = LiveBackend(
@@ -439,14 +440,25 @@ def _print_bench_table(rows) -> None:
 
 COMMANDS = {"plan": cmd_plan, "execute": cmd_execute, "bench": cmd_bench}
 
+# The files each command writes into its run directory. `main` removes them
+# (and the failure record and manifest) before the command starts, so that no
+# file of an earlier run in the same --out-dir is taken for this run's.
+OUTPUTS = {
+    "plan": ("pipeline_result.json", "domain.pddl", "problem.pddl", "problem.json", "outcome.json", "plan.txt", "instructions.json", "instructions.txt"),
+    "execute": ("execution_log.json", "verdict.json", "world_final.json"),
+    "bench": ("bench_report.json",),
+}
+
 # Exit code, stage and failure code of an exception that no command turns into
-# an _Exit itself: the entry of the first class in its MRO that has one (so a
-# ScriptExhausted is a fixture divergence, not a BackendError). Any other
-# exception is an internal error named by its class.
-FAILURES: dict[type, tuple[int, str, str]] = {
+# an _Exit itself: the entry of the first class in its MRO that has one, where a
+# code of None is the exception's class name. A command turns the OSError of
+# each input it reads into a config error, so an OSError that reaches `main` is
+# a failed write: to the run directory, the memory store or a recorded fixture.
+# Any other exception is an internal error.
+FAILURES: dict[type, tuple[int, str, Optional[str]]] = {
     FingerprintMismatch: (EX_INTERNAL, "gateway", "fixture-divergence"),
-    ScriptExhausted: (EX_INTERNAL, "gateway", "fixture-divergence"),
     BackendError: (EX_INTERNAL, "gateway", "BackendError"),
+    OSError: (EX_INTERNAL, "output", None),
 }
 
 
@@ -466,6 +478,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EX_CONFIG
     failure: Optional[_Exit] = None
     try:
+        run.clear(OUTPUTS[args.command])
         if args.config is not None:
             subparser = subparsers[args.command]
             namespace = argparse.Namespace(command=args.command, **_read_config(args.config, subparser))
@@ -477,9 +490,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _Exit as exc:
         failure = exc
     except Exception as exc:  # keep the exit-code map total
-        internal = (EX_INTERNAL, "internal", type(exc).__name__)
+        internal = (EX_INTERNAL, "internal", None)
         exit_code, stage, name = next((FAILURES[kind] for kind in type(exc).__mro__ if kind in FAILURES), internal)
-        failure = _Exit(exit_code, stage, name, str(exc))
+        failure = _Exit(exit_code, stage, name or type(exc).__name__, str(exc))
     code = EX_OK if failure is None else failure.code
     run.config_snapshot = _config_snapshot(args, run)
     try:

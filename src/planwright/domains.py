@@ -1,38 +1,17 @@
-"""The domains and problems the test scenarios and benchmarks revolve around.
+"""The blocksworld and grippers domains and problem builders that the
+benchmark workloads and the benchmark generator use.
 
 A bundled benchmark domain is defined once, by its shipped
 ``data/benchmarks/<name>/domain.pddl``; ``bundled_domain`` reads it. The
-problem builders and the domains no PDDL file holds (grippers with a
-battery, and the household domain, whose fluent descriptions PDDL cannot
-carry) are plain IR constructors.
+problem builders are plain IR constructors.
 """
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from .data_paths import benchmarks_root
-from .ir import (
-    ActionSchema,
-    And,
-    Assignment,
-    Atom,
-    Comparison,
-    DomainModel,
-    FluentDecl,
-    Not,
-    NumConst,
-    NumFluent,
-    NumericEffect,
-    ObjectDecl,
-    Parameter,
-    ProblemInstance,
-    SetEffect,
-    TypeDecl,
-)
+from .ir import And, Assignment, Atom, DomainModel, ObjectDecl, ProblemInstance
 from .pddl import parse_domain
-
-P = Parameter
 
 
 @functools.cache
@@ -100,126 +79,5 @@ def grippers_problem(
         objects=tuple(objects),
         init=Assignment.create(atoms),
         goal=goal,
-        name=name,
-    )
-
-
-def battery_grippers_domain(move_cost: int = 5) -> DomainModel:
-    """Grippers with a battery drain on movement: moving needs and consumes
-    ``move_cost`` units, mirroring the battery adaptation scenario."""
-    base = grippers_domain()
-    battery = FluentDecl("battery_level", (P("?r", "robot"),), kind="numeric")
-    move = base.action_map()["move"]
-    new_move = ActionSchema(
-        "move",
-        move.parameters,
-        And(
-            (
-                Atom("at-robby", ("?r", "?from")),
-                Comparison(">=", NumFluent("battery_level", ("?r",)), NumConst(Fraction(move_cost))),
-            )
-        ),
-        move.effects + (NumericEffect("decrease", NumFluent("battery_level", ("?r",)), NumConst(Fraction(move_cost))),),
-    )
-    actions = tuple(new_move if a.name == "move" else a for a in base.actions)
-    return DomainModel("grippers-battery", base.types, base.fluents + (battery,), actions)
-
-
-def household_domain() -> DomainModel:
-    item, surface, container, heater = "item", "surface", "container", "heater"
-    return DomainModel(
-        name="household",
-        types=(
-            TypeDecl(item),
-            TypeDecl(surface),
-            TypeDecl(container),
-            TypeDecl(heater, parent=container),
-        ),
-        fluents=(
-            FluentDecl("is_open", (P("?c", container),), description="the container's door is open"),
-            FluentDecl("inside", (P("?i", item), P("?c", container))),
-            FluentDecl("on", (P("?i", item), P("?s", surface))),
-            FluentDecl("holding", (P("?i", item),)),
-            FluentDecl("hand_empty", ()),
-            FluentDecl("is_heated", (P("?i", item),)),
-        ),
-        actions=(
-            ActionSchema(
-                "open",
-                (P("?c", container),),
-                Not(Atom("is_open", ("?c",))),
-                (SetEffect(Atom("is_open", ("?c",))),),
-            ),
-            ActionSchema(
-                "close",
-                (P("?c", container),),
-                Atom("is_open", ("?c",)),
-                (SetEffect(Atom("is_open", ("?c",)), False),),
-            ),
-            ActionSchema(
-                "take-from",
-                (P("?i", item), P("?c", container)),
-                And((Atom("inside", ("?i", "?c")), Atom("is_open", ("?c",)), Atom("hand_empty"))),
-                (
-                    SetEffect(Atom("holding", ("?i",))),
-                    SetEffect(Atom("inside", ("?i", "?c")), False),
-                    SetEffect(Atom("hand_empty"), False),
-                ),
-            ),
-            ActionSchema(
-                "put-in",
-                (P("?i", item), P("?c", container)),
-                And((Atom("holding", ("?i",)), Atom("is_open", ("?c",)))),
-                (
-                    SetEffect(Atom("inside", ("?i", "?c"))),
-                    SetEffect(Atom("hand_empty")),
-                    SetEffect(Atom("holding", ("?i",)), False),
-                ),
-            ),
-            ActionSchema(
-                "put-on",
-                (P("?i", item), P("?s", surface)),
-                Atom("holding", ("?i",)),
-                (
-                    SetEffect(Atom("on", ("?i", "?s"))),
-                    SetEffect(Atom("hand_empty")),
-                    SetEffect(Atom("holding", ("?i",)), False),
-                ),
-            ),
-            ActionSchema(
-                "heat",
-                (P("?i", item), P("?h", heater)),
-                Atom("inside", ("?i", "?h")),
-                (SetEffect(Atom("is_heated", ("?i",))),),
-            ),
-        ),
-    )
-
-
-def household_problem(name: str = "warm-salmon", close_fridge_goal: bool = True) -> ProblemInstance:
-    goal_terms: list = [
-        Atom("on", ("salmon", "kitchentable")),
-        Atom("is_heated", ("salmon",)),
-    ]
-    if close_fridge_goal:
-        goal_terms.append(Not(Atom("is_open", ("fridge_305",))))
-    return ProblemInstance(
-        domain=household_domain(),
-        objects=(
-            ObjectDecl("fridge_305", "container"),
-            ObjectDecl("microwave", "heater"),
-            ObjectDecl("salmon", "item"),
-            ObjectDecl("pie", "item"),
-            ObjectDecl("kitchentable", "surface"),
-            ObjectDecl("counter", "surface"),
-        ),
-        init=Assignment.create(
-            [
-                Atom("inside", ("salmon", "fridge_305")),
-                Atom("on", ("pie", "counter")),
-                Atom("hand_empty"),
-            ]
-        ),
-        goal=And(tuple(goal_terms)),
         name=name,
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..values import Value
-from .backends import Backend, BackendError, LiveBackend, ReplayBackend, ScriptExhausted, ScriptedBackend
+from .backends import Backend, BackendError, LiveBackend, ReplayBackend
 from .embedding import Embedder, FixtureEmbedder, HashedBagOfWordsEmbedder
 from .messages import (
     AgentMessage,
@@ -66,10 +66,6 @@ class Gateway(Value):
         return response
 
 
-def replay_gateway(transcript: Transcript) -> Gateway:
-    return Gateway(ReplayBackend(transcript))
-
-
 __all__ = [
     "AgentMessage",
     "Backend",
@@ -83,8 +79,6 @@ __all__ = [
     "LiveBackend",
     "MessageError",
     "ReplayBackend",
-    "ScriptExhausted",
-    "ScriptedBackend",
     "ToolArgumentError",
     "ToolCall",
     "ToolParam",
@@ -93,7 +87,6 @@ __all__ = [
     "TranscriptError",
     "assistant",
     "fingerprint",
-    "replay_gateway",
     "system",
     "tool_result",
     "user",

@@ -1,13 +1,19 @@
-"""Chat-completion backends: live HTTP, scripted, and transcript replay."""
+"""Chat-completion backends: live HTTP and transcript replay.
+
+The scripted stand-in for a model that fixtures are recorded from lives
+with the scenario scripts, in ``scripts/scenarios.py``.
+"""
 from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Iterable, Optional, Protocol
+from typing import Callable, Optional, Protocol
 
 from ..ir import jsonio
 from .messages import AgentMessage, ChatRequest, ToolCall
 from .transcript import FingerprintMismatch, Transcript, fingerprint
+
+HTTP_TIMEOUT_S = 120.0  # seconds any one socket operation of a request may block
 
 
 class Backend(Protocol):
@@ -16,30 +22,6 @@ class Backend(Protocol):
 
 class BackendError(RuntimeError):
     pass
-
-
-class ScriptExhausted(BackendError):
-    pass
-
-
-class ScriptedBackend:
-    """Serves a fixed response sequence in order.
-
-    This is the deterministic stand-in for a live model used when authoring
-    fixtures and in tests: run a pipeline against it in record mode and the
-    recorder produces a replayable transcript with real fingerprints.
-    """
-
-    def __init__(self, responses: Iterable[AgentMessage]):
-        self.responses = list(responses)
-        self.position = 0
-
-    def complete(self, request: ChatRequest) -> AgentMessage:
-        if self.position >= len(self.responses):
-            raise ScriptExhausted(f"script exhausted after {self.position} responses")
-        response = self.responses[self.position]
-        self.position += 1
-        return response
 
 
 class ReplayBackend:
@@ -80,14 +62,12 @@ class LiveBackend:
         temperature: float = 0.0,
         api_key_env: str = "PLANWRIGHT_API_KEY",
         transport: Optional[Callable[[str, dict, dict], dict]] = None,
-        timeout: float = 120.0,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.temperature = temperature
         self.api_key_env = api_key_env
         self.transport = transport or self._http_post
-        self.timeout = timeout
 
     def _http_post(self, url: str, headers: dict, payload: dict) -> dict:
         # Imported here so that replay and offline runs never load the HTTP stack.
@@ -97,7 +77,7 @@ class LiveBackend:
         body = json.dumps(payload).encode("utf-8")
         req = urllib.request.Request(url, data=body, headers=headers, method="POST")
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+            with urllib.request.urlopen(req, timeout=HTTP_TIMEOUT_S) as resp:
                 raw = resp.read()
         except (OSError, http.client.HTTPException) as exc:  # URLError, a timeout, a reset connection, a body cut off
             raise BackendError(f"chat backend unreachable: {exc}") from exc

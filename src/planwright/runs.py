@@ -2,9 +2,10 @@
 
 Every command writes its artifacts under one directory and finishes by
 writing ``manifest.json``: the command, a config snapshot, wall-clock
-timings, the file list, and the exit status. Content files are fully
-deterministic; everything time-dependent lives in the manifest so replay
-comparisons can normalize a single file.
+timings, the file list, and the exit status. It first clears the files
+that it and the record write, so a directory holds the files of one run.
+Content files are fully deterministic; everything time-dependent lives in
+the manifest so replay comparisons can normalize a single file.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import json
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Iterable, Optional, Union
 
 from .ir import jsonio
 
@@ -45,6 +46,15 @@ class RunDirectory:
             self.timings[stage] = time.monotonic() - self._t0.pop(stage)
 
     # -- artifacts -----------------------------------------------------------
+
+    def clear(self, names: Iterable[str]) -> None:
+        """Remove each regular file among ``names``, ``failure.json`` and
+        ``manifest.json``. Any other file stays, and so does a directory where
+        one of these files goes: the write to it fails later."""
+        for name in (*names, FAILURE_NAME, MANIFEST_NAME):
+            target = self.path / name
+            if target.is_file():
+                target.unlink()
 
     def write_text(self, name: str, text: str) -> Path:
         target = self.path / name

@@ -37,7 +37,8 @@ numeric atom indices; ``atoms_of`` and ``numerics_of`` read a ground task's
 state back as atoms and numeric values; ``branch_holds`` tests a compiled
 ``(pos, neg, num)`` conjunction in a state, and ``applicable`` a ground
 action's precondition; ``bundled_problems`` parses the 140 bundled benchmark
-problems; ``refuel_problem`` builds a small numeric task whose actions
+problems; ``battery_grippers_domain`` is grippers whose moves drain a
+battery; ``refuel_problem`` builds a small numeric task whose actions
 increase, decrease and assign fluents; ``random_walk_states`` samples
 reachable states of a ground task for checks that run along a walk;
 ``tool_calls`` and ``applied_requests`` pick events and upstream requests
@@ -88,6 +89,7 @@ from planwright.planner.grounding import (
 from planwright.planner.validation import substitute, substitute_term
 
 from planwright.data_paths import benchmarks_root
+from planwright.domains import grippers_domain
 from planwright.pddl import PddlError, parse_domain, parse_problem
 from planwright.pddl.syntax import LEXICAL_ERROR, MAX_DEPTH, TOO_DEEP, UNBALANCED, SList, Symbol
 
@@ -711,6 +713,23 @@ def _fluent(name: str) -> NumFluent:
 
 def _const(value: int) -> NumConst:
     return NumConst(Fraction(value))
+
+
+def battery_grippers_domain() -> DomainModel:
+    """Grippers with a battery drain on movement: moving needs and consumes
+    5 units, mirroring the battery adaptation scenario."""
+    base = grippers_domain()
+    battery = FluentDecl("battery_level", (Parameter("?r", "robot"),), kind="numeric")
+    move = base.action_map()["move"]
+    battery_level = NumFluent("battery_level", ("?r",))
+    new_move = ActionSchema(
+        "move",
+        move.parameters,
+        And((Atom("at-robby", ("?r", "?from")), Comparison(">=", battery_level, _const(5)))),
+        move.effects + (NumericEffect("decrease", battery_level, _const(5)),),
+    )
+    actions = tuple(new_move if a.name == "move" else a for a in base.actions)
+    return DomainModel("grippers-battery", base.types, base.fluents + (battery,), actions)
 
 
 def refuel_domain() -> DomainModel:

@@ -5,9 +5,10 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from planwright.abstraction import InstructionList, fallback_instruction, translate_plan
-from planwright.domains import blocksworld_domain, household_domain
-from planwright.gateway import Gateway, ScriptedBackend, assistant
+from planwright.domains import blocksworld_domain
+from planwright.gateway import Gateway, assistant
 from planwright.planner import Plan, PlanStep
+from scenarios import ScriptedBackend, household_domain
 
 FLOORTILE_PLAN = Plan(
     (

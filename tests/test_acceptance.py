@@ -22,7 +22,6 @@ from planwright.gateway import (
     Gateway,
     HashedBagOfWordsEmbedder,
     ReplayBackend,
-    ScriptedBackend,
     Transcript,
     assistant,
 )
@@ -43,7 +42,7 @@ from planwright.memory import ProceduralStore
 from planwright.pddl import emit_domain, emit_expression, parse_domain, parse_problem
 from planwright.planner import SolveConfig, Valid, ground, solve, validate_plan
 from planwright.runs import normalized_tree
-from scenarios import FRIDGE_MEMORY_SUMMARY, fridge_recall_scenario
+from scenarios import FRIDGE_MEMORY_SUMMARY, ScriptedBackend, fridge_recall_scenario
 from planwright.textworld import WorldState, check_goal
 
 from helpers import bfs_optimal_plan, tool_calls
@@ -243,7 +242,7 @@ def test_self_reflection_contract():
         sigma = round(rng.random(), 3)
         tau = round(rng.random(), 3)
         gw = Gateway(ScriptedBackend([assistant(json.dumps({"score": sigma, "feedback": "x"}))]))
-        verdict = critic_review("candidate", "criteria", tau, gw)
+        verdict = critic_review("candidate", tau, gw)
         assert verdict.accepted == (sigma >= tau)
 
     domain_doc = jsonio.dumps(blocksworld_domain()).rstrip("\n")

@@ -24,7 +24,6 @@ from planwright.gateway import (
     ChatRequest,
     Gateway,
     ReplayBackend,
-    ScriptedBackend,
     ToolCall,
     Transcript,
     assistant,
@@ -39,6 +38,7 @@ from planwright.planner import SolveConfig, Valid, ground, solve, validate_plan
 from planwright.runs import RunDirectory
 from scenarios import (
     FRIDGE_MEMORY_SUMMARY,
+    ScriptedBackend,
     always_failing_scenario,
     color_scenario,
     fridge_recall_scenario,
@@ -63,18 +63,18 @@ def null_resolver(origin, call):
 class TestCritic:
     def test_accept_above_threshold(self):
         gw = scripted_gateway(assistant(json.dumps({"score": 0.95, "feedback": "fine"})))
-        verdict = critic_review("candidate", "correctness", 0.8, gw)
+        verdict = critic_review("candidate", 0.8, gw)
         assert verdict.accepted and verdict.score == 0.95
 
     def test_reject_below_threshold_forwards_feedback(self):
         gw = scripted_gateway(assistant(json.dumps({"score": 0.5, "feedback": "missing actions"})))
-        verdict = critic_review("candidate", "correctness", 0.8, gw)
+        verdict = critic_review("candidate", 0.8, gw)
         assert not verdict.accepted
         assert verdict.feedback == "missing actions"
 
     def test_unparsable_critic_output_is_rejection(self):
         gw = scripted_gateway(assistant("garbage, not json"))
-        verdict = critic_review("candidate", "correctness", 0.8, gw)
+        verdict = critic_review("candidate", 0.8, gw)
         assert not verdict.accepted
         assert verdict.feedback == "garbage, not json"
 
@@ -82,17 +82,17 @@ class TestCritic:
     @given(st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1))
     def test_accept_iff_score_at_least_threshold(self, score, tau):
         gw = scripted_gateway(assistant(json.dumps({"score": score, "feedback": "x"})))
-        verdict = critic_review("candidate", "criteria", tau, gw)
+        verdict = critic_review("candidate", tau, gw)
         assert verdict.accepted == (score >= tau)
 
     def test_score_equal_to_threshold_accepts(self):
         gw = scripted_gateway(assistant(json.dumps({"score": 0.8, "feedback": ""})))
-        assert critic_review("candidate", "criteria", 0.8, gw).accepted
+        assert critic_review("candidate", 0.8, gw).accepted
 
     def test_feedback_that_is_no_string_is_rejection(self):
         text = json.dumps({"score": 0.2, "feedback": None})
         assert parse_score_payload(text) is None
-        verdict = critic_review("candidate", "criteria", 0.8, scripted_gateway(assistant(text)))
+        verdict = critic_review("candidate", 0.8, scripted_gateway(assistant(text)))
         assert verdict == CriticVerdict(0.0, text, accepted=False)
 
     def test_fenced_verdict_is_read(self):
@@ -106,7 +106,7 @@ class TestCritic:
     def test_score_that_is_no_finite_number_is_rejection(self, score):
         text = '{"score": ' + score + ', "feedback": "x"}'
         assert parse_score_payload(text) is None
-        verdict = critic_review("candidate", "criteria", 0.8, scripted_gateway(assistant(text)))
+        verdict = critic_review("candidate", 0.8, scripted_gateway(assistant(text)))
         assert verdict == CriticVerdict(0.0, text, accepted=False)
 
 

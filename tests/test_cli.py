@@ -8,13 +8,13 @@ import pytest
 from planwright.cli import build_parser, main
 from planwright.data_paths import benchmarks_root, scenario_dir
 from planwright.domains import blocksworld_domain
-from planwright.gateway import Gateway, ScriptedBackend, Transcript, assistant
+from planwright.gateway import Gateway, Transcript, assistant
 from planwright.ir import DomainModel, jsonio
 from planwright.pddl import emit_domain
 from planwright.runs import normalized_tree
 from planwright.textworld import WorldState, check_goal
 from helpers import nested_domain_text, run_python
-from scenarios import ok_critic
+from scenarios import ScriptedBackend, household_problem, ok_critic
 
 
 def plan_args(scenario: str, out: Path, **overrides) -> list[str]:
@@ -285,7 +285,6 @@ class TestExecuteCommand:
     def test_empty_instruction_list_on_satisfied_goal(self, tmp_path):
         artifacts = tmp_path / "artifacts"
         artifacts.mkdir()
-        from planwright.domains import household_problem
         from planwright.ir import And, ProblemInstance
 
         problem = household_problem()
@@ -840,12 +839,12 @@ class TestExitPaths:
         "backend, stage, code, message",
         [
             ("http", "gateway", "BackendError", "chat backend unreachable: timed out"),
-            ("exhausted", "gateway", "fixture-divergence", "script exhausted after 0 responses"),
+            ("exhausted", "gateway", "fixture-divergence", "replay diverged at exchange 0: script has no further responses"),
         ],
     )
     def test_backend_failure_is_stage_gateway(self, tmp_path, monkeypatch, backend, stage, code, message):
         """A live backend that fails is the gateway's failure, exit 70; a
-        script that runs out (a `BackendError` too) stays a fixture divergence."""
+        script that runs out is a fixture divergence, as a replay's is."""
         import urllib.request
 
         def timeout(request, timeout):
@@ -877,6 +876,57 @@ class TestExitPaths:
         assert record["message"].startswith("cannot write the run record: ")
         assert ("the run had failed first, stage pipeline" in record["message"]) == (scenario == "always_failing")
         assert not (out / "manifest.json").is_file()
+
+    @pytest.mark.parametrize("blocked", ["plan.txt", "outcome.json"])
+    def test_failed_write_to_the_run_directory_is_stage_output(self, tmp_path, blocked):
+        """A run-directory file that cannot be written (a directory stands
+        where it goes, and the run leaves it there) is an output failure,
+        exit 70, named by the OSError's class."""
+        out = tmp_path / "run"
+        (out / blocked).mkdir(parents=True)
+        assert main(plan_args("color", out)) == 70
+        failure = json.loads((out / "failure.json").read_text())
+        assert (failure["stage"], failure["code"]) == ("output", "IsADirectoryError")
+        assert blocked in failure["message"]
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 70
+        assert (out / blocked).is_dir()
+
+
+class TestOneRunPerDirectory:
+    @pytest.mark.parametrize("first, second", [("color", "always_failing"), ("always_failing", "color")])
+    def test_second_run_leaves_no_file_of_the_first(self, tmp_path, first, second):
+        """A plan run into a used --out-dir gives the tree of a fresh one: the
+        first run's artifacts and failure record are gone, not listed. A file
+        that no command writes stays, in both."""
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        for out in (reused, fresh):
+            out.mkdir()
+            (out / "notes.txt").write_text("kept")
+        assert main(plan_args(first, reused)) == (0 if first == "color" else 1)
+        code = main(plan_args(second, reused))
+        assert code == main(plan_args(second, fresh))
+        assert normalized_tree(reused) == normalized_tree(fresh)
+        manifest = json.loads((reused / "manifest.json").read_text())
+        assert manifest["exit_code"] == code and "notes.txt" in manifest["files"]
+
+    def test_outputs_table_names_what_each_command_writes(self, tmp_path):
+        """`OUTPUTS`, the files `main` clears, is exactly what a full run of
+        each command writes besides its manifest."""
+        from planwright.cli import OUTPUTS
+
+        plan_run, exec_run, bench_run = tmp_path / "plan", tmp_path / "execute", tmp_path / "bench"
+        assert main(plan_args("fridge_recall", plan_run)) == 0
+        d = scenario_dir("fridge_recall")
+        assert main([
+            "execute", "--artifacts", str(plan_run), "--world", str(d / "world.json"),
+            "--fixture", str(d / "exec_fixture.json"), "--out-dir", str(exec_run),
+        ]) == 0
+        blocksworld = benchmarks_root() / "blocksworld"
+        assert main([
+            "bench", "--domain", str(blocksworld / "domain.pddl"), "--problems", str(blocksworld), "--out-dir", str(bench_run),
+        ]) == 0
+        for command, run in (("plan", plan_run), ("execute", exec_run), ("bench", bench_run)):
+            assert sorted(p.name for p in run.iterdir()) == sorted([*OUTPUTS[command], "manifest.json"])
 
 
 class TestRecordThenReplay:

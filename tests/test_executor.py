@@ -5,15 +5,14 @@ import json
 import pytest
 
 from planwright.abstraction import Instruction, InstructionList, translate_plan
-from planwright.domains import household_problem
 from planwright.executor import ExecutionLog, ValidatorVerdict, execute_plan, execute_step, run_execution, validate_execution
-from planwright.gateway import Gateway, ScriptedBackend, ToolCall, assistant
+from planwright.gateway import Gateway, ToolCall, assistant
 from planwright.ir import And, Atom
 from planwright.pddl import emit_expression
 from planwright.planner import PlanStep, SolveConfig, ground, solve
 from planwright.runs import RunDirectory
 from planwright.textworld import TextWorldEnv
-from scenarios import executor_script_for, kitchen_fixture
+from scenarios import ScriptedBackend, executor_script_for, household_problem, kitchen_fixture
 
 
 def instruction(text: str, step: PlanStep, index: int = 1) -> Instruction:

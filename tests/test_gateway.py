@@ -17,7 +17,6 @@ from planwright.gateway import (
     LiveBackend,
     MessageError,
     ReplayBackend,
-    ScriptedBackend,
     ToolArgumentError,
     ToolCall,
     ToolParam,
@@ -31,6 +30,7 @@ from planwright.gateway import (
 )
 
 from helpers import reference_fingerprint
+from scenarios import ScriptedBackend
 
 FLUENT_TOOL = ToolSchema(
     "missing_or_incorrect_fluent",

@@ -403,7 +403,8 @@ def test_only_validate_reads_its_private_names():
 class TestJsonCodec:
     def test_domain_round_trip(self, bw3):
         from planwright.ir import jsonio
-        from planwright.domains import battery_grippers_domain, household_domain
+        from helpers import battery_grippers_domain
+        from scenarios import household_domain
 
         for domain in (bw3.domain, battery_grippers_domain(), household_domain()):
             data = domain.to_json()

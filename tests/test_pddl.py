@@ -5,15 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import nested_domain_text, reference_read_forms
+from helpers import battery_grippers_domain, nested_domain_text, reference_read_forms
 from planwright.data_paths import benchmarks_root
-from planwright.domains import (
-    battery_grippers_domain,
-    blocksworld_domain,
-    blocksworld_problem,
-    grippers_problem,
-    household_problem,
-)
+from planwright.domains import blocksworld_domain, blocksworld_problem, grippers_problem
+from scenarios import household_problem
 from planwright.ir import (
     ActionSchema,
     AddOrModifyFluent,

@@ -10,12 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from planwright.domains import (
-    battery_grippers_domain,
-    blocksworld_problem,
-    grippers_problem,
-    household_problem,
-)
+from planwright.domains import blocksworld_problem, grippers_problem
+from scenarios import household_problem
 from planwright.ir import (
     ActionSchema,
     And,
@@ -61,6 +57,7 @@ from helpers import (
     _mask_bits,
     applicable,
     atoms_of,
+    battery_grippers_domain,
     bfs_optimal_plan,
     branch_holds,
     bundled_problems,

@@ -40,7 +40,6 @@ from planwright.agents.generation import GenerationOutcome
 from planwright.agents.pipeline import PipelineResult, TaskSpec, UpstreamRequest
 from planwright.executor import ExecutionLog, ExecutionReport, StepOutcome, StepRecord, ValidatorVerdict
 from planwright.gateway import Gateway
-from planwright.gateway.backends import ScriptedBackend
 from planwright.gateway.messages import AgentMessage, ChatRequest, ToolCall, ToolParam, ToolSchema
 from planwright.gateway.transcript import Exchange, Transcript, TranscriptError
 from planwright.ir import jsonio
@@ -82,6 +81,7 @@ from planwright.planner.search import SolveConfig, SolveResult
 from planwright.planner.validation import Invalid, Valid
 from planwright.textworld import Entity, Location, SkillResult, WorldState
 from planwright.values import IRDecodeError, Value, field, replace
+from scenarios import ScriptedBackend
 
 ON = Atom("on", ("a", "b"))
 FUEL = NumFluent("fuel", ("t",))
