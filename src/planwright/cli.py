@@ -252,10 +252,11 @@ def cmd_plan(args, run: RunDirectory) -> None:
         provided_domain = None
         if args.domain:
             provided_domain = parse_domain(Path(args.domain).read_text(encoding="utf-8"), filename=args.domain)
-        memory = None
+        memory, loaded = None, 0
         if args.memory_store:
             clock = (lambda: FIXED_CLOCK) if args.mode == "replay" else time.time
             memory = ProceduralStore(args.memory_store, clock=clock)
+            loaded = len(memory.entries)
         solve_cfg = SolveConfig(args.strategy, args.heuristic, args.node_budget, args.time_budget)
         pipeline_config = PipelineConfig(
             correction_limit=args.correction_limit, critic_threshold=args.tau, critic_iterations=args.critic_iterations
@@ -304,6 +305,14 @@ def cmd_plan(args, run: RunDirectory) -> None:
         instructions = translate_plan(outcome.plan, problem.domain, translator_gateway)
         run.write_json("instructions.json", instructions)
         run.write_text("instructions.txt", instructions.render())
+    except FingerprintMismatch as exc:
+        if not loaded:
+            raise
+        # Retrieval may have put a stored entry into the request, as when an
+        # earlier run of the same scenario saved one into this store.
+        entries = "entry" if loaded == 1 else "entries"
+        detail = f"{exc.detail}; the memory store {args.memory_store} held {loaded} {entries} when the run began"
+        raise FingerprintMismatch(exc.position, detail) from exc
     finally:
         _save_fixture(gateway, args.fixture)
 

@@ -1,14 +1,17 @@
 """Text embedders.
 
 The bundled embedder hashes a bag of words into a fixed 256-dimension count
-vector via sha256, so it is deterministic across processes and needs no
-network. Live embedding backends plug in behind the same one-method
-interface.
+vector via SHA-256, so it is deterministic across processes and needs no
+network. The hash is the interpreter's own (`transcript.sha256`), so
+embedding, like fingerprinting, loads no OpenSSL. Live embedding backends
+plug in behind the same one-method interface.
 """
 from __future__ import annotations
 
 import re
 from typing import Protocol, Sequence
+
+from .transcript import sha256
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -31,9 +34,7 @@ class HashedBagOfWordsEmbedder:
         return _TOKEN_RE.findall(text.lower())
 
     def bucket(self, token: str) -> int:
-        import hashlib  # only on this path; keeps CLI start-up lean
-
-        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        digest = sha256(token.encode("utf-8")).digest()
         return int.from_bytes(digest[:4], "big") % self.dimension
 
     def embed(self, text: str) -> tuple:

@@ -6,7 +6,10 @@ byte-identical text. Numeric values are rendered as exact rational strings
 ("30", "3/2") to avoid any float round-tripping.
 
 Each value type writes its own JSON form (`planwright.values.Value.to_json`),
-and `dumps` lays it out. Each also reads it back and checks it
+and `dumps` lays it out. A domain, a problem, an action schema, a fluent or
+type declaration and an init assignment (`KEPT`) keep their indented text
+on the instance, so an edited domain, which shares every declaration the
+edit left alone, re-encodes only what the edit changed. Each also reads it back and checks it
 (`Value.from_json`, with `field` for a single key). What is left here is
 the text: `dumps` writes it, and `loads` and `read_object` read every JSON
 text from outside the program; any malformed one raises `IRDecodeError`. A
@@ -19,10 +22,10 @@ import json
 import re
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any, Union
+from typing import Any, Callable
 
 from ..values import IRDecodeError, Value, cached_on, field  # noqa: F401  (field: read as jsonio.field)
-from .model import DomainModel, ProblemInstance
+from .model import ActionSchema, Assignment, DomainModel, FluentDecl, ProblemInstance, TypeDecl
 
 _encode_scalar = json.JSONEncoder().encode
 
@@ -34,50 +37,99 @@ def dumps(payload: Any) -> str:
     With ``indent`` set, ``json.dumps`` falls back to its pure-Python
     encoder. Here containers are walked in Python and each is built with one
     join, while every leaf goes through the C encoder functions. A value is
-    written from its `Value.json_items` pairs, and a `DomainModel` or
-    `ProblemInstance` from text encoded once per instance (see `_document`).
-    Every indented document the package writes comes through here:
-    run-directory files, recorded fixtures and the JSON in agent prompts.
+    written from its `Value.json_items` pairs; one of the `KEPT` types from
+    text kept on the instance (see `_encode_kept`). Every indented document
+    the package writes comes through here: run-directory files, recorded
+    fixtures and the JSON in agent prompts.
     """
     return _encode(payload, "\n") + "\n"
 
 
 def _encode(value: Any, newline: str) -> str:
-    # Checked in json.encoder's order: str, then numbers, lists, dicts.
-    if isinstance(value, str):
+    kind = value.__class__
+    if kind is str:  # the most common leaf, written without a call through the table
         return _encode_str(value)
+    encode = _ENCODERS.get(kind)
+    if encode is None:
+        encode = _ENCODERS[kind] = _encoder_for(value)
+    return encode(value, newline)
+
+
+def _encoder_for(value: Any) -> Callable[[Any, str], str]:
+    """The encoder of ``value``'s class, found in json.encoder's order (str,
+    then numbers, lists, dicts), which `_encode` then keeps by class."""
+    if isinstance(value, str):
+        return _encode_text
     if value is None or isinstance(value, (int, float)):
-        return _encode_scalar(value)
+        return _encode_number
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join([_encode(item, inner) for item in value]) + newline + "]"
+        return _encode_list
     if isinstance(value, dict):
-        return _encode_items(value.items(), newline)
-    if isinstance(value, (DomainModel, ProblemInstance)):
-        # Every newline in the text is a line break, because
-        # encode_basestring_ascii writes one inside a string as "\\n";
-        # indenting each break re-nests the document.
-        return _document(value).replace("\n", newline)
+        return _encode_dict
+    if isinstance(value, KEPT):
+        return _encode_kept
     if isinstance(value, Value):
-        return _encode_items(value.json_items(), newline)
+        return _encode_value
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _encode_text(value: str, newline: str) -> str:
+    return _encode_str(value)
+
+
+def _encode_number(value: Any, newline: str) -> str:
+    return _encode_scalar(value)
+
+
+def _encode_int(value: int, newline: str) -> str:
+    return int.__repr__(value)  # as json.encoder writes an int
+
+
+def _encode_list(value: Any, newline: str) -> str:
+    if not value:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join([_encode(item, inner) for item in value]) + newline + "]"
+
+
+def _encode_dict(value: dict, newline: str) -> str:
+    return _encode_items(value.items(), newline)
+
+
+def _encode_value(value: Value, newline: str) -> str:
+    return _encode_items(value.json_items(), newline)
+
+
+def _encode_kept(value: Value, newline: str) -> str:
+    """The value's text at depth 0, encoded once per instance (`cached_on`)
+    and re-indented to ``newline``. Every newline in the text is a line
+    break, because encode_basestring_ascii writes one inside a string as
+    "\\n"; indenting each break re-nests the text. So a domain that an edit
+    made re-encodes only the declarations the edit changed, and a problem
+    splices in its domain's text."""
+    text = cached_on(value, "_json_text", _encode_depth0)
+    return text if newline == "\n" else text.replace("\n", newline)
+
+
+def _encode_depth0(value: Value) -> str:
+    return _encode_items(value.json_items(), "\n")
 
 
 def _encode_items(items: Any, newline: str) -> str:
     if not items:
         return "{}"
     inner = newline + "  "
-    members = [_encode_key(key) + ": " + _encode(item, inner) for key, item in items]
+    members = [(_encode_str(key) if key.__class__ is str else _encode_key(key)) + ": " + _encode(item, inner) for key, item in items]
     return "{" + inner + ("," + inner).join(members) + newline + "}"
 
 
-def _document(value: Union[DomainModel, ProblemInstance]) -> str:
-    """The top-level indented text of a domain or problem, without the final
-    newline, encoded once per instance (`cached_on`). A problem's text
-    splices in its domain's."""
-    return cached_on(value, "_json_text", lambda record: _encode_items(record.json_items(), "\n"))
+# The types whose text `_encode_kept` keeps: the documents, and the
+# declarations that an edit carries over unchanged into the domain it makes.
+KEPT = (DomainModel, ProblemInstance, ActionSchema, FluentDecl, TypeDecl, Assignment)
+
+# Each class's encoder: an exact int's is given, every other class's is
+# filled in by `_encoder_for` when the class is first met.
+_ENCODERS: dict[type, Callable[[Any, str], str]] = {int: _encode_int}
 
 
 def _encode_key(key: Any) -> str:

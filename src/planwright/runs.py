@@ -10,6 +10,7 @@ the manifest so replay comparisons can normalize a single file.
 from __future__ import annotations
 
 import json
+import os
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -29,7 +30,7 @@ class RunDirectory:
     def __init__(self, path: Union[str, Path], command: str):
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
-        self._resolved = self.path.resolve()
+        self._resolved = os.path.realpath(self.path)
         self.command = command
         self.config_snapshot: dict = {}
         self.created_at = datetime.now(timezone.utc).isoformat()
@@ -69,14 +70,16 @@ class RunDirectory:
 
     def relative_to_run(self, value: Union[str, Path, None]) -> Optional[str]:
         """Paths inside the run dir are stored relative so two runs of the
-        same scenario produce comparable manifests."""
+        same scenario produce comparable manifests ("." for the directory
+        itself); any other path is kept as given. Symlinks are resolved by
+        `os.path.realpath`, which never raises, so a path that loops still
+        makes a manifest."""
         if value is None:
             return None
-        p = Path(value)
-        try:
-            return str(p.resolve().relative_to(self._resolved))
-        except ValueError:
-            return str(p)
+        real = os.path.realpath(value)
+        if os.path.commonpath((real, self._resolved)) == self._resolved:
+            return os.path.relpath(real, self._resolved)
+        return str(Path(value))
 
     def finalize(self, exit_code: int) -> Path:
         files = sorted(

@@ -670,8 +670,9 @@ def reference_solve(task, strategy: str = "astar", heuristic: str = "blind", nod
 
 
 def reference_fingerprint(request) -> str:
-    """The request fingerprint as one `json.dumps` of the whole request, the
-    formula the shipped fixtures were recorded with."""
+    """The request fingerprint as one `json.dumps` of the whole request,
+    hashed in one shot by `hashlib`: the formula the shipped fixtures were
+    recorded with, which the prefix-hashed `fingerprint` must equal."""
     import hashlib
     import json
 

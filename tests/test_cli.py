@@ -891,6 +891,42 @@ class TestExitPaths:
         assert json.loads((out / "manifest.json").read_text())["exit_code"] == 70
         assert (out / blocked).is_dir()
 
+    def test_path_argument_that_is_a_symlink_loop_is_config_error(self, tmp_path):
+        """A --task that is a symlink loop cannot be read, a config error,
+        exit 64, and the manifest still names it as given: the snapshot of
+        the arguments resolves no path in a way that can raise."""
+        (tmp_path / "a").symlink_to(tmp_path / "b")
+        (tmp_path / "b").symlink_to(tmp_path / "a")
+        out = tmp_path / "run"
+        argv = plan_args("color", out)
+        argv[argv.index("--task") + 1] = str(tmp_path / "a")
+        proc = run_python(f"from planwright.cli import main; print(main({argv!r}))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "64"
+        failure = json.loads((out / "failure.json").read_text())
+        assert (failure["stage"], failure["code"]) == ("config", "config-error")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["exit_code"], manifest["config"]["task"]) == (64, str(tmp_path / "a"))
+
+    def test_divergence_after_a_loaded_memory_store_names_the_store(self, tmp_path):
+        """A second fridge_store plan into the same directory retrieves the
+        entry the first run stored, and diverges: the failure, still stage
+        gateway, says how many entries the store held and where it lives.
+        A divergence with no stored entry says nothing of a store."""
+        out = tmp_path / "run"
+        store = out / "memory.jsonl"
+        assert main(plan_args("fridge_store", out)) == 0
+        assert main(plan_args("fridge_store", out)) == 70
+        failure = json.loads((out / "failure.json").read_text())
+        assert (failure["stage"], failure["code"]) == ("gateway", "fixture-divergence")
+        assert failure["message"].startswith("replay diverged at exchange 2: expected fingerprint ")
+        assert failure["message"].endswith(f"; the memory store {store} held 1 entry when the run began")
+        store.unlink()
+        other = scenario_dir("color") / "fixture.json"
+        assert main(plan_args("fridge_store", out, fixture=other)) == 70
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure["code"] == "fixture-divergence" and "memory store" not in failure["message"]
+
 
 class TestOneRunPerDirectory:
     @pytest.mark.parametrize("first, second", [("color", "always_failing"), ("always_failing", "color")])
@@ -1154,19 +1190,27 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("command, loads_openssl", [("bench", False), ("plan", True)])
-    def test_only_the_llm_half_loads_openssl(self, tmp_path, command, loads_openssl):
-        """A bench run never hashes, so it never loads ``_hashlib``; a replay
-        fingerprints every request, so it does (the control that the probe
-        sees the module at all)."""
-        if command == "bench":
-            d = benchmarks_root() / "blocksworld"
-            argv = ["bench", "--domain", str(d / "domain.pddl"), "--problems", str(d), "--out-dir", str(tmp_path / "run")]
-        else:
-            argv = plan_args("color", tmp_path / "run")
-        proc = run_python(f"import sys; from planwright.cli import main; print(main({argv!r}), '_hashlib' in sys.modules)")
+    @pytest.mark.parametrize("command, loads_openssl", [("bench", False), ("plan", False), ("execute", False), ("control", True)])
+    def test_no_command_loads_openssl(self, tmp_path, command, loads_openssl):
+        """A bench run never hashes. A replay fingerprints every request, and
+        the fridge_recall plan also embeds, both with the interpreter's own
+        SHA-256, so no command loads OpenSSL's ``_hashlib``. The control
+        imports ``hashlib`` itself before the plan, so the probe sees the
+        module where it is loaded."""
+        plan = plan_args("fridge_recall", tmp_path / "plan")
+        d = scenario_dir("fridge_recall")
+        execute = [
+            "execute", "--artifacts", str(tmp_path / "plan"), "--world", str(d / "world.json"),
+            "--mode", "replay", "--fixture", str(d / "exec_fixture.json"), "--out-dir", str(tmp_path / "execute"),
+        ]
+        blocksworld = benchmarks_root() / "blocksworld"
+        bench = ["bench", "--domain", str(blocksworld / "domain.pddl"), "--problems", str(blocksworld), "--out-dir", str(tmp_path / "bench")]
+        runs = {"bench": [bench], "plan": [plan], "execute": [plan, execute], "control": [plan]}[command]
+        probe = "import hashlib; " if command == "control" else ""
+        probe += f"import sys; from planwright.cli import main; print([main(argv) for argv in {runs!r}], '_hashlib' in sys.modules)"
+        proc = run_python(probe)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"0 {loads_openssl}"
+        assert proc.stdout.splitlines()[-1] == f"{[0] * len(runs)} {loads_openssl}"
 
     def test_cli_import_creates_no_dataclasses(self):
         """The value types are built on ``planwright.values``, whose methods

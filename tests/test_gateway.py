@@ -156,8 +156,9 @@ class TestRecordReplay:
 
 
 class TestFingerprint:
-    """`fingerprint` joins canonical texts kept on each message and schema;
-    the hash must equal that of one dump of the whole request."""
+    """`fingerprint` hashes a request by prefix, from the canonical text and
+    hash states kept on each message; the digest must equal the one-shot
+    hash of one dump of the whole request (`reference_fingerprint`)."""
 
     def test_every_shipped_request(self, monkeypatch, tmp_path):
         from planwright.gateway import backends
@@ -198,6 +199,66 @@ class TestFingerprint:
             request = ChatRequest(tuple(pool[:end]), tuple(schemas))
             assert fingerprint(request) == reference_fingerprint(request)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_conversations_that_share_and_rewrite_their_windows(self, data):
+        """Several conversations draw on one pool of message instances, as the
+        agents reuse a system prompt and forward replies. Each request takes
+        the conversation's last window and appends a message (perhaps one the
+        window already holds), evicts one, or inserts one at index 1, as a
+        retrieved memory note is; every digest must equal the one-shot one."""
+        pool = [system("You are a planner."), system("")] + [
+            AgentMessage(role, text)
+            for role, text in data.draw(st.lists(st.tuples(st.sampled_from(["user", "assistant"]), st.text(max_size=8)), min_size=1, max_size=6))
+        ]
+        tools = data.draw(st.sampled_from([(), (FLUENT_TOOL,)]))
+        windows = [[pool[0]], [pool[1]]]
+        for _ in range(data.draw(st.integers(1, 12))):
+            window = data.draw(st.sampled_from(windows))
+            message = data.draw(st.sampled_from(pool))
+            step = data.draw(st.sampled_from(["append", "evict", "insert"]))
+            if step == "append" or len(window) < 2:
+                window.append(message)
+            elif step == "evict":
+                del window[data.draw(st.integers(1, len(window) - 1))]
+            else:
+                window.insert(1, message)
+            request = ChatRequest(tuple(window), tools)
+            assert fingerprint(request) == reference_fingerprint(request)
+
+    def test_a_request_that_extends_the_last_hashes_only_its_new_messages(self, monkeypatch):
+        """The state after each message is kept on it, so the next request of
+        a conversation hashes its new messages and the tools suffix alone."""
+        import hashlib
+
+        from planwright.gateway import transcript
+
+        hashed = []
+
+        class Counting:
+            def __init__(self, state):
+                self.state = state
+
+            def update(self, data):
+                hashed.append(data)
+                self.state.update(data)
+
+            def copy(self):
+                return Counting(self.state.copy())
+
+            def hexdigest(self):
+                return self.state.hexdigest()
+
+        monkeypatch.setattr(transcript, "_new_sha256", lambda data: Counting(hashlib.sha256(data)))
+        monkeypatch.setattr(transcript, "_messages_open", None)
+        first = simple_request(user("one"), tools=[FLUENT_TOOL])
+        second = ChatRequest(first.messages + (assistant("two"), user("three")), first.tools)
+        assert fingerprint(first) == reference_fingerprint(first)
+        hashed.clear()
+        assert fingerprint(second) == reference_fingerprint(second)
+        tools = json.dumps(FLUENT_TOOL.to_json(), sort_keys=True, separators=(",", ":"))
+        assert hashed == [b',{"content":"two","role":"assistant"}', b',{"content":"three","role":"user"}', f'],"tools":[{tools}]}}'.encode()]
+
 
 class TestEmbedder:
     def test_self_similarity_is_one(self):
@@ -223,6 +284,21 @@ class TestEmbedder:
 
     def test_deterministic_across_instances(self):
         assert HashedBagOfWordsEmbedder().embed("pack my bags") == HashedBagOfWordsEmbedder().embed("pack my bags")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(max_size=10), max_size=8))
+    def test_bucket_is_sha256_of_the_token(self, tokens):
+        """`bucket` takes the interpreter's own SHA-256 (`transcript.sha256`),
+        whose digests, and so buckets, are the ones `hashlib` gives."""
+        import hashlib
+
+        from planwright.gateway.transcript import sha256
+
+        emb = HashedBagOfWordsEmbedder()
+        for token in ["close", "the", "fridge", "goal", "0", "é"] + tokens:
+            digest = hashlib.sha256(token.encode("utf-8")).digest()
+            assert sha256(token.encode("utf-8")).digest() == digest
+            assert emb.bucket(token) == int.from_bytes(digest[:4], "big") % 256
 
     def test_deterministic_across_processes(self):
         from helpers import run_python

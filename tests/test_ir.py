@@ -38,7 +38,7 @@ from planwright.ir import (
 from planwright.data_paths import benchmarks_root
 from planwright.domains import blocksworld_domain, blocksworld_problem
 from planwright.pddl import parse_domain, parse_problem
-from planwright.values import replace
+from planwright.values import Value, replace
 
 from fractions import Fraction
 
@@ -573,13 +573,30 @@ _IR_DOCUMENTS = st.recursive(
 )
 
 
-def _plain(document):
-    """``document`` with every domain and problem replaced by its JSON value."""
-    from planwright.ir import jsonio
+def _kept_values() -> list:
+    """Declarations and init assignments of the sampled problems, and domains
+    and problems that an edit made from them, which share the rest."""
+    values = []
+    for problem in _IR_PROBLEMS:
+        domain = problem.domain
+        edited = apply_edit(domain, problem.objects, AddOrModifyFluent(FluentDecl("zz-added"), provenance="test")).domain
+        values += [*domain.actions, *domain.fluents, *domain.types, problem.init, edited, replace(problem, domain=edited)]
+    return values
 
-    if isinstance(document, DomainModel):
-        return document.to_json()
-    if isinstance(document, ProblemInstance):
+
+_KEPT_DOCUMENTS = st.recursive(
+    st.one_of(st.sampled_from(_kept_values()), _LEAVES),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(_KEYS, children, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+def _plain(document):
+    """``document`` with every value replaced by its JSON value."""
+    if isinstance(document, Value):
         return document.to_json()
     if isinstance(document, (list, tuple)):
         return [_plain(item) for item in document]
@@ -626,6 +643,46 @@ class TestDumps:
         from planwright.ir import jsonio
 
         assert jsonio.dumps(document) == json.dumps(_plain(document), indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_KEPT_DOCUMENTS)
+    def test_splices_kept_declarations_at_any_depth(self, document):
+        """Declarations and assignments keep their text, like domains and
+        problems, and are spliced at whatever depth they are met again."""
+        from planwright.ir import jsonio
+
+        assert jsonio.dumps(document) == json.dumps(_plain(document), indent=2) + "\n"
+
+    def test_every_edit_a_fixture_records(self, tmp_path, monkeypatch):
+        """The domain before and after each edit of a replay round, and each
+        of its declarations, at depth 0 and nested, write as `json.dumps`
+        writes their JSON form. The declarations an edited domain shares
+        with the domain before it already hold their text when the edit is
+        made, since the prompts wrote that domain: the edited domain is
+        spliced from it."""
+        from planwright.agents import pipeline
+        from planwright.ir import jsonio
+
+        from test_replay_golden import replay_round
+
+        edits = []
+
+        def recording(domain, objects, edit):
+            result = apply_edit(domain, objects, edit)
+            old = {id(d) for d in (*domain.actions, *domain.fluents, *domain.types)}
+            shared = [d for d in (*result.domain.actions, *result.domain.fluents, *result.domain.types) if id(d) in old]
+            edits.append((domain, result.domain, len(shared), all("_json_text" in vars(d) for d in shared)))
+            return result
+
+        monkeypatch.setattr(pipeline, "apply_edit", recording)
+        replay_round(tmp_path / "round")
+        # Two added fluents and one modified action, all applied.
+        assert [(shared, kept) for _, _, shared, kept in edits] == [(10, True)] * 3
+        for before, after, _, _ in edits:
+            for domain in (before, after):
+                for value in (domain, *domain.actions, *domain.fluents, *domain.types):
+                    assert jsonio.dumps(value) == json.dumps(value.to_json(), indent=2) + "\n"
+                    assert jsonio.dumps({"v": [value]}) == json.dumps({"v": [value.to_json()]}, indent=2) + "\n"
 
     def test_changed_domain_encodes_its_new_content(self, bw3):
         from planwright.ir import jsonio
